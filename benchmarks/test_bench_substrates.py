@@ -68,16 +68,20 @@ def test_bench_incremental_cover_stream(benchmark):
     def run():
         rng = np.random.default_rng(7)
         solver = IncrementalMaxFlow()
+        live = {}
         for step in range(200):
             query = f"q{step}"
             solver.add_left(query, float(rng.integers(1, 20)))
-            update = f"u{step % 40}"
-            # Each update id keeps a fixed weight so re-registration after the
-            # vertex was retired in an earlier cover is a no-op.
-            solver.add_right(update, float(1 + step % 40))
+            # A vertex is added once: an update id whose vertex was retired
+            # by an earlier cover comes back as a fresh generation.
+            slot = step % 40
+            update = live.get(slot)
+            if update is None or not solver.has_right(update):
+                update = live[slot] = (slot, step)
+                solver.add_right(update, float(1 + slot))
             solver.add_edge(query, update)
-            cover = solver.compute_cover()
-            solver.retire(right=list(cover.right_in_cover))
+            delta = solver.compute_cover()
+            solver.retire(left=delta.uncovered_left, right=delta.covered_right)
         return solver.augmentation_count
 
     assert benchmark(run) == 200

@@ -100,7 +100,8 @@ _LATENCY_FIELDS: Dict[str, _FieldType] = {
 #:   precompute, outside the timed replay,
 #: * ``batch_dispatch`` -- replay wall-clock not attributed to a finer
 #:   phase (event dispatch, batched or scalar),
-#: * ``cover_solve`` -- max-flow solves under the vertex-cover reduction,
+#: * ``cover_solve`` -- cover computation in ``repro.flow`` (augmentation,
+#:   reachability and extraction; incremental covers and static solves),
 #: * ``metrics`` -- traffic/occupancy series sampling in the engines.
 PHASE_NAMES = ("trace_compile", "batch_dispatch", "cover_solve", "metrics")
 

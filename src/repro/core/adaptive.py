@@ -99,7 +99,7 @@ class AdaptiveConfig:
     switch_horizon: float = 10.0
     benefit_window: int = 1000
     vcover: Optional[VCoverConfig] = None
-    flow_method: str = "auto"
+    flow_method: str = "edmonds-karp"
     track_regret: bool = True
 
     def __post_init__(self) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.flow.incremental import IncrementalMaxFlow
 from repro.flow.vertex_cover import BipartiteCoverInstance
@@ -49,13 +49,10 @@ class CoverAdvice:
         cost-justified by the accumulated query weights they interact with,
         and they leave the remainder subgraph, so the UpdateManager ships them
         regardless of whether the triggering query itself is shipped.
-    cover_weight:
-        Total weight of the computed cover (diagnostics).
     """
 
     ship_query: bool
     ship_updates: FrozenSet[int]
-    cover_weight: float
 
 
 class InteractionGraph:
@@ -135,36 +132,32 @@ class InteractionGraph:
         Section 4 prescribes: update vertices picked in the cover are retired
         (their shipping is now justified and paid), and query vertices *not*
         picked are retired (they were answered from cache; they can never
-        justify future shipping).
+        justify future shipping).  Every query kept so far is in the cover
+        and every update kept so far is not, so both lists are exactly the
+        change :meth:`IncrementalMaxFlow.compute_cover` reports: the cost of
+        a decision is what the new query can reach in the residual graph.
         """
-        cover = self._flow.compute_cover()
+        delta = self._flow.compute_cover()
         self._covers_computed += 1
+        retired_queries = delta.uncovered_left
+        cover_update_keys = delta.covered_right
         query_key = self._latest_query_key.get(query.query_id)
-        ship_query = query_key in cover.left_in_cover if query_key is not None else False
-
+        # In the cover: touched by an interaction and not reached.
+        ship_query = query_key in self._edges_by_query and query_key not in retired_queries
         # Every update picked in the cover is now cost-justified and shipped.
-        cover_update_keys = set(cover.right_in_cover)
         ship_updates = frozenset(key[1] for key in cover_update_keys)
 
         # Remainder pruning.
-        # Sorted: the retire order feeds the flow network's bookkeeping.
-        retired_queries = [
-            key
-            for key in sorted(self._active_query_keys)
-            if key not in cover.left_in_cover
-        ]
-        self._flow.retire(left=retired_queries, right=list(cover_update_keys))
+        self._flow.retire(left=retired_queries, right=cover_update_keys)
         self._active_query_keys.difference_update(retired_queries)
         self._remove_query_edges(retired_queries)
-        self._retire_update_keys(cover_update_keys, already_retired_in_flow=True)
-        self._prune_isolated_queries()
+        isolated = self._retire_update_keys(cover_update_keys, already_retired_in_flow=True)
+        if query_key is not None:
+            isolated.append(query_key)
+        self._prune_isolated_queries(isolated)
         self._maybe_compact()
 
-        return CoverAdvice(
-            ship_query=ship_query,
-            ship_updates=ship_updates,
-            cover_weight=cover.weight,
-        )
+        return CoverAdvice(ship_query=ship_query, ship_updates=ship_updates)
 
     def drop_updates(self, update_ids: Iterable[int]) -> None:
         """Retire update vertices that became irrelevant.
@@ -180,8 +173,7 @@ class InteractionGraph:
         ]
         if not keys:
             return
-        self._retire_update_keys(keys)
-        self._prune_isolated_queries()
+        self._prune_isolated_queries(self._retire_update_keys(keys))
         self._maybe_compact()
 
     # ------------------------------------------------------------------
@@ -189,10 +181,12 @@ class InteractionGraph:
     # ------------------------------------------------------------------
     def _retire_update_keys(
         self, keys: Iterable[UpdateKey], already_retired_in_flow: bool = False
-    ) -> None:
+    ) -> List[QueryKey]:
+        """Retire update vertices; return the queries left without an edge."""
         keys = list(keys)
         if not already_retired_in_flow and keys:
             self._flow.retire(right=keys)
+        stranded: List[QueryKey] = []
         for key in keys:
             update_id = key[1]
             if self._active_update_keys.get(update_id) == key:
@@ -204,6 +198,8 @@ class InteractionGraph:
                     edges.discard(key)
                     if not edges:
                         del self._edges_by_query[query_key]
+                        stranded.append(query_key)
+        return stranded
 
     def _remove_query_edges(self, query_keys: Iterable[QueryKey]) -> None:
         """Drop the edges of retired query vertices from the incidence maps."""
@@ -215,25 +211,26 @@ class InteractionGraph:
                     if not edges:
                         del self._edges_by_update[update_key]
 
-    def _prune_isolated_queries(self) -> None:
-        """Retire query vertices with no remaining active edges.
+    def _prune_isolated_queries(self, candidates: Iterable[QueryKey]) -> None:
+        """Retire those of ``candidates`` with no remaining active edges.
 
         Edges are only ever added for a *newly arrived* query, so an old query
         whose interacting updates have all been shipped or dropped can never
         influence a future cover; keeping it would only bloat the network.
+        A query can only become isolated by losing its last edge, so callers
+        pass the queries that just did (plus a query advised without any).
         """
         edges_by_query = self._edges_by_query
-        isolated = [
+        # Sorted: the candidates come out of incidence sets.
+        isolated = sorted(
             key
-            for key in sorted(self._active_query_keys)
-            if not edges_by_query.get(key)
-        ]
+            for key in candidates
+            if key in self._active_query_keys and key not in edges_by_query
+        )
         if not isolated:
             return
         self._flow.retire(left=isolated)
         self._active_query_keys.difference_update(isolated)
-        for key in isolated:
-            edges_by_query.pop(key, None)
 
     def _maybe_compact(self) -> None:
         """Compact the flow network when retired vertices dominate it."""

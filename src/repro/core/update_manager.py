@@ -28,8 +28,6 @@ class UpdateManagerResult:
     ship_query: bool
     #: Updates (ids) that must be shipped to the cache.
     ship_update_ids: List[int]
-    #: Weight of the cover that produced the decision (diagnostics).
-    cover_weight: float
 
 
 class UpdateManager:
@@ -77,7 +75,7 @@ class UpdateManager:
         ]
         if not all_updates:
             # Fast path: every interacting update has already been shipped.
-            return UpdateManagerResult(ship_query=False, ship_update_ids=[], cover_weight=0.0)
+            return UpdateManagerResult(ship_query=False, ship_update_ids=[])
 
         self._graph.add_query(query)
         for update in all_updates:
@@ -87,13 +85,9 @@ class UpdateManager:
         advice = self._graph.advise(query)
         if advice.ship_query:
             self._queries_shipped += 1
-        shipped = [uid for uid in advice.ship_updates]
+        shipped = list(advice.ship_updates)
         self._updates_shipped += len(shipped)
-        return UpdateManagerResult(
-            ship_query=advice.ship_query,
-            ship_update_ids=shipped,
-            cover_weight=advice.cover_weight,
-        )
+        return UpdateManagerResult(ship_query=advice.ship_query, ship_update_ids=shipped)
 
     # ------------------------------------------------------------------
     # Cache-change notifications

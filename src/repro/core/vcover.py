@@ -36,10 +36,9 @@ from repro.repository.updates import Update
 class VCoverConfig:
     """Configuration of the VCover policy."""
 
-    #: Max-flow solver used by the UpdateManager: "edmonds-karp", "dinic",
-    #: "push-relabel", or "auto" (the default -- Edmonds-Karp on small
-    #: interaction graphs, gap-heuristic push-relabel on large covers).
-    flow_method: str = "auto"
+    #: Max-flow solver used by the UpdateManager: "edmonds-karp" (the
+    #: production solver) or "dinic" (the oracle it is checked against).
+    flow_method: str = "edmonds-karp"
     #: Use the randomized loading mechanism (False = deterministic counters).
     randomized_loading: bool = True
     #: Seed for the LoadManager's randomness.

@@ -139,10 +139,10 @@ def _eviction_variants(
 
 
 def _flow_method_variants(config: ExperimentConfig) -> List[Tuple[str, PolicySpec]]:
-    """The max-flow solvers in the UpdateManager (results must agree)."""
+    """The production max-flow solver against its oracle (results must agree)."""
     return [
         (method, vcover_spec(VCoverConfig(flow_method=method), name=f"vcover-{method}"))
-        for method in ("edmonds-karp", "dinic", "push-relabel")
+        for method in ("edmonds-karp", "dinic")
     ]
 
 

@@ -4,13 +4,12 @@ This package contains from-scratch implementations of the graph algorithms the
 Delta decision framework relies on:
 
 * :mod:`repro.flow.graph` -- a residual flow-network data structure,
-* :mod:`repro.flow.maxflow` -- Edmonds-Karp and Dinic maximum-flow solvers
-  plus the size-adaptive ``"auto"`` dispatch,
-* :mod:`repro.flow.pushrelabel` -- the gap-heuristic push-relabel solver
-  used for large covers,
+* :mod:`repro.flow.maxflow` -- the Edmonds-Karp production solver and the
+  Dinic oracle it is tested against,
 * :mod:`repro.flow.incremental` -- an incremental max-flow solver that
-  warm-starts from a previously computed flow when the network grows
-  (the key primitive behind the ``UpdateManager`` in VCover),
+  warm-starts from a previously computed flow when the network grows and
+  searches only what the new vertices can reach (the key primitive behind
+  the ``UpdateManager`` in VCover),
 * :mod:`repro.flow.vertex_cover` -- minimum-weight vertex cover on bipartite
   graphs via max-flow / min-cut (Koenig-style construction).
 
@@ -26,7 +25,6 @@ from repro.flow.maxflow import (
     edmonds_karp_max_flow,
     solve_max_flow,
 )
-from repro.flow.pushrelabel import push_relabel_max_flow
 from repro.flow.vertex_cover import (
     BipartiteCoverInstance,
     CoverResult,
@@ -38,7 +36,6 @@ __all__ = [
     "IncrementalMaxFlow",
     "dinic_max_flow",
     "edmonds_karp_max_flow",
-    "push_relabel_max_flow",
     "solve_max_flow",
     "BipartiteCoverInstance",
     "CoverResult",

@@ -19,7 +19,7 @@ value below :data:`EPSILON` as zero to keep floating-point arithmetic stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 #: Capacities or residuals below this threshold are treated as zero.
 EPSILON = 1e-9
@@ -82,11 +82,15 @@ class FlowNetwork:
     relies on (Section 4 of the paper).
     """
 
-    __slots__ = ("_adjacency", "_edge_index")
+    __slots__ = ("_adjacency", "_edge_index", "arcs_examined")
 
     def __init__(self) -> None:
         self._adjacency: Dict[Vertex, List[Arc]] = {}
         self._edge_index: Dict[Tuple[Vertex, Vertex], Arc] = {}
+        #: Arcs looked at by augmenting-path searches and reachability passes
+        #: so far: a deterministic measure of search work (counted per expanded
+        #: vertex, so it costs nothing per arc).
+        self.arcs_examined = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -186,10 +190,7 @@ class FlowNetwork:
 
         Outgoing forward flow minus incoming forward flow.  A reverse arc at
         the source carries ``-flow`` of its inbound partner, so both kinds
-        contribute with a plain ``+``.  The subtraction matters: push-relabel
-        may legally drain excess back through a forward arc *into* the
-        source, leaving a circulation that a gross-outflow sum would count
-        as extra value.
+        contribute with a plain ``+``.
         """
         total = 0.0
         for arc in self._adjacency.get(source, ()):
@@ -212,21 +213,40 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # Residual reachability (used for min-cut extraction)
     # ------------------------------------------------------------------
-    def residual_reachable(self, source: Vertex) -> set:
+    def residual_reachable(self, source: Vertex) -> Set[Vertex]:
         """Vertices reachable from ``source`` using arcs with positive residual."""
-        if source not in self._adjacency:
-            return set()
+        seen: Set[Vertex] = set()
+        if source in self._adjacency:
+            self.extend_reachable([source], seen)
+        return seen
+
+    def extend_reachable(self, roots: Iterable[Vertex], seen: Set[Vertex]) -> List[Vertex]:
+        """Grow ``seen`` by everything residual-reachable from ``roots``.
+
+        Vertices already in ``seen`` are neither entered nor expanded, which
+        is what lets a caller that knows a region is closed (no residual arc
+        leaves it) keep the search out of it.  Returns the vertices added,
+        in visit order.
+        """
         adjacency = self._adjacency
-        seen = {source}
-        stack = [source]
+        added: List[Vertex] = []
+        for root in roots:
+            if root not in seen:
+                seen.add(root)
+                added.append(root)
+        stack = added[::-1]
+        examined = 0
         while stack:
-            vertex = stack.pop()
-            for arc in adjacency[vertex]:
+            arcs = adjacency[stack.pop()]
+            examined += len(arcs)
+            for arc in arcs:
                 head = arc.head
                 if arc.capacity - arc.flow > EPSILON and head not in seen:
                     seen.add(head)
+                    added.append(head)
                     stack.append(head)
-        return seen
+        self.arcs_examined += examined
+        return added
 
     # ------------------------------------------------------------------
     # Validation helpers (used heavily by the test-suite)

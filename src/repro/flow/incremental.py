@@ -1,4 +1,4 @@
-"""Incremental maximum flow / minimum-weight vertex cover.
+"""Incremental, frontier-local maximum flow / minimum-weight vertex cover.
 
 The UpdateManager in VCover (Figure 4/5 of the paper) never recomputes a flow
 from scratch.  Instead it keeps the flow network built in the previous
@@ -9,21 +9,44 @@ previous flow remains feasible and serves as the warm start.  The paper notes
 that over an entire sequence this costs no more than a single Edmonds-Karp run
 on the final network -- ``O(n m^2)`` instead of ``O(n^2 m^2)``.
 
-:class:`IncrementalMaxFlow` packages that pattern: callers add weighted left
-(query) and right (update) vertices and interaction edges, then ask for the
-current minimum-weight vertex cover.  Vertices may also be *retired*
-(removed from the cover bookkeeping) which is how the remainder subgraph of
-Section 4 is maintained; retiring a vertex freezes its arcs by detaching it
-from the bookkeeping rather than mutating the network, so previously computed
-flow is untouched.
+:class:`IncrementalMaxFlow` goes one step further: a cover costs what the new
+vertices can *reach*, not the size of the accumulated network.  Three
+invariants make that sound:
+
+1. *Only new source arcs carry residual.*  After :meth:`compute_cover` a left
+   vertex is either unreachable from the source -- then its source arc is
+   saturated, and stays so, because a vertex is added once and augmenting
+   paths never push flow back into the source -- or it lies in the reachable
+   set ``S`` of that cover.  The only source arcs worth searching from are
+   those of the left vertices added since the last cover.
+2. *Reachable sets are closed for good.*  Every arc leaving ``S`` is saturated
+   (it is a minimum cut), and :meth:`add_edge` refuses to attach an edge to a
+   left vertex inside it, so no arc ever leaves ``S`` again: no augmenting
+   path can pass through it, its members stay reachable, and skipping them
+   leaves the breadth-first order over everything else unchanged.
+   Edmonds-Karp therefore finds the *same paths* and leaves the *same flow*
+   as a search over the whole network would.
+3. *The cover changes only where the last search went.*  A vertex's cover
+   status is its reachability (left: in the cover iff unreachable; right: iff
+   reachable), so the vertices whose status changes are exactly those the
+   final reachability pass visits from the new vertices.
+   :meth:`compute_cover` reports that delta; nothing else is looked at.
+
+Vertices may also be *retired* (removed from the cover bookkeeping), which is
+how the remainder subgraph of Section 4 is maintained.  Retiring only detaches
+a vertex from the reporting; its arcs and flow stay in the network, so a
+retired vertex outside every closed set -- an update dropped while its sink
+arc still had capacity, say -- can still carry flow until :meth:`compact`
+rebuilds the network without it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Hashable, Iterable, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple, cast
 
-from repro.flow.graph import EPSILON, FlowNetwork
+from repro.flow.graph import EPSILON, Arc, FlowNetwork
 from repro.flow.maxflow import solve_max_flow
 from repro.flow.vertex_cover import (
     SINK,
@@ -32,8 +55,23 @@ from repro.flow.vertex_cover import (
     CoverResult,
     INFINITE_CAPACITY,
 )
+from repro.perf import PHASE_COVER_SOLVE, add_phase_time, phase_clock
 
 Vertex = Hashable
+
+
+@dataclass(frozen=True, slots=True)
+class CoverDelta:
+    """How one :meth:`IncrementalMaxFlow.compute_cover` changed the cover.
+
+    Both tuples hold *active* vertices only, in the (deterministic) order the
+    reachability pass visited them.
+    """
+
+    #: Left vertices that left the cover (they became reachable).
+    uncovered_left: Tuple[Vertex, ...]
+    #: Right vertices that entered the cover (they became reachable).
+    covered_right: Tuple[Vertex, ...]
 
 
 class IncrementalMaxFlow:
@@ -42,11 +80,11 @@ class IncrementalMaxFlow:
     The class mirrors the interface the UpdateManager needs:
 
     * :meth:`add_left` / :meth:`add_right` register a weighted query/update
-      vertex,
+      vertex (once: weights never change, which invariant 1 relies on),
     * :meth:`add_edge` registers an interaction,
-    * :meth:`compute_cover` augments the existing flow and returns the current
-      minimum-weight vertex cover restricted to the *active* (non-retired)
-      vertices,
+    * :meth:`compute_cover` augments the existing flow from the left vertices
+      added since the previous call and returns the resulting change of the
+      minimum-weight vertex cover over the *active* (non-retired) vertices,
     * :meth:`retire` removes vertices from the active set (remainder-subgraph
       maintenance); their arcs and flow stay in the underlying network so the
       warm start remains valid.
@@ -60,9 +98,8 @@ class IncrementalMaxFlow:
         "_edges",
         "_retired_left",
         "_retired_right",
-        "_active_edge_set",
-        "_left_incident",
-        "_right_incident",
+        "_open",
+        "_closed",
         "_augmentations",
     )
 
@@ -76,71 +113,41 @@ class IncrementalMaxFlow:
         self._edges: Set[Tuple[Vertex, Vertex]] = set()
         self._retired_left: Set[Vertex] = set()
         self._retired_right: Set[Vertex] = set()
-        # Edges with both endpoints active, maintained incrementally (plus
-        # per-vertex incidence) so that cover extraction never rescans the
-        # full accumulated edge set -- with thousands of retired edges that
-        # rescan used to dominate the decision loop.
-        self._active_edge_set: Set[Tuple[Vertex, Vertex]] = set()
-        self._left_incident: Dict[Vertex, Set[Tuple[Vertex, Vertex]]] = {}
-        self._right_incident: Dict[Vertex, Set[Tuple[Vertex, Vertex]]] = {}
+        #: Source arcs of the left vertices added since the last cover: the
+        #: only ones that can still carry flow (invariant 1).
+        self._open: List[Arc] = []
+        #: Network vertices reached by some earlier cover (invariant 2).  The
+        #: source is a member so residual arcs back into it are never taken.
+        self._closed: Set[Vertex] = {SOURCE}
         self._augmentations = 0
 
     # ------------------------------------------------------------------
     # Graph construction
     # ------------------------------------------------------------------
     def add_left(self, vertex: Vertex, weight: float) -> None:
-        """Register a left-side (query) vertex with the given weight.
-
-        Re-adding an existing vertex with a larger weight raises the capacity
-        of its source arc; a smaller weight is rejected because capacities may
-        not shrink under warm starts.
-        """
+        """Register a new left-side (query) vertex with the given weight."""
         if weight < 0:
             raise ValueError(f"weight must be non-negative, got {weight!r}")
-        current = self._left_weights.get(vertex)
-        if current is None:
-            self._left_weights[vertex] = weight
-            self._network.add_edge(SOURCE, ("L", vertex), weight)
-        elif weight > current:
-            self._network.add_edge(SOURCE, ("L", vertex), weight - current)
-            self._left_weights[vertex] = weight
-        elif weight < current - EPSILON:
-            raise ValueError(
-                f"cannot decrease weight of left vertex {vertex!r} "
-                f"from {current!r} to {weight!r}"
-            )
-        if vertex in self._retired_left:
-            self._retired_left.discard(vertex)
-            retired_right = self._retired_right
-            for edge in self._left_incident.get(vertex, ()):
-                if edge[1] not in retired_right:
-                    self._active_edge_set.add(edge)
+        if vertex in self._left_weights:
+            raise ValueError(f"left vertex {vertex!r} has already been added")
+        self._left_weights[vertex] = weight
+        self._open.append(self._network.add_edge(SOURCE, ("L", vertex), weight))
 
     def add_right(self, vertex: Vertex, weight: float) -> None:
-        """Register a right-side (update) vertex with the given weight."""
+        """Register a new right-side (update) vertex with the given weight."""
         if weight < 0:
             raise ValueError(f"weight must be non-negative, got {weight!r}")
-        current = self._right_weights.get(vertex)
-        if current is None:
-            self._right_weights[vertex] = weight
-            self._network.add_edge(("R", vertex), SINK, weight)
-        elif weight > current:
-            self._network.add_edge(("R", vertex), SINK, weight - current)
-            self._right_weights[vertex] = weight
-        elif weight < current - EPSILON:
-            raise ValueError(
-                f"cannot decrease weight of right vertex {vertex!r} "
-                f"from {current!r} to {weight!r}"
-            )
-        if vertex in self._retired_right:
-            self._retired_right.discard(vertex)
-            retired_left = self._retired_left
-            for edge in self._right_incident.get(vertex, ()):
-                if edge[0] not in retired_left:
-                    self._active_edge_set.add(edge)
+        if vertex in self._right_weights:
+            raise ValueError(f"right vertex {vertex!r} has already been added")
+        self._right_weights[vertex] = weight
+        self._network.add_edge(("R", vertex), SINK, weight)
 
     def add_edge(self, left: Vertex, right: Vertex) -> None:
-        """Register an interaction edge between a query and an update vertex."""
+        """Register an interaction edge between a query and an update vertex.
+
+        ``left`` must not have been reached by an earlier cover: an edge out
+        of a closed set would reopen it (invariant 2).
+        """
         if left not in self._left_weights:
             raise KeyError(f"left vertex {left!r} has not been added")
         if right not in self._right_weights:
@@ -148,11 +155,12 @@ class IncrementalMaxFlow:
         edge = (left, right)
         if edge in self._edges:
             return
+        if ("L", left) in self._closed:
+            raise ValueError(
+                f"left vertex {left!r} was reached by an earlier cover and "
+                "cannot take new edges"
+            )
         self._edges.add(edge)
-        self._left_incident.setdefault(left, set()).add(edge)
-        self._right_incident.setdefault(right, set()).add(edge)
-        if left not in self._retired_left and right not in self._retired_right:
-            self._active_edge_set.add(edge)
         self._network.add_edge(("L", left), ("R", right), INFINITE_CAPACITY)
 
     def has_left(self, vertex: Vertex) -> bool:
@@ -175,18 +183,8 @@ class IncrementalMaxFlow:
         shipping).  The underlying arcs keep their flow, preserving the warm
         start; only the reporting changes.
         """
-        for vertex in left:
-            if vertex in self._left_weights and vertex not in self._retired_left:
-                self._retired_left.add(vertex)
-                incident = self._left_incident.get(vertex)
-                if incident:
-                    self._active_edge_set.difference_update(incident)
-        for vertex in right:
-            if vertex in self._right_weights and vertex not in self._retired_right:
-                self._retired_right.add(vertex)
-                incident = self._right_incident.get(vertex)
-                if incident:
-                    self._active_edge_set.difference_update(incident)
+        self._retired_left.update(v for v in left if v in self._left_weights)
+        self._retired_right.update(v for v in right if v in self._right_weights)
 
     @property
     def active_left(self) -> FrozenSet[Vertex]:
@@ -201,47 +199,97 @@ class IncrementalMaxFlow:
     @property
     def active_edges(self) -> FrozenSet[Tuple[Vertex, Vertex]]:
         """Interaction edges whose both endpoints are active."""
-        return frozenset(self._active_edge_set)
+        retired_left, retired_right = self._retired_left, self._retired_right
+        return frozenset(
+            edge
+            for edge in self._edges
+            if edge[0] not in retired_left and edge[1] not in retired_right
+        )
 
     @property
     def augmentation_count(self) -> int:
         """Number of times :meth:`compute_cover` has augmented the flow."""
         return self._augmentations
 
+    @property
+    def arcs_examined(self) -> int:
+        """Arcs looked at by augmentation and reachability so far.
+
+        A deterministic measure of the work :meth:`compute_cover` has done;
+        divided by :attr:`augmentation_count` it must not grow with the
+        length of the run.
+        """
+        return self._network.arcs_examined
+
     # ------------------------------------------------------------------
     # Cover computation
     # ------------------------------------------------------------------
-    def compute_cover(self) -> CoverResult:
-        """Augment the warm-started flow and return the active vertex cover.
+    def compute_cover(self) -> CoverDelta:
+        """Augment the warm-started flow and return how the cover changed.
 
-        The flow is augmented over the *entire* accumulated network (retired
-        vertices keep contributing their flow, which is what keeps the warm
-        start sound), but the reported cover is restricted to active vertices.
+        Augmentation and the reachability pass start at the left vertices
+        added since the previous call and stay out of every closed set (see
+        the module docstring), so the cost is what those vertices can reach.
+        Retired vertices that are not closed keep carrying flow, which is what
+        keeps the warm start sound; they are left out of the report.
         """
-        solve_max_flow(self._network, SOURCE, SINK, method=self._method)
-        self._augmentations += 1
-        reachable = self._network.residual_reachable(SOURCE)
-        touched_left = set()
-        touched_right = set()
+        start = phase_clock()
+        try:
+            source_arcs = self._open
+            solve_max_flow(
+                self._network,
+                SOURCE,
+                SINK,
+                method=self._method,
+                source_arcs=source_arcs,
+                closed=self._closed,
+            )
+            self._augmentations += 1
+            # Everything reachable past the source is an ("L" | "R", vertex) pair.
+            reached = cast(
+                List[Tuple[str, Vertex]],
+                self._network.extend_reachable(
+                    [arc.head for arc in source_arcs if arc.capacity - arc.flow > EPSILON],
+                    self._closed,
+                ),
+            )
+            self._open = []
+            retired_left, retired_right = self._retired_left, self._retired_right
+            return CoverDelta(
+                uncovered_left=tuple(
+                    v for side, v in reached if side == "L" and v not in retired_left
+                ),
+                covered_right=tuple(
+                    v for side, v in reached if side == "R" and v not in retired_right
+                ),
+            )
+        finally:
+            add_phase_time(PHASE_COVER_SOLVE, phase_clock() - start)
+
+    def active_cover(self) -> CoverResult:
+        """The whole cover over the active vertices, as of the last cover.
+
+        Read off invariant 3: an active left vertex is in the cover iff no
+        cover has reached it, an active right vertex iff one has.  This walks
+        every edge, so it is for introspection and tests; the decision loop
+        reads the :class:`CoverDelta` instead.
+        """
+        closed = self._closed
+        left_in_cover = set()
+        right_in_cover = set()
         # Populate-only fold into sets: order provably does not matter.
-        for left, right in self._active_edge_set:  # repro-lint: disable=DET003
-            touched_left.add(left)
-            touched_right.add(right)
-        left_in_cover = frozenset(
-            vertex
-            for vertex in touched_left
-            if ("L", vertex) not in reachable
-        )
-        right_in_cover = frozenset(
-            vertex for vertex in touched_right if ("R", vertex) in reachable
-        )
+        for left, right in self.active_edges:  # repro-lint: disable=DET003
+            if ("L", left) not in closed:
+                left_in_cover.add(left)
+            if ("R", right) in closed:
+                right_in_cover.add(right)
         # fsum: exact summation, so the weight is independent of set order.
         weight = math.fsum(self._left_weights[v] for v in left_in_cover) + math.fsum(
             self._right_weights[v] for v in right_in_cover
         )
         return CoverResult(
-            left_in_cover=left_in_cover,
-            right_in_cover=right_in_cover,
+            left_in_cover=frozenset(left_in_cover),
+            right_in_cover=frozenset(right_in_cover),
             weight=weight,
             flow_value=self._network.flow_value(SOURCE),
         )
@@ -266,21 +314,25 @@ class IncrementalMaxFlow:
         * capacity already *consumed* toward retired counterparts is removed
           from the vertex's arc (a left vertex that pushed ``f`` units into
           now-retired right vertices keeps ``weight - f`` of justification
-          capacity), which leaves the residual graph -- and therefore every
-          future cover decision -- identical to the un-compacted network.
+          capacity), which leaves the residual graph among the survivors
+          identical to the un-compacted network;
+        * the closed set and the open source arcs are carried over for the
+          survivors (a closed set stays closed when vertices are deleted).
+
+        What compaction does change is that retired vertices outside every
+        closed set stop absorbing flow, so *when* it runs is part of the
+        decision sequence.
         """
         old_network = self._network
         new_network = FlowNetwork()
         new_network.add_vertex(SOURCE)
         new_network.add_vertex(SINK)
+        new_network.arcs_examined = old_network.arcs_examined
+        open_left = [arc.head for arc in self._open]
 
-        active_left = {v for v in self._left_weights if v not in self._retired_left}
-        active_right = {v for v in self._right_weights if v not in self._retired_right}
-        surviving_edges = {
-            (left, right)
-            for left, right in self._edges
-            if left in active_left and right in active_right
-        }
+        active_left = self.active_left
+        active_right = self.active_right
+        surviving_edges = self.active_edges
         # Arc insertion order steers the augmenting-path search, so fix it:
         # the rebuilt network must not depend on set iteration order.
         left_order = sorted(active_left)
@@ -332,12 +384,12 @@ class IncrementalMaxFlow:
         self._edges = set(surviving_edges)
         self._retired_left.clear()
         self._retired_right.clear()
-        self._active_edge_set = set(surviving_edges)
-        self._left_incident = {}
-        self._right_incident = {}
-        for edge in edge_order:
-            self._left_incident.setdefault(edge[0], set()).add(edge)
-            self._right_incident.setdefault(edge[1], set()).add(edge)
+        reopened = (new_network.get_edge(SOURCE, head) for head in open_left)
+        self._open = [arc for arc in reopened if arc is not None]
+        closed = self._closed
+        self._closed = {SOURCE}
+        self._closed.update(("L", v) for v in left_order if ("L", v) in closed)
+        self._closed.update(("R", v) for v in right_order if ("R", v) in closed)
 
     # ------------------------------------------------------------------
     # Introspection / testing helpers
@@ -347,7 +399,7 @@ class IncrementalMaxFlow:
 
         With ``active_only`` (the default) only non-retired vertices and the
         edges between them are exported, which is what an oracle should solve
-        to cross-check :meth:`compute_cover`.
+        to cross-check :meth:`active_cover`.
         """
         if active_only:
             left = {v: w for v, w in self._left_weights.items() if v not in self._retired_left}

@@ -1,73 +1,95 @@
-"""Maximum-flow solvers: Edmonds-Karp, Dinic, push-relabel dispatch.
+"""Maximum-flow solvers: Edmonds-Karp (production) and Dinic (oracle).
 
 The paper's offline decoupling algorithm reduces minimum-weight vertex cover
 on the (bipartite) internal interaction graph to a maximum-flow computation
-and cites Edmonds-Karp as the solver.  We provide Edmonds-Karp (BFS augmenting
-paths, the algorithm named in the paper), Dinic (blocking flows), and the
-gap-heuristic push-relabel solver from :mod:`repro.flow.pushrelabel` for
-large covers, plus an ``"auto"`` method that switches between them on graph
-size.  All solvers operate on :class:`repro.flow.graph.FlowNetwork` and
-*augment the existing flow*, which is what makes the incremental variant in
-:mod:`repro.flow.incremental` a thin wrapper.
+and cites Edmonds-Karp as the solver.  Edmonds-Karp (BFS augmenting paths) is
+the one production solver; Dinic (blocking flows) is kept as an independent
+implementation for the property tests and the ``flow_method`` ablation to
+check it against.  Both operate on :class:`repro.flow.graph.FlowNetwork` and
+*augment the existing flow*, so they can be called again as the network grows.
+
+Both accept two search hints, used by :mod:`repro.flow.incremental` to keep a
+solve local to what changed.  ``source_arcs`` names the only arcs out of the
+source worth trying (the caller vouches every other one is saturated or leads
+into ``closed``), so the source's whole adjacency is never rescanned.
+``closed`` is a set of vertices no residual arc leaves: no augmenting path can
+pass through it, and skipping its members does not reorder the search over
+the rest, so the paths found -- and the flow left behind -- are exactly those
+of an unhinted solve.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, List, Optional
+from typing import Container, Deque, Dict, Hashable, List, Optional, Sequence
 
 from repro.flow.graph import EPSILON, Arc, FlowNetwork
-from repro.flow.pushrelabel import push_relabel_max_flow
-from repro.perf import PHASE_COVER_SOLVE, add_phase_time, phase_clock
 
 Vertex = Hashable
 
 
 def _bfs_augmenting_path(
-    network: FlowNetwork, source: Vertex, sink: Vertex
+    network: FlowNetwork,
+    source: Vertex,
+    sink: Vertex,
+    source_arcs: Sequence[Arc],
+    closed: Container[Vertex],
 ) -> Optional[List[Arc]]:
     """Find a shortest augmenting path from ``source`` to ``sink``.
 
     Returns the list of arcs along the path, or ``None`` when the sink is not
     reachable in the residual graph.
     """
-    parents: Dict[Vertex, Arc] = {}
-    visited = {source}
-    queue = deque([source])
+    parents: Dict[Vertex, Optional[Arc]] = {source: None}
+    queue: Deque[Vertex] = deque()
     adjacency = network.adjacency()
-    while queue:
-        vertex = queue.popleft()
-        for arc in adjacency[vertex]:
-            head = arc.head
-            if arc.capacity - arc.flow <= EPSILON or head in visited:
-                continue
-            visited.add(head)
-            parents[head] = arc
-            if head == sink:
-                path: List[Arc] = []
-                node = sink
-                while node != source:
-                    arc_in = parents[node]
-                    path.append(arc_in)
-                    node = arc_in.tail
-                path.reverse()
-                return path
-            queue.append(head)
-    return None
+    arcs = source_arcs
+    examined = 0
+    try:
+        while True:
+            examined += len(arcs)
+            for arc in arcs:
+                head = arc.head
+                if arc.capacity - arc.flow <= EPSILON or head in parents or head in closed:
+                    continue
+                parents[head] = arc
+                if head == sink:
+                    path: List[Arc] = []
+                    arc_in: Optional[Arc] = arc
+                    while arc_in is not None:
+                        path.append(arc_in)
+                        arc_in = parents[arc_in.tail]
+                    path.reverse()
+                    return path
+                queue.append(head)
+            if not queue:
+                return None
+            arcs = adjacency[queue.popleft()]
+    finally:
+        network.arcs_examined += examined
 
 
-def edmonds_karp_max_flow(network: FlowNetwork, source: Vertex, sink: Vertex) -> float:
+def edmonds_karp_max_flow(
+    network: FlowNetwork,
+    source: Vertex,
+    sink: Vertex,
+    source_arcs: Optional[Sequence[Arc]] = None,
+    closed: Container[Vertex] = (),
+) -> float:
     """Augment ``network`` to a maximum flow using Edmonds-Karp.
 
     The existing flow on the network is used as the starting point, so calling
     this repeatedly as the network grows performs exactly the incremental
     computation described in Section 4 of the paper.  Returns the *total*
-    value of the flow from ``source`` after augmentation.
+    flow carried by the source arcs searched after augmentation -- the value
+    of the flow when ``source_arcs`` is not given.
     """
     if not network.has_vertex(source) or not network.has_vertex(sink):
-        return network.flow_value(source) if network.has_vertex(source) else 0.0
+        return network.flow_value(source)
+    if source_arcs is None:
+        source_arcs = network.adjacency()[source]
     while True:
-        path = _bfs_augmenting_path(network, source, sink)
+        path = _bfs_augmenting_path(network, source, sink, source_arcs, closed)
         if path is None:
             break
         bottleneck = min(arc.capacity - arc.flow for arc in path)
@@ -75,18 +97,27 @@ def edmonds_karp_max_flow(network: FlowNetwork, source: Vertex, sink: Vertex) ->
             break
         for arc in path:
             arc.push(bottleneck)
-    return network.flow_value(source)
+    return sum((arc.flow for arc in source_arcs), 0.0)
 
 
 class _DinicState:
     """Per-phase state for Dinic's algorithm (levels and arc iterators)."""
 
-    __slots__ = ("network", "source", "sink", "levels", "iter_pos")
+    __slots__ = ("network", "source", "sink", "source_arcs", "closed", "levels", "iter_pos")
 
-    def __init__(self, network: FlowNetwork, source: Vertex, sink: Vertex) -> None:
+    def __init__(
+        self,
+        network: FlowNetwork,
+        source: Vertex,
+        sink: Vertex,
+        source_arcs: Sequence[Arc],
+        closed: Container[Vertex],
+    ) -> None:
         self.network = network
         self.source = source
         self.sink = sink
+        self.source_arcs = source_arcs
+        self.closed = closed
         self.levels: Dict[Vertex, int] = {}
         self.iter_pos: Dict[Vertex, int] = {}
 
@@ -94,23 +125,36 @@ class _DinicState:
         """BFS layering of the residual graph; returns True if sink reachable."""
         levels = {self.source: 0}
         self.levels = levels
-        queue = deque([self.source])
+        queue: Deque[Vertex] = deque()
         adjacency = self.network.adjacency()
-        while queue:
-            vertex = queue.popleft()
-            next_level = levels[vertex] + 1
-            for arc in adjacency[vertex]:
+        closed = self.closed
+        arcs = self.source_arcs
+        next_level = 1
+        examined = 0
+        while True:
+            examined += len(arcs)
+            for arc in arcs:
                 head = arc.head
-                if arc.capacity - arc.flow > EPSILON and head not in levels:
+                if (
+                    arc.capacity - arc.flow > EPSILON
+                    and head not in levels
+                    and head not in closed
+                ):
                     levels[head] = next_level
                     queue.append(head)
+            if not queue:
+                break
+            vertex = queue.popleft()
+            arcs = adjacency[vertex]
+            next_level = levels[vertex] + 1
+        self.network.arcs_examined += examined
         return self.sink in levels
 
     def send_blocking_flow(self, vertex: Vertex, limit: float) -> float:
         """DFS that pushes a blocking flow from ``vertex`` toward the sink."""
         if vertex == self.sink:
             return limit
-        arcs = list(self.network.arcs_from(vertex))
+        arcs = self.source_arcs if vertex == self.source else self.network.adjacency()[vertex]
         position = self.iter_pos.get(vertex, 0)
         levels = self.levels
         next_level = levels[vertex] + 1
@@ -128,16 +172,25 @@ class _DinicState:
         return 0.0
 
 
-def dinic_max_flow(network: FlowNetwork, source: Vertex, sink: Vertex) -> float:
+def dinic_max_flow(
+    network: FlowNetwork,
+    source: Vertex,
+    sink: Vertex,
+    source_arcs: Optional[Sequence[Arc]] = None,
+    closed: Container[Vertex] = (),
+) -> float:
     """Augment ``network`` to a maximum flow using Dinic's algorithm.
 
     Like :func:`edmonds_karp_max_flow`, augmentation starts from the flow
-    already on the network, so the function may be used incrementally.
-    Returns the total flow value leaving ``source``.
+    already on the network and honours the same hints, so the function may
+    be used incrementally.  Returns the total flow carried by the source
+    arcs searched.
     """
     if not network.has_vertex(source) or not network.has_vertex(sink):
-        return network.flow_value(source) if network.has_vertex(source) else 0.0
-    state = _DinicState(network, source, sink)
+        return network.flow_value(source)
+    if source_arcs is None:
+        source_arcs = network.adjacency()[source]
+    state = _DinicState(network, source, sink, source_arcs, closed)
     infinity = float("inf")
     while state.build_levels():
         state.iter_pos = {}
@@ -145,30 +198,23 @@ def dinic_max_flow(network: FlowNetwork, source: Vertex, sink: Vertex) -> float:
             pushed = state.send_blocking_flow(source, infinity)
             if pushed <= EPSILON:
                 break
-    return network.flow_value(source)
+    return sum((arc.flow for arc in source_arcs), 0.0)
 
 
 #: Mapping of solver names to callables, used by configuration code.
 SOLVERS = {
     "edmonds-karp": edmonds_karp_max_flow,
     "dinic": dinic_max_flow,
-    "push-relabel": push_relabel_max_flow,
 }
-
-#: Size-adaptive method name: small graphs use Edmonds-Karp (the paper's
-#: choice, and byte-identical to the historical default), large graphs the
-#: gap-heuristic push-relabel solver.
-AUTO_METHOD = "auto"
-
-#: ``auto`` switches to push-relabel at this many vertices.  Below the
-#: threshold the augmenting-path searches are cheap and Edmonds-Karp's
-#: warm-start behaviour is the historically pinned one; above it the
-#: whole-graph BFS per augmentation starts to dominate the cover solve.
-AUTO_PUSH_RELABEL_MIN_VERTICES = 512
 
 
 def solve_max_flow(
-    network: FlowNetwork, source: Vertex, sink: Vertex, method: str = "edmonds-karp"
+    network: FlowNetwork,
+    source: Vertex,
+    sink: Vertex,
+    method: str = "edmonds-karp",
+    source_arcs: Optional[Sequence[Arc]] = None,
+    closed: Container[Vertex] = (),
 ) -> float:
     """Dispatch to a named max-flow solver.
 
@@ -179,29 +225,20 @@ def solve_max_flow(
     source, sink:
         Flow endpoints.
     method:
-        ``"edmonds-karp"`` (the paper's choice), ``"dinic"``,
-        ``"push-relabel"``, or ``"auto"`` (size-adaptive: Edmonds-Karp below
-        :data:`AUTO_PUSH_RELABEL_MIN_VERTICES` vertices, push-relabel above).
+        ``"edmonds-karp"`` (the paper's choice and the production solver) or
+        ``"dinic"`` (the oracle it is tested against).
+    source_arcs, closed:
+        Search hints, see the module docstring.
 
     Whichever solver runs, the resulting maximum flow is valid and warm-start
     reusable, and the residual min cut it induces is the same (the minimal
     source side of a min cut is unique), so the extracted covers do not
     depend on the method.
     """
-    if method == AUTO_METHOD:
-        method = (
-            "push-relabel"
-            if network.vertex_count >= AUTO_PUSH_RELABEL_MIN_VERTICES
-            else "edmonds-karp"
-        )
     try:
         solver = SOLVERS[method]
     except KeyError as exc:
         raise ValueError(
             f"unknown max-flow method {method!r}; expected one of {sorted(SOLVERS)}"
         ) from exc
-    solve_start = phase_clock()
-    try:
-        return solver(network, source, sink)
-    finally:
-        add_phase_time(PHASE_COVER_SOLVE, phase_clock() - solve_start)
+    return solver(network, source, sink, source_arcs, closed)

@@ -30,6 +30,7 @@ from typing import FrozenSet, Hashable, Iterable, Mapping, Set, Tuple
 
 from repro.flow.graph import EPSILON, FlowNetwork
 from repro.flow.maxflow import solve_max_flow
+from repro.perf import PHASE_COVER_SOLVE, add_phase_time, phase_clock
 
 Vertex = Hashable
 
@@ -182,10 +183,14 @@ def min_weight_vertex_cover(
         The optimal cover; isolated vertices (no incident edges) are never
         selected because covering nothing costs nothing.
     """
-    network = build_cover_network(instance)
-    solve_max_flow(network, SOURCE, SINK, method=method)
-    result = extract_cover_from_network(instance, network)
-    return _drop_isolated_vertices(instance, result)
+    start = phase_clock()
+    try:
+        network = build_cover_network(instance)
+        solve_max_flow(network, SOURCE, SINK, method=method)
+        result = extract_cover_from_network(instance, network)
+        return _drop_isolated_vertices(instance, result)
+    finally:
+        add_phase_time(PHASE_COVER_SOLVE, phase_clock() - start)
 
 
 def _drop_isolated_vertices(

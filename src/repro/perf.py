@@ -18,7 +18,10 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict
 
-#: Time spent inside max-flow solves (:func:`repro.flow.maxflow.solve_max_flow`).
+#: Time spent computing covers: the whole of
+#: :meth:`repro.flow.incremental.IncrementalMaxFlow.compute_cover`
+#: (augmentation, reachability and extraction) plus the static solves of
+#: :func:`repro.flow.vertex_cover.min_weight_vertex_cover`.
 PHASE_COVER_SOLVE = "cover_solve"
 
 #: Time spent sampling the traffic/occupancy series in the engines.

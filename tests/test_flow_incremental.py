@@ -3,18 +3,28 @@
 from __future__ import annotations
 
 import os
+import statistics
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flow.incremental import IncrementalMaxFlow
+import repro.flow.incremental as incremental_module
+from repro.core.vcover import VCoverPolicy
+from repro.experiments.config import ExperimentConfig, build_scenario
+from repro.flow.incremental import CoverDelta, IncrementalMaxFlow
+from repro.flow.maxflow import solve_max_flow
 from repro.flow.vertex_cover import brute_force_min_cover, min_weight_vertex_cover
+from repro.network.link import NetworkLink
+from repro.perf import PHASE_COVER_SOLVE, reset_phase_times, snapshot_phase_times
+from repro.repository.server import Repository
+from repro.sim.engine import EngineConfig, SimulationEngine
 
 
 class TestBasics:
@@ -23,7 +33,10 @@ class TestBasics:
         solver.add_left("q1", 10.0)
         solver.add_right("u1", 3.0)
         solver.add_edge("q1", "u1")
-        cover = solver.compute_cover()
+        delta = solver.compute_cover()
+        assert delta.uncovered_left == ("q1",)
+        assert delta.covered_right == ("u1",)
+        cover = solver.active_cover()
         assert cover.right_in_cover == frozenset({"u1"})
         assert cover.weight == pytest.approx(3.0)
 
@@ -38,12 +51,39 @@ class TestBasics:
         with pytest.raises(ValueError):
             solver.add_left("q1", -1.0)
 
-    def test_weight_increase_allowed_decrease_rejected(self):
+    def test_readding_a_vertex_is_rejected(self):
+        """A vertex is added once: its weight is fixed and it never un-retires."""
         solver = IncrementalMaxFlow()
         solver.add_left("q1", 5.0)
-        solver.add_left("q1", 8.0)
+        solver.add_right("u1", 5.0)
+        for weight in (2.0, 5.0, 8.0):
+            with pytest.raises(ValueError):
+                solver.add_left("q1", weight)
+            with pytest.raises(ValueError):
+                solver.add_right("u1", weight)
+        solver.retire(left=["q1"], right=["u1"])
         with pytest.raises(ValueError):
-            solver.add_left("q1", 2.0)
+            solver.add_left("q1", 5.0)
+        with pytest.raises(ValueError):
+            solver.add_right("u1", 5.0)
+        assert not solver.has_left("q1") and not solver.has_right("u1")
+
+    def test_edge_out_of_a_reached_left_is_rejected(self):
+        """A reachable set is closed for good: nothing may be attached to it."""
+        solver = IncrementalMaxFlow()
+        solver.add_left("q1", 10.0)
+        solver.add_right("u1", 3.0)
+        solver.add_edge("q1", "u1")
+        assert solver.compute_cover().uncovered_left == ("q1",)
+        solver.add_right("u2", 1.0)
+        with pytest.raises(ValueError):
+            solver.add_edge("q1", "u2")
+        solver.add_edge("q1", "u1")  # a known edge stays a no-op
+        # A reached right vertex may still gain edges from new left vertices:
+        # the arc enters the closed set, it does not leave it.
+        solver.add_left("q2", 1.0)
+        solver.add_edge("q2", "u1")
+        assert solver.compute_cover().uncovered_left == ("q2",)
 
     def test_duplicate_edge_is_idempotent(self):
         solver = IncrementalMaxFlow()
@@ -51,8 +91,8 @@ class TestBasics:
         solver.add_right("u1", 10.0)
         solver.add_edge("q1", "u1")
         solver.add_edge("q1", "u1")
-        cover = solver.compute_cover()
-        assert cover.weight == pytest.approx(4.0)
+        solver.compute_cover()
+        assert solver.active_cover().weight == pytest.approx(4.0)
 
     def test_has_left_and_right_track_retirement(self):
         solver = IncrementalMaxFlow()
@@ -78,9 +118,11 @@ class TestIncrementalEquivalence:
                 if not solver.has_right(update):
                     solver.add_right(update, float(rng.integers(1, 20)))
                 solver.add_edge(query, update)
-            incremental = solver.compute_cover()
-            fresh = min_weight_vertex_cover(solver.to_instance(active_only=True))
-            assert incremental.weight == pytest.approx(fresh.weight)
+            solver.compute_cover()
+            incremental = solver.active_cover()
+            instance = solver.to_instance(active_only=True)
+            assert incremental.covers(instance.edges)
+            assert incremental.weight == pytest.approx(min_weight_vertex_cover(instance).weight)
 
     def test_total_augmentations_counted(self):
         solver = IncrementalMaxFlow()
@@ -103,36 +145,75 @@ class TestRetirement:
     def test_retired_updates_leave_active_cover(self):
         solver = self._two_phase_solver()
         first = solver.compute_cover()
-        assert first.right_in_cover == frozenset({"u1"})
+        assert first.covered_right == ("u1",)
         solver.retire(right=["u1"])
         second = solver.compute_cover()
-        assert "u1" not in second.right_in_cover
-        assert second.weight == pytest.approx(0.0)
+        assert second.covered_right == ()
+        cover = solver.active_cover()
+        assert "u1" not in cover.right_in_cover
+        assert cover.weight == pytest.approx(0.0)
+
+    def _shipped_query_solver(self):
+        """q1 (3) against u1 (10): the query is shipped, then retired."""
+        solver = IncrementalMaxFlow()
+        solver.add_left("q1", 3.0)
+        solver.add_right("u1", 10.0)
+        solver.add_edge("q1", "u1")
+        delta = solver.compute_cover()
+        assert delta.uncovered_left == () and delta.covered_right == ()
+        assert solver.active_cover().left_in_cover == frozenset({"q1"})
+        solver.retire(left=["q1"])
+        return solver
 
     def test_consumed_weight_persists_after_retirement(self):
-        """A query's weight spent justifying earlier updates stays spent.
+        """Weight a query spent against an update stays spent once it retires.
 
-        q1 (weight 10) justified shipping u1 (3).  A later update u2 (9)
-        interacting with q1 should NOT be shipped: only 7 units of q1's weight
-        remain unspent, which is less than u2's cost, so the cover picks q1.
+        q1 (3) was shipped against u1 (10) and then retired.  q2 (8) alone is
+        cheaper than u1, but only 7 units of u1's cost are still unjustified,
+        so the cover now picks u1 and keeps q2 at the cache.
         """
-        solver = self._two_phase_solver()
-        solver.compute_cover()
-        solver.retire(right=["u1"])
-        solver.add_right("u2", 9.0)
-        solver.add_edge("q1", "u2")
-        cover = solver.compute_cover()
-        assert cover.right_in_cover == frozenset()
-        assert ("q1") in {v for v in cover.left_in_cover}
+        solver = self._shipped_query_solver()
+        solver.add_left("q2", 8.0)
+        solver.add_edge("q2", "u1")
+        delta = solver.compute_cover()
+        assert delta.covered_right == ("u1",)
+        assert delta.uncovered_left == ("q2",)
 
     def test_cheap_followup_update_still_shipped(self):
-        solver = self._two_phase_solver()
-        solver.compute_cover()
-        solver.retire(right=["u1"])
+        """A cheap update arriving later is shipped along with the justified one."""
+        solver = self._shipped_query_solver()
+        solver.add_left("q2", 10.0)
         solver.add_right("u2", 2.0)
+        solver.add_edge("q2", "u1")
+        solver.add_edge("q2", "u2")
+        delta = solver.compute_cover()
+        assert set(delta.covered_right) == {"u1", "u2"}
+        assert delta.uncovered_left == ("q2",)
+
+
+    @pytest.mark.parametrize("retire_q1", [False, True])
+    def test_retired_vertices_carry_flow_but_are_not_reported(self, retire_q1):
+        """A dropped update outside every closed set still absorbs flow.
+
+        q1 (5) saturates against u1 (3) and u2 (4).  u2 is then dropped with
+        2 units of sink capacity left, which q2 (4) reaches by rerouting
+        q1's flow off u1; q2's remaining weight then reaches u1, q1 and u2.
+        Only the vertices still active are reported.
+        """
+        solver = IncrementalMaxFlow()
+        solver.add_left("q1", 5.0)
+        solver.add_right("u1", 3.0)
+        solver.add_right("u2", 4.0)
+        solver.add_edge("q1", "u1")
         solver.add_edge("q1", "u2")
-        cover = solver.compute_cover()
-        assert cover.right_in_cover == frozenset({"u2"})
+        assert solver.compute_cover() == CoverDelta((), ())
+        solver.retire(left=["q1"] if retire_q1 else [], right=["u2"])
+        solver.add_left("q2", 4.0)
+        solver.add_edge("q2", "u1")
+        delta = solver.compute_cover()
+        assert solver.network.get_edge(("R", "u2"), "__sink__").flow == pytest.approx(4.0)
+        assert delta.covered_right == ("u1",)
+        assert set(delta.uncovered_left) == ({"q2"} if retire_q1 else {"q1", "q2"})
 
 
 class TestCompaction:
@@ -151,16 +232,14 @@ class TestCompaction:
             reference.add_right(update, update_weight)
             solver.add_edge(query, update)
             reference.add_edge(query, update)
-            cover_a = solver.compute_cover()
-            cover_b = reference.compute_cover()
+            delta = solver.compute_cover()
+            assert delta == reference.compute_cover()
+            cover_a, cover_b = solver.active_cover(), reference.active_cover()
+            assert cover_a.left_in_cover == cover_b.left_in_cover
+            assert cover_a.right_in_cover == cover_b.right_in_cover
             assert cover_a.weight == pytest.approx(cover_b.weight)
-            retire_right = list(cover_a.right_in_cover)
-            retire_left = [
-                vertex for vertex in (f"q{s}" for s in range(step + 1))
-                if solver.has_left(vertex) and vertex not in cover_a.left_in_cover
-            ]
-            solver.retire(left=retire_left, right=retire_right)
-            reference.retire(left=retire_left, right=retire_right)
+            solver.retire(left=delta.uncovered_left, right=delta.covered_right)
+            reference.retire(left=delta.uncovered_left, right=delta.covered_right)
             if step % 5 == 4:
                 solver.compact()
 
@@ -180,6 +259,43 @@ class TestCompaction:
         assert solver.network.vertex_count < before
         assert solver.retired_count == 0
 
+    def test_compact_carries_open_and_closed_vertices_over(self):
+        """Compaction between add and cover, with reached vertices still active."""
+        solvers = [IncrementalMaxFlow(), IncrementalMaxFlow()]
+        for solver in solvers:
+            solver.add_left("q1", 10.0)
+            solver.add_right("u1", 3.0)
+            solver.add_right("u2", 9.0)
+            solver.add_edge("q1", "u1")
+            assert solver.compute_cover().covered_right == ("u1",)  # q1, u1 reached, kept
+            solver.add_left("q2", 4.0)  # open: added, not yet searched from
+            solver.add_left("q3", 1.0)
+            solver.retire(left=["q3"])  # open and gone with the compaction
+        solvers[0].compact()
+        for solver in solvers:
+            with pytest.raises(ValueError):
+                solver.add_edge("q1", "u2")  # q1 is still closed
+            solver.add_edge("q2", "u1")
+            solver.add_edge("q2", "u2")
+        deltas = [solver.compute_cover() for solver in solvers]
+        assert deltas[0] == deltas[1]
+        assert deltas[0].uncovered_left == () and deltas[0].covered_right == ()
+        covers = [solver.active_cover() for solver in solvers]
+        assert covers[0].left_in_cover == covers[1].left_in_cover == frozenset({"q2"})
+        assert covers[0].right_in_cover == covers[1].right_in_cover == frozenset({"u1"})
+
+    def test_arcs_examined_survives_compaction(self):
+        solver = IncrementalMaxFlow()
+        solver.add_left("q1", 5.0)
+        solver.add_right("u1", 1.0)
+        solver.add_edge("q1", "u1")
+        assert solver.arcs_examined == 0
+        solver.compute_cover()
+        examined = solver.arcs_examined
+        assert examined > 0
+        solver.compact()
+        assert solver.arcs_examined == examined
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000), steps=st.integers(min_value=1, max_value=12))
@@ -195,9 +311,11 @@ def test_property_incremental_matches_oracle(seed, steps):
             if not solver.has_right(update):
                 solver.add_right(update, float(rng.integers(1, 12)))
             solver.add_edge(query, update)
-        cover = solver.compute_cover()
-        oracle = brute_force_min_cover(solver.to_instance(active_only=True))
-        assert cover.weight == pytest.approx(oracle.weight)
+        solver.compute_cover()
+        cover = solver.active_cover()
+        instance = solver.to_instance(active_only=True)
+        assert cover.covers(instance.edges)
+        assert cover.weight == pytest.approx(brute_force_min_cover(instance).weight)
 
 
 class TestCompactionDeterminism:
@@ -211,7 +329,7 @@ class TestCompactionDeterminism:
 
     _SCRIPT = textwrap.dedent(
         """
-        from repro.flow.incremental import IncrementalMaxFlow
+        from repro.flow.incremental import CoverDelta, IncrementalMaxFlow
 
         solver = IncrementalMaxFlow()
         for i in range(12):
@@ -226,7 +344,8 @@ class TestCompactionDeterminism:
             right=[f"u{i}" for i in range(0, 12, 3)],
         )
         solver.compact()
-        cover = solver.compute_cover()
+        solver.compute_cover()
+        cover = solver.active_cover()
         print(list(solver.network.adjacency()))
         print(sorted(cover.left_in_cover), sorted(cover.right_in_cover))
         print(round(cover.weight, 9), round(cover.flow_value, 9))
@@ -244,3 +363,81 @@ class TestCompactionDeterminism:
 
     def test_compacted_network_identical_across_hash_seeds(self):
         assert self._run("1") == self._run("4242")
+
+
+def _replay_default_shape(events: int):
+    """Replay VCover over the default scenario shape; return its flow solver."""
+    config = ExperimentConfig().scaled(query_count=events // 2, update_count=events // 2)
+    scenario = build_scenario(config)
+    repository = Repository(scenario.catalog, keep_update_log=False)
+    link = NetworkLink()
+    policy = VCoverPolicy(
+        repository, scenario.catalog.total_size * config.cache_fraction, link
+    )
+    SimulationEngine(repository, EngineConfig(sample_every=config.sample_every)).run(
+        policy, scenario.trace, link
+    )
+    return policy.update_manager.graph._flow
+
+
+class TestScalingGuard:
+    """A cover must cost what the new query reaches, not the run so far.
+
+    Counts arcs, not seconds, so it cannot flake.  The statistic is the
+    *median* per cover: a handful of covers per run genuinely span a large
+    component (tens of thousands of arcs in one cover) and own the mean,
+    whereas a search that walks the accumulated network puts every cover,
+    and so the median, at the size of that network -- which here grows about
+    fourfold per doubling of the trace.
+    """
+
+    def test_arcs_examined_per_cover_does_not_grow_with_trace_length(self, monkeypatch):
+        per_cover = []
+        compute_cover = IncrementalMaxFlow.compute_cover
+
+        def counted(self):
+            before = self.arcs_examined
+            try:
+                return compute_cover(self)
+            finally:
+                per_cover.append(self.arcs_examined - before)
+
+        monkeypatch.setattr(IncrementalMaxFlow, "compute_cover", counted)
+        medians = {}
+        for events in (6000, 12000, 24000):
+            del per_cover[:]
+            flow = _replay_default_shape(events)
+            assert len(per_cover) == flow.augmentation_count > 100
+            assert sum(per_cover) == flow.arcs_examined
+            medians[events] = statistics.median(per_cover)
+        assert max(medians.values()) <= 2 * min(medians.values()), medians
+        # ... and nowhere near the network a whole-graph search would walk
+        # (two arcs per edge, at least two passes per cover).
+        assert medians[24000] * 100 < 2 * flow.network.edge_count, medians
+
+
+class TestPhaseAccounting:
+    def test_cover_solve_contains_the_whole_cover(self, monkeypatch):
+        """``cover_solve`` brackets compute_cover, so it is never less than the solver."""
+        solver_seconds = []
+
+        def timed(*args, **kwargs):
+            start = perf_counter()
+            try:
+                return solve_max_flow(*args, **kwargs)
+            finally:
+                solver_seconds.append(perf_counter() - start)
+
+        monkeypatch.setattr(incremental_module, "solve_max_flow", timed)
+        reset_phase_times()
+        flow = _replay_default_shape(2000)
+        cover_solve = snapshot_phase_times()[PHASE_COVER_SOLVE]
+        assert len(solver_seconds) == flow.augmentation_count > 0
+        assert cover_solve >= sum(solver_seconds) > 0.0
+
+    def test_static_solves_are_still_counted_once(self):
+        reset_phase_times()
+        started = perf_counter()
+        min_weight_vertex_cover(IncrementalMaxFlow().to_instance())
+        elapsed = perf_counter() - started
+        assert 0.0 < snapshot_phase_times()[PHASE_COVER_SOLVE] <= elapsed

@@ -97,21 +97,56 @@ class TestDispatch:
         network = build_classic_network()
         assert solve_max_flow(network, "s", "t", method="dinic") == pytest.approx(23.0)
 
-    def test_push_relabel_method(self):
-        network = build_classic_network()
-        assert solve_max_flow(network, "s", "t", method="push-relabel") == pytest.approx(
-            23.0
-        )
-        network.check_flow_conservation("s", "t")
-
-    def test_auto_method_small_graph(self):
-        network = build_classic_network()
-        assert solve_max_flow(network, "s", "t", method="auto") == pytest.approx(23.0)
-
     def test_unknown_method_raises(self):
         network = build_classic_network()
         with pytest.raises(ValueError):
             solve_max_flow(network, "s", "t", method="simplex")
+
+    @pytest.mark.parametrize("method", ["auto", "push-relabel"])
+    def test_retired_methods_rejected(self, method):
+        """The removed solver names fail like any unknown one, listing the roster."""
+        network = build_classic_network()
+        with pytest.raises(ValueError, match=r"\['dinic', 'edmonds-karp'\]"):
+            solve_max_flow(network, "s", "t", method=method)
+
+
+class TestSearchHints:
+    """``source_arcs`` / ``closed`` keep a solve local without changing it."""
+
+    def _network_with_closed_branch(self):
+        """s->a->t is open; s->b->c is a dead end (c has no way to t)."""
+        network = FlowNetwork()
+        network.add_edge("s", "b", 5.0)
+        network.add_edge("b", "c", 5.0)
+        network.add_edge("s", "a", 4.0)
+        network.add_edge("a", "t", 3.0)
+        network.add_edge("a", "c", 9.0)
+        return network
+
+    @pytest.mark.parametrize("solver", [edmonds_karp_max_flow, dinic_max_flow])
+    def test_hinted_solve_leaves_the_same_flow(self, solver):
+        plain = self._network_with_closed_branch()
+        hinted = self._network_with_closed_branch()
+        assert solver(plain, "s", "t") == pytest.approx(3.0)
+        carried = solver(
+            hinted,
+            "s",
+            "t",
+            source_arcs=[hinted.get_edge("s", "a")],
+            closed={"s", "b", "c"},
+        )
+        assert carried == pytest.approx(3.0)
+        assert [arc.flow for arc in hinted.forward_edges()] == [
+            arc.flow for arc in plain.forward_edges()
+        ]
+        assert hinted.arcs_examined < plain.arcs_examined
+
+    def test_closed_vertices_are_never_entered(self):
+        network = self._network_with_closed_branch()
+        seen = {"s", "c"}
+        added = network.extend_reachable(["a"], seen)
+        assert added == ["a", "t"]
+        assert seen == {"s", "a", "c", "t"}
 
 
 def random_graph_edges(seed: int, node_count: int, edge_count: int):
