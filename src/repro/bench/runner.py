@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro import __version__
-from repro.bench.schema import SCHEMA_ID, validate_payload
+from repro.bench.schema import PHASE_NAMES, SCHEMA_ID, validate_payload
 from repro.bench.suites import BenchCase, get_suite
 from repro.core.benefit import BenefitConfig
 from repro.experiments.config import build_scenario, build_scenario_stream
@@ -42,12 +42,6 @@ from repro.sim.engine import EngineConfig
 from repro.sim.multicache import run_topology
 from repro.sim.runner import default_policy_specs, run_policy
 from repro.topology.spec import TopologySpec
-
-#: Phase names the runner emits in each case's ``phases`` block.  Must match
-#: :data:`repro.bench.schema.PHASE_NAMES` exactly -- lint rule REG003 keeps
-#: the two tables in sync.
-PHASE_KEYS = ("trace_compile", "batch_dispatch", "cover_solve", "metrics")
-
 
 def peak_rss_mb() -> float:
     """Peak resident set size of this process, in MB."""
@@ -309,7 +303,7 @@ def format_payload(payload: Dict[str, Any]) -> str:
     if has_phases:
         lines.append("")
         lines.append(
-            f"{'case':<20} " + " ".join(f"{key:>14}" for key in PHASE_KEYS)
+            f"{'case':<20} " + " ".join(f"{key:>14}" for key in PHASE_NAMES)
         )
         for case in payload["cases"]:
             phases = case.get("phases")
@@ -317,7 +311,7 @@ def format_payload(payload: Dict[str, Any]) -> str:
                 continue
             lines.append(
                 f"{case['name']:<20} "
-                + " ".join(f"{phases[key]:>13.3f}s" for key in PHASE_KEYS)
+                + " ".join(f"{phases[key]:>13.3f}s" for key in PHASE_NAMES)
             )
     totals = payload["totals"]
     lines.append(

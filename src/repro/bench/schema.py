@@ -92,9 +92,9 @@ _LATENCY_FIELDS: Dict[str, _FieldType] = {
 #: v2 only: the allowed (and required) keys of the optional per-case
 #: ``phases`` block -- the wall-clock breakdown the runner records.  This
 #: table is the contract between the runner and every payload consumer: the
-#: runner's ``PHASE_KEYS`` must match it exactly (REG003 lints the pair),
-#: and the validator rejects phase names outside it, so a new phase timer
-#: cannot ship without widening the schema (and the docs) first.
+#: runner emits exactly these keys (it imports this tuple), and the validator
+#: rejects phase names outside it, so a new phase timer cannot ship without
+#: widening the schema (and the docs) first.
 #:
 #: * ``trace_compile`` -- scenario build plus the tagged/columnar trace
 #:   precompute, outside the timed replay,

@@ -401,98 +401,3 @@ class PolicyDocsConsistency(ProjectRule):
                         policies.append((node.args[0].value, rel, node.lineno))
         return policies
 
-
-#: REG003 artifact paths.
-_BENCH_RUNNER_PATH = "src/repro/bench/runner.py"
-_BENCH_SCHEMA_PATH = "src/repro/bench/schema.py"
-
-
-def _string_tuple(node: Optional[ast.expr]) -> Optional[List[Tuple[str, int]]]:
-    """(value, line) for every constant-string element of a tuple/list."""
-    if not isinstance(node, (ast.Tuple, ast.List)):
-        return None
-    return [
-        (element.value, element.lineno)
-        for element in node.elts
-        if isinstance(element, ast.Constant) and isinstance(element.value, str)
-    ]
-
-
-@register_rule
-class BenchPhaseConsistency(ProjectRule):
-    """REG003: the bench runner's phase names must match the schema's table.
-
-    The runner stamps every case with a ``phases`` wall-clock breakdown
-    keyed by ``PHASE_KEYS``; the schema validator accepts exactly the names
-    in ``PHASE_NAMES``.  If the two tables drift -- a phase timer added to
-    the runner without widening the schema, or a schema phase the runner
-    never emits -- every ``run_suite`` call would start failing validation
-    at runtime.  This rule fails the build first, with a file and line.
-    """
-
-    id = "REG003"
-    title = "bench runner phase names out of sync with the payload schema"
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        runner = project.module(_BENCH_RUNNER_PATH)
-        schema = project.module(_BENCH_SCHEMA_PATH)
-        if runner is None or schema is None:
-            return
-        keys_node = _find_assignment(runner.tree, "PHASE_KEYS")
-        names_node = _find_assignment(schema.tree, "PHASE_NAMES")
-        if names_node is None:
-            return
-        if keys_node is None:
-            yield Finding(
-                rule=self.id,
-                path=runner.rel_path,
-                line=1,
-                col=0,
-                message=(
-                    f"{_BENCH_SCHEMA_PATH} declares PHASE_NAMES but "
-                    f"{_BENCH_RUNNER_PATH} has no PHASE_KEYS table; the "
-                    "runner must emit exactly the schema's phases"
-                ),
-            )
-            return
-        keys = _string_tuple(keys_node) or []
-        names = _string_tuple(names_node) or []
-        key_set = {value for value, _ in keys}
-        name_set = {value for value, _ in names}
-        for value, line in keys:
-            if value not in name_set:
-                yield Finding(
-                    rule=self.id,
-                    path=runner.rel_path,
-                    line=line,
-                    col=0,
-                    message=(
-                        f"runner phase {value!r} is not in the schema's "
-                        f"PHASE_NAMES ({_BENCH_SCHEMA_PATH}); payloads "
-                        "emitting it will fail validation"
-                    ),
-                )
-        for value, line in names:
-            if value not in key_set:
-                yield Finding(
-                    rule=self.id,
-                    path=schema.rel_path,
-                    line=line,
-                    col=0,
-                    message=(
-                        f"schema phase {value!r} is never emitted by the "
-                        f"runner's PHASE_KEYS ({_BENCH_RUNNER_PATH}); drop it "
-                        "or record it"
-                    ),
-                )
-        if key_set == name_set and [v for v, _ in keys] != [v for v, _ in names]:
-            yield Finding(
-                rule=self.id,
-                path=runner.rel_path,
-                line=keys[0][1] if keys else 1,
-                col=0,
-                message=(
-                    "PHASE_KEYS and PHASE_NAMES list the same phases in "
-                    "different orders; keep the tables identical"
-                ),
-            )

@@ -7,7 +7,7 @@ package turns the single-process replay stack into exactly that shape:
 * :mod:`repro.serve.protocol` -- the newline-delimited-JSON wire format
   (versioned query/update/stats frames reusing the trace event dicts);
 * :mod:`repro.serve.server` -- an asyncio TCP front-end wrapping one
-  engine/policy/Repository stack behind a single-writer event loop, so
+  kernel/policy/Repository stack behind a single-writer event loop, so
   eviction decisions stay deterministic under concurrent clients;
 * :mod:`repro.serve.client` -- a small async NDJSON client;
 * :mod:`repro.serve.harness` -- the closed-loop load generator: any
@@ -16,15 +16,16 @@ package turns the single-process replay stack into exactly that shape:
   :class:`~repro.sim.metrics.StreamingHistogram`, results emitted as a
   schema-valid ``repro.bench/v2`` payload;
 * :mod:`repro.serve.equivalence` -- the sim-vs-served bridge: run the same
-  trace + policy through the replay engine and through the server and prove
-  the decision logs and traffic counters byte-identical.
+  trace + policy through a replay and through the server (the same kernel
+  ``step`` either way) and prove the decision logs and traffic counters
+  byte-identical.
 
 The stack is stdlib-asyncio only; the optional ``[serve]`` extra installs
 ``uvloop``, which the server uses automatically when importable.
 """
 
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.equivalence import RecordingPolicy, replay_with_log, serve_with_log
+from repro.serve.equivalence import replay_with_log, serve_with_log
 from repro.serve.harness import LoadReport, loadgen_payload, run_load, run_loadgen
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -39,7 +40,6 @@ __all__ = [
     "LoadReport",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RecordingPolicy",
     "ServeClient",
     "ServeError",
     "decode_frame",

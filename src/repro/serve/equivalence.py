@@ -1,23 +1,25 @@
 """Sim-vs-served equivalence: one trace, one policy, two execution paths.
 
-The server wraps the *same* policy/Repository/NetworkLink classes the replay
-engine drives, behind a single-writer loop that applies frames in trace
-order.  So for any online policy, replaying a trace through
-:class:`~repro.sim.engine.SimulationEngine` and serving it through
+The server applies every frame with the *same*
+:meth:`repro.sim.engine.ReplayKernel.step` a replay runs, behind a
+single-writer loop that applies frames in trace order.  So for any online
+policy, replaying a trace and serving it through
 :class:`~repro.serve.server.CacheServer` must produce **byte-identical
 decision logs** (every load, eviction and update shipment, in order) and
-identical traffic counters.  This module provides the two instrumented
-paths; ``tests/test_serve_equivalence.py`` pins the guarantee.
+identical traffic counters.  This module provides the two paths, both
+observed through the kernel's ``on_decision`` seam by one
+:func:`decision_recorder`; ``tests/test_serve_equivalence.py`` pins the
+guarantee over real TCP with concurrent clients.
 
 Scope: online policies only (``nocache``, ``replica``, ``benefit``,
 ``vcover``, and the ``adaptive`` meta-policy, whose decisions depend only on
 events already seen).  ``soptimal`` prepares offline over the full future
 trace, which a server that sees events one at a time cannot do by
-construction.  One asymmetry to know about: the replay engine calls
-``finalize()`` at end-of-trace (closing the adaptive policy's trailing
-scoring epoch) while the server never does -- ``finalize`` books no decisions
-and no real-link traffic, so the decision logs and traffic counters still
-match exactly; only ``stats()`` epoch counters may differ between the paths.
+construction.  One asymmetry to know about: ``run`` calls ``finalize()`` at
+end-of-trace (closing the adaptive policy's trailing scoring epoch) while the
+server never does -- ``finalize`` books no decisions and no real-link
+traffic, so the decision logs and traffic counters still match exactly; only
+``stats()`` epoch counters may differ between the paths.
 """
 
 from __future__ import annotations
@@ -32,37 +34,26 @@ from repro.repository.server import Repository
 from repro.serve import protocol
 from repro.serve.harness import run_load
 from repro.serve.server import CacheServer
-from repro.sim.engine import EngineConfig, SimulationEngine
+from repro.sim.engine import DecisionHook, ReplayKernel
 from repro.sim.results import RunResult
 from repro.sim.runner import PolicySpec
 from repro.workload.trace import TraceStream
 
 
-class RecordingPolicy:
-    """A transparent policy wrapper recording decision signatures.
+def decision_recorder(log: List[List[Any]]) -> DecisionHook:
+    """An ``on_decision`` hook appending one signature row per event to ``log``.
 
-    Forwards everything to the wrapped policy (including ``store`` and
-    ``stats``, which the engine probes with ``getattr``/``hasattr``) while
-    appending one :func:`~repro.serve.protocol.outcome_signature` /
-    :func:`~repro.serve.protocol.update_signature` row per event -- the same
-    records the server keeps, so the two logs are directly comparable.
+    Rows are the :mod:`repro.serve.protocol` query/update signatures on
+    either path, so the two logs compare directly.
     """
 
-    def __init__(self, inner: Any) -> None:
-        self._inner = inner
-        self.decisions: List[List[Any]] = []
+    def record(payload: Any, outcome: Any) -> None:
+        if outcome is None:
+            log.append(protocol.update_signature(payload))
+        else:
+            log.append(protocol.outcome_signature(outcome))
 
-    def on_query(self, query: Any) -> Any:
-        outcome = self._inner.on_query(query)
-        self.decisions.append(protocol.outcome_signature(outcome))
-        return outcome
-
-    def on_update(self, update: Any) -> None:
-        self._inner.on_update(update)
-        self.decisions.append(protocol.update_signature(update))
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
+    return record
 
 
 def replay_with_log(
@@ -71,13 +62,14 @@ def replay_with_log(
     trace: TraceStream,
     cache_capacity: float,
 ) -> Tuple[RunResult, List[List[Any]]]:
-    """Run one policy through the replay engine, recording its decisions."""
+    """Run one policy through the replay kernel, recording its decisions."""
     repository = Repository(catalog, keep_update_log=False)
     link = NetworkLink()
-    policy = RecordingPolicy(spec.factory(repository, cache_capacity, link))
-    engine = SimulationEngine(repository, EngineConfig())
-    result = engine.run(policy, trace, link)
-    return result, policy.decisions
+    policy = spec.factory(repository, cache_capacity, link)
+    log: List[List[Any]] = []
+    kernel = ReplayKernel(repository, [policy], [link], on_decision=decision_recorder(log))
+    site_runs, _ = kernel.run(trace)
+    return site_runs[0], log
 
 
 def serve_with_log(
@@ -93,13 +85,14 @@ def serve_with_log(
     """
 
     async def _drive() -> Tuple[Dict[str, Any], List[List[Any]]]:
-        server = CacheServer(catalog, spec, cache_capacity)
+        log: List[List[Any]] = []
+        server = CacheServer(catalog, spec, cache_capacity, on_decision=decision_recorder(log))
         await server.start()
         try:
             await run_load(trace, server.host, server.port, clients=clients)
         finally:
             await server.stop()
-        return server.stats_snapshot(), server.decision_log
+        return server.stats_snapshot(), log
 
     return asyncio.run(_drive())
 

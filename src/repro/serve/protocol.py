@@ -21,9 +21,9 @@ Frames without a ``seq`` (interactive clients) are applied in arrival order.
 
 The module also defines the *decision signature* -- the canonical
 JSON-serialisable record of one applied event (what was shipped, loaded,
-evicted) -- shared by the served path and the sim-side
-:class:`~repro.serve.equivalence.RecordingPolicy`, so the equivalence test
-compares byte-identical artifacts.
+evicted) -- which :func:`~repro.serve.equivalence.decision_recorder` writes
+on the served and the simulated path alike, so the equivalence test compares
+byte-identical artifacts.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 :class:`CacheServer` wraps one policy + :class:`~repro.repository.server.Repository`
 + :class:`~repro.network.link.NetworkLink` stack behind a TCP front-end
-speaking the :mod:`repro.serve.protocol` NDJSON format.
+speaking the :mod:`repro.serve.protocol` NDJSON format.  Frames are applied
+by the ``step`` of a one-site :class:`~repro.sim.engine.ReplayKernel`, the
+one replays use; its counters are what the ``stats`` frame reports.
 
 Design points:
 
@@ -31,12 +33,13 @@ clock and draws no randomness (simulated time is the event timestamps).
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
 from repro.serve import protocol
+from repro.sim.engine import DecisionHook, ReplayKernel
 from repro.sim.runner import PolicySpec
 from repro.workload.trace import QueryEvent, event_from_dict
 
@@ -76,6 +79,10 @@ class CacheServer:
         :attr:`port` after :meth:`start`).
     max_pending:
         Bound on queued-but-unapplied frames across all connections.
+    on_decision:
+        Called as ``on_decision(payload, outcome)`` after every applied event
+        (see :func:`repro.serve.equivalence.decision_recorder`).  The server
+        itself keeps nothing per event, so its memory does not grow with them.
     """
 
     def __init__(
@@ -86,6 +93,7 @@ class CacheServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_pending: int = DEFAULT_MAX_PENDING,
+        on_decision: Optional[DecisionHook] = None,
     ) -> None:
         if policy_spec.name == "soptimal":
             raise ValueError(
@@ -93,9 +101,10 @@ class CacheServer:
                 "the served path only sees events as they arrive -- serve an "
                 "online policy (nocache, replica, benefit, vcover, adaptive)"
             )
-        self._repository = Repository(catalog, keep_update_log=False)
+        repository = Repository(catalog, keep_update_log=False)
         self._link = NetworkLink()
-        self._policy = policy_spec.factory(self._repository, cache_capacity, self._link)
+        policy = policy_spec.factory(repository, cache_capacity, self._link)
+        self._kernel = ReplayKernel(repository, [policy], [self._link], on_decision=on_decision)
         self._policy_name = policy_spec.name
         self._host = host
         self._requested_port = port
@@ -109,10 +118,6 @@ class CacheServer:
         self._inflight = 0
         self._idle: Optional[asyncio.Event] = None
         self._next_seq = 0
-        self._events_processed = 0
-        self._answered_at_cache = 0
-        self._shipped = 0
-        self._decision_log: List[List[Any]] = []
 
     # ------------------------------------------------------------------
     # Accessors
@@ -132,18 +137,11 @@ class CacheServer:
         """The served policy's name."""
         return self._policy_name
 
-    @property
-    def decision_log(self) -> List[List[Any]]:
-        """Decision signatures of every applied event, in application order."""
-        return list(self._decision_log)
-
     def stats_snapshot(self) -> Dict[str, Any]:
         """Current counters (safe to read between events: single-threaded)."""
         return {
             "policy": self._policy_name,
-            "events_processed": self._events_processed,
-            "queries_answered_at_cache": self._answered_at_cache,
-            "queries_shipped": self._shipped,
+            **self._kernel.counters(),
             "total_traffic": self._link.total_cost,
             "traffic_by_mechanism": self._link.total_by_mechanism(),
             "draining": self._draining,
@@ -233,24 +231,15 @@ class CacheServer:
         try:
             event = event_from_dict(frame["payload"])
             if isinstance(event, QueryEvent):
-                outcome = self._policy.on_query(event.query)
-                if outcome.answered_at_cache:
-                    self._answered_at_cache += 1
-                else:
-                    self._shipped += 1
-                self._decision_log.append(protocol.outcome_signature(outcome))
-                result = protocol.outcome_to_dict(outcome)
+                result = protocol.outcome_to_dict(self._kernel.step(False, event.query))
             else:
                 update = event.update
-                self._repository.ingest_update(update)
-                self._policy.on_update(update)
-                self._decision_log.append(protocol.update_signature(update))
+                self._kernel.step(True, update)
                 result = {
                     "kind": "update",
                     "update_id": update.update_id,
                     "object_id": update.object_id,
                 }
-            self._events_processed += 1
         except Exception as exc:  # surface apply errors to the caller
             if not future.done():
                 future.set_exception(

@@ -2,20 +2,20 @@
 
 The evaluation in the paper replays a trace of ~500k interleaved query and
 update events against each policy and reports cumulative network traffic.
-This package provides the event-driven engine that does the replay
-(:mod:`repro.sim.engine`), the metric collectors that record cumulative and
+This package provides the kernel that does the replay, for one cache or a
+fleet (:mod:`repro.sim.engine`), the metric collectors that record cumulative and
 per-mechanism traffic over the event sequence (:mod:`repro.sim.metrics`), a
 results container with comparison helpers (:mod:`repro.sim.results`), a
 multi-policy runner used by every experiment (:mod:`repro.sim.runner`), a
 parallel sweep runner that fans experiment grids out over worker processes
-(:mod:`repro.sim.sweep`), and a multi-cache engine that replays one trace
-against a fleet of sites sharing a repository (:mod:`repro.sim.multicache`,
+(:mod:`repro.sim.sweep`), and the fleet entry point that replays one trace
+against several sites sharing a repository (:mod:`repro.sim.multicache`,
 specified via :mod:`repro.topology`).
 """
 
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import ReplayKernel
 from repro.sim.metrics import CacheOccupancySeries, TrafficTimeSeries
-from repro.sim.multicache import MultiCacheEngine, run_topology
+from repro.sim.multicache import run_topology
 from repro.sim.results import ComparisonResult, RunResult
 from repro.sim.runner import (
     PolicySpec,
@@ -40,8 +40,7 @@ from repro.sim.sweep import (
 )
 
 __all__ = [
-    "SimulationEngine",
-    "MultiCacheEngine",
+    "ReplayKernel",
     "run_topology",
     "CacheOccupancySeries",
     "TrafficTimeSeries",

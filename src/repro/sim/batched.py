@@ -1,6 +1,6 @@
 """Batched (vectorised) replay executors for the cheap yardstick policies.
 
-The scalar engine loop costs a few microseconds of Python dispatch per event
+The kernel's per-event step costs a few microseconds of Python dispatch
 regardless of how trivial the policy's decision is.  For the two yardsticks
 whose decisions are *constant* -- NoCache ships every query, Replica ships
 every update and answers every query -- the entire replay reduces to exact
@@ -8,11 +8,12 @@ bookkeeping arithmetic, which this module performs on whole event batches
 using the columnar trace compilation
 (:meth:`repro.workload.trace.Trace.columns`).
 
-Batch boundaries are the engine's sampling grid (plus ``measure_from`` and
-end-of-run), so every observable -- the traffic time series, occupancy
-samples, warm-up capture, progress callbacks -- is produced at exactly the
-same event indices as the scalar loop.  Within a batch the bookkeeping is
-bit-exact by construction:
+An executor owns no loop: :meth:`repro.sim.engine.ReplayKernel.run` walks the
+sampling grid and hands each chunk (cut at grid edges, ``measure_from`` and
+end-of-run) to ``process(start, stop)`` in place of one ``step`` per event,
+so every observable -- the traffic time series, occupancy samples, warm-up
+capture, progress callbacks -- comes from the same code at the same event
+indices.  Within a batch the bookkeeping is bit-exact by construction:
 
 * integer counters (observer counts, repository counters, transfer counts,
   store versions/hits) advance by exact integer sums,
@@ -29,24 +30,20 @@ Eligibility is deliberately conservative (see
 :func:`select_batched_executor`): exact policy types only (a subclass may
 override hooks), materialised traces only (streams replay scalar in constant
 memory), record-free links, history-free repositories, and vectorisable cost
-models.  Everything else keeps the scalar loop.
+models -- and the kernel only asks for a single site with no ``on_decision``
+observer.  Everything else keeps the per-event step.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.policy import CachePolicy
 from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy
 from repro.network.link import Mechanism, NetworkLink
-from repro.perf import PHASE_METRICS, add_phase_time, phase_clock
 from repro.repository.server import Repository
 from repro.workload.columns import COLUMNS_AVAILABLE, TraceColumns
 from repro.workload.trace import Trace, TraceStream, TraceView
-
-if TYPE_CHECKING:  # pragma: no cover - engine imports this module at runtime
-    from repro.sim.engine import EngineConfig
-    from repro.sim.metrics import CacheOccupancySeries, TrafficTimeSeries
 
 try:  # pragma: no cover - exercised implicitly by every batched test
     import numpy as _np
@@ -57,7 +54,7 @@ __all__ = ["select_batched_executor"]
 
 
 class _BatchedExecutor:
-    """Shared replay skeleton: batch walking, sampling, warm-up capture."""
+    """One policy's bookkeeping over event windows of the compiled columns."""
 
     def __init__(
         self,
@@ -71,53 +68,7 @@ class _BatchedExecutor:
         self._repository = repository
         self._link = link
 
-    def replay(
-        self,
-        config: "EngineConfig",
-        series: "TrafficTimeSeries",
-        occupancy: Optional["CacheOccupancySeries"],
-        progress: Optional[Callable[[int, int], None]],
-    ) -> Tuple[float, int, int]:
-        """Process the whole trace in batches; returns the loop's outputs.
-
-        The return value is ``(warmup_traffic, answered_at_cache, shipped)``
-        -- exactly what the scalar loop accumulates.  The caller (the engine)
-        owns the epilogue: finalize, the end-of-run sample and the final
-        progress report.
-        """
-        columns = self._columns
-        link = self._link
-        store = getattr(self._policy, "store", None)
-        total_events = len(columns)
-        sample_every = config.sample_every
-        measure_from = config.measure_from
-        warmup_traffic = 0.0
-        answered = 0
-        shipped = 0
-        position = 0
-        next_sample = sample_every
-        while position < total_events:
-            if position == measure_from:
-                warmup_traffic = link.total_cost
-            edge = min(next_sample, total_events)
-            if position < measure_from < edge:
-                edge = measure_from
-            batch_answered, batch_shipped = self._process(position, edge)
-            answered += batch_answered
-            shipped += batch_shipped
-            position = edge
-            if position == next_sample and position < total_events:
-                next_sample += sample_every
-                sample_start = phase_clock()
-                series.sample(position)
-                if occupancy is not None:
-                    occupancy.sample(position, store.used, store.capacity, len(store))
-                add_phase_time(PHASE_METRICS, phase_clock() - sample_start)
-                if progress is not None:
-                    progress(position, total_events)
-        return warmup_traffic, answered, shipped
-
-    def _process(self, start: int, stop: int) -> Tuple[int, int]:
+    def process(self, start: int, stop: int) -> Tuple[int, int]:
         """Replay events ``[start, stop)``; returns (answered, shipped)."""
         raise NotImplementedError
 
@@ -135,7 +86,7 @@ class _BatchedExecutor:
 class _NoCacheExecutor(_BatchedExecutor):
     """Batched NoCache: every query ships, updates only touch the server."""
 
-    def _process(self, start: int, stop: int) -> Tuple[int, int]:
+    def process(self, start: int, stop: int) -> Tuple[int, int]:
         columns = self._columns
         update_start, update_stop, query_start, query_stop = self._batch_ranges(
             start, stop
@@ -167,7 +118,7 @@ class _NoCacheExecutor(_BatchedExecutor):
 class _ReplicaExecutor(_BatchedExecutor):
     """Batched Replica: every update ships immediately, every query hits."""
 
-    def _process(self, start: int, stop: int) -> Tuple[int, int]:
+    def process(self, start: int, stop: int) -> Tuple[int, int]:
         columns = self._columns
         store = self._policy.store
         update_start, update_stop, query_start, query_stop = self._batch_ranges(
@@ -234,13 +185,13 @@ def select_batched_executor(
     repository: Repository,
     link: NetworkLink,
 ) -> Optional[_BatchedExecutor]:
-    """The batched executor for this run, or ``None`` to keep the scalar loop.
+    """The batched executor for this run, or ``None`` to keep the per-event step.
 
     Eligibility is conservative on purpose; every condition protects a piece
     of scalar-path behaviour the batch cannot reproduce:
 
-    * exact ``NoCachePolicy`` / ``ReplicaPolicy`` types (subclasses and
-      wrappers like the serve recorder may override the per-event hooks),
+    * exact ``NoCachePolicy`` / ``ReplicaPolicy`` types (subclasses may
+      override the per-event hooks),
     * a materialised :class:`Trace`/:class:`TraceView` (streams are replayed
       scalar so they keep their constant-memory guarantee),
     * a record-free link (per-transfer provenance needs per-event charging),

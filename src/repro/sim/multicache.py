@@ -1,36 +1,22 @@
-"""The multi-cache simulation engine.
+"""Fleet replays: one trace against several cache sites sharing a repository.
 
-:class:`MultiCacheEngine` generalises :class:`repro.sim.engine.SimulationEngine`
-from one cache on one link to a fleet of :class:`repro.topology.site.Site`\\ s
-sharing a single repository:
-
-1. every update event is ingested at the shared repository exactly once, then
-   broadcast to every site's policy (any site may hold a resident copy),
-2. every query event is routed to exactly one site by a
-   :class:`repro.workload.partition.TracePartitioner` and handled by that
-   site's policy,
-3. per-site traffic, occupancy and a fleet-wide aggregate are sampled along
-   the way on the same event grid as single-cache runs,
-4. a :class:`repro.topology.results.TopologyResult` collects one
-   :class:`repro.sim.results.RunResult` per site plus the aggregate.
-
-The replay is deterministic: routing is a pure function of the partitioner,
-sites are visited in site order, and each site's policy seeds its own RNG --
-so the same spec, catalogue and trace always produce a byte-identical
-:class:`TopologyResult`, in-process or in a sweep worker.
+A fleet is a :class:`repro.sim.engine.ReplayKernel` over more than one
+:class:`repro.topology.site.Site` plus a router -- there is no second engine:
+updates are ingested once and broadcast, each query is routed to one site by
+a :class:`repro.workload.partition.TracePartitioner`, and per-site and
+fleet-wide series share the single-cache sampling grid.  This module binds
+that kernel to the topology layer: :func:`fleet_kernel` checks the
+partitioner against the sites and :func:`run_topology` wraps the runs in a
+:class:`repro.topology.results.TopologyResult`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.network.link import Mechanism, NetworkLink
-from repro.perf import PHASE_METRICS, add_phase_time, phase_clock
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
-from repro.sim.engine import EngineConfig
-from repro.sim.metrics import CacheOccupancySeries, TrafficTimeSeries
-from repro.sim.results import RunResult
+from repro.sim.engine import EngineConfig, ReplayKernel
 from repro.topology.results import TopologyResult
 from repro.topology.site import Site, build_sites
 from repro.topology.spec import TopologySpec
@@ -38,230 +24,25 @@ from repro.workload.partition import TracePartitioner
 from repro.workload.trace import TraceStream
 
 
-class _CombinedLink:
-    """Read-only view summing several links (duck-types what sampling needs)."""
-
-    def __init__(self, links: Sequence[NetworkLink]) -> None:
-        self._links = list(links)
-
-    @property
-    def total_cost(self) -> float:
-        return sum(link.total_cost for link in self._links)
-
-    def total_by_mechanism(self) -> Dict[str, float]:
-        totals = {mechanism: 0.0 for mechanism in Mechanism.ALL}
-        for link in self._links:
-            for mechanism, value in link.total_by_mechanism().items():
-                totals[mechanism] += value
-        return totals
-
-
-class MultiCacheEngine:
-    """Replays one trace against a fleet of sites sharing one repository."""
-
-    def __init__(
-        self,
-        repository: Repository,
-        sites: Sequence[Site],
-        partitioner: TracePartitioner,
-        config: Optional[EngineConfig] = None,
-    ) -> None:
-        if not sites:
-            raise ValueError("a topology needs at least one site")
-        if partitioner.site_count != len(sites):
-            raise ValueError(
-                f"partitioner splits {partitioner.site_count} ways "
-                f"but the topology has {len(sites)} sites"
-            )
-        self._repository = repository
-        self._sites = list(sites)
-        self._partitioner = partitioner
-        self._config = config or EngineConfig()
-
-    @property
-    def config(self) -> EngineConfig:
-        """The engine configuration."""
-        return self._config
-
-    @staticmethod
-    def _sample_all(
-        index: int,
-        sites: Sequence[Site],
-        aggregate_series: TrafficTimeSeries,
-        site_series: Sequence[TrafficTimeSeries],
-        site_occupancy: Sequence[Optional[CacheOccupancySeries]],
-        aggregate_occupancy: Optional[CacheOccupancySeries],
-    ) -> None:
-        """Sample every traffic and occupancy series at ``index``."""
-        aggregate_series.sample(index)
-        used = capacity = 0.0
-        resident = 0
-        for position, site in enumerate(sites):
-            site_series[position].sample(index)
-            occupancy = site_occupancy[position]
-            if occupancy is not None:
-                store = site.policy.store
-                occupancy.sample(index, store.used, store.capacity, len(store))
-                used += store.used
-                capacity += store.capacity
-                resident += len(store)
-        if aggregate_occupancy is not None:
-            aggregate_occupancy.sample(index, used, capacity, resident)
-
-    def run(self, trace: TraceStream, name: str = "topology") -> TopologyResult:
-        """Replay ``trace`` against every site; returns the fleet result.
-
-        ``trace`` may be any :class:`~repro.workload.trace.TraceStream`; the
-        replay is one forward pass over ``iter_tagged()``, so generated
-        sources are never materialised.
-        """
-        config = self._config
-        sites = self._sites
-        combined = _CombinedLink([site.link for site in sites])
-        aggregate_series = TrafficTimeSeries(combined, sample_every=config.sample_every)
-        site_series = [
-            TrafficTimeSeries(site.link, sample_every=config.sample_every)
-            for site in sites
-        ]
-        site_occupancy: List[Optional[CacheOccupancySeries]] = [
-            CacheOccupancySeries(sample_every=config.sample_every)
-            if hasattr(site.policy, "store")
-            else None
-            for site in sites
-        ]
-        all_stores = all(occ is not None for occ in site_occupancy)
-        aggregate_occupancy = (
-            CacheOccupancySeries(sample_every=config.sample_every) if all_stores else None
+def fleet_kernel(
+    repository: Repository,
+    sites: Sequence[Site],
+    partitioner: TracePartitioner,
+    config: Optional[EngineConfig] = None,
+) -> ReplayKernel:
+    """The replay kernel of a fleet whose queries ``partitioner`` routes."""
+    if partitioner.site_count != len(sites):
+        raise ValueError(
+            f"partitioner splits {partitioner.site_count} ways "
+            f"but the topology has {len(sites)} sites"
         )
-
-        if config.allow_offline_preparation:
-            for site in sites:
-                site.policy.prepare(trace)
-
-        site_warmup = [0.0] * len(sites)
-        answered = [0] * len(sites)
-        shipped = [0] * len(sites)
-        total_events = len(trace)
-
-        measure_from = config.measure_from
-        sample_every = config.sample_every
-        site_of_query = self._partitioner.site_of_query
-        ingest_update = self._repository.ingest_update
-        site_policies = [site.policy for site in sites]
-        next_sample = sample_every
-        index = 0
-        updates_seen = 0
-        for is_update, payload in trace.iter_tagged():
-            if index == measure_from:
-                for position, site in enumerate(sites):
-                    site_warmup[position] = site.link.total_cost
-            if is_update:
-                updates_seen += 1
-                ingest_update(payload)
-                for policy in site_policies:
-                    policy.on_update(payload)
-            else:
-                position = site_of_query(payload)
-                outcome = site_policies[position].on_query(payload)
-                if outcome.answered_at_cache:
-                    answered[position] += 1
-                else:
-                    shipped[position] += 1
-            index += 1
-
-            # All series share the engine's grid, so the whole sampling block
-            # is gated once here (the store reads are wasted work otherwise).
-            # The end-of-run boundary is sampled in the epilogue below (after
-            # finalize); sampling it here too used to record duplicate final
-            # TrafficSamples whenever the trace length sat on the grid.
-            if index == next_sample and index < total_events:
-                next_sample += sample_every
-                sample_start = phase_clock()
-                self._sample_all(
-                    index,
-                    sites,
-                    aggregate_series,
-                    site_series,
-                    site_occupancy,
-                    aggregate_occupancy,
-                )
-                add_phase_time(PHASE_METRICS, phase_clock() - sample_start)
-
-        for site in sites:
-            site.policy.finalize()
-        # End-of-run sample for every series, occupancy included -- the
-        # occupancy series used to stop at the last grid point (or stay empty
-        # for traces shorter than sample_every), asymmetric with the traffic
-        # series.
-        sample_start = phase_clock()
-        self._sample_all(
-            total_events,
-            sites,
-            aggregate_series,
-            site_series,
-            site_occupancy,
-            aggregate_occupancy,
-        )
-        add_phase_time(PHASE_METRICS, phase_clock() - sample_start)
-        if config.measure_from >= total_events:
-            for position, site in enumerate(sites):
-                site_warmup[position] = site.link.total_cost
-
-        measure_warmup = config.measure_from > 0
-        site_runs: List[RunResult] = []
-        for position, site in enumerate(sites):
-            stats: Dict[str, float] = {}
-            if hasattr(site.policy, "stats"):
-                stats = site.policy.stats()
-            site_runs.append(
-                RunResult(
-                    policy_name=site.policy.name,
-                    total_traffic=site.link.total_cost,
-                    traffic_by_mechanism=site.link.total_by_mechanism(),
-                    time_series=site_series[position],
-                    queries_answered_at_cache=answered[position],
-                    queries_shipped=shipped[position],
-                    events_processed=updates_seen + answered[position] + shipped[position],
-                    policy_stats=stats,
-                    warmup_traffic=site_warmup[position] if measure_warmup else 0.0,
-                    occupancy=site_occupancy[position],
-                )
-            )
-
-        aggregate = RunResult(
-            policy_name=name,
-            total_traffic=combined.total_cost,
-            traffic_by_mechanism=combined.total_by_mechanism(),
-            time_series=aggregate_series,
-            queries_answered_at_cache=sum(answered),
-            queries_shipped=sum(shipped),
-            events_processed=total_events,
-            policy_stats=_fold_site_stats(site_runs),
-            warmup_traffic=sum(site_warmup) if measure_warmup else 0.0,
-            occupancy=aggregate_occupancy,
-        )
-        return TopologyResult(
-            name=name,
-            site_runs=site_runs,
-            aggregate=aggregate,
-            strategy=self._partitioner.strategy,
-            partition=self._partitioner.describe(),
-        )
-
-
-def _fold_site_stats(site_runs: Sequence[RunResult]) -> Dict[str, float]:
-    """Per-site headline figures as flat floats (survive sweep artifacts)."""
-    stats: Dict[str, float] = {"site_count": float(len(site_runs))}
-    for site, run in enumerate(site_runs):
-        stats[f"site{site}_total_traffic"] = run.total_traffic
-        stats[f"site{site}_measured_traffic"] = run.measured_traffic
-        stats[f"site{site}_queries_answered_at_cache"] = float(
-            run.queries_answered_at_cache
-        )
-        stats[f"site{site}_queries_shipped"] = float(run.queries_shipped)
-        for mechanism, value in run.traffic_by_mechanism.items():
-            stats[f"site{site}_traffic_{mechanism}"] = value
-    return stats
+    return ReplayKernel(
+        repository,
+        [site.policy for site in sites],
+        [site.link for site in sites],
+        config,
+        route=partitioner.site_of_query,
+    )
 
 
 def run_topology(
@@ -282,6 +63,12 @@ def run_topology(
     partitioner = TracePartitioner.for_trace(
         catalog.object_ids, spec.site_count, trace, strategy=spec.strategy
     )
-    sites = build_sites(spec, repository)
-    engine = MultiCacheEngine(repository, sites, partitioner, engine_config)
-    return engine.run(trace, name=spec.name)
+    kernel = fleet_kernel(repository, build_sites(spec, repository), partitioner, engine_config)
+    site_runs, aggregate = kernel.run(trace, name=spec.name)
+    return TopologyResult(
+        name=spec.name,
+        site_runs=site_runs,
+        aggregate=aggregate,
+        strategy=partitioner.strategy,
+        partition=partitioner.describe(),
+    )

@@ -3,7 +3,7 @@
 Every experiment in the paper compares several policies over the same trace.
 :func:`compare_policies` does exactly that: for each policy it builds a fresh
 repository (replaying updates mutates server-side object sizes, so policies
-must not share one), a fresh network link, runs the simulation engine, and
+must not share one), a fresh network link, runs the replay kernel, and
 collects the results into a :class:`repro.sim.results.ComparisonResult`.
 With ``jobs > 1`` the per-policy runs are fanned out over worker processes
 via :class:`repro.sim.sweep.SweepRunner`; results are identical either way.
@@ -30,7 +30,7 @@ from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
 from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
-from repro.sim.engine import EngineConfig, SimulationEngine
+from repro.sim.engine import EngineConfig, ReplayKernel
 from repro.sim.results import ComparisonResult, RunResult
 from repro.workload.trace import TraceStream
 
@@ -194,8 +194,8 @@ def run_policy(
     repository = Repository(catalog, keep_update_log=False)
     link = NetworkLink()
     policy = spec.factory(repository, cache_capacity, link)
-    engine = SimulationEngine(repository, engine_config)
-    return engine.run(policy, trace, link)
+    site_runs, _ = ReplayKernel(repository, [policy], [link], engine_config).run(trace)
+    return site_runs[0]
 
 
 def compare_policies(

@@ -17,8 +17,9 @@ rapidly-growing repository.  This package models that fleet:
 
 The query stream is split across sites by
 :class:`repro.workload.partition.TracePartitioner` (sky region or hotspot
-affinity); updates are broadcast to every site.  The replay engine lives in
-:mod:`repro.sim.multicache` (:class:`MultiCacheEngine`, :func:`run_topology`).
+affinity); updates are broadcast to every site.  The replay itself is the
+single-cache :class:`repro.sim.engine.ReplayKernel` given a router; the entry
+point is :func:`repro.sim.multicache.run_topology`.
 """
 
 from repro.topology.results import TopologyResult

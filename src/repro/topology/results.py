@@ -1,7 +1,8 @@
 """Result container for multi-cache topology runs.
 
-:class:`TopologyResult` collects what one
-:class:`repro.sim.multicache.MultiCacheEngine` replay produced: one
+:class:`TopologyResult` collects what one routed
+:meth:`repro.sim.engine.ReplayKernel.run` (see
+:func:`repro.sim.multicache.run_topology`) produced: one
 :class:`repro.sim.results.RunResult` per site (each backed by that site's own
 link ledger, occupancy series included) plus an *aggregate* ``RunResult``
 summing the fleet, which is what sweep artifacts and comparisons consume --

@@ -154,10 +154,10 @@ class TracePartitioner:
     def split(self, trace: Trace) -> List[Trace]:
         """Per-site traces: every update, plus the site's own queries.
 
-        A convenience view for replaying one site in isolation with the
-        single-cache engine; :class:`repro.sim.multicache.MultiCacheEngine`
-        routes over the shared stream instead (one repository ingest per
-        update).
+        A convenience view for replaying one site in isolation as a
+        single-cache run; a fleet replay (:func:`repro.sim.multicache.run_topology`)
+        routes over the shared stream instead, with :meth:`site_of_query` as
+        the kernel's router (one repository ingest per update).
         """
         per_site: List[List] = [[] for _ in range(self._site_count)]
         for event in trace:

@@ -24,7 +24,7 @@ from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
 from repro.sim import engine as engine_module
 from repro.sim.batched import select_batched_executor
-from repro.sim.engine import EngineConfig, SimulationEngine
+from repro.sim.engine import EngineConfig, ReplayKernel
 from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.workload.columns import COLUMNS_AVAILABLE, TraceColumns
 from repro.workload.trace import QueryEvent, Trace, UpdateEvent
@@ -137,14 +137,15 @@ def run_once(catalog, trace, policy_type, *, scalar=False, monkeypatch=None,
         policy = NoCachePolicy(repository, 0.0, link)
     else:
         policy = ReplicaPolicy(repository, float("inf"), link)
-    engine = SimulationEngine(
-        repository, EngineConfig(sample_every=sample_every, measure_from=measure_from)
+    engine = ReplayKernel(
+        repository, [policy], [link],
+        EngineConfig(sample_every=sample_every, measure_from=measure_from),
     )
     if scalar:
         monkeypatch.setattr(
             engine_module, "select_batched_executor", lambda *args: None
         )
-    result = engine.run(policy, trace, link)
+    (result,), _ = engine.run(trace)
     return result, repository
 
 
@@ -198,12 +199,14 @@ class TestByteEquivalence:
             repository = Repository(catalog, keep_update_log=False)
             link = NetworkLink()
             policy = ReplicaPolicy(repository, float("inf"), link)
-            engine = SimulationEngine(repository, EngineConfig(sample_every=50))
+            engine = ReplayKernel(
+                repository, [policy], [link], EngineConfig(sample_every=50)
+            )
             if scalar:
                 monkeypatch.setattr(
                     engine_module, "select_batched_executor", lambda *args: None
                 )
-            engine.run(policy, trace, link)
+            engine.run(trace)
             return {
                 oid: (record.version, record.hits, record.last_hit_at)
                 for oid in catalog.object_ids

@@ -258,10 +258,8 @@ class TestSchemaVersions:
             validate_payload(current)
 
     def test_phases_block_present_and_valid(self, payload):
-        from repro.bench.runner import PHASE_KEYS
         from repro.bench.schema import PHASE_NAMES
 
-        assert PHASE_KEYS == PHASE_NAMES
         for case in payload["cases"]:
             phases = case["phases"]
             assert set(phases) == set(PHASE_NAMES)

@@ -24,7 +24,7 @@ from repro.flow.vertex_cover import brute_force_min_cover, min_weight_vertex_cov
 from repro.network.link import NetworkLink
 from repro.perf import PHASE_COVER_SOLVE, reset_phase_times, snapshot_phase_times
 from repro.repository.server import Repository
-from repro.sim.engine import EngineConfig, SimulationEngine
+from repro.sim.engine import EngineConfig, ReplayKernel
 
 
 class TestBasics:
@@ -374,9 +374,9 @@ def _replay_default_shape(events: int):
     policy = VCoverPolicy(
         repository, scenario.catalog.total_size * config.cache_fraction, link
     )
-    SimulationEngine(repository, EngineConfig(sample_every=config.sample_every)).run(
-        policy, scenario.trace, link
-    )
+    ReplayKernel(
+        repository, [policy], [link], EngineConfig(sample_every=config.sample_every)
+    ).run(scenario.trace)
     return policy.update_manager.graph._flow
 
 

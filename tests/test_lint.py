@@ -612,82 +612,6 @@ class TestReg002:
 
 
 # ----------------------------------------------------------------------
-# REG003: bench runner phase names vs the payload schema
-# ----------------------------------------------------------------------
-def _reg3_runner(phases: str) -> str:
-    return f"PHASE_KEYS = {phases}\n"
-
-
-def _reg3_schema(phases: str) -> str:
-    return f"PHASE_NAMES = {phases}\n"
-
-
-class TestReg003:
-    def test_matching_tables_clean(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/bench/runner.py": _reg3_runner(
-                '("trace_compile", "batch_dispatch", "cover_solve", "metrics")'
-            ),
-            "src/repro/bench/schema.py": _reg3_schema(
-                '("trace_compile", "batch_dispatch", "cover_solve", "metrics")'
-            ),
-        })
-        assert lint_rules(project, "src", rule="REG003") == []
-
-    def test_runner_phase_missing_from_schema_flagged(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/bench/runner.py": _reg3_runner(
-                '("trace_compile", "gc_pause")'
-            ),
-            "src/repro/bench/schema.py": _reg3_schema('("trace_compile",)'),
-        })
-        findings = lint_rules(project, "src", rule="REG003")
-        assert len(findings) == 1
-        assert "gc_pause" in findings[0].message
-        assert findings[0].path == "src/repro/bench/runner.py"
-
-    def test_schema_phase_never_emitted_flagged(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/bench/runner.py": _reg3_runner('("trace_compile",)'),
-            "src/repro/bench/schema.py": _reg3_schema(
-                '("trace_compile", "cover_solve")'
-            ),
-        })
-        findings = lint_rules(project, "src", rule="REG003")
-        assert len(findings) == 1
-        assert "cover_solve" in findings[0].message
-        assert findings[0].path == "src/repro/bench/schema.py"
-
-    def test_missing_runner_table_flagged(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/bench/runner.py": "JOBS = 1\n",
-            "src/repro/bench/schema.py": _reg3_schema('("trace_compile",)'),
-        })
-        findings = lint_rules(project, "src", rule="REG003")
-        assert len(findings) == 1
-        assert "no PHASE_KEYS" in findings[0].message
-
-    def test_same_set_different_order_flagged(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/bench/runner.py": _reg3_runner(
-                '("cover_solve", "trace_compile")'
-            ),
-            "src/repro/bench/schema.py": _reg3_schema(
-                '("trace_compile", "cover_solve")'
-            ),
-        })
-        findings = lint_rules(project, "src", rule="REG003")
-        assert len(findings) == 1
-        assert "different orders" in findings[0].message
-
-    def test_bare_project_yields_nothing(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/foo.py": "X = 1\n",
-        })
-        assert lint_rules(project, "src", rule="REG003") == []
-
-
-# ----------------------------------------------------------------------
 # ASYNC001: blocking calls inside async def in serve code
 # ----------------------------------------------------------------------
 class TestAsync001:
@@ -921,7 +845,7 @@ class TestRegistry:
     def test_expected_rules_registered(self):
         ids = {rule.id for rule in all_rules()}
         assert {
-            "DET001", "DET002", "DET003", "PICK001", "SLOT001", "REG001", "REG003"
+            "DET001", "DET002", "DET003", "PICK001", "SLOT001", "REG001", "REG002"
         } <= ids
 
     def test_lookup_is_case_insensitive(self):

@@ -1,4 +1,4 @@
-"""Sampling-grid edge cases for both engines.
+"""Sampling-grid edge cases for every shape the replay kernel runs.
 
 Regression suite for two end-of-run sampling bugs:
 
@@ -9,9 +9,10 @@ Regression suite for two end-of-run sampling bugs:
   end-of-run sample at all, so it stopped at the last grid point and stayed
   empty for traces shorter than ``sample_every``.
 
-The contract, for every engine and every series: sample indices are strictly
-increasing, fall on the grid except for the last one, and always end at
-``total_events`` exactly once.
+The contract, for every row (scalar, batched, routed, fleet) and every
+series, the aggregate's included: sample indices are strictly increasing,
+fall on the grid except for the last one, and always end at ``total_events``
+exactly once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy
 from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
-from repro.sim.engine import EngineConfig, SimulationEngine
+from repro.sim.engine import EngineConfig, ReplayKernel
 from repro.sim.multicache import run_topology
 from repro.sim.runner import vcover_spec
 from repro.topology import TopologySpec
@@ -55,22 +56,38 @@ def build_trace(events: int) -> Trace:
     return Trace(items)
 
 
-def run_single(catalog, policy_name: str, events: int, sample_every: int,
-               measure_from: int = 0):
+# ``vcover`` exercises the per-event step, ``nocache``/``replica`` the batched
+# executors, the fleet rows the router and the aggregate series -- one grid
+# walker serves them all, so the contract must hold identically on every row.
+FLEET_ROWS = ("routed-1", "fleet-2")
+POLICIES = ("nocache", "replica", "vcover") + FLEET_ROWS
+STORE_ROWS = ("replica", "vcover") + FLEET_ROWS
+
+
+def run_rows(catalog, row: str, events: int, sample_every: int, measure_from: int = 0):
+    """Every run the kernel builds for one row: the site runs, then the aggregate.
+
+    ``nocache``/``replica``/``vcover`` are one site without a router (no
+    aggregate); ``routed-1`` and ``fleet-2`` are VCover fleets of one and two
+    sites, which also emit the aggregate run.
+    """
     # keep_update_log=False so nocache/replica take the batched executor
     # (the history-free repository is an eligibility condition).
     repository = Repository(catalog, keep_update_log=False)
-    link = NetworkLink()
-    if policy_name == "nocache":
-        policy = NoCachePolicy(repository, 0.0, link)
-    elif policy_name == "replica":
-        policy = ReplicaPolicy(repository, float("inf"), link)
+    links = [NetworkLink() for _ in range(2 if row == "fleet-2" else 1)]
+    if row == "nocache":
+        policies = [NoCachePolicy(repository, 0.0, links[0])]
+    elif row == "replica":
+        policies = [ReplicaPolicy(repository, float("inf"), links[0])]
     else:
-        policy = VCoverPolicy(repository, 30.0, link, VCoverConfig())
-    engine = SimulationEngine(
-        repository, EngineConfig(sample_every=sample_every, measure_from=measure_from)
-    )
-    return engine.run(policy, build_trace(events), link)
+        policies = [VCoverPolicy(repository, 30.0, link, VCoverConfig()) for link in links]
+    route = (lambda query: query.query_id % len(links)) if row in FLEET_ROWS else None
+    config = EngineConfig(sample_every=sample_every, measure_from=measure_from)
+    site_runs, aggregate = ReplayKernel(
+        repository, policies, links, config, route=route
+    ).run(build_trace(events))
+    assert (aggregate is not None) == (row in FLEET_ROWS)
+    return site_runs + ([aggregate] if aggregate is not None else [])
 
 
 def assert_grid(indices, events: int, sample_every: int) -> None:
@@ -84,72 +101,68 @@ def assert_grid(indices, events: int, sample_every: int) -> None:
     assert indices == expected
 
 
-# ``vcover`` exercises the scalar loop, ``nocache``/``replica`` the batched
-# executors -- the grid contract must hold identically on every path.
-POLICIES = ("nocache", "replica", "vcover")
-
-
 class TestSingleCacheGrid:
-    @pytest.mark.parametrize("policy_name", POLICIES)
-    def test_length_equals_sample_every(self, catalog, policy_name):
-        result = run_single(catalog, policy_name, events=10, sample_every=10)
-        assert result.time_series.event_indices() == [10]
+    @pytest.mark.parametrize("row", POLICIES)
+    def test_length_equals_sample_every(self, catalog, row):
+        for result in run_rows(catalog, row, events=10, sample_every=10):
+            assert result.time_series.event_indices() == [10]
 
-    @pytest.mark.parametrize("policy_name", POLICIES)
-    def test_length_shorter_than_sample_every(self, catalog, policy_name):
-        result = run_single(catalog, policy_name, events=7, sample_every=10)
-        assert result.time_series.event_indices() == [7]
+    @pytest.mark.parametrize("row", POLICIES)
+    def test_length_shorter_than_sample_every(self, catalog, row):
+        for result in run_rows(catalog, row, events=7, sample_every=10):
+            assert result.time_series.event_indices() == [7]
 
-    @pytest.mark.parametrize("policy_name", POLICIES)
-    def test_length_multiple_of_sample_every_no_duplicate(self, catalog, policy_name):
-        result = run_single(catalog, policy_name, events=30, sample_every=10)
-        assert_grid(result.time_series.event_indices(), 30, 10)
+    @pytest.mark.parametrize("row", POLICIES)
+    def test_length_multiple_of_sample_every_no_duplicate(self, catalog, row):
+        for result in run_rows(catalog, row, events=30, sample_every=10):
+            assert_grid(result.time_series.event_indices(), 30, 10)
 
-    @pytest.mark.parametrize("policy_name", POLICIES)
-    def test_length_off_grid(self, catalog, policy_name):
-        result = run_single(catalog, policy_name, events=25, sample_every=10)
-        assert_grid(result.time_series.event_indices(), 25, 10)
+    @pytest.mark.parametrize("row", POLICIES)
+    def test_length_off_grid(self, catalog, row):
+        for result in run_rows(catalog, row, events=25, sample_every=10):
+            assert_grid(result.time_series.event_indices(), 25, 10)
 
-    @pytest.mark.parametrize("policy_name", ("replica", "vcover"))
-    def test_occupancy_gets_end_of_run_sample(self, catalog, policy_name):
-        result = run_single(catalog, policy_name, events=25, sample_every=10)
-        assert result.occupancy is not None
-        assert_grid(result.occupancy.event_indices, 25, 10)
+    @pytest.mark.parametrize("row", STORE_ROWS)
+    def test_occupancy_gets_end_of_run_sample(self, catalog, row):
+        for result in run_rows(catalog, row, events=25, sample_every=10):
+            assert result.occupancy is not None
+            assert_grid(result.occupancy.event_indices, 25, 10)
 
-    @pytest.mark.parametrize("policy_name", ("replica", "vcover"))
-    def test_occupancy_sampled_for_short_traces(self, catalog, policy_name):
+    @pytest.mark.parametrize("row", STORE_ROWS)
+    def test_occupancy_sampled_for_short_traces(self, catalog, row):
         # Used to stay completely empty below sample_every.
-        result = run_single(catalog, policy_name, events=7, sample_every=10)
-        assert result.occupancy.event_indices == [7]
+        for result in run_rows(catalog, row, events=7, sample_every=10):
+            assert result.occupancy.event_indices == [7]
 
-    @pytest.mark.parametrize("policy_name", ("replica", "vcover"))
-    def test_occupancy_no_duplicate_on_grid_boundary(self, catalog, policy_name):
-        result = run_single(catalog, policy_name, events=20, sample_every=10)
-        assert result.occupancy.event_indices == [10, 20]
+    @pytest.mark.parametrize("row", STORE_ROWS)
+    def test_occupancy_no_duplicate_on_grid_boundary(self, catalog, row):
+        for result in run_rows(catalog, row, events=20, sample_every=10):
+            assert result.occupancy.event_indices == [10, 20]
 
-    @pytest.mark.parametrize("policy_name", POLICIES)
+    @pytest.mark.parametrize("row", POLICIES)
     @pytest.mark.parametrize("measure_from", (10, 13))
-    def test_warmup_capture_on_and_off_grid(self, catalog, policy_name, measure_from):
+    def test_warmup_capture_on_and_off_grid(self, catalog, row, measure_from):
         # Reference: a sample-every-1 run records cumulative traffic after
         # every event; warm-up at measure_from is the cumulative cost of the
         # first measure_from events.
-        reference = run_single(catalog, policy_name, events=25, sample_every=1)
-        expected = reference.time_series.totals()[measure_from - 1]
-        result = run_single(
-            catalog, policy_name, events=25, sample_every=10, measure_from=measure_from
+        references = run_rows(catalog, row, events=25, sample_every=1)
+        results = run_rows(
+            catalog, row, events=25, sample_every=10, measure_from=measure_from
         )
-        assert result.warmup_traffic == pytest.approx(expected)
-        assert result.measured_traffic == pytest.approx(
-            result.total_traffic - expected
-        )
+        for reference, result in zip(references, results, strict=True):
+            expected = reference.time_series.totals()[measure_from - 1]
+            assert result.warmup_traffic == pytest.approx(expected)
+            assert result.measured_traffic == pytest.approx(
+                result.total_traffic - expected
+            )
 
-    @pytest.mark.parametrize("policy_name", POLICIES)
-    def test_measure_from_beyond_trace(self, catalog, policy_name):
-        result = run_single(
-            catalog, policy_name, events=7, sample_every=10, measure_from=100
-        )
-        assert result.warmup_traffic == pytest.approx(result.total_traffic)
-        assert result.measured_traffic == pytest.approx(0.0)
+    @pytest.mark.parametrize("row", POLICIES)
+    def test_measure_from_beyond_trace(self, catalog, row):
+        for result in run_rows(
+            catalog, row, events=7, sample_every=10, measure_from=100
+        ):
+            assert result.warmup_traffic == pytest.approx(result.total_traffic)
+            assert result.measured_traffic == pytest.approx(0.0)
 
 
 class TestMultiCacheGrid:

@@ -15,6 +15,7 @@ from repro.core.benefit import BenefitConfig
 from repro.experiments.config import ExperimentConfig, build_scenario_stream
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
+from repro.serve.equivalence import decision_recorder
 from repro.serve.server import CacheServer
 from repro.sim.runner import default_policy_specs
 from repro.workload.trace import event_to_dict
@@ -34,9 +35,11 @@ def tiny_setup(policy: str = "vcover", queries: int = 30, updates: int = 30):
     return catalog, spec, catalog.total_size * config.cache_fraction, events
 
 
-def make_server(policy: str = "vcover", **kwargs):
+def make_server(policy: str = "vcover", log=None, **kwargs):
+    """A server over the tiny setup; ``log`` (a list) opts into the decision log."""
     catalog, spec, capacity, events = tiny_setup(policy, **kwargs)
-    return CacheServer(catalog, spec, capacity), events
+    on_decision = decision_recorder(log) if log is not None else None
+    return CacheServer(catalog, spec, capacity, on_decision=on_decision), events
 
 
 class TestBasicServing:
@@ -71,6 +74,38 @@ class TestBasicServing:
             1 for payload in events[:10] if payload["kind"] == "query"
         )
         assert stats["total_traffic"] >= 0
+
+    def test_server_without_recorder_keeps_nothing_per_event(self):
+        # `repro serve` passes no on_decision: the process must not grow a
+        # row per event (it used to append to a decision log forever).
+        server, events = make_server()
+        applied = 40
+
+        async def drive():
+            await server.start()
+            try:
+                client = await ServeClient.connect(server.host, server.port)
+                try:
+                    for payload in events[:applied]:
+                        if payload["kind"] == "query":
+                            await client.query(payload)
+                        else:
+                            await client.update(payload)
+                    return await client.stats()
+                finally:
+                    await client.close()
+            finally:
+                await server.stop()
+
+        stats = asyncio.run(drive())
+        assert stats["events_processed"] == applied
+        assert not hasattr(server, "decision_log")
+        per_event = {
+            name: value
+            for name, value in vars(server).items()
+            if hasattr(value, "__len__") and len(value) >= applied
+        }
+        assert per_event == {}
 
     def test_ephemeral_port_resolved_after_start(self):
         server, _ = make_server()
@@ -113,7 +148,8 @@ class TestBasicServing:
 
 class TestSequenceOrdering:
     def test_out_of_order_frames_apply_in_seq_order(self):
-        server, events = make_server()
+        log = []
+        server, events = make_server(log=log)
 
         async def drive():
             await server.start()
@@ -140,9 +176,8 @@ class TestSequenceOrdering:
                     await second.close()
             finally:
                 await server.stop()
-            return server.decision_log
 
-        log = asyncio.run(drive())
+        asyncio.run(drive())
         expected_ids = []
         for payload in events[:2]:
             key = "query_id" if payload["kind"] == "query" else "update_id"
@@ -211,7 +246,8 @@ class TestGracefulShutdown:
         # server mid-burst.  Every request must settle -- with a result if it
         # was accepted before draining, with a draining error otherwise --
         # and the applied count must match the decision log exactly.
-        server, events = make_server()
+        log = []
+        server, events = make_server(log=log)
 
         async def drive():
             await server.start()
@@ -235,9 +271,9 @@ class TestGracefulShutdown:
             finally:
                 for client in clients:
                     await client.close()
-            return settled, server.stats_snapshot(), server.decision_log
+            return settled, server.stats_snapshot()
 
-        settled, stats, log = asyncio.run(drive())
+        settled, stats = asyncio.run(drive())
         applied = [r for r in settled if isinstance(r, dict)]
         unexpected = [
             r for r in settled
@@ -299,7 +335,8 @@ class TestClientCancellation:
         # Client A asks for seq=5, which cannot apply until seqs 0-4 arrive,
         # then cancels and disconnects.  Once the gap fills, the event applies
         # anyway (exactly once) and the writer loop keeps going.
-        server, events = make_server()
+        log = []
+        server, events = make_server(log=log)
 
         async def drive():
             await server.start()
@@ -336,8 +373,8 @@ class TestClientCancellation:
                     await second.close()
             finally:
                 await server.stop()
-            return stats, server.decision_log
+            return stats
 
-        stats, log = asyncio.run(drive())
+        stats = asyncio.run(drive())
         assert stats["events_processed"] == 7  # seqs 0..6, the abandoned one included
         assert len(log) == 7

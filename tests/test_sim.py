@@ -9,7 +9,7 @@ from repro.core.yardsticks import NoCachePolicy
 from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
-from repro.sim.engine import EngineConfig, SimulationEngine
+from repro.sim.engine import EngineConfig, ReplayKernel
 from repro.sim.metrics import CacheOccupancySeries, TrafficTimeSeries
 from repro.sim.runner import compare_policies, default_policy_specs, run_policy
 from repro.workload.trace import QueryEvent, Trace, UpdateEvent
@@ -69,14 +69,22 @@ class TestTrafficTimeSeries:
         assert occupancy.occupancy == [pytest.approx(0.25)]
 
 
+def replay(repository, policy, link, config, trace, progress=None):
+    """One cache, no router: the kernel's single site run (and no aggregate)."""
+    (result,), aggregate = ReplayKernel(repository, [policy], [link], config).run(
+        trace, progress=progress
+    )
+    assert aggregate is None
+    return result
+
+
 class TestEngine:
     def test_run_counts_queries_and_samples(self, catalog):
         repository = Repository(catalog)
         link = NetworkLink()
         policy = NoCachePolicy(repository, 0.0, link)
-        engine = SimulationEngine(repository, EngineConfig(sample_every=10))
         trace = build_trace(30)
-        result = engine.run(policy, trace, link)
+        result = replay(repository, policy, link, EngineConfig(sample_every=10), trace)
         assert result.events_processed == 30
         assert result.queries_shipped == trace.query_count
         assert result.queries_answered_at_cache == 0
@@ -87,9 +95,9 @@ class TestEngine:
         repository = Repository(catalog)
         link = NetworkLink()
         policy = NoCachePolicy(repository, 0.0, link)
-        engine = SimulationEngine(repository, EngineConfig(sample_every=10, measure_from=15))
         trace = build_trace(30)
-        result = engine.run(policy, trace, link)
+        config = EngineConfig(sample_every=10, measure_from=15)
+        result = replay(repository, policy, link, config, trace)
         assert 0.0 < result.warmup_traffic < result.total_traffic
         assert result.measured_traffic == pytest.approx(
             result.total_traffic - result.warmup_traffic
@@ -99,9 +107,11 @@ class TestEngine:
         repository = Repository(catalog)
         link = NetworkLink()
         policy = NoCachePolicy(repository, 0.0, link)
-        engine = SimulationEngine(repository, EngineConfig(sample_every=10))
         calls = []
-        engine.run(policy, build_trace(30), link, progress=lambda done, total: calls.append(done))
+        replay(
+            repository, policy, link, EngineConfig(sample_every=10), build_trace(30),
+            progress=lambda done, total: calls.append(done),
+        )
         assert calls == [10, 20, 30]
 
     def test_progress_reports_completion_of_short_traces(self, catalog):
@@ -111,10 +121,10 @@ class TestEngine:
         repository = Repository(catalog)
         link = NetworkLink()
         policy = NoCachePolicy(repository, 0.0, link)
-        engine = SimulationEngine(repository, EngineConfig(sample_every=1000))
         calls = []
-        engine.run(
-            policy, build_trace(7), link, progress=lambda done, total: calls.append((done, total))
+        replay(
+            repository, policy, link, EngineConfig(sample_every=1000), build_trace(7),
+            progress=lambda done, total: calls.append((done, total)),
         )
         assert calls == [(7, 7)]
 
@@ -125,10 +135,10 @@ class TestEngine:
         repository = Repository(catalog)
         link = NetworkLink()
         policy = NoCachePolicy(repository, 0.0, link)
-        engine = SimulationEngine(repository, EngineConfig(sample_every=10))
         calls = []
-        engine.run(
-            policy, build_trace(20), link, progress=lambda done, total: calls.append((done, total))
+        replay(
+            repository, policy, link, EngineConfig(sample_every=10), build_trace(20),
+            progress=lambda done, total: calls.append((done, total)),
         )
         assert calls == [(10, 20), (20, 20)]
 
@@ -136,10 +146,10 @@ class TestEngine:
         repository = Repository(catalog)
         link = NetworkLink()
         policy = NoCachePolicy(repository, 0.0, link)
-        engine = SimulationEngine(repository, EngineConfig(sample_every=10))
         calls = []
-        engine.run(
-            policy, build_trace(25), link, progress=lambda done, total: calls.append((done, total))
+        replay(
+            repository, policy, link, EngineConfig(sample_every=10), build_trace(25),
+            progress=lambda done, total: calls.append((done, total)),
         )
         assert calls == [(10, 25), (20, 25), (25, 25)]
 
@@ -147,10 +157,10 @@ class TestEngine:
         repository = Repository(catalog)
         link = NetworkLink()
         policy = NoCachePolicy(repository, 0.0, link)
-        engine = SimulationEngine(repository, EngineConfig(sample_every=10))
         calls = []
-        engine.run(
-            policy, Trace([]), link, progress=lambda done, total: calls.append((done, total))
+        replay(
+            repository, policy, link, EngineConfig(sample_every=10), Trace([]),
+            progress=lambda done, total: calls.append((done, total)),
         )
         assert calls == [(0, 0)]
 
@@ -158,8 +168,7 @@ class TestEngine:
         repository = Repository(catalog)
         link = NetworkLink()
         policy = VCoverPolicy(repository, 30.0, link, VCoverConfig())
-        engine = SimulationEngine(repository, EngineConfig(sample_every=10))
-        result = engine.run(policy, build_trace(30), link)
+        result = replay(repository, policy, link, EngineConfig(sample_every=10), build_trace(30))
         assert "update_manager_decisions" in result.policy_stats
 
     def test_occupancy_series_attached_to_result(self, catalog):
@@ -168,8 +177,7 @@ class TestEngine:
         repository = Repository(catalog)
         link = NetworkLink()
         policy = VCoverPolicy(repository, 30.0, link, VCoverConfig())
-        engine = SimulationEngine(repository, EngineConfig(sample_every=10))
-        result = engine.run(policy, build_trace(30), link)
+        result = replay(repository, policy, link, EngineConfig(sample_every=10), build_trace(30))
         assert result.occupancy is not None
         assert result.occupancy.event_indices == [10, 20, 30]
         assert len(result.occupancy.occupancy) == 3
@@ -179,8 +187,7 @@ class TestEngine:
         repository = Repository(catalog)
         link = NetworkLink()
         policy = VCoverPolicy(repository, 30.0, link, VCoverConfig())
-        engine = SimulationEngine(repository, EngineConfig(sample_every=10))
-        result = engine.run(policy, build_trace(30), link)
+        result = replay(repository, policy, link, EngineConfig(sample_every=10), build_trace(30))
         payload = result.as_payload()
         assert payload["occupancy"] == [
             [index, fraction, resident]
@@ -191,6 +198,64 @@ class TestEngine:
                 strict=True,
             )
         ]
+
+
+class TestKernel:
+    def observed(self, catalog, drive):
+        """Counters, link totals and on_decision rows after ``drive(kernel)``."""
+        repository = Repository(catalog)
+        links = [NetworkLink(), NetworkLink()]
+        policies = [VCoverPolicy(repository, 30.0, link, VCoverConfig()) for link in links]
+        rows = []
+        kernel = ReplayKernel(
+            repository, policies, links, EngineConfig(sample_every=10),
+            route=lambda query: query.query_id % 2,
+            on_decision=lambda payload, outcome: rows.append(
+                (type(payload).__name__, outcome and outcome.answered_at_cache)
+            ),
+        )
+        drive(kernel)
+        return (
+            kernel.counters(),
+            [link.total_by_mechanism() for link in links],
+            repository.stats(),
+            rows,
+        )
+
+    def test_stepping_event_by_event_matches_run(self, catalog):
+        # The server drives step() once per frame; a replay drives run().
+        trace = build_trace(60)
+
+        def stepped(kernel):
+            for is_update, payload in trace.iter_tagged():
+                kernel.step(is_update, payload)
+
+        by_step = self.observed(catalog, stepped)
+        by_run = self.observed(catalog, lambda kernel: kernel.run(trace))
+        assert by_step == by_run
+        counters, _, _, rows = by_step
+        assert counters["events_processed"] == len(rows) == 60
+        assert (
+            counters["queries_answered_at_cache"] + counters["queries_shipped"]
+            == trace.query_count
+        )
+        assert [kind for kind, _ in rows].count("Update") == trace.update_count
+
+    def test_site_lists_must_pair_up(self, catalog):
+        repository = Repository(catalog)
+        link = NetworkLink()
+        policy = NoCachePolicy(repository, 0.0, link)
+        with pytest.raises(ValueError, match="1 policies but 2 links"):
+            ReplayKernel(repository, [policy], [link, NetworkLink()])
+        with pytest.raises(ValueError, match="at least one site"):
+            ReplayKernel(repository, [], [])
+
+    def test_fleet_needs_a_router(self, catalog):
+        repository = Repository(catalog)
+        links = [NetworkLink(), NetworkLink()]
+        policies = [NoCachePolicy(repository, 0.0, link) for link in links]
+        with pytest.raises(ValueError, match="router"):
+            ReplayKernel(repository, policies, links)
 
 
 class TestResults:

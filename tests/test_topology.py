@@ -1,7 +1,7 @@
 """Tests for the multi-cache topology subsystem.
 
 Covers the trace partitioner (repro.workload.partition), the topology specs
-(repro.topology), the MultiCacheEngine (repro.sim.multicache) -- including
+(repro.topology), fleet replays (repro.sim.multicache) -- including
 the load-bearing guarantees: a 1-site topology is byte-identical to a
 single-cache run, and a topology replay is deterministic in-process and
 across sweep worker counts -- plus the multisite experiment and its
@@ -11,6 +11,7 @@ count).
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -18,8 +19,8 @@ import pytest
 from repro.experiments import multisite
 from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.sim.engine import EngineConfig
-from repro.sim.multicache import MultiCacheEngine, run_topology
-from repro.sim.runner import nocache_spec, run_policy, vcover_spec
+from repro.sim.multicache import fleet_kernel, run_topology
+from repro.sim.runner import adaptive_spec, nocache_spec, run_policy, vcover_spec
 from repro.sim.sweep import DEFAULT_SCENARIO, InlineScenario, SweepPoint, SweepRunner
 from repro.sky.partition import contiguous_sky_slices
 from repro.topology import SiteSpec, TopologySpec, build_sites
@@ -180,6 +181,32 @@ class TestMultiCacheEngine:
         assert topology.site_runs[0].as_payload() == single.as_payload()
         assert topology.aggregate.total_traffic == single.total_traffic
 
+    def test_adaptive_sites_carry_regret(self, small_config, small_scenario, engine_config):
+        # Regression: fleet site runs used to be built without the policy's
+        # regret summary, so `repro topology --policies adaptive` lost it.
+        fleet = run_topology(
+            TopologySpec.uniform(adaptive_spec(), 2, cache_fraction=0.3),
+            small_scenario.catalog, small_scenario.trace, engine_config,
+        )
+        for run in fleet.site_runs:
+            assert run.regret is not None
+            assert "regret" in run.as_payload()
+        assert fleet.aggregate.regret is None
+        capacity = small_scenario.catalog.total_size * small_config.cache_fraction
+        single = run_policy(
+            adaptive_spec(), small_scenario.catalog, small_scenario.trace,
+            capacity, engine_config=engine_config,
+        )
+        routed = run_topology(
+            TopologySpec.uniform(
+                adaptive_spec(), 1, cache_fraction=small_config.cache_fraction
+            ),
+            small_scenario.catalog, small_scenario.trace, engine_config,
+        )
+        assert json.dumps(routed.site_runs[0].as_payload()) == json.dumps(
+            single.as_payload()
+        )
+
     def test_updates_broadcast_queries_split(self, small_scenario, engine_config):
         spec = TopologySpec.uniform(vcover_spec(), 3, cache_fraction=0.3)
         result = run_topology(
@@ -206,7 +233,7 @@ class TestMultiCacheEngine:
             small_scenario.catalog.object_ids, 2, small_scenario.trace
         )
         sites = build_sites(spec, repository)
-        MultiCacheEngine(repository, sites, partitioner, engine_config).run(
+        fleet_kernel(repository, sites, partitioner, engine_config).run(
             small_scenario.trace
         )
         # One ingest per update event, regardless of the site count.
@@ -220,7 +247,7 @@ class TestMultiCacheEngine:
         partitioner = TracePartitioner(small_scenario.catalog.object_ids, 3)
         sites = build_sites(spec, repository)
         with pytest.raises(ValueError, match="sites"):
-            MultiCacheEngine(repository, sites, partitioner, engine_config)
+            fleet_kernel(repository, sites, partitioner, engine_config)
 
     def test_format_table_lists_every_site_and_the_aggregate(
         self, small_scenario, engine_config
