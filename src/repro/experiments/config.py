@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 from repro.repository.catalog import DEFAULT_SCALE, PAPER_SERVER_SIZE_MB, sdss_catalog
 from repro.repository.objects import ObjectCatalog
-from repro.workload.mixer import interleave
+from repro.workload.mixer import interleave, slot_timestamps
 from repro.workload.scenarios import (
     CacheAdversaryStream,
     DiurnalStream,
@@ -413,9 +413,12 @@ def build_scenario(config: Optional[ExperimentConfig] = None) -> Scenario:
     query_config = _query_workload_config(config, server_size, update_region)
     query_generator = SDSSQueryGenerator(catalog, query_config)
 
+    # Stamp at source: each generator builds its events with the timestamps
+    # the uniform merge will assign, so interleave() does not rebuild them.
+    query_slots, update_slots = slot_timestamps(config.query_count, config.update_count)
     trace = interleave(
-        query_generator.generate(),
-        update_generator.generate(),
+        query_generator.generate(timestamps=query_slots),
+        update_generator.generate(timestamps=update_slots),
         mode="uniform",
     )
     return Scenario(

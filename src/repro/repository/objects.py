@@ -72,7 +72,7 @@ class ObjectCatalog:
     lookup by id plus convenience aggregates (total size, size vector).
     """
 
-    __slots__ = ("_objects",)
+    __slots__ = ("_objects", "_object_ids")
 
     def __init__(self, objects: Iterable[DataObject]) -> None:
         self._objects: Dict[int, DataObject] = {}
@@ -82,6 +82,8 @@ class ObjectCatalog:
             self._objects[obj.object_id] = obj
         if not self._objects:
             raise ValueError("an ObjectCatalog requires at least one object")
+        # Nothing adds or removes objects after construction: sort once.
+        self._object_ids: List[int] = sorted(self._objects)
 
     # ------------------------------------------------------------------
     # Mapping-style access
@@ -104,8 +106,8 @@ class ObjectCatalog:
 
     @property
     def object_ids(self) -> List[int]:
-        """All object ids in ascending order."""
-        return sorted(self._objects)
+        """All object ids in ascending order (a fresh list per access)."""
+        return list(self._object_ids)
 
     # ------------------------------------------------------------------
     # Aggregates

@@ -13,6 +13,11 @@ accesses (Zipf-weighted), the rest of the probability mass is spread
 uniformly, and consecutive phases change part of the focus set.  The model is
 shared by the query generator and (with a different focus set) the update
 generator so the two streams have distinct hotspots by construction.
+
+An access costs its draws: one ``random()`` for focus-vs-background, then one
+``random()`` searched in the phase's Zipf cdf or one ``integers()`` into the
+object ids (:mod:`repro.workload.draws`).  The cdf and the focus membership
+set are rebuilt once per phase, never per access.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+
+from repro.workload.draws import uniform_pick, weighted_index, zipf_cdf
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ class HotspotModel:
             raise ValueError("drift must lie in [0, 1]")
         if not 0.0 <= focus_probability <= 1.0:
             raise ValueError("focus_probability must lie in [0, 1]")
-        self._object_ids = list(object_ids)
+        self._object_ids = [int(oid) for oid in object_ids]
         if not self._object_ids:
             raise ValueError("object_ids must be non-empty")
         excluded_set = set(excluded or ())
@@ -110,10 +117,6 @@ class HotspotModel:
         self._phases: List[HotspotPhase] = []
         self._access_index = 0
         self._current_focus: List[int] = []
-        #: Memoised Zipf weight vectors per focus size (pure function of the
-        #: exponent and the count; recomputing one per access dominated trace
-        #: generation).
-        self._zipf_cache: Dict[int, np.ndarray] = {}
         #: Start index (into the eligible list) of the current contiguous block.
         self._block_start = int(self._rng.integers(0, len(self._eligible)))
         self._start_new_phase()
@@ -154,6 +157,8 @@ class HotspotModel:
             focus = kept + newcomers
             self._rng.shuffle(focus)
         self._current_focus = [int(oid) for oid in focus]
+        self._focus_members = frozenset(self._current_focus)
+        self._focus_cdf = zipf_cdf(len(self._current_focus), self._zipf_exponent)
         self._phases.append(
             HotspotPhase(
                 start_index=self._access_index,
@@ -172,30 +177,22 @@ class HotspotModel:
         """The focus set of the current phase."""
         return list(self._current_focus)
 
+    def in_current_focus(self, object_id: int) -> bool:
+        """Whether ``object_id`` belongs to the current phase's focus set."""
+        return object_id in self._focus_members
+
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def _zipf_weights(self, count: int) -> np.ndarray:
-        cached = self._zipf_cache.get(count)
-        if cached is not None:
-            return cached
-        ranks = np.arange(1, count + 1, dtype=float)
-        weights = 1.0 / np.power(ranks, self._zipf_exponent)
-        weights /= weights.sum()
-        weights.setflags(write=False)
-        self._zipf_cache[count] = weights
-        return weights
-
     def next_object(self) -> int:
         """Draw the object id targeted by the next access."""
         if self._access_index > 0 and self._access_index % self._phase_length == 0:
             self._start_new_phase()
         self._access_index += 1
-        if self._rng.random() < self._focus_probability:
-            weights = self._zipf_weights(len(self._current_focus))
-            index = int(self._rng.choice(len(self._current_focus), p=weights))
-            return self._current_focus[index]
-        return int(self._rng.choice(self._object_ids))
+        rng = self._rng
+        if rng.random() < self._focus_probability:
+            return self._current_focus[weighted_index(self._focus_cdf, rng)]
+        return uniform_pick(self._object_ids, rng)
 
     def next_objects(self, count: int) -> List[int]:
         """Draw ``count`` access targets (advancing the phase clock)."""

@@ -26,11 +26,18 @@ Two interleaving modes are provided:
 
 Both modes preserve the internal order of each stream, which is what the
 generators' hotspot/scan evolution assumes.
+
+Stamp at source: a producer that knows both stream lengths asks
+:func:`slot_timestamps` for the slots the schedule will give each side and
+builds its payloads with those timestamps.  The merge re-stamps (rebuilds,
+re-validates) only a payload whose timestamp differs from its slot, so a
+pre-stamped trace costs one object per event instead of two, and a
+hand-made or lazily generated stream is stamped exactly as before.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, List, Literal, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +47,8 @@ from repro.workload.trace import QueryEvent, Trace, TraceEvent, UpdateEvent
 
 
 def _restamp_query(query: Query, timestamp: float) -> Query:
+    if query.timestamp == timestamp:
+        return query
     return Query(
         query_id=query.query_id,
         object_ids=query.object_ids,
@@ -52,6 +61,8 @@ def _restamp_query(query: Query, timestamp: float) -> Query:
 
 
 def _restamp_update(update: Update, timestamp: float) -> Update:
+    if update.timestamp == timestamp:
+        return update
     return Update(
         update_id=update.update_id,
         object_id=update.object_id,
@@ -84,6 +95,21 @@ def iter_schedule(
         raise ValueError(f"unknown interleave mode {mode!r}")
 
 
+def slot_timestamps(
+    query_count: int,
+    update_count: int,
+    mode: Literal["uniform", "random"] = "uniform",
+    seed: int = 99,
+) -> Tuple[List[float], List[float]]:
+    """The timestamps the merge assigns: ``(query slots, update slots)``."""
+    query_slots: List[float] = []
+    update_slots: List[float] = []
+    schedule = iter_schedule(query_count, update_count, mode=mode, seed=seed)
+    for position, take_query in enumerate(schedule, start=1):
+        (query_slots if take_query else update_slots).append(float(position))
+    return query_slots, update_slots
+
+
 def iter_interleaved(
     queries: Iterable[Query],
     updates: Iterable[Update],
@@ -97,7 +123,8 @@ def iter_interleaved(
     Timestamps are consecutive integers starting at 1, one per event, so that
     event-sequence position and simulated time coincide (the paper's x-axes
     are event-sequence positions).  The streams are consumed one element at a
-    time; nothing is materialised beyond the ``random``-mode schedule.
+    time; nothing is materialised beyond the ``random``-mode schedule.  A
+    payload already carrying its slot's timestamp is passed through as is.
 
     Parameters
     ----------

@@ -45,20 +45,13 @@ import numpy as np
 from repro.repository.objects import ObjectCatalog
 from repro.repository.queries import Query
 from repro.repository.updates import Update, UpdateKind
+from repro.workload.draws import uniform_pick, weighted_index, zipf_cdf
 from repro.workload.mixer import iter_interleaved
 from repro.workload.sdss import contiguous_footprint
 from repro.workload.trace import TraceEvent, TraceStream
 
 #: Names of the scenario models this module provides, in doc order.
 MODEL_NAMES = ("flash_crowd", "diurnal", "update_storm", "cache_adversary")
-
-
-def _zipf_weights(count: int, exponent: float) -> np.ndarray:
-    """Normalised Zipf weights over ``count`` ranks."""
-    ranks = np.arange(1, count + 1, dtype=float)
-    weights = 1.0 / np.power(ranks, exponent)
-    weights /= weights.sum()
-    return weights
 
 
 def _wobble(rng: np.random.Generator, sigma: float) -> float:
@@ -178,14 +171,13 @@ class ScenarioModelStream(TraceStream):
         self,
         rng: np.random.Generator,
         focus: Sequence[int],
-        weights: np.ndarray,
+        focus_cdf: Sequence[float],
         focus_probability: float,
     ) -> Tuple[int, bool]:
         """Zipf-weighted anchor from ``focus``, or a uniform background one."""
         if rng.random() < focus_probability:
-            return focus[int(rng.choice(len(focus), p=weights))], True
-        object_ids = self.catalog.object_ids
-        return int(object_ids[int(rng.integers(0, len(object_ids)))]), False
+            return focus[weighted_index(focus_cdf, rng)], True
+        return uniform_pick(self.catalog.object_ids, rng), False
 
     # Sub-class hooks ---------------------------------------------------
     def _iter_queries(self) -> Iterator[Query]:
@@ -255,7 +247,7 @@ class FlashCrowdStream(ScenarioModelStream):
         rng = self._query_rng()
         object_ids = self.catalog.object_ids
         focus_size = min(self.focus_size, len(object_ids))
-        weights = _zipf_weights(focus_size, self.zipf_exponent)
+        focus_cdf = zipf_cdf(focus_size, self.zipf_exponent)
         focus = _block(object_ids, int(rng.integers(0, len(object_ids))), focus_size)
         windows = self._crowd_windows()
         window_index = 0
@@ -274,7 +266,7 @@ class FlashCrowdStream(ScenarioModelStream):
                 )
                 in_crowd = True
             intensity = self.crowd_intensity if in_crowd else self.base_intensity
-            anchor, is_hot = self._anchor_from_focus(rng, focus, weights, intensity)
+            anchor, is_hot = self._anchor_from_focus(rng, focus, focus_cdf, intensity)
             if is_hot:
                 factor = self.crowd_cost_factor if in_crowd else 1.0
             else:
@@ -337,7 +329,7 @@ class DiurnalStream(ScenarioModelStream):
         rng = self._query_rng()
         object_ids = self.catalog.object_ids
         focus_size = min(self.focus_size, len(object_ids))
-        weights = _zipf_weights(focus_size, self.zipf_exponent)
+        focus_cdf = zipf_cdf(focus_size, self.zipf_exponent)
         focus_start = int(rng.integers(0, len(object_ids)))
         focus = _block(object_ids, focus_start, focus_size)
         cycle_length = max(1, self.query_count // self.cycles)
@@ -348,7 +340,7 @@ class DiurnalStream(ScenarioModelStream):
                 focus_start = (focus_start + focus_size) % len(object_ids)
                 focus = _block(object_ids, focus_start, focus_size)
             intensity = min(0.98, self.base_intensity * (1.0 + 0.2 * self.amplitude * phase))
-            anchor, is_hot = self._anchor_from_focus(rng, focus, weights, intensity)
+            anchor, is_hot = self._anchor_from_focus(rng, focus, focus_cdf, intensity)
             factor = (1.0 if is_hot else self.background_cost_factor) * (
                 1.0 + self.amplitude * phase
             )
@@ -401,18 +393,18 @@ class UpdateStormStream(ScenarioModelStream):
 
     def _focus_start(self) -> int:
         """The (deterministic) anchor of the query focus block."""
-        return int(self._query_rng().integers(0, len(self.catalog.object_ids)))
+        return int(self._query_rng().integers(0, len(self.catalog)))
 
     def _iter_queries(self) -> Iterator[Query]:
         rng = self._query_rng()
         object_ids = self.catalog.object_ids
         focus_size = min(self.focus_size, len(object_ids))
-        weights = _zipf_weights(focus_size, self.zipf_exponent)
+        focus_cdf = zipf_cdf(focus_size, self.zipf_exponent)
         # First draw matches _focus_start(): the focus anchor.
         focus = _block(object_ids, int(rng.integers(0, len(object_ids))), focus_size)
         for index in range(self.query_count):
             anchor, is_hot = self._anchor_from_focus(
-                rng, focus, weights, self.base_intensity
+                rng, focus, focus_cdf, self.base_intensity
             )
             factor = 1.0 if is_hot else self.background_cost_factor
             yield self._draw_query(rng, index + 1, index, anchor, factor)

@@ -29,7 +29,8 @@ import numpy as np
 from repro.repository.objects import ObjectCatalog
 from repro.repository.queries import Query, QueryIdAllocator
 from repro.workload.hotspots import HotspotModel
-from repro.workload.templates import DEFAULT_TEMPLATES, TemplateShape, choose_template
+from repro.workload.draws import weighted_index
+from repro.workload.templates import DEFAULT_TEMPLATES, TemplateShape, template_cdf
 
 
 @dataclass
@@ -92,8 +93,12 @@ def contiguous_footprint(object_ids: Sequence[int], anchor: int, size: int) -> L
     its inputs (no RNG), shared by the SDSS generator and the scenario
     workload models.
     """
-    anchor_index = object_ids.index(anchor)
-    footprint = [anchor]
+    return footprint_at(object_ids, object_ids.index(anchor), size)
+
+
+def footprint_at(object_ids: Sequence[int], anchor_index: int, size: int) -> List[int]:
+    """:func:`contiguous_footprint` for a caller that knows the anchor's index."""
+    footprint = [object_ids[anchor_index]]
     offset = 1
     while len(footprint) < size and offset < len(object_ids):
         right = object_ids[(anchor_index + offset) % len(object_ids)]
@@ -115,6 +120,13 @@ class SDSSQueryGenerator:
         self._config = config or SDSSWorkloadConfig()
         self._rng = np.random.default_rng(self._config.seed)
         self._allocator = QueryIdAllocator(start=1)
+        # Per-query lookups, hoisted: the catalogue does not change under a
+        # generator, and neither does the template mix.
+        self._object_ids = catalog.object_ids
+        self._index_of = {oid: index for index, oid in enumerate(self._object_ids)}
+        self._sizes = catalog.sizes()
+        self._templates = tuple(self._config.templates)
+        self._template_cdf = template_cdf(self._templates)
         excluded = [
             oid for oid in self._config.excluded_hotspots if oid in catalog
         ]
@@ -122,7 +134,7 @@ class SDSSQueryGenerator:
         if len(excluded) >= len(catalog):
             excluded = excluded[: len(catalog) // 2]
         self._hotspots = HotspotModel(
-            object_ids=catalog.object_ids,
+            object_ids=self._object_ids,
             phase_length=self._config.phase_length,
             focus_size=self._config.focus_size,
             focus_probability=self._config.focus_probability,
@@ -133,7 +145,7 @@ class SDSSQueryGenerator:
         )
         # Flares are fully redrawn each phase and may strike anywhere.
         self._flares = HotspotModel(
-            object_ids=catalog.object_ids,
+            object_ids=self._object_ids,
             phase_length=self._config.flare_phase_length,
             focus_size=self._config.flare_focus_size,
             focus_probability=1.0,
@@ -155,13 +167,9 @@ class SDSSQueryGenerator:
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
-    def _footprint(self, anchor: int, size: int) -> List[int]:
-        """See :func:`contiguous_footprint` (kept as a method for callers)."""
-        return contiguous_footprint(self._catalog.object_ids, anchor, size)
-
     def _raw_cost(self, footprint: Sequence[int], template: TemplateShape) -> float:
         """Unscaled result cost: selectivity times the size of touched data."""
-        touched_size = sum(self._catalog.size_of(object_id) for object_id in footprint)
+        touched_size = sum(map(self._sizes.__getitem__, footprint))
         selectivity = template.draw_selectivity(self._rng)
         return max(touched_size * selectivity, 1e-6)
 
@@ -170,22 +178,25 @@ class SDSSQueryGenerator:
     ) -> Tuple[List[int], float, float, str]:
         """Draw one query draft: ``(footprint, raw cost, tolerance, template)``.
 
-        All RNG consumption for one query happens here, in a fixed order, so
-        the batch (:meth:`generate`) and streaming (:meth:`iter_queries`)
+        All RNG consumption for one query happens here, in a fixed order
+        (template, flare?, anchor, footprint size, selectivity, tolerance),
+        so the batch (:meth:`generate`) and streaming (:meth:`iter_queries`)
         paths produce byte-identical drafts from identically-seeded
-        generators.
+        generators.  Which call the anchor draw makes depends on the draws
+        before it, so the order cannot be batched without changing the trace.
         """
         config = self._config
-        template = choose_template(config.templates, self._rng)
-        is_flare = self._rng.random() < config.flare_probability
+        rng = self._rng
+        template = self._templates[weighted_index(self._template_cdf, rng)]
+        is_flare = rng.random() < config.flare_probability
         is_hotspot = False
         if is_flare:
             anchor = self._flares.next_object()
         else:
             anchor = self._hotspots.next_object()
-            is_hotspot = anchor in self._hotspots.current_focus
-        footprint_size = template.draw_footprint_size(self._rng)
-        footprint = self._footprint(anchor, footprint_size)
+            is_hotspot = self._hotspots.in_current_focus(anchor)
+        footprint_size = template.draw_footprint_size(rng)
+        footprint = footprint_at(self._object_ids, self._index_of[anchor], footprint_size)
         cost = self._raw_cost(footprint, template)
         if is_flare:
             cost *= config.flare_cost_factor
@@ -194,7 +205,7 @@ class SDSSQueryGenerator:
         if index < warmup_cutoff:
             cost *= config.warmup_cost_factor
         tolerance = 0.0
-        if self._rng.random() < config.tolerant_fraction:
+        if rng.random() < config.tolerant_fraction:
             tolerance = config.tolerance_window
         return footprint, cost, tolerance, template.name
 
@@ -205,7 +216,9 @@ class SDSSQueryGenerator:
         ----------
         timestamps:
             Optional arrival times, one per query; defaults to 1, 2, 3, ...
-            (the mixer re-stamps them when interleaving with updates).
+            Pass the query slots of the merge schedule
+            (:func:`repro.workload.mixer.slot_timestamps`) and the mixer uses
+            each query as built instead of re-stamping a copy.
         """
         config = self._config
         count = config.query_count
@@ -215,32 +228,28 @@ class SDSSQueryGenerator:
             )
         warmup_cutoff = int(count * config.warmup_fraction)
 
-        drafts: List[Tuple[int, List[int], float, float, str]] = []
-        for index in range(count):
-            footprint, cost, tolerance, template_name = self._draw_draft(
-                index, warmup_cutoff
-            )
-            drafts.append((index, footprint, cost, tolerance, template_name))
-            # keep timestamp paired with the draft implicitly via index
+        if timestamps is None:
+            timestamps = range(1, count + 1)
 
-        costs = np.array([draft[2] for draft in drafts], dtype=float)
+        drafts = [self._draw_draft(index, warmup_cutoff) for index in range(count)]
+        costs = np.array([draft[1] for draft in drafts], dtype=float)
         if config.target_total_cost is not None and costs.sum() > 0:
             costs *= config.target_total_cost / costs.sum()
 
-        queries: List[Query] = []
-        for (index, footprint, _, tolerance, template_name), cost in zip(drafts, costs, strict=True):
-            timestamp = float(timestamps[index]) if timestamps is not None else float(index + 1)
-            queries.append(
-                Query(
-                    query_id=self._allocator.next_id(),
-                    object_ids=frozenset(footprint),
-                    cost=float(cost),
-                    timestamp=timestamp,
-                    tolerance=tolerance,
-                    template=template_name,
-                )
+        next_id = self._allocator.next_id
+        return [
+            Query(
+                query_id=next_id(),
+                object_ids=frozenset(footprint),
+                cost=cost,
+                timestamp=float(timestamp),
+                tolerance=tolerance,
+                template=template_name,
             )
-        return queries
+            for (footprint, _, tolerance, template_name), cost, timestamp in zip(
+                drafts, costs.tolist(), timestamps, strict=True
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Streaming
@@ -295,8 +304,3 @@ class SDSSQueryGenerator:
                 tolerance=tolerance,
                 template=template_name,
             )
-
-    def stream(self) -> Iterator[Query]:
-        """Generate queries lazily (one at a time, default timestamps)."""
-        for query in self.generate():
-            yield query

@@ -10,6 +10,10 @@ so a template here is a small recipe for drawing those two quantities:
 * how its result size scales with the total size of the touched objects
   (selectivity), and
 * an illustrative SQL skeleton for examples and documentation.
+
+Which template a query uses is one inverse-cdf draw against the mix's
+weights (:mod:`repro.workload.draws`); a mix with a negative, NaN or all-zero
+weight is rejected when its cdf is built.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.repository.queries import QueryTemplate
+from repro.workload.draws import weight_cdf, weighted_index
 
 
 @dataclass(frozen=True)
@@ -133,36 +138,30 @@ DEFAULT_TEMPLATES: Tuple[TemplateShape, ...] = (
 )
 
 
-#: Memoised normalised weight vectors keyed by the raw weight tuple.  The
-#: normalisation is a pure function of the weights, yet it used to run once
-#: per generated query; the cache makes repeat calls O(1) without changing
-#: the returned values (callers must not mutate the cached array).
-_NORMALIZED_WEIGHTS_CACHE: Dict[Tuple[float, ...], np.ndarray] = {}
-
-
 def normalized_weights(templates: Sequence[TemplateShape]) -> np.ndarray:
     """Template weights normalised to sum to 1."""
-    raw = tuple(template.weight for template in templates)
-    cached = _NORMALIZED_WEIGHTS_CACHE.get(raw)
-    if cached is not None:
-        return cached
-    weights = np.array(raw, dtype=float)
+    weights = np.array([template.weight for template in templates], dtype=float)
     total = weights.sum()
     if total <= 0:
         raise ValueError("template weights must sum to a positive value")
-    weights /= total
-    weights.setflags(write=False)
-    _NORMALIZED_WEIGHTS_CACHE[raw] = weights
-    return weights
+    return weights / total
+
+
+def template_cdf(templates: Sequence[TemplateShape]) -> Tuple[float, ...]:
+    """The cdf of the mix (validated and memoised per weight vector)."""
+    return weight_cdf(tuple(template.weight for template in templates))
 
 
 def choose_template(
     templates: Sequence[TemplateShape], rng: np.random.Generator
 ) -> TemplateShape:
-    """Draw one template according to the (normalised) weights."""
-    weights = normalized_weights(templates)
-    index = int(rng.choice(len(templates), p=weights))
-    return templates[index]
+    """Draw one template according to the (normalised) weights.
+
+    One ``rng.random()`` per call; a generator drawing many templates from
+    one mix hoists :func:`template_cdf` and calls
+    :func:`repro.workload.draws.weighted_index` itself.
+    """
+    return templates[weighted_index(template_cdf(templates), rng)]
 
 
 def template_mix_summary(templates: Sequence[TemplateShape]) -> Dict[str, float]:

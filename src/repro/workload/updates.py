@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.repository.objects import ObjectCatalog
 from repro.repository.updates import Update, UpdateIdAllocator, UpdateKind
+from repro.workload.draws import uniform_pick
 
 
 @dataclass
@@ -66,7 +67,7 @@ class SurveyUpdateGenerator:
         self._rng = np.random.default_rng(self._config.seed)
         self._allocator = UpdateIdAllocator(start=1)
         # The contiguous object-id region the survey currently observes.
-        object_ids = catalog.object_ids
+        object_ids = self._object_ids = catalog.object_ids
         region_size = max(
             min(self._config.scan_width, len(object_ids)),
             int(round(len(object_ids) * self._config.region_fraction)),
@@ -119,9 +120,10 @@ class SurveyUpdateGenerator:
         if self._scan_position >= self._config.scan_length:
             self._advance_scan()
         self._scan_position += 1
-        if self._rng.random() < self._config.scan_probability:
-            return int(self._rng.choice(self._scan_objects))
-        return int(self._rng.choice(self._catalog.object_ids))
+        rng = self._rng
+        if rng.random() < self._config.scan_probability:
+            return uniform_pick(self._scan_objects, rng)
+        return uniform_pick(self._object_ids, rng)
 
     def _draw_arrivals(self) -> np.ndarray:
         """Phase 1 of generation: every update's target object, in order.
@@ -138,12 +140,11 @@ class SurveyUpdateGenerator:
     def _draw_raw_costs(self, object_choices: np.ndarray) -> np.ndarray:
         """Phase 2: density-weighted log-normal cost per update, in order."""
         densities = self._catalog.densities()
-        rng = self._rng
-        # Update size ~ density of the object times a log-normal wobble.
-        costs = np.empty(len(object_choices), dtype=float)
-        for index, object_id in enumerate(object_choices):
-            costs[index] = densities[int(object_id)] * float(rng.lognormal(0.0, 0.5))
-        return costs
+        # Update size ~ density of the object times a log-normal wobble.  The
+        # wobbles are the one run of same-kind draws in the trace, so one
+        # sized call draws them (same values, same generator state after).
+        wobbles = self._rng.lognormal(0.0, 0.5, size=len(object_choices))
+        return np.array([densities[oid] for oid in object_choices.tolist()]) * wobbles
 
     def _draw_body(self) -> Tuple[str, int]:
         """Phase 3 (per update): the kind and row-count bookkeeping draws."""
@@ -163,7 +164,9 @@ class SurveyUpdateGenerator:
         ----------
         timestamps:
             Optional arrival times, one per update; defaults to 1, 2, 3, ...
-            (the mixer re-stamps them when interleaving with queries).
+            Pass the update slots of the merge schedule
+            (:func:`repro.workload.mixer.slot_timestamps`) and the mixer uses
+            each update as built instead of re-stamping a copy.
         """
         config = self._config
         count = config.update_count
@@ -175,16 +178,21 @@ class SurveyUpdateGenerator:
         if config.target_total_cost is not None and raw_costs.sum() > 0:
             raw_costs *= config.target_total_cost / raw_costs.sum()
 
+        if timestamps is None:
+            timestamps = range(1, count + 1)
+
         updates: List[Update] = []
-        for index, (object_id, cost) in enumerate(zip(object_choices, raw_costs, strict=True)):
+        next_id = self._allocator.next_id
+        for object_id, cost, timestamp in zip(
+            object_choices.tolist(), raw_costs.tolist(), timestamps, strict=True
+        ):
             kind, rows = self._draw_body()
-            timestamp = float(timestamps[index]) if timestamps is not None else float(index + 1)
             updates.append(
                 Update(
-                    update_id=self._allocator.next_id(),
-                    object_id=int(object_id),
-                    cost=float(cost),
-                    timestamp=timestamp,
+                    update_id=next_id(),
+                    object_id=object_id,
+                    cost=cost,
+                    timestamp=float(timestamp),
                     kind=kind,
                     rows=rows,
                 )
@@ -236,11 +244,6 @@ class SurveyUpdateGenerator:
                 kind=kind,
                 rows=rows,
             )
-
-    def stream(self) -> Iterator[Update]:
-        """Generate updates lazily (default timestamps)."""
-        for update in self.generate():
-            yield update
 
     def hotspot_objects(self, top: Optional[int] = None) -> List[int]:
         """Objects most likely to receive updates: the observed region.

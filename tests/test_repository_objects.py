@@ -60,6 +60,15 @@ class TestObjectCatalog:
     def test_object_ids_sorted(self, small_catalog):
         assert small_catalog.object_ids == [1, 2, 3, 4, 5]
 
+    def test_object_ids_sorted_once_and_handed_out_as_copies(self):
+        catalog = ObjectCatalog.from_sizes({5: 1.0, 2: 1.0, 9: 1.0, 1: 1.0})
+        first, second = catalog.object_ids, catalog.object_ids
+        assert first == second == [1, 2, 5, 9]
+        assert first is not second
+        first.append(99)
+        first.reverse()
+        assert catalog.object_ids == [1, 2, 5, 9]
+
     def test_uniform_constructor(self):
         catalog = ObjectCatalog.uniform(count=4, size=25.0)
         assert len(catalog) == 4

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.repository.objects import ObjectCatalog
+from repro.experiments.config import (
+    ExperimentConfig,
+    build_scenario,
+    build_scenario_stream,
+)
 from repro.repository.queries import QueryTemplate
+from repro.workload.draws import uniform_pick, weight_cdf, weighted_index, zipf_cdf
 from repro.workload.sdss import SDSSQueryGenerator, SDSSWorkloadConfig
 from repro.workload.templates import (
     DEFAULT_TEMPLATES,
@@ -42,6 +50,65 @@ class TestTemplates:
         summary = template_mix_summary(DEFAULT_TEMPLATES)
         assert set(summary) == {template.name for template in DEFAULT_TEMPLATES}
         assert sum(summary.values()) == pytest.approx(1.0)
+
+
+    def test_negative_template_weight_rejected(self, rng):
+        """What ``Generator.choice(p=...)`` refused per call, the cdf refuses once."""
+        bad = replace(DEFAULT_TEMPLATES[1], weight=-1.0)
+        # The mix still sums to a positive value: only the cdf check catches it.
+        with pytest.raises(ValueError, match="non-negative"):
+            choose_template(DEFAULT_TEMPLATES + (bad,), rng)
+        with pytest.raises(ValueError, match="positive"):
+            normalized_weights((bad,))
+
+
+class TestDraws:
+    """The inverse-cdf helpers make ``Generator.choice``'s own draws."""
+
+    SIZES = (3, 6, 8, 68, 1000)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_weighted_index_matches_choice_with_p(self, size):
+        ranks = np.arange(1, size + 1, dtype=float)
+        weights = 1.0 / np.power(ranks, 1.2)
+        weights /= weights.sum()
+        cdf = zipf_cdf(size, 1.2)
+        reference, ours = np.random.default_rng(size), np.random.default_rng(size)
+        assert [int(reference.choice(size, p=weights)) for _ in range(10_000)] == [
+            weighted_index(cdf, ours) for _ in range(10_000)
+        ]
+        assert reference.random() == ours.random()
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_uniform_pick_matches_choice(self, size):
+        ids = list(range(100, 100 + size))
+        reference, ours = np.random.default_rng(size), np.random.default_rng(size)
+        assert [int(reference.choice(ids)) for _ in range(10_000)] == [
+            uniform_pick(ids, ours) for _ in range(10_000)
+        ]
+        assert reference.random() == ours.random()
+
+    def test_template_mix_matches_choice(self):
+        weights = normalized_weights(DEFAULT_TEMPLATES)
+        reference, ours = np.random.default_rng(3), np.random.default_rng(3)
+        expected = [
+            DEFAULT_TEMPLATES[int(reference.choice(len(DEFAULT_TEMPLATES), p=weights))]
+            for _ in range(10_000)
+        ]
+        assert expected == [choose_template(DEFAULT_TEMPLATES, ours) for _ in range(10_000)]
+        assert reference.random() == ours.random()
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(), (0.5, -0.1, 0.6), (0.5, float("nan")), (1.0, float("inf")), (0.0, 0.0)],
+    )
+    def test_invalid_weights_rejected_when_the_cdf_is_built(self, weights):
+        with pytest.raises(ValueError):
+            weight_cdf(weights)
+
+    def test_zero_weight_entries_are_never_drawn(self, rng):
+        cdf = weight_cdf((0.0, 1.0, 0.0, 3.0, 0.0))
+        assert {weighted_index(cdf, rng) for _ in range(2_000)} == {1, 3}
 
 
 class TestQueryGenerator:
@@ -121,6 +188,21 @@ class TestQueryGenerator:
 
 
 class TestUpdateGenerator:
+    def test_batched_cost_draws_equal_the_scalar_loop(self, catalog):
+        """One sized ``lognormal`` call: same costs, same generator state after."""
+        config = UpdateWorkloadConfig(update_count=500, seed=21)
+        generator = SurveyUpdateGenerator(catalog, config)
+        reference = SurveyUpdateGenerator(catalog, config)
+        arrivals = generator._draw_arrivals()
+        assert (arrivals == reference._draw_arrivals()).all()
+        densities = catalog.densities()
+        looped = [
+            densities[int(object_id)] * float(reference._rng.lognormal(0.0, 0.5))
+            for object_id in arrivals
+        ]
+        assert generator._draw_raw_costs(arrivals).tolist() == looped
+        assert generator._rng.random() == reference._rng.random()
+
     def test_generates_requested_count(self, catalog):
         generator = SurveyUpdateGenerator(catalog, UpdateWorkloadConfig(update_count=150))
         assert len(generator.generate()) == 150
@@ -182,3 +264,31 @@ class TestUpdateGenerator:
             SurveyUpdateGenerator(catalog, UpdateWorkloadConfig(update_count=5)).generate(
                 timestamps=[1.0]
             )
+
+
+class TestBatchEqualsStream:
+    """``build_scenario`` (stamped at source) vs ``build_scenario_stream``."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # The dispatch-80k benchmark shape, scaled to 4k + 4k events.
+            dict(
+                seed=7,
+                query_count=4000,
+                update_count=4000,
+                sample_every=2000,
+                query_traffic_fraction=10.0,
+                update_traffic_fraction=10.0,
+            ),
+            # Flares: the anchor branch the default config never takes.
+            dict(seed=3, query_count=1500, update_count=1000, flare_probability=0.1),
+        ],
+    )
+    def test_event_for_event(self, overrides):
+        config = ExperimentConfig(**overrides)
+        batch = list(build_scenario(config).trace)
+        _, stream = build_scenario_stream(config)
+        streamed = list(stream.iter_events())
+        assert len(batch) == len(streamed) == len(stream)
+        assert batch == streamed

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workload.mixer import interleave
+from repro.repository.objects import ObjectCatalog
+from repro.workload.mixer import interleave, iter_schedule, slot_timestamps
+from repro.workload.sdss import SDSSQueryGenerator, SDSSWorkloadConfig
 from repro.workload.trace import QueryEvent, UpdateEvent
+from repro.workload.updates import SurveyUpdateGenerator, UpdateWorkloadConfig
 from tests.conftest import make_query, make_update
 
 
@@ -77,3 +80,49 @@ class TestInterleave:
         for event in trace:
             if isinstance(event, QueryEvent):
                 assert event.query.object_ids == frozenset({1})
+
+
+class TestStampAtSource:
+    """Generators handed their merge slots are not rebuilt by the mixer."""
+
+    @pytest.mark.parametrize("mode", ["uniform", "random"])
+    @pytest.mark.parametrize("counts", [(7, 7), (3, 11), (12, 5), (0, 4), (4, 0)])
+    def test_slots_are_the_schedule_positions(self, counts, mode):
+        query_slots, update_slots = slot_timestamps(*counts, mode=mode, seed=5)
+        schedule = list(iter_schedule(*counts, mode=mode, seed=5))
+        assert (len(query_slots), len(update_slots)) == counts
+        assert query_slots == [float(i + 1) for i, is_query in enumerate(schedule) if is_query]
+        assert sorted(query_slots + update_slots) == [
+            float(i) for i in range(1, sum(counts) + 1)
+        ]
+
+    @pytest.mark.parametrize("mode", ["uniform", "random"])
+    def test_prestamped_payloads_pass_through_unrebuilt(self, mode):
+        catalog = ObjectCatalog.heavy_tailed(count=30, total_size=300.0, seed=11)
+        query_config = SDSSWorkloadConfig(query_count=120, target_total_cost=50.0, seed=6)
+        update_config = UpdateWorkloadConfig(update_count=90, target_total_cost=40.0, seed=7)
+
+        restamped = interleave(
+            SDSSQueryGenerator(catalog, query_config).generate(),
+            SurveyUpdateGenerator(catalog, update_config).generate(),
+            mode=mode,
+            seed=5,
+        )
+        query_slots, update_slots = slot_timestamps(120, 90, mode=mode, seed=5)
+        queries = SDSSQueryGenerator(catalog, query_config).generate(timestamps=query_slots)
+        updates = SurveyUpdateGenerator(catalog, update_config).generate(
+            timestamps=update_slots
+        )
+        prestamped = interleave(queries, updates, mode=mode, seed=5)
+
+        assert list(prestamped) == list(restamped)
+        payloads = [
+            event.query if isinstance(event, QueryEvent) else event.update
+            for event in prestamped
+        ]
+        originals = {id(payload) for payload in queries + updates}
+        assert all(id(payload) in originals for payload in payloads)
+        # ... while default-stamped payloads are rebuilt wherever the slot differs.
+        assert [event.timestamp for event in restamped] == [
+            float(i) for i in range(1, 211)
+        ]
