@@ -11,7 +11,9 @@ Three suites ship by default:
 
 * ``quick`` -- small enough for every CI run (tens of seconds on a shared
   runner), covering the single-cache engine across all five policies, a
-  VCover-heavy decision workload, and the multi-cache engine;
+  VCover-heavy decision workload on a sparse interaction graph and one on a
+  dense graph (update bursts, ~80 edges per update vertex), and the
+  multi-cache engine;
 * ``full`` -- the paper-scale defaults, for tracking real machines over
   time;
 * ``stress`` -- the constant-memory guard: flash-crowd workloads replayed
@@ -100,6 +102,18 @@ SUITES: Dict[str, Tuple[BenchCase, ...]] = {
             overrides={"query_count": 3000, "update_count": 3000},
             policies=("vcover",),
             repeats=3,
+        ),
+        _case(
+            "vcover-dense-quick",
+            "VCover alone over a 1.2k-event update storm, streamed (dense interaction graph)",
+            overrides={
+                "workload_model": "update_storm",
+                "query_count": 600,
+                "update_count": 600,
+            },
+            policies=("vcover",),
+            repeats=3,
+            streaming=True,
         ),
         _case(
             "multisite-quick",

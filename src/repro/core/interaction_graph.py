@@ -101,7 +101,10 @@ class InteractionGraph:
         """
         existing = self._active_update_keys.get(update.update_id)
         if existing is not None:
-            if self._update_identity.get(update.update_id) == update:
+            identity = self._update_identity.get(update.update_id)
+            # Nearly every re-add hands over the very same object; only a
+            # different one is worth the field-by-field comparison.
+            if identity is update or identity == update:
                 return
             # Same id, different update: retire the stale vertex first.
             self._retire_update_keys([existing])

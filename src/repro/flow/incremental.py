@@ -32,6 +32,28 @@ invariants make that sound:
    final reachability pass visits from the new vertices.
    :meth:`compute_cover` reports that delta; nothing else is looked at.
 
+A fourth invariant makes one augmentation cost the path it finds rather than
+a whole breadth-first level:
+
+4. *The first discovered vertex with sink residual is the first popped one.*
+   Breadth-first order is first-in first-out, so testing a right vertex's
+   sink arc when the search discovers it, instead of when it pops it, ends
+   the search at the same vertex with the same parent arc: the path is plain
+   BFS's.  What is skipped is expanding the saturated vertices queued ahead
+   of it.  The search learns the sink arc from ``sink_arcs`` (below), which
+   must hold every vertex with an arc into the sink for this to be exact.
+
+Bookkeeping.  The caller's vertex keys never enter the network: each vertex
+gets a dense integer id, handed out monotonically and never reused, and the
+network, the closed set and the hints speak ids only (an int hashes in one
+step; a nested key tuple is re-hashed on every ``in parents`` / ``in closed``
+/ ``adjacency[...]``).  ``_left_ids`` / ``_right_ids`` map key to id,
+``_keys`` maps id back to key for the report, and ``_sink_arcs`` maps a right
+vertex's id to its arc into the sink -- which also tells the two sides apart.
+The network's own edge table is the only record of the interaction edges.
+:meth:`compact` keeps the survivors' ids and prunes all four tables, with the
+weights, to the survivors, so they track the live graph, not history.
+
 Vertices may also be *retired* (removed from the cover bookkeeping), which is
 how the remainder subgraph of Section 4 is maintained.  Retiring only detaches
 a vertex from the reporting; its arcs and flow stay in the network, so a
@@ -44,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple, cast
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Set, Tuple
 
 from repro.flow.graph import EPSILON, Arc, FlowNetwork
 from repro.flow.maxflow import solve_max_flow
@@ -95,7 +117,11 @@ class IncrementalMaxFlow:
         "_method",
         "_left_weights",
         "_right_weights",
-        "_edges",
+        "_left_ids",
+        "_right_ids",
+        "_keys",
+        "_sink_arcs",
+        "_next_id",
         "_retired_left",
         "_retired_right",
         "_open",
@@ -110,13 +136,19 @@ class IncrementalMaxFlow:
         self._method = method
         self._left_weights: Dict[Vertex, float] = {}
         self._right_weights: Dict[Vertex, float] = {}
-        self._edges: Set[Tuple[Vertex, Vertex]] = set()
+        #: Network vertex id of every registered vertex, and the way back.
+        self._left_ids: Dict[Vertex, int] = {}
+        self._right_ids: Dict[Vertex, int] = {}
+        self._keys: Dict[Vertex, Vertex] = {}
+        #: Right vertex id -> its arc into the sink (invariant 4).
+        self._sink_arcs: Dict[Vertex, Arc] = {}
+        self._next_id = 0
         self._retired_left: Set[Vertex] = set()
         self._retired_right: Set[Vertex] = set()
         #: Source arcs of the left vertices added since the last cover: the
         #: only ones that can still carry flow (invariant 1).
         self._open: List[Arc] = []
-        #: Network vertices reached by some earlier cover (invariant 2).  The
+        #: Network vertex ids reached by some earlier cover (invariant 2).  The
         #: source is a member so residual arcs back into it are never taken.
         self._closed: Set[Vertex] = {SOURCE}
         self._augmentations = 0
@@ -124,6 +156,12 @@ class IncrementalMaxFlow:
     # ------------------------------------------------------------------
     # Graph construction
     # ------------------------------------------------------------------
+    def _mint_id(self, vertex: Vertex) -> int:
+        vertex_id = self._next_id
+        self._next_id = vertex_id + 1
+        self._keys[vertex_id] = vertex
+        return vertex_id
+
     def add_left(self, vertex: Vertex, weight: float) -> None:
         """Register a new left-side (query) vertex with the given weight."""
         if weight < 0:
@@ -131,7 +169,8 @@ class IncrementalMaxFlow:
         if vertex in self._left_weights:
             raise ValueError(f"left vertex {vertex!r} has already been added")
         self._left_weights[vertex] = weight
-        self._open.append(self._network.add_edge(SOURCE, ("L", vertex), weight))
+        vertex_id = self._left_ids[vertex] = self._mint_id(vertex)
+        self._open.append(self._network.add_edge(SOURCE, vertex_id, weight))
 
     def add_right(self, vertex: Vertex, weight: float) -> None:
         """Register a new right-side (update) vertex with the given weight."""
@@ -140,7 +179,8 @@ class IncrementalMaxFlow:
         if vertex in self._right_weights:
             raise ValueError(f"right vertex {vertex!r} has already been added")
         self._right_weights[vertex] = weight
-        self._network.add_edge(("R", vertex), SINK, weight)
+        vertex_id = self._right_ids[vertex] = self._mint_id(vertex)
+        self._sink_arcs[vertex_id] = self._network.add_edge(vertex_id, SINK, weight)
 
     def add_edge(self, left: Vertex, right: Vertex) -> None:
         """Register an interaction edge between a query and an update vertex.
@@ -148,20 +188,20 @@ class IncrementalMaxFlow:
         ``left`` must not have been reached by an earlier cover: an edge out
         of a closed set would reopen it (invariant 2).
         """
-        if left not in self._left_weights:
+        left_id = self._left_ids.get(left)
+        if left_id is None:
             raise KeyError(f"left vertex {left!r} has not been added")
-        if right not in self._right_weights:
+        right_id = self._right_ids.get(right)
+        if right_id is None:
             raise KeyError(f"right vertex {right!r} has not been added")
-        edge = (left, right)
-        if edge in self._edges:
+        if self._network.get_edge(left_id, right_id) is not None:
             return
-        if ("L", left) in self._closed:
+        if left_id in self._closed:
             raise ValueError(
                 f"left vertex {left!r} was reached by an earlier cover and "
                 "cannot take new edges"
             )
-        self._edges.add(edge)
-        self._network.add_edge(("L", left), ("R", right), INFINITE_CAPACITY)
+        self._network.add_edge(left_id, right_id, INFINITE_CAPACITY)
 
     def has_left(self, vertex: Vertex) -> bool:
         """Whether ``vertex`` is a registered, non-retired left vertex."""
@@ -196,13 +236,24 @@ class IncrementalMaxFlow:
         """Currently active (non-retired) right vertices."""
         return frozenset(v for v in self._right_weights if v not in self._retired_right)
 
+    def _interaction_edges(self) -> Iterator[Tuple[Vertex, Vertex]]:
+        """Every interaction edge in the network, retired endpoints or not."""
+        keys = self._keys
+        for arc in self._network.forward_edges():
+            if arc.tail != SOURCE and arc.head != SINK:
+                yield keys[arc.tail], keys[arc.head]
+
     @property
     def active_edges(self) -> FrozenSet[Tuple[Vertex, Vertex]]:
-        """Interaction edges whose both endpoints are active."""
+        """Interaction edges whose both endpoints are active.
+
+        Read off the network's forward edges: for tests, export and
+        compaction, not for the decision loop.
+        """
         retired_left, retired_right = self._retired_left, self._retired_right
         return frozenset(
             edge
-            for edge in self._edges
+            for edge in self._interaction_edges()
             if edge[0] not in retired_left and edge[1] not in retired_right
         )
 
@@ -243,25 +294,27 @@ class IncrementalMaxFlow:
                 method=self._method,
                 source_arcs=source_arcs,
                 closed=self._closed,
+                sink_arcs=self._sink_arcs,
             )
             self._augmentations += 1
-            # Everything reachable past the source is an ("L" | "R", vertex) pair.
-            reached = cast(
-                List[Tuple[str, Vertex]],
-                self._network.extend_reachable(
-                    [arc.head for arc in source_arcs if arc.capacity - arc.flow > EPSILON],
-                    self._closed,
-                ),
+            reached = self._network.extend_reachable(
+                [arc.head for arc in source_arcs if arc.capacity - arc.flow > EPSILON],
+                self._closed,
             )
             self._open = []
+            keys, sink_arcs = self._keys, self._sink_arcs
             retired_left, retired_right = self._retired_left, self._retired_right
+            uncovered_left: List[Vertex] = []
+            covered_right: List[Vertex] = []
+            for vertex_id in reached:
+                vertex = keys[vertex_id]
+                if vertex_id in sink_arcs:
+                    if vertex not in retired_right:
+                        covered_right.append(vertex)
+                elif vertex not in retired_left:
+                    uncovered_left.append(vertex)
             return CoverDelta(
-                uncovered_left=tuple(
-                    v for side, v in reached if side == "L" and v not in retired_left
-                ),
-                covered_right=tuple(
-                    v for side, v in reached if side == "R" and v not in retired_right
-                ),
+                uncovered_left=tuple(uncovered_left), covered_right=tuple(covered_right)
             )
         finally:
             add_phase_time(PHASE_COVER_SOLVE, phase_clock() - start)
@@ -275,13 +328,14 @@ class IncrementalMaxFlow:
         reads the :class:`CoverDelta` instead.
         """
         closed = self._closed
+        left_ids, right_ids = self._left_ids, self._right_ids
         left_in_cover = set()
         right_in_cover = set()
         # Populate-only fold into sets: order provably does not matter.
         for left, right in self.active_edges:  # repro-lint: disable=DET003
-            if ("L", left) not in closed:
+            if left_ids[left] not in closed:
                 left_in_cover.add(left)
-            if ("R", right) in closed:
+            if right_ids[right] in closed:
                 right_in_cover.add(right)
         # fsum: exact summation, so the weight is independent of set order.
         weight = math.fsum(self._left_weights[v] for v in left_in_cover) + math.fsum(
@@ -317,7 +371,9 @@ class IncrementalMaxFlow:
           capacity), which leaves the residual graph among the survivors
           identical to the un-compacted network;
         * the closed set and the open source arcs are carried over for the
-          survivors (a closed set stays closed when vertices are deleted).
+          survivors (a closed set stays closed when vertices are deleted);
+        * survivors keep their vertex ids, and the id tables, ``_sink_arcs``
+          and the weights are pruned to them.
 
         What compaction does change is that retired vertices outside every
         closed set stop absorbing flow, so *when* it runs is part of the
@@ -343,37 +399,40 @@ class IncrementalMaxFlow:
         consumed_from_left: Dict[Vertex, float] = {v: 0.0 for v in left_order}
         consumed_into_right: Dict[Vertex, float] = {v: 0.0 for v in right_order}
         edge_flows: Dict[Tuple[Vertex, Vertex], float] = {}
+        left_ids, right_ids = self._left_ids, self._right_ids
         for left, right in edge_order:
-            arc = old_network.get_edge(("L", left), ("R", right))
+            arc = old_network.get_edge(left_ids[left], right_ids[right])
             flow = max(arc.flow, 0.0) if arc is not None else 0.0
             edge_flows[(left, right)] = flow
             consumed_from_left[left] += flow
             consumed_into_right[right] += flow
 
         for left in left_order:
-            source_arc = old_network.get_edge(SOURCE, ("L", left))
+            left_id = left_ids[left]
+            source_arc = old_network.get_edge(SOURCE, left_id)
             total_pushed = max(source_arc.flow, 0.0) if source_arc is not None else 0.0
             kept_flow = consumed_from_left[left]
             lost_flow = max(total_pushed - kept_flow, 0.0)
             capacity = max(self._left_weights[left] - lost_flow, kept_flow)
-            arc = new_network.add_edge(SOURCE, ("L", left), capacity)
+            arc = new_network.add_edge(SOURCE, left_id, capacity)
             arc.flow = kept_flow
             assert arc.partner is not None
             arc.partner.flow = -kept_flow
             self._left_weights[left] = capacity
+        sink_arcs: Dict[Vertex, Arc] = {}
         for right in right_order:
-            sink_arc = old_network.get_edge(("R", right), SINK)
-            total_received = max(sink_arc.flow, 0.0) if sink_arc is not None else 0.0
+            right_id = right_ids[right]
+            total_received = max(self._sink_arcs[right_id].flow, 0.0)
             kept_flow = consumed_into_right[right]
             lost_flow = max(total_received - kept_flow, 0.0)
             capacity = max(self._right_weights[right] - lost_flow, kept_flow)
-            arc = new_network.add_edge(("R", right), SINK, capacity)
+            arc = sink_arcs[right_id] = new_network.add_edge(right_id, SINK, capacity)
             arc.flow = kept_flow
             assert arc.partner is not None
             arc.partner.flow = -kept_flow
             self._right_weights[right] = capacity
         for (left, right), flow in edge_flows.items():
-            arc = new_network.add_edge(("L", left), ("R", right), INFINITE_CAPACITY)
+            arc = new_network.add_edge(left_ids[left], right_ids[right], INFINITE_CAPACITY)
             arc.flow = flow
             assert arc.partner is not None
             arc.partner.flow = -flow
@@ -381,15 +440,18 @@ class IncrementalMaxFlow:
         self._network = new_network
         self._left_weights = {v: w for v, w in self._left_weights.items() if v in active_left}
         self._right_weights = {v: w for v, w in self._right_weights.items() if v in active_right}
-        self._edges = set(surviving_edges)
+        self._left_ids = {v: i for v, i in left_ids.items() if v in active_left}
+        self._right_ids = {v: i for v, i in right_ids.items() if v in active_right}
+        self._keys = {i: v for v, i in self._left_ids.items()}
+        self._keys.update((i, v) for v, i in self._right_ids.items())
+        self._sink_arcs = sink_arcs
         self._retired_left.clear()
         self._retired_right.clear()
         reopened = (new_network.get_edge(SOURCE, head) for head in open_left)
         self._open = [arc for arc in reopened if arc is not None]
         closed = self._closed
         self._closed = {SOURCE}
-        self._closed.update(("L", v) for v in left_order if ("L", v) in closed)
-        self._closed.update(("R", v) for v in right_order if ("R", v) in closed)
+        self._closed.update(vertex_id for vertex_id in self._keys if vertex_id in closed)
 
     # ------------------------------------------------------------------
     # Introspection / testing helpers
@@ -410,7 +472,7 @@ class IncrementalMaxFlow:
         else:
             left = dict(self._left_weights)
             right = dict(self._right_weights)
-            edges = frozenset(self._edges)
+            edges = frozenset(self._interaction_edges())
         return BipartiteCoverInstance(left_weights=left, right_weights=right, edges=edges)
 
     @property
@@ -418,9 +480,18 @@ class IncrementalMaxFlow:
         """The underlying residual network (exposed for tests and metrics)."""
         return self._network
 
+    def left_id(self, vertex: Vertex) -> int:
+        """The network vertex standing for left vertex ``vertex`` (for tests)."""
+        return self._left_ids[vertex]
+
+    def right_id(self, vertex: Vertex) -> int:
+        """The network vertex standing for right vertex ``vertex`` (for tests)."""
+        return self._right_ids[vertex]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             "IncrementalMaxFlow("
             f"left={len(self._left_weights)}, right={len(self._right_weights)}, "
-            f"edges={len(self._edges)}, retired={len(self._retired_left) + len(self._retired_right)})"
+            f"edges={self._network.edge_count - len(self._keys)}, "
+            f"retired={len(self._retired_left) + len(self._retired_right)})"
         )

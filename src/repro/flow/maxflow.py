@@ -8,20 +8,28 @@ implementation for the property tests and the ``flow_method`` ablation to
 check it against.  Both operate on :class:`repro.flow.graph.FlowNetwork` and
 *augment the existing flow*, so they can be called again as the network grows.
 
-Both accept two search hints, used by :mod:`repro.flow.incremental` to keep a
-solve local to what changed.  ``source_arcs`` names the only arcs out of the
+Both accept three search hints, used by :mod:`repro.flow.incremental` to keep
+a solve local to what changed.  ``source_arcs`` names the only arcs out of the
 source worth trying (the caller vouches every other one is saturated or leads
 into ``closed``), so the source's whole adjacency is never rescanned.
 ``closed`` is a set of vertices no residual arc leaves: no augmenting path can
 pass through it, and skipping its members does not reorder the search over
-the rest, so the paths found -- and the flow left behind -- are exactly those
-of an unhinted solve.
+the rest.  ``sink_arcs`` maps *every* vertex that has an arc into the sink to
+that arc (the caller vouches none is missing and no vertex has a second one),
+so Edmonds-Karp can test a vertex for sink residual when it *discovers* it
+instead of when it pops it: breadth-first order is first-in first-out, so the
+first vertex discovered with sink residual is the first one a plain search
+would pop and reach the sink from, by the same parent arc -- what is skipped
+is expanding everything queued ahead of it.  Under all three hints the paths
+found -- and the flow left behind -- are exactly those of an unhinted solve.
+Dinic accepts ``sink_arcs`` and ignores it (its level graph needs every
+vertex of the last level anyway).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Container, Deque, Dict, Hashable, List, Optional, Sequence
+from typing import Container, Deque, Dict, Hashable, List, Mapping, Optional, Sequence
 
 from repro.flow.graph import EPSILON, Arc, FlowNetwork
 
@@ -34,11 +42,13 @@ def _bfs_augmenting_path(
     sink: Vertex,
     source_arcs: Sequence[Arc],
     closed: Container[Vertex],
+    sink_arcs: Mapping[Vertex, Arc],
 ) -> Optional[List[Arc]]:
     """Find a shortest augmenting path from ``source`` to ``sink``.
 
     Returns the list of arcs along the path, or ``None`` when the sink is not
-    reachable in the residual graph.
+    reachable in the residual graph.  A discovered vertex whose ``sink_arcs``
+    entry has residual completes the path on the spot (module docstring).
     """
     parents: Dict[Vertex, Optional[Arc]] = {source: None}
     queue: Deque[Vertex] = deque()
@@ -53,9 +63,10 @@ def _bfs_augmenting_path(
                 if arc.capacity - arc.flow <= EPSILON or head in parents or head in closed:
                     continue
                 parents[head] = arc
-                if head == sink:
+                last = arc if head == sink else sink_arcs.get(head)
+                if last is not None and last.capacity - last.flow > EPSILON:
                     path: List[Arc] = []
-                    arc_in: Optional[Arc] = arc
+                    arc_in: Optional[Arc] = last
                     while arc_in is not None:
                         path.append(arc_in)
                         arc_in = parents[arc_in.tail]
@@ -75,6 +86,7 @@ def edmonds_karp_max_flow(
     sink: Vertex,
     source_arcs: Optional[Sequence[Arc]] = None,
     closed: Container[Vertex] = (),
+    sink_arcs: Optional[Mapping[Vertex, Arc]] = None,
 ) -> float:
     """Augment ``network`` to a maximum flow using Edmonds-Karp.
 
@@ -88,8 +100,12 @@ def edmonds_karp_max_flow(
         return network.flow_value(source)
     if source_arcs is None:
         source_arcs = network.adjacency()[source]
+    if sink_arcs is None or sink in closed:
+        # No vertex is tested early: without the hint, or because a closed
+        # sink is never entered, from a discovered vertex or a popped one.
+        sink_arcs = {}
     while True:
-        path = _bfs_augmenting_path(network, source, sink, source_arcs, closed)
+        path = _bfs_augmenting_path(network, source, sink, source_arcs, closed, sink_arcs)
         if path is None:
             break
         bottleneck = min(arc.capacity - arc.flow for arc in path)
@@ -178,13 +194,14 @@ def dinic_max_flow(
     sink: Vertex,
     source_arcs: Optional[Sequence[Arc]] = None,
     closed: Container[Vertex] = (),
+    sink_arcs: Optional[Mapping[Vertex, Arc]] = None,
 ) -> float:
     """Augment ``network`` to a maximum flow using Dinic's algorithm.
 
     Like :func:`edmonds_karp_max_flow`, augmentation starts from the flow
-    already on the network and honours the same hints, so the function may
-    be used incrementally.  Returns the total flow carried by the source
-    arcs searched.
+    already on the network and honours ``source_arcs`` and ``closed``, so the
+    function may be used incrementally; ``sink_arcs`` is accepted and unused.
+    Returns the total flow carried by the source arcs searched.
     """
     if not network.has_vertex(source) or not network.has_vertex(sink):
         return network.flow_value(source)
@@ -215,6 +232,7 @@ def solve_max_flow(
     method: str = "edmonds-karp",
     source_arcs: Optional[Sequence[Arc]] = None,
     closed: Container[Vertex] = (),
+    sink_arcs: Optional[Mapping[Vertex, Arc]] = None,
 ) -> float:
     """Dispatch to a named max-flow solver.
 
@@ -227,7 +245,7 @@ def solve_max_flow(
     method:
         ``"edmonds-karp"`` (the paper's choice and the production solver) or
         ``"dinic"`` (the oracle it is tested against).
-    source_arcs, closed:
+    source_arcs, closed, sink_arcs:
         Search hints, see the module docstring.
 
     Whichever solver runs, the resulting maximum flow is valid and warm-start
@@ -241,4 +259,4 @@ def solve_max_flow(
         raise ValueError(
             f"unknown max-flow method {method!r}; expected one of {sorted(SOLVERS)}"
         ) from exc
-    return solver(network, source, sink, source_arcs, closed)
+    return solver(network, source, sink, source_arcs, closed, sink_arcs)

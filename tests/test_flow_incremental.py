@@ -20,7 +20,12 @@ from repro.core.vcover import VCoverPolicy
 from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.flow.incremental import CoverDelta, IncrementalMaxFlow
 from repro.flow.maxflow import solve_max_flow
-from repro.flow.vertex_cover import brute_force_min_cover, min_weight_vertex_cover
+from repro.flow.vertex_cover import (
+    SINK,
+    SOURCE,
+    brute_force_min_cover,
+    min_weight_vertex_cover,
+)
 from repro.network.link import NetworkLink
 from repro.perf import PHASE_COVER_SOLVE, reset_phase_times, snapshot_phase_times
 from repro.repository.server import Repository
@@ -211,7 +216,7 @@ class TestRetirement:
         solver.add_left("q2", 4.0)
         solver.add_edge("q2", "u1")
         delta = solver.compute_cover()
-        assert solver.network.get_edge(("R", "u2"), "__sink__").flow == pytest.approx(4.0)
+        assert solver.network.get_edge(solver.right_id("u2"), SINK).flow == pytest.approx(4.0)
         assert delta.covered_right == ("u1",)
         assert set(delta.uncovered_left) == ({"q2"} if retire_q1 else {"q1", "q2"})
 
@@ -283,6 +288,31 @@ class TestCompaction:
         covers = [solver.active_cover() for solver in solvers]
         assert covers[0].left_in_cover == covers[1].left_in_cover == frozenset({"q2"})
         assert covers[0].right_in_cover == covers[1].right_in_cover == frozenset({"u1"})
+
+    def test_tables_track_the_live_graph_not_history(self):
+        """2 000 add/retire/compact rounds leave every table at the active size."""
+        solver = IncrementalMaxFlow()
+        for step in range(2000):
+            # Alternate reached (closed) and saturated (unreached) queries.
+            solver.add_left(f"q{step}", 10.0 if step % 2 else 1.0)
+            solver.add_right(f"u{step}", 3.0)
+            solver.add_edge(f"q{step}", f"u{step}")
+            solver.compute_cover()
+            if step >= 3:
+                solver.retire(left=[f"q{step - 3}"], right=[f"u{step - 3}"])
+            solver.compact()
+        left, right = solver.active_left, solver.active_right
+        assert len(left) == len(right) == 3
+        assert set(solver._left_ids) == set(solver._left_weights) == left
+        assert set(solver._right_ids) == set(solver._right_weights) == right
+        assert sorted(solver._keys) == sorted(
+            [*solver._left_ids.values(), *solver._right_ids.values()]
+        )
+        assert sorted(solver._sink_arcs) == sorted(solver._right_ids.values())
+        assert solver._closed <= {SOURCE, *solver._keys}
+        assert solver.network.vertex_count == 2 + len(solver._keys)
+        assert solver.network.edge_count == len(solver._keys) + len(solver.active_edges)
+        assert solver.right_id("u1999") == 2 * 1999 + 1  # ids are never reused
 
     def test_arcs_examined_survives_compaction(self):
         solver = IncrementalMaxFlow()

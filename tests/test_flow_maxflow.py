@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flow.graph import FlowNetwork
+from repro.flow.incremental import CoverDelta, IncrementalMaxFlow
 from repro.flow.maxflow import dinic_max_flow, edmonds_karp_max_flow, solve_max_flow
+from repro.flow.vertex_cover import SINK
 
 
 def build_classic_network() -> FlowNetwork:
@@ -111,7 +113,7 @@ class TestDispatch:
 
 
 class TestSearchHints:
-    """``source_arcs`` / ``closed`` keep a solve local without changing it."""
+    """``source_arcs`` / ``closed`` / ``sink_arcs`` keep a solve local without changing it."""
 
     def _network_with_closed_branch(self):
         """s->a->t is open; s->b->c is a dead end (c has no way to t)."""
@@ -147,6 +149,80 @@ class TestSearchHints:
         added = network.extend_reachable(["a"], seen)
         assert added == ["a", "t"]
         assert seen == {"s", "a", "c", "t"}
+
+    def _network_with_late_sink_arcs(self):
+        """a and b both reach t, by arcs that are *not* first in their adjacency.
+
+        Each leads with an arc into the decoy c->d->t, which is longer and,
+        because d->t is the bottleneck, can be fed from either: which of a and
+        b feeds it depends on the order the paths are found in.
+        """
+        network = FlowNetwork()
+        network.add_edge("s", "a", 5.0)
+        network.add_edge("s", "b", 5.0)
+        network.add_edge("a", "c", 9.0)
+        network.add_edge("b", "c", 9.0)
+        network.add_edge("a", "t", 2.0)
+        network.add_edge("b", "t", 4.0)
+        network.add_edge("c", "d", 9.0)
+        network.add_edge("d", "t", 3.0)
+        return network
+
+    @pytest.mark.parametrize("solver", [edmonds_karp_max_flow, dinic_max_flow])
+    def test_sink_arcs_hint_leaves_the_same_flow(self, solver):
+        plain = self._network_with_late_sink_arcs()
+        hinted = self._network_with_late_sink_arcs()
+        assert hinted.adjacency()["a"][1].head == "c"  # the sink arc comes later
+        sink_arcs = {vertex: hinted.get_edge(vertex, "t") for vertex in ("a", "b", "d")}
+        assert solver(plain, "s", "t") == pytest.approx(9.0)
+        assert solver(hinted, "s", "t", sink_arcs=sink_arcs) == pytest.approx(9.0)
+        assert {(arc.tail, arc.head): arc.flow for arc in hinted.forward_edges()} == {
+            (arc.tail, arc.head): arc.flow for arc in plain.forward_edges()
+        }
+        if solver is edmonds_karp_max_flow:
+            assert plain.get_edge("a", "c").flow == 3.0  # a was discovered first
+            assert hinted.arcs_examined < plain.arcs_examined
+        else:
+            assert hinted.arcs_examined == plain.arcs_examined
+
+    def test_sink_arcs_hint_respects_a_closed_sink(self):
+        network = self._network_with_late_sink_arcs()
+        sink_arcs = {vertex: network.get_edge(vertex, "t") for vertex in ("a", "b", "d")}
+        assert edmonds_karp_max_flow(network, "s", "t", closed={"t"}, sink_arcs=sink_arcs) == 0.0
+
+    def test_three_arc_path_costs_the_new_query_not_its_neighbourhood(self):
+        """One new query over k updates, each already fed by m saturated queries.
+
+        Every update but the last has no sink capacity left, so a search that
+        tests an update for the sink only when it pops it expands the k - 1
+        queued ahead of the last one, m reverse arcs apiece, to find a
+        three-arc path.
+        """
+        updates, earlier = 20, 30
+        solver = IncrementalMaxFlow()
+        for update in range(updates):
+            spare = 10.0 if update == updates - 1 else 0.0
+            solver.add_right(("u", update), earlier + spare)
+        for query in range(earlier):
+            solver.add_left(("q", query), float(updates))
+            for update in range(updates):
+                solver.add_edge(("q", query), ("u", update))
+        assert solver.compute_cover() == CoverDelta((), ())  # every query is saturated
+        sink_arcs = [
+            solver.network.get_edge(solver.right_id(("u", update)), SINK)
+            for update in range(updates)
+        ]
+        assert [arc.residual for arc in sink_arcs] == [0.0] * (updates - 1) + [10.0]
+
+        solver.add_left("new", 1.0)
+        for update in range(updates):
+            solver.add_edge("new", ("u", update))
+        before = solver.arcs_examined
+        assert solver.compute_cover() == CoverDelta((), ())
+        assert sink_arcs[-1].residual == 9.0
+        # The new query's source arc, its k + 1 arcs, and the source arc
+        # again to find it saturated -- not the (k - 1) * (m + 1) behind them.
+        assert solver.arcs_examined - before <= updates + 4
 
 
 def random_graph_edges(seed: int, node_count: int, edge_count: int):

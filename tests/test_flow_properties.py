@@ -256,18 +256,21 @@ def _global_cover(flow: IncrementalMaxFlow):
     reachable = flow.network.residual_reachable(SOURCE)
     edges = flow.active_edges
     return (
-        frozenset(left for left, _ in edges if ("L", left) not in reachable),
-        frozenset(right for _, right in edges if ("R", right) in reachable),
+        frozenset(left for left, _ in edges if flow.left_id(left) not in reachable),
+        frozenset(right for _, right in edges if flow.right_id(right) in reachable),
     )
 
 
 class GlobalCoverFlow(IncrementalMaxFlow):
     """Whole-network reference for the frontier-local cover (test oracle).
 
-    Every call searches from *all* source arcs with no closed set, recomputes
-    reachability from the source over the whole accumulated network and reads
-    the full cover off the active edges; the delta is whatever the remainder
-    protocol would then retire.
+    Every call searches from *all* source arcs with no hint at all -- no
+    closed set, no ``sink_arcs``, so the sink is only ever found from a popped
+    vertex -- recomputes reachability from the source over the whole
+    accumulated network and reads the full cover off the active edges; the
+    delta is whatever the remainder protocol would then retire.  Arc-by-arc
+    flow equality with it therefore certifies the discovery-time sink test
+    against plain breadth-first search as well.
     """
 
     __slots__ = ()
