@@ -2,9 +2,9 @@
 
 :func:`run_load` adapts any :class:`~repro.workload.trace.TraceStream` --
 flash crowds, update storms, fuzzed compositions, ingested logs -- into N
-concurrent closed-loop clients (one outstanding request each).  Events are
-assigned round-robin by trace position and stamped with their sequence
-number, so the server applies them in exact trace order regardless of N;
+concurrent closed-loop clients (one outstanding request each).  The clients
+pull events from one shared iterator, each stamped with its position in the
+trace, so the server applies them in exact trace order regardless of N;
 per-request latency lands in a :class:`~repro.sim.metrics.StreamingHistogram`
 (p50/p99/p999 in constant memory).
 
@@ -41,6 +41,9 @@ from repro.workload.trace import TraceStream, event_to_dict
 
 #: Policies the served path supports (soptimal needs the future trace).
 SERVABLE_POLICIES = ("nocache", "replica", "benefit", "vcover", "adaptive")
+
+#: The ``stats`` frame's gauges (the rest are totals), as the report prints them.
+SERVER_GAUGES = ("connections", "inflight", "parked", "parked_high_water", "waiting_for_seq")
 
 
 @dataclass
@@ -81,10 +84,9 @@ async def run_load(
     """
     if clients < 1:
         raise ValueError("clients must be at least 1")
-    events: List[Tuple[int, Dict[str, Any]]] = [
-        (seq, event_to_dict(event)) for seq, event in enumerate(trace.iter_events())
-    ]
-    assignments = [events[index::clients] for index in range(clients)]
+    # One shared source: each worker pulls its next (seq, event) when its
+    # previous request is answered, so nothing is held per unsent event.
+    source = enumerate(trace.iter_events())
     histograms = [StreamingHistogram() for _ in range(clients)]
     predicted = [StreamingHistogram() for _ in range(clients)] if latency_model else None
     logs: List[List[List[Any]]] = [[] for _ in range(clients)]
@@ -92,7 +94,8 @@ async def run_load(
     async def worker(index: int) -> None:
         client = await ServeClient.connect(host, port)
         try:
-            for seq, payload in assignments[index]:
+            for seq, event in source:
+                payload = event_to_dict(event)
                 kind = payload["kind"]
                 started = time.perf_counter()
                 if kind == "query":
@@ -132,7 +135,7 @@ async def run_load(
     return LoadReport(
         policy=str(stats.get("policy", "")),
         clients=clients,
-        events=len(events),
+        events=len(event_log),
         wall_clock_s=wall,
         build_wall_clock_s=0.0,
         histogram=histogram,
@@ -281,6 +284,9 @@ def format_load_report(report: LoadReport) -> str:
         f"total traffic     : {float(report.stats.get('total_traffic', 0.0)):.1f} MB",
         f"cache answers     : {int(report.stats.get('queries_answered_at_cache', 0))}",
         f"queries shipped   : {int(report.stats.get('queries_shipped', 0))}",
+        "server gauges     : " + ", ".join(
+            f"{name}={report.stats.get(name)}" for name in SERVER_GAUGES
+        ),
         "",
         f"{'latency':<12} {'measured':>12}" + (
             f" {'predicted':>12}" if report.predicted is not None else ""

@@ -51,9 +51,13 @@ class ProtocolError(ValueError):
     """A frame violates the wire format."""
 
 
+#: Built once: ``json.dumps`` with non-default options builds one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def encode_frame(frame: Dict[str, Any]) -> bytes:
     """One frame as a compact JSON line (sorted keys, trailing newline)."""
-    return (json.dumps(frame, separators=(",", ":"), sort_keys=True) + "\n").encode("utf-8")
+    return (_ENCODER.encode(frame) + "\n").encode("utf-8")
 
 
 def decode_frame(line: bytes, expect: Optional[tuple] = None) -> Dict[str, Any]:

@@ -8,23 +8,35 @@ one replays use; its counters are what the ``stats`` frame reports.
 
 Design points:
 
-* **Single writer.**  Every query/update frame is enqueued to one writer
-  task; only that task touches the policy, the repository and the link, so
-  concurrent clients can never interleave half-applied decisions.  The
-  queue is bounded (per-server backpressure); per-connection backpressure
-  comes from ``await writer.drain()`` on every response.
+* **One turn per frame.**  Each connection is an :class:`asyncio.Protocol`;
+  its read callback splits lines, validates them, applies the event and
+  writes the answer before it returns.  Everything runs on the loop thread
+  and an apply never yields, so concurrent clients can never interleave
+  half-applied decisions -- without a queue, a writer task or a future per
+  request.  A connection whose peer stops reading its answers is not read
+  from until its write buffer drains (per-connection backpressure).
 * **Sequence ordering.**  Frames stamped with a ``seq`` are applied in
-  strictly increasing sequence order -- the writer buffers early arrivals --
-  so the decision sequence is exactly the source trace order no matter how
-  many clients the load harness fans events out over.  That is the property
-  the sim-vs-served equivalence test and the deterministic-event-log
-  guarantee both rest on.  Unstamped frames apply in arrival order.
-* **Graceful shutdown.**  :meth:`stop` stops accepting connections, answers
-  in-flight requests, flushes the writer queue (applying any
-  sequence-stranded frames in order), and only then tears connections down.
-* **Client cancellation safety.**  A client that disconnects or cancels
-  mid-request abandons only its response future; the event itself is still
-  applied exactly once and the writer loop never wedges.
+  strictly increasing sequence order, so the decision sequence is exactly
+  the source trace order no matter how many clients the load harness fans
+  events out over.  That is the property the sim-vs-served equivalence test
+  and the deterministic-event-log guarantee both rest on.  A frame that
+  arrives early is *parked* and its connection is not read from until the
+  frame is answered, so answers keep request order per connection and a
+  connection parks at most one frame.  A frame whose ``seq`` was already
+  applied or is already parked, or that arrives when ``max_pending`` frames
+  are parked, is refused with an ``error`` frame naming the awaited seq.
+  Unstamped frames apply in arrival order.
+* **One apply loop, never re-entered.**  Answering a parked frame queues its
+  connection; the loop that was running when the gap filled pumps it next.
+  The stack depth does not grow with the number of buffered frames.
+* **Graceful shutdown.**  :meth:`stop` stops accepting connections and
+  refuses new events -- except the stamped frame that parked ones are waiting
+  for -- until nothing is parked or ``drain_timeout`` passes, applies
+  whatever a lost client left stranded (in sequence order), and only then
+  tears connections down.
+* **Client cancellation safety.**  A client that disconnects mid-request
+  abandons only its answer; its accepted frame stays parked and is still
+  applied exactly once when its turn comes.
 
 The server is deterministic given the event sequence: it reads no wall
 clock and draws no randomness (simulated time is the event timestamps).
@@ -33,7 +45,8 @@ clock and draws no randomness (simulated time is the event timestamps).
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Set, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Optional, Set, Tuple
 
 from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
@@ -43,7 +56,7 @@ from repro.sim.engine import DecisionHook, ReplayKernel
 from repro.sim.runner import PolicySpec
 from repro.workload.trace import QueryEvent, event_from_dict
 
-#: Default bound on queued-but-unapplied frames (per-server backpressure).
+#: Default bound on parked (early, not yet applicable) frames.
 DEFAULT_MAX_PENDING = 1024
 
 
@@ -61,8 +74,74 @@ def install_uvloop() -> bool:
     return True
 
 
+class _Connection(asyncio.Protocol):
+    """One client: splits its bytes into lines and answers them in order."""
+
+    def __init__(self, server: "CacheServer") -> None:
+        self._server = server
+        self._transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        self._write_paused = False
+        #: One of this connection's frames is parked; its later lines wait.
+        self.waiting = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:  # type: ignore[override]
+        self._transport = transport
+        self._server._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._transport = None
+        self._buffer.clear()
+        self._server._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._server._schedule(self)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._server._schedule(self)
+
+    def send(self, frame: Dict[str, Any]) -> None:
+        """Write one response frame (dropped if the client is gone)."""
+        if self._transport is not None and not self._transport.is_closing():
+            self._transport.write(protocol.encode_frame(frame))
+
+    def close(self) -> None:
+        """Flush what was written, then close; unread lines are discarded."""
+        if self._transport is not None:
+            # A peer that stopped reading would hold a flushing close open.
+            if self._write_paused:
+                self._transport.abort()
+            else:
+                self._transport.close()
+            self._transport = None
+
+    def pump(self) -> None:
+        """Hand buffered lines to the server until one parks or the peer lags."""
+        buffer = self._buffer
+        start = 0
+        while self._transport is not None and not (self.waiting or self._write_paused):
+            end = buffer.find(b"\n", start) + 1
+            if not end:
+                if len(buffer) - start <= protocol.MAX_FRAME_BYTES:
+                    break
+                end = len(buffer)  # unterminated and oversized: decode_frame refuses it
+            self._server._handle(self, buffer[start:end])
+            start = end
+        del buffer[:start]
+        if self._transport is not None:
+            if self.waiting or self._write_paused:
+                self._transport.pause_reading()
+            else:
+                self._transport.resume_reading()
+
+
 class CacheServer:
-    """One policy stack served over TCP behind a single-writer loop.
+    """One policy stack served over TCP, one event-loop turn per frame.
 
     Parameters
     ----------
@@ -78,7 +157,9 @@ class CacheServer:
         Listen address; port 0 picks an ephemeral port (read it back from
         :attr:`port` after :meth:`start`).
     max_pending:
-        Bound on queued-but-unapplied frames across all connections.
+        Bound on parked frames (stamped frames waiting for an earlier
+        ``seq``) across all connections; a frame that would exceed it is
+        refused.
     on_decision:
         Called as ``on_decision(payload, outcome)`` after every applied event
         (see :func:`repro.serve.equivalence.decision_recorder`).  The server
@@ -111,13 +192,16 @@ class CacheServer:
         self._max_pending = max_pending
 
         self._server: Optional[asyncio.Server] = None
-        self._writer_task: Optional[asyncio.Task] = None
-        self._queue: Optional[asyncio.Queue] = None
-        self._connections: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[_Connection] = set()
         self._draining = False
-        self._inflight = 0
-        self._idle: Optional[asyncio.Event] = None
         self._next_seq = 0
+        self._parked: Dict[int, Tuple[Dict[str, Any], _Connection]] = {}
+        self._parked_high_water = 0
+        #: Set while nothing is parked: what :meth:`stop` waits for.
+        self._idle = asyncio.Event()
+        self._idle.set()
+        self._ready: Deque[_Connection] = deque()
+        self._running = False
 
     # ------------------------------------------------------------------
     # Accessors
@@ -138,54 +222,55 @@ class CacheServer:
         return self._policy_name
 
     def stats_snapshot(self) -> Dict[str, Any]:
-        """Current counters (safe to read between events: single-threaded)."""
+        """Current counters and gauges (safe between events: single-threaded)."""
         return {
             "policy": self._policy_name,
             **self._kernel.counters(),
             "total_traffic": self._link.total_cost,
             "traffic_by_mechanism": self._link.total_by_mechanism(),
             "draining": self._draining,
+            "connections": len(self._connections),
+            "inflight": sum(connection.waiting for connection in self._connections),
+            "parked": len(self._parked),
+            "parked_high_water": self._parked_high_water,
+            "waiting_for_seq": self._next_seq,
         }
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listen socket and start the writer loop."""
+        """Bind the listen socket."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._queue = asyncio.Queue(maxsize=self._max_pending)
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._writer_task = asyncio.create_task(self._writer_loop())
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self._host, port=self._requested_port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host=self._host, port=self._requested_port
         )
         self._requested_port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self, drain_timeout: float = 10.0) -> None:
-        """Gracefully shut down: drain in-flight requests, then tear down.
+        """Gracefully shut down: drain parked frames, then tear down.
 
-        New connections are refused immediately; frames already accepted are
-        applied and answered.  ``drain_timeout`` bounds the wait for slow
-        clients -- after it, remaining connections are closed anyway (their
-        events, once enqueued, are still applied by the queue flush).
+        New connections are refused immediately, and so is every new event
+        except the stamped frame parked ones are waiting for.  ``drain_timeout``
+        bounds the wait for the clients that owe those seqs -- after it, the
+        frames still parked are applied anyway, in sequence order.
         """
         if self._server is None:
             return
         self._draining = True
+        # Closes the listen sockets at once.  ``wait_closed`` is not awaited:
+        # from Python 3.12 it waits for every client to hang up first.
         self._server.close()
-        await self._server.wait_closed()
-        assert self._idle is not None and self._queue is not None
         try:
             await asyncio.wait_for(self._idle.wait(), timeout=drain_timeout)
         except asyncio.TimeoutError:
             pass
-        await self._queue.put(None)
-        if self._writer_task is not None:
-            await self._writer_task
-        for writer in list(self._connections):
-            writer.close()
+        while self._parked:
+            self._next_seq = min(self._parked)
+            self._release()
+        for connection in list(self._connections):
+            connection.close()
         self._server = None
 
     async def serve_forever(self) -> None:
@@ -198,36 +283,68 @@ class CacheServer:
             pass
 
     # ------------------------------------------------------------------
-    # The single-writer apply loop
+    # The apply loop
     # ------------------------------------------------------------------
-    async def _writer_loop(self) -> None:
-        assert self._queue is not None
-        buffered: Dict[int, Tuple[Dict[str, Any], asyncio.Future]] = {}
-        while True:
-            item = await self._queue.get()
-            if item is None:
-                self._queue.task_done()
-                break
-            seq, frame, future = item
-            if seq is None:
-                self._apply(frame, future)
-            else:
-                buffered[seq] = (frame, future)
-                while self._next_seq in buffered:
-                    pending_frame, pending_future = buffered.pop(self._next_seq)
-                    self._next_seq += 1
-                    self._apply(pending_frame, pending_future)
-            self._queue.task_done()
-        # Shutdown flush: a disconnected client may have left a hole in the
-        # sequence; apply whatever remains in sequence order so accepted
-        # events are never silently dropped.
-        for seq in sorted(buffered):
-            pending_frame, pending_future = buffered.pop(seq)
-            self._next_seq = seq + 1
-            self._apply(pending_frame, pending_future)
+    def _schedule(self, connection: _Connection) -> None:
+        """Pump ``connection`` from the one apply loop, started here if idle."""
+        self._ready.append(connection)
+        if self._running:
+            return
+        self._running = True
+        try:
+            while self._ready:
+                self._ready.popleft().pump()
+        finally:
+            self._running = False
 
-    def _apply(self, frame: Dict[str, Any], future: asyncio.Future) -> None:
-        """Apply one query/update frame to the policy stack (writer task only)."""
+    def _handle(self, connection: _Connection, line: bytes) -> None:
+        """One request line: answer it now, or park it for its turn."""
+        try:
+            frame = protocol.decode_frame(line, expect=protocol.REQUEST_TYPES)
+        except protocol.ProtocolError as exc:
+            connection.send(protocol.error_frame(str(exc)))
+            connection.close()
+            return
+        seq = frame.get("seq")
+        if frame["type"] == "stats":
+            connection.send(protocol.stats_response_frame(self.stats_snapshot(), seq=seq))
+        elif self._draining and not (self._parked and seq == self._next_seq):
+            connection.send(
+                protocol.error_frame("server is draining; not accepting events", seq=seq)
+            )
+        elif seq is None:
+            connection.send(self._apply(frame))
+        elif seq == self._next_seq:
+            self._next_seq += 1
+            connection.send(self._apply(frame))
+            self._release()
+        elif seq < self._next_seq or seq in self._parked:
+            connection.send(self._refusal(f"seq {seq} was already sent", seq))
+        elif len(self._parked) >= self._max_pending:
+            connection.send(self._refusal(f"{len(self._parked)} frames already parked", seq))
+        else:
+            self._parked[seq] = (frame, connection)
+            self._parked_high_water = max(self._parked_high_water, len(self._parked))
+            connection.waiting = True
+            self._idle.clear()
+
+    def _refusal(self, reason: str, seq: int) -> Dict[str, Any]:
+        return protocol.error_frame(f"{reason}; waiting for seq {self._next_seq}", seq=seq)
+
+    def _release(self) -> None:
+        """Apply the parked frames whose turn has come; queue their connections."""
+        while self._next_seq in self._parked:
+            frame, connection = self._parked.pop(self._next_seq)
+            self._next_seq += 1
+            connection.send(self._apply(frame))
+            connection.waiting = False
+            self._schedule(connection)
+        if not self._parked:
+            self._idle.set()
+
+    def _apply(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """Apply one query/update frame to the policy stack; its response frame."""
+        seq = frame.get("seq")
         try:
             event = event_from_dict(frame["payload"])
             if isinstance(event, QueryEvent):
@@ -241,66 +358,5 @@ class CacheServer:
                     "object_id": update.object_id,
                 }
         except Exception as exc:  # surface apply errors to the caller
-            if not future.done():
-                future.set_exception(
-                    protocol.ProtocolError(f"event could not be applied: {exc}")
-                )
-            return
-        if not future.done():
-            future.set_result(result)
-
-    # ------------------------------------------------------------------
-    # Per-connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
-                    break
-                if not line:
-                    break
-                try:
-                    response = await self._respond(line)
-                except protocol.ProtocolError as exc:
-                    writer.write(protocol.encode_frame(protocol.error_frame(str(exc))))
-                    await writer.drain()
-                    break
-                writer.write(protocol.encode_frame(response))
-                # Per-connection backpressure: never buffer unboundedly for a
-                # slow reader; the writer loop keeps serving other clients.
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-
-    async def _respond(self, line: bytes) -> Dict[str, Any]:
-        """One request line -> one response frame (may raise ProtocolError)."""
-        frame = protocol.decode_frame(line, expect=protocol.REQUEST_TYPES)
-        seq = frame.get("seq")
-        if frame["type"] == "stats":
-            return protocol.stats_response_frame(self.stats_snapshot(), seq=seq)
-        if self._draining:
-            return protocol.error_frame("server is draining; not accepting events", seq=seq)
-        assert self._queue is not None and self._idle is not None
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight += 1
-        self._idle.clear()
-        try:
-            await self._queue.put((seq, frame, future))
-            try:
-                result = await future
-            except protocol.ProtocolError as exc:
-                return protocol.error_frame(str(exc), seq=seq)
-            return protocol.result_frame(result, seq=seq)
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle.set()
+            return protocol.error_frame(f"event could not be applied: {exc}", seq=seq)
+        return protocol.result_frame(result, seq=seq)

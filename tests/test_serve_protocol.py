@@ -53,6 +53,17 @@ class TestFrameRoundTrip:
         keys = list(json.loads(line))
         assert keys == sorted(keys)
 
+    def test_encoding_bytes_match_json_dumps(self):
+        # The module-level encoder is an optimisation, not a format change.
+        for frame in (
+            protocol.request_frame("query", {"kind": "query", "cost": 0.1 + 0.2}, seq=3),
+            protocol.result_frame(protocol.outcome_to_dict(make_outcome()), seq=2**40),
+            protocol.error_frame("séq   \"quoted\"\n", seq=None),
+            protocol.stats_response_frame({"nested": {"b": [1, 2.5, None], "a": True}}),
+        ):
+            expected = json.dumps(frame, separators=(",", ":"), sort_keys=True) + "\n"
+            assert protocol.encode_frame(frame) == expected.encode("utf-8")
+
     def test_unknown_request_kind_rejected(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.request_frame("evict")
