@@ -55,7 +55,6 @@ from typing import List, Optional, Sequence, Union
 
 # Importing the experiments package registers every experiment.
 import repro.experiments  # noqa: F401  (imported for its registration side effect)
-from repro.core.benefit import BenefitConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import (
     DuplicateExperimentError,
@@ -74,9 +73,8 @@ from repro.experiments.spec import (
     load_scenario,
     save_scenario,
 )
-from repro.sim.engine import EngineConfig
 from repro.sim.results import ComparisonResult
-from repro.sim.runner import compare_policies, default_policy_specs
+from repro.sim.runner import DEFAULT_POLICIES, compare_policies, default_policy_specs
 from repro.workload.fuzz import (
     CompositionSpec,
     FuzzError,
@@ -84,9 +82,6 @@ from repro.workload.fuzz import (
     load_composition,
 )
 from repro.workload.ingest import CalibrationResult, IngestError, ingest_scenario
-
-#: The paper's two algorithms plus the three yardsticks.
-DEFAULT_POLICIES = ("nocache", "replica", "benefit", "vcover", "soptimal")
 
 __all__ = [
     "DEFAULT_POLICIES",
@@ -265,13 +260,8 @@ def run_scenario(
             streaming=streaming,
         )
     config = scenario.config
-    specs = default_policy_specs(
-        benefit_config=BenefitConfig(window_size=config.benefit_window),
-        include=tuple(policies) if policies else DEFAULT_POLICIES,
-    )
-    engine = EngineConfig(
-        sample_every=config.sample_every, measure_from=config.measure_from
-    )
+    specs = config.policy_specs(include=tuple(policies) if policies else DEFAULT_POLICIES)
+    engine = config.engine_config()
     fraction = config.cache_fraction if cache_fraction is None else cache_fraction
     if streaming:
         # Hand workers the recipe; each realises the stream lazily and

@@ -30,7 +30,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from repro import __version__
 from repro.bench.schema import PHASE_NAMES, SCHEMA_ID, validate_payload
 from repro.bench.suites import BenchCase, get_suite
-from repro.core.benefit import BenefitConfig
 from repro.experiments.config import build_scenario, build_scenario_stream
 from repro.perf import (
     PHASE_COVER_SOLVE,
@@ -38,9 +37,8 @@ from repro.perf import (
     reset_phase_times,
     snapshot_phase_times,
 )
-from repro.sim.engine import EngineConfig
 from repro.sim.multicache import run_topology
-from repro.sim.runner import default_policy_specs, run_policy
+from repro.sim.runner import run_policy
 from repro.topology.spec import TopologySpec
 
 def peak_rss_mb() -> float:
@@ -123,17 +121,12 @@ def _run_case(case: BenchCase) -> Dict[str, Any]:
             trace.columns()
     compile_seconds = time.perf_counter() - compile_start
 
-    engine = EngineConfig(
-        sample_every=config.sample_every, measure_from=config.measure_from
-    )
+    engine = config.engine_config()
     fraction = (
         config.cache_fraction if case.cache_fraction is None else case.cache_fraction
     )
     capacity = catalog.total_size * fraction
-    specs = default_policy_specs(
-        benefit_config=BenefitConfig(window_size=config.benefit_window),
-        include=case.policies,
-    )
+    specs = config.policy_specs(include=case.policies)
 
     events = len(trace)
     policy_rows: List[Dict[str, Any]] = []

@@ -29,9 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.experiments.config import ExperimentConfig
-
-#: Policies every suite exercises by default (the paper's five).
-ALL_POLICIES = ("nocache", "replica", "benefit", "vcover", "soptimal")
+from repro.sim.runner import DEFAULT_POLICIES
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ class BenchCase:
     name: str
     description: str
     overrides: Tuple[Tuple[str, object], ...] = ()
-    policies: Tuple[str, ...] = ALL_POLICIES
+    policies: Tuple[str, ...] = DEFAULT_POLICIES
     cache_fraction: Optional[float] = None
     sites: int = 1
     repeats: int = 1

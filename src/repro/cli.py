@@ -58,10 +58,9 @@ Classic workflows (all re-expressed over the facade):
 
 ``lint``
     Run the repro static analyser over the tree (``repro lint src tests``):
-    determinism rules (DET001-DET003), contract rules (PICK001, SLOT001),
-    async-safety (ASYNC001) and registry consistency (REG001).  Exit 1 on
-    findings, 2 on bad arguments; ``--format json`` emits the
-    machine-readable report.
+    determinism rules (DET001-DET003), contract rules (PICK001, SLOT001)
+    and async-safety (ASYNC001).  Exit 1 on findings, 2 on bad arguments;
+    ``--format json`` emits the machine-readable report.
 
 ``serve``
     Boot the asyncio cache-middleware server: one policy + repository +
@@ -85,23 +84,17 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro import __version__, api
-from repro.core.benefit import BenefitConfig
 from repro.experiments import fig7a
 from repro.experiments.config import WORKLOAD_MODELS, ExperimentConfig
 from repro.experiments.registry import UnknownExperimentError, UnknownOverrideError
 from repro.experiments.spec import ScenarioError, ScenarioSpec
-from repro.sim.engine import EngineConfig
 from repro.sim.results import ComparisonResult
-from repro.sim.runner import default_policy_specs, run_policy
+from repro.sim.runner import POLICY_NAMES, SERVABLE_POLICIES, run_policy
 from repro.sim.sweep import PointResult, SweepPoint, SweepRunner
 from repro.topology.spec import TopologySpec
 from repro.workload.ingest import IngestError
-from repro.serve.harness import SERVABLE_POLICIES
 from repro.workload.partition import PARTITION_STRATEGIES
 from repro.workload.trace import Trace
-
-#: Policies selectable from the command line.
-POLICY_CHOICES = ("vcover", "benefit", "nocache", "replica", "soptimal", "adaptive")
 
 #: Ratio keys printed under a comparison table, in display order.
 SUMMARY_RATIOS = (
@@ -293,18 +286,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = spec.config
     scenario = spec.build()
     trace = Trace.from_jsonl(args.trace) if args.trace is not None else scenario.trace
-    policy_spec = default_policy_specs(
-        benefit_config=BenefitConfig(window_size=config.benefit_window),
-        include=(args.policy,),
-    )[0]
+    (policy_spec,) = config.policy_specs(include=(args.policy,))
     result = run_policy(
         policy_spec,
         scenario.catalog,
         trace,
         cache_capacity=scenario.cache_capacity,
-        engine_config=EngineConfig(
-            sample_every=config.sample_every, measure_from=config.measure_from
-        ),
+        engine_config=config.engine_config(),
     )
     print(f"policy           : {result.policy_name}")
     print(f"events processed : {result.events_processed}")
@@ -331,13 +319,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else (config.cache_fraction,)
     )
     seeds = _unique(args.seeds) if args.seeds else (config.seed,)
-    specs = default_policy_specs(
-        benefit_config=BenefitConfig(window_size=config.benefit_window),
-        include=policies,
-    )
-    engine = EngineConfig(
-        sample_every=config.sample_every, measure_from=config.measure_from
-    )
+    specs = config.policy_specs(include=policies)
+    engine = config.engine_config()
 
     scenarios = {
         f"seed{seed}": ScenarioSpec(config.scaled(seed=seed), name=f"seed{seed}")
@@ -459,10 +442,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import CacheServer, install_uvloop
 
     config = _spec_from_args(args).config.scaled(workload_model=args.model)
-    spec = default_policy_specs(
-        benefit_config=BenefitConfig(window_size=config.benefit_window),
-        include=(args.policy,),
-    )[0]
+    (spec,) = config.policy_specs(include=(args.policy,))
     catalog = build_catalog(config)
     server = CacheServer(
         catalog,
@@ -472,6 +452,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
     )
     uvloop_active = install_uvloop()
+    # Stopgap until the connection reads into a buffer of its own (ROADMAP
+    # item 3).  asyncio's selector transport allocates a 256 KiB ``bytes`` per
+    # read; glibc takes it from the heap only if a free chunk that large
+    # happens to be left over from start-up, and otherwise pays an mmap/munmap
+    # pair and two page faults per frame (+30 % CPU per event, decided by the
+    # length of the install path).  Freeing one larger block first lifts
+    # glibc's dynamic mmap threshold above the read size for the life of the
+    # process; on other allocators this is a no-op.
+    headroom = bytes(4 << 20)
+    del headroom
 
     async def _serve() -> None:
         await server.start()
@@ -543,13 +533,8 @@ def _cmd_topology(args: argparse.Namespace) -> int:
         )
         return 2
     policies = _unique(args.policies) if args.policies else ("vcover", "nocache")
-    specs = default_policy_specs(
-        benefit_config=BenefitConfig(window_size=config.benefit_window),
-        include=policies,
-    )
-    engine = EngineConfig(
-        sample_every=config.sample_every, measure_from=config.measure_from
-    )
+    specs = config.policy_specs(include=policies)
+    engine = config.engine_config()
     points = [
         SweepPoint(
             key=f"{policy_spec.name}-x{args.sites}",
@@ -647,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run a scenario file against several policies"
     )
     scenario_run.add_argument("file", type=Path, help="scenario file path")
-    scenario_run.add_argument("--policies", nargs="*", choices=POLICY_CHOICES,
+    scenario_run.add_argument("--policies", nargs="*", choices=POLICY_NAMES,
                               default=None,
                               help="subset of policies to run (default: all five)")
     scenario_run.add_argument("--streaming", action="store_true",
@@ -680,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser("run", help="replay a trace against one policy")
     _add_scenario_arguments(run)
-    run.add_argument("--policy", choices=POLICY_CHOICES, default="vcover",
+    run.add_argument("--policy", choices=POLICY_NAMES, default="vcover",
                      help="decision policy (default: vcover)")
     run.add_argument("--trace", type=Path, default=None,
                      help="optional JSONL trace to replay instead of generating one")
@@ -688,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = subparsers.add_parser("compare", help="compare several policies")
     _add_scenario_arguments(compare)
-    compare.add_argument("--policies", nargs="*", choices=POLICY_CHOICES, default=None,
+    compare.add_argument("--policies", nargs="*", choices=POLICY_NAMES, default=None,
                          help="subset of policies to run (default: all five)")
     compare.add_argument("--jobs", type=_positive_jobs, default=1,
                          help="worker processes for the per-policy runs (default: 1)")
@@ -698,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run a policy x cache-fraction x seed grid in parallel"
     )
     _add_scenario_arguments(sweep)
-    sweep.add_argument("--policies", nargs="*", choices=POLICY_CHOICES, default=None,
+    sweep.add_argument("--policies", nargs="*", choices=POLICY_NAMES, default=None,
                        help="policies on the grid (default: all five)")
     sweep.add_argument("--cache-fractions", nargs="*", type=float, default=None,
                        help="cache fractions on the grid (default: the --cache value)")
@@ -718,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="number of cache sites in the fleet (default: 2)")
     topology.add_argument("--strategy", choices=PARTITION_STRATEGIES, default="region",
                           help="object-to-site assignment strategy (default: region)")
-    topology.add_argument("--policies", nargs="*", choices=POLICY_CHOICES, default=None,
+    topology.add_argument("--policies", nargs="*", choices=POLICY_NAMES, default=None,
                           help="policies to run, one fleet each (default: vcover nocache)")
     topology.add_argument("--jobs", type=_positive_jobs, default=1,
                           help="worker processes for the per-policy fleets (default: 1)")

@@ -13,6 +13,8 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.vcover` -- the VCover online algorithm,
 * :mod:`repro.core.benefit` -- the exponential-smoothing greedy baseline,
 * :mod:`repro.core.yardsticks` -- NoCache, Replica and SOptimal,
+* :mod:`repro.core.roster` -- the policy roster: the one name -> class table
+  every policy name list is derived from,
 * :mod:`repro.core.offline` -- the offline optimal decoupling of Section 3.1,
 * :mod:`repro.core.delta` -- the user-facing Delta middleware facade.
 """

@@ -38,12 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.benefit import BenefitConfig, BenefitPolicy
+from repro.core.benefit import BenefitConfig
 from repro.core.decoupling import QueryOutcome
 from repro.core.policy import BaseCachePolicy, CachePolicy
 from repro.core.regret import RegretTracker
-from repro.core.vcover import VCoverConfig, VCoverPolicy
-from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy
+from repro.core.roster import POLICY_CLASSES, build_policy, is_online
+from repro.core.vcover import VCoverConfig
 from repro.network.link import NetworkLink
 from repro.repository.queries import Query
 from repro.repository.server import Repository
@@ -51,9 +51,11 @@ from repro.repository.updates import Update
 
 __all__ = ["ADAPTIVE_CANDIDATES", "AdaptiveConfig", "AdaptivePolicy"]
 
-#: Candidate arms the meta-policy can shadow (every online policy; the
-#: offline SOptimal yardstick cannot be shadowed because it reads the future).
-ADAPTIVE_CANDIDATES = ("nocache", "replica", "benefit", "vcover")
+#: Candidate arms the meta-policy can shadow: every online policy of the
+#: roster (an offline one cannot be shadowed because it reads the future).
+ADAPTIVE_CANDIDATES = tuple(
+    name for name, policy_class in POLICY_CLASSES.items() if is_online(policy_class)
+)
 
 
 @dataclass(frozen=True)
@@ -157,8 +159,14 @@ class AdaptivePolicy(CachePolicy):
         self._repository = repository
         self._link = link
         self._config = config or AdaptiveConfig()
+        arm_configs = {
+            "benefit": BenefitConfig(window_size=self._config.benefit_window),
+            "vcover": self._config.vcover,
+        }
+        #: One shadow arm per candidate, each with a private traffic ledger.
         self._candidates: Dict[str, BaseCachePolicy] = {
-            name: self._build_candidate(name, capacity) for name in self._config.candidates
+            name: build_policy(name, repository, capacity, NetworkLink(), arm_configs)
+            for name in self._config.candidates
         }
         self._live_name = self._config.initial
         self._live_marks = self._live.link.total_by_mechanism()
@@ -173,29 +181,6 @@ class AdaptivePolicy(CachePolicy):
         self._regret: Optional[RegretTracker] = (
             RegretTracker(self._config.flow_method) if self._config.track_regret else None
         )
-
-    def _build_candidate(self, name: str, capacity: float) -> BaseCachePolicy:
-        """Construct one shadow arm with a private traffic ledger."""
-        shadow_link = NetworkLink()
-        if name == "nocache":
-            return NoCachePolicy(self._repository, capacity, shadow_link)
-        if name == "replica":
-            return ReplicaPolicy(self._repository, capacity, shadow_link)
-        if name == "benefit":
-            return BenefitPolicy(
-                self._repository,
-                capacity,
-                shadow_link,
-                BenefitConfig(window_size=self._config.benefit_window),
-            )
-        if name == "vcover":
-            return VCoverPolicy(
-                self._repository,
-                capacity,
-                shadow_link,
-                self._config.vcover or VCoverConfig(),
-            )
-        raise ValueError(f"unknown candidate {name!r}")  # pragma: no cover - config guards
 
     # ------------------------------------------------------------------
     # Accessors

@@ -17,28 +17,19 @@ policies directly through :mod:`repro.sim` for tighter control.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Type
+from typing import Dict, Optional
 
-from repro.core.benefit import BenefitConfig, BenefitPolicy
+from repro.core.benefit import BenefitConfig
 from repro.core.decoupling import QueryOutcome
 from repro.core.policy import CachePolicy
-from repro.core.vcover import VCoverConfig, VCoverPolicy
-from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
+from repro.core.roster import POLICY_CLASSES, build_policy
+from repro.core.vcover import VCoverConfig
 from repro.network.cost import LinearCostModel, TrafficCostModel
 from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.queries import Query
 from repro.repository.server import Repository
 from repro.repository.updates import Update
-
-#: Mapping of policy names to classes for config-driven construction.
-POLICY_CLASSES: Dict[str, Type[CachePolicy]] = {
-    "vcover": VCoverPolicy,
-    "benefit": BenefitPolicy,
-    "nocache": NoCachePolicy,
-    "replica": ReplicaPolicy,
-    "soptimal": SOptimalPolicy,
-}
 
 
 @dataclass
@@ -53,8 +44,8 @@ class DeltaConfig:
     cache_capacity:
         Absolute cache capacity in MB (overrides ``cache_fraction``).
     policy:
-        Name of the decision policy ("vcover", "benefit", "nocache",
-        "replica" or "soptimal").
+        Name of the decision policy (a key of
+        :data:`repro.core.roster.POLICY_CLASSES`).
     vcover / benefit:
         Policy-specific configuration blocks.
     keep_transfer_records:
@@ -106,18 +97,15 @@ class Delta:
         capacity = self._config.cache_capacity
         if capacity is None:
             capacity = catalog.total_size * self._config.cache_fraction
-        self._policy = self._build_policy(capacity)
+        self._policy: CachePolicy = build_policy(
+            self._config.policy,
+            self._repository,
+            capacity,
+            self._link,
+            {"vcover": self._config.vcover, "benefit": self._config.benefit},
+        )
         self._queries_processed = 0
         self._updates_processed = 0
-
-    def _build_policy(self, capacity: float) -> CachePolicy:
-        name = self._config.policy
-        if name == "vcover":
-            return VCoverPolicy(self._repository, capacity, self._link, self._config.vcover)
-        if name == "benefit":
-            return BenefitPolicy(self._repository, capacity, self._link, self._config.benefit)
-        policy_class = POLICY_CLASSES[name]
-        return policy_class(self._repository, capacity, self._link)
 
     # ------------------------------------------------------------------
     # Public API

@@ -1,0 +1,67 @@
+"""The policy roster: the one name -> class table every policy list derives from.
+
+The paper's evaluation (Section 6) is one fixed roster -- NoCache, Replica,
+Benefit, VCover, SOptimal.  This module is the lowest layer that knows every
+one of those classes, so it is where the roster is declared, once, in report
+order.  Everything else that used to restate it is computed from the table
+and from one predicate on the class:
+
+* the runner's ``POLICY_NAMES`` / ``DEFAULT_POLICIES`` / ``SERVABLE_POLICIES``
+  (:mod:`repro.sim.runner`) and through them the CLI choices and the served
+  path's refusal of offline policies,
+* the adaptive meta-policy's shadowable candidates
+  (:data:`repro.core.adaptive.ADAPTIVE_CANDIDATES`),
+* the :class:`~repro.core.delta.Delta` facade's ``policy`` names.
+
+Adding a policy is one entry here; no flag per entry, no second list.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Mapping, Type
+
+from repro.core.benefit import BenefitPolicy
+from repro.core.policy import BaseCachePolicy, CachePolicy
+from repro.core.vcover import VCoverPolicy
+from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
+from repro.network.link import NetworkLink
+from repro.repository.server import Repository
+
+#: The paper's two algorithms and three yardsticks, in report order.
+POLICY_CLASSES: Dict[str, Type[BaseCachePolicy]] = {
+    "nocache": NoCachePolicy,
+    "replica": ReplicaPolicy,
+    "benefit": BenefitPolicy,
+    "vcover": VCoverPolicy,
+    "soptimal": SOptimalPolicy,
+}
+
+
+def is_online(policy_class: Type[CachePolicy]) -> bool:
+    """Whether a policy decides from the events it has seen alone.
+
+    An offline policy is one that overrides :meth:`CachePolicy.prepare` to
+    read the whole trace before the run; it can be neither served (the
+    server has no future trace) nor shadowed by the adaptive meta-policy.
+    """
+    return policy_class.prepare is CachePolicy.prepare
+
+
+def build_policy(
+    name: str,
+    repository: Repository,
+    capacity: float,
+    link: NetworkLink,
+    configs: Mapping[str, object],
+) -> BaseCachePolicy:
+    """Construct the roster policy ``name``.
+
+    Every policy class takes ``(repository, capacity, link[, config])`` and
+    defaults its own config, so the class is handed one only when
+    ``configs`` holds a (non-``None``) entry under the policy's own name.
+    """
+    policy_class = POLICY_CLASSES[name]
+    config = configs.get(name)
+    if config is None:
+        return policy_class(repository, capacity, link)
+    return policy_class(repository, capacity, link, config)  # type: ignore[call-arg]

@@ -43,7 +43,6 @@ from repro.experiments.spec import ScenarioSpec
 from repro.network.latency import LatencyModel, ResponseTimeSummary, summarise_response_times
 from repro.network.link import NetworkLink
 from repro.repository.server import Repository
-from repro.sim.engine import EngineConfig
 from repro.sim.results import RunResult
 from repro.sim.runner import PolicySpec, benefit_spec, vcover_spec
 from repro.sim.sweep import DEFAULT_SCENARIO, InlineScenario, SweepPoint, SweepRunner
@@ -83,10 +82,6 @@ class AblationResult:
         return {label: value / base for label, value in self.traffic.items()}
 
 
-def _engine_config(config: ExperimentConfig) -> EngineConfig:
-    return EngineConfig(sample_every=config.sample_every, measure_from=config.measure_from)
-
-
 def _run_variants(
     variants: Sequence[Tuple[str, PolicySpec]],
     config: ExperimentConfig,
@@ -99,7 +94,7 @@ def _run_variants(
             key=spec.name,
             spec=spec,
             cache_capacity=scenario.cache_capacity,
-            engine=_engine_config(config),
+            engine=config.engine_config(),
             seed=config.seed,
             tags=(("label", label),),
         )
@@ -346,7 +341,7 @@ def _grid(config: ExperimentConfig, knobs: Mapping[str, object]) -> ExperimentGr
     # Built in the parent: the per-variant cache capacity needs the
     # catalogue's total size before any point can be constructed.
     scenario = ScenarioSpec(config).build()
-    engine = _engine_config(config)
+    engine = config.engine_config()
     points: List[SweepPoint] = []
     for ablation in knobs["ablations"]:
         points.extend(

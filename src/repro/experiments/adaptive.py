@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.adaptive import AdaptiveConfig
-from repro.core.benefit import BenefitConfig
+from repro.core.adaptive import ADAPTIVE_CANDIDATES
 from repro.experiments.config import WORKLOAD_MODELS, ExperimentConfig
 from repro.experiments.registry import (
     ExperimentContext,
@@ -38,7 +37,7 @@ from repro.workload.fuzz import draw_composition_spec
 #: Static policies the meta-policy is compared against by default (its own
 #: shadowable candidates; SOptimal is excluded because an online policy
 #: cannot be expected to match a hindsight schedule on every workload).
-DEFAULT_STATIC_POLICIES = ("nocache", "replica", "benefit", "vcover")
+DEFAULT_STATIC_POLICIES = ADAPTIVE_CANDIDATES
 
 #: Seeds for the adversarial fuzzer draws included alongside the models.
 DEFAULT_FUZZ_SEEDS = (5,)
@@ -156,14 +155,8 @@ def _adaptive_grid(
     config: ExperimentConfig, knobs: Mapping[str, object]
 ) -> ExperimentGrid:
     """Adaptive plus the static roster over each model and fuzzer draw."""
-    from repro.sim.runner import adaptive_spec, default_policy_specs
-
     statics: Tuple[str, ...] = tuple(knobs["policies"])  # type: ignore[arg-type]
-    benefit_config = BenefitConfig(window_size=config.benefit_window)
-    specs = default_policy_specs(benefit_config=benefit_config, include=statics)
-    specs.append(
-        adaptive_spec(AdaptiveConfig(benefit_window=config.benefit_window))
-    )
+    specs = config.policy_specs(include=(*statics, "adaptive"))
     streaming = bool(knobs["streaming"])
     scenarios: Dict[str, ScenarioSource] = {}
     points: List[SweepPoint] = []
@@ -198,10 +191,7 @@ def _adaptive_grid(
             str(model),
             ScenarioSpec(model_config, name=str(model)),
             cache_fraction=model_config.cache_fraction,
-            engine=EngineConfig(
-                sample_every=model_config.sample_every,
-                measure_from=model_config.measure_from,
-            ),
+            engine=model_config.engine_config(),
             seed=model_config.seed,
         )
     for fuzz_seed in knobs["fuzz_seeds"]:  # type: ignore[attr-defined]

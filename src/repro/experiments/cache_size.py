@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.core.benefit import BenefitConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import (
     ExperimentContext,
@@ -26,9 +25,7 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.experiments.spec import ScenarioSpec
-from repro.sim.engine import EngineConfig
 from repro.sim.results import ComparisonResult
-from repro.sim.runner import default_policy_specs
 from repro.sim.sweep import DEFAULT_SCENARIO, SweepPoint
 
 #: Default sweep of cache sizes, as fractions of the server size.
@@ -106,13 +103,8 @@ def _summarise(context: ExperimentContext) -> CacheSizeSweepResult:
     format_result=format_table,
 )
 def _grid(config: ExperimentConfig, knobs: Mapping[str, object]) -> ExperimentGrid:
-    specs = default_policy_specs(
-        benefit_config=BenefitConfig(window_size=config.benefit_window),
-        include=knobs["policies"],
-    )
-    engine = EngineConfig(
-        sample_every=config.sample_every, measure_from=config.measure_from
-    )
+    specs = config.policy_specs(include=knobs["policies"])
+    engine = config.engine_config()
     points = tuple(
         SweepPoint(
             key=f"{spec.name}@{fraction:g}",

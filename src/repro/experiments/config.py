@@ -17,32 +17,49 @@ ratios the paper reports.  Benchmarks scale the event counts up.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
+from repro.core.benefit import BenefitConfig
 from repro.repository.catalog import DEFAULT_SCALE, PAPER_SERVER_SIZE_MB, sdss_catalog
 from repro.repository.objects import ObjectCatalog
+from repro.sim.engine import EngineConfig
+from repro.sim.runner import DEFAULT_POLICIES, PolicySpec, default_policy_specs
 from repro.workload.mixer import interleave, slot_timestamps
 from repro.workload.scenarios import (
-    CacheAdversaryStream,
-    DiurnalStream,
-    FlashCrowdStream,
+    ADVERSARY_WORKING_SET_FACTOR,
+    MODEL_NAMES,
+    STREAM_CLASSES,
     ScenarioModelStream,
-    UpdateStormStream,
+    model_knobs,
 )
 from repro.workload.sdss import SDSSQueryGenerator, SDSSWorkloadConfig
 from repro.workload.stream import EvolvingTraceStream
 from repro.workload.trace import Trace, TraceStream
 from repro.workload.updates import SurveyUpdateGenerator, UpdateWorkloadConfig
 
-#: The workload models build_scenario/build_scenario_stream can produce.
-WORKLOAD_MODELS = (
-    "evolving",
-    "flash_crowd",
-    "diurnal",
-    "update_storm",
-    "cache_adversary",
-)
+#: The workload models build_scenario/build_scenario_stream can produce: the
+#: paper's evolving-hotspot workload plus every scenario model.
+WORKLOAD_MODELS = ("evolving", *MODEL_NAMES)
+
+#: Per model, the ``(stream field, config field, sized against the cache)``
+#: triples its knob table says a config feeds; built once, at import.
+_CONFIG_FEEDS = {
+    name: tuple(
+        (row.name, row.config_field, row.cache_multiple is not None)
+        for row in model_knobs(stream_class)
+        if row.config_field is not None
+    )
+    for name, stream_class in STREAM_CLASSES.items()
+}
+
+#: Config field -> the range the knob it feeds accepts, over every model.
+_KNOB_BOUNDS = {
+    row.config_field: row.valid
+    for stream_class in STREAM_CLASSES.values()
+    for row in model_knobs(stream_class)
+    if row.config_field is not None and row.valid is not None
+}
 
 
 @dataclass
@@ -131,7 +148,7 @@ class ExperimentConfig:
     # Cache-adversary model: eviction-busting cyclic/scan access patterns.
     #: Working-set size as a multiple of the cache capacity; > 1 keeps the
     #: cycled set just past capacity, the LRU/GDS worst case.
-    adversary_working_set_factor: float = 1.25
+    adversary_working_set_factor: float = ADVERSARY_WORKING_SET_FACTOR
     #: Probability a query starts a full sequential scan of the catalogue
     #: (cache pollution) instead of continuing the cycle.
     adversary_scan_probability: float = 0.05
@@ -148,59 +165,13 @@ class ExperimentConfig:
                 f"unknown workload_model {self.workload_model!r}; "
                 f"known models: {', '.join(WORKLOAD_MODELS)}"
             )
-        self._check_model_knobs()
-
-    def _check_model_knobs(self) -> None:
-        """Range-check the scenario-model knobs at the config boundary.
-
-        The model streams re-validate in their own ``__post_init__``, but a
-        config is often built far from where the stream is (scenario files,
-        ``--set`` overrides, fuzz draws); failing here keeps the offending
-        key and value in the error instead of a deep build-time traceback.
-        """
-        positive = (
-            "zipf_exponent",
-            "storm_length",
-            "storm_width",
-            "storm_cost_factor",
-            "diurnal_cycles",
-            "adversary_working_set_factor",
-        )
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValueError(
-                    f"{name} must be positive, got {getattr(self, name)!r}"
-                )
-        non_negative = ("flash_crowd_count", "storm_count")
-        for name in non_negative:
-            if getattr(self, name) < 0:
-                raise ValueError(
-                    f"{name} must be non-negative, got {getattr(self, name)!r}"
-                )
-        unit_closed_open = (
-            "flash_crowd_arrival",
-            "diurnal_amplitude",
-        )
-        for name in unit_closed_open:
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(
-                    f"{name} must lie in [0, 1), got {getattr(self, name)!r}"
-                )
-        if not 0.0 < self.flash_crowd_duration <= 1.0:
-            raise ValueError(
-                f"flash_crowd_duration must lie in (0, 1], "
-                f"got {self.flash_crowd_duration!r}"
-            )
-        if not 0.0 <= self.flash_crowd_intensity <= 1.0:
-            raise ValueError(
-                f"flash_crowd_intensity must lie in [0, 1], "
-                f"got {self.flash_crowd_intensity!r}"
-            )
-        if not 0.0 <= self.adversary_scan_probability <= 1.0:
-            raise ValueError(
-                f"adversary_scan_probability must lie in [0, 1], "
-                f"got {self.adversary_scan_probability!r}"
-            )
+        # The scenario-model knobs are range-checked here, whatever the model,
+        # against the ranges the model streams declare: a config is often
+        # built far from where the stream is (scenario files, ``--set``
+        # overrides), and failing here keeps the key and value in the error.
+        for name, bounds in _KNOB_BOUNDS.items():
+            if getattr(self, name) not in bounds:
+                raise ValueError(f"{name} must lie in {bounds}, got {getattr(self, name)!r}")
 
     @property
     def server_size(self) -> float:
@@ -221,32 +192,15 @@ class ExperimentConfig:
         """A copy of the config with the given fields replaced."""
         return replace(self, **overrides)
 
+    def engine_config(self) -> EngineConfig:
+        """The replay-kernel configuration (sampling grid, measurement window)."""
+        return EngineConfig(sample_every=self.sample_every, measure_from=self.measure_from)
 
-@dataclass(frozen=True)
-class ConfiguredScenario:
-    """Deprecated alias-shape for :class:`repro.experiments.spec.ScenarioSpec`.
-
-    Kept so existing callers that hand ``ConfiguredScenario(config)`` to the
-    sweep runner keep working; new code should use
-    :class:`~repro.experiments.spec.ScenarioSpec`, which adds
-    ``to_dict``/``from_dict`` round-tripping and file loading.
-    """
-
-    config: ExperimentConfig
-
-    def realise(self):
-        """Build the scenario; returns ``(catalog, trace)``."""
-        scenario = build_scenario(self.config)
-        return scenario.catalog, scenario.trace
-
-    def cache_key(self):
-        """Hashable identity of the build recipe (all config knobs).
-
-        Matches :meth:`ScenarioSpec.cache_key` for the same config, so a
-        worker never builds the same scenario twice even when the two
-        representations are mixed in one sweep.
-        """
-        return ("scenario", astuple(self.config))
+    def policy_specs(self, include: Sequence[str] = DEFAULT_POLICIES) -> List[PolicySpec]:
+        """Specs for the policies ``include`` names, Benefit at this config's window."""
+        return default_policy_specs(
+            benefit_config=BenefitConfig(window_size=self.benefit_window), include=include
+        )
 
 
 @dataclass
@@ -333,52 +287,24 @@ def build_model_stream(
         if config.update_count
         else 0.0
     )
-    common = dict(
+    stream_class = STREAM_CLASSES.get(config.workload_model)
+    if stream_class is None:
+        raise ValueError(
+            f"workload_model {config.workload_model!r} has no scenario model stream"
+        )
+    capacity = server_size * config.cache_fraction
+    knobs = {}
+    for field, source, sized in _CONFIG_FEEDS[config.workload_model]:
+        value = getattr(config, source)
+        knobs[field] = value * capacity if sized else value
+    return stream_class(
         catalog=catalog,
         query_count=config.query_count,
         update_count=config.update_count,
         mean_query_cost=mean_query_cost,
         mean_update_cost=mean_update_cost,
-        tolerant_fraction=config.tolerant_fraction,
-        tolerance_window=config.tolerance_window,
-        zipf_exponent=config.zipf_exponent,
         seed=config.seed,
-    )
-    if config.workload_model == "flash_crowd":
-        return FlashCrowdStream(
-            crowd_count=config.flash_crowd_count,
-            crowd_arrival=config.flash_crowd_arrival,
-            crowd_duration=config.flash_crowd_duration,
-            crowd_intensity=config.flash_crowd_intensity,
-            update_region_fraction=config.update_region_fraction,
-            **common,
-        )
-    if config.workload_model == "diurnal":
-        return DiurnalStream(
-            cycles=config.diurnal_cycles,
-            amplitude=config.diurnal_amplitude,
-            **common,
-        )
-    if config.workload_model == "update_storm":
-        return UpdateStormStream(
-            storm_count=config.storm_count,
-            storm_length=config.storm_length,
-            storm_width=config.storm_width,
-            storm_cost_factor=config.storm_cost_factor,
-            **common,
-        )
-    if config.workload_model == "cache_adversary":
-        return CacheAdversaryStream(
-            working_set_bytes=(
-                server_size
-                * config.cache_fraction
-                * config.adversary_working_set_factor
-            ),
-            scan_probability=config.adversary_scan_probability,
-            **common,
-        )
-    raise ValueError(
-        f"workload_model {config.workload_model!r} has no scenario model stream"
+        **knobs,
     )
 
 

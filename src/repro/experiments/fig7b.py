@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.benefit import BenefitConfig
-from repro.core.vcover import VCoverConfig
 from repro.experiments.config import ExperimentConfig, Scenario
 from repro.experiments.registry import (
     ExperimentContext,
@@ -26,13 +24,12 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.experiments.spec import ScenarioSpec
-from repro.sim.engine import EngineConfig
 from repro.sim.results import ComparisonResult
-from repro.sim.runner import default_policy_specs
+from repro.sim.runner import DEFAULT_POLICIES
 from repro.sim.sweep import DEFAULT_SCENARIO, InlineScenario, SweepPoint
 
 #: Policy order used in the paper's legend.
-POLICY_ORDER = ("nocache", "replica", "benefit", "vcover", "soptimal")
+POLICY_ORDER = DEFAULT_POLICIES
 
 
 @dataclass
@@ -104,14 +101,8 @@ def _summarise(context: ExperimentContext) -> CumulativeTrafficResult:
 )
 def _grid(config: ExperimentConfig, knobs: Mapping[str, object]) -> ExperimentGrid:
     scenario = ScenarioSpec(config).build()
-    specs = default_policy_specs(
-        vcover_config=VCoverConfig(),
-        benefit_config=BenefitConfig(window_size=config.benefit_window),
-        include=knobs["policies"],
-    )
-    engine = EngineConfig(
-        sample_every=config.sample_every, measure_from=config.measure_from
-    )
+    specs = config.policy_specs(include=knobs["policies"])
+    engine = config.engine_config()
     points = tuple(
         SweepPoint(
             key=spec.name,

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.core.benefit import BenefitConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import (
     ExperimentContext,
@@ -35,17 +34,13 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.experiments.spec import ScenarioSpec
-from repro.sim.engine import EngineConfig
 from repro.sim.results import ComparisonResult
-from repro.sim.runner import default_policy_specs
+from repro.sim.runner import DEFAULT_POLICIES
 from repro.sim.sweep import SweepPoint
 
 #: Default sweep: x0.5 .. x1.5 of the baseline update count (paper: 125k..375k
 #: against a 250k baseline).
 DEFAULT_MULTIPLIERS = (0.5, 0.75, 1.0, 1.25, 1.5)
-
-#: Policies compared at every multiplier by default.
-DEFAULT_POLICIES = ("nocache", "replica", "benefit", "vcover", "soptimal")
 
 
 @dataclass
@@ -140,19 +135,14 @@ def _summarise(context: ExperimentContext) -> UpdateSweepResult:
     format_result=format_table,
 )
 def _grid(config: ExperimentConfig, knobs: Mapping[str, object]) -> ExperimentGrid:
-    specs = default_policy_specs(
-        benefit_config=BenefitConfig(window_size=config.benefit_window),
-        include=knobs["policies"],
-    )
+    specs = config.policy_specs(include=knobs["policies"])
     scenarios: Dict[str, ScenarioSpec] = {}
     points: List[SweepPoint] = []
     for multiplier in knobs["multipliers"]:
         swept = _swept_config(config, multiplier)
         scenario_name = f"updates-x{multiplier:g}"
         scenarios[scenario_name] = ScenarioSpec(swept, name=scenario_name)
-        engine = EngineConfig(
-            sample_every=config.sample_every, measure_from=swept.measure_from
-        )
+        engine = swept.engine_config()
         points.extend(
             SweepPoint(
                 key=f"{spec.name}-x{multiplier:g}",

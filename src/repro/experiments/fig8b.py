@@ -31,7 +31,6 @@ from repro.experiments.registry import (
 )
 from repro.experiments.spec import ScenarioSpec
 from repro.repository.catalog import PARTITION_LEVELS
-from repro.sim.engine import EngineConfig
 from repro.sim.results import RunResult
 from repro.sim.runner import default_policy_specs
 from repro.sim.sweep import SweepPoint
@@ -127,10 +126,7 @@ def _grid(config: ExperimentConfig, knobs: Mapping[str, object]) -> ExperimentGr
                 spec=spec,
                 scenario=scenario_name,
                 cache_fraction=config.cache_fraction,
-                engine=EngineConfig(
-                    sample_every=config.sample_every,
-                    measure_from=level_config.measure_from,
-                ),
+                engine=level_config.engine_config(),
                 seed=config.seed,
                 tags=(("object_count", object_count),),
             )

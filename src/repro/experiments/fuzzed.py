@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
-from repro.core.benefit import BenefitConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import (
     ExperimentContext,
@@ -29,7 +28,7 @@ from repro.experiments.registry import (
 )
 from repro.sim.engine import EngineConfig
 from repro.sim.results import ComparisonResult
-from repro.sim.runner import default_policy_specs
+from repro.sim.runner import DEFAULT_POLICIES
 from repro.sim.sweep import DEFAULT_SCENARIO, SweepPoint
 from repro.workload.fuzz import (
     CompositionSpec,
@@ -37,9 +36,6 @@ from repro.workload.fuzz import (
     draw_composition_spec,
     save_regression,
 )
-
-#: Policies compared for every fuzzed draw by default.
-DEFAULT_POLICIES = ("nocache", "replica", "benefit", "vcover", "soptimal")
 
 
 @dataclass
@@ -150,10 +146,7 @@ def _fuzzed_grid(
     # violation here is a fuzzer bug, not a policy regression.
     catalog, stream = composition.realise_stream()
     check_stream_invariants(stream, catalog)
-    specs = default_policy_specs(
-        benefit_config=BenefitConfig(window_size=config.benefit_window),
-        include=knobs["policies"],
-    )
+    specs = config.policy_specs(include=knobs["policies"])
     engine = EngineConfig(sample_every=config.sample_every)
     points = tuple(
         SweepPoint(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
-from repro.core.benefit import BenefitConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import (
     ExperimentContext,
@@ -28,9 +27,7 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.experiments.spec import ScenarioSpec
-from repro.sim.engine import EngineConfig
 from repro.sim.results import ComparisonResult
-from repro.sim.runner import default_policy_specs
 from repro.sim.sweep import DEFAULT_SCENARIO, SweepPoint
 
 
@@ -154,12 +151,8 @@ def _summarise(context: ExperimentContext) -> HeadlineResult:
     format_result=format_report,
 )
 def _grid(config: ExperimentConfig, knobs: Mapping[str, object]) -> ExperimentGrid:
-    specs = default_policy_specs(
-        benefit_config=BenefitConfig(window_size=config.benefit_window)
-    )
-    engine = EngineConfig(
-        sample_every=config.sample_every, measure_from=config.measure_from
-    )
+    specs = config.policy_specs()
+    engine = config.engine_config()
     fractions = [
         ("small", knobs["small_cache_fraction"]),
         ("default", config.cache_fraction),

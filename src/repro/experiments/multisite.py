@@ -33,7 +33,6 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.experiments.spec import ScenarioSpec
-from repro.sim.engine import EngineConfig
 from repro.sim.results import RunResult
 from repro.sim.runner import PolicySpec, nocache_spec, vcover_spec
 from repro.sim.sweep import DEFAULT_SCENARIO, SweepPoint
@@ -190,9 +189,7 @@ def _summarise(context: ExperimentContext) -> MultisiteResult:
     format_result=format_table,
 )
 def _grid(config: ExperimentConfig, knobs: Mapping[str, object]) -> ExperimentGrid:
-    engine = EngineConfig(
-        sample_every=config.sample_every, measure_from=config.measure_from
-    )
+    engine = config.engine_config()
     specs = [(name, _policy_spec(name)) for name in knobs["policies"]]
     points = tuple(
         SweepPoint(

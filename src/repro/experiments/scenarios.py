@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
-from repro.core.benefit import BenefitConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import (
     ExperimentContext,
@@ -33,13 +32,9 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.experiments.spec import ScenarioSpec
-from repro.sim.engine import EngineConfig
 from repro.sim.results import ComparisonResult
-from repro.sim.runner import default_policy_specs
+from repro.sim.runner import DEFAULT_POLICIES
 from repro.sim.sweep import DEFAULT_SCENARIO, SweepPoint
-
-#: Policies compared under every scenario model by default.
-DEFAULT_POLICIES = ("nocache", "replica", "benefit", "vcover", "soptimal")
 
 
 @dataclass
@@ -85,13 +80,8 @@ def _model_grid(
         # The experiment names the model; a caller-supplied config keeps its
         # scale knobs but always runs the experiment's own workload shape.
         config = replace(config, workload_model=model)
-    specs = default_policy_specs(
-        benefit_config=BenefitConfig(window_size=config.benefit_window),
-        include=knobs["policies"],
-    )
-    engine = EngineConfig(
-        sample_every=config.sample_every, measure_from=config.measure_from
-    )
+    specs = config.policy_specs(include=knobs["policies"])
+    engine = config.engine_config()
     points = tuple(
         SweepPoint(
             key=spec.name,

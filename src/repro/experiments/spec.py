@@ -2,11 +2,11 @@
 
 A :class:`ScenarioSpec` is the one representation of "a workload scenario"
 shared by the experiment registry, the sweep runner, the CLI and config
-files.  It subsumes the two representations that used to coexist:
+files.  It serves both ways a scenario reaches a sweep worker:
 
-* the *recipe* path (formerly ``ConfiguredScenario``): only the small,
-  picklable spec crosses a process boundary and each worker rebuilds the
-  catalogue + trace deterministically from its seeds, memoised per process;
+* the *recipe* path: only the small, picklable spec crosses a process
+  boundary and each worker rebuilds the catalogue + trace deterministically
+  from its seeds, memoised per process;
 * the *prebuilt* path (:class:`repro.sim.sweep.InlineScenario`): when the
   caller already holds a built scenario, :meth:`ScenarioSpec.inline` derives
   the inline form from the same spec in one place, so the two paths can
@@ -100,8 +100,8 @@ class ScenarioSpec(ScenarioSource):
         """Hashable identity of the build recipe (all config knobs).
 
         The name is deliberately excluded: it is a label, not a build input,
-        so same-config specs under different names (or a legacy
-        ``ConfiguredScenario``) memoise to one build per worker.
+        so same-config specs under different names memoise to one build
+        per worker.
         """
         return ("scenario", astuple(self.config))
 

@@ -4,8 +4,8 @@ A self-hosted static analyser that encodes this repository's invariants
 as lint rules -- seeded randomness only (DET001), no wall-clock reads in
 replay code (DET002), no bare set iteration in event-emitting modules
 (DET003), module-level callables across process boundaries (PICK001),
-``__slots__`` on hot-path classes (SLOT001), and registry/doc/test
-consistency (REG001).  Run it via ``repro lint [PATHS]`` or
+``__slots__`` on hot-path classes (SLOT001) and no blocking calls in the
+served path's coroutines (ASYNC001).  Run it via ``repro lint [PATHS]`` or
 :func:`repro.api.run_lint`.
 
 Built entirely on :mod:`ast` and :mod:`tokenize` -- no third-party

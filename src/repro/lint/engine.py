@@ -16,17 +16,11 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.engine_types import ModuleContext, ProjectContext
+from repro.lint.engine_types import ModuleContext
 from repro.lint.findings import Finding, LintInputError, LintReport
-from repro.lint.rules import (
-    ModuleRule,
-    ProjectRule,
-    Rule,
-    all_rules,
-    get_rule,
-)
+from repro.lint.rules import ModuleRule, Rule, all_rules, get_rule
 from repro.lint.suppressions import scan_suppressions
 
 #: Pseudo-rule id for files that fail to parse.  Not suppressible: a file
@@ -127,33 +121,12 @@ def _parse_module(
 
 
 class Linter:
-    """One lint run: a root, a rule set, and the modules parsed so far."""
+    """One lint run: a root and a rule set."""
 
     def __init__(self, root: Path, rules: Optional[Sequence[Rule]] = None) -> None:
         self.root = root
         self.rules: List[Rule] = list(rules) if rules is not None else all_rules()
-        self._modules: Dict[str, ModuleContext] = {}
 
-    # -- parsing -------------------------------------------------------
-    def load(self, rel_path: str) -> Optional[ModuleContext]:
-        """The parsed module at ``rel_path`` (project-relative), or None.
-
-        Used by project rules to pull in artifacts outside the linted
-        path set; parse failures are reported as None here (the file's
-        own lint run surfaces the PARSE finding).
-        """
-        cached = self._modules.get(rel_path)
-        if cached is not None:
-            return cached
-        target = self.root / rel_path
-        if not target.is_file():
-            return None
-        module, _ = _parse_module(target, self.root)
-        if module is not None:
-            self._modules[module.rel_path] = module
-        return module
-
-    # -- checking ------------------------------------------------------
     def run(self, files: Iterable[Path]) -> LintReport:
         """Lint ``files`` (already collected) and build the report."""
         findings: List[Finding] = []
@@ -166,7 +139,6 @@ class Linter:
                 findings.append(parse_finding)
                 continue
             assert module is not None
-            self._modules[module.rel_path] = module
             checked.append(module)
 
         for module in checked:
@@ -180,23 +152,6 @@ class Linter:
                         suppressed += 1
                     else:
                         findings.append(finding)
-
-        project = ProjectContext(
-            root=self.root,
-            modules=self._modules,
-            _loader=self.load,
-        )
-        for rule in self.rules:
-            if not isinstance(rule, ProjectRule):
-                continue
-            for finding in rule.check_project(project):
-                anchor = self._modules.get(finding.path)
-                if anchor is not None and anchor.suppressions.is_suppressed(
-                    finding.rule, finding.line
-                ):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
 
         return LintReport(
             findings=tuple(sorted(findings, key=Finding.sort_key)),
@@ -231,7 +186,3 @@ def run_lint(
     if rule is not None:
         rules = [get_rule(rule)]
     return Linter(project_root, rules=rules).run(files)
-
-
-#: Loader signature, for documentation purposes.
-LoaderFn = Callable[[str], Optional[ModuleContext]]

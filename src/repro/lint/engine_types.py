@@ -10,7 +10,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.lint.astutil import ImportMap
 from repro.lint.suppressions import SuppressionIndex
@@ -39,34 +39,3 @@ class ModuleContext:
         if self._imports is None:
             self._imports = ImportMap(self.tree)
         return self._imports
-
-
-@dataclass
-class ProjectContext:
-    """What a project-level rule sees: the root and a module loader."""
-
-    root: Path
-    #: Modules already parsed for this run, keyed by project-relative path.
-    modules: Dict[str, ModuleContext]
-    #: The engine's parser, so project rules can pull in artifacts that were
-    #: not part of the linted path set (e.g. ``tests/strategies.py`` when
-    #: only ``src`` was linted).  Returns None when the file is absent or
-    #: does not parse.
-    _loader: object = field(default=None, repr=False)
-
-    def module(self, rel_path: str) -> Optional[ModuleContext]:
-        """The parsed module at ``rel_path``, loading it on demand."""
-        existing = self.modules.get(rel_path)
-        if existing is not None:
-            return existing
-        if self._loader is None:
-            return None
-        return self._loader(rel_path)  # type: ignore[operator]
-
-    def read_text(self, rel_path: str) -> Optional[str]:
-        """Raw text of a project file (for non-Python artifacts), or None."""
-        target = self.root / rel_path
-        try:
-            return target.read_text(encoding="utf-8")
-        except OSError:
-            return None

@@ -1,13 +1,8 @@
 """Rule registry of the ``repro lint`` static analyser.
 
-A rule is a small class declaring an id, a severity and a scope, plus one
-of two check hooks:
-
-* :class:`ModuleRule` -- checked once per linted file against its parsed
-  AST (:class:`~repro.lint.engine.ModuleContext`);
-* :class:`ProjectRule` -- checked once per lint run against the whole
-  project (:class:`~repro.lint.engine.ProjectContext`); used for
-  cross-artifact consistency checks that no single file can answer.
+A rule is a small class declaring an id, a severity and a scope, plus a
+``check_module`` hook run once per linted file against its parsed AST
+(:class:`~repro.lint.engine_types.ModuleContext`).
 
 Rules self-register via the :func:`register_rule` decorator at import time;
 importing this package loads every built-in rule module, mirroring how the
@@ -20,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Type, TypeVar
 
-from repro.lint.engine_types import ModuleContext, ProjectContext
+from repro.lint.engine_types import ModuleContext
 from repro.lint.findings import Finding, LintInputError
 
 
@@ -71,17 +66,6 @@ class ModuleRule(Rule):
     def check_module(self, module: "ModuleContext") -> Iterator[Finding]:
         raise NotImplementedError
 
-    def check(self, module: "ModuleContext") -> Iterator[Finding]:
-        """Dispatch helper so the engine treats rule kinds uniformly."""
-        return self.check_module(module)
-
-
-class ProjectRule(Rule):
-    """A rule checked once per run against cross-file project artifacts."""
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        raise NotImplementedError
-
 
 #: The registry, in registration (import) order.
 _RULES: Dict[str, Rule] = {}
@@ -127,7 +111,6 @@ def get_rule(rule_id: str) -> Rule:
 # Import the built-in rule modules for their registration side effects.
 from repro.lint.rules import (  # noqa: E402,F401
     asyncio_rules,
-    consistency,
     contracts,
     determinism,
 )

@@ -29,18 +29,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.benefit import BenefitConfig
 from repro.experiments.config import ExperimentConfig, build_scenario_stream
 from repro.network.latency import LatencyModel
 from repro.serve import protocol
 from repro.serve.client import ServeClient
 from repro.serve.server import CacheServer
 from repro.sim.metrics import StreamingHistogram
-from repro.sim.runner import default_policy_specs
+from repro.sim.runner import SERVABLE_POLICIES
 from repro.workload.trace import TraceStream, event_to_dict
-
-#: Policies the served path supports (soptimal needs the future trace).
-SERVABLE_POLICIES = ("nocache", "replica", "benefit", "vcover", "adaptive")
 
 #: The ``stats`` frame's gauges (the rest are totals), as the report prints them.
 SERVER_GAUGES = ("connections", "inflight", "parked", "parked_high_water", "waiting_for_seq")
@@ -171,10 +167,7 @@ def run_loadgen(
     build_started = time.perf_counter()
     catalog, stream = build_scenario_stream(config)
     build_seconds = time.perf_counter() - build_started
-    spec = default_policy_specs(
-        benefit_config=BenefitConfig(window_size=config.benefit_window),
-        include=(policy,),
-    )[0]
+    (spec,) = config.policy_specs(include=(policy,))
 
     async def _drive() -> LoadReport:
         if connect is not None:

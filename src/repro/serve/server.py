@@ -48,12 +48,13 @@ import asyncio
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Set, Tuple
 
+from repro.core.roster import is_online
 from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
 from repro.serve import protocol
 from repro.sim.engine import DecisionHook, ReplayKernel
-from repro.sim.runner import PolicySpec
+from repro.sim.runner import SERVABLE_POLICIES, PolicySpec
 from repro.workload.trace import QueryEvent, event_from_dict
 
 #: Default bound on parked (early, not yet applicable) frames.
@@ -149,8 +150,9 @@ class CacheServer:
         The object catalogue backing the repository.
     policy_spec:
         The policy to serve (a :class:`~repro.sim.runner.PolicySpec`).
-        Offline policies (``soptimal``) are rejected: the served path has no
-        future trace to prepare from.
+        A spec that builds an offline policy (one whose class overrides
+        ``prepare``, e.g. SOptimal) is rejected whatever it is named: the
+        served path has no future trace to prepare from.
     cache_capacity:
         Cache capacity in MB.
     host / port:
@@ -176,15 +178,16 @@ class CacheServer:
         max_pending: int = DEFAULT_MAX_PENDING,
         on_decision: Optional[DecisionHook] = None,
     ) -> None:
-        if policy_spec.name == "soptimal":
-            raise ValueError(
-                "soptimal needs offline preparation over the full trace; "
-                "the served path only sees events as they arrive -- serve an "
-                "online policy (nocache, replica, benefit, vcover, adaptive)"
-            )
         repository = Repository(catalog, keep_update_log=False)
         self._link = NetworkLink()
         policy = policy_spec.factory(repository, cache_capacity, self._link)
+        if not is_online(type(policy)):
+            raise ValueError(
+                f"policy spec {policy_spec.name!r} builds {type(policy).__name__}, which "
+                "needs offline preparation over the full trace; the served path only "
+                "sees events as they arrive -- serve an online policy "
+                f"({', '.join(SERVABLE_POLICIES)})"
+            )
         self._kernel = ReplayKernel(repository, [policy], [self._link], on_decision=on_decision)
         self._policy_name = policy_spec.name
         self._host = host

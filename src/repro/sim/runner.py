@@ -11,22 +11,22 @@ via :class:`repro.sim.sweep.SweepRunner`; results are identical either way.
 Policies are described by :class:`PolicySpec` -- a name plus a factory -- so
 experiments can parameterise policy construction (cache size, VCover/Benefit
 configuration) without the runner knowing about any specific policy.  The
-factories are built from module-level functions via :func:`functools.partial`
-(never lambdas or closures) so that every spec can be pickled to a sweep
-worker process.
+factories are the policy classes themselves, or :func:`functools.partial`
+bindings of a config over one (never lambdas or closures), so that every
+spec can be pickled to a sweep worker process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Type
 
 from repro.core.adaptive import AdaptiveConfig, AdaptivePolicy
-from repro.core.benefit import BenefitConfig, BenefitPolicy
+from repro.core.benefit import BenefitConfig
 from repro.core.policy import CachePolicy
-from repro.core.vcover import VCoverConfig, VCoverPolicy
-from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
+from repro.core.roster import POLICY_CLASSES, is_online
+from repro.core.vcover import VCoverConfig
 from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
@@ -34,10 +34,27 @@ from repro.sim.engine import EngineConfig, ReplayKernel
 from repro.sim.results import ComparisonResult, RunResult
 from repro.workload.trace import TraceStream
 
-#: Every policy name the runner can build, in canonical report order.  The
-#: docs-drift lint rule (REG002) reads this tuple to keep docs/policies.md
-#: in sync with the buildable set.
-POLICY_NAMES = ("nocache", "replica", "benefit", "vcover", "soptimal", "adaptive")
+#: Every policy the runner can build by name: the paper's static roster
+#: (:data:`repro.core.roster.POLICY_CLASSES`) plus the adaptive meta-policy
+#: defined over it.  The name tuples below are all read off this mapping.
+BUILDABLE_POLICIES: Dict[str, Type[CachePolicy]] = {
+    **POLICY_CLASSES,
+    AdaptivePolicy.name: AdaptivePolicy,
+}
+
+#: Every buildable policy name, in canonical report order.
+POLICY_NAMES = tuple(BUILDABLE_POLICIES)
+
+#: The paper's two algorithms plus the three yardsticks (the static roster).
+DEFAULT_POLICIES = tuple(POLICY_CLASSES)
+
+#: Policies the served path supports: the online ones (an offline policy
+#: prepares from the full trace, which a server never has).  Evaluated once,
+#: here: the Delta benchmark's tracer swaps ``prepare`` on the policy classes
+#: while a traced pass records, so the predicate must not be re-run per call.
+SERVABLE_POLICIES = tuple(
+    name for name, policy_class in BUILDABLE_POLICIES.items() if is_online(policy_class)
+)
 
 #: Signature of a policy factory: (repository, capacity, link) -> policy.
 PolicyFactory = Callable[[Repository, float, NetworkLink], CachePolicy]
@@ -47,8 +64,8 @@ PolicyFactory = Callable[[Repository, float, NetworkLink], CachePolicy]
 class PolicySpec:
     """A named policy constructor used by the runner.
 
-    The factory must be picklable (a module-level function, or a
-    :func:`functools.partial` over one) so the spec can cross a process
+    The factory must be picklable (a policy class, a module-level function,
+    or a :func:`functools.partial` over one) so the spec can cross a process
     boundary when a sweep runs with ``jobs > 1``.
     """
 
@@ -56,94 +73,60 @@ class PolicySpec:
     factory: PolicyFactory
 
 
-# ----------------------------------------------------------------------
-# Module-level factories (picklable; see PolicySpec docstring)
-# ----------------------------------------------------------------------
-def _build_nocache(
-    repository: Repository, capacity: float, link: NetworkLink
-) -> NoCachePolicy:
-    return NoCachePolicy(repository, capacity, link)
+def policy_spec(
+    policy: str, config: Optional[object] = None, name: Optional[str] = None
+) -> PolicySpec:
+    """Spec for the buildable policy ``policy``, optionally configured and renamed.
 
-
-def _build_replica(
-    repository: Repository, capacity: float, link: NetworkLink
-) -> ReplicaPolicy:
-    return ReplicaPolicy(repository, capacity, link)
-
-
-def _build_soptimal(
-    repository: Repository, capacity: float, link: NetworkLink
-) -> SOptimalPolicy:
-    return SOptimalPolicy(repository, capacity, link)
-
-
-def _build_benefit(
-    repository: Repository,
-    capacity: float,
-    link: NetworkLink,
-    config: Optional[BenefitConfig] = None,
-) -> BenefitPolicy:
-    return BenefitPolicy(repository, capacity, link, config or BenefitConfig())
-
-
-def _build_vcover(
-    repository: Repository,
-    capacity: float,
-    link: NetworkLink,
-    config: Optional[VCoverConfig] = None,
-) -> VCoverPolicy:
-    return VCoverPolicy(repository, capacity, link, config or VCoverConfig())
-
-
-def _build_adaptive(
-    repository: Repository,
-    capacity: float,
-    link: NetworkLink,
-    config: Optional[AdaptiveConfig] = None,
-) -> AdaptivePolicy:
-    return AdaptivePolicy(repository, capacity, link, config or AdaptiveConfig())
+    Every policy class already has the factory signature and defaults its
+    own config, so the factory is the class itself, or a ``partial`` binding
+    ``config`` -- both pickle by reference.
+    """
+    policy_class = BUILDABLE_POLICIES[policy]
+    factory = policy_class if config is None else partial(policy_class, config=config)
+    return PolicySpec(name or policy, factory)
 
 
 def nocache_spec(name: str = "nocache") -> PolicySpec:
     """Spec for the NoCache yardstick."""
-    return PolicySpec(name, _build_nocache)
+    return policy_spec("nocache", name=name)
 
 
 def replica_spec(name: str = "replica") -> PolicySpec:
     """Spec for the Replica yardstick."""
-    return PolicySpec(name, _build_replica)
+    return policy_spec("replica", name=name)
 
 
 def soptimal_spec(name: str = "soptimal") -> PolicySpec:
     """Spec for the SOptimal hindsight yardstick."""
-    return PolicySpec(name, _build_soptimal)
+    return policy_spec("soptimal", name=name)
 
 
 def benefit_spec(
     config: Optional[BenefitConfig] = None, name: str = "benefit"
 ) -> PolicySpec:
     """Spec for the Benefit baseline, optionally with a custom config."""
-    return PolicySpec(name, partial(_build_benefit, config=config))
+    return policy_spec("benefit", config, name)
 
 
 def vcover_spec(
     config: Optional[VCoverConfig] = None, name: str = "vcover"
 ) -> PolicySpec:
     """Spec for the VCover algorithm, optionally with a custom config."""
-    return PolicySpec(name, partial(_build_vcover, config=config))
+    return policy_spec("vcover", config, name)
 
 
 def adaptive_spec(
     config: Optional[AdaptiveConfig] = None, name: str = "adaptive"
 ) -> PolicySpec:
     """Spec for the adaptive meta-policy, optionally with a custom config."""
-    return PolicySpec(name, partial(_build_adaptive, config=config))
+    return policy_spec("adaptive", config, name)
 
 
 def default_policy_specs(
     vcover_config: Optional[VCoverConfig] = None,
     benefit_config: Optional[BenefitConfig] = None,
-    include: Sequence[str] = ("nocache", "replica", "benefit", "vcover", "soptimal"),
+    include: Sequence[str] = DEFAULT_POLICIES,
 ) -> List[PolicySpec]:
     """The paper's two algorithms plus three yardsticks.
 
@@ -159,22 +142,18 @@ def default_policy_specs(
     include:
         Which policies to build specs for (in the returned order).
     """
-    adaptive_config = AdaptiveConfig(
-        benefit_window=(benefit_config or BenefitConfig()).window_size,
-        vcover=vcover_config,
-    )
-    available: Dict[str, PolicySpec] = {
-        "nocache": nocache_spec(),
-        "replica": replica_spec(),
-        "benefit": benefit_spec(benefit_config),
-        "vcover": vcover_spec(vcover_config),
-        "soptimal": soptimal_spec(),
-        "adaptive": adaptive_spec(adaptive_config),
-    }
-    unknown = [name for name in include if name not in available]
+    unknown = [name for name in include if name not in BUILDABLE_POLICIES]
     if unknown:
-        raise ValueError(f"unknown policy names {unknown}; known: {sorted(available)}")
-    return [available[name] for name in include]
+        raise ValueError(f"unknown policy names {unknown}; known: {sorted(POLICY_NAMES)}")
+    configs = {
+        "vcover": vcover_config,
+        "benefit": benefit_config,
+        "adaptive": AdaptiveConfig(
+            benefit_window=(benefit_config or BenefitConfig()).window_size,
+            vcover=vcover_config,
+        ),
+    }
+    return [policy_spec(name, configs.get(name)) for name in include]
 
 
 def run_policy(

@@ -302,7 +302,7 @@ class SweepResult:
 # Worker-side machinery
 # ----------------------------------------------------------------------
 #: Scenario sources for the sweep currently executing in this process.
-_WORKER_SCENARIOS: Dict[str, object] = {}
+_WORKER_SCENARIOS: Dict[str, ScenarioSource] = {}
 #: Scenarios realised in this process, memoised by their cache key.
 _REALISED: Dict[object, Tuple[ObjectCatalog, Trace]] = {}
 #: Trace descriptions memoised per build recipe (streaming sources would
@@ -311,7 +311,7 @@ _REALISED: Dict[object, Tuple[ObjectCatalog, Trace]] = {}
 _DESCRIBED: Dict[object, Dict[str, float]] = {}
 
 
-def _init_worker(scenarios: Mapping[str, object]) -> None:
+def _init_worker(scenarios: Mapping[str, ScenarioSource]) -> None:
     """Install the sweep's scenario table in a freshly started worker."""
     _WORKER_SCENARIOS.clear()
     _WORKER_SCENARIOS.update(scenarios)
@@ -319,25 +319,26 @@ def _init_worker(scenarios: Mapping[str, object]) -> None:
     _DESCRIBED.clear()
 
 
-def _realise(source: object, streaming: bool = False) -> Tuple[ObjectCatalog, TraceStream]:
+def _realise(
+    source: ScenarioSource, streaming: bool = False
+) -> Tuple[ObjectCatalog, TraceStream]:
     """Build (or fetch the memoised) catalogue + event source for one source.
 
-    ``streaming=True`` realises through ``realise_stream()`` when the source
-    provides it; streaming and materialised realisations are memoised under
-    distinct keys (a stream is cheap state, a trace is the built events).
+    ``streaming=True`` realises through ``realise_stream()``; streaming and
+    materialised realisations are memoised under distinct keys (a stream is
+    cheap state, a trace is the built events).
     """
-    use_stream = streaming and hasattr(source, "realise_stream")
-    build = source.realise_stream if use_stream else source.realise
-    cache_key = source.cache_key() if hasattr(source, "cache_key") else None
+    build = source.realise_stream if streaming else source.realise
+    cache_key = source.cache_key()
     if cache_key is None:
         return build()
-    cache_key = ("stream", cache_key) if use_stream else ("trace", cache_key)
+    cache_key = ("stream", cache_key) if streaming else ("trace", cache_key)
     if cache_key not in _REALISED:
         _REALISED[cache_key] = build()
     return _REALISED[cache_key]
 
 
-def _describe(source: object, trace: TraceStream) -> Dict[str, float]:
+def _describe(source: ScenarioSource, trace: TraceStream) -> Dict[str, float]:
     """The trace's summary statistics, memoised per build recipe.
 
     Streaming and materialised realisations of one recipe describe
@@ -345,7 +346,7 @@ def _describe(source: object, trace: TraceStream) -> Dict[str, float]:
     description pass over a generated stream then runs once per worker
     instead of once per grid point.
     """
-    cache_key = source.cache_key() if hasattr(source, "cache_key") else None
+    cache_key = source.cache_key()
     if cache_key is None:
         return trace.describe()
     if cache_key not in _DESCRIBED:
@@ -415,7 +416,7 @@ class SweepRunner:
     def run(
         self,
         points: Sequence[SweepPoint],
-        scenarios: Mapping[str, object],
+        scenarios: Mapping[str, ScenarioSource],
     ) -> SweepResult:
         """Execute every grid point and return the results in grid order.
 
@@ -425,8 +426,7 @@ class SweepRunner:
             The grid.  Keys must be unique; every ``point.scenario`` must
             name an entry in ``scenarios``.
         scenarios:
-            Scenario sources by name (:class:`InlineScenario` or any object
-            with ``realise()``/``cache_key()``).
+            Scenario sources by name (any :class:`ScenarioSource`).
         """
         points = list(points)
         self._validate(points, scenarios)
@@ -467,7 +467,9 @@ class SweepRunner:
         return result
 
     @staticmethod
-    def _validate(points: Sequence[SweepPoint], scenarios: Mapping[str, object]) -> None:
+    def _validate(
+        points: Sequence[SweepPoint], scenarios: Mapping[str, ScenarioSource]
+    ) -> None:
         seen: Dict[str, int] = {}
         for point in points:
             if point.key in seen:

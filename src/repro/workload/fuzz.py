@@ -46,11 +46,9 @@ from repro.repository.objects import ObjectCatalog
 from repro.sim.sweep import ScenarioSource
 from repro.workload.scenarios import (
     MODEL_NAMES,
-    CacheAdversaryStream,
-    DiurnalStream,
-    FlashCrowdStream,
+    STREAM_CLASSES,
     ScenarioModelStream,
-    UpdateStormStream,
+    model_knobs,
 )
 from repro.workload.trace import (
     QueryEvent,
@@ -60,20 +58,6 @@ from repro.workload.trace import (
     UpdateEvent,
 )
 
-#: Model name -> stream class (the composable scenario models).
-STREAM_CLASSES: Dict[str, type] = {
-    "flash_crowd": FlashCrowdStream,
-    "diurnal": DiurnalStream,
-    "update_storm": UpdateStormStream,
-    "cache_adversary": CacheAdversaryStream,
-}
-
-#: Stream fields supplied by the composition plumbing, not by segment knobs.
-_RESERVED_FIELDS = frozenset(
-    {"catalog", "query_count", "update_count", "mean_query_cost",
-     "mean_update_cost", "seed"}
-)
-
 
 class FuzzError(ValueError):
     """A composition description is malformed (unknown model, bad knob...)."""
@@ -81,13 +65,6 @@ class FuzzError(ValueError):
 
 class StreamInvariantError(AssertionError):
     """A composed stream violated one of the structural trace invariants."""
-
-
-def _knob_names(model: str) -> frozenset:
-    """Overridable stream-constructor fields of ``model``'s stream class."""
-    return frozenset(
-        f.name for f in fields(STREAM_CLASSES[model])
-    ) - _RESERVED_FIELDS
 
 
 @dataclass(frozen=True)
@@ -115,7 +92,7 @@ class SegmentSpec:
             raise FuzzError("segment event counts must be non-negative")
         if self.query_count + self.update_count == 0:
             raise FuzzError("a segment must hold at least one event")
-        allowed = _knob_names(self.model)
+        allowed = {row.name for row in model_knobs(STREAM_CLASSES[self.model])}
         for name, value in self.knobs:
             if name not in allowed:
                 raise FuzzError(
@@ -231,18 +208,18 @@ class CompositionSpec(ScenarioSource):
         )
         streams = []
         for index, segment in enumerate(self.segments):
+            stream_class = STREAM_CLASSES[segment.model]
             knobs = dict(segment.knobs)
-            if (
-                segment.model == "cache_adversary"
-                and "working_set_bytes" not in knobs
-            ):
-                # Sized just past the cache capacity: the eviction-buster.
-                knobs["working_set_bytes"] = (
-                    server_size * self.cache_fraction * 1.25
-                )
+            for row in model_knobs(stream_class):
+                if row.cache_multiple is not None:
+                    # Sized against the cache unless the segment says otherwise
+                    # (the adversary's working set: just past the capacity).
+                    knobs.setdefault(
+                        row.name, server_size * self.cache_fraction * row.cache_multiple
+                    )
             try:
                 streams.append(
-                    STREAM_CLASSES[segment.model](
+                    stream_class(
                         catalog=catalog,
                         query_count=segment.query_count,
                         update_count=segment.update_count,
@@ -525,33 +502,21 @@ def check_stream_invariants(
 def _draw_segment_knobs(
     rng: np.random.Generator, model: str
 ) -> Tuple[Tuple[str, object], ...]:
-    """Randomised *valid* knob overrides for one segment model."""
-    if model == "flash_crowd":
-        return (
-            ("crowd_count", int(rng.integers(0, 5))),
-            ("crowd_arrival", round(float(rng.uniform(0.0, 0.8)), 3)),
-            ("crowd_duration", round(float(rng.uniform(0.05, 0.5)), 3)),
-            ("crowd_intensity", round(float(rng.uniform(0.5, 0.99)), 3)),
-        )
-    if model == "diurnal":
-        return (
-            ("cycles", int(rng.integers(1, 7))),
-            ("amplitude", round(float(rng.uniform(0.0, 0.95)), 3)),
-        )
-    if model == "update_storm":
-        return (
-            ("storm_count", int(rng.integers(0, 8))),
-            ("storm_length", int(rng.integers(10, 200))),
-            ("storm_width", int(rng.integers(1, 8))),
-            ("storm_cost_factor", round(float(rng.uniform(1.0, 5.0)), 3)),
-            ("storm_on_focus", round(float(rng.uniform(0.0, 1.0)), 3)),
-        )
-    if model == "cache_adversary":
-        return (
-            ("scan_probability", round(float(rng.uniform(0.0, 0.3)), 3)),
-            ("update_in_set", round(float(rng.uniform(0.3, 1.0)), 3)),
-        )
-    raise FuzzError(f"no knob sampler for model {model!r}")
+    """Randomised *valid* knob overrides for one segment model.
+
+    One draw per knob that declares a fuzz range, in field order: the draws
+    are pinned (a seed names a scenario), so the order is part of the format.
+    """
+    drawn: List[Tuple[str, object]] = []
+    for row in model_knobs(STREAM_CLASSES[model]):
+        if row.fuzz is None:
+            continue
+        low, high = row.fuzz
+        if row.is_int:
+            drawn.append((row.name, int(rng.integers(low, high + 1))))
+        else:
+            drawn.append((row.name, round(float(rng.uniform(low, high)), 3)))
+    return tuple(drawn)
 
 
 def draw_composition_spec(

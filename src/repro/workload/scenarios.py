@@ -37,8 +37,9 @@ the byte-identical event sequence (the restartability the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,8 +51,84 @@ from repro.workload.mixer import iter_interleaved
 from repro.workload.sdss import contiguous_footprint
 from repro.workload.trace import TraceEvent, TraceStream
 
-#: Names of the scenario models this module provides, in doc order.
-MODEL_NAMES = ("flash_crowd", "diurnal", "update_storm", "cache_adversary")
+#: Default size of the cache adversary's working set, as a multiple of the
+#: cache capacity: just past it, the LRU/GDS worst case.
+ADVERSARY_WORKING_SET_FACTOR = 1.25
+
+
+@dataclass(frozen=True)
+class Bounds:
+    """A numeric interval; each end is open or closed."""
+
+    lo: float
+    hi: float
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def __contains__(self, value: float) -> bool:
+        above = self.lo < value if self.lo_open else self.lo <= value
+        below = value < self.hi if self.hi_open else value <= self.hi
+        return above and below
+
+    def __str__(self) -> str:
+        left, right = "(" if self.lo_open else "[", ")" if self.hi_open else "]"
+        return f"{left}{self.lo:g}, {self.hi:g}{right}"
+
+
+POSITIVE = Bounds(0, math.inf, lo_open=True)
+NON_NEGATIVE = Bounds(0, math.inf)
+UNIT = Bounds(0, 1)
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One row of a model's knob table.
+
+    A row is declared on the stream field itself (:func:`knob`), so it cannot
+    name a field that does not exist; ``name`` and ``is_int`` are read off
+    the field by :func:`model_knobs`.
+    """
+
+    name: str = ""
+    is_int: bool = False
+    #: The ``ExperimentConfig`` field that feeds the knob (None: stream-only).
+    config_field: Optional[str] = None
+    #: Values the model accepts, checked wherever a value enters: in
+    #: ``ExperimentConfig`` (against ``config_field``) and in the stream's own
+    #: constructor (which is what a composition segment builds).
+    valid: Optional[Bounds] = None
+    #: Inclusive range the scenario fuzzer and the hypothesis strategies draw
+    #: from (None: never drawn).  Must lie inside ``valid``.
+    fuzz: Optional[Tuple[float, float]] = None
+    #: Set on a knob that is sized against the cache: builders hand it the
+    #: cache capacity (MB) times ``config_field``, or times this multiple.
+    cache_multiple: Optional[float] = None
+
+
+def knob(default: Any, **row: Any) -> Any:
+    """A stream field with default ``default`` carrying its :class:`Knob` row."""
+    return field(default=default, metadata={"knob": Knob(**row)})
+
+
+#: Stream fields supplied by whoever builds the stream (an experiment config
+#: or a composition), never by a knob override.
+PLUMBING_FIELDS = frozenset(
+    {"catalog", "query_count", "update_count", "mean_query_cost", "mean_update_cost", "seed"}
+)
+
+
+@lru_cache(maxsize=None)
+def model_knobs(stream_class: type) -> Tuple[Knob, ...]:
+    """The knob table of a stream class: one row per overridable field, in field order.
+
+    A field declared without :func:`knob` gets a blank row (overridable,
+    unchecked, never drawn).  Int vs float is the dataclass field's type.
+    """
+    return tuple(
+        replace(f.metadata.get("knob", Knob()), name=f.name, is_int=f.type == "int")
+        for f in fields(stream_class)
+        if f.name not in PLUMBING_FIELDS
+    )
 
 
 def _wobble(rng: np.random.Generator, sigma: float) -> float:
@@ -68,11 +145,16 @@ def _block(object_ids: Sequence[int], start: int, size: int) -> List[int]:
 
 @dataclass(frozen=True)
 class ScenarioModelStream(TraceStream):
-    """Shared scale knobs and plumbing of the three scenario models.
+    """Shared scale knobs and plumbing of the scenario models.
 
     Sub-classes implement ``_iter_queries`` / ``_iter_updates``; interleaving,
     id allocation and the stream contract live here.  Instances are frozen
     and picklable, so a model can be a sweep scenario source directly.
+
+    Every field except the plumbing (:data:`PLUMBING_FIELDS`) is a *knob*: a
+    composition segment may override it, and whatever :func:`knob` declares
+    next to it -- config feed, valid range, fuzz range -- is the only place
+    that is stated (see :func:`model_knobs`).
     """
 
     catalog: ObjectCatalog
@@ -83,21 +165,24 @@ class ScenarioModelStream(TraceStream):
     mean_query_cost: float
     #: Analytic mean shipping cost per update (MB).
     mean_update_cost: float
-    tolerant_fraction: float = 0.2
-    tolerance_window: float = 50.0
+    tolerant_fraction: float = knob(0.2, config_field="tolerant_fraction")
+    tolerance_window: float = knob(50.0, config_field="tolerance_window")
     #: Log-normal sigma of the per-event cost wobble.
     cost_sigma: float = 0.5
     #: Largest query footprint (objects per query).
-    footprint_span: int = 4
+    footprint_span: int = knob(4, valid=POSITIVE)
     #: Zipf skew inside focus blocks.
-    zipf_exponent: float = 1.2
+    zipf_exponent: float = knob(1.2, config_field="zipf_exponent", valid=POSITIVE)
     seed: int = 7
 
     def __post_init__(self) -> None:
         if self.query_count < 0 or self.update_count < 0:
             raise ValueError("event counts must be non-negative")
-        if self.footprint_span <= 0:
-            raise ValueError("footprint_span must be positive")
+        for row in model_knobs(type(self)):
+            if row.valid is not None and getattr(self, row.name) not in row.valid:
+                raise ValueError(
+                    f"{row.name} must lie in {row.valid}, got {getattr(self, row.name)!r}"
+                )
 
     # ------------------------------------------------------------------
     # TraceStream contract
@@ -205,28 +290,33 @@ class FlashCrowdStream(ScenarioModelStream):
     in a fixed survey region, disjoint dynamics from the crowds.
     """
 
-    crowd_count: int = 3
+    crowd_count: int = knob(
+        3, config_field="flash_crowd_count", valid=NON_NEGATIVE, fuzz=(0, 4)
+    )
     #: Fraction of the query stream before the first crowd arrives.
-    crowd_arrival: float = 0.3
+    crowd_arrival: float = knob(
+        0.3,
+        config_field="flash_crowd_arrival",
+        valid=Bounds(0, 1, hi_open=True),
+        fuzz=(0.0, 0.8),
+    )
     #: Fraction of the query stream each crowd lasts.
-    crowd_duration: float = 0.12
+    crowd_duration: float = knob(
+        0.12,
+        config_field="flash_crowd_duration",
+        valid=Bounds(0, 1, lo_open=True),
+        fuzz=(0.05, 0.5),
+    )
     #: Focus probability while a crowd is active (baseline in between).
-    crowd_intensity: float = 0.95
+    crowd_intensity: float = knob(
+        0.95, config_field="flash_crowd_intensity", valid=UNIT, fuzz=(0.5, 0.99)
+    )
     base_intensity: float = 0.7
     crowd_cost_factor: float = 1.5
     background_cost_factor: float = 0.4
     focus_size: int = 6
     #: Fraction of the sky (contiguous) receiving the update stream.
-    update_region_fraction: float = 0.35
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 <= self.crowd_arrival < 1.0:
-            raise ValueError("crowd_arrival must lie in [0, 1)")
-        if not 0.0 < self.crowd_duration <= 1.0:
-            raise ValueError("crowd_duration must lie in (0, 1]")
-        if self.crowd_count < 0:
-            raise ValueError("crowd_count must be non-negative")
+    update_region_fraction: float = knob(0.35, config_field="update_region_fraction")
 
     def _crowd_windows(self) -> List[Tuple[int, int]]:
         """``(start, stop)`` query indices of each crowd, non-overlapping."""
@@ -306,18 +396,16 @@ class DiurnalStream(ScenarioModelStream):
     per cycle, a slow daily drift.
     """
 
-    cycles: int = 4
-    amplitude: float = 0.7
+    cycles: int = knob(4, config_field="diurnal_cycles", valid=POSITIVE, fuzz=(1, 6))
+    amplitude: float = knob(
+        0.7,
+        config_field="diurnal_amplitude",
+        valid=Bounds(0, 1, hi_open=True),
+        fuzz=(0.0, 0.95),
+    )
     base_intensity: float = 0.75
     background_cost_factor: float = 0.4
     focus_size: int = 6
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.cycles <= 0:
-            raise ValueError("cycles must be positive")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError("amplitude must lie in [0, 1)")
 
     def _phase(self, index: int, count: int) -> float:
         """Sinusoidal modulation in [-1, 1] at stream position ``index``."""
@@ -372,24 +460,17 @@ class UpdateStormStream(ScenarioModelStream):
     the adversarial case for preshipping policies.
     """
 
-    storm_count: int = 6
-    storm_length: int = 300
-    storm_width: int = 4
-    storm_cost_factor: float = 3.0
+    storm_count: int = knob(6, config_field="storm_count", valid=NON_NEGATIVE, fuzz=(0, 7))
+    storm_length: int = knob(300, config_field="storm_length", valid=POSITIVE, fuzz=(10, 199))
+    storm_width: int = knob(4, config_field="storm_width", valid=POSITIVE, fuzz=(1, 7))
+    storm_cost_factor: float = knob(
+        3.0, config_field="storm_cost_factor", valid=POSITIVE, fuzz=(1.0, 5.0)
+    )
     #: Probability a storm targets the query focus block.
-    storm_on_focus: float = 0.5
+    storm_on_focus: float = knob(0.5, fuzz=(0.0, 1.0))
     base_intensity: float = 0.8
     background_cost_factor: float = 0.4
     focus_size: int = 6
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.storm_count < 0:
-            raise ValueError("storm_count must be non-negative")
-        if self.storm_length <= 0:
-            raise ValueError("storm_length must be positive")
-        if self.storm_width <= 0:
-            raise ValueError("storm_width must be positive")
 
     def _focus_start(self) -> int:
         """The (deterministic) anchor of the query focus block."""
@@ -473,23 +554,20 @@ class CacheAdversaryStream(ScenarioModelStream):
     decoupling logic rather than only the eviction logic.
     """
 
-    #: Cumulative size (MB) the cyclic working set just exceeds.  Callers
-    #: size this a factor past the cache capacity (see
-    #: ``ExperimentConfig.adversary_working_set_factor``).
-    working_set_bytes: float = 30.0
+    #: Cumulative size (MB) the cyclic working set just exceeds.  Builders
+    #: size it a factor past the cache capacity.
+    working_set_bytes: float = knob(
+        30.0,
+        config_field="adversary_working_set_factor",
+        valid=POSITIVE,
+        cache_multiple=ADVERSARY_WORKING_SET_FACTOR,
+    )
     #: Probability a query is a sequential-scan step instead of a cycle hit.
-    scan_probability: float = 0.05
+    scan_probability: float = knob(
+        0.05, config_field="adversary_scan_probability", valid=UNIT, fuzz=(0.0, 0.3)
+    )
     #: Probability an update lands inside the working set.
-    update_in_set: float = 0.7
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.working_set_bytes <= 0:
-            raise ValueError("working_set_bytes must be positive")
-        if not 0.0 <= self.scan_probability <= 1.0:
-            raise ValueError("scan_probability must lie in [0, 1]")
-        if not 0.0 <= self.update_in_set <= 1.0:
-            raise ValueError("update_in_set must lie in [0, 1]")
+    update_in_set: float = knob(0.7, valid=UNIT, fuzz=(0.3, 1.0))
 
     def _working_set(self) -> List[int]:
         """The cyclic working set: a seeded shuffle prefix just past target.
@@ -555,3 +633,18 @@ class CacheAdversaryStream(ScenarioModelStream):
     def update_region(self) -> List[int]:
         """The cyclic working set (where the update stream concentrates)."""
         return self._working_set()
+
+
+# ----------------------------------------------------------------------
+# The model table and what is derived from it
+# ----------------------------------------------------------------------
+#: Model name -> stream class, in doc order: the one table of scenario models.
+STREAM_CLASSES = {
+    "flash_crowd": FlashCrowdStream,
+    "diurnal": DiurnalStream,
+    "update_storm": UpdateStormStream,
+    "cache_adversary": CacheAdversaryStream,
+}
+
+#: Names of the scenario models this module provides, in doc order.
+MODEL_NAMES = tuple(STREAM_CLASSES)

@@ -18,7 +18,7 @@ from repro.flow.vertex_cover import BipartiteCoverInstance
 from repro.repository.queries import Query
 from repro.repository.updates import Update
 from repro.workload.fuzz import CompositionSpec, SegmentSpec
-from repro.workload.scenarios import MODEL_NAMES
+from repro.workload.scenarios import MODEL_NAMES, STREAM_CLASSES, model_knobs
 from repro.workload.trace import QueryEvent, Trace, UpdateEvent
 
 # ----------------------------------------------------------------------
@@ -135,40 +135,24 @@ def _unit(lo: float, hi: float):
     )
 
 
-#: Per-model knob strategies, mirroring the valid ranges the fuzzer's own
-#: numpy sampler draws from (every value respects the model validators).
-MODEL_KNOB_STRATEGIES = {
-    "flash_crowd": {
-        "crowd_count": st.integers(min_value=0, max_value=4),
-        "crowd_arrival": _unit(0.0, 0.8),
-        "crowd_duration": _unit(0.05, 0.5),
-        "crowd_intensity": _unit(0.5, 0.99),
-    },
-    "diurnal": {
-        "cycles": st.integers(min_value=1, max_value=6),
-        "amplitude": _unit(0.0, 0.95),
-    },
-    "update_storm": {
-        "storm_count": st.integers(min_value=0, max_value=7),
-        "storm_length": st.integers(min_value=10, max_value=200),
-        "storm_width": st.integers(min_value=1, max_value=7),
-        "storm_cost_factor": _unit(1.0, 5.0),
-        "storm_on_focus": _unit(0.0, 1.0),
-    },
-    "cache_adversary": {
-        "scan_probability": _unit(0.0, 0.3),
-        "update_in_set": _unit(0.3, 1.0),
-    },
-}
-
-assert set(MODEL_KNOB_STRATEGIES) == set(MODEL_NAMES)
+def knob_strategies(model: str):
+    """Knob name -> strategy over the fuzz range the model's knob table declares."""
+    return {
+        row.name: (
+            st.integers(min_value=row.fuzz[0], max_value=row.fuzz[1])
+            if row.is_int
+            else _unit(*row.fuzz)
+        )
+        for row in model_knobs(STREAM_CLASSES[model])
+        if row.fuzz is not None
+    }
 
 
 @st.composite
 def segment_specs(draw, max_events: int = 120):
     """One valid composition segment with a random subset of knob overrides."""
     model = draw(st.sampled_from(MODEL_NAMES))
-    knob_pool = MODEL_KNOB_STRATEGIES[model]
+    knob_pool = knob_strategies(model)
     chosen = draw(
         st.lists(st.sampled_from(sorted(knob_pool)), unique=True, max_size=len(knob_pool))
     )

@@ -20,12 +20,14 @@ the quick per-PR profile without any test edits.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import Tuple
 
 import pytest
-from hypothesis import given
+from hypothesis import find, given, settings
+from hypothesis.errors import NoSuchExample
 
 from repro import api
 from repro.experiments.fuzzed import maybe_save_regression
@@ -35,20 +37,26 @@ from repro.workload.fuzz import (
     FuzzError,
     SegmentSpec,
     StreamInvariantError,
+    _draw_segment_knobs,
     check_stream_invariants,
     draw_composition_spec,
     load_composition,
     save_composition,
     save_regression,
 )
-from repro.workload.scenarios import CacheAdversaryStream
+from repro.workload.scenarios import (
+    MODEL_NAMES,
+    STREAM_CLASSES,
+    CacheAdversaryStream,
+    model_knobs,
+)
 from repro.workload.trace import (
     QueryEvent,
     TraceEvent,
     TraceStream,
     UpdateEvent,
 )
-from tests.strategies import composition_specs, fuzz_seeds
+from tests.strategies import composition_specs, fuzz_seeds, knob_strategies
 
 
 def canonical_payloads(comparison, policies) -> str:
@@ -99,6 +107,54 @@ def test_property_streaming_matches_materialised_events(spec):
     assert len(stream) == len(trace)
     assert list(stream.iter_tagged()) == list(trace.iter_tagged())
     assert catalog.total_size == spec.build_catalog().total_size
+
+
+# ----------------------------------------------------------------------
+# One knob table behind the sampler, the strategies and the validators
+# ----------------------------------------------------------------------
+class _EdgeRng:
+    """Stands in for a Generator: every draw lands on one end of its range."""
+
+    def __init__(self, top: bool) -> None:
+        self._top = top
+
+    def integers(self, low, high):
+        return high - 1 if self._top else low
+
+    def uniform(self, low, high):
+        return high if self._top else low
+
+
+class TestKnobTable:
+    def test_draws_are_pinned(self):
+        # A seed names a scenario (repro files, the adaptive fixture), so the
+        # sampler must keep making the same draws in the same order.
+        sha = hashlib.sha256()
+        for seed in range(32):
+            spec = draw_composition_spec(seed)
+            sha.update(json.dumps(spec.to_dict(), sort_keys=True).encode())
+        assert sha.hexdigest() == (
+            "fcbd6da1797bb35d3ab6afd5a1e59f01d715d70ea927697b2f3299302bc17e29"
+        )
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_strategies_span_exactly_what_the_sampler_draws(self, model):
+        lows = dict(_draw_segment_knobs(_EdgeRng(top=False), model))
+        highs = dict(_draw_segment_knobs(_EdgeRng(top=True), model))
+        strategies = knob_strategies(model)
+        assert set(strategies) == set(lows)
+        quick = settings(max_examples=300, database=None, derandomize=True)
+        for name, strategy in strategies.items():
+            low, high = lows[name], highs[name]
+            assert find(strategy, lambda v: v >= high, settings=quick) == high
+            with pytest.raises(NoSuchExample):
+                find(strategy, lambda v: not low <= v <= high, settings=quick)
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_fuzz_ranges_lie_inside_the_valid_ranges(self, model):
+        for row in model_knobs(STREAM_CLASSES[model]):
+            if row.fuzz is not None and row.valid is not None:
+                assert row.fuzz[0] in row.valid and row.fuzz[1] in row.valid, row
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +272,20 @@ class TestCompositionSpec:
         )
         with pytest.raises(FuzzError, match="segment 0 .*diurnal.* rejected"):
             spec.build_stream()
+        # A segment is held to the ranges ExperimentConfig enforces: the same
+        # table feeds both checks, and the message names knob and value.
+        for model, knob, value in [
+            ("flash_crowd", "crowd_intensity", 1.7),
+            ("update_storm", "storm_cost_factor", -3.0),
+            ("cache_adversary", "zipf_exponent", 0.0),
+        ]:
+            segment = SegmentSpec(
+                model=model, query_count=5, update_count=5, knobs=((knob, value),)
+            )
+            with pytest.raises(
+                FuzzError, match=f"segment 0 .*{model}.* rejected its knobs: {knob} .*{value}"
+            ):
+                CompositionSpec(segments=(segment,)).build_stream()
 
     def test_from_dict_rejects_malformed_input(self):
         with pytest.raises(FuzzError, match="segments"):

@@ -424,194 +424,6 @@ class TestSlot001:
 
 
 # ----------------------------------------------------------------------
-# REG001: cross-artifact registry consistency
-# ----------------------------------------------------------------------
-_REG_FUZZ = """
-    STREAM_CLASSES = {
-        "flash_crowd": FlashCrowdStream,
-    }
-"""
-_REG_SCENARIOS = """
-    MODEL_NAMES = ("flash_crowd",)
-
-    class ScenarioModelStream:
-        seed: int
-
-    class FlashCrowdStream(ScenarioModelStream):
-        burst_width: float
-"""
-
-
-class TestReg001:
-    def test_consistent_registries_clean(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/workload/fuzz.py": _REG_FUZZ,
-            "src/repro/workload/scenarios.py": _REG_SCENARIOS,
-            "tests/strategies.py": """
-                MODEL_KNOB_STRATEGIES = {
-                    "flash_crowd": {"burst_width": None},
-                }
-            """,
-        })
-        assert lint_rules(project, "src", "tests", rule="REG001") == []
-
-    def test_missing_strategy_entry_flagged(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/workload/fuzz.py": _REG_FUZZ,
-            "src/repro/workload/scenarios.py": _REG_SCENARIOS,
-            "tests/strategies.py": """
-                MODEL_KNOB_STRATEGIES = {}
-            """,
-        })
-        findings = lint_rules(project, "src", rule="REG001")
-        assert len(findings) == 1
-        assert "no entry" in findings[0].message
-        assert findings[0].path == "src/repro/workload/fuzz.py"
-
-    def test_unknown_knob_flagged(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/workload/fuzz.py": _REG_FUZZ,
-            "src/repro/workload/scenarios.py": _REG_SCENARIOS,
-            "tests/strategies.py": """
-                MODEL_KNOB_STRATEGIES = {
-                    "flash_crowd": {"burst_widht": None},
-                }
-            """,
-        })
-        findings = lint_rules(project, "src", rule="REG001")
-        assert len(findings) == 1
-        assert "burst_widht" in findings[0].message
-        assert findings[0].path == "tests/strategies.py"
-
-    def test_model_names_drift_flagged(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/workload/fuzz.py": _REG_FUZZ,
-            "src/repro/workload/scenarios.py": """
-                MODEL_NAMES = ("flash_crowd", "ghost_model")
-
-                class ScenarioModelStream:
-                    seed: int
-
-                class FlashCrowdStream(ScenarioModelStream):
-                    burst_width: float
-            """,
-            "tests/strategies.py": """
-                MODEL_KNOB_STRATEGIES = {
-                    "flash_crowd": {"burst_width": None},
-                }
-            """,
-        })
-        findings = lint_rules(project, "src", rule="REG001")
-        assert len(findings) == 1
-        assert "ghost_model" in findings[0].message
-
-    def test_undocumented_experiment_flagged(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/experiments/extra.py": """
-                from repro.experiments.registry import register_experiment
-
-                @register_experiment(name="phantom")
-                def build():
-                    pass
-            """,
-            "docs/experiments.md": "# Experiments\n\nNothing here.\n",
-        })
-        findings = lint_rules(project, "src", rule="REG001")
-        assert len(findings) == 1
-        assert "phantom" in findings[0].message
-
-    def test_documented_experiment_clean(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/experiments/extra.py": """
-                from repro.experiments.registry import register_experiment
-
-                @register_experiment(name="phantom")
-                def build():
-                    pass
-            """,
-            "docs/experiments.md": "| `phantom` | spooky |\n",
-        })
-        assert lint_rules(project, "src", rule="REG001") == []
-
-    def test_bare_project_yields_nothing(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/foo.py": "X = 1\n",
-        })
-        assert lint_rules(project, "src", rule="REG001") == []
-
-
-# ----------------------------------------------------------------------
-# REG002: policy roster vs docs/policies.md
-# ----------------------------------------------------------------------
-_REG2_RUNNER = """
-    POLICY_NAMES = ("nocache", "vcover")
-"""
-_REG2_EVICTION = """
-    from repro.cache.base import registry
-
-    class GreedyDualSize:
-        pass
-
-    registry.register("gds", GreedyDualSize)
-"""
-
-
-class TestReg002:
-    def test_documented_roster_clean(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/sim/runner.py": _REG2_RUNNER,
-            "src/repro/cache/gds.py": _REG2_EVICTION,
-            "docs/policies.md": "| `nocache` | `vcover` | `gds` |\n",
-        })
-        assert lint_rules(project, "src", rule="REG002") == []
-
-    def test_missing_docs_page_flagged_once(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/sim/runner.py": _REG2_RUNNER,
-            "src/repro/cache/gds.py": _REG2_EVICTION,
-        })
-        findings = lint_rules(project, "src", rule="REG002")
-        assert len(findings) == 1
-        assert "does not exist" in findings[0].message
-        assert findings[0].path == "src/repro/sim/runner.py"
-
-    def test_undocumented_engine_policy_flagged(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/sim/runner.py": """
-                POLICY_NAMES = ("nocache", "adaptive")
-            """,
-            "docs/policies.md": "Only `nocache` here.\n",
-        })
-        findings = lint_rules(project, "src", rule="REG002")
-        assert len(findings) == 1
-        assert "'adaptive'" in findings[0].message
-        assert findings[0].path == "src/repro/sim/runner.py"
-
-    def test_undocumented_eviction_policy_flagged(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/cache/lru.py": """
-                from repro.cache.base import registry
-
-                class LRUPolicy:
-                    pass
-
-                registry.register("lru", LRUPolicy)
-            """,
-            "docs/policies.md": "Nothing registered yet.\n",
-        })
-        findings = lint_rules(project, "src", rule="REG002")
-        assert len(findings) == 1
-        assert "'lru'" in findings[0].message
-        assert findings[0].path == "src/repro/cache/lru.py"
-
-    def test_bare_project_yields_nothing(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/foo.py": "X = 1\n",
-        })
-        assert lint_rules(project, "src", rule="REG002") == []
-
-
-# ----------------------------------------------------------------------
 # ASYNC001: blocking calls inside async def in serve code
 # ----------------------------------------------------------------------
 class TestAsync001:
@@ -750,7 +562,7 @@ class TestSuppressions:
     def test_all_wildcard(self):
         index = scan_suppressions("x = 1  # repro-lint: disable=all\n")
         assert index.is_suppressed("DET001", 1)
-        assert index.is_suppressed("REG001", 1)
+        assert index.is_suppressed("ASYNC001", 1)
 
 
 # ----------------------------------------------------------------------
@@ -844,9 +656,7 @@ class TestCli:
 class TestRegistry:
     def test_expected_rules_registered(self):
         ids = {rule.id for rule in all_rules()}
-        assert {
-            "DET001", "DET002", "DET003", "PICK001", "SLOT001", "REG001", "REG002"
-        } <= ids
+        assert ids == {"DET001", "DET002", "DET003", "PICK001", "SLOT001", "ASYNC001"}
 
     def test_lookup_is_case_insensitive(self):
         assert get_rule("det001").id == "DET001"

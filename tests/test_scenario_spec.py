@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.config import ConfiguredScenario, ExperimentConfig
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.spec import (
     CONFIG_FIELDS,
     ScenarioError,
@@ -95,11 +95,6 @@ class TestScenarioSpec:
         second = first.scaled(seed=6)
         assert first.cache_key() != second.cache_key()
         assert first.cache_key() == ScenarioSpec.from_knobs(**SMALL).cache_key()
-
-    def test_cache_key_matches_legacy_configured_scenario(self):
-        """Mixed recipe representations memoise to one build per worker."""
-        config = ExperimentConfig(**SMALL)
-        assert ScenarioSpec(config).cache_key() == ConfiguredScenario(config).cache_key()
 
     def test_cache_key_ignores_the_name(self):
         # The name is a label, not a build input; same-config specs under

@@ -19,7 +19,7 @@ from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.equivalence import decision_recorder
 from repro.serve.server import DEFAULT_MAX_PENDING, CacheServer
-from repro.sim.runner import default_policy_specs
+from repro.sim.runner import default_policy_specs, soptimal_spec
 from repro.workload.trace import event_to_dict
 
 
@@ -156,6 +156,9 @@ class TestBasicServing:
         (soptimal,) = default_policy_specs(include=("soptimal",))
         with pytest.raises(ValueError, match="soptimal"):
             CacheServer(catalog, soptimal, capacity)
+        # Refused for the class it builds, not for what the spec is called.
+        with pytest.raises(ValueError, match="'hindsight' builds SOptimalPolicy"):
+            CacheServer(catalog, soptimal_spec(name="hindsight"), capacity)
 
     def test_malformed_line_answered_with_error_frame(self):
         server, _ = make_server()

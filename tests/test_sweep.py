@@ -15,7 +15,8 @@ import pytest
 from repro.core.benefit import BenefitConfig
 from repro.core.vcover import VCoverConfig
 from repro.experiments import ablations, cache_size, fig8a
-from repro.experiments.config import ConfiguredScenario, ExperimentConfig, build_scenario
+from repro.experiments.config import ExperimentConfig, build_scenario
+from repro.experiments.spec import ScenarioSpec
 from repro.network.link import NetworkLink
 from repro.repository.server import Repository
 from repro.sim.engine import EngineConfig
@@ -65,7 +66,7 @@ def _grid_points(small_config, fractions=(0.2, 0.4), seeds=(3, 5)):
         for spec in specs
     ]
     scenarios = {
-        f"seed{seed}": ConfiguredScenario(small_config.scaled(seed=seed))
+        f"seed{seed}": ScenarioSpec(small_config.scaled(seed=seed))
         for seed in seeds
     }
     return points, scenarios
