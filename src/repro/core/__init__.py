@@ -6,10 +6,9 @@ This package implements the paper's primary contribution:
   outcome types shared by every algorithm,
 * :mod:`repro.core.policy` -- the cache-policy interface and common
   freshness/residency bookkeeping,
-* :mod:`repro.core.interaction_graph` -- the query/update interaction graph
-  backed by incremental max-flow,
 * :mod:`repro.core.update_manager` / :mod:`repro.core.load_manager` -- the two
-  modules of VCover,
+  modules of VCover; the UpdateManager keeps the query/update interaction
+  graph, whose one record is its incremental max-flow object,
 * :mod:`repro.core.vcover` -- the VCover online algorithm,
 * :mod:`repro.core.benefit` -- the exponential-smoothing greedy baseline,
 * :mod:`repro.core.yardsticks` -- NoCache, Replica and SOptimal,

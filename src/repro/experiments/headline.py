@@ -11,7 +11,7 @@ The abstract and Section 6 make three quantitative claims:
 Claim 1 is specifically about a one-fifth cache, so it is measured with the
 cache at 20 % of the server; claims 2 and 3 are quoted from the paper's
 default setup (cache 30 %, Section 6.1), so they are measured there.
-``EXPERIMENTS.md`` records paper-vs-measured values for all three.
+``docs/experiments.md`` records paper-vs-measured values for all three.
 """
 
 from __future__ import annotations

@@ -129,23 +129,6 @@ class FlowNetwork:
         self._edge_index[key] = forward
         return forward
 
-    def set_capacity(self, tail: Vertex, head: Vertex, capacity: float) -> None:
-        """Set the capacity of an existing edge.
-
-        Raising the capacity keeps the current flow feasible.  Lowering it
-        below the current flow raises :class:`ValueError` because that would
-        invalidate the warm-start invariant.
-        """
-        arc = self.get_edge(tail, head)
-        if arc is None:
-            raise KeyError(f"edge {tail!r}->{head!r} does not exist")
-        if capacity + EPSILON < arc.flow:
-            raise ValueError(
-                f"cannot lower capacity of {tail!r}->{head!r} below its current "
-                f"flow ({arc.flow!r})"
-            )
-        arc.capacity = capacity
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -156,10 +139,6 @@ class FlowNetwork:
     def vertices(self) -> Iterator[Vertex]:
         """Iterate over all vertices."""
         return iter(self._adjacency)
-
-    def arcs_from(self, vertex: Vertex) -> Iterable[Arc]:
-        """Iterate over all arcs (forward and residual) leaving ``vertex``."""
-        return self._adjacency.get(vertex, ())
 
     def adjacency(self) -> Dict[Vertex, List[Arc]]:
         """The vertex -> outgoing-arcs map itself (solver fast path).
@@ -195,19 +174,6 @@ class FlowNetwork:
         total = 0.0
         for arc in self._adjacency.get(source, ()):
             total += arc.flow
-        return total
-
-    def out_flow(self, vertex: Vertex) -> float:
-        """Sum of flow on forward arcs leaving ``vertex``."""
-        return sum(arc.flow for arc in self._adjacency.get(vertex, ()) if arc.is_forward)
-
-    def in_flow(self, vertex: Vertex) -> float:
-        """Sum of flow on forward arcs entering ``vertex``."""
-        total = 0.0
-        for arcs in self._adjacency.values():
-            for arc in arcs:
-                if arc.is_forward and arc.head == vertex:
-                    total += arc.flow
         return total
 
     # ------------------------------------------------------------------

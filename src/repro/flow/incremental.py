@@ -50,16 +50,20 @@ step; a nested key tuple is re-hashed on every ``in parents`` / ``in closed``
 / ``adjacency[...]``).  ``_left_ids`` / ``_right_ids`` map key to id,
 ``_keys`` maps id back to key for the report, and ``_sink_arcs`` maps a right
 vertex's id to its arc into the sink -- which also tells the two sides apart.
-The network's own edge table is the only record of the interaction edges.
 :meth:`compact` keeps the survivors' ids and prunes all four tables, with the
 weights, to the survivors, so they track the live graph, not history.
 
-Vertices may also be *retired* (removed from the cover bookkeeping), which is
-how the remainder subgraph of Section 4 is maintained.  Retiring only detaches
-a vertex from the reporting; its arcs and flow stay in the network, so a
-retired vertex outside every closed set -- an update dropped while its sink
-arc still had capacity, say -- can still carry flow until :meth:`compact`
-rebuilds the network without it.
+One record.  This class is the only record of which vertices are live and how
+they are joined; the UpdateManager above it keeps no copy.  The edges are the
+network's own edge table.  A left vertex is live while it has an entry in
+``_live_degree``, which counts its edges whose right end is live; a right
+vertex is live until it enters ``_retired_right``.  Vertices are *retired*
+(removed from the cover bookkeeping) to maintain the remainder subgraph of
+Section 4, and :meth:`retire` is what notices a left vertex losing its last
+live edge.  Retiring only detaches a vertex from the reporting; its arcs and
+flow stay in the network, so a retired vertex outside every closed set -- an
+update dropped while its sink arc still had capacity, say -- can still carry
+flow until :meth:`compact` rebuilds the network without it.
 """
 
 from __future__ import annotations
@@ -103,13 +107,15 @@ class IncrementalMaxFlow:
 
     * :meth:`add_left` / :meth:`add_right` register a weighted query/update
       vertex (once: weights never change, which invariant 1 relies on),
-    * :meth:`add_edge` registers an interaction,
+    * :meth:`add_edge` registers an interaction and counts it towards the left
+      vertex's live degree,
     * :meth:`compute_cover` augments the existing flow from the left vertices
       added since the previous call and returns the resulting change of the
       minimum-weight vertex cover over the *active* (non-retired) vertices,
     * :meth:`retire` removes vertices from the active set (remainder-subgraph
-      maintenance); their arcs and flow stay in the underlying network so the
-      warm start remains valid.
+      maintenance) and reports the left vertices left without a live edge;
+      their arcs and flow stay in the underlying network so the warm start
+      remains valid.
     """
 
     __slots__ = (
@@ -122,7 +128,7 @@ class IncrementalMaxFlow:
         "_keys",
         "_sink_arcs",
         "_next_id",
-        "_retired_left",
+        "_live_degree",
         "_retired_right",
         "_open",
         "_closed",
@@ -143,7 +149,9 @@ class IncrementalMaxFlow:
         #: Right vertex id -> its arc into the sink (invariant 4).
         self._sink_arcs: Dict[Vertex, Arc] = {}
         self._next_id = 0
-        self._retired_left: Set[Vertex] = set()
+        #: Live left vertex -> number of its edges whose right end is live.
+        #: Its key set *is* the set of live left vertices.
+        self._live_degree: Dict[Vertex, int] = {}
         self._retired_right: Set[Vertex] = set()
         #: Source arcs of the left vertices added since the last cover: the
         #: only ones that can still carry flow (invariant 1).
@@ -169,6 +177,7 @@ class IncrementalMaxFlow:
         if vertex in self._left_weights:
             raise ValueError(f"left vertex {vertex!r} has already been added")
         self._left_weights[vertex] = weight
+        self._live_degree[vertex] = 0
         vertex_id = self._left_ids[vertex] = self._mint_id(vertex)
         self._open.append(self._network.add_edge(SOURCE, vertex_id, weight))
 
@@ -202,10 +211,14 @@ class IncrementalMaxFlow:
                 "cannot take new edges"
             )
         self._network.add_edge(left_id, right_id, INFINITE_CAPACITY)
+        # Counted here, past the duplicate test above: an edge named twice is
+        # one edge, and :meth:`retire` will take it off the count only once.
+        if left in self._live_degree and right not in self._retired_right:
+            self._live_degree[left] += 1
 
     def has_left(self, vertex: Vertex) -> bool:
         """Whether ``vertex`` is a registered, non-retired left vertex."""
-        return vertex in self._left_weights and vertex not in self._retired_left
+        return vertex in self._live_degree
 
     def has_right(self, vertex: Vertex) -> bool:
         """Whether ``vertex`` is a registered, non-retired right vertex."""
@@ -214,7 +227,7 @@ class IncrementalMaxFlow:
     # ------------------------------------------------------------------
     # Remainder subgraph maintenance
     # ------------------------------------------------------------------
-    def retire(self, left: Iterable[Vertex] = (), right: Iterable[Vertex] = ()) -> None:
+    def retire(self, left: Iterable[Vertex] = (), right: Iterable[Vertex] = ()) -> List[Vertex]:
         """Mark vertices as retired (excluded from future cover reports).
 
         The UpdateManager retires update vertices that were picked in a cover
@@ -222,14 +235,39 @@ class IncrementalMaxFlow:
         picked (they were answered from cache and can no longer justify future
         shipping).  The underlying arcs keep their flow, preserving the warm
         start; only the reporting changes.
+
+        Returns the left vertices that are still live but whose last live
+        edge went with ``right``: edges only ever arrive with a new left
+        vertex, so these can never matter to a cover again.  Each newly
+        retired right vertex's reverse arcs are walked for this, once in the
+        vertex's life.
         """
-        self._retired_left.update(v for v in left if v in self._left_weights)
-        self._retired_right.update(v for v in right if v in self._right_weights)
+        live_degree = self._live_degree
+        for vertex in left:
+            live_degree.pop(vertex, None)
+        stranded: List[Vertex] = []
+        right_ids, retired_right = self._right_ids, self._retired_right
+        keys, adjacency = self._keys, self._network.adjacency()
+        for vertex in right:
+            right_id = right_ids.get(vertex)
+            if right_id is None or vertex in retired_right:
+                continue
+            retired_right.add(vertex)
+            for arc in adjacency[right_id]:
+                # Every arc but the one into the sink mirrors an interaction edge.
+                if not arc.is_forward:
+                    neighbour = keys[arc.head]
+                    degree = live_degree.get(neighbour)
+                    if degree is not None:
+                        live_degree[neighbour] = degree - 1
+                        if degree == 1:
+                            stranded.append(neighbour)
+        return stranded
 
     @property
     def active_left(self) -> FrozenSet[Vertex]:
         """Currently active (non-retired) left vertices."""
-        return frozenset(v for v in self._left_weights if v not in self._retired_left)
+        return frozenset(self._live_degree)
 
     @property
     def active_right(self) -> FrozenSet[Vertex]:
@@ -250,12 +288,31 @@ class IncrementalMaxFlow:
         Read off the network's forward edges: for tests, export and
         compaction, not for the decision loop.
         """
-        retired_left, retired_right = self._retired_left, self._retired_right
+        live_degree, retired_right = self._live_degree, self._retired_right
         return frozenset(
             edge
             for edge in self._interaction_edges()
-            if edge[0] not in retired_left and edge[1] not in retired_right
+            if edge[0] in live_degree and edge[1] not in retired_right
         )
+
+    def live_degree(self, left: Vertex) -> int:
+        """Number of live right vertices ``left`` is joined to (0 once retired)."""
+        return self._live_degree.get(left, 0)
+
+    @property
+    def live_left_count(self) -> int:
+        """Number of live left vertices."""
+        return len(self._live_degree)
+
+    @property
+    def live_right_count(self) -> int:
+        """Number of live right vertices."""
+        return len(self._right_weights) - len(self._retired_right)
+
+    @property
+    def live_edge_count(self) -> int:
+        """Number of interaction edges whose both endpoints are live."""
+        return sum(self._live_degree.values())
 
     @property
     def augmentation_count(self) -> int:
@@ -303,7 +360,7 @@ class IncrementalMaxFlow:
             )
             self._open = []
             keys, sink_arcs = self._keys, self._sink_arcs
-            retired_left, retired_right = self._retired_left, self._retired_right
+            live_degree, retired_right = self._live_degree, self._retired_right
             uncovered_left: List[Vertex] = []
             covered_right: List[Vertex] = []
             for vertex_id in reached:
@@ -311,7 +368,7 @@ class IncrementalMaxFlow:
                 if vertex_id in sink_arcs:
                     if vertex not in retired_right:
                         covered_right.append(vertex)
-                elif vertex not in retired_left:
+                elif vertex in live_degree:
                     uncovered_left.append(vertex)
             return CoverDelta(
                 uncovered_left=tuple(uncovered_left), covered_right=tuple(covered_right)
@@ -354,7 +411,7 @@ class IncrementalMaxFlow:
     @property
     def retired_count(self) -> int:
         """Number of retired vertices still occupying the underlying network."""
-        return len(self._retired_left) + len(self._retired_right)
+        return len(self._left_weights) - len(self._live_degree) + len(self._retired_right)
 
     def compact(self) -> None:
         """Rebuild the underlying network with retired vertices removed.
@@ -373,7 +430,8 @@ class IncrementalMaxFlow:
         * the closed set and the open source arcs are carried over for the
           survivors (a closed set stays closed when vertices are deleted);
         * survivors keep their vertex ids, and the id tables, ``_sink_arcs``
-          and the weights are pruned to them.
+          and the weights are pruned to them; ``_live_degree`` holds live
+          vertices and counts live neighbours only, so it carries over as is.
 
         What compaction does change is that retired vertices outside every
         closed set stop absorbing flow, so *when* it runs is part of the
@@ -445,7 +503,6 @@ class IncrementalMaxFlow:
         self._keys = {i: v for v, i in self._left_ids.items()}
         self._keys.update((i, v) for v, i in self._right_ids.items())
         self._sink_arcs = sink_arcs
-        self._retired_left.clear()
         self._retired_right.clear()
         reopened = (new_network.get_edge(SOURCE, head) for head in open_left)
         self._open = [arc for arc in reopened if arc is not None]
@@ -464,7 +521,7 @@ class IncrementalMaxFlow:
         to cross-check :meth:`active_cover`.
         """
         if active_only:
-            left = {v: w for v, w in self._left_weights.items() if v not in self._retired_left}
+            left = {v: w for v, w in self._left_weights.items() if v in self._live_degree}
             right = {
                 v: w for v, w in self._right_weights.items() if v not in self._retired_right
             }
@@ -493,5 +550,5 @@ class IncrementalMaxFlow:
             "IncrementalMaxFlow("
             f"left={len(self._left_weights)}, right={len(self._right_weights)}, "
             f"edges={self._network.edge_count - len(self._keys)}, "
-            f"retired={len(self._retired_left) + len(self._retired_right)})"
+            f"retired={self.retired_count})"
         )

@@ -2,46 +2,28 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.interaction_graph import InteractionGraph
 from repro.core.update_manager import UpdateManager
 from tests.conftest import make_query, make_update
 
 
 class TestInteractionGraph:
+    """The interaction graph's behaviour, driven through ``UpdateManager.decide``."""
+
     def test_ship_cheap_update_instead_of_expensive_query(self):
-        graph = InteractionGraph()
+        manager = UpdateManager()
         query = make_query(1, object_ids=[1], cost=10.0, timestamp=5.0)
         update = make_update(1, object_id=1, cost=2.0, timestamp=1.0)
-        graph.add_query(query)
-        graph.add_update(update)
-        graph.add_interaction(query, update)
-        advice = graph.advise(query)
-        assert not advice.ship_query
-        assert advice.ship_updates == frozenset({1})
+        result = manager.decide(query, {1: [update]})
+        assert not result.ship_query
+        assert result.ship_update_ids == [1]
 
     def test_ship_cheap_query_instead_of_expensive_updates(self):
-        graph = InteractionGraph()
+        manager = UpdateManager()
         query = make_query(1, object_ids=[1], cost=3.0, timestamp=5.0)
         updates = [make_update(i, object_id=1, cost=4.0, timestamp=1.0) for i in range(3)]
-        graph.add_query(query)
-        for update in updates:
-            graph.add_update(update)
-            graph.add_interaction(query, update)
-        advice = graph.advise(query)
-        assert advice.ship_query
-        assert advice.ship_updates == frozenset()
-
-    def test_edge_requires_added_vertices(self):
-        graph = InteractionGraph()
-        query = make_query(1, object_ids=[1], cost=3.0, timestamp=5.0)
-        update = make_update(1, object_id=1, cost=4.0, timestamp=1.0)
-        with pytest.raises(KeyError):
-            graph.add_interaction(query, update)
-        graph.add_query(query)
-        with pytest.raises(KeyError):
-            graph.add_interaction(query, update)
+        result = manager.decide(query, {1: updates})
+        assert result.ship_query
+        assert result.ship_update_ids == []
 
     def test_accumulated_query_weight_eventually_justifies_update(self):
         """Repeated cheap queries against one expensive update flip the cover.
@@ -51,34 +33,31 @@ class TestInteractionGraph:
         update's cost, the update is shipped instead (the paper's central
         cost-amortisation behaviour).
         """
-        graph = InteractionGraph()
+        manager = UpdateManager()
         update = make_update(1, object_id=1, cost=10.0, timestamp=0.0)
         shipped_update_at = None
         for step in range(1, 8):
             query = make_query(step, object_ids=[1], cost=3.0, timestamp=float(step))
-            graph.add_query(query)
-            graph.add_update(update)
-            graph.add_interaction(query, update)
-            advice = graph.advise(query)
-            if advice.ship_updates:
+            result = manager.decide(query, {1: [update]})
+            if result.ship_update_ids:
                 shipped_update_at = step
                 break
-            assert advice.ship_query
+            assert result.ship_query
         assert shipped_update_at is not None
         assert shipped_update_at == 4  # 3 + 3 + 3 < 10 <= 3 + 3 + 3 + 3
 
     def test_remainder_pruning_retires_covered_updates(self):
-        graph = InteractionGraph()
+        manager = UpdateManager()
         query = make_query(1, object_ids=[1], cost=10.0, timestamp=5.0)
         update = make_update(1, object_id=1, cost=2.0, timestamp=1.0)
-        graph.add_query(query)
-        graph.add_update(update)
-        graph.add_interaction(query, update)
-        graph.advise(query)
+        manager.decide(query, {1: [update]})
         # The shipped update left the remainder graph; nothing active remains
         # (the query, answered at the cache, is pruned as isolated).
-        assert graph.active_update_count == 0
-        assert graph.edge_count == 0
+        stats = manager.stats()
+        assert stats["graph_updates"] == 0
+        assert stats["graph_edges"] == 0
+        assert stats["graph_queries"] == 0
+        assert manager.active_update_ids() == frozenset()
 
     def test_shipped_query_does_not_rejustify_updates(self):
         """A query whose weight was spent cannot keep justifying shipping.
@@ -88,44 +67,54 @@ class TestInteractionGraph:
         attributable to u2 is q2's 3 (q1 interacted only with u1), so q2 is
         shipped, not u2.
         """
-        graph = InteractionGraph()
+        manager = UpdateManager()
         q1 = make_query(1, object_ids=[1], cost=10.0, timestamp=1.0)
         u1 = make_update(1, object_id=1, cost=4.0, timestamp=0.5)
-        graph.add_query(q1)
-        graph.add_update(u1)
-        graph.add_interaction(q1, u1)
-        first = graph.advise(q1)
-        assert first.ship_updates == frozenset({1})
+        first = manager.decide(q1, {1: [u1]})
+        assert first.ship_update_ids == [1]
 
         q2 = make_query(2, object_ids=[1], cost=3.0, timestamp=2.0)
         u2 = make_update(2, object_id=1, cost=8.0, timestamp=1.5)
-        graph.add_query(q2)
-        graph.add_update(u2)
-        graph.add_interaction(q2, u2)
-        second = graph.advise(q2)
+        second = manager.decide(q2, {1: [u2]})
         assert second.ship_query
-        assert second.ship_updates == frozenset()
+        assert second.ship_update_ids == []
 
     def test_drop_updates_removes_interactions(self):
-        graph = InteractionGraph()
+        manager = UpdateManager()
         query = make_query(1, object_ids=[1], cost=1.0, timestamp=5.0)
         update = make_update(1, object_id=1, cost=5.0, timestamp=1.0)
-        graph.add_query(query)
-        graph.add_update(update)
-        graph.add_interaction(query, update)
-        graph.drop_updates([1])
-        assert graph.active_update_count == 0
-        assert graph.edge_count == 0
+        # The cheap query is shipped; it and the update stay, joined.
+        assert manager.decide(query, {1: [update]}).ship_query
+        assert manager.stats()["graph_edges"] == 1
+        manager.forget_updates([1])
+        stats = manager.stats()
+        assert stats["graph_updates"] == 0
+        assert stats["graph_edges"] == 0
+        # The query lost its last edge with the update and was pruned.
+        assert stats["graph_queries"] == 0
 
     def test_covers_computed_counter(self):
-        graph = InteractionGraph()
+        manager = UpdateManager()
         query = make_query(1, object_ids=[1], cost=1.0, timestamp=5.0)
         update = make_update(1, object_id=1, cost=5.0, timestamp=1.0)
-        graph.add_query(query)
-        graph.add_update(update)
-        graph.add_interaction(query, update)
-        graph.advise(query)
-        assert graph.covers_computed == 1
+        manager.decide(query, {1: [update]})
+        manager.decide(make_query(2, object_ids=[1], cost=1.0, timestamp=6.0), {})
+        assert manager.stats()["covers_computed"] == 1
+        assert manager.stats()["decisions"] == 2
+
+    def test_reused_update_id_starts_a_new_generation(self):
+        """An id seen with a different identity is a different update."""
+        manager = UpdateManager()
+        old = make_update(1, object_id=1, cost=50.0, timestamp=1.0)
+        cheap = make_query(1, object_ids=[1], cost=1.0, timestamp=2.0)
+        assert manager.decide(cheap, {1: [old]}).ship_query
+        new = make_update(1, object_id=1, cost=2.0, timestamp=3.0)
+        dear = make_query(2, object_ids=[1], cost=10.0, timestamp=4.0)
+        result = manager.decide(dear, {1: [new]})
+        # Judged against the new update's cost (2), not the stale vertex's 50.
+        assert not result.ship_query
+        assert result.ship_update_ids == [1]
+        assert manager.stats()["graph_updates"] == 0
 
 
 class TestUpdateManager:
@@ -173,8 +162,10 @@ class TestUpdateManager:
         query = make_query(1, object_ids=[1], cost=1.0, timestamp=5.0)
         interacting = {1: [make_update(1, object_id=1, cost=50.0, timestamp=1.0)]}
         manager.decide(query, interacting)
+        assert manager.active_update_ids() == {1}
         manager.forget_updates([1])
-        assert manager.graph.active_update_count == 0
+        assert manager.active_update_ids() == frozenset()
+        assert manager.stats()["graph_updates"] == 0
 
     def test_stats_counters(self):
         manager = UpdateManager()

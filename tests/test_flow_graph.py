@@ -38,20 +38,6 @@ class TestConstruction:
         assert network.get_edge("a", "b").capacity == pytest.approx(8.0)
         assert network.edge_count == 1
 
-    def test_set_capacity_cannot_drop_below_flow(self):
-        network = FlowNetwork()
-        arc = network.add_edge("a", "b", 5.0)
-        arc.push(4.0)
-        with pytest.raises(ValueError):
-            network.set_capacity("a", "b", 3.0)
-        network.set_capacity("a", "b", 10.0)
-        assert arc.capacity == pytest.approx(10.0)
-
-    def test_set_capacity_on_missing_edge_raises(self):
-        network = FlowNetwork()
-        with pytest.raises(KeyError):
-            network.set_capacity("a", "b", 1.0)
-
 
 class TestArcs:
     def test_push_updates_partner_residual(self):
@@ -109,14 +95,6 @@ class TestFlowAccounting:
         network.get_edge("s", "a").push(2.0)
         with pytest.raises(AssertionError):
             network.check_flow_conservation("s", "t")
-
-    def test_in_and_out_flow(self):
-        network = self._diamond()
-        network.get_edge("s", "a").push(1.0)
-        network.get_edge("a", "t").push(1.0)
-        assert network.out_flow("a") == pytest.approx(1.0)
-        assert network.in_flow("a") == pytest.approx(1.0)
-        assert network.in_flow("t") == pytest.approx(1.0)
 
 
 class TestResidualReachability:

@@ -7,6 +7,7 @@ import statistics
 import subprocess
 import sys
 import textwrap
+from collections.abc import Sized
 from pathlib import Path
 from time import perf_counter
 
@@ -157,6 +158,27 @@ class TestRetirement:
         cover = solver.active_cover()
         assert "u1" not in cover.right_in_cover
         assert cover.weight == pytest.approx(0.0)
+
+    def test_retire_reports_the_left_vertices_left_without_an_edge(self):
+        solver = IncrementalMaxFlow()
+        solver.add_left("q1", 1.0)
+        solver.add_left("q2", 1.0)
+        solver.add_right("u1", 5.0)
+        solver.add_right("u2", 5.0)
+        solver.add_edge("q1", "u1")
+        solver.add_edge("q1", "u1")  # named twice, counted once
+        solver.add_edge("q2", "u1")
+        solver.add_edge("q2", "u2")
+        assert (solver.live_degree("q1"), solver.live_degree("q2")) == (1, 2)
+        assert solver.live_edge_count == 3
+        assert solver.retire(right=["u1"]) == ["q1"]
+        assert solver.retire(right=["u1"]) == []  # already retired: nothing to walk
+        # Stranded is reported, not retired: pruning is the caller's decision.
+        assert solver.has_left("q1") and solver.live_degree("q1") == 0
+        # A left vertex retired in the same call is gone, not stranded.
+        assert solver.retire(left=["q2"], right=["u2"]) == []
+        assert (solver.live_left_count, solver.live_right_count) == (1, 0)
+        assert (solver.live_edge_count, solver.retired_count) == (0, 3)
 
     def _shipped_query_solver(self):
         """q1 (3) against u1 (10): the query is shipped, then retired."""
@@ -395,8 +417,8 @@ class TestCompactionDeterminism:
         assert self._run("1") == self._run("4242")
 
 
-def _replay_default_shape(events: int):
-    """Replay VCover over the default scenario shape; return its flow solver."""
+def _replay_update_manager(events: int):
+    """Replay VCover over the default scenario shape; return its UpdateManager."""
     config = ExperimentConfig().scaled(query_count=events // 2, update_count=events // 2)
     scenario = build_scenario(config)
     repository = Repository(scenario.catalog, keep_update_log=False)
@@ -407,7 +429,46 @@ def _replay_default_shape(events: int):
     ReplayKernel(
         repository, [policy], [link], EngineConfig(sample_every=config.sample_every)
     ).run(scenario.trace)
-    return policy.update_manager.graph._flow
+    return policy.update_manager
+
+
+def _replay_default_shape(events: int):
+    """Replay VCover over the default scenario shape; return its flow solver."""
+    return _replay_update_manager(events)._flow
+
+
+class TestBoundedState:
+    """No table of the decision path is keyed by history (ROADMAP item 8)."""
+
+    def test_every_container_is_bounded_by_the_graph_it_describes(self):
+        for events in (6000, 24000):
+            manager = _replay_update_manager(events)
+            flow = manager._flow
+            covers = manager.stats()["covers_computed"]
+            assert covers > 100
+            # Retired vertices legitimately wait for the next compaction (up
+            # to COMPACTION_SLACK more than the live ones); with them gone the
+            # bound is tight enough that one entry per cover would break it.
+            flow.compact()
+            bound = (
+                flow.live_left_count
+                + flow.live_right_count
+                + flow.live_edge_count
+                + flow.retired_count
+                + 2
+            )
+            sizes = {}
+            for owner in (manager, flow):
+                for name in getattr(owner, "__slots__", None) or vars(owner):
+                    value = getattr(owner, name)
+                    if isinstance(value, Sized):
+                        sizes[f"{type(owner).__name__}.{name}"] = len(value)
+            # The walk found the tables it is meant to bound ...
+            assert {"UpdateManager._updates", "IncrementalMaxFlow._keys"} <= set(sizes)
+            # ... and none of them outgrew the live graph plus what awaits compaction.
+            assert {name: size for name, size in sizes.items() if size > bound} == {}
+            if events == 6000:
+                assert covers > bound  # so a per-cover table would have been caught
 
 
 class TestScalingGuard:

@@ -1,6 +1,6 @@
 """Property-based tests for the flow layer (hypothesis).
 
-Three families of invariants, each checked against randomly generated
+Four families of invariants, each checked against randomly generated
 structures rather than hand-picked examples:
 
 * the max-flow solvers certify themselves: both methods agree, conserve
@@ -9,10 +9,10 @@ structures rather than hand-picked examples:
 * :func:`repro.flow.vertex_cover.min_weight_vertex_cover` is *exactly*
   optimal: on small random bipartite instances it always returns a valid
   cover whose weight matches the exponential brute-force oracle;
-* :class:`repro.core.interaction_graph.InteractionGraph` keeps its incidence
-  maps consistent under arbitrary add / advise / drop sequences -- the
-  remainder-subgraph pruning of Section 4 must never leave dangling edges or
-  stale vertices behind;
+* :class:`repro.core.update_manager.UpdateManager` keeps one record of the
+  interaction graph under arbitrary decide / forget sequences -- what it
+  reports is what the flow object holds, and the remainder-subgraph pruning
+  of Section 4 never leaves a dangling edge or a stale vertex behind;
 * the frontier-local cover of :class:`repro.flow.incremental.IncrementalMaxFlow`
   gives the same advice, retirements and flow as a whole-network reference
   kept here for that purpose.
@@ -20,11 +20,13 @@ structures rather than hand-picked examples:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.interaction_graph import InteractionGraph
+from repro.core.update_manager import UpdateManager
 from repro.flow.graph import FlowNetwork
 from repro.flow.incremental import CoverDelta, IncrementalMaxFlow
 from repro.flow.maxflow import solve_max_flow
@@ -131,121 +133,82 @@ def test_property_cover_contains_no_isolated_vertices(instance):
 
 
 # ----------------------------------------------------------------------
-# InteractionGraph incidence consistency
+# UpdateManager: one record of the interaction graph
 # ----------------------------------------------------------------------
-def _check_incidence_consistency(graph: InteractionGraph) -> None:
-    """The incidence maps must stay symmetric and reference only active keys."""
-    active_updates = set(graph._active_update_keys.values())
-    assert set(graph._edges_by_query) <= graph._active_query_keys
-    assert set(graph._edges_by_update) <= active_updates
-    for query_key, update_keys in graph._edges_by_query.items():
-        assert update_keys, "empty incidence sets must be removed"
-        for update_key in update_keys:
-            assert query_key in graph._edges_by_update[update_key]
-    for update_key, query_keys in graph._edges_by_update.items():
-        assert query_keys, "empty incidence sets must be removed"
-        for query_key in query_keys:
-            assert update_key in graph._edges_by_query[query_key]
-    assert graph.edge_count == sum(
-        len(keys) for keys in graph._edges_by_update.values()
-    )
-    # Pruning is driven by the queries that just lost an edge; it must still
-    # leave no kept query without one.
-    assert set(graph._edges_by_query) == graph._active_query_keys
-    # The exported instance must be self-consistent (its validator checks
-    # every edge endpoint has a weight).
-    graph.to_instance()
+def _check_one_record(manager: UpdateManager) -> None:
+    """Everything the manager reports is read off the one flow object.
+
+    The live-degree table is the only thing kept *beside* the network's edge
+    table, so it is checked against the degrees recomputed from the exported
+    edges; remainder pruning is driven by it and must leave no live query
+    without an edge.
+    """
+    flow = manager._flow
+    instance = flow.to_instance()  # its validator checks every edge endpoint
+    degree = Counter(left for left, _ in instance.edges)
+    assert set(flow._live_degree) == flow.active_left == set(instance.left_weights)
+    assert flow._live_degree == {left: degree[left] for left in flow.active_left}
+    assert all(flow._live_degree.values()), "a live query was left without an edge"
+    assert {key for key, _ in manager._updates.values()} == flow.active_right
+    stats = manager.stats()
+    assert stats["graph_queries"] == len(instance.left_weights)
+    assert stats["graph_updates"] == len(instance.right_weights)
+    assert stats["graph_edges"] == len(instance.edges)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(ops=graph_ops)
-def test_property_interaction_graph_incidence_consistency(ops):
-    """Arbitrary add/advise/drop sequences never corrupt the remainder graph."""
-    graph = InteractionGraph()
-    outstanding: dict[int, Update] = {}
-    next_id = 0
-    for kind, cost, picks in ops:
-        next_id += 1
-        if kind == "update":
-            update = Update(
-                update_id=next_id, object_id=1, cost=cost, timestamp=float(next_id)
-            )
-            graph.add_update(update)
-            outstanding[next_id] = update
-        elif kind == "query":
-            query = Query(
-                query_id=next_id,
-                object_ids=frozenset({1}),
-                cost=cost,
-                timestamp=float(next_id),
-            )
-            graph.add_query(query)
-            candidates = sorted(outstanding)
-            for pick in picks:
-                if candidates:
-                    graph.add_interaction(
-                        query, outstanding[candidates[pick % len(candidates)]]
-                    )
-            advice = graph.advise(query)
-            for update_id in advice.ship_updates:
-                outstanding.pop(update_id, None)
-        else:  # drop
-            candidates = sorted(outstanding)
-            dropped = {
-                candidates[pick % len(candidates)] for pick in picks if candidates
-            }
-            graph.drop_updates(dropped)
-            for update_id in dropped:
-                outstanding.pop(update_id, None)
-        _check_incidence_consistency(graph)
-        assert graph.active_update_ids() == frozenset(outstanding)
+def _apply(managers, op, op_id: int, outstanding: dict, joined: set):
+    """Apply one ``graph_ops`` entry to every manager; return the decisions.
+
+    ``outstanding`` holds the updates not yet shipped or dropped, ``joined``
+    the ids of those a query has interacted with (production never adds an
+    update vertex without an edge, so an ``update`` op only records it).
+    Picks may repeat, so duplicate edges are exercised.
+    """
+    kind, cost, picks = op
+    candidates = sorted(outstanding)
+    chosen = [candidates[pick % len(candidates)] for pick in picks if candidates]
+    results = []
+    if kind == "update":
+        outstanding[op_id] = Update(
+            update_id=op_id, object_id=1, cost=cost, timestamp=float(op_id)
+        )
+    elif kind == "query":
+        query = Query(
+            query_id=op_id, object_ids=frozenset({1}), cost=cost, timestamp=float(op_id)
+        )
+        interacting = {1: [outstanding[update_id] for update_id in chosen]}
+        results = [manager.decide(query, interacting) for manager in managers]
+        if not results[0].ship_query:
+            # Keeping the query at the cache requires every update it
+            # interacts with to be shipped by this or an earlier cover.
+            assert set(chosen) <= set(results[0].ship_update_ids)
+        joined.update(chosen)
+        for update_id in results[0].ship_update_ids:
+            del outstanding[update_id]
+    else:  # drop
+        for manager in managers:
+            manager.forget_updates(chosen)
+        for update_id in chosen:
+            outstanding.pop(update_id, None)
+    joined.intersection_update(outstanding)
+    return results
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(ops=graph_ops)
 def test_property_interaction_graph_advice_covers_interactions(ops):
-    """Advice is a cover: a kept query never leaves an interaction unpaid."""
-    graph = InteractionGraph()
+    """Advice is a cover: a kept query never leaves an interaction unpaid.
+
+    And arbitrary decide / forget sequences never leave a dangling edge, a
+    stale vertex or a miscounted degree behind.
+    """
+    manager = UpdateManager()
     outstanding: dict[int, Update] = {}
-    next_id = 0
-    for kind, cost, picks in ops:
-        next_id += 1
-        if kind == "update":
-            update = Update(
-                update_id=next_id, object_id=1, cost=cost, timestamp=float(next_id)
-            )
-            graph.add_update(update)
-            outstanding[next_id] = update
-        elif kind == "query":
-            query = Query(
-                query_id=next_id,
-                object_ids=frozenset({1}),
-                cost=cost,
-                timestamp=float(next_id),
-            )
-            graph.add_query(query)
-            candidates = sorted(outstanding)
-            interacting = set()
-            for pick in picks:
-                if candidates:
-                    chosen = candidates[pick % len(candidates)]
-                    graph.add_interaction(query, outstanding[chosen])
-                    interacting.add(chosen)
-            advice = graph.advise(query)
-            if not advice.ship_query:
-                # Keeping the query at the cache requires every update it
-                # interacts with to be shipped by this or an earlier cover.
-                assert interacting <= set(advice.ship_updates)
-            for update_id in advice.ship_updates:
-                outstanding.pop(update_id, None)
-        else:
-            candidates = sorted(outstanding)
-            dropped = {
-                candidates[pick % len(candidates)] for pick in picks if candidates
-            }
-            graph.drop_updates(dropped)
-            for update_id in dropped:
-                outstanding.pop(update_id, None)
+    joined: set[int] = set()
+    for op_id, op in enumerate(ops, start=1):
+        _apply([manager], op, op_id, outstanding, joined)
+        _check_one_record(manager)
+        assert manager.active_update_ids() == joined
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +248,8 @@ class GlobalCoverFlow(IncrementalMaxFlow):
         )
 
 
-def _flows(graph: InteractionGraph) -> dict:
-    return {(arc.tail, arc.head): arc.flow for arc in graph._flow.network.forward_edges()}
+def _flows(manager: UpdateManager) -> dict:
+    return {(arc.tail, arc.head): arc.flow for arc in manager._flow.network.forward_edges()}
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -294,59 +257,32 @@ def _flows(graph: InteractionGraph) -> dict:
 def test_property_frontier_cover_matches_global_reference(ops, slack):
     """Same advice, same retirements, same flow as searching the whole network.
 
-    Driven through :class:`InteractionGraph` (the only production caller)
+    Driven through :class:`UpdateManager` (the only production caller)
     across drops, scheduled compactions (``slack``) and forced ones.
     """
-    local, reference = InteractionGraph(), InteractionGraph()
+    local, reference = UpdateManager(), UpdateManager()
     reference._flow = GlobalCoverFlow()
     local.COMPACTION_SLACK = reference.COMPACTION_SLACK = slack
     outstanding: dict[int, Update] = {}
-    next_id = 0
-    for kind, cost, picks in ops:
-        next_id += 1
-        candidates = sorted(outstanding)
-        chosen = [candidates[pick % len(candidates)] for pick in picks if candidates]
-        if kind == "update":
-            update = Update(
-                update_id=next_id, object_id=1, cost=cost, timestamp=float(next_id)
-            )
-            outstanding[next_id] = update
-            for graph in (local, reference):
-                graph.add_update(update)
-        elif kind == "query":
-            query = Query(
-                query_id=next_id,
-                object_ids=frozenset({1}),
-                cost=cost,
-                timestamp=float(next_id),
-            )
-            advice = []
-            for graph in (local, reference):
-                graph.add_query(query)
-                for update_id in chosen:
-                    graph.add_interaction(query, outstanding[update_id])
-                advice.append(graph.advise(query))
-            assert advice[0] == advice[1]
-            for update_id in advice[0].ship_updates:
-                outstanding.pop(update_id, None)
-        else:
-            for graph in (local, reference):
-                graph.drop_updates(chosen)
-            for update_id in chosen:
-                outstanding.pop(update_id, None)
-        if len(picks) == 4:
+    joined: set[int] = set()
+    for op_id, op in enumerate(ops, start=1):
+        results = _apply([local, reference], op, op_id, outstanding, joined)
+        if results:
+            assert results[0] == results[1]
+        if len(op[2]) == 4:
             local._flow.compact()
             reference._flow.compact()
-        _check_incidence_consistency(local)
-        assert local._flow._retired_left == reference._flow._retired_left
+        _check_one_record(local)
+        assert local.active_update_ids() == joined
+        assert local._flow.active_left == reference._flow.active_left
+        assert local._flow._live_degree == reference._flow._live_degree
         assert local._flow._retired_right == reference._flow._retired_right
-        assert local._active_query_keys == reference._active_query_keys
-        assert local._active_update_keys == reference._active_update_keys
-        assert local.edge_count == reference.edge_count
-        assert local.to_instance() == reference.to_instance()
+        assert local._flow.retired_count == reference._flow.retired_count
+        assert local._updates == reference._updates
+        assert local.stats() == reference.stats()
+        assert local._flow.to_instance() == reference._flow.to_instance()
         assert _flows(local) == _flows(reference)
         # Invariant 3: the status nobody looked at is still the true one.
         cover, truth = local._flow.active_cover(), _global_cover(reference._flow)
         assert cover.left_in_cover == truth[0]
         assert cover.right_in_cover == truth[1]
-

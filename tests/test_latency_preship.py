@@ -136,7 +136,7 @@ class TestPreshipping:
         policy = VCoverPolicy(
             repository, 40.0, link, VCoverConfig(preship=True, preship_min_hits=1)
         )
-        graph = policy.update_manager.graph
+        manager = policy.update_manager
 
         # Load object 1 (expensive first query justifies the load).
         policy.on_query(make_query(1, object_ids=[1], cost=50.0, timestamp=1.0))
@@ -149,7 +149,7 @@ class TestPreshipping:
         # A cheap query interacts with it; the cover ships the query and the
         # update vertex stays in the remainder graph.
         policy.on_query(make_query(2, object_ids=[1], cost=1.0, timestamp=3.0))
-        assert graph.active_update_ids() == {update.update_id}
+        assert manager.active_update_ids() == {update.update_id}
         # A tolerant query is answered at the cache, making the object hot.
         policy.on_query(
             make_query(3, object_ids=[1], cost=5.0, timestamp=4.0, tolerance=100.0)
@@ -160,7 +160,7 @@ class TestPreshipping:
         repository.ingest_update(second)
         policy.on_update(second)
         assert policy.outstanding_updates(1) == []
-        assert graph.active_update_ids() == frozenset()
+        assert manager.active_update_ids() == frozenset()
 
     def test_graph_never_tracks_non_outstanding_updates(self):
         # Invariant behind the fix: every update vertex in the interaction
@@ -177,7 +177,7 @@ class TestPreshipping:
             link,
             VCoverConfig(preship=True, preship_min_hits=1),
         )
-        graph = policy.update_manager.graph
+        manager = policy.update_manager
         for event in scenario.trace:
             if event.kind == "update":
                 repository.ingest_update(event.update)
@@ -189,7 +189,7 @@ class TestPreshipping:
                 for object_id in policy.resident_objects()
                 for update in policy.outstanding_updates(object_id)
             }
-            assert graph.active_update_ids() <= outstanding
+            assert manager.active_update_ids() <= outstanding
 
     def test_preship_ablation_improves_latency_not_traffic(self):
         config = ExperimentConfig(
