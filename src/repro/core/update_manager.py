@@ -16,14 +16,17 @@ top of it the manager keeps the domain vocabulary (queries and updates
 instead of left/right vertices) and the *remainder subgraph* of Section 4 --
 update nodes picked in a cover and query nodes not picked are retired.
 
+A query is joined not to each update it must see but to one *bundle* per
+stale object (:meth:`UpdateManager._join`): the network grows with what
+arrived, |Q_o| + 2|U_o| arcs per object, not with the |Q_o| x |U_o| edges of
+the graph it stands for -- which is still what ``stats()["graph_edges"]`` counts.
+
 Vertex keys are *generation-scoped*: every decision mints a fresh key for its
 query, and an update id observed with a different identity (different
 timestamp/cost/object, as happens when independently generated traces reuse
 ids) silently starts a new generation.  External callers therefore never need
 globally unique ids for correctness; uniqueness is only required *among the
-currently outstanding updates*, which the policy bookkeeping guarantees.  The
-keys sort by side, id and sequence number, which fixes the order compaction
-rebuilds the network in.
+currently outstanding updates*, which the policy bookkeeping guarantees.
 
 The manager does not own the cache or the network link -- it receives thin
 callbacks from the policy so it can be unit-tested with fakes.
@@ -32,7 +35,9 @@ callbacks from the policy so it can be unit-tested with fakes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.flow.incremental import IncrementalMaxFlow
@@ -57,6 +62,18 @@ class UpdateManagerResult:
     ship_update_ids: List[int]
 
 
+@dataclass(slots=True)
+class _Chain:
+    """The bundles over one object's live updates, each standing for a prefix.
+
+    ``bundles`` holds ascending ``(end, bundle)`` pairs, the bundle reaching
+    ``members[:end]`` (oldest first); every ``end`` is positive: nothing dead.
+    """
+
+    members: List[Update] = field(default_factory=list)
+    bundles: List[Tuple[int, int]] = field(default_factory=list)
+
+
 class UpdateManager:
     """Choose between query shipping and update shipping for in-cache queries.
 
@@ -78,6 +95,8 @@ class UpdateManager:
         self._sequence = itertools.count()
         #: Outstanding update id -> (its live vertex key, the Update it stands for).
         self._updates: Dict[int, Tuple[UpdateKey, Update]] = {}
+        #: Object id -> the chain of bundles over its outstanding updates.
+        self._chains: Dict[int, _Chain] = {}
         self._decisions = 0
         self._covers_computed = 0
         self._queries_shipped = 0
@@ -113,40 +132,75 @@ class UpdateManager:
             when the cache already satisfies the query.
         """
         self._decisions += 1
-        all_updates = [
-            update for updates in interacting_updates.values() for update in updates
-        ]
-        if not all_updates:
+        if not any(interacting_updates.values()):
             # Fast path: every interacting update has already been shipped.
             return UpdateManagerResult(ship_query=False, ship_update_ids=[])
 
         flow = self._flow
         query_key: QueryKey = ("q", query.query_id, next(self._sequence))
         flow.add_left(query_key, query.cost)
-        for update in all_updates:
-            flow.add_edge(query_key, self._update_key(update))
+        for object_id, wanted in interacting_updates.items():
+            if wanted:
+                self._join(query_key, object_id, wanted)
 
         delta = flow.compute_cover()
         self._covers_computed += 1
-        # Read before anything is retired, because retiring drops the degree:
+        # Read before anything is retired, because retiring drops the count:
         # the query is in the cover iff it has an edge and was not reached.
         ship_query = flow.live_degree(query_key) > 0 and query_key not in delta.uncovered_left
-        # Shipped in the order of a frozenset of the ids, *not* in the order
-        # the reachability pass met them: that order feeds
-        # ``QueryOutcome.shipped_updates``, the sim-vs-served decision logs and
-        # the float accumulation of the update shipping cost, and the
-        # determinism fixtures pin it (it differs from the visit order in most
-        # covers that pick more than one update).
-        shipped = list(frozenset(key[1] for key in delta.covered_right))
+        # Shipped in the iteration order of a frozenset filled in ascending id
+        # order, a function of the id *set* alone -- not in the order the
+        # reachability pass met them (it follows the augmenting paths), nor of
+        # a frozenset filled in that order (colliding ids come out as
+        # inserted: ``list(frozenset([8, 0])) == [8, 0]``).  It feeds
+        # ``QueryOutcome.shipped_updates``, the sim-vs-served decision logs
+        # and the float sum of the shipping cost; the fixtures pin it.
+        shipped = list(frozenset(sorted(key[1] for key in delta.covered_right)))
 
-        for key in delta.covered_right:
-            del self._updates[key[1]]
+        self._forget(shipped, covered=True)
         self._retire(left=delta.uncovered_left, right=delta.covered_right)
 
         if ship_query:
             self._queries_shipped += 1
         self._updates_shipped += len(shipped)
         return UpdateManagerResult(ship_query=ship_query, ship_update_ids=shipped)
+
+    def _join(self, query_key: QueryKey, object_id: int, wanted: List[Update]) -> None:
+        """Join the query to ``wanted``, one object's updates it must see, by one arc.
+
+        ``wanted`` is a time-prefix of the object's outstanding list
+        (:meth:`BaseCachePolicy.interacting_updates`), keys are minted in that
+        order, and updates a cover shipped lie in a closed set no search
+        enters -- so a bundle's live reach *is* the outstanding prefix up to
+        its newest update.  The query takes the rightmost bundle whose newest
+        update is not newer than ``wanted[-1]``: as it is when the two are
+        equal, else as the base of a new bundle with one more arc per update
+        in between (chain start: one arc per update); a bundle minted between
+        two chain members leaves the later one as it is.  A list that is not
+        the members' prefix plus updates never seen (tests hand arbitrary,
+        repeating subsets) starts a fresh chain holding exactly ``wanted``:
+        one list ``==``, which tries identity first, tells; only the unseen
+        tail, each update once, goes through :meth:`_update_key`.
+        """
+        updates, chain = self._updates, self._chains.get(object_id)
+        known = len(chain.members) if chain is not None else 0
+        unseen = {update.update_id: update for update in wanted[known:]}
+        if chain is None or not (
+            wanted[:known] == chain.members[: len(wanted)] and updates.keys().isdisjoint(unseen)
+        ):
+            chain = self._chains[object_id] = _Chain()
+            unseen = {update.update_id: update for update in wanted}
+        for update in unseen.values():
+            self._update_key(update)
+            chain.members.append(update)
+        end = len(chain.members) if unseen else len(wanted)
+        index = bisect_right(chain.bundles, end, key=lambda pair: pair[0])
+        below, bundle = chain.bundles[index - 1] if index else (0, None)
+        if bundle is None or below != end:
+            keys = [updates[update.update_id][0] for update in chain.members[below:end]]
+            bundle = self._flow.add_bundle(keys, bundle)
+            chain.bundles.insert(index, (end, bundle))
+        self._flow.add_bundle_edge(query_key, bundle)
 
     def _update_key(self, update: Update) -> UpdateKey:
         """The live vertex key standing for ``update``, minted on first sight."""
@@ -161,11 +215,34 @@ class UpdateManager:
             # not through :meth:`_retire`: pruning the queries this strands,
             # or compacting here, would shift the compaction schedule, which
             # is part of the decision sequence (:attr:`COMPACTION_SLACK`).
+            self._forget((update.update_id,))
             self._flow.retire(right=(entry[0],))
         key: UpdateKey = ("u", update.update_id, next(self._sequence))
         self._flow.add_right(key, update.cost)
         self._updates[update.update_id] = (key, update)
         return key
+
+    def _forget(self, update_ids: Iterable[int], covered: bool = False) -> List[UpdateKey]:
+        """Drop outstanding updates from the tables; return the keys they had.
+
+        Those a cover picked (``covered``) come off the front of their chain:
+        a cover reaches a bundle's whole prefix or none of it.  Any other way
+        out (eviction, reload, preship, a stale generation) drops the chain:
+        the vertex may keep sink capacity outside every closed set, and no
+        later query may reach it.
+        """
+        updates, chains = self._updates, self._chains
+        gone = [updates.pop(uid) for uid in update_ids if uid in updates]
+        for object_id, count in Counter(update.object_id for _, update in gone).items():
+            chain = chains.get(object_id)
+            if covered and chain is not None and count < len(chain.members) and not any(
+                update.update_id in updates for update in chain.members[:count]
+            ):
+                del chain.members[:count]
+                chain.bundles = [(end - count, b) for end, b in chain.bundles if end > count]
+            else:
+                chains.pop(object_id, None)
+        return [key for key, _ in gone]
 
     # ------------------------------------------------------------------
     # Cache-change notifications
@@ -177,8 +254,7 @@ class UpdateManager:
         shipped some other way: they can no longer interact with future
         queries, so they leave the remainder subgraph.
         """
-        updates = self._updates
-        keys = [updates.pop(uid)[0] for uid in update_ids if uid in updates]
+        keys = self._forget(update_ids)
         if keys:
             self._retire(right=keys)
 

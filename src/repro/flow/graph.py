@@ -19,7 +19,7 @@ value below :data:`EPSILON` as zero to keep floating-point arithmetic stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Collection, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 #: Capacities or residuals below this threshold are treated as zero.
 EPSILON = 1e-9
@@ -128,6 +128,25 @@ class FlowNetwork:
         self._adjacency[head].append(backward)
         self._edge_index[key] = forward
         return forward
+
+    def remove_vertices(self, vertices: Collection[Vertex]) -> None:
+        """Delete ``vertices`` with every arc into and out of them, in place.
+
+        Survivors keep their arcs, flow and adjacency order; the caller
+        vouches for the flow left behind.  Costs the arcs removed plus the
+        adjacency lists of the survivors that lose one.
+        """
+        adjacency, edge_index = self._adjacency, self._edge_index
+        gone = set(vertices)
+        thinned: Dict[Vertex, None] = {}
+        for vertex in vertices:
+            for arc in adjacency.pop(vertex):
+                head = arc.head
+                edge_index.pop((vertex, head) if arc.is_forward else (head, vertex), None)
+                if head not in gone:
+                    thinned[head] = None
+        for vertex in thinned:
+            adjacency[vertex] = [arc for arc in adjacency[vertex] if arc.head not in gone]
 
     # ------------------------------------------------------------------
     # Introspection

@@ -43,34 +43,50 @@ a whole breadth-first level:
    of it.  The search learns the sink arc from ``sink_arcs`` (below), which
    must hold every vertex with an arc into the sink for this to be exact.
 
+Bundles.  Between the two sides sits a third kind of vertex, the *bundle*:
+no source arc, no sink arc, infinite arcs in (from left vertices and other
+bundles) and out (to right vertices and one *base* bundle).  A left vertex
+joined to a bundle reaches every right vertex below it, so left vertices that
+share right vertices cost one arc each instead of a biclique.  Infinite arcs
+are never cut and the minimal source side of a minimum cut is unique, so
+every :class:`CoverDelta` is what the expanded bipartite graph gives; only
+the augmenting paths differ.  Invariants 1-4 carry over: a bundle reached by
+a cover is closed with everything below it, a closed tail is still refused,
+and a bundle has no ``sink_arcs`` entry.
+
 Bookkeeping.  The caller's vertex keys never enter the network: each vertex
 gets a dense integer id, handed out monotonically and never reused, and the
 network, the closed set and the hints speak ids only (an int hashes in one
 step; a nested key tuple is re-hashed on every ``in parents`` / ``in closed``
 / ``adjacency[...]``).  ``_left_ids`` / ``_right_ids`` map key to id,
-``_keys`` maps id back to key for the report, and ``_sink_arcs`` maps a right
-vertex's id to its arc into the sink -- which also tells the two sides apart.
-:meth:`compact` keeps the survivors' ids and prunes all four tables, with the
-weights, to the survivors, so they track the live graph, not history.
+``_keys`` maps id back to key for the report, ``_sink_arcs`` maps a right
+vertex's id to its arc into the sink; a bundle is its id, told apart by its
+``_bundle_alive`` entry.  A vertex's weight is the capacity of its source or
+sink arc; no table copies it.
 
 One record.  This class is the only record of which vertices are live and how
-they are joined; the UpdateManager above it keeps no copy.  The edges are the
-network's own edge table.  A left vertex is live while it has an entry in
-``_live_degree``, which counts its edges whose right end is live; a right
-vertex is live until it enters ``_retired_right``.  Vertices are *retired*
-(removed from the cover bookkeeping) to maintain the remainder subgraph of
-Section 4, and :meth:`retire` is what notices a left vertex losing its last
-live edge.  Retiring only detaches a vertex from the reporting; its arcs and
-flow stay in the network, so a retired vertex outside every closed set -- an
-update dropped while its sink arc still had capacity, say -- can still carry
-flow until :meth:`compact` rebuilds the network without it.
+they are joined; the UpdateManager above it keeps no copy.  A left vertex is
+live while it has an entry in ``_left_alive``, a right vertex until it enters
+``_retired_right``.  ``_left_alive`` and ``_bundle_alive`` count *alive
+out-neighbours* -- a right vertex until retired, a bundle while its own count
+is positive -- so a count is zero exactly when no live right vertex is
+reached.  The *logical* edges, (left, right) pairs joined directly or through
+bundles, are what :attr:`active_edges`, :attr:`live_edge_count` and
+:meth:`to_instance` speak, expanded on demand for reports and tests only.
+Vertices are *retired* to maintain the remainder subgraph of Section 4, and
+:meth:`retire` is what notices a left vertex losing its last live edge.
+Retiring only detaches a vertex from the reporting; its arcs and flow stay,
+so a retired vertex outside every closed set -- an update dropped while its
+sink arc still had capacity, say -- can still carry flow until
+:meth:`compact` takes it out.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.flow.graph import EPSILON, Arc, FlowNetwork
 from repro.flow.maxflow import solve_max_flow
@@ -107,8 +123,8 @@ class IncrementalMaxFlow:
 
     * :meth:`add_left` / :meth:`add_right` register a weighted query/update
       vertex (once: weights never change, which invariant 1 relies on),
-    * :meth:`add_edge` registers an interaction and counts it towards the left
-      vertex's live degree,
+    * :meth:`add_edge` joins a left vertex to one right vertex, and
+      :meth:`add_bundle` / :meth:`add_bundle_edge` to many by one arc,
     * :meth:`compute_cover` augments the existing flow from the left vertices
       added since the previous call and returns the resulting change of the
       minimum-weight vertex cover over the *active* (non-retired) vertices,
@@ -121,14 +137,13 @@ class IncrementalMaxFlow:
     __slots__ = (
         "_network",
         "_method",
-        "_left_weights",
-        "_right_weights",
         "_left_ids",
         "_right_ids",
         "_keys",
         "_sink_arcs",
         "_next_id",
-        "_live_degree",
+        "_left_alive",
+        "_bundle_alive",
         "_retired_right",
         "_open",
         "_closed",
@@ -140,18 +155,17 @@ class IncrementalMaxFlow:
         self._network.add_vertex(SOURCE)
         self._network.add_vertex(SINK)
         self._method = method
-        self._left_weights: Dict[Vertex, float] = {}
-        self._right_weights: Dict[Vertex, float] = {}
         #: Network vertex id of every registered vertex, and the way back.
         self._left_ids: Dict[Vertex, int] = {}
         self._right_ids: Dict[Vertex, int] = {}
         self._keys: Dict[Vertex, Vertex] = {}
         #: Right vertex id -> its arc into the sink (invariant 4).
         self._sink_arcs: Dict[Vertex, Arc] = {}
-        self._next_id = 0
-        #: Live left vertex -> number of its edges whose right end is live.
-        #: Its key set *is* the set of live left vertices.
-        self._live_degree: Dict[Vertex, int] = {}
+        self._next_id = itertools.count()
+        #: Live left vertex -> its alive out-neighbours; the key set *is* the live set.
+        self._left_alive: Dict[Vertex, int] = {}
+        #: Bundle id -> its alive out-neighbours, dead at zero; in id order.
+        self._bundle_alive: Dict[Vertex, int] = {}
         self._retired_right: Set[Vertex] = set()
         #: Source arcs of the left vertices added since the last cover: the
         #: only ones that can still carry flow (invariant 1).
@@ -164,32 +178,46 @@ class IncrementalMaxFlow:
     # ------------------------------------------------------------------
     # Graph construction
     # ------------------------------------------------------------------
-    def _mint_id(self, vertex: Vertex) -> int:
-        vertex_id = self._next_id
-        self._next_id = vertex_id + 1
-        self._keys[vertex_id] = vertex
-        return vertex_id
-
     def add_left(self, vertex: Vertex, weight: float) -> None:
         """Register a new left-side (query) vertex with the given weight."""
         if weight < 0:
             raise ValueError(f"weight must be non-negative, got {weight!r}")
-        if vertex in self._left_weights:
+        if vertex in self._left_ids:
             raise ValueError(f"left vertex {vertex!r} has already been added")
-        self._left_weights[vertex] = weight
-        self._live_degree[vertex] = 0
-        vertex_id = self._left_ids[vertex] = self._mint_id(vertex)
+        self._left_alive[vertex] = 0
+        vertex_id = self._left_ids[vertex] = next(self._next_id)
+        self._keys[vertex_id] = vertex
         self._open.append(self._network.add_edge(SOURCE, vertex_id, weight))
 
     def add_right(self, vertex: Vertex, weight: float) -> None:
         """Register a new right-side (update) vertex with the given weight."""
         if weight < 0:
             raise ValueError(f"weight must be non-negative, got {weight!r}")
-        if vertex in self._right_weights:
+        if vertex in self._right_ids:
             raise ValueError(f"right vertex {vertex!r} has already been added")
-        self._right_weights[vertex] = weight
-        vertex_id = self._right_ids[vertex] = self._mint_id(vertex)
+        vertex_id = self._right_ids[vertex] = next(self._next_id)
+        self._keys[vertex_id] = vertex
         self._sink_arcs[vertex_id] = self._network.add_edge(vertex_id, SINK, weight)
+
+    def add_bundle(self, rights: Iterable[Vertex], base: Optional[int] = None) -> int:
+        """Register a bundle over ``rights`` and all that bundle ``base`` reaches; return it."""
+        network, retired_right = self._network, self._retired_right
+        bundle_id = next(self._next_id)
+        alive = 0
+        if base is not None:
+            alive = int(self._bundle_alive[base] > 0)
+            network.add_edge(bundle_id, base, INFINITE_CAPACITY)
+        for right in rights:
+            right_id = self._right_ids.get(right)
+            if right_id is None:
+                raise KeyError(f"right vertex {right!r} has not been added")
+            # A right vertex named twice is one arc, counted once.
+            if network.get_edge(bundle_id, right_id) is None:
+                network.add_edge(bundle_id, right_id, INFINITE_CAPACITY)
+                if right not in retired_right:
+                    alive += 1
+        self._bundle_alive[bundle_id] = alive
+        return bundle_id
 
     def add_edge(self, left: Vertex, right: Vertex) -> None:
         """Register an interaction edge between a query and an update vertex.
@@ -197,32 +225,36 @@ class IncrementalMaxFlow:
         ``left`` must not have been reached by an earlier cover: an edge out
         of a closed set would reopen it (invariant 2).
         """
-        left_id = self._left_ids.get(left)
-        if left_id is None:
-            raise KeyError(f"left vertex {left!r} has not been added")
         right_id = self._right_ids.get(right)
         if right_id is None:
             raise KeyError(f"right vertex {right!r} has not been added")
-        if self._network.get_edge(left_id, right_id) is not None:
+        self._join(left, right_id, right not in self._retired_right)
+
+    def add_bundle_edge(self, left: Vertex, bundle: int) -> None:
+        """Join ``left`` to every right vertex below ``bundle`` (:meth:`add_edge`'s rules)."""
+        self._join(left, bundle, self._bundle_alive[bundle] > 0)
+
+    def _join(self, left: Vertex, head_id: int, head_alive: bool) -> None:
+        left_id = self._left_ids.get(left)
+        if left_id is None:
+            raise KeyError(f"left vertex {left!r} has not been added")
+        if self._network.get_edge(left_id, head_id) is not None:
             return
         if left_id in self._closed:
-            raise ValueError(
-                f"left vertex {left!r} was reached by an earlier cover and "
-                "cannot take new edges"
-            )
-        self._network.add_edge(left_id, right_id, INFINITE_CAPACITY)
+            raise ValueError(f"left vertex {left!r} was reached by a cover: it takes no new edge")
+        self._network.add_edge(left_id, head_id, INFINITE_CAPACITY)
         # Counted here, past the duplicate test above: an edge named twice is
         # one edge, and :meth:`retire` will take it off the count only once.
-        if left in self._live_degree and right not in self._retired_right:
-            self._live_degree[left] += 1
+        if head_alive and left in self._left_alive:
+            self._left_alive[left] += 1
 
     def has_left(self, vertex: Vertex) -> bool:
         """Whether ``vertex`` is a registered, non-retired left vertex."""
-        return vertex in self._live_degree
+        return vertex in self._left_alive
 
     def has_right(self, vertex: Vertex) -> bool:
         """Whether ``vertex`` is a registered, non-retired right vertex."""
-        return vertex in self._right_weights and vertex not in self._retired_right
+        return vertex in self._right_ids and vertex not in self._retired_right
 
     # ------------------------------------------------------------------
     # Remainder subgraph maintenance
@@ -238,13 +270,15 @@ class IncrementalMaxFlow:
 
         Returns the left vertices that are still live but whose last live
         edge went with ``right``: edges only ever arrive with a new left
-        vertex, so these can never matter to a cover again.  Each newly
-        retired right vertex's reverse arcs are walked for this, once in the
-        vertex's life.
+        vertex, so these can never matter to a cover again.  The reverse arcs
+        of each newly retired right vertex are walked for this and, in the
+        same pass, those of each bundle that dies with it -- every arc once.
+        A count is zero exactly when no live right vertex is reached, so the
+        call reports whom it would were every edge a direct one.
         """
-        live_degree = self._live_degree
+        left_alive, bundle_alive = self._left_alive, self._bundle_alive
         for vertex in left:
-            live_degree.pop(vertex, None)
+            left_alive.pop(vertex, None)
         stranded: List[Vertex] = []
         right_ids, retired_right = self._right_ids, self._retired_right
         keys, adjacency = self._keys, self._network.adjacency()
@@ -253,66 +287,88 @@ class IncrementalMaxFlow:
             if right_id is None or vertex in retired_right:
                 continue
             retired_right.add(vertex)
-            for arc in adjacency[right_id]:
-                # Every arc but the one into the sink mirrors an interaction edge.
-                if not arc.is_forward:
-                    neighbour = keys[arc.head]
-                    degree = live_degree.get(neighbour)
-                    if degree is not None:
-                        live_degree[neighbour] = degree - 1
-                        if degree == 1:
+            dead = [right_id]
+            while dead:
+                for arc in adjacency[dead.pop()]:
+                    # Every arc but those towards the sink mirrors an arc in.
+                    if arc.is_forward:
+                        continue
+                    tail = arc.head
+                    count = bundle_alive.get(tail)
+                    if count is not None:
+                        bundle_alive[tail] = count - 1
+                        if count == 1:
+                            dead.append(tail)
+                        continue
+                    neighbour = keys[tail]
+                    count = left_alive.get(neighbour)
+                    if count is not None:
+                        left_alive[neighbour] = count - 1
+                        if count == 1:
                             stranded.append(neighbour)
         return stranded
 
     @property
     def active_left(self) -> FrozenSet[Vertex]:
         """Currently active (non-retired) left vertices."""
-        return frozenset(self._live_degree)
+        return frozenset(self._left_alive)
 
     @property
     def active_right(self) -> FrozenSet[Vertex]:
         """Currently active (non-retired) right vertices."""
-        return frozenset(v for v in self._right_weights if v not in self._retired_right)
+        return frozenset(v for v in self._right_ids if v not in self._retired_right)
 
-    def _interaction_edges(self) -> Iterator[Tuple[Vertex, Vertex]]:
-        """Every interaction edge in the network, retired endpoints or not."""
-        keys = self._keys
-        for arc in self._network.forward_edges():
-            if arc.tail != SOURCE and arc.head != SINK:
-                yield keys[arc.tail], keys[arc.head]
+    def _live_reach(self) -> Dict[Vertex, List[Vertex]]:
+        """Live left vertex -> the live right vertices it reaches: the logical edges.
+
+        In id order, so a bundle's reach is memoised before anything above it
+        asks.  (A right vertex below two bundles of one left vertex would be
+        listed twice; the UpdateManager builds none such.)
+        """
+        keys, sink_arcs, retired_right = self._keys, self._sink_arcs, self._retired_right
+        adjacency = self._network.adjacency()
+        below: Dict[Vertex, List[Vertex]] = {}
+
+        def reach(vertex_id: Vertex) -> List[Vertex]:
+            found: List[Vertex] = []
+            for arc in adjacency[vertex_id]:
+                if not arc.is_forward:
+                    continue
+                if arc.head not in sink_arcs:
+                    found.extend(below[arc.head])
+                elif keys[arc.head] not in retired_right:
+                    found.append(keys[arc.head])
+            return found
+
+        for bundle_id in self._bundle_alive:
+            below[bundle_id] = reach(bundle_id)
+        return {left: reach(self._left_ids[left]) for left in self._left_alive}
 
     @property
     def active_edges(self) -> FrozenSet[Tuple[Vertex, Vertex]]:
-        """Interaction edges whose both endpoints are active.
-
-        Read off the network's forward edges: for tests, export and
-        compaction, not for the decision loop.
-        """
-        live_degree, retired_right = self._live_degree, self._retired_right
+        """Logical edges whose both endpoints are active (for tests and export)."""
         return frozenset(
-            edge
-            for edge in self._interaction_edges()
-            if edge[0] in live_degree and edge[1] not in retired_right
+            (left, right) for left, rights in self._live_reach().items() for right in rights
         )
 
     def live_degree(self, left: Vertex) -> int:
-        """Number of live right vertices ``left`` is joined to (0 once retired)."""
-        return self._live_degree.get(left, 0)
+        """Alive out-neighbours of ``left``: positive exactly while a live right is reached."""
+        return self._left_alive.get(left, 0)
 
     @property
     def live_left_count(self) -> int:
         """Number of live left vertices."""
-        return len(self._live_degree)
+        return len(self._left_alive)
 
     @property
     def live_right_count(self) -> int:
         """Number of live right vertices."""
-        return len(self._right_weights) - len(self._retired_right)
+        return len(self._right_ids) - len(self._retired_right)
 
     @property
     def live_edge_count(self) -> int:
-        """Number of interaction edges whose both endpoints are live."""
-        return sum(self._live_degree.values())
+        """Number of logical edges, counted on demand: only reports and tests read it."""
+        return sum(len(rights) for rights in self._live_reach().values())
 
     @property
     def augmentation_count(self) -> int:
@@ -360,29 +416,35 @@ class IncrementalMaxFlow:
             )
             self._open = []
             keys, sink_arcs = self._keys, self._sink_arcs
-            live_degree, retired_right = self._live_degree, self._retired_right
+            left_alive, retired_right = self._left_alive, self._retired_right
+            bundle_alive = self._bundle_alive
             uncovered_left: List[Vertex] = []
             covered_right: List[Vertex] = []
             for vertex_id in reached:
-                vertex = keys[vertex_id]
                 if vertex_id in sink_arcs:
-                    if vertex not in retired_right:
-                        covered_right.append(vertex)
-                elif vertex in live_degree:
-                    uncovered_left.append(vertex)
+                    if keys[vertex_id] not in retired_right:
+                        covered_right.append(keys[vertex_id])
+                elif vertex_id not in bundle_alive and keys[vertex_id] in left_alive:
+                    uncovered_left.append(keys[vertex_id])  # (a bundle is on neither side)
             return CoverDelta(
                 uncovered_left=tuple(uncovered_left), covered_right=tuple(covered_right)
             )
         finally:
             add_phase_time(PHASE_COVER_SOLVE, phase_clock() - start)
 
+    def _weight(self, vertex_id: Vertex) -> float:
+        """A vertex's weight: the capacity of its sink arc, or else of its source arc."""
+        arc = self._sink_arcs.get(vertex_id) or self._network.get_edge(SOURCE, vertex_id)
+        assert arc is not None
+        return arc.capacity
+
     def active_cover(self) -> CoverResult:
         """The whole cover over the active vertices, as of the last cover.
 
         Read off invariant 3: an active left vertex is in the cover iff no
         cover has reached it, an active right vertex iff one has.  This walks
-        every edge, so it is for introspection and tests; the decision loop
-        reads the :class:`CoverDelta` instead.
+        every logical edge, so it is for introspection and tests; the decision
+        loop reads the :class:`CoverDelta` instead.
         """
         closed = self._closed
         left_ids, right_ids = self._left_ids, self._right_ids
@@ -395,8 +457,8 @@ class IncrementalMaxFlow:
             if right_ids[right] in closed:
                 right_in_cover.add(right)
         # fsum: exact summation, so the weight is independent of set order.
-        weight = math.fsum(self._left_weights[v] for v in left_in_cover) + math.fsum(
-            self._right_weights[v] for v in right_in_cover
+        weight = math.fsum(self._weight(left_ids[v]) for v in left_in_cover) + math.fsum(
+            self._weight(right_ids[v]) for v in right_in_cover
         )
         return CoverResult(
             left_in_cover=frozenset(left_in_cover),
@@ -410,127 +472,88 @@ class IncrementalMaxFlow:
     # ------------------------------------------------------------------
     @property
     def retired_count(self) -> int:
-        """Number of retired vertices still occupying the underlying network."""
-        return len(self._left_weights) - len(self._live_degree) + len(self._retired_right)
+        """Retired left and right vertices still in the network.
+
+        Bundles are on neither side, so the compaction schedule -- part of
+        the decision sequence -- is what it would be without them.
+        """
+        return len(self._left_ids) - len(self._left_alive) + len(self._retired_right)
 
     def compact(self) -> None:
-        """Rebuild the underlying network with retired vertices removed.
+        """Take retired vertices and dead bundles out of the network, in place.
 
-        Retired vertices never receive new edges, so they can only slow the
-        augmenting-path searches down.  Compaction rebuilds the network over
-        the active vertices only, preserving the decision-relevant state:
+        They never receive new edges, so they only slow the searches down.
+        Survivors keep ids, arcs, flow and adjacency order: nothing is rebuilt
+        or sorted, a compaction costs what it removes.  A closed set goes as
+        it is -- no flow crosses into it from the open side (the arc would
+        leave a residual arc out), and under the UpdateManager everything
+        closed is retired or dead.  Where a doomed vertex outside every
+        closed set exchanges flow with a survivor, that flow is cancelled on
+        the survivor's side along the arcs that carry it, and the source or
+        sink arcs at their end lose the same capacity (a left vertex that
+        pushed ``f`` units into now-retired right vertices keeps ``weight -
+        f``).  The residual graph among the survivors is what it was.
 
-        * flow on active-active edges (and the matching flow on their source
-          and sink arcs) is carried over unchanged;
-        * capacity already *consumed* toward retired counterparts is removed
-          from the vertex's arc (a left vertex that pushed ``f`` units into
-          now-retired right vertices keeps ``weight - f`` of justification
-          capacity), which leaves the residual graph among the survivors
-          identical to the un-compacted network;
-        * the closed set and the open source arcs are carried over for the
-          survivors (a closed set stays closed when vertices are deleted);
-        * survivors keep their vertex ids, and the id tables, ``_sink_arcs``
-          and the weights are pruned to them; ``_live_degree`` holds live
-          vertices and counts live neighbours only, so it carries over as is.
-
-        What compaction does change is that retired vertices outside every
-        closed set stop absorbing flow, so *when* it runs is part of the
-        decision sequence.
+        What it does change: retired vertices outside every closed set stop
+        absorbing flow, so *when* it runs is part of the decision sequence,
+        and what a *live* left vertex loses to one depends on which maximum
+        flow the searches found.
         """
-        old_network = self._network
-        new_network = FlowNetwork()
-        new_network.add_vertex(SOURCE)
-        new_network.add_vertex(SINK)
-        new_network.arcs_examined = old_network.arcs_examined
-        open_left = [arc.head for arc in self._open]
-
-        active_left = self.active_left
-        active_right = self.active_right
-        surviving_edges = self.active_edges
-        # Arc insertion order steers the augmenting-path search, so fix it:
-        # the rebuilt network must not depend on set iteration order.
-        left_order = sorted(active_left)
-        right_order = sorted(active_right)
-        edge_order = sorted(surviving_edges)
-
-        # Flow carried by surviving interaction edges, per endpoint.
-        consumed_from_left: Dict[Vertex, float] = {v: 0.0 for v in left_order}
-        consumed_into_right: Dict[Vertex, float] = {v: 0.0 for v in right_order}
-        edge_flows: Dict[Tuple[Vertex, Vertex], float] = {}
-        left_ids, right_ids = self._left_ids, self._right_ids
-        for left, right in edge_order:
-            arc = old_network.get_edge(left_ids[left], right_ids[right])
-            flow = max(arc.flow, 0.0) if arc is not None else 0.0
-            edge_flows[(left, right)] = flow
-            consumed_from_left[left] += flow
-            consumed_into_right[right] += flow
-
-        for left in left_order:
-            left_id = left_ids[left]
-            source_arc = old_network.get_edge(SOURCE, left_id)
-            total_pushed = max(source_arc.flow, 0.0) if source_arc is not None else 0.0
-            kept_flow = consumed_from_left[left]
-            lost_flow = max(total_pushed - kept_flow, 0.0)
-            capacity = max(self._left_weights[left] - lost_flow, kept_flow)
-            arc = new_network.add_edge(SOURCE, left_id, capacity)
-            arc.flow = kept_flow
-            assert arc.partner is not None
-            arc.partner.flow = -kept_flow
-            self._left_weights[left] = capacity
-        sink_arcs: Dict[Vertex, Arc] = {}
-        for right in right_order:
-            right_id = right_ids[right]
-            total_received = max(self._sink_arcs[right_id].flow, 0.0)
-            kept_flow = consumed_into_right[right]
-            lost_flow = max(total_received - kept_flow, 0.0)
-            capacity = max(self._right_weights[right] - lost_flow, kept_flow)
-            arc = sink_arcs[right_id] = new_network.add_edge(right_id, SINK, capacity)
-            arc.flow = kept_flow
-            assert arc.partner is not None
-            arc.partner.flow = -kept_flow
-            self._right_weights[right] = capacity
-        for (left, right), flow in edge_flows.items():
-            arc = new_network.add_edge(left_ids[left], right_ids[right], INFINITE_CAPACITY)
-            arc.flow = flow
-            assert arc.partner is not None
-            arc.partner.flow = -flow
-
-        self._network = new_network
-        self._left_weights = {v: w for v, w in self._left_weights.items() if v in active_left}
-        self._right_weights = {v: w for v, w in self._right_weights.items() if v in active_right}
-        self._left_ids = {v: i for v, i in left_ids.items() if v in active_left}
-        self._right_ids = {v: i for v, i in right_ids.items() if v in active_right}
-        self._keys = {i: v for v, i in self._left_ids.items()}
-        self._keys.update((i, v) for v, i in self._right_ids.items())
-        self._sink_arcs = sink_arcs
-        self._retired_right.clear()
-        reopened = (new_network.get_edge(SOURCE, head) for head in open_left)
-        self._open = [arc for arc in reopened if arc is not None]
-        closed = self._closed
-        self._closed = {SOURCE}
-        self._closed.update(vertex_id for vertex_id in self._keys if vertex_id in closed)
+        left_alive, retired_right = self._left_alive, self._retired_right
+        # In table order, never set order: cancelling is order-sensitive.
+        doomed = [i for vertex, i in self._left_ids.items() if vertex not in left_alive]
+        doomed += [i for vertex, i in self._right_ids.items() if vertex in retired_right]
+        doomed += [i for i, count in self._bundle_alive.items() if not count]
+        gone = set(doomed)
+        adjacency = self._network.adjacency()
+        # (survivor, flow it exchanges with a doomed vertex, whether it sends it)
+        pending = [
+            (arc.head, abs(arc.flow), not arc.is_forward)
+            for vertex_id in doomed
+            for arc in adjacency[vertex_id]
+            if arc.head not in gone and arc.head != SOURCE and arc.head != SINK
+        ]
+        while pending:
+            # Flow sent is cancelled upstream to the source arcs, flow received
+            # downstream to the sink arcs, over surviving vertices only.
+            vertex_id, amount, upstream = pending.pop()
+            for arc in adjacency[vertex_id]:
+                if amount <= EPSILON:
+                    break
+                if arc.is_forward is upstream or arc.head in gone:
+                    continue
+                carrier = arc.partner if upstream else arc
+                assert carrier is not None and carrier.partner is not None
+                taken = min(amount, carrier.flow)
+                if taken > EPSILON:
+                    carrier.flow -= taken
+                    carrier.partner.flow += taken
+                    amount -= taken
+                    if arc.head == (SOURCE if upstream else SINK):
+                        carrier.capacity -= taken
+                    else:
+                        pending.append((arc.head, taken, upstream))
+        self._network.remove_vertices(doomed)
+        self._left_ids = {v: i for v, i in self._left_ids.items() if v in left_alive}
+        self._right_ids = {v: i for v, i in self._right_ids.items() if v not in retired_right}
+        self._keys = {i: v for i, v in self._keys.items() if i not in gone}
+        self._sink_arcs = {i: arc for i, arc in self._sink_arcs.items() if i not in gone}
+        self._bundle_alive = {i: count for i, count in self._bundle_alive.items() if count}
+        self._retired_right = set()
+        self._open = [arc for arc in self._open if arc.head not in gone]
+        self._closed = self._closed.difference(gone)
 
     # ------------------------------------------------------------------
     # Introspection / testing helpers
     # ------------------------------------------------------------------
-    def to_instance(self, active_only: bool = True) -> BipartiteCoverInstance:
-        """Export the current graph as a standalone cover instance.
-
-        With ``active_only`` (the default) only non-retired vertices and the
-        edges between them are exported, which is what an oracle should solve
-        to cross-check :meth:`active_cover`.
-        """
-        if active_only:
-            left = {v: w for v, w in self._left_weights.items() if v in self._live_degree}
-            right = {
-                v: w for v, w in self._right_weights.items() if v not in self._retired_right
-            }
-            edges = self.active_edges
-        else:
-            left = dict(self._left_weights)
-            right = dict(self._right_weights)
-            edges = frozenset(self._interaction_edges())
-        return BipartiteCoverInstance(left_weights=left, right_weights=right, edges=edges)
+    def to_instance(self) -> BipartiteCoverInstance:
+        """Export the active vertices, their weights now and the logical edges (for oracles)."""
+        weight, retired = self._weight, self._retired_right
+        return BipartiteCoverInstance(
+            left_weights={v: weight(self._left_ids[v]) for v in self._left_alive},
+            right_weights={v: weight(i) for v, i in self._right_ids.items() if v not in retired},
+            edges=self.active_edges,
+        )
 
     @property
     def network(self) -> FlowNetwork:
@@ -547,8 +570,7 @@ class IncrementalMaxFlow:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            "IncrementalMaxFlow("
-            f"left={len(self._left_weights)}, right={len(self._right_weights)}, "
-            f"edges={self._network.edge_count - len(self._keys)}, "
-            f"retired={self.retired_count})"
+            f"IncrementalMaxFlow(left={len(self._left_ids)}, right={len(self._right_ids)}, "
+            f"bundles={len(self._bundle_alive)}, "
+            f"arcs={self._network.edge_count - len(self._keys)}, retired={self.retired_count})"
         )

@@ -64,16 +64,32 @@ def flow_networks(draw):
     return network, 0, vertex_count - 1
 
 
-#: One random operation sequence for the interaction-graph driver.
-graph_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["query", "update", "drop"]),
-        st.floats(min_value=0.25, max_value=16.0, allow_nan=False),
-        st.lists(st.integers(min_value=0, max_value=30), max_size=4),
-    ),
-    min_size=1,
-    max_size=40,
-)
+def _graph_ops(kinds):
+    return st.lists(
+        st.tuples(
+            st.sampled_from(kinds),
+            weight,
+            st.lists(st.integers(min_value=0, max_value=30), max_size=4),
+            st.lists(st.integers(min_value=0, max_value=5), max_size=3),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+
+
+#: One random operation sequence for the interaction-graph driver
+#: (``tests/test_flow_properties.py::_apply`` gives the tuples their meaning):
+#: ``(kind, cost, picks, cuts)``.  An update lands on one of three objects; a
+#: query with ``cuts`` asks each of its first ``len(cuts)`` objects for a
+#: time-prefix of the outstanding list, ``cuts[i]`` short of all of it -- what a
+#: staleness tolerance does -- so bundles are reused, chained and minted
+#: between two chain members; a query without ``cuts`` asks for the arbitrary,
+#: possibly repeating subset ``picks`` names, which no chain can stand for.
+#: Costs sit on the 0.25 quantum, so two managers that find different
+#: augmenting paths still hold exactly equal flows' worth of capacity.
+graph_ops = _graph_ops(["query", "query", "update", "update", "drop"])
+#: The same without drops: nothing is ever retired outside a closed set.
+graph_ops_without_drops = _graph_ops(["query", "update"])
 
 
 # ----------------------------------------------------------------------
