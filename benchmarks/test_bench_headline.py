@@ -41,7 +41,7 @@ def test_headline_claims(benchmark, benchmark_config):
     # trace is shorter than the SDSS trace, so accept anything past 25 %.
     assert result.traffic_reduction_vs_nocache >= 0.25
     # Claim 2 (paper: 2-5x).  Direction must hold; magnitude is workload
-    # dependent (see EXPERIMENTS.md).
+    # dependent (see docs/experiments.md).
     assert result.benefit_over_vcover >= 1.0
     # Claim 3 (paper: VCover ends ~40 % above SOptimal).
     assert result.vcover_over_soptimal <= 3.0

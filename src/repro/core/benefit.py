@@ -2,15 +2,19 @@
 
 Benefit divides the event sequence into windows of ``delta`` events.  During
 a window it behaves like a conventional dynamic-data cache: updates for
-resident objects are shipped eagerly as they arrive, queries fully covered by
-fresh resident objects are answered at the cache, everything else is shipped.
+resident objects are shipped eagerly as they arrive (the base class's
+ship-on-arrival :meth:`~repro.core.policy.BaseCachePolicy.on_update`), so
+queries fully covered by resident objects are answered at the cache,
+everything else is shipped.
 
 At each window boundary it computes, for every object, the *benefit* the
 object accrued (or would have accrued) during the closing window:
 
 * resident objects: query traffic saved (each cache-answered query's cost is
-  split among the objects it accesses in proportion to their sizes) minus the
-  update traffic shipped for the object;
+  split among the objects it accesses in proportion to their sizes -- the
+  share rule :meth:`~repro.core.policy.BaseCachePolicy.credit_query_shares`,
+  which SOptimal applies to the whole trace) minus the update traffic shipped
+  for the object;
 * non-resident objects: the query traffic they *would* have saved minus the
   update traffic they *would* have caused, minus their load cost.
 
@@ -54,16 +58,6 @@ class BenefitConfig:
             raise ValueError("alpha must lie in [0, 1]")
 
 
-@dataclass
-class _WindowStats:
-    """Per-object accounting accumulated during the current window."""
-
-    #: Query cost shares attributable to the object (saved if resident).
-    query_share: float = 0.0
-    #: Update traffic addressed to the object during the window.
-    update_cost: float = 0.0
-
-
 class BenefitPolicy(BaseCachePolicy):
     """The window-based, exponentially smoothed greedy heuristic."""
 
@@ -80,7 +74,10 @@ class BenefitPolicy(BaseCachePolicy):
         self._config = config or BenefitConfig()
         self._window_events = 0
         self._window_index = 0
-        self._window_stats: Dict[int, _WindowStats] = {}
+        #: Per-object window accounting: query cost shares attributable to
+        #: the object (saved if resident), update traffic addressed to it.
+        self._query_share: Dict[int, float] = {}
+        self._update_cost: Dict[int, float] = {}
         #: Exponentially smoothed benefit forecast per object.
         self._forecast: Dict[int, float] = {}
         self._current_time = 0.0
@@ -105,20 +102,17 @@ class BenefitPolicy(BaseCachePolicy):
     def on_update(self, update: Update) -> None:
         """Eagerly ship updates for resident objects; account the traffic."""
         self._current_time = update.timestamp
-        self._register_update(update)
-        stats = self._window_stats.setdefault(update.object_id, _WindowStats())
-        stats.update_cost += update.cost
-        if self.is_resident(update.object_id):
-            # Commercial-cache behaviour: keep resident objects current.
-            for outstanding in self.outstanding_updates(update.object_id):
-                self.ship_update(outstanding, update.timestamp)
+        super().on_update(update)
+        object_id = update.object_id
+        self._update_cost[object_id] = self._update_cost.get(object_id, 0.0) + update.cost
         self._tick_window()
 
     def on_query(self, query: Query) -> QueryOutcome:
         """Answer from cache when possible, otherwise ship the query."""
         self.note_query(query)
         self._current_time = query.timestamp
-        if self.cache_satisfies(query):
+        answered = self.cache_satisfies(query)
+        if answered:
             self.record_cache_answer(query)
             outcome = QueryOutcome(
                 query_id=query.query_id, action=QueryAction.ANSWERED_AT_CACHE
@@ -130,36 +124,20 @@ class BenefitPolicy(BaseCachePolicy):
                 action=QueryAction.SHIPPED_TO_SERVER,
                 query_shipping_cost=cost,
             )
-        self._attribute_query_shares(query, answered_at_cache=outcome.answered_at_cache)
+        # Resident objects are only credited for queries the cache *actually*
+        # answered (that is the traffic they demonstrably saved).  Non-resident
+        # objects are credited hypothetically for every query touching them --
+        # the heuristic cannot know whether the query would have been a cache
+        # answer had the object been resident, so it assumes the best.  This
+        # optimistic-load / realistic-credit asymmetry is exactly what makes
+        # Benefit-style heuristics chase evolving hotspots (Section 5).
+        self.credit_query_shares(query, self._query_share, () if answered else self._store)
         self._tick_window()
         return outcome
 
     # ------------------------------------------------------------------
     # Window accounting
     # ------------------------------------------------------------------
-    def _attribute_query_shares(self, query: Query, answered_at_cache: bool) -> None:
-        """Split the query's cost among accessed objects, by size.
-
-        Resident objects are only credited for queries the cache *actually*
-        answered (that is the traffic they demonstrably saved).  Non-resident
-        objects are credited hypothetically for every query touching them --
-        the heuristic cannot know whether the query would have been a cache
-        answer had the object been resident, so it assumes the best.  This
-        optimistic-load / realistic-credit asymmetry is exactly what makes
-        Benefit-style heuristics chase evolving hotspots (Section 5).
-        """
-        sizes = {
-            object_id: max(self._repository.catalog.size_of(object_id), 1e-9)
-            for object_id in query.object_ids
-        }
-        total_size = sum(sizes.values())
-        for object_id, size in sizes.items():
-            share = query.cost * size / total_size
-            if self.is_resident(object_id) and not answered_at_cache:
-                continue
-            stats = self._window_stats.setdefault(object_id, _WindowStats())
-            stats.query_share += share
-
     def _tick_window(self) -> None:
         self._window_events += 1
         if self._window_events >= self._config.window_size:
@@ -169,19 +147,15 @@ class BenefitPolicy(BaseCachePolicy):
     def _close_window(self) -> None:
         """Compute benefits, update forecasts and re-plan the cache contents."""
         alpha = self._config.alpha
-        catalog = self._repository.catalog
-        benefits: Dict[int, float] = {}
-        for object_id in catalog.object_ids:
-            stats = self._window_stats.get(object_id, _WindowStats())
-            if self.is_resident(object_id):
-                benefit = stats.query_share - stats.update_cost
-            else:
-                load_cost = self._repository.object_size(object_id)
-                benefit = stats.query_share - stats.update_cost - load_cost
-            benefits[object_id] = benefit
+        query_share, update_cost = self._query_share, self._update_cost
+        for object_id in self._repository.catalog.object_ids:
+            benefit = query_share.get(object_id, 0.0) - update_cost.get(object_id, 0.0)
+            if not self.is_resident(object_id):
+                benefit -= self._repository.object_size(object_id)
             previous = self._forecast.get(object_id, 0.0)
             self._forecast[object_id] = (1.0 - alpha) * previous + alpha * benefit
-        self._window_stats.clear()
+        query_share.clear()
+        update_cost.clear()
         self._window_index += 1
         self._replan_cache()
 

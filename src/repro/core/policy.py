@@ -6,26 +6,29 @@ the interleaved stream of updates (arriving at the repository) and queries
 and charges all resulting traffic to its :class:`repro.network.link.NetworkLink`.
 
 :class:`BaseCachePolicy` implements the bookkeeping every concrete policy
-needs -- a capacity-constrained :class:`repro.cache.store.CacheStore`, the
-per-object list of *outstanding* updates (updates the server has applied that
-the cached copy has not seen), and helpers for loading/evicting objects and
-shipping updates with correct cost accounting -- so the concrete policies
-(VCover, Benefit, the yardsticks) contain only their decision logic.
+needs -- a capacity-constrained :class:`repro.cache.store.CacheStore`,
+helpers for loading/evicting objects and shipping queries with correct cost
+accounting, and the size-proportional *share rule* Benefit and SOptimal
+credit query traffic by -- so the concrete policies (VCover, Benefit, the
+yardsticks) contain only their decision logic.  Its freshness is *eager*:
+an update to a resident copy ships on arrival, so resident copies are always
+current.  Only VCover decouples an object from its updates, and only
+:class:`repro.core.vcover.VCoverPolicy` keeps outstanding updates.
 
 The base class follows an explicit *observe/decide* contract: everything a
 policy learns about the workload flows through its
 :class:`repro.cache.observer.PolicyObserver` (see :meth:`BaseCachePolicy.note_query`
 and the notifications wired into :meth:`BaseCachePolicy.ship_query`,
-:meth:`BaseCachePolicy.record_cache_answer` and update registration), while
-the mechanism helpers below carry only decisions.  Meta-policies read the
-observation side per epoch via :meth:`BaseCachePolicy.close_epoch`; see
+:meth:`BaseCachePolicy.record_cache_answer` and :meth:`BaseCachePolicy.on_update`),
+while the mechanism helpers below carry only decisions.  Meta-policies read
+the observation side per epoch via :meth:`BaseCachePolicy.close_epoch`; see
 ``docs/policies.md`` for the full contract.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional
+from typing import Container, Dict, List
 
 from repro.cache.observer import EpochSnapshot, PolicyObserver
 from repro.cache.store import CacheStore
@@ -67,7 +70,7 @@ class CachePolicy(abc.ABC):
 
 
 class BaseCachePolicy(CachePolicy):
-    """Common residency / freshness bookkeeping for concrete policies.
+    """Common residency / eager-freshness bookkeeping for concrete policies.
 
     Parameters
     ----------
@@ -83,20 +86,11 @@ class BaseCachePolicy(CachePolicy):
         self._repository = repository
         self._link = link
         self._store = CacheStore(capacity)
-        #: Updates applied at the server but not yet at the cached copy,
-        #: tracked only for resident objects, oldest first.
-        self._outstanding: Dict[int, List[Update]] = {}
-        #: The same updates indexed by update id, so a decision naming an
-        #: update (e.g. a vertex-cover pick) resolves in O(1) instead of a
-        #: scan over every resident object's outstanding list.
-        self._outstanding_by_id: Dict[int, Update] = {}
-        #: Upper bound on the newest outstanding timestamp per object,
-        #: maintained on registration and dropped with the object.  Lets
-        #: :meth:`interacting_updates` answer the common "query tolerates
-        #: nothing, every outstanding update interacts" case without touching
-        #: the per-update timestamps at all (removals may leave the bound
-        #: stale-high, which only skips the shortcut, never falsifies it).
-        self._outstanding_max_ts: Dict[int, float] = {}
+        #: Catalogue sizes clamped away from zero, the weights of
+        #: :meth:`credit_query_shares` (the catalogue never changes, so once).
+        self._share_sizes: Dict[int, float] = {
+            object_id: max(size, 1e-9) for object_id, size in repository.catalog.sizes().items()
+        }
         #: The observation half of the observe/decide contract: every
         #: workload fact the policy learns (queries, updates, answers,
         #: shipped queries, epoch traffic) is recorded here and nowhere else.
@@ -130,14 +124,6 @@ class BaseCachePolicy(CachePolicy):
         """Total traffic the policy has charged so far."""
         return self._link.total_cost
 
-    def outstanding_updates(self, object_id: int) -> List[Update]:
-        """Outstanding (unshipped) updates for a resident object."""
-        return list(self._outstanding.get(object_id, ()))
-
-    def outstanding_update(self, update_id: int) -> Optional[Update]:
-        """Look up one outstanding update by id (None if not outstanding)."""
-        return self._outstanding_by_id.get(update_id)
-
     def is_resident(self, object_id: int) -> bool:
         """Whether an object is currently cached."""
         return object_id in self._store
@@ -163,50 +149,46 @@ class BaseCachePolicy(CachePolicy):
         return self._observer.close_epoch()
 
     # ------------------------------------------------------------------
-    # Update arrival bookkeeping
+    # Eager freshness
     # ------------------------------------------------------------------
-    def _register_update(self, update: Update) -> None:
-        """Record an update against the cached copy of its object (if any)."""
+    def on_update(self, update: Update) -> None:
+        """Observe the update; ship it on arrival if its object is resident.
+
+        The shipped update leaves the resident copy at the server's version,
+        so an eager policy's resident copies are always current.
+        """
         self._observer.note_update(update)
         object_id = update.object_id
         if object_id in self._store:
-            self._store.mark_stale(object_id)
-            self._outstanding.setdefault(object_id, []).append(update)
-            self._outstanding_by_id[update.update_id] = update
-            known = self._outstanding_max_ts.get(object_id)
-            if known is None or update.timestamp > known:
-                self._outstanding_max_ts[object_id] = update.timestamp
+            self._link.ship_update(
+                update.cost, update.timestamp, object_id=object_id, update_id=update.update_id
+            )
+            self._store.mark_fresh(object_id, self._repository.object_version(object_id))
 
-    # ------------------------------------------------------------------
-    # Currency reasoning
-    # ------------------------------------------------------------------
     def interacting_updates(self, query: Query, object_id: int) -> List[Update]:
-        """Outstanding updates on ``object_id`` that ``query`` must see.
-
-        These are the updates older than the query's tolerance window
-        (``u.timestamp <= q.timestamp - t(q)``); newer outstanding updates may
-        be ignored without violating the query's currency requirement.
-
-        The common case -- an intolerant query replayed from a time-ordered
-        trace, where every outstanding update is older than the query -- is
-        answered from the per-object timestamp bound without filtering.
-        """
-        pending = self._outstanding.get(object_id)
-        if not pending:
-            return []
-        threshold = query.staleness_threshold
-        newest = self._outstanding_max_ts.get(object_id)
-        if newest is not None and newest <= threshold:
-            return list(pending)
-        return [update for update in pending if update.timestamp <= threshold]
+        """Updates on ``object_id`` the query must see and the copy lacks: none."""
+        return []
 
     def cache_satisfies(self, query: Query) -> bool:
-        """Whether the cached copies alone satisfy the query's currency."""
-        if not self._store.contains_all(query.object_ids):
-            return False
-        return all(
-            not self.interacting_updates(query, object_id) for object_id in query.object_ids
-        )
+        """Whether the cached copies alone satisfy the query (all resident)."""
+        return self._store.contains_all(query.object_ids)
+
+    def credit_query_shares(
+        self, query: Query, credit: Dict[int, float], skip: Container[int] = ()
+    ) -> None:
+        """The share rule: add each object's share of ``query.cost`` to ``credit``.
+
+        A share is ``cost * size / total``, by catalogue size clamped at 1e-9
+        with ``total`` summed in ``query.object_ids`` order; objects are
+        credited in that order, except those in ``skip``.
+        """
+        sizes = self._share_sizes
+        object_ids = query.object_ids
+        total = sum([sizes[object_id] for object_id in object_ids])
+        cost = query.cost
+        for object_id in object_ids:
+            if object_id not in skip:
+                credit[object_id] = credit.get(object_id, 0.0) + cost * sizes[object_id] / total
 
     # ------------------------------------------------------------------
     # Mechanism helpers (all charge the link)
@@ -218,52 +200,18 @@ class BaseCachePolicy(CachePolicy):
         self._observer.note_shipped_query(query)
         return cost
 
-    def ship_update(self, update: Update, timestamp: float) -> float:
-        """Ship one outstanding update to the cache and charge its cost.
-
-        Applies the update to the cached copy: it is removed from the
-        outstanding list and, if none remain, the object is marked fresh at
-        the current server version.
-        """
-        object_id = update.object_id
-        pending = self._outstanding.get(object_id)
-        if not pending or update not in pending:
-            raise ValueError(
-                f"update {update.update_id} is not outstanding for object {object_id}"
-            )
-        pending.remove(update)
-        self._outstanding_by_id.pop(update.update_id, None)
-        self._link.ship_update(
-            update.cost, timestamp, object_id=object_id, update_id=update.update_id
-        )
-        if not pending:
-            self._outstanding.pop(object_id, None)
-            self._outstanding_max_ts.pop(object_id, None)
-            if object_id in self._store:
-                self._store.mark_fresh(object_id, self._repository.object_version(object_id))
-        return update.cost
-
-    def ship_all_outstanding(self, object_id: int, timestamp: float) -> float:
-        """Ship every outstanding update for one object; returns total cost."""
-        total = 0.0
-        for update in list(self._outstanding.get(object_id, ())):
-            total += self.ship_update(update, timestamp)
-        return total
-
     def load_object(self, object_id: int, timestamp: float, charge: bool = True) -> float:
         """Load a full snapshot of an object into the cache.
 
         The snapshot reflects every update the server has applied, so the
-        object arrives fresh and any outstanding-update bookkeeping for it is
-        cleared.  Returns the load cost (charged unless ``charge`` is False,
-        which the Replica yardstick uses because the paper ignores its load
-        costs).
+        object arrives fresh.  Returns the load cost (charged unless
+        ``charge`` is False, which the Replica yardstick uses because the
+        paper ignores its load costs).
         """
         snapshot, size = self._repository.load_object(object_id, timestamp)
         self._store.insert(
             object_id, size=size, version=snapshot.version, timestamp=timestamp
         )
-        self._drop_outstanding(object_id)
         if charge:
             self._link.load_object(size, timestamp, object_id=object_id)
             return size
@@ -271,15 +219,7 @@ class BaseCachePolicy(CachePolicy):
 
     def evict_object(self, object_id: int) -> float:
         """Evict an object from the cache; returns the freed capacity."""
-        record = self._store.evict(object_id)
-        self._drop_outstanding(object_id)
-        return record.size
-
-    def _drop_outstanding(self, object_id: int) -> None:
-        """Forget all outstanding updates of one object (evicted/reloaded)."""
-        for update in self._outstanding.pop(object_id, ()):
-            self._outstanding_by_id.pop(update.update_id, None)
-        self._outstanding_max_ts.pop(object_id, None)
+        return self._store.evict(object_id).size
 
     def record_cache_answer(self, query: Query) -> None:
         """Record a cache hit on every object the query touches."""

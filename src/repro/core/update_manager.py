@@ -169,7 +169,7 @@ class UpdateManager:
         """Join the query to ``wanted``, one object's updates it must see, by one arc.
 
         ``wanted`` is a time-prefix of the object's outstanding list
-        (:meth:`BaseCachePolicy.interacting_updates`), keys are minted in that
+        (:meth:`VCoverPolicy.interacting_updates`), keys are minted in that
         order, and updates a cover shipped lie in a closed set no search
         enters -- so a bundle's live reach *is* the outstanding prefix up to
         its newest update.  The query takes the rightmost bundle whose newest

@@ -11,6 +11,11 @@ VCover reacts to each arriving query as follows (Figure 3):
   worth loading (randomized cost attribution over a lazy Greedy-Dual-Size
   cache).
 
+VCover alone *decouples* a cached object from its updates, so it alone keeps
+*outstanding* updates (applied at the server, not yet at the cached copy),
+indexed by id and bounded by their newest timestamp, and drops them when a
+copy is evicted or reloaded; the other policies ship on arrival.
+
 All traffic (query shipping, update shipping, object loading) is charged to
 the policy's :class:`repro.network.link.NetworkLink`.
 """
@@ -76,6 +81,20 @@ class VCoverPolicy(BaseCachePolicy):
         config: Optional[VCoverConfig] = None,
     ) -> None:
         super().__init__(repository, capacity, link)
+        #: Updates applied at the server but not yet at the cached copy,
+        #: tracked only for resident objects, oldest first.
+        self._outstanding: Dict[int, List[Update]] = {}
+        #: The same updates indexed by update id, so a decision naming an
+        #: update (e.g. a vertex-cover pick) resolves in O(1) instead of a
+        #: scan over every resident object's outstanding list.
+        self._outstanding_by_id: Dict[int, Update] = {}
+        #: Upper bound on the newest outstanding timestamp per object,
+        #: maintained on registration and dropped with the object.  Lets
+        #: :meth:`interacting_updates` answer the common "query tolerates
+        #: nothing, every outstanding update interacts" case without touching
+        #: the per-update timestamps at all (removals may leave the bound
+        #: stale-high, which only skips the shortcut, never falsifies it).
+        self._outstanding_max_ts: Dict[int, float] = {}
         self._config = config or VCoverConfig()
         self._update_manager = UpdateManager(method=self._config.flow_method)
         eviction = _make_eviction_policy(self._config.eviction_policy)
@@ -104,6 +123,100 @@ class VCoverPolicy(BaseCachePolicy):
         """The LoadManager (exposed for tests and diagnostics)."""
         return self._load_manager
 
+    def outstanding_updates(self, object_id: int) -> List[Update]:
+        """Outstanding (unshipped) updates for a resident object."""
+        return list(self._outstanding.get(object_id, ()))
+
+    def outstanding_update(self, update_id: int) -> Optional[Update]:
+        """Look up one outstanding update by id (None if not outstanding)."""
+        return self._outstanding_by_id.get(update_id)
+
+    # ------------------------------------------------------------------
+    # Lazy freshness: outstanding updates
+    # ------------------------------------------------------------------
+    def _register_update(self, update: Update) -> None:
+        """Record an update against the cached copy of its object (if any)."""
+        self._observer.note_update(update)
+        object_id = update.object_id
+        if object_id in self._store:
+            self._store.mark_stale(object_id)
+            self._outstanding.setdefault(object_id, []).append(update)
+            self._outstanding_by_id[update.update_id] = update
+            known = self._outstanding_max_ts.get(object_id)
+            if known is None or update.timestamp > known:
+                self._outstanding_max_ts[object_id] = update.timestamp
+
+    def interacting_updates(self, query: Query, object_id: int) -> List[Update]:
+        """Outstanding updates on ``object_id`` that ``query`` must see.
+
+        These are the updates older than the query's tolerance window
+        (``u.timestamp <= q.timestamp - t(q)``); newer outstanding updates may
+        be ignored without violating the query's currency requirement.
+
+        The common case -- an intolerant query replayed from a time-ordered
+        trace, where every outstanding update is older than the query -- is
+        answered from the per-object timestamp bound without filtering.
+        """
+        pending = self._outstanding.get(object_id)
+        if not pending:
+            return []
+        threshold = query.staleness_threshold
+        newest = self._outstanding_max_ts.get(object_id)
+        if newest is not None and newest <= threshold:
+            return list(pending)
+        return [update for update in pending if update.timestamp <= threshold]
+
+    def cache_satisfies(self, query: Query) -> bool:
+        """Whether the cached copies alone satisfy the query's currency."""
+        return super().cache_satisfies(query) and all(
+            not self.interacting_updates(query, object_id) for object_id in query.object_ids
+        )
+
+    def ship_update(self, update: Update, timestamp: float) -> float:
+        """Ship one outstanding update to the cache and charge its cost.
+
+        It leaves the outstanding list (the copy is fresh at the server version
+        once none remain) and the interaction graph: a preshipped update would
+        otherwise inflate later cover weights (a cover-picked one is already
+        retired there, so that drop is a no-op).
+        """
+        object_id = update.object_id
+        pending = self._outstanding.get(object_id)
+        if not pending or update not in pending:
+            raise ValueError(
+                f"update {update.update_id} is not outstanding for object {object_id}"
+            )
+        pending.remove(update)
+        self._outstanding_by_id.pop(update.update_id, None)
+        self._link.ship_update(
+            update.cost, timestamp, object_id=object_id, update_id=update.update_id
+        )
+        if not pending:
+            self._outstanding.pop(object_id, None)
+            self._outstanding_max_ts.pop(object_id, None)
+            if object_id in self._store:
+                self._store.mark_fresh(object_id, self._repository.object_version(object_id))
+        self._update_manager.forget_updates((update.update_id,))
+        return update.cost
+
+    def load_object(self, object_id: int, timestamp: float, charge: bool = True) -> float:
+        """Load a fresh snapshot; it supersedes the object's outstanding updates."""
+        cost = super().load_object(object_id, timestamp, charge)
+        self._drop_outstanding(object_id)
+        return cost
+
+    def evict_object(self, object_id: int) -> float:
+        """Evict an object and forget its outstanding updates."""
+        freed = super().evict_object(object_id)
+        self._drop_outstanding(object_id)
+        return freed
+
+    def _drop_outstanding(self, object_id: int) -> None:
+        """Forget all outstanding updates of one object (evicted/reloaded)."""
+        for update in self._outstanding.pop(object_id, ()):
+            self._outstanding_by_id.pop(update.update_id, None)
+        self._outstanding_max_ts.pop(object_id, None)
+
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
@@ -129,18 +242,6 @@ class VCoverPolicy(BaseCachePolicy):
         if self.store.contains_all(query.object_ids):
             return self._handle_in_cache(query)
         return self._handle_missing(query)
-
-    def ship_update(self, update: Update, timestamp: float) -> float:
-        """Ship one outstanding update, keeping the interaction graph in sync.
-
-        Updates shipped outside a cover decision (preshipping, any future
-        direct ship path) would otherwise leave their vertex in the interaction
-        graph, inflating later cover weights; for cover-picked updates the
-        graph has already retired the vertex, so the drop is a no-op.
-        """
-        cost = super().ship_update(update, timestamp)
-        self._update_manager.forget_updates((update.update_id,))
-        return cost
 
     # ------------------------------------------------------------------
     # In-cache path: UpdateManager

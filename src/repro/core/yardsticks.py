@@ -7,11 +7,16 @@
   size limit are ignored (as in the paper).  Beating Replica while respecting
   a real cache size is the bar for "good".
 * **SOptimal** -- the best *static* set of objects chosen with hindsight over
-  the full sequence (conceptually one Benefit decision with a window as large
-  as the whole trace): the chosen objects are loaded once at the start, never
-  evicted, kept current by shipping their updates; queries fully covered are
-  answered at the cache, the rest are shipped.  An online algorithm close to
-  SOptimal is outstanding.
+  the full sequence (one Benefit decision with a window as large as the
+  whole trace, credited by the same share rule,
+  :meth:`~repro.core.policy.BaseCachePolicy.credit_query_shares`): the chosen
+  objects are loaded once at the start, never evicted, kept current by
+  shipping their updates; queries fully covered are answered at the cache,
+  the rest are shipped.  An online algorithm close to SOptimal is outstanding.
+
+All three are eager: they inherit the base class's ship-on-arrival
+:meth:`~repro.core.policy.BaseCachePolicy.on_update` (NoCache never holds a
+copy, so it only observes).
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from repro.core.policy import BaseCachePolicy
 from repro.network.link import NetworkLink
 from repro.repository.queries import Query
 from repro.repository.server import Repository
-from repro.repository.updates import Update
 from repro.workload.trace import Trace
 
 
@@ -36,10 +40,6 @@ class NoCachePolicy(BaseCachePolicy):
         # The capacity argument is accepted for interface uniformity but the
         # policy never loads anything.
         super().__init__(repository, 0.0, link)
-
-    def on_update(self, update: Update) -> None:
-        """Updates never travel: there is no cache to keep fresh."""
-        self._register_update(update)
 
     def on_query(self, query: Query) -> QueryOutcome:
         """Ship the query and charge its cost."""
@@ -66,12 +66,6 @@ class ReplicaPolicy(BaseCachePolicy):
         super().__init__(repository, float("inf"), link)
         for obj in repository.catalog:
             self.load_object(obj.object_id, timestamp=0.0, charge=False)
-
-    def on_update(self, update: Update) -> None:
-        """Ship the update to the replica immediately (charged)."""
-        self._register_update(update)
-        for outstanding in self.outstanding_updates(update.object_id):
-            self.ship_update(outstanding, update.timestamp)
 
     def on_query(self, query: Query) -> QueryOutcome:
         """Answer at the replica: it is always complete and current."""
@@ -105,21 +99,15 @@ class SOptimalPolicy(BaseCachePolicy):
     def prepare(self, trace: Trace) -> None:
         """Choose the static cached set with full knowledge of the trace."""
         catalog = self._repository.catalog
-        query_share: Dict[int, float] = {oid: 0.0 for oid in catalog.object_ids}
-        update_cost: Dict[int, float] = {oid: 0.0 for oid in catalog.object_ids}
-
+        query_share: Dict[int, float] = {}
+        update_cost: Dict[int, float] = {}
         for query in trace.queries():
-            sizes = {oid: max(catalog.size_of(oid), 1e-9) for oid in query.object_ids}
-            total = sum(sizes.values())
-            for object_id, size in sizes.items():
-                if object_id in query_share:
-                    query_share[object_id] += query.cost * size / total
+            self.credit_query_shares(query, query_share)
         for update in trace.updates():
-            if update.object_id in update_cost:
-                update_cost[update.object_id] += update.cost
+            update_cost[update.object_id] = update_cost.get(update.object_id, 0.0) + update.cost
 
         benefits = {
-            oid: query_share[oid] - update_cost[oid] - catalog.size_of(oid)
+            oid: query_share.get(oid, 0.0) - update_cost.get(oid, 0.0) - catalog.size_of(oid)
             for oid in catalog.object_ids
         }
         ranked = sorted(
@@ -142,13 +130,6 @@ class SOptimalPolicy(BaseCachePolicy):
         # Load the static set up front, paying the load costs.
         for object_id in sorted(chosen):
             self.load_object(object_id, timestamp=0.0)
-
-    def on_update(self, update: Update) -> None:
-        """Ship updates for statically cached objects as they arrive."""
-        self._register_update(update)
-        if self.is_resident(update.object_id):
-            for outstanding in self.outstanding_updates(update.object_id):
-                self.ship_update(outstanding, update.timestamp)
 
     def on_query(self, query: Query) -> QueryOutcome:
         """Answer from the static set when it covers the query, else ship."""

@@ -138,7 +138,7 @@ class ObjectCatalog:
         return sorted(self._objects.values(), key=lambda obj: obj.size)[:count]
 
     def describe(self) -> Dict[str, float]:
-        """Summary statistics used in reports and EXPERIMENTS.md."""
+        """Summary statistics used in reports and docs/experiments.md."""
         sizes = sorted(obj.size for obj in self._objects.values())
         total = sum(sizes)
         return {

@@ -11,10 +11,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.core.benefit import BenefitConfig, BenefitPolicy
 from repro.core.offline import OfflineDecoupler
 from repro.core.update_manager import UpdateManager
 from repro.core.vcover import VCoverConfig, VCoverPolicy
-from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy
+from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
 from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.queries import Query
@@ -72,6 +73,45 @@ def test_property_vcover_never_violates_currency(raw):
             if outcome.answered_at_cache:
                 for object_id in event.query.object_ids:
                     assert policy.interacting_updates(event.query, object_id) == []
+
+
+#: Small objects, so Benefit's short windows find loads worth making.
+EAGER_CATALOG = ObjectCatalog.from_sizes({1: 2.0, 2: 3.0, 3: 4.0, 4: 5.0})
+EAGER_POLICIES = {
+    "nocache": lambda repo, link: NoCachePolicy(repo, 0.0, link),
+    "replica": lambda repo, link: ReplicaPolicy(repo, 0.0, link),
+    "soptimal": lambda repo, link: SOptimalPolicy(repo, 7.0, link),
+    "benefit": lambda repo, link: BenefitPolicy(
+        repo, 14.0, link, BenefitConfig(window_size=2, alpha=0.5)
+    ),
+}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=event_stream())
+def test_property_eager_policies_keep_resident_copies_current(raw):
+    """An eager policy ships on arrival: after every event each resident copy
+    is fresh at the server version and nothing interacts, and every cache
+    answer had all of its objects resident."""
+    trace = build_trace(raw)
+    for name, factory in EAGER_POLICIES.items():
+        repository = Repository(EAGER_CATALOG)
+        policy = factory(repository, NetworkLink())
+        if name == "soptimal":
+            policy.prepare(trace)
+        for event in trace:
+            if isinstance(event, UpdateEvent):
+                repository.ingest_update(event.update)
+                policy.on_update(event.update)
+            else:
+                query = event.query
+                resident = policy.store.contains_all(query.object_ids)
+                assert not policy.on_query(query).answered_at_cache or resident, name
+                for object_id in query.object_ids:
+                    assert policy.interacting_updates(query, object_id) == [], name
+            for record in policy.store.records():
+                assert not record.stale, name
+                assert record.version == repository.object_version(record.object_id), name
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
