@@ -16,9 +16,9 @@ go through the *lazy* admission wrapper so that objects that would be loaded
 only to be immediately evicted are skipped.
 
 A deterministic, counter-based variant is provided for the ablation study
-(E8 in DESIGN.md): it maintains an explicit accumulated-cost counter per
-object and promotes the object once the counter exceeds its load cost -- the
-behaviour the randomized mechanism simulates in expectation.
+(E8 in ``docs/experiments.md``): it maintains an explicit accumulated-cost
+counter per object and promotes the object once the counter exceeds its load
+cost -- the behaviour the randomized mechanism simulates in expectation.
 """
 
 from __future__ import annotations

@@ -97,14 +97,20 @@ class SOptimalPolicy(BaseCachePolicy):
         return self._decision
 
     def prepare(self, trace: Trace) -> None:
-        """Choose the static cached set with full knowledge of the trace."""
+        """Choose the static cached set with full knowledge of the trace.
+
+        One pass over the trace (a generated stream regenerates per pass):
+        each object's shares and update costs still accumulate in event order.
+        """
         catalog = self._repository.catalog
         query_share: Dict[int, float] = {}
         update_cost: Dict[int, float] = {}
-        for query in trace.queries():
-            self.credit_query_shares(query, query_share)
-        for update in trace.updates():
-            update_cost[update.object_id] = update_cost.get(update.object_id, 0.0) + update.cost
+        for is_update, payload in trace.iter_tagged():
+            if is_update:
+                object_id = payload.object_id
+                update_cost[object_id] = update_cost.get(object_id, 0.0) + payload.cost
+            else:
+                self.credit_query_shares(payload, query_share)
 
         benefits = {
             oid: query_share.get(oid, 0.0) - update_cost.get(oid, 0.0) - catalog.size_of(oid)

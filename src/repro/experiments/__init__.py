@@ -12,7 +12,7 @@ Importing this package imports every experiment module, which populates the
 registry -- :mod:`repro.api` relies on that.  The shared scenario layer lives
 in :mod:`repro.experiments.spec` (:class:`ScenarioSpec`) and
 :mod:`repro.experiments.config`; the mapping from paper figure/table to
-module is documented in ``DESIGN.md`` and ``docs/experiments.md``.
+module is documented in ``docs/experiments.md``.
 """
 
 from repro.experiments import registry

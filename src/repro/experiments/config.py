@@ -10,9 +10,10 @@ driven by the same, explicitly documented knobs.
 
 Scale note: the paper replays ~500k events against a ~800 GB server.  A pure
 Python reproduction replays a proportionally smaller trace against a
-proportionally smaller server (see ``DESIGN.md``); the default sizes below
-keep a full five-policy comparison in the seconds range while preserving the
-ratios the paper reports.  Benchmarks scale the event counts up.
+proportionally smaller server (see "Scenario knobs" in
+``docs/experiments.md``); the default sizes below keep a full five-policy
+comparison in the seconds range while preserving the ratios the paper
+reports.  Benchmarks scale the event counts up.
 """
 
 from __future__ import annotations
@@ -87,8 +88,7 @@ class ExperimentConfig:
     #: over ~500k events; our default trace is ~40x shorter, so the fraction
     #: is raised to preserve the per-object amortisation ratio (query bytes a
     #: hot object attracts during its hot period relative to its load cost) --
-    #: the quantity that actually drives every policy's behaviour.  See
-    #: DESIGN.md, "what we simulate".
+    #: the quantity that actually drives every policy's behaviour.
     query_traffic_fraction: float = 1.5
     #: Total update traffic as a fraction of the server size; kept equal to
     #: the query traffic so NoCache and Replica stay comparable, as in the

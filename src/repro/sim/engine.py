@@ -16,9 +16,9 @@ middleware.  :class:`ReplayKernel` drives it over a list of cache *sites*
   at every grid edge, ``finalize``, one end-of-run sample, then one
   :class:`repro.sim.results.RunResult` per site -- plus a fleet-wide
   aggregate exactly when the kernel has a router.  A chunk is one ``step``
-  per event or, for the two constant-decision yardsticks, one
-  :meth:`repro.sim.batched._BatchedExecutor.process` call; there is no other
-  sampling-grid walker.
+  per event or, for the three static decouplings, one
+  :meth:`repro.sim.batched._StaticSetExecutor.process` call; there is no
+  other sampling-grid walker.
 
 Callers: :func:`repro.sim.runner.run_policy` (one site, no router),
 :func:`repro.sim.multicache.run_topology` (a fleet routed by a trace
@@ -235,9 +235,9 @@ class ReplayKernel:
         for policy in policies:
             policy.prepare(trace)
 
-        # The batched executors reproduce one constant-decision policy on
-        # one link and call no per-event hook, so a fleet or an observed run
-        # keeps the per-event step.
+        # The batched executor reproduces one static decoupling on one link
+        # (the resident set prepare left) and calls no per-event hook, so a
+        # fleet or an observed run keeps the per-event step.
         batched = None
         if len(policies) == 1 and self._on_decision is None:
             batched = select_batched_executor(policies[0], trace, self._repository, links[0])

@@ -109,7 +109,7 @@ class TraceStream(abc.ABC):
     passes, so a lazily-generated stream is replayed in constant memory.
 
     Some consumers make more than one pass (offline preparation reads the
-    query and update streams before the replay; sweeps record
+    stream once before the replay; sweeps record
     :meth:`describe` statistics), which restartability makes safe: each pass
     simply regenerates the sequence.
     """

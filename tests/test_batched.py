@@ -1,12 +1,13 @@
-"""Tests for the columnar trace compilation and batched replay executors.
+"""Tests for the columnar trace compilation and the batched replay executor.
 
 Three layers:
 
 * :class:`repro.workload.columns.TraceColumns` -- the compiled layout and
   its zero-copy windows,
-* byte-equivalence -- the batched executors must produce payloads identical
-  to the scalar loop's for the same run (the load-bearing guarantee behind
-  the determinism fixtures),
+* byte-equivalence -- the batched executor must produce payloads, server
+  counters and store records identical to the scalar loop's for every static
+  decoupling and any resident set (the load-bearing guarantee behind the
+  determinism fixtures),
 * eligibility -- every gating condition in ``select_batched_executor`` must
   actually fall back to the scalar loop.
 """
@@ -17,18 +18,21 @@ import json
 
 import pytest
 
-from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
 from repro.network.cost import AffineCostModel, LinearCostModel, TrafficCostModel
 from repro.network.link import Mechanism, NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
-from repro.sim import engine as engine_module
 from repro.sim.batched import select_batched_executor
 from repro.sim.engine import EngineConfig, ReplayKernel
 from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.workload.columns import COLUMNS_AVAILABLE, TraceColumns
 from repro.workload.trace import QueryEvent, Trace, UpdateEvent
 from tests.conftest import make_query, make_update
+from tests.strategies import build_trace, event_stream
 
 numpy = pytest.importorskip("numpy")
 
@@ -129,93 +133,145 @@ class TestTraceColumns:
         assert len(clone.columns()) == 10
 
 
-def run_once(catalog, trace, policy_type, *, scalar=False, monkeypatch=None,
-             measure_from=0, sample_every=25):
+def soptimal_at(fraction):
+    """SOptimal at ``fraction`` of the catalogue (the kernel prepares it)."""
+
+    def build(repository, link):
+        return SOptimalPolicy(repository, repository.catalog.total_size * fraction, link)
+
+    return build
+
+
+#: Every static decoupling the batched path replays; SOptimal with an empty,
+#: a partial and a whole-catalogue capacity.
+STATIC_POLICIES = (
+    pytest.param(lambda repository, link: NoCachePolicy(repository, 0.0, link),
+                 id="NoCachePolicy"),
+    pytest.param(lambda repository, link: ReplicaPolicy(repository, float("inf"), link),
+                 id="ReplicaPolicy"),
+    pytest.param(soptimal_at(0.0), id="SOptimalPolicy-empty"),
+    pytest.param(soptimal_at(0.3), id="SOptimalPolicy-partial"),
+    pytest.param(soptimal_at(1.0), id="SOptimalPolicy-whole"),
+)
+
+
+def run_once(catalog, trace, make_policy, *, scalar=False, measure_from=0,
+             sample_every=25):
+    """One single-site replay; ``scalar`` forces the per-event step.
+
+    An ``on_decision`` observer is what keeps the kernel off the batched path.
+    """
     repository = Repository(catalog, keep_update_log=False)
     link = NetworkLink()
-    if policy_type is NoCachePolicy:
-        policy = NoCachePolicy(repository, 0.0, link)
-    else:
-        policy = ReplicaPolicy(repository, float("inf"), link)
+    policy = make_policy(repository, link)
     engine = ReplayKernel(
         repository, [policy], [link],
         EngineConfig(sample_every=sample_every, measure_from=measure_from),
+        on_decision=(lambda payload, outcome: None) if scalar else None,
     )
-    if scalar:
-        monkeypatch.setattr(
-            engine_module, "select_batched_executor", lambda *args: None
-        )
     (result,), _ = engine.run(trace)
-    return result, repository
+    if not scalar:
+        assert select_batched_executor(policy, trace, repository, link) is not None
+    return result, repository, policy
 
 
 def canonical(result) -> str:
     return json.dumps(result.as_payload(), sort_keys=True, separators=(",", ":"))
 
 
+def store_state(policy):
+    return {
+        record.object_id: (record.version, record.stale, record.hits, record.last_hit_at)
+        for record in policy.store.records()
+    }
+
+
 class TestByteEquivalence:
-    @pytest.mark.parametrize("policy_type", (NoCachePolicy, ReplicaPolicy))
+    @pytest.mark.parametrize("make_policy", STATIC_POLICIES)
     @pytest.mark.parametrize("measure_from", (0, 60, 75))
-    def test_batched_matches_scalar(self, catalog, monkeypatch, policy_type,
-                                    measure_from):
+    def test_batched_matches_scalar(self, catalog, make_policy, measure_from):
         trace = mixed_trace(200)
-        batched, batched_repo = run_once(
-            catalog, trace, policy_type, measure_from=measure_from
+        batched, batched_repo, _ = run_once(
+            catalog, trace, make_policy, measure_from=measure_from
         )
-        scalar, scalar_repo = run_once(
-            catalog, trace, policy_type, scalar=True, monkeypatch=monkeypatch,
-            measure_from=measure_from,
+        scalar, scalar_repo, _ = run_once(
+            catalog, trace, make_policy, scalar=True, measure_from=measure_from
         )
         assert canonical(batched) == canonical(scalar)
         assert batched_repo.stats() == scalar_repo.stats()
 
-    @pytest.mark.parametrize("policy_type", (NoCachePolicy, ReplicaPolicy))
-    def test_batched_matches_scalar_on_generated_workload(
-        self, monkeypatch, policy_type
-    ):
+    @pytest.mark.parametrize("make_policy", STATIC_POLICIES)
+    def test_batched_matches_scalar_on_generated_workload(self, make_policy):
         scenario = build_scenario(
             ExperimentConfig(object_count=50, query_count=400, update_count=400, seed=3)
         )
         catalog, trace = scenario.catalog, scenario.trace
-        batched, _ = run_once(catalog, trace, policy_type, sample_every=100)
-        scalar, _ = run_once(
-            catalog, trace, policy_type, scalar=True, monkeypatch=monkeypatch,
-            sample_every=100,
+        batched, batched_repo, _ = run_once(catalog, trace, make_policy, sample_every=100)
+        scalar, scalar_repo, _ = run_once(
+            catalog, trace, make_policy, scalar=True, sample_every=100
         )
         assert canonical(batched) == canonical(scalar)
+        assert batched_repo.stats() == scalar_repo.stats()
 
-    def test_batched_matches_scalar_on_trace_view(self, catalog, monkeypatch):
+    @pytest.mark.parametrize("make_policy", STATIC_POLICIES)
+    def test_batched_matches_scalar_on_trace_view(self, catalog, make_policy):
         view = mixed_trace(200).slice_events(37, 163)
-        batched, _ = run_once(catalog, view, ReplicaPolicy)
-        scalar, _ = run_once(
-            catalog, view, ReplicaPolicy, scalar=True, monkeypatch=monkeypatch
-        )
+        batched, batched_repo, _ = run_once(catalog, view, make_policy)
+        scalar, scalar_repo, _ = run_once(catalog, view, make_policy, scalar=True)
         assert canonical(batched) == canonical(scalar)
+        assert batched_repo.stats() == scalar_repo.stats()
 
-    def test_replica_store_state_matches(self, catalog, monkeypatch):
+    @pytest.mark.parametrize("make_policy", STATIC_POLICIES[1:])
+    def test_store_state_matches(self, catalog, make_policy):
         trace = mixed_trace(200)
+        _, _, batched = run_once(catalog, trace, make_policy, sample_every=50)
+        _, _, scalar = run_once(catalog, trace, make_policy, scalar=True, sample_every=50)
+        assert store_state(batched) == store_state(scalar)
 
-        def store_state(policy_type, scalar):
-            repository = Repository(catalog, keep_update_log=False)
-            link = NetworkLink()
-            policy = ReplicaPolicy(repository, float("inf"), link)
-            engine = ReplayKernel(
-                repository, [policy], [link], EngineConfig(sample_every=50)
-            )
-            if scalar:
-                monkeypatch.setattr(
-                    engine_module, "select_batched_executor", lambda *args: None
-                )
-            engine.run(trace)
-            return {
-                oid: (record.version, record.hits, record.last_hit_at)
-                for oid in catalog.object_ids
-                for record in [policy.store.get(oid)]
-            }
-
-        assert store_state(ReplicaPolicy, scalar=False) == store_state(
-            ReplicaPolicy, scalar=True
+    def test_partial_soptimal_answers_ships_and_receives_updates(self):
+        """The generated case above exercises every branch of the executor."""
+        scenario = build_scenario(
+            ExperimentConfig(object_count=50, query_count=400, update_count=400, seed=3)
         )
+        result, _, policy = run_once(
+            scenario.catalog, scenario.trace, soptimal_at(0.3), sample_every=100
+        )
+        assert 0 < len(policy.store) < len(scenario.catalog)
+        assert result.queries_answered_at_cache > 0
+        assert result.queries_shipped > 0
+        assert result.traffic_by_mechanism[Mechanism.UPDATE_SHIPPING] > 0
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    raw=event_stream(max_objects=6),
+    resident=st.sets(st.integers(min_value=1, max_value=6)),
+    sample_every=st.integers(min_value=1, max_value=12),
+    measure_from=st.integers(min_value=0, max_value=40),
+)
+def test_property_any_resident_set_batched_matches_scalar(
+    raw, resident, sample_every, measure_from
+):
+    """For any fixed resident set, the batched replay is the scalar one."""
+    trace = build_trace(raw)
+    catalog = ObjectCatalog.from_sizes({oid: float(oid) for oid in range(1, 7)})
+
+    def drawn_set(repository, link):
+        policy = SOptimalPolicy(repository, float("inf"), link)
+        for object_id in sorted(resident):
+            policy.load_object(object_id, timestamp=0.0)
+        policy.prepare = lambda trace: None  # the drawn set is the decision
+        return policy
+
+    runs = [
+        run_once(catalog, trace, drawn_set, scalar=scalar, sample_every=sample_every,
+                 measure_from=measure_from)
+        for scalar in (False, True)
+    ]
+    (batched, batched_repo, batched_policy), (scalar, scalar_repo, scalar_policy) = runs
+    assert canonical(batched) == canonical(scalar)
+    assert batched_repo.stats() == scalar_repo.stats()
+    assert store_state(batched_policy) == store_state(scalar_policy)
 
 
 class TestEligibility:
@@ -238,9 +294,16 @@ class TestEligibility:
             catalog, policy=ReplicaPolicy(repository, float("inf"), link),
             repository=repository, link=link,
         ) is not None
+        assert self.select(
+            catalog, policy=SOptimalPolicy(repository, 30.0, link),
+            repository=repository, link=link,
+        ) is not None
 
     def test_subclass_falls_back(self, catalog):
         class AuditedNoCache(NoCachePolicy):
+            pass
+
+        class AuditedSOptimal(SOptimalPolicy):
             pass
 
         repository = Repository(catalog, keep_update_log=False)
@@ -249,6 +312,29 @@ class TestEligibility:
             catalog, policy=AuditedNoCache(repository, 0.0, link),
             repository=repository, link=link,
         ) is None
+        assert self.select(
+            catalog, policy=AuditedSOptimal(repository, 30.0, link),
+            repository=repository, link=link,
+        ) is None
+
+    def test_unprepared_soptimal_replays_like_nocache(self, catalog):
+        trace = mixed_trace(40)
+
+        def replay(policy_type):
+            repository = Repository(catalog, keep_update_log=False)
+            link = NetworkLink()
+            policy = policy_type(repository, 30.0, link)
+            executor = self.select(catalog, policy=policy, trace=trace,
+                                   repository=repository, link=link)
+            assert executor.process(0, len(trace)) == (0, trace.query_count)
+            observer = policy.observer
+            return (
+                link.total_by_mechanism(), link.count_by_mechanism(), repository.stats(),
+                len(policy.store), observer.queries_seen, observer.updates_seen,
+                observer.cache_answers, observer.shipped_queries,
+            )
+
+        assert replay(SOptimalPolicy) == replay(NoCachePolicy)
 
     def test_record_keeping_link_falls_back(self, catalog):
         assert self.select(catalog, link=NetworkLink(keep_records=True)) is None

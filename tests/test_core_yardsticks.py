@@ -8,7 +8,7 @@ from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
 from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
-from repro.workload.trace import QueryEvent, Trace, UpdateEvent
+from repro.workload.trace import QueryEvent, Trace, TraceStream, UpdateEvent
 from tests.conftest import make_query, make_update
 
 
@@ -141,6 +141,30 @@ class TestSOptimal:
         # Update 1 hits cached object 1 (shipped); update 2 hits uncached
         # object 4 (not shipped).
         assert link.total_by_mechanism()["update_shipping"] == pytest.approx(2.0)
+
+    def test_prepare_reads_the_trace_once(self, catalog):
+        class CountingStream(TraceStream):
+            def __init__(self, trace):
+                self._trace = trace
+                self.passes = 0
+
+            def iter_events(self):
+                return self._trace.iter_events()
+
+            def __len__(self):
+                return len(self._trace)
+
+            def iter_tagged(self):
+                self.passes += 1
+                return super().iter_tagged()
+
+        stream = CountingStream(build_trace())
+        streamed = SOptimalPolicy(Repository(catalog), capacity=35.0, link=NetworkLink())
+        streamed.prepare(stream)
+        assert stream.passes == 1
+        materialised = SOptimalPolicy(Repository(catalog), capacity=35.0, link=NetworkLink())
+        materialised.prepare(build_trace())
+        assert streamed.decision == materialised.decision
 
     def test_without_prepare_everything_is_shipped(self, catalog):
         repository = Repository(catalog)
