@@ -1,8 +1,8 @@
 """Benchmarks of the design-choice ablations (experiment E8, ours).
 
 Quantifies the impact of Delta's individual design choices: randomized vs
-counter-based loading, the eviction policy behind the LoadManager, the
-max-flow solver, and Benefit's sensitivity to its tuning knobs.
+counter-based loading, the eviction policy behind the LoadManager, and
+Benefit's sensitivity to its tuning knobs.
 """
 
 from __future__ import annotations
@@ -49,17 +49,6 @@ def test_ablation_eviction_policy(benchmark, ablation_scenario):
         benchmark.extra_info[f"{name}_over_gds"] = round(value, 3)
     # GDS (the paper's choice) should be competitive with every alternative.
     assert min(relative.values()) >= 0.75
-
-
-@pytest.mark.benchmark(group="ablations")
-def test_ablation_flow_method(benchmark, ablation_scenario):
-    result = benchmark.pedantic(
-        ablations.run_flow_method_ablation, args=(ABLATION_CONFIG, ablation_scenario),
-        kwargs={"jobs": bench_jobs()}, rounds=1, iterations=1,
-    )
-    print()
-    print(ablations.format_table("Max-flow solver (decisions must agree)", result))
-    assert result.traffic["edmonds-karp"] == pytest.approx(result.traffic["dinic"])
 
 
 @pytest.mark.benchmark(group="ablations")

@@ -18,7 +18,7 @@ from repro.cache.gds import GreedyDualSize
 from repro.core.vcover import VCoverConfig, VCoverPolicy
 from repro.flow.graph import FlowNetwork
 from repro.flow.incremental import IncrementalMaxFlow
-from repro.flow.maxflow import dinic_max_flow, edmonds_karp_max_flow
+from repro.flow.maxflow import edmonds_karp_max_flow
 from repro.network.link import NetworkLink
 from repro.repository.catalog import sdss_catalog
 from repro.repository.server import Repository
@@ -46,16 +46,6 @@ def test_bench_edmonds_karp(benchmark):
     def run():
         network = _random_flow_network(3, nodes=60, edges=400)
         return edmonds_karp_max_flow(network, 0, 59)
-
-    value = benchmark(run)
-    assert value >= 0.0
-
-
-@pytest.mark.benchmark(group="substrate-flow")
-def test_bench_dinic(benchmark):
-    def run():
-        network = _random_flow_network(3, nodes=60, edges=400)
-        return dinic_max_flow(network, 0, 59)
 
     value = benchmark(run)
     assert value >= 0.0

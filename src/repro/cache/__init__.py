@@ -3,13 +3,13 @@
 The middleware cache in Delta holds whole data objects subject to a capacity
 limit.  Which objects to keep is delegated to an *object caching algorithm*
 (``A_obj`` in the paper's LoadManager pseudocode); the paper uses
-Greedy-Dual-Size wrapped in a "lazy" admission layer.  This package provides:
+Greedy-Dual-Size, admitted lazily by :class:`repro.core.load_manager.LoadManager`.
+This package provides:
 
 * :mod:`repro.cache.store` -- the capacity-enforcing object store with
   per-object freshness/version bookkeeping shared by every policy,
 * :mod:`repro.cache.base` -- the eviction-policy interface,
 * :mod:`repro.cache.gds` -- Greedy-Dual-Size (Cao & Irani 1997),
-* :mod:`repro.cache.lazy` -- the lazy admission wrapper from Section 4,
 * :mod:`repro.cache.lru` / :mod:`repro.cache.lfu` -- classic baselines used
   in ablations,
 * :mod:`repro.cache.landlord` -- the Landlord generalisation of GDS.
@@ -18,7 +18,6 @@ Greedy-Dual-Size wrapped in a "lazy" admission layer.  This package provides:
 from repro.cache.base import EvictionPolicy, PolicyIntrospectionError
 from repro.cache.gds import GreedyDualSize
 from repro.cache.landlord import Landlord
-from repro.cache.lazy import LazyAdmission
 from repro.cache.lfu import LFUPolicy
 from repro.cache.lru import LRUPolicy
 from repro.cache.store import CacheStore, CachedObject
@@ -28,7 +27,6 @@ __all__ = [
     "PolicyIntrospectionError",
     "GreedyDualSize",
     "Landlord",
-    "LazyAdmission",
     "LFUPolicy",
     "LRUPolicy",
     "CacheStore",

@@ -3,8 +3,8 @@
 The LoadManager in VCover delegates "which objects should be resident" to an
 object caching algorithm (``A_obj`` in the pseudocode), which the paper
 instantiates with Greedy-Dual-Size.  We define a small interface so that GDS,
-LRU, LFU and Landlord are interchangeable (used by the ablation experiments),
-and so the lazy admission wrapper can compose with any of them.
+LRU, LFU and Landlord are interchangeable (used by the ablation experiments);
+the LoadManager admits candidates through whichever one is configured.
 
 A policy never talks to the network; it only ranks resident objects for
 eviction and is notified of loads, hits and evictions so it can maintain its

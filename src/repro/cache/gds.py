@@ -13,10 +13,10 @@ explicit timestamps, while the ``cost/size`` term prefers keeping objects that
 are expensive to re-fetch per byte of cache they occupy.
 
 For Delta the retrieval cost of an object equals its size (loading transfers
-the whole object), so the ``cost/size`` ratio is 1 and GDS degenerates towards
-LRU; the LoadManager, however, feeds *attributed query shipping cost* as the
-cost term, which restores the cost-awareness (see
-:class:`repro.core.load_manager.LoadManager`).
+the whole object), and :meth:`repro.core.load_manager.LoadManager.note_load`
+passes ``cost=size``: every credit is ``L + 1``, so GDS evicts in recency
+order.  :meth:`GreedyDualSize.boost_cost` is the hook that would feed
+attributed query shipping cost into the cost term; nothing calls it yet.
 """
 
 from __future__ import annotations
@@ -120,10 +120,6 @@ class GreedyDualSize(EvictionPolicy):
     def inflation(self) -> float:
         """Current value of the global inflation term ``L``."""
         return self._inflation
-
-    def tracked_ids(self) -> List[int]:
-        """Object ids currently tracked (resident from the policy's view)."""
-        return list(self._credits)
 
     # ------------------------------------------------------------------
     # Internals

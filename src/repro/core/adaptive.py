@@ -86,8 +86,6 @@ class AdaptiveConfig:
         Window size handed to the shadowed Benefit arm.
     vcover:
         Configuration handed to the shadowed VCover arm.
-    flow_method:
-        Max-flow solver for the per-epoch offline regret instances.
     track_regret:
         Whether to build and solve the per-epoch regret instances (exact
         solves; turn off for pure speed runs).
@@ -101,7 +99,6 @@ class AdaptiveConfig:
     switch_horizon: float = 10.0
     benefit_window: int = 1000
     vcover: Optional[VCoverConfig] = None
-    flow_method: str = "edmonds-karp"
     track_regret: bool = True
 
     def __post_init__(self) -> None:
@@ -178,9 +175,7 @@ class AdaptivePolicy(CachePolicy):
         self._epochs = 0
         self._switches = 0
         self._switch_traffic = 0.0
-        self._regret: Optional[RegretTracker] = (
-            RegretTracker(self._config.flow_method) if self._config.track_regret else None
-        )
+        self._regret = RegretTracker() if self._config.track_regret else None
 
     # ------------------------------------------------------------------
     # Accessors

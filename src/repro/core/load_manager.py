@@ -11,9 +11,11 @@ them: an object whose load cost is fully covered by the remaining attribution
 becomes a load candidate outright; the last, partially covered object becomes
 a candidate with probability ``c / l(o)`` (randomized loading -- in
 expectation an object is loaded only after shipping costs equal to its load
-cost have been paid for it, without keeping a per-object counter).  Candidates
-go through the *lazy* admission wrapper so that objects that would be loaded
-only to be immediately evicted are skipped.
+cost have been paid for it, without keeping a per-object counter).  The
+candidates are then admitted together, in the order they were emitted (the
+*lazy* ``A_obj`` of Section 4): each asks the eviction policy for victims, and
+the policy ranks loaded objects only, so candidates of one query never evict
+each other and a candidate the policy cannot make room for is not loaded.
 
 A deterministic, counter-based variant is provided for the ablation study
 (E8 in ``docs/experiments.md``): it maintains an explicit accumulated-cost
@@ -25,11 +27,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.base import EvictionPolicy
 from repro.cache.gds import GreedyDualSize
-from repro.cache.lazy import LazyAdmission
 from repro.cache.store import CacheStore
 from repro.repository.queries import Query
 
@@ -38,12 +39,10 @@ from repro.repository.queries import Query
 class LoadDecision:
     """Outcome of one LoadManager invocation."""
 
-    #: Objects to load (in order), with the size each will occupy.
+    #: Objects to load (in order).
     load_object_ids: List[int] = field(default_factory=list)
     #: Objects to evict first (in order).
     evict_object_ids: List[int] = field(default_factory=list)
-    #: Load candidates that were considered but not admitted.
-    skipped_object_ids: List[int] = field(default_factory=list)
 
 
 class LoadManager:
@@ -79,7 +78,6 @@ class LoadManager:
             raise ValueError("load_cost_of callback is required")
         self._store = store
         self._policy = policy or GreedyDualSize()
-        self._lazy = LazyAdmission(self._policy, store)
         self._load_cost_of = load_cost_of
         self._rng = rng or random.Random(0)
         self._randomized = randomized
@@ -108,9 +106,9 @@ class LoadManager:
             return LoadDecision()
 
         remaining = query.cost
-        order = list(missing)
-        self._rng.shuffle(order)
-        for object_id in order:
+        self._rng.shuffle(missing)
+        candidates: List[Tuple[int, float]] = []
+        for object_id in missing:
             if remaining <= 0:
                 break
             load_cost = self._load_cost_of(object_id)
@@ -119,43 +117,56 @@ class LoadManager:
             if not self._store.can_ever_fit(load_cost):
                 # The object cannot fit even in an empty cache; never a candidate.
                 continue
+            # The query's cost is attributed to the object up to its load cost.
+            attributed = min(remaining, load_cost)
+            remaining -= attributed
             if self._randomized:
-                remaining = self._consider_randomized(object_id, load_cost, remaining, timestamp)
+                # Lines 27-35 of Figure 6: a partially covered object is a
+                # candidate with probability attributed / load cost.
+                emit = attributed >= load_cost or self._rng.random() < attributed / load_cost
             else:
-                remaining = self._consider_counted(object_id, load_cost, remaining, timestamp)
+                credit = self._accumulated.get(object_id, 0.0) + attributed
+                emit = credit >= load_cost
+                self._accumulated[object_id] = 0.0 if emit else credit
+            if emit:
+                self._candidates_emitted += 1
+                candidates.append((object_id, load_cost))
+        return self._admit(candidates) if candidates else LoadDecision()
 
-        plan = self._lazy.flush()
-        return LoadDecision(
-            load_object_ids=[intent.object_id for intent in plan.loads],
-            evict_object_ids=list(plan.evictions),
-            skipped_object_ids=[intent.object_id for intent in plan.skipped],
-        )
+    def _admit(self, candidates: List[Tuple[int, float]]) -> LoadDecision:
+        """Make room for each ``(object_id, size)`` candidate in emit order.
 
-    def _consider_randomized(
-        self, object_id: int, load_cost: float, remaining: float, timestamp: float
-    ) -> float:
-        """Randomized loading (Lines 27-35 of Figure 6)."""
-        if remaining >= load_cost:
-            self._emit_candidate(object_id, load_cost, timestamp)
-            return remaining - load_cost
-        if self._rng.random() < remaining / load_cost:
-            self._emit_candidate(object_id, load_cost, timestamp)
-        return 0.0
-
-    def _consider_counted(
-        self, object_id: int, load_cost: float, remaining: float, timestamp: float
-    ) -> float:
-        """Deterministic counter-based variant (ablation)."""
-        attributed = min(remaining, load_cost)
-        self._accumulated[object_id] = self._accumulated.get(object_id, 0.0) + attributed
-        if self._accumulated[object_id] >= load_cost:
-            self._emit_candidate(object_id, load_cost, timestamp)
-            self._accumulated[object_id] = 0.0
-        return remaining - attributed
-
-    def _emit_candidate(self, object_id: int, load_cost: float, timestamp: float) -> None:
-        self._candidates_emitted += 1
-        self._lazy.request(object_id, size=load_cost, cost=load_cost, timestamp=timestamp)
+        Victims come from ``policy.victim`` over the residents not yet chosen
+        plus the candidates admitted so far; the policy's call sequence is part
+        of the decision (GDS pops its heap as it looks), so it is asked exactly
+        this way.  A candidate the policy cannot make room for is not loaded.
+        """
+        decision = LoadDecision()
+        free = self._store.free
+        resident = self._store.resident_ids()
+        sizes = {record.object_id: record.size for record in self._store.records()}
+        for object_id, size in candidates:
+            survivors = set(resident)
+            victims: List[int] = []
+            freed = 0.0
+            while size > free + freed + 1e-9:
+                victim = self._policy.victim(survivors)
+                if victim is None:
+                    break
+                survivors.discard(victim)
+                victims.append(victim)
+                freed += sizes[victim]
+            if size > free + freed + 1e-9:
+                continue
+            for victim in victims:
+                resident.discard(victim)
+                free += sizes.pop(victim)
+            free -= size
+            resident.add(object_id)
+            sizes[object_id] = size
+            decision.load_object_ids.append(object_id)
+            decision.evict_object_ids.extend(victims)
+        return decision
 
     # ------------------------------------------------------------------
     # Notifications from the policy

@@ -46,13 +46,10 @@ class OfflineDecoupler:
     ----------
     cached_objects:
         The objects resident in the cache for the analysed period.
-    flow_method:
-        Max-flow solver to use.
     """
 
-    def __init__(self, cached_objects: Iterable[int], flow_method: str = "edmonds-karp") -> None:
+    def __init__(self, cached_objects: Iterable[int]) -> None:
         self._cached = set(cached_objects)
-        self._flow_method = flow_method
 
     # ------------------------------------------------------------------
     # Graph construction
@@ -100,7 +97,7 @@ class OfflineDecoupler:
     def solve(self, queries: Sequence[Query], updates: Sequence[Update]) -> OfflineDecision:
         """Return the offline-optimal shipping decision for the sequence."""
         instance = self.build_instance(queries, updates)
-        cover = min_weight_vertex_cover(instance, method=self._flow_method)
+        cover = min_weight_vertex_cover(instance)
         return OfflineDecision(
             shipped_queries=frozenset(cover.left_in_cover),
             shipped_updates=frozenset(cover.right_in_cover),
@@ -129,6 +126,6 @@ class OfflineDecoupler:
                 in_cache.append(query)
             else:
                 total += query.cost
-        solver = OfflineDecoupler(effective_cached, flow_method=self._flow_method)
+        solver = OfflineDecoupler(effective_cached)
         decision = solver.solve(in_cache, updates)
         return total + decision.total_cost

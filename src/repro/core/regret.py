@@ -71,17 +71,9 @@ class EpochRegret:
 
 
 class RegretTracker:
-    """Accumulate per-epoch observed interaction instances and solve them.
-
-    Parameters
-    ----------
-    flow_method:
-        Max-flow solver handed to
-        :func:`repro.flow.vertex_cover.min_weight_vertex_cover`.
-    """
+    """Accumulate per-epoch observed interaction instances and solve them."""
 
     __slots__ = (
-        "_flow_method",
         "_left_weights",
         "_right_weights",
         "_edges",
@@ -93,8 +85,7 @@ class RegretTracker:
         "_total_offline",
     )
 
-    def __init__(self, flow_method: str = "edmonds-karp") -> None:
-        self._flow_method = flow_method
+    def __init__(self) -> None:
         self._left_weights: Dict[int, float] = {}
         self._right_weights: Dict[int, float] = {}
         self._edges: List[Tuple[int, int]] = []
@@ -158,7 +149,7 @@ class RegretTracker:
         instance = BipartiteCoverInstance.from_iterables(
             self._left_weights, self._right_weights, self._edges
         )
-        cover = min_weight_vertex_cover(instance, method=self._flow_method)
+        cover = min_weight_vertex_cover(instance)
         epoch = EpochRegret(
             index=len(self._epochs),
             observed_cost=self._observed,

@@ -75,13 +75,7 @@ class _Chain:
 
 
 class UpdateManager:
-    """Choose between query shipping and update shipping for in-cache queries.
-
-    Parameters
-    ----------
-    method:
-        Max-flow solver used for the incremental cover computation.
-    """
+    """Choose between query shipping and update shipping for in-cache queries."""
 
     #: Compact the flow network once it carries this many retired vertices
     #: more than live ones.  A constant with one value in use, pinned by the
@@ -90,8 +84,8 @@ class UpdateManager:
     #: the decision sequence (:meth:`IncrementalMaxFlow.compact`).
     COMPACTION_SLACK = 256
 
-    def __init__(self, method: str = "edmonds-karp") -> None:
-        self._flow = IncrementalMaxFlow(method=method)
+    def __init__(self) -> None:
+        self._flow = IncrementalMaxFlow()
         self._sequence = itertools.count()
         #: Outstanding update id -> (its live vertex key, the Update it stands for).
         self._updates: Dict[int, Tuple[UpdateKey, Update]] = {}

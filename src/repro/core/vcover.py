@@ -8,8 +8,8 @@ VCover reacts to each arriving query as follows (Figure 3):
   interacting updates;
 * otherwise the query is shipped to the server, and the **LoadManager**
   decides in the background whether any of the missing objects have become
-  worth loading (randomized cost attribution over a lazy Greedy-Dual-Size
-  cache).
+  worth loading (randomized cost attribution, then admission through the
+  configured eviction policy, Greedy-Dual-Size by default).
 
 VCover alone *decouples* a cached object from its updates, so it alone keeps
 *outstanding* updates (applied at the server, not yet at the cached copy),
@@ -41,9 +41,6 @@ from repro.repository.updates import Update
 class VCoverConfig:
     """Configuration of the VCover policy."""
 
-    #: Max-flow solver used by the UpdateManager: "edmonds-karp" (the
-    #: production solver) or "dinic" (the oracle it is checked against).
-    flow_method: str = "edmonds-karp"
     #: Use the randomized loading mechanism (False = deterministic counters).
     randomized_loading: bool = True
     #: Seed for the LoadManager's randomness.
@@ -96,7 +93,7 @@ class VCoverPolicy(BaseCachePolicy):
         #: stale-high, which only skips the shortcut, never falsifies it).
         self._outstanding_max_ts: Dict[int, float] = {}
         self._config = config or VCoverConfig()
-        self._update_manager = UpdateManager(method=self._config.flow_method)
+        self._update_manager = UpdateManager()
         eviction = _make_eviction_policy(self._config.eviction_policy)
         self._load_manager = LoadManager(
             store=self.store,
@@ -298,14 +295,9 @@ class VCoverPolicy(BaseCachePolicy):
                 self._update_manager.forget_updates(u.update_id for u in dropped)
             outcome.evicted_objects.append(object_id)
 
+        # Load ids were missing when the decision was taken, and an object
+        # leaves no outstanding updates behind when it is evicted.
         for object_id in decision.load_object_ids:
-            if self.is_resident(object_id):
-                continue
-            superseded = self.outstanding_updates(object_id)
-            if superseded:
-                # A fresh snapshot includes these updates; they can no longer
-                # interact with future queries.
-                self._update_manager.forget_updates(u.update_id for u in superseded)
             load_cost = self.load_object(object_id, query.timestamp)
             self._load_manager.note_load(object_id, size=load_cost, timestamp=query.timestamp)
             outcome.load_cost += load_cost

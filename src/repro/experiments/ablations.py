@@ -8,9 +8,6 @@ This experiment quantifies them on the standard scenario:
   emulates in expectation).
 * **Eviction policy** -- Greedy-Dual-Size (the paper's choice) vs. LRU, LFU
   and Landlord.
-* **Max-flow solver** -- Edmonds-Karp (named in the paper) vs. Dinic;
-  decisions must be identical, only runtime differs, so this doubles as a
-  correctness cross-check.
 * **Benefit window and smoothing** -- sensitivity of the Benefit baseline to
   its two tuning knobs, supporting the paper's point that heuristic
   approaches are brittle.
@@ -31,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.benefit import BenefitConfig
+from repro.core.decoupling import QueryOutcome
 from repro.core.vcover import VCoverConfig, VCoverPolicy
 from repro.experiments.config import ExperimentConfig, Scenario, build_scenario
 from repro.experiments.registry import (
@@ -43,13 +41,13 @@ from repro.experiments.spec import ScenarioSpec
 from repro.network.latency import LatencyModel, ResponseTimeSummary, summarise_response_times
 from repro.network.link import NetworkLink
 from repro.repository.server import Repository
+from repro.sim.engine import ReplayKernel
 from repro.sim.results import RunResult
 from repro.sim.runner import PolicySpec, benefit_spec, vcover_spec
 from repro.sim.sweep import DEFAULT_SCENARIO, InlineScenario, SweepPoint, SweepRunner
-from repro.workload.trace import QueryEvent, UpdateEvent
 
 #: The sweep-shaped ablations the registered experiment runs, in order.
-DEFAULT_ABLATIONS = ("loading", "eviction", "flow_method", "benefit")
+DEFAULT_ABLATIONS = ("loading", "eviction", "benefit")
 
 #: Eviction policies compared by the eviction ablation.
 DEFAULT_EVICTION_POLICIES = ("gds", "lru", "lfu", "landlord")
@@ -133,14 +131,6 @@ def _eviction_variants(
     ]
 
 
-def _flow_method_variants(config: ExperimentConfig) -> List[Tuple[str, PolicySpec]]:
-    """The production max-flow solver against its oracle (results must agree)."""
-    return [
-        (method, vcover_spec(VCoverConfig(flow_method=method), name=f"vcover-{method}"))
-        for method in ("edmonds-karp", "dinic")
-    ]
-
-
 def _benefit_variants(
     config: ExperimentConfig, windows: Sequence[int], alphas: Sequence[float]
 ) -> List[Tuple[str, PolicySpec]]:
@@ -188,17 +178,6 @@ def run_eviction_ablation(
     return _run_variants(_eviction_variants(config, policies), config, scenario, jobs)
 
 
-def run_flow_method_ablation(
-    config: Optional[ExperimentConfig] = None,
-    scenario: Optional[Scenario] = None,
-    jobs: int = 1,
-) -> AblationResult:
-    """Edmonds-Karp vs Dinic in the UpdateManager (results must agree)."""
-    config = config or ExperimentConfig()
-    scenario = scenario or build_scenario(config)
-    return _run_variants(_flow_method_variants(config), config, scenario, jobs)
-
-
 def run_benefit_sensitivity(
     config: Optional[ExperimentConfig] = None,
     scenario: Optional[Scenario] = None,
@@ -235,7 +214,8 @@ def run_preship_ablation(
     shipping before they can be answered at the cache.
 
     Runs serially: it needs the per-query outcome stream for the latency
-    summary, which the sweep runner's aggregated results do not carry.
+    summary, which the sweep runner's aggregated results do not carry; the
+    replay kernel hands it over through ``on_decision``.
     """
     config = config or ExperimentConfig()
     scenario = scenario or build_scenario(config)
@@ -247,13 +227,16 @@ def run_preship_ablation(
         policy = VCoverPolicy(
             repository, scenario.cache_capacity, link, VCoverConfig(preship=preship)
         )
-        outcomes = []
-        for event in scenario.trace:
-            if isinstance(event, UpdateEvent):
-                repository.ingest_update(event.update)
-                policy.on_update(event.update)
-            elif isinstance(event, QueryEvent):
-                outcomes.append(policy.on_query(event.query))
+        outcomes: List[QueryOutcome] = []
+
+        def collect(payload: object, outcome: Optional[QueryOutcome]) -> None:
+            if outcome is not None:
+                outcomes.append(outcome)
+
+        kernel = ReplayKernel(
+            repository, [policy], [link], config.engine_config(), on_decision=collect
+        )
+        kernel.run(scenario.trace)
         results[label] = PreshipVariantResult(
             total_traffic=link.total_cost,
             response_times=summarise_response_times(outcomes, latency_model),
@@ -283,8 +266,6 @@ def _variants_for(
         return _loading_variants(config)
     if ablation == "eviction":
         return _eviction_variants(config, knobs["eviction_policies"])
-    if ablation == "flow_method":
-        return _flow_method_variants(config)
     if ablation == "benefit":
         return _benefit_variants(config, knobs["windows"], knobs["alphas"])
     raise ValueError(f"unknown ablation {ablation!r}; known: {DEFAULT_ABLATIONS}")
@@ -320,13 +301,13 @@ def _summarise(context: ExperimentContext) -> Dict[str, AblationResult]:
 
 @register_experiment(
     name="ablations",
-    title="Design-choice ablations (loading, eviction, max-flow, Benefit knobs)",
+    title="Design-choice ablations (loading, eviction, Benefit knobs)",
     paper_ref="(ours)",
     description=(
         "Quantifies the paper's undocumented design decisions on the "
         "standard scenario: randomized vs counter loading, GDS vs "
-        "LRU/LFU/Landlord eviction, Edmonds-Karp vs Dinic, and Benefit's "
-        "window/alpha sensitivity -- all as one sweep grid."
+        "LRU/LFU/Landlord eviction, and Benefit's window/alpha "
+        "sensitivity -- all as one sweep grid."
     ),
     knobs={
         "ablations": DEFAULT_ABLATIONS,

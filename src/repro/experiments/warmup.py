@@ -13,9 +13,11 @@ climbs only once full-cost queries start arriving.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple
+from typing import Deque, List, Mapping, Optional, Tuple
 
+from repro.core.decoupling import QueryOutcome
 from repro.core.vcover import VCoverConfig, VCoverPolicy
 from repro.experiments.config import ExperimentConfig, Scenario
 from repro.experiments.registry import (
@@ -27,7 +29,7 @@ from repro.experiments.registry import (
 from repro.experiments.spec import ScenarioSpec
 from repro.network.link import NetworkLink
 from repro.repository.server import Repository
-from repro.workload.trace import QueryEvent, UpdateEvent
+from repro.sim.engine import EngineConfig, ReplayKernel
 
 
 @dataclass
@@ -63,35 +65,39 @@ def _replay(
     sample_every: int,
     window: int,
 ) -> WarmupResult:
-    """The instrumented serial replay behind the experiment."""
+    """The instrumented serial replay behind the experiment.
+
+    The kernel reports progress at every ``sample_every`` edge and once at
+    the end of the trace, so the last sample is the final occupancy.
+    """
     repository = Repository(scenario.catalog)
     link = NetworkLink()
     policy = VCoverPolicy(repository, scenario.cache_capacity, link, VCoverConfig())
 
     occupancy: List[Tuple[int, float]] = []
     hit_rate: List[Tuple[int, float]] = []
-    recent_outcomes: List[bool] = []
+    recent_outcomes: Deque[bool] = deque(maxlen=window)
 
-    for index, event in enumerate(scenario.trace):
-        if isinstance(event, UpdateEvent):
-            repository.ingest_update(event.update)
-            policy.on_update(event.update)
-        elif isinstance(event, QueryEvent):
-            outcome = policy.on_query(event.query)
+    def record(payload: object, outcome: Optional[QueryOutcome]) -> None:
+        if outcome is not None:
             recent_outcomes.append(outcome.answered_at_cache)
-            if len(recent_outcomes) > window:
-                recent_outcomes.pop(0)
-        if (index + 1) % sample_every == 0:
-            used_fraction = (
-                policy.store.used / policy.store.capacity if policy.store.capacity else 0.0
-            )
-            occupancy.append((index + 1, used_fraction))
-            rate = (
-                sum(recent_outcomes) / len(recent_outcomes) if recent_outcomes else 0.0
-            )
-            hit_rate.append((index + 1, rate))
 
-    final_occupancy = occupancy[-1][1] if occupancy else 0.0
+    def sample(index: int, total: int) -> None:
+        store = policy.store
+        occupancy.append((index, store.used / store.capacity if store.capacity else 0.0))
+        rate = sum(recent_outcomes) / len(recent_outcomes) if recent_outcomes else 0.0
+        hit_rate.append((index, rate))
+
+    kernel = ReplayKernel(
+        repository,
+        [policy],
+        [link],
+        EngineConfig(sample_every=sample_every),
+        on_decision=record,
+    )
+    kernel.run(scenario.trace, progress=sample)
+
+    final_occupancy = occupancy[-1][1]
     knee = 0
     for event_index, used_fraction in occupancy:
         if final_occupancy > 0 and used_fraction >= 0.5 * final_occupancy:

@@ -136,7 +136,6 @@ class IncrementalMaxFlow:
 
     __slots__ = (
         "_network",
-        "_method",
         "_left_ids",
         "_right_ids",
         "_keys",
@@ -150,11 +149,10 @@ class IncrementalMaxFlow:
         "_augmentations",
     )
 
-    def __init__(self, method: str = "edmonds-karp") -> None:
+    def __init__(self) -> None:
         self._network = FlowNetwork()
         self._network.add_vertex(SOURCE)
         self._network.add_vertex(SINK)
-        self._method = method
         #: Network vertex id of every registered vertex, and the way back.
         self._left_ids: Dict[Vertex, int] = {}
         self._right_ids: Dict[Vertex, int] = {}
@@ -404,7 +402,6 @@ class IncrementalMaxFlow:
                 self._network,
                 SOURCE,
                 SINK,
-                method=self._method,
                 source_arcs=source_arcs,
                 closed=self._closed,
                 sink_arcs=self._sink_arcs,

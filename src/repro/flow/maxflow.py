@@ -3,10 +3,10 @@
 The paper's offline decoupling algorithm reduces minimum-weight vertex cover
 on the (bipartite) internal interaction graph to a maximum-flow computation
 and cites Edmonds-Karp as the solver.  Edmonds-Karp (BFS augmenting paths) is
-the one production solver; Dinic (blocking flows) is kept as an independent
-implementation for the property tests and the ``flow_method`` ablation to
-check it against.  Both operate on :class:`repro.flow.graph.FlowNetwork` and
-*augment the existing flow*, so they can be called again as the network grows.
+the one production solver, :func:`solve_max_flow`; Dinic (blocking flows) is
+kept as an independent implementation for the tests to check it against.  Both
+operate on :class:`repro.flow.graph.FlowNetwork` and *augment the existing
+flow*, so they can be called again as the network grows.
 
 Both accept three search hints, used by :mod:`repro.flow.incremental` to keep
 a solve local to what changed.  ``source_arcs`` names the only arcs out of the
@@ -218,45 +218,7 @@ def dinic_max_flow(
     return sum((arc.flow for arc in source_arcs), 0.0)
 
 
-#: Mapping of solver names to callables, used by configuration code.
-SOLVERS = {
-    "edmonds-karp": edmonds_karp_max_flow,
-    "dinic": dinic_max_flow,
-}
-
-
-def solve_max_flow(
-    network: FlowNetwork,
-    source: Vertex,
-    sink: Vertex,
-    method: str = "edmonds-karp",
-    source_arcs: Optional[Sequence[Arc]] = None,
-    closed: Container[Vertex] = (),
-    sink_arcs: Optional[Mapping[Vertex, Arc]] = None,
-) -> float:
-    """Dispatch to a named max-flow solver.
-
-    Parameters
-    ----------
-    network:
-        The residual network to augment in place.
-    source, sink:
-        Flow endpoints.
-    method:
-        ``"edmonds-karp"`` (the paper's choice and the production solver) or
-        ``"dinic"`` (the oracle it is tested against).
-    source_arcs, closed, sink_arcs:
-        Search hints, see the module docstring.
-
-    Whichever solver runs, the resulting maximum flow is valid and warm-start
-    reusable, and the residual min cut it induces is the same (the minimal
-    source side of a min cut is unique), so the extracted covers do not
-    depend on the method.
-    """
-    try:
-        solver = SOLVERS[method]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown max-flow method {method!r}; expected one of {sorted(SOLVERS)}"
-        ) from exc
-    return solver(network, source, sink, source_arcs, closed, sink_arcs)
+#: The production solver, under the name every caller uses.  Dinic would leave
+#: a different flow but the same residual min cut (the minimal source side of a
+#: min cut is unique), so the extracted covers would not change.
+solve_max_flow = edmonds_karp_max_flow

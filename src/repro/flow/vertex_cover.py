@@ -165,17 +165,13 @@ def extract_cover_from_network(
     )
 
 
-def min_weight_vertex_cover(
-    instance: BipartiteCoverInstance, method: str = "edmonds-karp"
-) -> CoverResult:
+def min_weight_vertex_cover(instance: BipartiteCoverInstance) -> CoverResult:
     """Solve a bipartite minimum-weight vertex-cover instance exactly.
 
     Parameters
     ----------
     instance:
         The weighted bipartite instance.
-    method:
-        Max-flow solver to use (``"edmonds-karp"`` or ``"dinic"``).
 
     Returns
     -------
@@ -186,7 +182,7 @@ def min_weight_vertex_cover(
     start = phase_clock()
     try:
         network = build_cover_network(instance)
-        solve_max_flow(network, SOURCE, SINK, method=method)
+        solve_max_flow(network, SOURCE, SINK)
         result = extract_cover_from_network(instance, network)
         return _drop_isolated_vertices(instance, result)
     finally:

@@ -9,7 +9,8 @@ middleware.  :class:`ReplayKernel` drives it over a list of cache *sites*
   repository exactly once and broadcast to every site's policy (any site may
   hold a resident copy), a query goes to the one site the router names and is
   counted as answered at the cache or shipped.  Nothing else in
-  :mod:`repro.sim` or :mod:`repro.serve` calls a policy's per-event hooks.
+  :mod:`repro.sim`, :mod:`repro.serve` or :mod:`repro.experiments` calls a
+  policy's per-event hooks.
 * :meth:`ReplayKernel.run` replays a whole trace: offline preparation (a
   no-op on every online policy), the events in chunks cut at the sampling
   grid, at ``measure_from`` and at end-of-run, traffic and occupancy samples
@@ -22,10 +23,13 @@ middleware.  :class:`ReplayKernel` drives it over a list of cache *sites*
 
 Callers: :func:`repro.sim.runner.run_policy` (one site, no router),
 :func:`repro.sim.multicache.run_topology` (a fleet routed by a trace
-partitioner), :func:`repro.serve.equivalence.replay_with_log`, and the writer
-task of :class:`repro.serve.server.CacheServer` (one ``step`` per frame).
+partitioner), :func:`repro.serve.equivalence.replay_with_log`, the writer
+task of :class:`repro.serve.server.CacheServer` (one ``step`` per frame), and
+the instrumented replays of :mod:`repro.experiments.warmup` and
+:func:`repro.experiments.ablations.run_preship_ablation`.
 ``on_decision(payload, outcome)`` is the one observation seam, called after
-every event; the sim-vs-served decision logs are recorded through it.
+every event; the sim-vs-served decision logs, the warm-up hit rate and the
+preshipping outcome stream are recorded through it.
 
 The *measurement window*: the paper excludes the ~250k-event warm-up period
 from its plots, so ``run`` records the traffic accumulated before a

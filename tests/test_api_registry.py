@@ -180,13 +180,13 @@ class TestLegacyEquivalence:
 
         config = ExperimentConfig(**TINY)
         combined = api.run_experiment(
-            "ablations", overrides={**TINY, "ablations": ("loading", "flow_method")}
+            "ablations", overrides={**TINY, "ablations": ("loading", "eviction")}
         )
         scenario = build_scenario(config)
         loading = ablations.run_loading_ablation(config, scenario)
-        flow = ablations.run_flow_method_ablation(config, scenario)
+        eviction = ablations.run_eviction_ablation(config, scenario)
         assert combined["loading"].traffic == loading.traffic
-        assert combined["flow_method"].traffic == flow.traffic
+        assert combined["eviction"].traffic == eviction.traffic
 
     def test_jobs_do_not_change_results(self):
         serial = api.run_experiment(

@@ -90,7 +90,9 @@ class TestGreedyDualSize:
         gds = GreedyDualSize()
         gds.on_load(1, size=10.0, cost=10.0, timestamp=0.0)
         gds.reset()
-        assert gds.tracked_ids() == []
+        assert gds.victim({1}) is None
+        with pytest.raises(PolicyIntrospectionError):
+            gds.priority(1)
         assert gds.inflation == 0.0
 
 

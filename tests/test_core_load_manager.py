@@ -5,19 +5,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cache.base import registry
 from repro.cache.gds import GreedyDualSize
 from repro.cache.store import CacheStore
 from repro.core.load_manager import LoadManager
 from tests.conftest import make_query
 
 
-def make_manager(capacity=100.0, sizes=None, randomized=True, seed=0):
+def make_manager(capacity=100.0, sizes=None, randomized=True, seed=0, policy=None):
     sizes = sizes or {1: 10.0, 2: 20.0, 3: 30.0, 4: 15.0, 5: 25.0}
     store = CacheStore(capacity)
     manager = LoadManager(
         store=store,
-        policy=GreedyDualSize(),
+        policy=policy or GreedyDualSize(),
         load_cost_of=lambda object_id: sizes[object_id],
         rng=random.Random(seed),
         randomized=randomized,
@@ -132,3 +135,124 @@ class TestCapacityInteraction:
         stats = manager.stats()
         assert stats["invocations"] == 1
         assert stats["candidates_emitted"] == 1
+
+
+def load(manager, store, object_id, size, timestamp=0.0):
+    """Make an object resident the way VCover applies a decision."""
+    store.insert(object_id, size=size, version=0, timestamp=timestamp)
+    manager.note_load(object_id, size=size, timestamp=timestamp)
+
+
+class TestAdmission:
+    """One ``consider``'s candidates are admitted together, in emit order."""
+
+    def test_query_with_nothing_missing_plans_nothing(self):
+        manager, store, _ = make_manager(sizes={1: 10.0})
+        load(manager, store, 1, 10.0)
+        decision = manager.consider(
+            make_query(1, object_ids=[1], cost=100.0, timestamp=1.0), timestamp=1.0
+        )
+        assert decision.load_object_ids == [] and decision.evict_object_ids == []
+
+    def test_candidates_that_fit_are_all_admitted(self):
+        manager, _, _ = make_manager(capacity=50.0, sizes={1: 20.0, 2: 20.0})
+        decision = manager.consider(
+            make_query(1, object_ids=[1, 2], cost=100.0, timestamp=1.0), timestamp=1.0
+        )
+        assert set(decision.load_object_ids) == {1, 2}
+        assert decision.evict_object_ids == []
+
+    def test_resident_evicted_to_make_room_for_candidate(self):
+        manager, store, _ = make_manager(
+            capacity=50.0, sizes={1: 30.0, 9: 40.0}, randomized=False
+        )
+        load(manager, store, 9, 40.0)
+        decision = manager.consider(
+            make_query(1, object_ids=[1], cost=300.0, timestamp=1.0), timestamp=1.0
+        )
+        assert decision.load_object_ids == [1]
+        assert decision.evict_object_ids == [9]
+        assert 9 in store  # consider only plans the eviction
+
+    def test_candidates_of_one_query_never_evict_each_other(self):
+        manager, store, _ = make_manager(capacity=30.0, sizes={1: 20.0, 2: 20.0})
+        decision = manager.consider(
+            make_query(1, object_ids=[1, 2], cost=100.0, timestamp=1.0), timestamp=1.0
+        )
+        # Room for one: the other is not loaded, rather than loaded and then
+        # evicted for its sibling.
+        assert len(decision.load_object_ids) == 1
+        assert decision.evict_object_ids == []
+        assert len(store) == 0  # consider only decides; the caller applies
+
+    def test_unplaceable_candidate_is_not_loaded(self):
+        """A candidate that cannot be made room for leaves the residents alone."""
+        manager, store, _ = make_manager(
+            capacity=50.0, sizes={1: 25.0, 2: 30.0, 9: 10.0}, randomized=False
+        )
+        load(manager, store, 9, 10.0)
+        decision = manager.consider(
+            make_query(1, object_ids=[1, 2, 9], cost=100.0, timestamp=1.0), timestamp=1.0
+        )
+        # Whichever candidate comes first fits in the 40 MB free; evicting
+        # object 9 frees only 10 MB more, too little for the second.
+        assert len(decision.load_object_ids) == 1
+        assert decision.evict_object_ids == []
+
+
+@st.composite
+def admission_runs(draw):
+    """A catalogue, a capacity, residents and a stream of query footprints."""
+    object_count = draw(st.integers(1, 8))
+    sizes = {
+        object_id: draw(st.floats(0.5, 60.0, allow_nan=False))
+        for object_id in range(object_count)
+    }
+    capacity = draw(st.floats(1.0, 120.0, allow_nan=False))
+    residents = draw(st.lists(st.sampled_from(sorted(sizes)), unique=True))
+    footprint = st.frozensets(st.sampled_from(sorted(sizes)), min_size=1)
+    cost = st.floats(0.0, 150.0, allow_nan=False)
+    queries = draw(st.lists(st.tuples(footprint, cost), min_size=1, max_size=12))
+    return sizes, capacity, residents, queries
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    run=admission_runs(),
+    policy_name=st.sampled_from(registry.names()),
+    randomized=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_property_admission_respects_residency_and_capacity(
+    run, policy_name, randomized, seed
+):
+    """Loads are missing, evictions resident and disjoint, and the result fits."""
+    sizes, capacity, residents, queries = run
+    manager, store, _ = make_manager(
+        capacity=capacity,
+        sizes=sizes,
+        randomized=randomized,
+        seed=seed,
+        policy=registry.create(policy_name),
+    )
+    for object_id in residents:
+        if store.fits(sizes[object_id]):
+            load(manager, store, object_id, sizes[object_id])
+    for step, (object_ids, cost) in enumerate(queries, start=1):
+        before = {record.object_id: record.size for record in store.records()}
+        decision = manager.consider(
+            make_query(step, object_ids, cost=cost, timestamp=float(step)), float(step)
+        )
+        loads, evictions = decision.load_object_ids, decision.evict_object_ids
+        assert {record.object_id: record.size for record in store.records()} == before
+        assert len(set(loads)) == len(loads) and len(set(evictions)) == len(evictions)
+        assert not set(loads) & set(before)
+        assert set(evictions) <= set(before)
+        used = store.used - sum(before[oid] for oid in evictions)
+        assert used + sum(sizes[oid] for oid in loads) <= capacity + 1e-6
+        # Applying the decision as VCover does never overflows the store.
+        for object_id in evictions:
+            store.evict(object_id)
+            manager.note_evict(object_id)
+        for object_id in loads:
+            load(manager, store, object_id, sizes[object_id], timestamp=float(step))

@@ -94,22 +94,11 @@ class TestIncrementalAugmentation:
         assert edmonds_karp_max_flow(network, "s", "t") == pytest.approx(4.0)
 
 
-class TestDispatch:
-    def test_solve_max_flow_dispatches_by_name(self):
-        network = build_classic_network()
-        assert solve_max_flow(network, "s", "t", method="dinic") == pytest.approx(23.0)
-
-    def test_unknown_method_raises(self):
-        network = build_classic_network()
-        with pytest.raises(ValueError):
-            solve_max_flow(network, "s", "t", method="simplex")
-
-    @pytest.mark.parametrize("method", ["auto", "push-relabel"])
-    def test_retired_methods_rejected(self, method):
-        """The removed solver names fail like any unknown one, listing the roster."""
-        network = build_classic_network()
-        with pytest.raises(ValueError, match=r"\['dinic', 'edmonds-karp'\]"):
-            solve_max_flow(network, "s", "t", method=method)
+class TestProductionSolver:
+    def test_solve_max_flow_is_edmonds_karp(self):
+        """Every caller's name for the solver is the one the paper names."""
+        assert solve_max_flow is edmonds_karp_max_flow
+        assert solve_max_flow(build_classic_network(), "s", "t") == pytest.approx(23.0)
 
 
 class TestSearchHints:

@@ -3,7 +3,7 @@
 Five families of invariants, each checked against randomly generated
 structures rather than hand-picked examples:
 
-* the max-flow solvers certify themselves: both methods agree, conserve
+* the max-flow solvers certify themselves: both solvers agree, conserve
   flow, and the max-flow value equals the capacity of the residual min cut
   (the LP-duality identity the vertex-cover reduction rests on);
 * :func:`repro.flow.vertex_cover.min_weight_vertex_cover` is *exactly*
@@ -24,15 +24,17 @@ structures rather than hand-picked examples:
 from __future__ import annotations
 
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.update_manager import UpdateManager
+from repro.flow import vertex_cover as vertex_cover_module
 from repro.flow.graph import FlowNetwork
 from repro.flow.incremental import CoverDelta, IncrementalMaxFlow
-from repro.flow.maxflow import solve_max_flow
+from repro.flow.maxflow import dinic_max_flow, edmonds_karp_max_flow, solve_max_flow
 from repro.flow.vertex_cover import (
     SINK,
     SOURCE,
@@ -49,6 +51,9 @@ from tests.strategies import (
     graph_ops_without_drops,
 )
 
+#: The production solver and its oracle.
+SOLVER_FUNCTIONS = st.sampled_from([edmonds_karp_max_flow, dinic_max_flow])
+
 
 # ----------------------------------------------------------------------
 # Max-flow = min-cut
@@ -64,11 +69,11 @@ def _residual_cut_capacity(network: FlowNetwork, source) -> float:
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=flow_networks())
-def test_property_max_flow_equals_min_cut(case):
+@given(case=flow_networks(), solver=SOLVER_FUNCTIONS)
+def test_property_max_flow_equals_min_cut(case, solver):
     """On arbitrary networks the flow value equals the residual cut capacity."""
     network, source, sink = case
-    flow = solve_max_flow(network, source, sink, method="edmonds-karp")
+    flow = solver(network, source, sink)
     network.check_flow_conservation(source, sink)
     assert flow == pytest.approx(_residual_cut_capacity(network, source))
 
@@ -78,8 +83,8 @@ def test_property_max_flow_equals_min_cut(case):
 def test_property_solvers_agree(case):
     """Edmonds-Karp and its oracle Dinic compute the same max-flow value."""
     network, source, sink = case
-    ek = solve_max_flow(network.copy(), source, sink, method="edmonds-karp")
-    dinic = solve_max_flow(network.copy(), source, sink, method="dinic")
+    ek = edmonds_karp_max_flow(network.copy(), source, sink)
+    dinic = dinic_max_flow(network.copy(), source, sink)
     assert ek == pytest.approx(dinic)
 
 
@@ -94,8 +99,8 @@ def test_property_solvers_agree_on_residual_cut(case):
     network, source, sink = case
     ek_network = network.copy()
     dinic_network = network.copy()
-    solve_max_flow(ek_network, source, sink, method="edmonds-karp")
-    solve_max_flow(dinic_network, source, sink, method="dinic")
+    edmonds_karp_max_flow(ek_network, source, sink)
+    dinic_max_flow(dinic_network, source, sink)
     dinic_network.check_flow_conservation(source, sink)
     assert ek_network.residual_reachable(source) == dinic_network.residual_reachable(
         source
@@ -103,11 +108,11 @@ def test_property_solvers_agree_on_residual_cut(case):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(instance=cover_instances())
-def test_property_cover_network_flow_equals_cut(instance):
+@given(instance=cover_instances(), solver=SOLVER_FUNCTIONS)
+def test_property_cover_network_flow_equals_cut(instance, solver):
     """The duality identity holds on the vertex-cover reduction networks too."""
     network = build_cover_network(instance)
-    flow = solve_max_flow(network, SOURCE, SINK, method="dinic")
+    flow = solver(network, SOURCE, SINK)
     assert flow == pytest.approx(_residual_cut_capacity(network, SOURCE))
 
 
@@ -115,13 +120,11 @@ def test_property_cover_network_flow_equals_cut(instance):
 # Vertex cover vs brute force
 # ----------------------------------------------------------------------
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    instance=cover_instances(),
-    method=st.sampled_from(["edmonds-karp", "dinic"]),
-)
-def test_property_vertex_cover_matches_brute_force(instance, method):
+@given(instance=cover_instances(), solver=SOLVER_FUNCTIONS)
+def test_property_vertex_cover_matches_brute_force(instance, solver):
     """The flow-based cover is valid and exactly as light as the oracle's."""
-    result = min_weight_vertex_cover(instance, method=method)
+    with mock.patch.object(vertex_cover_module, "solve_max_flow", solver):
+        result = min_weight_vertex_cover(instance)
     oracle = brute_force_min_cover(instance)
     assert result.covers(instance.edges)
     assert result.weight == pytest.approx(oracle.weight)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.flow import vertex_cover as vertex_cover_module
+from repro.flow.maxflow import dinic_max_flow, edmonds_karp_max_flow
 from repro.flow.vertex_cover import (
     BipartiteCoverInstance,
     brute_force_min_cover,
@@ -119,14 +121,17 @@ class TestSmallInstances:
         result = min_weight_vertex_cover(instance)
         assert result.covers(edges)
 
-    @pytest.mark.parametrize("method", ["edmonds-karp", "dinic"])
-    def test_both_solvers_give_same_weight(self, method):
+    @pytest.mark.parametrize(
+        "solver", [edmonds_karp_max_flow, dinic_max_flow], ids=["edmonds-karp", "dinic"]
+    )
+    def test_both_solvers_give_same_weight(self, solver, monkeypatch):
+        monkeypatch.setattr(vertex_cover_module, "solve_max_flow", solver)
         instance = make_instance(
             {"q1": 3.0, "q2": 7.0, "q3": 2.0},
             {"u1": 2.0, "u2": 4.0, "u3": 6.0},
             [("q1", "u1"), ("q2", "u2"), ("q3", "u3"), ("q1", "u3"), ("q2", "u1")],
         )
-        result = min_weight_vertex_cover(instance, method=method)
+        result = min_weight_vertex_cover(instance)
         oracle = brute_force_min_cover(instance)
         assert result.weight == pytest.approx(oracle.weight)
 

@@ -90,7 +90,7 @@ class TestPicklability:
     def test_ablation_variant_specs_survive_pickling(self):
         variants = [
             vcover_spec(VCoverConfig(randomized_loading=False), name="vcover-counter"),
-            vcover_spec(VCoverConfig(flow_method="dinic"), name="vcover-dinic"),
+            vcover_spec(VCoverConfig(eviction_policy="lru"), name="vcover-lru"),
             benefit_spec(BenefitConfig(window_size=250, alpha=0.9), name="benefit-a0.9"),
         ]
         for spec in variants:
@@ -217,8 +217,8 @@ class TestExperimentsOnSweep:
         assert serial.traffic == parallel.traffic
 
     def test_ablation_jobs_matches_serial(self, small_config, small_scenario):
-        serial = ablations.run_flow_method_ablation(small_config, small_scenario, jobs=1)
-        parallel = ablations.run_flow_method_ablation(small_config, small_scenario, jobs=2)
+        serial = ablations.run_loading_ablation(small_config, small_scenario, jobs=1)
+        parallel = ablations.run_loading_ablation(small_config, small_scenario, jobs=2)
         assert serial.traffic == parallel.traffic
 
     def test_fig8a_comparisons_carry_trace_description(self, small_config):
