@@ -130,13 +130,13 @@ SUITES: Dict[str, Tuple[BenchCase, ...]] = {
         ),
         _case(
             "columnar-quick",
-            "batched static-decoupling replay over a 40k-event trace (columnar core)",
+            "batched replay of the eager policies over a 40k-event trace (columnar core)",
             overrides={
                 "query_count": 20_000,
                 "update_count": 20_000,
                 "sample_every": 2_000,
             },
-            policies=("nocache", "replica", "soptimal"),
+            policies=("nocache", "replica", "benefit", "soptimal"),
             repeats=3,
         ),
     ),

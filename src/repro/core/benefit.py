@@ -32,7 +32,7 @@ poorly on evolving scientific workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Mapping, Optional, Set
 
 from repro.core.decoupling import QueryAction, QueryOutcome
 from repro.core.policy import BaseCachePolicy
@@ -141,22 +141,29 @@ class BenefitPolicy(BaseCachePolicy):
     def _tick_window(self) -> None:
         self._window_events += 1
         if self._window_events >= self._config.window_size:
-            self._close_window()
-            self._window_events = 0
+            self.close_window(self._query_share, self._update_cost, self._current_time)
+            self._query_share.clear()
+            self._update_cost.clear()
 
-    def _close_window(self) -> None:
-        """Compute benefits, update forecasts and re-plan the cache contents."""
+    def close_window(
+        self, query_share: Mapping[int, float], update_cost: Mapping[int, float], now: float
+    ) -> None:
+        """Close the window: compute benefits, update forecasts, re-plan the cache.
+
+        Takes the window's per-object sums (absent ids count 0.0) and the time
+        of its last event, at which objects load: the per-event hooks' own
+        sums, or those a batched replay (:mod:`repro.sim.batched`) folded.
+        """
         alpha = self._config.alpha
-        query_share, update_cost = self._query_share, self._update_cost
         for object_id in self._repository.catalog.object_ids:
             benefit = query_share.get(object_id, 0.0) - update_cost.get(object_id, 0.0)
             if not self.is_resident(object_id):
                 benefit -= self._repository.object_size(object_id)
             previous = self._forecast.get(object_id, 0.0)
             self._forecast[object_id] = (1.0 - alpha) * previous + alpha * benefit
-        query_share.clear()
-        update_cost.clear()
+        self._window_events = 0
         self._window_index += 1
+        self._current_time = now
         self._replan_cache()
 
     def _replan_cache(self) -> None:

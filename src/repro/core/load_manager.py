@@ -94,7 +94,7 @@ class LoadManager:
     # ------------------------------------------------------------------
     # Decision making
     # ------------------------------------------------------------------
-    def consider(self, query: Query, timestamp: float) -> LoadDecision:
+    def consider(self, query: Query) -> LoadDecision:
         """Process one shipped query and decide which objects to load.
 
         Returns a :class:`LoadDecision`; the caller applies it (charging load

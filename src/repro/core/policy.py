@@ -28,7 +28,7 @@ the observation side per epoch via :meth:`BaseCachePolicy.close_epoch`; see
 from __future__ import annotations
 
 import abc
-from typing import Container, Dict, List
+from typing import Container, Dict, List, Mapping
 
 from repro.cache.observer import EpochSnapshot, PolicyObserver
 from repro.cache.store import CacheStore
@@ -173,20 +173,31 @@ class BaseCachePolicy(CachePolicy):
         """Whether the cached copies alone satisfy the query (all resident)."""
         return self._store.contains_all(query.object_ids)
 
+    @property
+    def share_sizes(self) -> Mapping[int, float]:
+        """Catalogue sizes clamped at 1e-9: the share rule's weights (read-only)."""
+        return self._share_sizes
+
+    def share_total(self, query: Query) -> float:
+        """The share rule's denominator: the query's weights summed in
+        ``query.object_ids`` order (CPython >= 3.12 compensates a float
+        ``sum``, so this expression -- not a vectorised fold -- is the rule).
+        """
+        return sum(map(self._share_sizes.__getitem__, query.object_ids))
+
     def credit_query_shares(
         self, query: Query, credit: Dict[int, float], skip: Container[int] = ()
     ) -> None:
         """The share rule: add each object's share of ``query.cost`` to ``credit``.
 
-        A share is ``cost * size / total``, by catalogue size clamped at 1e-9
-        with ``total`` summed in ``query.object_ids`` order; objects are
-        credited in that order, except those in ``skip``.
+        A share is ``cost * size / total``, by :attr:`share_sizes` with
+        ``total`` from :meth:`share_total`; objects are credited in
+        ``query.object_ids`` order, except those in ``skip``.
         """
         sizes = self._share_sizes
-        object_ids = query.object_ids
-        total = sum([sizes[object_id] for object_id in object_ids])
+        total = self.share_total(query)
         cost = query.cost
-        for object_id in object_ids:
+        for object_id in query.object_ids:
             if object_id not in skip:
                 credit[object_id] = credit.get(object_id, 0.0) + cost * sizes[object_id] / total
 

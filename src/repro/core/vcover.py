@@ -285,7 +285,7 @@ class VCoverPolicy(BaseCachePolicy):
             action=QueryAction.SHIPPED_TO_SERVER,
             query_shipping_cost=cost,
         )
-        decision = self._load_manager.consider(query, query.timestamp)
+        decision = self._load_manager.consider(query)
 
         for object_id in decision.evict_object_ids:
             dropped = self.outstanding_updates(object_id)

@@ -1,52 +1,52 @@
-"""Batched (vectorised) replay of the three static decouplings.
+"""Batched (vectorised) replay of every eager site between its decision points.
 
 The kernel's per-event step costs a few microseconds of Python dispatch
-regardless of how trivial the policy's decision is.  The three yardsticks
-are *static decouplings* -- a cached set chosen once and never changed:
-NoCache caches nothing, Replica caches everything and SOptimal caches the
-set its offline ``prepare`` picked.  With the set fixed, an update ships
-exactly when its object is resident and a query is answered exactly when
-every object it touches is resident, so the whole replay reduces to exact
-bookkeeping arithmetic, which this module performs on whole event batches
-using the columnar trace compilation
-(:meth:`repro.workload.trace.Trace.columns`).
+regardless of how trivial the policy's decision is.  Between two decision
+points an eager policy is a *static decoupling*: an update ships exactly
+when its object is resident and a query is answered exactly when every
+object it touches is.  NoCache, Replica and SOptimal have no decision point
+after ``prepare``; Benefit has one, its *window edge*, after every
+``window_size`` of its own events (every broadcast update plus the queries
+routed to it).  Between edges the replay of one cache or of a routed fleet
+is exact bookkeeping arithmetic, done here on whole event batches of the
+columnar trace compilation (:meth:`repro.workload.trace.Trace.columns`).
 
 An executor owns no loop: :meth:`repro.sim.engine.ReplayKernel.run` walks the
-sampling grid and hands each chunk (cut at grid edges, ``measure_from`` and
-end-of-run) to ``process(start, stop)`` in place of one ``step`` per event,
-so every observable -- the traffic time series, occupancy samples, warm-up
-capture, progress callbacks -- comes from the same code at the same event
-indices.  Within a batch the bookkeeping is bit-exact by construction:
-
-* integer counters (observer counts, repository counters, transfer counts,
-  store versions/hits) advance by exact integer sums,
-* float traffic totals are folded left-to-right via ``cumsum``
-  (:meth:`repro.network.link.NetworkLink.charge_batch`), one mechanism at a
-  time in event order, and per-object float growth via unbuffered
-  ``np.add.at``
-  (:meth:`repro.repository.server.Repository.ingest_update_columns`), both of
-  which perform the identical sequence of IEEE additions as the scalar path.
-
-The determinism fixtures therefore pin the batched path byte-for-byte
-against the scalar one.
-
-Eligibility is deliberately conservative (see
-:func:`select_batched_executor`): exact policy types only (a subclass may
-override hooks), materialised traces only (streams replay scalar in constant
-memory), record-free links, history-free repositories, and vectorisable cost
-models -- and the kernel only asks for a single site with no ``on_decision``
-observer.  Everything else keeps the per-event step.
+sampling grid and hands each chunk (cut at grid edges, ``measure_from``,
+end-of-run and :meth:`_BatchedExecutor.next_edge`) to ``process(start,
+stop)`` in place of one ``step`` per event, so every observable comes from
+the same code at the same event indices.  A site whose window ends at
+``stop`` closes it there through
+:meth:`repro.core.benefit.BenefitPolicy.close_window` with the sums the
+batches folded, and its resident set is read again.  Within a batch the
+bookkeeping is bit-exact by construction: integer counters advance by exact
+integer sums; float traffic totals are folded left-to-right via ``cumsum``
+(:meth:`repro.network.link.NetworkLink.charge_batch`), one mechanism at a
+time in event order; per-object float sums -- growth
+(:meth:`repro.repository.server.Repository.ingest_update_columns`) and
+Benefit's window credit, each share ``cost * size / total`` -- go through
+unbuffered ``np.add.at`` in event order.  A share's ``total`` is the one
+sum numpy cannot reproduce (``reduceat`` sums pairwise, CPython >= 3.12
+compensates ``sum``), so :meth:`repro.core.policy.BaseCachePolicy.share_total`
+evaluates it once per query per run.  The determinism fixtures pin the
+batched path byte-for-byte against the scalar one; the kernel asks for an
+executor only when no ``on_decision`` observer is attached, and
+:func:`select_batched_executor` is deliberately conservative.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.cache.store import CacheStore
+from repro.core.benefit import BenefitPolicy
 from repro.core.policy import BaseCachePolicy, CachePolicy
 from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
 from repro.network.link import Mechanism, NetworkLink
+from repro.repository.queries import Query
 from repro.repository.server import Repository
 from repro.workload.columns import COLUMNS_AVAILABLE, TraceColumns
+from repro.workload.partition import TracePartitioner
 from repro.workload.trace import Trace, TraceStream, TraceView
 
 try:  # pragma: no cover - exercised implicitly by every batched test
@@ -56,98 +56,206 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
 
 __all__ = ["select_batched_executor"]
 
-#: The policies whose resident set, once ``prepare`` has run, never changes.
-_STATIC_DECOUPLINGS = (NoCachePolicy, ReplicaPolicy, SOptimalPolicy)
+#: The eager policies the executor replays; Benefit is the one with windows.
+_BATCHABLE = (NoCachePolicy, ReplicaPolicy, SOptimalPolicy, BenefitPolicy)
 
 
-class _StaticSetExecutor:
-    """One static decoupling's bookkeeping over event windows of the columns.
+def _positions(catalog_ids: "_np.ndarray", object_ids: "_np.ndarray") -> "_np.ndarray":
+    """Catalogue positions of ``object_ids``; unknown ids share one extra slot."""
+    count = len(catalog_ids)
+    slot = _np.minimum(_np.searchsorted(catalog_ids, object_ids), count - 1)
+    return _np.where(catalog_ids[slot] == object_ids, slot, count)
 
-    The resident set is read once, here (the kernel builds the executor
-    after ``prepare``), and turned into two fixed masks: which updates ship
-    and which queries are answered at the cache.
+
+class _Site:
+    """One site's queries (its own CSR, in event order) and replay state.
+
+    Built from the whole trace's per-query ``totals`` and per-touch catalogue
+    ``positions`` and ``mine``, the queries routed here (a single cache is a
+    fleet of one: all of them).  ``resident`` masks positions (plus the
+    never-resident slot of unknown ids); a Benefit site's window closes after
+    each event index in ``edges`` and sums ``query_share`` / ``update_cost``
+    per position.
+    """
+
+    __slots__ = (
+        "policy", "link", "index", "costs", "timestamps", "totals", "object_ids",
+        "positions", "offsets", "resident", "edges", "cursor", "query_share", "update_cost",
+    )  # fmt: skip
+
+    def __init__(
+        self, policy: BaseCachePolicy, link: NetworkLink, resident: "_np.ndarray",
+        columns: TraceColumns, positions: "_np.ndarray", totals: Optional["_np.ndarray"],
+        mine: "_np.ndarray"
+    ) -> None:  # fmt: skip
+        self.policy, self.link, self.resident = policy, link, resident
+        footprint = _np.diff(columns.query_object_offsets)
+        touches = _np.repeat(mine, footprint)
+        self.costs, self.timestamps = columns.query_costs[mine], columns.query_timestamps[mine]
+        self.totals = None if totals is None else totals[mine]
+        self.object_ids, self.positions = columns.query_object_ids[touches], positions[touches]
+        self.index = _np.flatnonzero(mine)
+        self.offsets = _np.concatenate(([0], _np.cumsum(footprint[mine])))
+        self.edges, self.cursor = [], 0
+        self.query_share = self.update_cost = None
+        if type(policy) is BenefitPolicy:
+            own_events = _np.ones(len(columns), dtype=bool)
+            own_events[~columns.is_update] = mine
+            window = policy.config.window_size
+            self.edges = (_np.flatnonzero(own_events)[window - 1 :: window] + 1).tolist()
+            self.query_share, self.update_cost = _np.zeros((2, len(resident)))
+
+
+class _BatchedExecutor:
+    """Every site's bookkeeping over event windows of the columns.
+
+    Built by the kernel after ``prepare`` over policies fresh for this run (a
+    Benefit window opens at its first event); it reads each resident set
+    there and again after every window the site closes.
     """
 
     def __init__(
-        self,
-        policy: BaseCachePolicy,
-        columns: TraceColumns,
-        repository: Repository,
-        link: NetworkLink,
-    ) -> None:
-        self._policy = policy
-        self._columns = columns
-        self._repository = repository
-        self._link = link
-        store = policy.store
-        resident = _np.fromiter(store, dtype=_np.int64, count=len(store))
-        # A query is answered when every id of its footprint (never empty,
-        # see Query) is resident; all-resident and none-resident skip the scan.
-        in_set = _np.isin(columns.query_object_ids, resident)
-        all_in = bool(in_set.all())
-        if all_in or not in_set.any():
-            self._answered = _np.full(columns.query_count, all_in)
-        else:
-            self._answered = _np.logical_and.reduceat(
-                in_set, columns.query_object_offsets[:-1]
+        self, policies: Sequence[BaseCachePolicy], links: Sequence[NetworkLink],
+        trace: TraceStream, repository: Repository, routes: "_np.ndarray"
+    ) -> None:  # fmt: skip
+        columns = trace.columns()
+        self._columns, self._repository = columns, repository
+        catalog_ids = _np.array(sorted(repository.catalog.object_ids), dtype=_np.int64)
+        self._catalog_ids = catalog_ids
+        self._update_positions = _positions(catalog_ids, columns.update_object_ids)
+        positions = _positions(catalog_ids, columns.query_object_ids)
+        windowed = [policy for policy in policies if type(policy) is BenefitPolicy]
+        totals = self._share_sizes = None
+        if windowed:  # the share rule's weights and denominators, once per run
+            share_total, sizes = windowed[0].share_total, windowed[0].share_sizes
+            queries = (query for is_update, query in trace.iter_tagged() if not is_update)
+            totals = _np.fromiter(map(share_total, queries), _np.float64, columns.query_count)
+            self._share_sizes = _np.array([sizes[oid] for oid in catalog_ids.tolist()] + [1.0])
+        self._sites = [
+            _Site(
+                policy, link, self._resident_mask(policy.store), columns, positions, totals,
+                routes == number,
             )
-        self._update_ships = _np.isin(columns.update_object_ids, resident)
+            for number, (policy, link) in enumerate(zip(policies, links, strict=True))
+        ]
 
-    def process(self, start: int, stop: int) -> Tuple[int, int]:
-        """Replay events ``[start, stop)``; returns (answered, shipped)."""
+    def next_edge(self) -> int:
+        """The first window edge still ahead: no chunk may run past it."""
+        return min(
+            (site.edges[site.cursor] for site in self._sites if site.cursor < len(site.edges)),
+            default=len(self._columns),
+        )
+
+    def process(self, start: int, stop: int) -> List[Tuple[int, int]]:
+        """Replay events ``[start, stop)``; returns (answered, shipped) per site.
+
+        ``stop`` must not lie past :meth:`next_edge`; every window that ends
+        at ``stop`` is closed, in site order, before this returns.
+        """
         columns = self._columns
-        repository, link = self._repository, self._link
         update_start = int(columns.update_prefix[start])
         update_stop = int(columns.update_prefix[stop])
-        query_start, query_stop = start - update_start, stop - update_stop
+        updates = slice(update_start, update_stop)
         if update_stop > update_start:
-            object_ids = columns.update_object_ids[update_start:update_stop]
-            costs = columns.update_costs[update_start:update_stop]
-            repository.ingest_update_columns(
-                object_ids, columns.update_rows[update_start:update_stop], costs
-            )
-            ships = self._update_ships[update_start:update_stop]
-            if not ships.all():
-                object_ids, costs = object_ids[ships], costs[ships]
-            if len(object_ids):
-                link.charge_batch(Mechanism.UPDATE_SHIPPING, link.cost_model.cost_array(costs))
+            self._repository.ingest_update_columns(
+                columns.update_object_ids[updates], columns.update_rows[updates],
+                columns.update_costs[updates],
+            )  # fmt: skip
+        queries = (start - update_start, stop - update_stop)
+        counts = [self._replay(site, updates, *queries) for site in self._sites]
+        for site in self._sites:
+            if site.cursor < len(site.edges) and site.edges[site.cursor] == stop:
+                site.cursor += 1
+                self._end_window(site, float(columns.timestamps[stop - 1]))
+        return counts
+
+    def _replay(self, site: _Site, updates: slice, first: int, last: int) -> Tuple[int, int]:
+        """One site's share of a chunk: its updates shipped, its queries answered."""
+        columns, repository, link = self._columns, self._repository, site.link
+        store = site.policy.store
+        if updates.stop > updates.start:
+            positions = self._update_positions[updates]
+            costs = columns.update_costs[updates]
+            if site.update_cost is not None:
+                _np.add.at(site.update_cost, positions, costs)
+            ships = site.resident[positions]
+            if ships.any():
+                costs = link.cost_model.cost_array(costs[ships])
+                link.charge_batch(Mechanism.UPDATE_SHIPPING, costs)
                 # Shipped on arrival: each touched copy is at the server version.
-                store = self._policy.store
-                for object_id in _np.unique(object_ids).tolist():
+                for object_id in _np.unique(columns.update_object_ids[updates][ships]).tolist():
                     store.mark_fresh(object_id, repository.object_version(object_id))
 
-        query_count = query_stop - query_start
-        answered = self._answered[query_start:query_stop]
+        # The chunk's queries, renumbered among the site's.
+        first, last = site.index.searchsorted((first, last)).tolist()
+        offsets = site.offsets
+        flat_start, flat_stop = int(offsets[first]), int(offsets[last])
+        positions = site.positions[flat_start:flat_stop]
+        in_set = site.resident[positions]
+        resident_touches = int(_np.count_nonzero(in_set))
+        # A query is answered when every id of its footprint (never empty,
+        # see Query) is resident; all-resident and none-resident skip the scan.
+        if resident_touches in (0, len(in_set)):
+            answered = _np.full(last - first, resident_touches > 0)
+        else:
+            answered = _np.logical_and.reduceat(in_set, offsets[first:last] - flat_start)
         answered_count = int(_np.count_nonzero(answered))
-        shipped_count = query_count - answered_count
-        offsets = columns.query_object_offsets
-        flat_start, flat_stop = int(offsets[query_start]), int(offsets[query_stop])
-        touched = columns.query_object_ids[flat_start:flat_stop]
+        shipped_count = last - first - answered_count
+        footprint = _np.diff(offsets[first : last + 1])
+        touched = site.object_ids[flat_start:flat_stop]
         hit = None  # per touched id, whether its query is answered (mixed chunks)
         if answered_count:
-            footprint = _np.diff(offsets[query_start : query_stop + 1])
-            touched_at = _np.repeat(columns.query_timestamps[query_start:query_stop], footprint)
+            touched_at = _np.repeat(site.timestamps[first:last], footprint)
             if shipped_count:
                 hit = _np.repeat(answered, footprint)
-                self._record_hits(touched[hit], touched_at[hit])
+                self._record_hits(store, touched[hit], touched_at[hit])
             else:
-                self._record_hits(touched, touched_at)
+                self._record_hits(store, touched, touched_at)
         if shipped_count:
-            costs = columns.query_costs[query_start:query_stop]
+            costs = site.costs[first:last]
             if hit is not None:
-                touched = touched[~hit]
-                costs = costs[~answered]
+                touched, costs = touched[~hit], costs[~answered]
             repository.answer_query_batch(touched, shipped_count)
             link.charge_batch(Mechanism.QUERY_SHIPPING, link.cost_model.cost_array(costs))
-        self._policy.observer.note_batch(
-            queries=query_count,
-            updates=update_stop - update_start,
+        if site.query_share is not None and last > first:
+            # Benefit's credit: every id of an answered query, the missing
+            # ids of a shipped one (BenefitPolicy.on_query).
+            credit = (_np.repeat(answered, footprint) if hit is None else hit) | ~in_set
+            shares = (
+                _np.repeat(site.costs[first:last], footprint)
+                * self._share_sizes[positions]
+                / _np.repeat(site.totals[first:last], footprint)
+            )
+            _np.add.at(site.query_share, positions[credit], shares[credit])
+        site.policy.observer.note_batch(
+            queries=last - first,
+            updates=updates.stop - updates.start,
             cache_answers=answered_count,
             shipped_queries=shipped_count,
         )
         return answered_count, shipped_count
 
-    def _record_hits(self, object_ids: "_np.ndarray", timestamps: "_np.ndarray") -> None:
+    def _end_window(self, site: _Site, now: float) -> None:
+        """Hand the site its window's sums, then re-read its resident set."""
+        object_ids = self._catalog_ids.tolist()
+        sums = (site.query_share, site.update_cost)
+        site.policy.close_window(
+            *(dict(zip(object_ids, row[:-1].tolist(), strict=True)) for row in sums), now
+        )
+        for row in sums:
+            row.fill(0.0)
+        site.resident = self._resident_mask(site.policy.store)
+
+    def _resident_mask(self, store: CacheStore) -> "_np.ndarray":
+        resident = _np.zeros(len(self._catalog_ids) + 1, dtype=bool)
+        ids = _np.fromiter(store, dtype=_np.int64, count=len(store))
+        resident[_positions(self._catalog_ids, ids)] = True
+        return resident
+
+    @staticmethod
+    def _record_hits(
+        store: CacheStore, object_ids: "_np.ndarray", timestamps: "_np.ndarray"
+    ) -> None:
         """Book every touch of an answered query as a hit on its record.
 
         Hits accumulate per touch; ``last_hit_at`` is the timestamp of the
@@ -159,7 +267,6 @@ class _StaticSetExecutor:
             object_ids[::-1], return_index=True, return_counts=True
         )
         reversed_at = timestamps[::-1]
-        store = self._policy.store
         for object_id, index, count in zip(
             unique_ids.tolist(), first_reversed.tolist(), counts.tolist()
         ):
@@ -169,31 +276,34 @@ class _StaticSetExecutor:
 
 
 def select_batched_executor(
-    policy: CachePolicy,
+    policies: Sequence[CachePolicy],
     trace: TraceStream,
     repository: Repository,
-    link: NetworkLink,
-) -> Optional[_StaticSetExecutor]:
+    links: Sequence[NetworkLink],
+    route: Optional[Callable[[Query], int]] = None,
+) -> Optional[_BatchedExecutor]:
     """The batched executor for this run, or ``None`` to keep the per-event step.
 
-    Call it after ``prepare``: the executor replays the resident set it finds.
-    Eligibility is conservative on purpose; every condition protects a piece
-    of scalar-path behaviour the batch cannot reproduce:
-
-    * exact ``NoCachePolicy`` / ``ReplicaPolicy`` / ``SOptimalPolicy`` types
-      (subclasses may override the per-event hooks or change residency),
-    * a materialised :class:`Trace`/:class:`TraceView` (streams are replayed
-      scalar so they keep their constant-memory guarantee),
-    * a record-free link (per-transfer provenance needs per-event charging),
-    * a history-free repository (the update log needs the update objects),
-    * a cost model with a vectorised ``cost_array`` twin.
+    Call it after ``prepare``.  Every condition protects scalar behaviour the
+    batch cannot reproduce: every site an *exact* NoCache / Replica /
+    SOptimal / Benefit (a subclass may override hooks or residency); no
+    router or a :class:`TracePartitioner` (any other callable is opaque); a
+    materialised :class:`Trace`/:class:`TraceView` (streams keep constant
+    memory); record-free links (per-transfer provenance); a history-free
+    repository (the update log needs the update objects); cost models with a
+    vectorised ``cost_array`` twin.
     """
-    if not COLUMNS_AVAILABLE or type(policy) not in _STATIC_DECOUPLINGS:
+    if not COLUMNS_AVAILABLE or any(type(policy) not in _BATCHABLE for policy in policies):
         return None
-    if not isinstance(trace, (Trace, TraceView)):
+    if route is not None and not isinstance(route, TracePartitioner):
         return None
-    if link.keep_records or repository.keeps_update_log:
+    if not isinstance(trace, (Trace, TraceView)) or repository.keeps_update_log:
         return None
-    if not hasattr(link.cost_model, "cost_array"):
+    if any(link.keep_records or not hasattr(link.cost_model, "cost_array") for link in links):
         return None
-    return _StaticSetExecutor(policy, trace.columns(), repository, link)
+    columns = trace.columns()
+    if route is None:  # one cache: a fleet of one, every query routed to it
+        routes = _np.zeros(columns.query_count, dtype=_np.int64)
+    else:
+        routes = route.sites_of_queries(columns)
+    return _BatchedExecutor(policies, links, trace, repository, routes)

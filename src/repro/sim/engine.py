@@ -17,8 +17,9 @@ middleware.  :class:`ReplayKernel` drives it over a list of cache *sites*
   at every grid edge, ``finalize``, one end-of-run sample, then one
   :class:`repro.sim.results.RunResult` per site -- plus a fleet-wide
   aggregate exactly when the kernel has a router.  A chunk is one ``step``
-  per event or, for the three static decouplings, one
-  :meth:`repro.sim.batched._StaticSetExecutor.process` call; there is no
+  per event or, when :func:`repro.sim.batched.select_batched_executor`
+  takes every site (eager policies; a partitioner or no router), one
+  ``process`` call, cut also at its next Benefit window edge; there is no
   other sampling-grid walker.
 
 Callers: :func:`repro.sim.runner.run_policy` (one site, no router),
@@ -106,7 +107,8 @@ class ReplayKernel:
         Sampling grid and measurement window of :meth:`run`.
     route:
         ``route(query) -> site index``; required for more than one site.  A
-        kernel with a router is a fleet -- even a fleet of one.
+        kernel with a router is a fleet -- even a fleet of one.  Only a
+        :class:`~repro.workload.partition.TracePartitioner` routes batches.
     on_decision:
         Called as ``on_decision(payload, outcome)`` after every event.
     """
@@ -239,12 +241,12 @@ class ReplayKernel:
         for policy in policies:
             policy.prepare(trace)
 
-        # The batched executor reproduces one static decoupling on one link
-        # (the resident set prepare left) and calls no per-event hook, so a
-        # fleet or an observed run keeps the per-event step.
+        # The batched executor replays every site between its decision points
+        # and calls no per-event hook, so an observed run keeps the per-event
+        # step, as does a run with a site or router the executor cannot replay.
         batched = None
-        if len(policies) == 1 and self._on_decision is None:
-            batched = select_batched_executor(policies[0], trace, self._repository, links[0])
+        if self._on_decision is None:
+            batched = select_batched_executor(policies, trace, self._repository, links, self._route)
         events = trace.iter_tagged() if batched is None else None
         step = self.step
 
@@ -262,9 +264,11 @@ class ReplayKernel:
             if position < measure_from < edge:
                 edge = measure_from
             if batched is not None:
-                chunk_answered, chunk_shipped = batched.process(position, edge)
-                answered[0] += chunk_answered
-                shipped[0] += chunk_shipped
+                edge = min(edge, batched.next_edge())
+                counts = batched.process(position, edge)
+                for site, (site_answered, site_shipped) in enumerate(counts):
+                    answered[site] += site_answered
+                    shipped[site] += site_shipped
                 self._events += edge - position
             else:
                 for is_update, payload in islice(events, edge - position):

@@ -6,8 +6,9 @@ updates are ingested once and broadcast, each query is routed to one site by
 a :class:`repro.workload.partition.TracePartitioner`, and per-site and
 fleet-wide series share the single-cache sampling grid.  This module binds
 that kernel to the topology layer: :func:`fleet_kernel` checks the
-partitioner against the sites and :func:`run_topology` wraps the runs in a
-:class:`repro.topology.results.TopologyResult`.
+partitioner against the sites and hands it to the kernel as the router (so a
+fleet of eager sites can replay batched), and :func:`run_topology` wraps the
+runs in a :class:`repro.topology.results.TopologyResult`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def fleet_kernel(
         [site.policy for site in sites],
         [site.link for site in sites],
         config,
-        route=partitioner.site_of_query,
+        route=partitioner,
     )
 
 

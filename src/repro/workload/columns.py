@@ -1,8 +1,9 @@
 """Columnar (struct-of-arrays) compilation of traces.
 
 The batched replay path in :mod:`repro.sim.batched` processes the events of
-the three static decouplings (NoCache, Replica, SOptimal) in vectorised
-batches instead of one Python object at a time.  To make that possible a
+the eager policies (NoCache, Replica, SOptimal, and Benefit between its
+window edges), for one cache or a routed fleet, in vectorised batches
+instead of one Python object at a time.  To make that possible a
 materialised trace is *compiled once* into numpy arrays -- the
 :class:`TraceColumns` view -- and every batched policy run over the same
 trace reuses the compilation (it is cached on the trace like the tagged

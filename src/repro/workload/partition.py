@@ -24,11 +24,16 @@ so a partitioned replay is as reproducible as a single-cache one.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from repro.repository.queries import Query
 from repro.sky.partition import contiguous_sky_slices
 from repro.workload.trace import QueryEvent, Trace, TraceStream, UpdateEvent
+
+if TYPE_CHECKING:
+    import numpy
+
+    from repro.workload.columns import TraceColumns
 
 #: Known object-to-site assignment strategies.
 PARTITION_STRATEGIES = ("region", "affinity")
@@ -151,12 +156,32 @@ class TracePartitioner:
                 best = site
         return best
 
+    #: A partitioner is a kernel router: calling it routes one query.
+    __call__ = site_of_query
+
+    def sites_of_queries(self, columns: "TraceColumns") -> "numpy.ndarray":
+        """:meth:`site_of_query` of every query of ``columns``, as one int array.
+
+        The same integer majority vote: unowned ids cast no vote and ties
+        (no votes at all included) go to the lowest site.
+        """
+        import numpy
+
+        keys = numpy.array(sorted(self._assignment), dtype=numpy.int64)
+        owners = numpy.array([self._assignment[oid] for oid in keys.tolist()], dtype=numpy.int64)
+        ids, sites, queries = columns.query_object_ids, self._site_count, columns.query_count
+        slot = numpy.minimum(numpy.searchsorted(keys, ids), len(keys) - 1)
+        voting = keys[slot] == ids
+        voter = numpy.repeat(numpy.arange(queries), numpy.diff(columns.query_object_offsets))
+        ballot = voter[voting] * sites + owners[slot[voting]]
+        return numpy.bincount(ballot, minlength=queries * sites).reshape(-1, sites).argmax(axis=1)
+
     def split(self, trace: Trace) -> List[Trace]:
         """Per-site traces: every update, plus the site's own queries.
 
         A convenience view for replaying one site in isolation as a
         single-cache run; a fleet replay (:func:`repro.sim.multicache.run_topology`)
-        routes over the shared stream instead, with :meth:`site_of_query` as
+        routes over the shared stream instead, with the partitioner itself as
         the kernel's router (one repository ingest per update).
         """
         per_site: List[List] = [[] for _ in range(self._site_count)]

@@ -41,7 +41,7 @@ class TestCounterVariant:
         decisions = []
         for step in range(1, 4):
             query = make_query(step, object_ids=[3], cost=10.0, timestamp=float(step))
-            decisions.append(manager.consider(query, timestamp=float(step)))
+            decisions.append(manager.consider(query))
         assert decisions[0].load_object_ids == []
         assert decisions[1].load_object_ids == []
         assert decisions[2].load_object_ids == [3]
@@ -49,19 +49,19 @@ class TestCounterVariant:
     def test_single_large_query_triggers_immediate_load(self):
         manager, _, _ = make_manager(randomized=False)
         query = make_query(1, object_ids=[1], cost=50.0, timestamp=1.0)
-        decision = manager.consider(query, timestamp=1.0)
+        decision = manager.consider(query)
         assert decision.load_object_ids == [1]
 
     def test_counter_resets_after_load(self):
         manager, store, _ = make_manager(randomized=False)
         query = make_query(1, object_ids=[1], cost=15.0, timestamp=1.0)
-        decision = manager.consider(query, timestamp=1.0)
+        decision = manager.consider(query)
         assert decision.load_object_ids == [1]
         store.insert(1, size=10.0, version=0, timestamp=1.0)
         manager.note_load(1, size=10.0, timestamp=1.0)
         # Object now resident: further queries on it do not produce loads.
         follow_up = make_query(2, object_ids=[1], cost=15.0, timestamp=2.0)
-        assert manager.consider(follow_up, timestamp=2.0).load_object_ids == []
+        assert manager.consider(follow_up).load_object_ids == []
 
 
 class TestRandomizedVariant:
@@ -72,19 +72,19 @@ class TestRandomizedVariant:
         for seed in range(trials):
             manager, _, _ = make_manager(randomized=True, seed=seed)
             query = make_query(1, object_ids=[3], cost=7.5, timestamp=1.0)  # 7.5 / 30 = 0.25
-            if manager.consider(query, timestamp=1.0).load_object_ids:
+            if manager.consider(query).load_object_ids:
                 loads += 1
         assert 0.15 < loads / trials < 0.35
 
     def test_full_cost_coverage_always_loads(self):
         manager, _, _ = make_manager(randomized=True)
         query = make_query(1, object_ids=[1], cost=10.0, timestamp=1.0)
-        assert manager.consider(query, timestamp=1.0).load_object_ids == [1]
+        assert manager.consider(query).load_object_ids == [1]
 
     def test_large_query_can_load_several_objects(self):
         manager, _, _ = make_manager(randomized=True, capacity=200.0)
         query = make_query(1, object_ids=[1, 2, 4], cost=60.0, timestamp=1.0)
-        decision = manager.consider(query, timestamp=1.0)
+        decision = manager.consider(query)
         # 60 >= 10 + 20 + 15: all three are fully covered.
         assert set(decision.load_object_ids) == {1, 2, 4}
 
@@ -93,8 +93,8 @@ class TestRandomizedVariant:
         second, _, _ = make_manager(randomized=True, seed=3)
         query = make_query(1, object_ids=[2, 3, 5], cost=18.0, timestamp=1.0)
         assert (
-            first.consider(query, timestamp=1.0).load_object_ids
-            == second.consider(query, timestamp=1.0).load_object_ids
+            first.consider(query).load_object_ids
+            == second.consider(query).load_object_ids
         )
 
 
@@ -102,7 +102,7 @@ class TestCapacityInteraction:
     def test_objects_larger_than_cache_are_never_candidates(self):
         manager, _, _ = make_manager(capacity=20.0)
         query = make_query(1, object_ids=[3], cost=100.0, timestamp=1.0)  # size 30 > 20
-        decision = manager.consider(query, timestamp=1.0)
+        decision = manager.consider(query)
         assert decision.load_object_ids == []
 
     def test_eviction_planned_when_cache_full(self):
@@ -110,7 +110,7 @@ class TestCapacityInteraction:
         store.insert(1, size=10.0, version=0, timestamp=0.0)
         manager.note_load(1, size=10.0, timestamp=0.0)
         query = make_query(1, object_ids=[2], cost=40.0, timestamp=1.0)  # object 2 size 20
-        decision = manager.consider(query, timestamp=1.0)
+        decision = manager.consider(query)
         assert decision.load_object_ids == [2]
         assert decision.evict_object_ids == [1]
 
@@ -119,7 +119,7 @@ class TestCapacityInteraction:
         store.insert(1, size=10.0, version=0, timestamp=0.0)
         manager.note_load(1, size=10.0, timestamp=0.0)
         query = make_query(1, object_ids=[1], cost=100.0, timestamp=1.0)
-        assert manager.consider(query, timestamp=1.0).load_object_ids == []
+        assert manager.consider(query).load_object_ids == []
 
     def test_note_hit_refreshes_resident_objects_only(self):
         manager, store, _ = make_manager()
@@ -131,7 +131,7 @@ class TestCapacityInteraction:
     def test_stats(self):
         manager, _, _ = make_manager(randomized=False)
         query = make_query(1, object_ids=[1], cost=50.0, timestamp=1.0)
-        manager.consider(query, timestamp=1.0)
+        manager.consider(query)
         stats = manager.stats()
         assert stats["invocations"] == 1
         assert stats["candidates_emitted"] == 1
@@ -150,14 +150,14 @@ class TestAdmission:
         manager, store, _ = make_manager(sizes={1: 10.0})
         load(manager, store, 1, 10.0)
         decision = manager.consider(
-            make_query(1, object_ids=[1], cost=100.0, timestamp=1.0), timestamp=1.0
+            make_query(1, object_ids=[1], cost=100.0, timestamp=1.0)
         )
         assert decision.load_object_ids == [] and decision.evict_object_ids == []
 
     def test_candidates_that_fit_are_all_admitted(self):
         manager, _, _ = make_manager(capacity=50.0, sizes={1: 20.0, 2: 20.0})
         decision = manager.consider(
-            make_query(1, object_ids=[1, 2], cost=100.0, timestamp=1.0), timestamp=1.0
+            make_query(1, object_ids=[1, 2], cost=100.0, timestamp=1.0)
         )
         assert set(decision.load_object_ids) == {1, 2}
         assert decision.evict_object_ids == []
@@ -168,7 +168,7 @@ class TestAdmission:
         )
         load(manager, store, 9, 40.0)
         decision = manager.consider(
-            make_query(1, object_ids=[1], cost=300.0, timestamp=1.0), timestamp=1.0
+            make_query(1, object_ids=[1], cost=300.0, timestamp=1.0)
         )
         assert decision.load_object_ids == [1]
         assert decision.evict_object_ids == [9]
@@ -177,7 +177,7 @@ class TestAdmission:
     def test_candidates_of_one_query_never_evict_each_other(self):
         manager, store, _ = make_manager(capacity=30.0, sizes={1: 20.0, 2: 20.0})
         decision = manager.consider(
-            make_query(1, object_ids=[1, 2], cost=100.0, timestamp=1.0), timestamp=1.0
+            make_query(1, object_ids=[1, 2], cost=100.0, timestamp=1.0)
         )
         # Room for one: the other is not loaded, rather than loaded and then
         # evicted for its sibling.
@@ -192,7 +192,7 @@ class TestAdmission:
         )
         load(manager, store, 9, 10.0)
         decision = manager.consider(
-            make_query(1, object_ids=[1, 2, 9], cost=100.0, timestamp=1.0), timestamp=1.0
+            make_query(1, object_ids=[1, 2, 9], cost=100.0, timestamp=1.0)
         )
         # Whichever candidate comes first fits in the 40 MB free; evicting
         # object 9 frees only 10 MB more, too little for the second.
@@ -241,7 +241,7 @@ def test_property_admission_respects_residency_and_capacity(
     for step, (object_ids, cost) in enumerate(queries, start=1):
         before = {record.object_id: record.size for record in store.records()}
         decision = manager.consider(
-            make_query(step, object_ids, cost=cost, timestamp=float(step)), float(step)
+            make_query(step, object_ids, cost=cost, timestamp=float(step))
         )
         loads, evictions = decision.load_object_ids, decision.evict_object_ids
         assert {record.object_id: record.size for record in store.records()} == before

@@ -15,6 +15,8 @@ import json
 import pickle
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import multisite
 from repro.experiments.config import ExperimentConfig, build_scenario
@@ -25,8 +27,10 @@ from repro.sim.sweep import DEFAULT_SCENARIO, InlineScenario, SweepPoint, SweepR
 from repro.sky.partition import contiguous_sky_slices
 from repro.topology import SiteSpec, TopologySpec, build_sites
 from repro.repository.server import Repository
-from repro.workload.partition import TracePartitioner
+from repro.workload.partition import PARTITION_STRATEGIES, TracePartitioner
+from repro.workload.trace import QueryEvent, Trace
 from tests.conftest import make_query
+from tests.strategies import build_trace, event_stream
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +98,22 @@ class TestTracePartitioner:
             make_query(3, object_ids=[2, 3], cost=1.0, timestamp=3.0)
         ) == 0
 
+    def test_vectorised_route_counts_votes_like_site_of_query(self):
+        partitioner = TracePartitioner([1, 2, 3, 4, 5, 6], 3, strategy="region")
+        footprints = (
+            [1, 3],  # a tie between sites 0 and 1: the lower wins
+            [3, 5, 6],  # site 2 outvotes site 1
+            [4, 99],  # an unowned id casts no vote
+            [98, 99],  # no votes at all: site 0
+            [5, 6, 1, 2, 3],  # 2-2-1 across the three sites
+        )
+        trace = Trace(
+            QueryEvent(make_query(index, object_ids=ids, cost=1.0, timestamp=float(index)))
+            for index, ids in enumerate(footprints)
+        )
+        assert partitioner.sites_of_queries(trace.columns()).tolist() == [0, 2, 1, 0, 0]
+        assert [partitioner(query) for query in trace.queries()] == [0, 2, 1, 0, 0]
+
     def test_split_broadcasts_updates_and_partitions_queries(self, small_scenario):
         trace = small_scenario.trace
         partitioner = TracePartitioner.for_trace(
@@ -122,6 +142,27 @@ class TestTracePartitioner:
             TracePartitioner([1, 2, 3, 4], 2, strategy="affinity")
         with pytest.raises(ValueError, match="query counts"):
             TracePartitioner([1, 2, 3, 4], 2, strategy="affinity", query_counts={})
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    raw=event_stream(max_objects=8),
+    owned=st.sets(st.integers(min_value=1, max_value=8), min_size=1),
+    site_count=st.integers(min_value=1, max_value=4),
+    strategy=st.sampled_from(PARTITION_STRATEGIES),
+    touches=st.lists(st.integers(min_value=1, max_value=5), min_size=8, max_size=8),
+)
+def test_property_vectorised_route_matches_site_of_query(
+    raw, owned, site_count, strategy, touches
+):
+    """Every query's vectorised route is ``site_of_query``'s, unowned ids and
+    tied votes included (queries touch ids 1-8; the partitioner owns a subset)."""
+    assume(strategy == "affinity" or len(owned) >= site_count)
+    counts = {object_id: touches[object_id - 1] for object_id in owned}
+    partitioner = TracePartitioner(sorted(owned), site_count, strategy, query_counts=counts)
+    trace = build_trace(raw)
+    routes = partitioner.sites_of_queries(trace.columns()).tolist()
+    assert routes == [partitioner.site_of_query(query) for query in trace.queries()]
 
 
 class TestTopologySpec:
