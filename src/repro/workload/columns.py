@@ -37,7 +37,7 @@ keep the scalar path.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, FrozenSet, List, Sequence
 
 from repro.workload.trace import TaggedEvent
 
@@ -106,38 +106,42 @@ class TraceColumns:
         if _np is None:  # pragma: no cover - the image bakes numpy in
             raise RuntimeError("numpy is required to compile trace columns")
         n = len(tagged)
-        timestamps = _np.empty(n, dtype=_np.float64)
-        is_update = _np.zeros(n, dtype=bool)
-        costs = _np.empty(n, dtype=_np.float64)
-        update_object_ids: list[int] = []
-        update_rows: list[int] = []
-        query_flat_ids: list[int] = []
-        query_offsets: list[int] = [0]
-        for index, (tag, payload) in enumerate(tagged):
-            timestamps[index] = payload.timestamp
-            costs[index] = payload.cost
-            if tag:
-                is_update[index] = True
-                update_object_ids.append(payload.object_id)
-                update_rows.append(payload.rows)
-            else:
-                query_flat_ids.extend(sorted(payload.object_ids))
-                query_offsets.append(len(query_flat_ids))
+        timestamps = _np.fromiter((p.timestamp for _, p in tagged), dtype=_np.float64, count=n)
+        is_update = _np.fromiter((tag for tag, _ in tagged), dtype=bool, count=n)
+        costs = _np.fromiter((p.cost for _, p in tagged), dtype=_np.float64, count=n)
+        updates = [payload for tag, payload in tagged if tag]
+        # Queries share footprint sets, so each distinct set is sorted once.
+        sorted_ids: Dict[FrozenSet[int], List[int]] = {}
+        query_flat_ids: List[int] = []
+        query_sizes: List[int] = []
+        for tag, payload in tagged:
+            if not tag:
+                ids = sorted_ids.get(payload.object_ids)
+                if ids is None:
+                    ids = sorted_ids[payload.object_ids] = sorted(payload.object_ids)
+                query_flat_ids += ids
+                query_sizes.append(len(ids))
         update_prefix = _np.zeros(n + 1, dtype=_np.int64)
         _np.cumsum(is_update, dtype=_np.int64, out=update_prefix[1:])
+        query_offsets = _np.zeros(len(query_sizes) + 1, dtype=_np.int64)
+        _np.cumsum(query_sizes, out=query_offsets[1:])
         query_mask = ~is_update
         return cls(
             timestamps=timestamps,
             is_update=is_update,
             costs=costs,
             update_prefix=update_prefix,
-            update_object_ids=_np.asarray(update_object_ids, dtype=_np.int64),
-            update_rows=_np.asarray(update_rows, dtype=_np.int64),
+            update_object_ids=_np.fromiter(
+                (update.object_id for update in updates), dtype=_np.int64, count=len(updates)
+            ),
+            update_rows=_np.fromiter(
+                (update.rows for update in updates), dtype=_np.int64, count=len(updates)
+            ),
             update_costs=costs[is_update],
             query_costs=costs[query_mask],
             query_timestamps=timestamps[query_mask],
             query_object_ids=_np.asarray(query_flat_ids, dtype=_np.int64),
-            query_object_offsets=_np.asarray(query_offsets, dtype=_np.int64),
+            query_object_offsets=query_offsets,
         )
 
     # ------------------------------------------------------------------

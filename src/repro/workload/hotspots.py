@@ -23,7 +23,7 @@ set are rebuilt once per phase, never per access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -193,18 +193,3 @@ class HotspotModel:
         if rng.random() < self._focus_probability:
             return self._current_focus[weighted_index(self._focus_cdf, rng)]
         return uniform_pick(self._object_ids, rng)
-
-    def next_objects(self, count: int) -> List[int]:
-        """Draw ``count`` access targets (advancing the phase clock)."""
-        return [self.next_object() for _ in range(count)]
-
-    def access_histogram(self, samples: int) -> Dict[int, int]:
-        """Draw ``samples`` accesses and histogram them (testing/diagnostics).
-
-        Note this *advances* the model, so use a throwaway instance.
-        """
-        counts: Dict[int, int] = {}
-        for _ in range(samples):
-            object_id = self.next_object()
-            counts[object_id] = counts.get(object_id, 0) + 1
-        return counts

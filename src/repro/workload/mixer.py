@@ -5,20 +5,25 @@ query stream and an update stream (each in its own order), assigns them
 interleaved integer timestamps and emits :class:`repro.workload.trace`
 events.  Two faces are provided:
 
-* :func:`iter_interleaved` -- the streaming face: consumes the two streams
-  lazily and yields re-stamped events one at a time, so workloads can be
-  mixed without ever materialising either side (the
-  :class:`repro.workload.trace.TraceStream` pipeline builds on this);
-* :func:`interleave` -- the materialised face: the same merge collected into
-  a :class:`repro.workload.trace.Trace`.  It is a thin wrapper over the
-  streaming generator, so the two can never drift apart.
+* :func:`iter_interleaved` -- the streaming face: walks the schedule one
+  position at a time, consuming the two streams lazily and yielding
+  re-stamped events, so workloads can be mixed without ever materialising
+  either side (the :class:`repro.workload.trace.TraceStream` pipeline builds
+  on this);
+* :func:`interleave` -- the materialised face: both sides are in hand, so it
+  asks :func:`slot_timestamps` for every payload's slot and scatters each
+  ``(is_update, payload)`` pair into place, building the
+  :class:`repro.workload.trace.Trace` from that list.
 
 Two interleaving modes are provided:
 
 * ``uniform`` -- events from the two streams are merged so that they are
   spread evenly across the whole trace (the default; matches the paper's
-  roughly 1:1 query:update event mix).  The schedule is computed
-  incrementally in O(1) per event.
+  roughly 1:1 query:update event mix).  Query ``i`` keeps pace
+  ``(i + 1) / query_count``, update ``j`` pace ``(j + 1) / update_count``, and
+  the merge is the stable merge of the two pace sequences, ties going to the
+  query: O(1) per event when walked, one ``searchsorted`` per side in closed
+  form.
 * ``random`` -- the merge order is a random shuffle (seeded), which keeps
   the relative order within each stream but randomises the interleaving.
   This mode holds one boolean per event (a NumPy bool array, 1 byte/event)
@@ -43,7 +48,7 @@ import numpy as np
 
 from repro.repository.queries import Query
 from repro.repository.updates import Update
-from repro.workload.trace import QueryEvent, Trace, TraceEvent, UpdateEvent
+from repro.workload.trace import QueryEvent, TaggedEvent, Trace, TraceEvent, UpdateEvent
 
 
 def _restamp_query(query: Query, timestamp: float) -> Query:
@@ -101,13 +106,34 @@ def slot_timestamps(
     mode: Literal["uniform", "random"] = "uniform",
     seed: int = 99,
 ) -> Tuple[List[float], List[float]]:
-    """The timestamps the merge assigns: ``(query slots, update slots)``."""
-    query_slots: List[float] = []
-    update_slots: List[float] = []
-    schedule = iter_schedule(query_count, update_count, mode=mode, seed=seed)
-    for position, take_query in enumerate(schedule, start=1):
-        (query_slots if take_query else update_slots).append(float(position))
-    return query_slots, update_slots
+    """The timestamps the merge assigns: ``(query slots, update slots)``.
+
+    ``uniform`` mode places each side in closed form: query ``i`` lands after
+    every update whose pace is strictly below its own, update ``j`` after
+    every query whose pace is at most its own.  The paces are the same
+    float divisions :func:`iter_schedule` compares, so the slots are its
+    walk's, bit for bit.
+    """
+    if mode != "uniform":
+        query_slots: List[float] = []
+        update_slots: List[float] = []
+        schedule = iter_schedule(query_count, update_count, mode=mode, seed=seed)
+        for position, take_query in enumerate(schedule, start=1):
+            (query_slots if take_query else update_slots).append(float(position))
+        return query_slots, update_slots
+    query_pace = np.arange(1, query_count + 1, dtype=float) / query_count
+    update_pace = np.arange(1, update_count + 1, dtype=float) / update_count
+    query_slots_array = np.arange(1.0, query_count + 1) + np.searchsorted(
+        update_pace, query_pace, side="left"
+    )
+    update_slots_array = np.arange(1.0, update_count + 1) + np.searchsorted(
+        query_pace, update_pace, side="right"
+    )
+    return query_slots_array.tolist(), update_slots_array.tolist()
+
+
+def _miscounted(side: str, declared: int, produced: int) -> ValueError:
+    return ValueError(f"the {side} stream produced {produced} {side}, declared {declared}")
 
 
 def iter_interleaved(
@@ -130,7 +156,8 @@ def iter_interleaved(
     ----------
     queries / updates:
         The two streams; internal order is preserved.  They must produce
-        exactly ``query_count`` / ``update_count`` elements.
+        exactly ``query_count`` / ``update_count`` elements; a stream that
+        runs short or long raises ``ValueError`` naming the side.
     query_count / update_count:
         Stream lengths (needed up front to build the schedule).
     mode:
@@ -141,21 +168,26 @@ def iter_interleaved(
     """
     query_iter = iter(queries)
     update_iter = iter(updates)
-    queries_taken = 0
-    updates_taken = 0
-    position = 0
-    for take_query in iter_schedule(query_count, update_count, mode=mode, seed=seed):
-        timestamp = float(position + 1)
-        position += 1
-        if take_query and queries_taken < query_count:
-            yield QueryEvent(_restamp_query(next(query_iter), timestamp))
+    queries_taken = updates_taken = 0
+    schedule = iter_schedule(query_count, update_count, mode=mode, seed=seed)
+    for position, take_query in enumerate(schedule, start=1):
+        if take_query:
+            query = next(query_iter, None)
+            if query is None:
+                raise _miscounted("queries", query_count, queries_taken)
             queries_taken += 1
-        elif updates_taken < update_count:
-            yield UpdateEvent(_restamp_update(next(update_iter), timestamp))
-            updates_taken += 1
+            yield QueryEvent(_restamp_query(query, float(position)))
         else:
-            yield QueryEvent(_restamp_query(next(query_iter), timestamp))
-            queries_taken += 1
+            update = next(update_iter, None)
+            if update is None:
+                raise _miscounted("updates", update_count, updates_taken)
+            updates_taken += 1
+            yield UpdateEvent(_restamp_update(update, float(position)))
+    sides = (("queries", query_iter, query_count), ("updates", update_iter, update_count))
+    for side, rest, declared in sides:
+        extra = sum(1 for _ in rest)
+        if extra:
+            raise _miscounted(side, declared, declared + extra)
 
 
 def interleave(
@@ -166,42 +198,30 @@ def interleave(
 ) -> Trace:
     """Merge queries and updates into one materialised trace.
 
-    A thin wrapper over :func:`iter_interleaved`; see it for the schedule and
-    timestamp semantics.
+    Each payload goes straight to its slot of the schedule (see
+    :func:`iter_interleaved` for the schedule and timestamp semantics), so the
+    trace is built from one ``(is_update, payload)`` list and nothing else.
     """
-    if len(queries) + len(updates) == 0:
-        return Trace([])
-    return Trace(
-        iter_interleaved(
-            queries, updates, len(queries), len(updates), mode=mode, seed=seed
-        )
-    )
+    query_slots, update_slots = slot_timestamps(len(queries), len(updates), mode=mode, seed=seed)
+    tagged: List[TaggedEvent] = [None] * (len(queries) + len(updates))  # type: ignore[list-item]
+    for query, slot in zip(queries, query_slots, strict=True):
+        tagged[int(slot) - 1] = (False, _restamp_query(query, slot))
+    for update, slot in zip(updates, update_slots, strict=True):
+        tagged[int(slot) - 1] = (True, _restamp_update(update, slot))
+    return Trace.from_tagged(tagged)
 
 
 def _iter_uniform_schedule(query_count: int, update_count: int) -> Iterator[bool]:
     """Evenly interleave two stream lengths (True = query slot), lazily."""
-    total = query_count + update_count
-    if total == 0:
-        return
-    if query_count == 0:
-        for _ in range(total):
-            yield False
-        return
-    if update_count == 0:
-        for _ in range(total):
-            yield True
-        return
-    query_taken = 0
-    update_taken = 0
-    for _ in range(total):
+    query_taken = update_taken = 0
+    for _ in range(query_count + update_count):
         # Take from whichever stream is behind its proportional pace.
-        query_pace = (query_taken + 1) / query_count
-        update_pace = (update_taken + 1) / update_count
-        if query_taken < query_count and (
-            update_taken >= update_count or query_pace <= update_pace
-        ):
-            yield True
+        take_query = update_taken == update_count or (
+            query_taken < query_count
+            and (query_taken + 1) / query_count <= (update_taken + 1) / update_count
+        )
+        yield take_query
+        if take_query:
             query_taken += 1
         else:
-            yield False
             update_taken += 1

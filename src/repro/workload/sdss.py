@@ -22,7 +22,7 @@ replays (Section 6.1 and Figure 7a):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -167,47 +167,56 @@ class SDSSQueryGenerator:
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
-    def _raw_cost(self, footprint: Sequence[int], template: TemplateShape) -> float:
-        """Unscaled result cost: selectivity times the size of touched data."""
-        touched_size = sum(map(self._sizes.__getitem__, footprint))
-        selectivity = template.draw_selectivity(self._rng)
-        return max(touched_size * selectivity, 1e-6)
+    def _iter_drafts(self) -> Iterator[Tuple[FrozenSet[int], float, float, str]]:
+        """Every query draft in order: ``(footprint, raw cost, tolerance, template)``.
 
-    def _draw_draft(
-        self, index: int, warmup_cutoff: int
-    ) -> Tuple[List[int], float, float, str]:
-        """Draw one query draft: ``(footprint, raw cost, tolerance, template)``.
-
-        All RNG consumption for one query happens here, in a fixed order
-        (template, flare?, anchor, footprint size, selectivity, tolerance),
-        so the batch (:meth:`generate`) and streaming (:meth:`iter_queries`)
-        paths produce byte-identical drafts from identically-seeded
+        All RNG consumption for the queries happens here, in a fixed order per
+        query (template, flare?, anchor, footprint size, selectivity,
+        tolerance), so :meth:`generate`, :meth:`raw_cost_total` and
+        :meth:`iter_queries` see byte-identical drafts from identically-seeded
         generators.  Which call the anchor draw makes depends on the draws
         before it, so the order cannot be batched without changing the trace.
+        A footprint and the size of the data it touches are pure functions of
+        ``(anchor, footprint size)``: each pair is built once, and its queries
+        share one frozenset.
         """
         config = self._config
         rng = self._rng
-        template = self._templates[weighted_index(self._template_cdf, rng)]
-        is_flare = rng.random() < config.flare_probability
-        is_hotspot = False
-        if is_flare:
-            anchor = self._flares.next_object()
-        else:
-            anchor = self._hotspots.next_object()
-            is_hotspot = self._hotspots.in_current_focus(anchor)
-        footprint_size = template.draw_footprint_size(rng)
-        footprint = footprint_at(self._object_ids, self._index_of[anchor], footprint_size)
-        cost = self._raw_cost(footprint, template)
-        if is_flare:
-            cost *= config.flare_cost_factor
-        elif not is_hotspot:
-            cost *= config.background_cost_factor
-        if index < warmup_cutoff:
-            cost *= config.warmup_cost_factor
-        tolerance = 0.0
-        if rng.random() < config.tolerant_fraction:
-            tolerance = config.tolerance_window
-        return footprint, cost, tolerance, template.name
+        random, integers, lognormal = rng.random, rng.integers, rng.lognormal
+        shapes = [
+            (t.name, t.min_objects, t.max_objects + 1, t.selectivity_log_mean,
+             t.selectivity_log_sigma, t.max_selectivity)
+            for t in self._templates
+        ]  # fmt: skip
+        template_cdf = self._template_cdf
+        hotspots, flares = self._hotspots, self._flares
+        flare_probability, tolerant_fraction = config.flare_probability, config.tolerant_fraction
+        object_ids, index_of, sizes = self._object_ids, self._index_of, self._sizes
+        footprints: Dict[Tuple[int, int], Tuple[FrozenSet[int], float]] = {}
+        warmup_cutoff = int(config.query_count * config.warmup_fraction)
+        for index in range(config.query_count):
+            name, low, high, log_mean, log_sigma, max_selectivity = shapes[
+                weighted_index(template_cdf, rng)
+            ]
+            if random() < flare_probability:
+                anchor = flares.next_object()
+                factor = config.flare_cost_factor
+            else:
+                anchor = hotspots.next_object()
+                # ``cost * 1.0`` is ``cost`` bit for bit: hotspot queries keep their cost.
+                factor = 1.0 if hotspots.in_current_focus(anchor) else config.background_cost_factor
+            size = int(integers(low, high))
+            footprint = footprints.get((anchor, size))
+            if footprint is None:
+                members = footprint_at(object_ids, index_of[anchor], size)
+                footprint = (frozenset(members), sum(map(sizes.__getitem__, members)))
+                footprints[anchor, size] = footprint
+            selectivity = min(float(lognormal(log_mean, log_sigma)), max_selectivity)
+            cost = max(footprint[1] * selectivity, 1e-6) * factor
+            if index < warmup_cutoff:
+                cost *= config.warmup_cost_factor
+            tolerance = config.tolerance_window if random() < tolerant_fraction else 0.0
+            yield footprint[0], cost, tolerance, name
 
     def generate(self, timestamps: Optional[Sequence[float]] = None) -> List[Query]:
         """Generate the configured number of queries.
@@ -226,26 +235,17 @@ class SDSSQueryGenerator:
             raise ValueError(
                 f"got {len(timestamps)} timestamps for {count} queries"
             )
-        warmup_cutoff = int(count * config.warmup_fraction)
-
         if timestamps is None:
             timestamps = range(1, count + 1)
 
-        drafts = [self._draw_draft(index, warmup_cutoff) for index in range(count)]
+        drafts = list(self._iter_drafts())
         costs = np.array([draft[1] for draft in drafts], dtype=float)
         if config.target_total_cost is not None and costs.sum() > 0:
             costs *= config.target_total_cost / costs.sum()
 
         next_id = self._allocator.next_id
         return [
-            Query(
-                query_id=next_id(),
-                object_ids=frozenset(footprint),
-                cost=cost,
-                timestamp=float(timestamp),
-                tolerance=tolerance,
-                template=template_name,
-            )
+            Query(next_id(), footprint, cost, float(timestamp), tolerance, template_name)
             for (footprint, _, tolerance, template_name), cost, timestamp in zip(
                 drafts, costs.tolist(), timestamps, strict=True
             )
@@ -264,12 +264,9 @@ class SDSSQueryGenerator:
         through the same NumPy reduction :meth:`generate` uses, keeping the
         factor byte-identical between the two paths.
         """
-        config = self._config
-        count = config.query_count
-        warmup_cutoff = int(count * config.warmup_fraction)
-        costs = np.empty(count, dtype=float)
-        for index in range(count):
-            costs[index] = self._draw_draft(index, warmup_cutoff)[1]
+        costs = np.fromiter(
+            (draft[1] for draft in self._iter_drafts()), dtype=float, count=self._config.query_count
+        )
         return float(costs.sum())
 
     def cost_scale(self) -> float:
@@ -289,18 +286,15 @@ class SDSSQueryGenerator:
         :meth:`cost_scale`); pass ``1.0`` for unscaled costs.  Timestamps
         default to 1, 2, 3, ... exactly as :meth:`generate`'s.
         """
-        config = self._config
-        count = config.query_count
-        warmup_cutoff = int(count * config.warmup_fraction)
-        for index in range(count):
-            footprint, cost, tolerance, template_name = self._draw_draft(
-                index, warmup_cutoff
-            )
+        next_id = self._allocator.next_id
+        for timestamp, (footprint, cost, tolerance, template_name) in enumerate(
+            self._iter_drafts(), start=1
+        ):
             yield Query(
-                query_id=self._allocator.next_id(),
-                object_ids=frozenset(footprint),
-                cost=float(cost * cost_scale),
-                timestamp=float(index + 1),
-                tolerance=tolerance,
-                template=template_name,
+                next_id(),
+                footprint,
+                float(cost * cost_scale),
+                float(timestamp),
+                tolerance,
+                template_name,
             )

@@ -8,9 +8,11 @@ traces far larger than memory.
 
 Byte-identity with the batch path is engineered, not hoped for:
 
-* every generator draws its RNG in a fixed per-phase order shared with the
-  batch path (``_draw_draft`` / the three update phases), so a fresh,
-  identically-seeded generator instance reproduces the exact sequence;
+* every generator draws its RNG in a fixed order shared with the batch path
+  (the query generator's one draft loop, ``_iter_drafts``; the update
+  generator's three phases: arrivals, one sized cost draw, then kind and
+  rows per update as it is built), so a fresh, identically-seeded generator
+  instance reproduces the exact sequence;
 * the ``target_total_cost`` calibration factor requires a whole-stream cost
   sum, which the batch path computes with NumPy's pairwise reduction.  The
   stream runs one *calibration pass* per side (queries, updates) on a fresh

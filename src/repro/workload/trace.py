@@ -14,12 +14,15 @@ Two kinds of event source live here:
   than memory can be replayed in (near-)constant RSS; see
   :mod:`repro.workload.stream` and :mod:`repro.workload.scenarios` for the
   lazily-generated implementations.
-* :class:`Trace` -- the concrete, fully-materialised source.  It keeps every
-  event in a list, supports JSONL (one event per line) round-trips so that
-  generated workloads can be persisted, diffed and replayed, plus the
-  slicing/statistics helpers used throughout the experiments and reports.
-  :meth:`Trace.slice_events` returns a :class:`TraceView` -- a zero-copy
-  window over the parent's event list.
+* :class:`Trace` -- the concrete, fully-materialised source.  Its one
+  per-event record is the ``(is_update, payload)`` list the replay loops
+  dispatch on (:meth:`Trace.tagged_events` returns it as stored); the
+  :class:`QueryEvent` / :class:`UpdateEvent` wrappers are made on demand,
+  and compare by value.  It supports JSONL (one event per line) round-trips
+  so that generated workloads can be persisted, diffed and replayed, plus
+  the slicing/statistics helpers used throughout the experiments and
+  reports.  :meth:`Trace.slice_events` returns a :class:`TraceView` -- a
+  zero-copy window over the parent's list.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import (
     Optional,
     Tuple,
     Union,
+    cast,
 )
 
 from repro._compat import SlottedFrozenPickle
@@ -96,6 +100,12 @@ def tag_event(event: TraceEvent) -> TaggedEvent:
     if isinstance(event, QueryEvent):
         return (False, event.query)
     raise TypeError(f"unknown event type {type(event)!r}")
+
+
+def untag_event(tagged: TaggedEvent) -> TraceEvent:
+    """The event an ``(is_update, payload)`` pair stands for (inverse of :func:`tag_event`)."""
+    is_update, payload = tagged
+    return UpdateEvent(payload) if is_update else QueryEvent(payload)  # type: ignore[arg-type]
 
 
 class TraceStream(abc.ABC):
@@ -184,79 +194,84 @@ class TraceStream(abc.ABC):
 
     def materialise(self) -> "Trace":
         """A fully-materialised :class:`Trace` holding this stream's events."""
-        return Trace(self.iter_events())
+        return Trace.from_tagged(list(self.iter_tagged()))
 
 
 class Trace(TraceStream):
-    """A time-ordered sequence of query and update events."""
+    """A time-ordered sequence of query and update events.
+
+    Stored as one ``(is_update, payload)`` list; ``Trace(events)`` tags its
+    events once (``TypeError`` on anything else), and every constructor
+    rejects out-of-order timestamps with ``ValueError``.
+    """
 
     def __init__(self, events: Iterable[TraceEvent]) -> None:
-        self._events: List[TraceEvent] = list(events)
-        for earlier, later in zip(self._events, self._events[1:], strict=False):
-            if later.timestamp < earlier.timestamp - 1e-9:
+        self._adopt([tag_event(event) for event in events])
+
+    @classmethod
+    def from_tagged(cls, tagged: List[TaggedEvent]) -> "Trace":
+        """A trace that keeps ``tagged`` as its event list (not copied)."""
+        trace = cls.__new__(cls)
+        trace._adopt(tagged)
+        return trace
+
+    def _adopt(self, tagged: List[TaggedEvent]) -> None:
+        stamps = [payload.timestamp for _, payload in tagged]
+        for earlier, later in zip(stamps, stamps[1:], strict=False):
+            if later < earlier - 1e-9:
                 raise ValueError(
                     "trace events must be ordered by timestamp; "
-                    f"{later.timestamp!r} follows {earlier.timestamp!r}"
+                    f"{later!r} follows {earlier!r}"
                 )
-        #: Lazily built (kind, payload) view used by the replay hot loop.
-        self._tagged: Optional[List[Tuple[bool, Union[Query, Update]]]] = None
+        self._tagged = tagged
         #: Lazily compiled columnar view used by the batched replay path.
         self._columns: Optional["TraceColumns"] = None
 
     # ------------------------------------------------------------------
     # Pickling (sweeps ship traces to worker processes)
     # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle only the events; the tagged view is rebuilt on demand."""
-        return {"_events": self._events}
+    def __getstate__(self) -> Dict[str, List[TaggedEvent]]:
+        """Pickle only the event list; the columns are recompiled on demand."""
+        return {"_tagged": self._tagged}
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self._events = state["_events"]
-        self._tagged = None
+    def __setstate__(self, state: Dict[str, List[TaggedEvent]]) -> None:
+        self._tagged = state["_tagged"]
         self._columns = None
 
     # ------------------------------------------------------------------
     # Sequence behaviour
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return len(self._tagged)
 
     def __getitem__(self, index: Union[int, slice]) -> Union[TraceEvent, "Trace"]:
-        result = self._events[index]
         if isinstance(index, slice):
-            return Trace(result)
-        return result
+            return Trace.from_tagged(self._tagged[index])
+        return untag_event(self._tagged[index])
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     def iter_events(self) -> Iterator[TraceEvent]:
-        """Iterate the materialised event list (the stream contract)."""
-        return iter(self._events)
+        """The stream contract: one wrapper per stored pair, made as iterated."""
+        return map(untag_event, self._tagged)
 
-    def iter_tagged(self) -> Iterator[Tuple[bool, Union[Query, Update]]]:
-        """Iterate the cached ``(is_update, payload)`` view (hot path)."""
-        return iter(self.tagged_events())
+    def iter_tagged(self) -> Iterator[TaggedEvent]:
+        """Iterate the stored ``(is_update, payload)`` list (hot path)."""
+        return iter(self._tagged)
 
     def materialise(self) -> "Trace":
         """Already materialised: return self."""
         return self
 
-    def tagged_events(self) -> List[Tuple[bool, Union[Query, Update]]]:
-        """``(is_update, payload)`` pairs in event order, built once.
+    def tagged_events(self) -> List[TaggedEvent]:
+        """``(is_update, payload)`` pairs in event order: the stored list itself.
 
         The simulation engines dispatch on the boolean tag instead of calling
-        ``isinstance`` twice per event per policy run; the list is cached on
-        the trace because every policy in a comparison replays the same one.
+        ``isinstance`` twice per event per policy run; every policy in a
+        comparison replays the same list.
         """
-        tagged = self._tagged
-        if tagged is None:
-            tagged = [tag_event(event) for event in self._events]
-            self._tagged = tagged
-        return tagged
+        return self._tagged
 
     def columns(self) -> "TraceColumns":
         """The columnar (struct-of-arrays) compilation of this trace.
@@ -270,32 +285,32 @@ class Trace(TraceStream):
         if cols is None:
             from repro.workload.columns import TraceColumns
 
-            cols = TraceColumns.from_tagged(self.tagged_events())
+            cols = TraceColumns.from_tagged(self._tagged)
             self._columns = cols
         return cols
 
     def queries(self) -> List[Query]:
         """All queries in order."""
-        return [event.query for event in self._events if isinstance(event, QueryEvent)]
+        return cast(List[Query], [payload for is_update, payload in self._tagged if not is_update])
 
     def updates(self) -> List[Update]:
         """All updates in order."""
-        return [event.update for event in self._events if isinstance(event, UpdateEvent)]
+        return cast(List[Update], [payload for is_update, payload in self._tagged if is_update])
 
     @property
     def query_count(self) -> int:
         """Number of query events."""
-        return sum(1 for event in self._events if isinstance(event, QueryEvent))
+        return len(self._tagged) - self.update_count
 
     @property
     def update_count(self) -> int:
         """Number of update events."""
-        return sum(1 for event in self._events if isinstance(event, UpdateEvent))
+        return sum(is_update for is_update, _ in self._tagged)
 
     def slice_events(self, start: int, stop: Optional[int] = None) -> "TraceView":
         """Zero-copy sub-trace by event index (used to skip warm-up periods).
 
-        Returns a :class:`TraceView` backed by this trace's event list, so
+        Returns a :class:`TraceView` backed by this trace's list, so
         repeated warm-up splits in a sweep cost O(1) each instead of copying
         the tail of the trace every time (quadratic over a split grid).
         """
@@ -311,18 +326,6 @@ class Trace(TraceStream):
     def total_update_cost(self) -> float:
         """Sum of update shipping costs (the Replica total, ignoring loads)."""
         return sum(update.cost for update in self.updates())
-
-    def objects_touched(self) -> Dict[int, int]:
-        """How many events touched each object id (queries and updates)."""
-        counts: Dict[int, int] = {}
-        for event in self._events:
-            if isinstance(event, QueryEvent):
-                for object_id in event.query.object_ids:
-                    counts[object_id] = counts.get(object_id, 0) + 1
-            else:
-                object_id = event.update.object_id
-                counts[object_id] = counts.get(object_id, 0) + 1
-        return counts
 
     def query_hotspots(self, top: int = 10) -> List[Tuple[int, int]]:
         """The ``top`` most-queried object ids with their access counts."""
@@ -342,7 +345,7 @@ class Trace(TraceStream):
     def describe(self) -> Dict[str, float]:
         """Summary statistics for reports."""
         return {
-            "events": float(len(self._events)),
+            "events": float(len(self._tagged)),
             "queries": float(self.query_count),
             "updates": float(self.update_count),
             "total_query_cost": self.total_query_cost(),
@@ -356,7 +359,7 @@ class Trace(TraceStream):
         """Write the trace to a JSONL file, one event per line."""
         path = Path(path)
         with path.open("w", encoding="utf-8") as handle:
-            for event in self._events:
+            for event in self.iter_events():
                 handle.write(json.dumps(event_to_dict(event)) + "\n")
 
     @staticmethod
@@ -373,11 +376,11 @@ class Trace(TraceStream):
         return Trace(events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Trace(events={len(self._events)}, queries={self.query_count}, updates={self.update_count})"
+        return f"Trace(events={len(self)}, queries={self.query_count}, updates={self.update_count})"
 
 
 class TraceView(TraceStream):
-    """A zero-copy window over a :class:`Trace`'s event list.
+    """A zero-copy window over a :class:`Trace`'s ``(is_update, payload)`` list.
 
     The view holds only the parent trace and the resolved ``[start, stop)``
     index range, so slicing is O(1) regardless of the trace length.  It
@@ -387,10 +390,10 @@ class TraceView(TraceStream):
     """
 
     def __init__(self, parent: Trace, start: int, stop: Optional[int] = None) -> None:
-        events = parent._events
-        start, stop, _ = slice(start, stop).indices(len(events))
+        tagged = parent._tagged
+        start, stop, _ = slice(start, stop).indices(len(tagged))
         self._parent = parent
-        self._events = events
+        self._tagged = tagged
         self._start = start
         self._stop = max(start, stop)
 
@@ -413,13 +416,11 @@ class TraceView(TraceStream):
         return self._stop - self._start
 
     def iter_events(self) -> Iterator[TraceEvent]:
-        events = self._events
-        for index in range(self._start, self._stop):
-            yield events[index]
+        return map(untag_event, self.iter_tagged())
 
     def iter_tagged(self) -> Iterator[TaggedEvent]:
-        """Window of the parent's cached tagged view (hot path)."""
-        return islice(iter(self._parent.tagged_events()), self._start, self._stop)
+        """Window of the parent's ``(is_update, payload)`` list (hot path)."""
+        return islice(self._tagged, self._start, self._stop)
 
     def columns(self) -> "TraceColumns":
         """This window of the parent's columnar compilation (near zero-copy)."""
@@ -435,7 +436,7 @@ class TraceView(TraceStream):
             index += len(self)
         if not 0 <= index < len(self):
             raise IndexError("trace view index out of range")
-        return self._events[self._start + index]
+        return untag_event(self._tagged[self._start + index])
 
     def slice_events(self, start: int, stop: Optional[int] = None) -> "TraceView":
         """A nested zero-copy view (indices relative to this view)."""

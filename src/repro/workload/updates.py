@@ -16,7 +16,7 @@ largely disjoint from query hotspots, as Figure 7(a) shows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -116,25 +116,28 @@ class SurveyUpdateGenerator:
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
-    def _next_object(self) -> int:
-        if self._scan_position >= self._config.scan_length:
-            self._advance_scan()
-        self._scan_position += 1
-        rng = self._rng
-        if rng.random() < self._config.scan_probability:
-            return uniform_pick(self._scan_objects, rng)
-        return uniform_pick(self._object_ids, rng)
-
     def _draw_arrivals(self) -> np.ndarray:
         """Phase 1 of generation: every update's target object, in order.
 
-        Returned as a compact integer array (not boxed Python ints) so the
-        streaming path's per-update scratch stays at a few bytes per event.
+        Per update the scan moves on every ``scan_length`` updates, then one
+        ``random()`` picks the scan stripe or the whole sky and one
+        ``integers()`` picks inside it.  Returned as a compact integer array
+        (not boxed Python ints) so the streaming path's per-update scratch
+        stays at a few bytes per event.
         """
-        count = self._config.update_count
-        arrivals = np.empty(count, dtype=np.int64)
-        for index in range(count):
-            arrivals[index] = self._next_object()
+        config = self._config
+        rng = self._rng
+        scan_length, scan_probability = config.scan_length, config.scan_probability
+        position = self._scan_position
+        arrivals = np.empty(config.update_count, dtype=np.int64)
+        for index in range(config.update_count):
+            if position >= scan_length:
+                self._advance_scan()
+                position = 0
+            position += 1
+            ids = self._scan_objects if rng.random() < scan_probability else self._object_ids
+            arrivals[index] = uniform_pick(ids, rng)
+        self._scan_position = position
         return arrivals
 
     def _draw_raw_costs(self, object_choices: np.ndarray) -> np.ndarray:
@@ -145,17 +148,6 @@ class SurveyUpdateGenerator:
         # sized call draws them (same values, same generator state after).
         wobbles = self._rng.lognormal(0.0, 0.5, size=len(object_choices))
         return np.array([densities[oid] for oid in object_choices.tolist()]) * wobbles
-
-    def _draw_body(self) -> Tuple[str, int]:
-        """Phase 3 (per update): the kind and row-count bookkeeping draws."""
-        config = self._config
-        kind = (
-            UpdateKind.MODIFY
-            if self._rng.random() < config.modify_fraction
-            else UpdateKind.INSERT
-        )
-        rows = int(max(1, self._rng.poisson(config.mean_rows)))
-        return kind, rows
 
     def generate(self, timestamps: Optional[Sequence[float]] = None) -> List[Update]:
         """Generate the configured number of updates.
@@ -180,24 +172,7 @@ class SurveyUpdateGenerator:
 
         if timestamps is None:
             timestamps = range(1, count + 1)
-
-        updates: List[Update] = []
-        next_id = self._allocator.next_id
-        for object_id, cost, timestamp in zip(
-            object_choices.tolist(), raw_costs.tolist(), timestamps, strict=True
-        ):
-            kind, rows = self._draw_body()
-            updates.append(
-                Update(
-                    update_id=next_id(),
-                    object_id=object_id,
-                    cost=cost,
-                    timestamp=float(timestamp),
-                    kind=kind,
-                    rows=rows,
-                )
-            )
-        return updates
+        return list(self._build(object_choices.tolist(), raw_costs.tolist(), timestamps))
 
     # ------------------------------------------------------------------
     # Streaming
@@ -233,16 +208,26 @@ class SurveyUpdateGenerator:
         pre-computed ``target_total_cost`` factor (see :meth:`cost_scale`).
         """
         object_choices = self._draw_arrivals()
-        raw_costs = self._draw_raw_costs(object_choices)
-        for index, (object_id, cost) in enumerate(zip(object_choices, raw_costs, strict=True)):
-            kind, rows = self._draw_body()
+        raw_costs = self._draw_raw_costs(object_choices) * cost_scale
+        yield from self._build(
+            map(int, object_choices), map(float, raw_costs), range(1, len(raw_costs) + 1)
+        )
+
+    def _build(
+        self, object_ids: Iterable[int], costs: Iterable[float], timestamps: Iterable[float]
+    ) -> Iterator[Update]:
+        """Phase 3: each update's kind and row count, drawn as it is built."""
+        random, poisson = self._rng.random, self._rng.poisson
+        modify_fraction, mean_rows = self._config.modify_fraction, self._config.mean_rows
+        next_id = self._allocator.next_id
+        for object_id, cost, timestamp in zip(object_ids, costs, timestamps, strict=True):
             yield Update(
-                update_id=self._allocator.next_id(),
-                object_id=int(object_id),
-                cost=float(cost * cost_scale),
-                timestamp=float(index + 1),
-                kind=kind,
-                rows=rows,
+                update_id=next_id(),
+                object_id=object_id,
+                cost=cost,
+                timestamp=float(timestamp),
+                kind=UpdateKind.MODIFY if random() < modify_fraction else UpdateKind.INSERT,
+                rows=int(max(1, poisson(mean_rows))),
             )
 
     def hotspot_objects(self, top: Optional[int] = None) -> List[int]:

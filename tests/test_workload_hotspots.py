@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.workload.hotspots import HotspotModel, HotspotPhase
+
+
+def advance(model: HotspotModel, accesses: int) -> None:
+    for _ in range(accesses):
+        model.next_object()
 
 
 def make_model(rng, **overrides):
@@ -58,7 +65,7 @@ class TestFocusBehaviour:
         model = make_model(rng, excluded=excluded)
         for _ in range(5):
             assert not (set(model.current_focus) & set(excluded))
-            model.next_objects(100)  # advance phases
+            advance(model, 100)  # advance phases
 
     def test_contiguous_focus_blocks(self, rng):
         model = make_model(rng, contiguous=True, focus_size=6)
@@ -74,18 +81,18 @@ class TestFocusBehaviour:
 
     def test_phases_advance_every_phase_length(self, rng):
         model = make_model(rng, phase_length=50)
-        model.next_objects(175)
+        advance(model, 175)
         assert len(model.phases) == 4  # initial phase + 3 transitions
 
     def test_drift_zero_keeps_focus(self, rng):
         model = make_model(rng, drift=0.0, contiguous=True)
         first = list(model.current_focus)
-        model.next_objects(250)
+        advance(model, 250)
         assert list(model.current_focus) == first
 
     def test_full_drift_changes_focus(self, rng):
         model = make_model(rng, drift=1.0, phase_length=50)
-        model.next_objects(60)
+        advance(model, 60)
         # With drift 1.0 the new block is redrawn; it may coincidentally
         # overlap but must not be forced to equal the old one.
         assert isinstance(model.current_focus, list)
@@ -93,7 +100,7 @@ class TestFocusBehaviour:
 
     def test_access_histogram_totals(self, rng):
         model = make_model(rng)
-        histogram = model.access_histogram(300)
+        histogram = Counter(model.next_object() for _ in range(300))
         assert sum(histogram.values()) == 300
         assert all(1 <= oid <= 40 for oid in histogram)
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.repository.objects import ObjectCatalog
-from repro.workload.mixer import interleave, iter_schedule, slot_timestamps
+from repro.workload.mixer import interleave, iter_interleaved, iter_schedule, slot_timestamps
 from repro.workload.sdss import SDSSQueryGenerator, SDSSWorkloadConfig
-from repro.workload.trace import QueryEvent, UpdateEvent
+from repro.workload.trace import QueryEvent, UpdateEvent, tag_event
 from repro.workload.updates import SurveyUpdateGenerator, UpdateWorkloadConfig
 from tests.conftest import make_query, make_update
 
@@ -126,3 +128,69 @@ class TestStampAtSource:
         assert [event.timestamp for event in restamped] == [
             float(i) for i in range(1, 211)
         ]
+
+
+def walked_slots(query_count: int, update_count: int, mode: str, seed: int):
+    """The slots of the per-position schedule walk."""
+    query_slots, update_slots = [], []
+    schedule = iter_schedule(query_count, update_count, mode=mode, seed=seed)
+    for position, take_query in enumerate(schedule, start=1):
+        (query_slots if take_query else update_slots).append(float(position))
+    return query_slots, update_slots
+
+
+COUNTS = st.integers(min_value=0, max_value=300)
+MODES = st.sampled_from(["uniform", "random"])
+
+
+class TestClosedFormMerge:
+    """The one-shot merge equals the per-event walk it replaced."""
+
+    @given(query_count=COUNTS, update_count=COUNTS, mode=MODES, seed=st.integers(0, 2**16))
+    @example(query_count=0, update_count=0, mode="uniform", seed=0)
+    @example(query_count=0, update_count=7, mode="uniform", seed=0)
+    @example(query_count=300, update_count=0, mode="random", seed=1)
+    def test_slot_timestamps_equal_the_schedule_walk(self, query_count, update_count, mode, seed):
+        assert slot_timestamps(query_count, update_count, mode=mode, seed=seed) == walked_slots(
+            query_count, update_count, mode, seed
+        )
+
+    @given(
+        query_count=COUNTS,
+        update_count=COUNTS,
+        mode=MODES,
+        seed=st.integers(0, 2**16),
+        stamped=st.booleans(),
+    )
+    @example(query_count=0, update_count=0, mode="random", seed=0, stamped=False)
+    @example(query_count=3, update_count=0, mode="uniform", seed=0, stamped=True)
+    @example(query_count=0, update_count=5, mode="random", seed=2, stamped=False)
+    def test_interleave_equals_the_streamed_merge(
+        self, query_count, update_count, mode, seed, stamped
+    ):
+        queries, updates = make_streams(query_count, update_count)
+        if stamped:
+            query_slots, update_slots = slot_timestamps(
+                query_count, update_count, mode=mode, seed=seed
+            )
+            queries = [make_query(i, [1], 1.0, slot) for i, slot in enumerate(query_slots)]
+            updates = [make_update(i, 1, 1.0, slot) for i, slot in enumerate(update_slots)]
+        trace = interleave(queries, updates, mode=mode, seed=seed)
+        streamed = iter_interleaved(
+            iter(queries), iter(updates), query_count, update_count, mode=mode, seed=seed
+        )
+        assert trace.tagged_events() == [tag_event(event) for event in streamed]
+
+
+class TestMiscountedStreams:
+    """A stream that does not produce its declared count is named, with both counts."""
+
+    def test_short_side_raises(self):
+        queries, updates = make_streams(2, 3)
+        with pytest.raises(ValueError, match="queries stream produced 2 queries, declared 3"):
+            list(iter_interleaved(iter(queries), iter(updates), 3, 3))
+
+    def test_long_side_raises(self):
+        queries, updates = make_streams(2, 4)
+        with pytest.raises(ValueError, match="updates stream produced 4 updates, declared 2"):
+            list(iter_interleaved(iter(queries), iter(updates), 2, 2))

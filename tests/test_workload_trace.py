@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+from collections import Counter
+
 import pytest
 
+from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.workload.trace import QueryEvent, Trace, TraceView, UpdateEvent
 from tests.conftest import make_query, make_update
+from tests.test_trace_digests import digest
 
 
 def build_trace() -> Trace:
@@ -56,8 +62,9 @@ class TestTraceBasics:
         trace = build_trace()
         view = trace.slice_events(1, 4)
         assert [e.timestamp for e in view] == [2.0, 3.0, 4.0]
-        assert view[0] is trace[1]
-        assert view[-1] is trace[3]
+        assert view[0] == trace[1]
+        assert view[-1] == trace[3]
+        assert view[0].query is trace.tagged_events()[1][1]
         nested = view.slice_events(1)
         assert isinstance(nested, TraceView)
         assert nested.parent is trace
@@ -76,7 +83,8 @@ class TestTraceBasics:
 
     def test_objects_touched_counts_queries_and_updates(self):
         trace = build_trace()
-        touched = trace.objects_touched()
+        touched = Counter(oid for query in trace.queries() for oid in query.object_ids)
+        touched.update(update.object_id for update in trace.updates())
         assert touched[1] == 2  # one update, one query
         assert touched[2] == 3  # one update, two queries
         assert touched[3] == 1
@@ -124,3 +132,92 @@ class TestJsonlRoundTrip:
         path.write_text('{"kind": "mystery"}\n')
         with pytest.raises(ValueError):
             Trace.from_jsonl(path)
+
+
+class TestOneRecordContract:
+    """A trace stores only its ``(is_update, payload)`` list; what it serves is unchanged.
+
+    The digests and statistics below were recorded from the event-wrapper
+    container the tagged list replaced (same config, same seed).
+    """
+
+    EVENTS = "a9fb45c8a363bd3a2bd19c2ed020772a5d537c43238bf4fc0c4dcdd59ebcfd3d"
+    SLICE_100_400 = "9bbffd702f00d6e935bc7b2105d64dc2e2c2d539a0bdeb0f249866a3c75eee16"
+    VIEW_75_350 = "9ee4dfb4dad576ad214747c45267aaebbf0a30710dfc2413ad17831f71f721ab"
+    JSONL = "3ac635f2bc8e24cefe60bbbc4e9518b5f645bd1cf67cfc911aa09f05c18f6e98"
+    DESCRIBE = {
+        "events": 600.0,
+        "queries": 300.0,
+        "updates": 300.0,
+        "total_query_cost": 1199.9999999999995,
+        "total_update_cost": 1200.0000000000007,
+    }
+    VIEW_DESCRIBE = {
+        "events": 275.0,
+        "queries": 137.0,
+        "updates": 138.0,
+        "total_query_cost": 462.48929340321865,
+        "total_update_cost": 464.00547929702043,
+    }
+
+    @pytest.fixture(scope="class")
+    def trace(self) -> Trace:
+        config = ExperimentConfig(
+            object_count=24, query_count=300, update_count=300, sample_every=100, seed=5
+        )
+        return build_scenario(config).trace
+
+    def test_holds_one_per_event_list(self, trace):
+        lists = [name for name, value in vars(trace).items() if isinstance(value, list)]
+        assert lists == ["_tagged"]
+        assert trace.tagged_events() is trace.tagged_events()
+        tagged = list(trace.tagged_events())
+        assert Trace.from_tagged(tagged).tagged_events() is tagged
+
+    def test_events_iteration_and_indexing(self, trace):
+        assert digest(trace.iter_events()) == self.EVENTS
+        assert digest(trace) == self.EVENTS
+        assert digest(trace[index] for index in range(len(trace))) == self.EVENTS
+        assert trace[-1] == trace[len(trace) - 1]
+        sliced = trace[100:400]
+        assert isinstance(sliced, Trace)
+        assert digest(sliced) == self.SLICE_100_400
+        assert sliced.tagged_events() == trace.tagged_events()[100:400]
+
+    def test_nested_views(self, trace):
+        view = trace.slice_events(50, 500).slice_events(25, 300)
+        assert (view.parent, view.start, view.stop) == (trace, 75, 350)
+        assert digest(view) == self.VIEW_75_350
+        assert digest(view[index] for index in range(len(view))) == self.VIEW_75_350
+        assert list(view.iter_tagged()) == trace.tagged_events()[75:350]
+        assert view.describe() == self.VIEW_DESCRIBE
+
+    def test_describe(self, trace):
+        assert trace.describe() == self.DESCRIBE
+
+    def test_pickle_round_trip(self, trace):
+        clone = pickle.loads(pickle.dumps(trace))
+        assert digest(clone) == self.EVENTS
+        assert clone.tagged_events() == trace.tagged_events()
+        assert clone.describe() == self.DESCRIBE
+
+    def test_jsonl_round_trip(self, trace, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        trace.to_jsonl(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.JSONL
+        assert digest(Trace.from_jsonl(path)) == self.EVENTS
+
+    def test_non_events_are_rejected(self):
+        query = make_query(1, object_ids=[1], cost=1.0, timestamp=1.0)
+        with pytest.raises(TypeError):
+            Trace([QueryEvent(query), object()])
+        with pytest.raises(TypeError):
+            Trace([query])
+
+    def test_out_of_order_timestamps_are_rejected(self):
+        late = make_query(1, object_ids=[1], cost=1.0, timestamp=5.0)
+        early = make_update(1, object_id=1, cost=1.0, timestamp=1.0)
+        with pytest.raises(ValueError, match="ordered by timestamp"):
+            Trace([QueryEvent(late), UpdateEvent(early)])
+        with pytest.raises(ValueError, match="ordered by timestamp"):
+            Trace.from_tagged([(False, late), (True, early)])
