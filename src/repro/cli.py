@@ -452,16 +452,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
     )
     uvloop_active = install_uvloop()
-    # Stopgap until the connection reads into a buffer of its own (ROADMAP
-    # item 3).  asyncio's selector transport allocates a 256 KiB ``bytes`` per
-    # read; glibc takes it from the heap only if a free chunk that large
-    # happens to be left over from start-up, and otherwise pays an mmap/munmap
-    # pair and two page faults per frame (+30 % CPU per event, decided by the
-    # length of the install path).  Freeing one larger block first lifts
-    # glibc's dynamic mmap threshold above the read size for the life of the
-    # process; on other allocators this is a no-op.
-    headroom = bytes(4 << 20)
-    del headroom
 
     async def _serve() -> None:
         await server.start()

@@ -10,7 +10,8 @@ needs -- a capacity-constrained :class:`repro.cache.store.CacheStore`,
 helpers for loading/evicting objects and shipping queries with correct cost
 accounting, and the size-proportional *share rule* Benefit and SOptimal
 credit query traffic by -- so the concrete policies (VCover, Benefit, the
-yardsticks) contain only their decision logic.  Its freshness is *eager*:
+yardsticks) contain only their decision logic (the rule over trace columns
+is :func:`fold_credit`).  Its freshness is *eager*:
 an update to a resident copy ships on arrival, so resident copies are always
 current.  Only VCover decouples an object from its updates, and only
 :class:`repro.core.vcover.VCoverPolicy` keeps outstanding updates.
@@ -28,7 +29,9 @@ the observation side per epoch via :meth:`BaseCachePolicy.close_epoch`; see
 from __future__ import annotations
 
 import abc
-from typing import Container, Dict, List, Mapping
+from typing import Container, Dict, FrozenSet, List, Optional
+
+import numpy as np
 
 from repro.cache.observer import EpochSnapshot, PolicyObserver
 from repro.cache.store import CacheStore
@@ -173,29 +176,29 @@ class BaseCachePolicy(CachePolicy):
         """Whether the cached copies alone satisfy the query (all resident)."""
         return self._store.contains_all(query.object_ids)
 
-    @property
-    def share_sizes(self) -> Mapping[int, float]:
-        """Catalogue sizes clamped at 1e-9: the share rule's weights (read-only)."""
-        return self._share_sizes
+    def share_weights(self, catalog_ids: np.ndarray) -> np.ndarray:
+        """The share rule's weights by :func:`catalog_positions` (1.0 in the unknown slot)."""
+        sizes = self._share_sizes
+        return np.array([sizes[object_id] for object_id in catalog_ids.tolist()] + [1.0])
 
-    def share_total(self, query: Query) -> float:
-        """The share rule's denominator: the query's weights summed in
-        ``query.object_ids`` order (CPython >= 3.12 compensates a float
+    def share_total(self, footprint: FrozenSet[int]) -> float:
+        """The share rule's denominator: weights summed in the iteration order
+        of a query's ``object_ids`` (CPython >= 3.12 compensates a float
         ``sum``, so this expression -- not a vectorised fold -- is the rule).
         """
-        return sum(map(self._share_sizes.__getitem__, query.object_ids))
+        return sum(map(self._share_sizes.__getitem__, footprint))
 
     def credit_query_shares(
         self, query: Query, credit: Dict[int, float], skip: Container[int] = ()
     ) -> None:
         """The share rule: add each object's share of ``query.cost`` to ``credit``.
 
-        A share is ``cost * size / total``, by :attr:`share_sizes` with
-        ``total`` from :meth:`share_total`; objects are credited in
+        A share is ``cost * size / total``, with catalogue sizes clamped at
+        1e-9 and ``total`` from :meth:`share_total`; objects are credited in
         ``query.object_ids`` order, except those in ``skip``.
         """
         sizes = self._share_sizes
-        total = self.share_total(query)
+        total = self.share_total(query.object_ids)
         cost = query.cost
         for object_id in query.object_ids:
             if object_id not in skip:
@@ -249,3 +252,33 @@ class BaseCachePolicy(CachePolicy):
             "total_traffic": self.total_traffic,
             **{f"store_{key}": value for key, value in self._store.stats().items()},
         }
+
+
+# ----------------------------------------------------------------------
+# The share rule over columns (batched Benefit windows, SOptimal's prepare)
+# ----------------------------------------------------------------------
+def catalog_positions(catalog_ids: np.ndarray, object_ids: np.ndarray) -> np.ndarray:
+    """Positions of ``object_ids`` in sorted ``catalog_ids``; unknown ids share one extra slot."""
+    count = len(catalog_ids)
+    slot = np.minimum(np.searchsorted(catalog_ids, object_ids), count - 1)
+    return np.where(catalog_ids[slot] == object_ids, slot, count)
+
+
+def fold_credit(
+    sums: np.ndarray, weights: np.ndarray, update_positions: np.ndarray, update_costs: np.ndarray,
+    positions: np.ndarray, costs: np.ndarray, totals: np.ndarray, footprint: np.ndarray,
+    credit: Optional[np.ndarray] = None,
+) -> None:  # fmt: skip
+    """Add a batch of events to per-position ``sums`` (query share, update cost).
+
+    :meth:`BaseCachePolicy.credit_query_shares` vectorised: each query's
+    ``footprint`` touches (at ``positions``; those in ``credit`` if given)
+    get ``cost * weight / total``.  Unbuffered ``np.add.at`` adds each
+    position's terms in event order, as the per-event hooks do: same bits.
+    """
+    query_share, update_cost = sums
+    np.add.at(update_cost, update_positions, update_costs)
+    shares = np.repeat(costs, footprint) * weights[positions] / np.repeat(totals, footprint)
+    if credit is not None:
+        positions, shares = positions[credit], shares[credit]
+    np.add.at(query_share, positions, shares)

@@ -8,8 +8,8 @@
   a real cache size is the bar for "good".
 * **SOptimal** -- the best *static* set of objects chosen with hindsight over
   the full sequence (one Benefit decision with a window as large as the
-  whole trace, credited by the same share rule,
-  :meth:`~repro.core.policy.BaseCachePolicy.credit_query_shares`): the chosen
+  whole trace, folded as a batched Benefit window is,
+  :func:`~repro.core.policy.fold_credit`): the chosen
   objects are loaded once at the start, never evicted, kept current by
   shipping their updates; queries fully covered are answered at the cache,
   the rest are shipped.  An online algorithm close to SOptimal is outstanding.
@@ -21,14 +21,20 @@ copy, so it only observes).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Iterable, Optional, Set
+
+import numpy as np
 
 from repro.core.decoupling import DecouplingDecision, QueryAction, QueryOutcome
-from repro.core.policy import BaseCachePolicy
+from repro.core.policy import BaseCachePolicy, catalog_positions, fold_credit
 from repro.network.link import NetworkLink
 from repro.repository.queries import Query
 from repro.repository.server import Repository
-from repro.workload.trace import Trace
+from repro.workload.columns import TraceColumns
+from repro.workload.trace import Trace, TraceStream, TraceView
+
+#: Events per chunk SOptimal compiles of a stream it does not hold whole.
+PREPARE_CHUNK_EVENTS = 8192
 
 
 class NoCachePolicy(BaseCachePolicy):
@@ -96,25 +102,31 @@ class SOptimalPolicy(BaseCachePolicy):
         """The static decoupling chosen by :meth:`prepare` (None before)."""
         return self._decision
 
-    def prepare(self, trace: Trace) -> None:
+    def prepare(self, trace: TraceStream) -> None:
         """Choose the static cached set with full knowledge of the trace.
 
-        One pass over the trace (a generated stream regenerates per pass):
-        each object's shares and update costs still accumulate in event order.
+        One pass over the trace's columns (any other stream's compiled chunk by
+        chunk): each object's shares and update costs add up in event order.
         """
         catalog = self._repository.catalog
-        query_share: Dict[int, float] = {}
-        update_cost: Dict[int, float] = {}
-        for is_update, payload in trace.iter_tagged():
-            if is_update:
-                object_id = payload.object_id
-                update_cost[object_id] = update_cost.get(object_id, 0.0) + payload.cost
-            else:
-                self.credit_query_shares(payload, query_share)
-
+        catalog_ids = np.array(catalog.object_ids, dtype=np.int64)
+        weights = self.share_weights(catalog_ids)
+        sums = np.zeros((2, len(weights)))
+        if isinstance(trace, (Trace, TraceView)):
+            chunks: Iterable[TraceColumns] = [trace.columns()]
+        else:
+            chunks = map(TraceColumns.from_tagged, trace.iter_chunks(PREPARE_CHUNK_EVENTS))
+        for columns in chunks:
+            fold_credit(
+                sums, weights,
+                catalog_positions(catalog_ids, columns.update_object_ids), columns.update_costs,
+                catalog_positions(catalog_ids, columns.query_object_ids), columns.query_costs,
+                columns.per_query(self.share_total), np.diff(columns.query_object_offsets),
+            )  # fmt: skip
+        net = (sums[0, :-1] - sums[1, :-1]).tolist()  # the last slot is unknown ids'
         benefits = {
-            oid: query_share.get(oid, 0.0) - update_cost.get(oid, 0.0) - catalog.size_of(oid)
-            for oid in catalog.object_ids
+            oid: share - catalog.size_of(oid)
+            for oid, share in zip(catalog.object_ids, net, strict=True)
         }
         ranked = sorted(
             ((oid, benefit) for oid, benefit in benefits.items() if benefit > 0),

@@ -8,12 +8,12 @@ one replays use; its counters are what the ``stats`` frame reports.
 
 Design points:
 
-* **One turn per frame.**  Each connection is an :class:`asyncio.Protocol`;
-  its read callback splits lines, validates them, applies the event and
-  writes the answer before it returns.  Everything runs on the loop thread
-  and an apply never yields, so concurrent clients can never interleave
-  half-applied decisions -- without a queue, a writer task or a future per
-  request.  A connection whose peer stops reading its answers is not read
+* **One turn per frame.**  Each connection is an :class:`asyncio.BufferedProtocol`
+  reading into a buffer of its own; its read callback splits lines, validates
+  them, applies the event and writes the answer before it returns.  All of it
+  runs on the loop thread and an apply never yields, so concurrent clients
+  can never interleave half-applied decisions -- without a queue, a writer
+  task or a future per request.  A connection whose peer stops reading its answers is not read
   from until its write buffer drains (per-connection backpressure).
 * **Sequence ordering.**  Frames stamped with a ``seq`` are applied in
   strictly increasing sequence order, so the decision sequence is exactly
@@ -75,12 +75,16 @@ def install_uvloop() -> bool:
     return True
 
 
-class _Connection(asyncio.Protocol):
-    """One client: splits its bytes into lines and answers them in order."""
+class _Connection(asyncio.BufferedProtocol):
+    """One client: splits its bytes into lines and answers them in order.
+
+    Every socket read lands in the one 64 KiB buffer the connection owns.
+    """
 
     def __init__(self, server: "CacheServer") -> None:
         self._server = server
         self._transport: Optional[asyncio.Transport] = None
+        self._read = memoryview(bytearray(64 * 1024))
         self._buffer = bytearray()
         self._write_paused = False
         #: One of this connection's frames is parked; its later lines wait.
@@ -95,8 +99,11 @@ class _Connection(asyncio.Protocol):
         self._buffer.clear()
         self._server._connections.discard(self)
 
-    def data_received(self, data: bytes) -> None:
-        self._buffer += data
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._read
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._buffer += self._read[:nbytes]
         self._server._schedule(self)
 
     def pause_writing(self) -> None:

@@ -24,14 +24,14 @@ integer sums; float traffic totals are folded left-to-right via ``cumsum``
 (:meth:`repro.network.link.NetworkLink.charge_batch`), one mechanism at a
 time in event order; per-object float sums -- growth
 (:meth:`repro.repository.server.Repository.ingest_update_columns`) and
-Benefit's window credit, each share ``cost * size / total`` -- go through
-unbuffered ``np.add.at`` in event order.  A share's ``total`` is the one
-sum numpy cannot reproduce (``reduceat`` sums pairwise, CPython >= 3.12
+Benefit's window credit (:func:`repro.core.policy.fold_credit`) -- go
+through unbuffered ``np.add.at`` in event order.  A share's ``total`` is the
+one sum numpy cannot reproduce (``reduceat`` sums pairwise, CPython >= 3.12
 compensates ``sum``), so :meth:`repro.core.policy.BaseCachePolicy.share_total`
-evaluates it once per query per run.  The determinism fixtures pin the
-batched path byte-for-byte against the scalar one; the kernel asks for an
-executor only when no ``on_decision`` observer is attached, and
-:func:`select_batched_executor` is deliberately conservative.
+evaluates it once per footprint per run (``TraceColumns.per_query``).  The
+determinism fixtures pin the batched path byte-for-byte against the scalar
+one; the kernel asks for an executor only when no ``on_decision`` observer
+is attached, and :func:`select_batched_executor` is deliberately conservative.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.cache.store import CacheStore
 from repro.core.benefit import BenefitPolicy
-from repro.core.policy import BaseCachePolicy, CachePolicy
+from repro.core.policy import BaseCachePolicy, CachePolicy, catalog_positions, fold_credit
 from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
 from repro.network.link import Mechanism, NetworkLink
 from repro.repository.queries import Query
@@ -60,13 +60,6 @@ __all__ = ["select_batched_executor"]
 _BATCHABLE = (NoCachePolicy, ReplicaPolicy, SOptimalPolicy, BenefitPolicy)
 
 
-def _positions(catalog_ids: "_np.ndarray", object_ids: "_np.ndarray") -> "_np.ndarray":
-    """Catalogue positions of ``object_ids``; unknown ids share one extra slot."""
-    count = len(catalog_ids)
-    slot = _np.minimum(_np.searchsorted(catalog_ids, object_ids), count - 1)
-    return _np.where(catalog_ids[slot] == object_ids, slot, count)
-
-
 class _Site:
     """One site's queries (its own CSR, in event order) and replay state.
 
@@ -74,13 +67,13 @@ class _Site:
     ``positions`` and ``mine``, the queries routed here (a single cache is a
     fleet of one: all of them).  ``resident`` masks positions (plus the
     never-resident slot of unknown ids); a Benefit site's window closes after
-    each event index in ``edges`` and sums ``query_share`` / ``update_cost``
-    per position.
+    each event index in ``edges`` and ``sums`` query share and update cost
+    per position (:func:`repro.core.policy.fold_credit`).
     """
 
     __slots__ = (
         "policy", "link", "index", "costs", "timestamps", "totals", "object_ids",
-        "positions", "offsets", "resident", "edges", "cursor", "query_share", "update_cost",
+        "positions", "offsets", "resident", "edges", "cursor", "sums",
     )  # fmt: skip
 
     def __init__(
@@ -97,13 +90,13 @@ class _Site:
         self.index = _np.flatnonzero(mine)
         self.offsets = _np.concatenate(([0], _np.cumsum(footprint[mine])))
         self.edges, self.cursor = [], 0
-        self.query_share = self.update_cost = None
+        self.sums = None
         if type(policy) is BenefitPolicy:
             own_events = _np.ones(len(columns), dtype=bool)
             own_events[~columns.is_update] = mine
             window = policy.config.window_size
             self.edges = (_np.flatnonzero(own_events)[window - 1 :: window] + 1).tolist()
-            self.query_share, self.update_cost = _np.zeros((2, len(resident)))
+            self.sums = _np.zeros((2, len(resident)))
 
 
 class _BatchedExecutor:
@@ -122,15 +115,13 @@ class _BatchedExecutor:
         self._columns, self._repository = columns, repository
         catalog_ids = _np.array(sorted(repository.catalog.object_ids), dtype=_np.int64)
         self._catalog_ids = catalog_ids
-        self._update_positions = _positions(catalog_ids, columns.update_object_ids)
-        positions = _positions(catalog_ids, columns.query_object_ids)
+        self._update_positions = catalog_positions(catalog_ids, columns.update_object_ids)
+        positions = catalog_positions(catalog_ids, columns.query_object_ids)
         windowed = [policy for policy in policies if type(policy) is BenefitPolicy]
-        totals = self._share_sizes = None
+        totals = self._share_weights = None
         if windowed:  # the share rule's weights and denominators, once per run
-            share_total, sizes = windowed[0].share_total, windowed[0].share_sizes
-            queries = (query for is_update, query in trace.iter_tagged() if not is_update)
-            totals = _np.fromiter(map(share_total, queries), _np.float64, columns.query_count)
-            self._share_sizes = _np.array([sizes[oid] for oid in catalog_ids.tolist()] + [1.0])
+            totals = columns.per_query(windowed[0].share_total)
+            self._share_weights = windowed[0].share_weights(catalog_ids)
         self._sites = [
             _Site(
                 policy, link, self._resident_mask(policy.store), columns, positions, totals,
@@ -173,14 +164,12 @@ class _BatchedExecutor:
         """One site's share of a chunk: its updates shipped, its queries answered."""
         columns, repository, link = self._columns, self._repository, site.link
         store = site.policy.store
+        update_positions = self._update_positions[updates]
+        update_costs = columns.update_costs[updates]
         if updates.stop > updates.start:
-            positions = self._update_positions[updates]
-            costs = columns.update_costs[updates]
-            if site.update_cost is not None:
-                _np.add.at(site.update_cost, positions, costs)
-            ships = site.resident[positions]
+            ships = site.resident[update_positions]
             if ships.any():
-                costs = link.cost_model.cost_array(costs[ships])
+                costs = link.cost_model.cost_array(update_costs[ships])
                 link.charge_batch(Mechanism.UPDATE_SHIPPING, costs)
                 # Shipped on arrival: each touched copy is at the server version.
                 for object_id in _np.unique(columns.update_object_ids[updates][ships]).tolist():
@@ -217,16 +206,14 @@ class _BatchedExecutor:
                 touched, costs = touched[~hit], costs[~answered]
             repository.answer_query_batch(touched, shipped_count)
             link.charge_batch(Mechanism.QUERY_SHIPPING, link.cost_model.cost_array(costs))
-        if site.query_share is not None and last > first:
+        if site.sums is not None:
             # Benefit's credit: every id of an answered query, the missing
             # ids of a shipped one (BenefitPolicy.on_query).
             credit = (_np.repeat(answered, footprint) if hit is None else hit) | ~in_set
-            shares = (
-                _np.repeat(site.costs[first:last], footprint)
-                * self._share_sizes[positions]
-                / _np.repeat(site.totals[first:last], footprint)
-            )
-            _np.add.at(site.query_share, positions[credit], shares[credit])
+            fold_credit(
+                site.sums, self._share_weights, update_positions, update_costs, positions,
+                site.costs[first:last], site.totals[first:last], footprint, credit,
+            )  # fmt: skip
         site.policy.observer.note_batch(
             queries=last - first,
             updates=updates.stop - updates.start,
@@ -238,18 +225,16 @@ class _BatchedExecutor:
     def _end_window(self, site: _Site, now: float) -> None:
         """Hand the site its window's sums, then re-read its resident set."""
         object_ids = self._catalog_ids.tolist()
-        sums = (site.query_share, site.update_cost)
         site.policy.close_window(
-            *(dict(zip(object_ids, row[:-1].tolist(), strict=True)) for row in sums), now
+            *(dict(zip(object_ids, row[:-1].tolist(), strict=True)) for row in site.sums), now
         )
-        for row in sums:
-            row.fill(0.0)
+        site.sums.fill(0.0)
         site.resident = self._resident_mask(site.policy.store)
 
     def _resident_mask(self, store: CacheStore) -> "_np.ndarray":
         resident = _np.zeros(len(self._catalog_ids) + 1, dtype=bool)
         ids = _np.fromiter(store, dtype=_np.int64, count=len(store))
-        resident[_positions(self._catalog_ids, ids)] = True
+        resident[catalog_positions(self._catalog_ids, ids)] = True
         return resident
 
     @staticmethod

@@ -79,47 +79,6 @@ class CircularRegion:
         """Whether ``point`` falls inside the region."""
         return self.center.angular_distance(point) <= self.radius
 
-    def sample_points(self, count: int, rng: np.random.Generator) -> List[SkyPoint]:
-        """Sample ``count`` points approximately uniformly inside the region.
-
-        Uses rejection-free sampling in a cap: draw the polar angle from the
-        correct cap distribution and rotate towards the center.
-        """
-        if count <= 0:
-            return []
-        points: List[SkyPoint] = []
-        cos_radius = math.cos(math.radians(self.radius))
-        cx, cy, cz = self.center.to_cartesian()
-        # Build an orthonormal basis (u, v) perpendicular to the center vector.
-        if abs(cz) < 0.9:
-            ux, uy, uz = np.cross([cx, cy, cz], [0.0, 0.0, 1.0])
-        else:
-            ux, uy, uz = np.cross([cx, cy, cz], [1.0, 0.0, 0.0])
-        norm_u = math.sqrt(ux * ux + uy * uy + uz * uz)
-        ux, uy, uz = ux / norm_u, uy / norm_u, uz / norm_u
-        vx, vy, vz = np.cross([cx, cy, cz], [ux, uy, uz])
-        for _ in range(count):
-            cos_theta = rng.uniform(cos_radius, 1.0)
-            sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            x = (
-                cos_theta * cx
-                + sin_theta * math.cos(phi) * ux
-                + sin_theta * math.sin(phi) * vx
-            )
-            y = (
-                cos_theta * cy
-                + sin_theta * math.cos(phi) * uy
-                + sin_theta * math.sin(phi) * vy
-            )
-            z = (
-                cos_theta * cz
-                + sin_theta * math.cos(phi) * uz
-                + sin_theta * math.sin(phi) * vz
-            )
-            points.append(SkyPoint.from_cartesian(x, y, z))
-        return points
-
 
 @dataclass(frozen=True)
 class GreatCircleScan:

@@ -7,7 +7,7 @@ instead of one Python object at a time.  To make that possible a
 materialised trace is *compiled once* into numpy arrays -- the
 :class:`TraceColumns` view -- and every batched policy run over the same
 trace reuses the compilation (it is cached on the trace like the tagged
-view).
+view).  SOptimal's ``prepare`` folds the same columns, a stream's chunk by chunk.
 
 Layout
 ------
@@ -28,7 +28,13 @@ Per query event (length ``nq``, in event order):
 
 * ``query_costs``, ``query_timestamps``, and the ragged object-id sets in
   CSR form: ``query_object_ids`` (flat, each query's ids sorted) with
-  ``query_object_offsets`` of length ``nq + 1``.
+  ``query_object_offsets`` of length ``nq + 1``;
+* ``query_footprints`` -- ``int64`` index of its ``object_ids`` in
+  ``footprints``: the distinct frozensets (a list, first-seen order; a
+  window shares its parent's), so :meth:`TraceColumns.per_query` evaluates
+  the share rule's denominator once per object.  Distinct by *identity*:
+  iteration order, which a float sum follows, belongs to the object
+  (``list(frozenset([17, 9, 1]))`` need not equal ``[1, 9, 17]``).
 
 Numpy is optional at import time: when it is unavailable the module still
 imports and :data:`COLUMNS_AVAILABLE` is ``False``, so the engines simply
@@ -37,7 +43,8 @@ keep the scalar path.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence
+from itertools import chain, count
+from typing import Callable, Dict, FrozenSet, List, Sequence
 
 from repro.workload.trace import TaggedEvent
 
@@ -69,6 +76,8 @@ class TraceColumns:
         "query_timestamps",
         "query_object_ids",
         "query_object_offsets",
+        "query_footprints",
+        "footprints",
     )
 
     def __init__(
@@ -84,6 +93,8 @@ class TraceColumns:
         query_timestamps: "_np.ndarray",
         query_object_ids: "_np.ndarray",
         query_object_offsets: "_np.ndarray",
+        query_footprints: "_np.ndarray",
+        footprints: List[FrozenSet[int]],
     ) -> None:
         self.timestamps = timestamps
         self.is_update = is_update
@@ -96,6 +107,8 @@ class TraceColumns:
         self.query_timestamps = query_timestamps
         self.query_object_ids = query_object_ids
         self.query_object_offsets = query_object_offsets
+        self.query_footprints = query_footprints
+        self.footprints = footprints
 
     # ------------------------------------------------------------------
     # Construction
@@ -110,21 +123,25 @@ class TraceColumns:
         is_update = _np.fromiter((tag for tag, _ in tagged), dtype=bool, count=n)
         costs = _np.fromiter((p.cost for _, p in tagged), dtype=_np.float64, count=n)
         updates = [payload for tag, payload in tagged if tag]
-        # Queries share footprint sets, so each distinct set is sorted once.
-        sorted_ids: Dict[FrozenSet[int], List[int]] = {}
-        query_flat_ids: List[int] = []
-        query_sizes: List[int] = []
-        for tag, payload in tagged:
-            if not tag:
-                ids = sorted_ids.get(payload.object_ids)
-                if ids is None:
-                    ids = sorted_ids[payload.object_ids] = sorted(payload.object_ids)
-                query_flat_ids += ids
-                query_sizes.append(len(ids))
+        # Each footprint object is numbered (by the query that first holds
+        # it) and sorted once; the query CSR is gathered from those rows.
+        sets = [payload.object_ids for tag, payload in tagged if not tag]
+        first: Dict[int, int] = {}
+        holders = _np.fromiter(map(first.setdefault, map(id, sets), count()), _np.int64, len(sets))
+        number = _np.empty(len(sets), dtype=_np.int64)
+        number[list(first.values())] = _np.arange(len(first))
+        query_footprints = number[holders]
+        footprints = [sets[holder] for holder in first.values()]
+        rows = [sorted(footprint) for footprint in footprints]
+        row_sizes = _np.fromiter(map(len, rows), _np.int64, len(rows))
+        row_offsets = _np.concatenate(([0], _np.cumsum(row_sizes)))
+        query_sizes = row_sizes[query_footprints]
+        query_offsets = _np.concatenate(([0], _np.cumsum(query_sizes)))
+        gather = _np.arange(query_offsets[-1]) + _np.repeat(
+            row_offsets[query_footprints] - query_offsets[:-1], query_sizes
+        )
         update_prefix = _np.zeros(n + 1, dtype=_np.int64)
         _np.cumsum(is_update, dtype=_np.int64, out=update_prefix[1:])
-        query_offsets = _np.zeros(len(query_sizes) + 1, dtype=_np.int64)
-        _np.cumsum(query_sizes, out=query_offsets[1:])
         query_mask = ~is_update
         return cls(
             timestamps=timestamps,
@@ -140,8 +157,10 @@ class TraceColumns:
             update_costs=costs[is_update],
             query_costs=costs[query_mask],
             query_timestamps=timestamps[query_mask],
-            query_object_ids=_np.asarray(query_flat_ids, dtype=_np.int64),
+            query_object_ids=_np.fromiter(chain.from_iterable(rows), _np.int64)[gather],
             query_object_offsets=query_offsets,
+            query_footprints=query_footprints,
+            footprints=footprints,
         )
 
     # ------------------------------------------------------------------
@@ -193,4 +212,17 @@ class TraceColumns:
             query_object_ids=self.query_object_ids[flat_start:flat_stop],
             query_object_offsets=self.query_object_offsets[query_start : query_stop + 1]
             - flat_start,
+            query_footprints=self.query_footprints[query_start:query_stop],
+            footprints=self.footprints,
         )
+
+    def per_query(self, function: Callable[[FrozenSet[int]], float]) -> "_np.ndarray":
+        """``function(query.object_ids)`` for every query, as ``float64``.
+
+        Evaluated once per footprint the window's queries hold (a window
+        skips the rest of its parent's table), then gathered per query.
+        """
+        used = _np.flatnonzero(_np.bincount(self.query_footprints, minlength=len(self.footprints)))
+        values = _np.zeros(len(self.footprints))
+        values[used] = [function(self.footprints[index]) for index in used.tolist()]
+        return values[self.query_footprints]

@@ -11,9 +11,10 @@ so a template here is a small recipe for drawing those two quantities:
   (selectivity), and
 * an illustrative SQL skeleton for examples and documentation.
 
-Which template a query uses is one inverse-cdf draw against the mix's
-weights (:mod:`repro.workload.draws`); a mix with a negative, NaN or all-zero
-weight is rejected when its cdf is built.
+The query draft loop of :mod:`repro.workload.sdss` makes every draw: which
+template a query uses is one inverse-cdf draw against the mix's
+:func:`template_cdf` (:func:`repro.workload.draws.weighted_index`); a mix
+with a negative, NaN or all-zero weight is rejected when its cdf is built.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.repository.queries import QueryTemplate
-from repro.workload.draws import weight_cdf, weighted_index
+from repro.workload.draws import weight_cdf
 
 
 @dataclass(frozen=True)
@@ -57,15 +58,6 @@ class TemplateShape:
     max_selectivity: float
     weight: float
     sql_skeleton: str
-
-    def draw_footprint_size(self, rng: np.random.Generator) -> int:
-        """Number of objects the query touches."""
-        return int(rng.integers(self.min_objects, self.max_objects + 1))
-
-    def draw_selectivity(self, rng: np.random.Generator) -> float:
-        """Fraction of the touched data returned as the result."""
-        value = float(rng.lognormal(self.selectivity_log_mean, self.selectivity_log_sigma))
-        return min(value, self.max_selectivity)
 
 
 #: The default template mix, loosely calibrated to the SkyServer traffic
@@ -150,18 +142,6 @@ def normalized_weights(templates: Sequence[TemplateShape]) -> np.ndarray:
 def template_cdf(templates: Sequence[TemplateShape]) -> Tuple[float, ...]:
     """The cdf of the mix (validated and memoised per weight vector)."""
     return weight_cdf(tuple(template.weight for template in templates))
-
-
-def choose_template(
-    templates: Sequence[TemplateShape], rng: np.random.Generator
-) -> TemplateShape:
-    """Draw one template according to the (normalised) weights.
-
-    One ``rng.random()`` per call; a generator drawing many templates from
-    one mix hoists :func:`template_cdf` and calls
-    :func:`repro.workload.draws.weighted_index` itself.
-    """
-    return templates[weighted_index(template_cdf(templates), rng)]
 
 
 def template_mix_summary(templates: Sequence[TemplateShape]) -> Dict[str, float]:

@@ -144,15 +144,12 @@ class TraceStream(abc.ABC):
         for event in self.iter_events():
             yield tag_event(event)
 
-    def iter_chunks(self, size: int = 8192) -> Iterator[List[TraceEvent]]:
-        """Events grouped into lists of at most ``size`` (batch consumers)."""
+    def iter_chunks(self, size: int = 8192) -> Iterator[List[TaggedEvent]]:
+        """``(is_update, payload)`` pairs in lists of at most ``size`` (batch consumers)."""
         if size <= 0:
             raise ValueError("chunk size must be positive")
-        events = self.iter_events()
-        while True:
-            chunk = list(islice(events, size))
-            if not chunk:
-                return
+        tagged = self.iter_tagged()
+        while chunk := list(islice(tagged, size)):
             yield chunk
 
     def queries(self) -> Iterable[Query]:

@@ -34,6 +34,7 @@ from repro.repository.objects import DataObject, ObjectCatalog
 from repro.repository.queries import Query
 from repro.repository.server import Repository
 from repro.repository.updates import Update
+from repro.workload.trace import QueryEvent, Trace, UpdateEvent
 
 
 @pytest.fixture
@@ -94,3 +95,30 @@ def make_query(
 def make_update(update_id: int, object_id: int, cost: float, timestamp: float) -> Update:
     """Convenience update constructor used across test modules."""
     return Update(update_id=update_id, object_id=object_id, cost=cost, timestamp=timestamp)
+
+
+#: Sizes under which the share total of {1, 9, 17} depends on iteration order.
+EQUAL_FOOTPRINT_SIZES = {1: 1e16, 9: 1.0, 17: 1.0}
+
+
+def equal_footprints_trace():
+    """Two equal footprints built in opposite insertion orders, each held twice.
+
+    ``frozenset([1, 9, 17])`` iterates 1, 9, 17 and ``frozenset([17, 9, 1])``
+    iterates 17, 9, 1.  Under :data:`EQUAL_FOOTPRINT_SIZES` a plain float
+    ``sum`` of their sizes is ``1e16`` one way and ``1e16 + 2`` the other
+    (on CPython < 3.12, whose ``sum`` does not compensate), so a share-total
+    memo keyed by *value* gives the second pair of queries the wrong shares.
+    """
+    forward = make_query(0, object_ids=[1, 9, 17], cost=7e16, timestamp=1.0)
+    backward = make_query(2, object_ids=[17, 9, 1], cost=7e16, timestamp=3.0)
+    assert list(forward.object_ids) != list(backward.object_ids)
+    return Trace(
+        [
+            QueryEvent(forward),
+            UpdateEvent(make_update(1, object_id=9, cost=0.25, timestamp=2.0)),
+            QueryEvent(backward),
+            QueryEvent(make_query(3, object_ids=forward.object_ids, cost=1e16, timestamp=4.0)),
+            QueryEvent(make_query(4, object_ids=backward.object_ids, cost=1e16, timestamp=5.0)),
+        ]
+    )

@@ -39,7 +39,12 @@ from repro.topology import TopologySpec
 from repro.workload.columns import COLUMNS_AVAILABLE, TraceColumns
 from repro.workload.partition import TracePartitioner
 from repro.workload.trace import QueryEvent, Trace, UpdateEvent
-from tests.conftest import make_query, make_update
+from tests.conftest import (
+    EQUAL_FOOTPRINT_SIZES,
+    equal_footprints_trace,
+    make_query,
+    make_update,
+)
 from tests.strategies import build_trace, event_stream
 
 numpy = pytest.importorskip("numpy")
@@ -133,9 +138,42 @@ class TestTraceColumns:
         trace = mixed_trace(60)
         window = trace.columns().window(13, 47)
         sliced = Trace(list(trace.iter_events())[13:47]).columns()
-        for name in TraceColumns.__slots__:
+        for name in set(TraceColumns.__slots__) - {"footprints", "query_footprints"}:
             numpy.testing.assert_array_equal(
                 getattr(window, name), getattr(sliced, name), err_msg=name
+            )
+        # A window keeps its parent's footprint table: compare the objects
+        # each query holds, not their indices.
+        assert window.footprints is trace.columns().footprints
+        held = [window.footprints[index] for index in window.query_footprints.tolist()]
+        expected = [sliced.footprints[index] for index in sliced.query_footprints.tolist()]
+        assert len(held) == len(expected) == window.query_count
+        assert all(ours is theirs for ours, theirs in zip(held, expected, strict=True))
+
+    def test_footprint_table_holds_each_object_once_and_totals_are_exact(self):
+        trace = equal_footprints_trace()
+        queries = trace.queries()
+        columns = trace.columns()
+        # Each distinct object once, in first-seen order (equal values twice).
+        assert [id(footprint) for footprint in columns.footprints] == list(
+            dict.fromkeys(id(query.object_ids) for query in queries)
+        )
+        assert len(columns.footprints) == 2
+        for query, index in zip(queries, columns.query_footprints.tolist(), strict=True):
+            assert columns.footprints[index] is query.object_ids
+        # The batched Benefit totals: one share_total per query, bit for bit.
+        catalog = ObjectCatalog.from_sizes(EQUAL_FOOTPRINT_SIZES)
+        repository = Repository(catalog, keep_update_log=False)
+        link = NetworkLink()
+        policy = BenefitPolicy(repository, 2.0, link, BenefitConfig(window_size=2))
+        (site,) = select_batched_executor([policy], trace, repository, [link])._sites
+        assert [repr(total) for total in site.totals.tolist()] == [
+            repr(policy.share_total(query.object_ids)) for query in queries
+        ]
+        for fraction in (0.0, 1.0):
+            assert_same_replay(
+                run_once(catalog, trace, benefit_at(fraction, 2), sample_every=2),
+                run_once(catalog, trace, benefit_at(fraction, 2), scalar=True, sample_every=2),
             )
 
     def test_window_of_view(self):

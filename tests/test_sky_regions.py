@@ -58,15 +58,6 @@ class TestCircularRegion:
         assert region.contains(SkyPoint(ra=42.0, dec=11.0))
         assert not region.contains(SkyPoint(ra=60.0, dec=10.0))
 
-    def test_sampled_points_fall_inside(self, rng):
-        region = CircularRegion(center=SkyPoint(ra=200.0, dec=-30.0), radius=8.0)
-        for point in region.sample_points(200, rng):
-            assert region.contains(point)
-
-    def test_sample_zero_points(self, rng):
-        region = CircularRegion(center=SkyPoint(ra=0.0, dec=0.0), radius=1.0)
-        assert region.sample_points(0, rng) == []
-
 
 class TestGreatCircleScan:
     def test_points_lie_on_great_circle(self):

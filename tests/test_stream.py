@@ -79,7 +79,7 @@ class TestStreamContract:
         _, stream = build_scenario_stream(small_config("diurnal"))
         chunks = list(stream.iter_chunks(64))
         assert all(len(chunk) == 64 for chunk in chunks[:-1])
-        assert [e for chunk in chunks for e in chunk] == list(stream)
+        assert [e for chunk in chunks for e in chunk] == list(stream.iter_tagged())
         with pytest.raises(ValueError):
             next(stream.iter_chunks(0))
 

@@ -13,13 +13,12 @@ from repro.experiments.config import (
     build_scenario,
     build_scenario_stream,
 )
-from repro.repository.queries import QueryTemplate
 from repro.workload.draws import uniform_pick, weight_cdf, weighted_index, zipf_cdf
 from repro.workload.sdss import SDSSQueryGenerator, SDSSWorkloadConfig
 from repro.workload.templates import (
     DEFAULT_TEMPLATES,
-    choose_template,
     normalized_weights,
+    template_cdf,
     template_mix_summary,
 )
 from repro.workload.updates import SurveyUpdateGenerator, UpdateWorkloadConfig
@@ -35,29 +34,18 @@ class TestTemplates:
         weights = normalized_weights(DEFAULT_TEMPLATES)
         assert weights.sum() == pytest.approx(1.0)
 
-    def test_choose_template_respects_universe(self, rng):
-        names = {choose_template(DEFAULT_TEMPLATES, rng).name for _ in range(200)}
-        assert names <= set(QueryTemplate.ALL)
-
-    def test_footprint_and_selectivity_draws_in_range(self, rng):
-        for template in DEFAULT_TEMPLATES:
-            for _ in range(50):
-                size = template.draw_footprint_size(rng)
-                assert template.min_objects <= size <= template.max_objects
-                assert 0.0 < template.draw_selectivity(rng) <= template.max_selectivity
-
     def test_mix_summary_keys(self):
         summary = template_mix_summary(DEFAULT_TEMPLATES)
         assert set(summary) == {template.name for template in DEFAULT_TEMPLATES}
         assert sum(summary.values()) == pytest.approx(1.0)
 
 
-    def test_negative_template_weight_rejected(self, rng):
+    def test_negative_template_weight_rejected(self):
         """What ``Generator.choice(p=...)`` refused per call, the cdf refuses once."""
         bad = replace(DEFAULT_TEMPLATES[1], weight=-1.0)
         # The mix still sums to a positive value: only the cdf check catches it.
         with pytest.raises(ValueError, match="non-negative"):
-            choose_template(DEFAULT_TEMPLATES + (bad,), rng)
+            template_cdf(DEFAULT_TEMPLATES + (bad,))
         with pytest.raises(ValueError, match="positive"):
             normalized_weights((bad,))
 
@@ -89,13 +77,12 @@ class TestDraws:
         assert reference.random() == ours.random()
 
     def test_template_mix_matches_choice(self):
+        """The draft loop's template draw, ``weighted_index(template_cdf(...))``."""
         weights = normalized_weights(DEFAULT_TEMPLATES)
+        cdf = template_cdf(DEFAULT_TEMPLATES)
         reference, ours = np.random.default_rng(3), np.random.default_rng(3)
-        expected = [
-            DEFAULT_TEMPLATES[int(reference.choice(len(DEFAULT_TEMPLATES), p=weights))]
-            for _ in range(10_000)
-        ]
-        assert expected == [choose_template(DEFAULT_TEMPLATES, ours) for _ in range(10_000)]
+        expected = [int(reference.choice(len(DEFAULT_TEMPLATES), p=weights)) for _ in range(10_000)]
+        assert expected == [weighted_index(cdf, ours) for _ in range(10_000)]
         assert reference.random() == ours.random()
 
     @pytest.mark.parametrize(
