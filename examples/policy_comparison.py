@@ -18,7 +18,7 @@ import csv
 from pathlib import Path
 
 from repro import api
-from repro.experiments.fig7b import POLICY_ORDER
+from repro.sim.runner import DEFAULT_POLICIES
 
 
 def parse_args() -> argparse.Namespace:
@@ -61,8 +61,9 @@ def main() -> None:
         with args.csv.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["policy", "event_index", "cumulative_traffic_mb"])
-            for policy in POLICY_ORDER:
-                for event_index, traffic in result.series(policy):
+            comparison = result.comparisons[0]
+            for policy in DEFAULT_POLICIES:
+                for event_index, traffic in comparison[policy].time_series.as_rows():
                     writer.writerow([policy, event_index, f"{traffic:.3f}"])
         print(f"\ncumulative series written to {args.csv}")
 

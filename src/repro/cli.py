@@ -96,14 +96,6 @@ from repro.workload.ingest import IngestError
 from repro.workload.partition import PARTITION_STRATEGIES
 from repro.workload.trace import Trace
 
-#: Ratio keys printed under a comparison table, in display order.
-SUMMARY_RATIOS = (
-    "nocache_over_vcover",
-    "replica_over_vcover",
-    "benefit_over_vcover",
-    "vcover_over_soptimal",
-)
-
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     """Arguments shared by every subcommand that builds a scenario."""
@@ -174,10 +166,8 @@ def _parse_overrides(assignments: Sequence[str]) -> Dict[str, object]:
 def _print_comparison(comparison: ComparisonResult) -> None:
     """Comparison table plus the headline ratios, as `compare` prints them."""
     print(comparison.as_table())
-    summary = comparison.summary()
-    for key in SUMMARY_RATIOS:
-        if key in summary:
-            print(f"{key:>24}: {summary[key]:.2f}")
+    for key, ratio in comparison.headline_ratios().items():
+        print(f"{key:>24}: {ratio:.2f}")
 
 
 # ----------------------------------------------------------------------

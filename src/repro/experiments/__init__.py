@@ -1,35 +1,31 @@
 """Experiment harness: one registered experiment per table/figure of the paper.
 
-Every experiment module declares itself to the registry in
-:mod:`repro.experiments.registry` via :func:`register_experiment`: a default
-:class:`~repro.experiments.config.ExperimentConfig`, experiment-specific
-knobs, a grid builder producing sweep points and scenario sources, and a
-summarise hook.  One shared driver executes them all; each module also keeps
-its ``run(...)`` function (a thin wrapper over the driver) plus a
-``format_*`` helper producing the rows the paper reports.
+The paper's evaluation -- Figure 7(b), Figure 8(a), Figure 8(b), the
+Section 6 headline claims and the Section 6.1 cache-size choice -- is one
+table of rows in :mod:`repro.experiments.figures`.  The experiments that are
+not a one-axis sweep (``fig7a``, ``warmup``, ``ablations``, ``multisite``,
+the scenario models, ``fuzzed``, ``adaptive_vs_static``) are modules that
+declare themselves with :func:`register_experiment`.  One driver
+(:mod:`repro.experiments.registry`) executes them all; the mapping from
+paper figure/table to experiment is documented in ``docs/experiments.md``.
 
-Importing this package imports every experiment module, which populates the
-registry -- :mod:`repro.api` relies on that.  The shared scenario layer lives
-in :mod:`repro.experiments.spec` (:class:`ScenarioSpec`) and
-:mod:`repro.experiments.config`; the mapping from paper figure/table to
-module is documented in ``docs/experiments.md``.
+Importing this package registers every experiment (:mod:`repro.api` relies
+on it).  Registration order is the order ``repro experiment list`` prints,
+so each figure row registers at its name's alphabetical place among the
+modules.
 """
 
 from repro.experiments import registry
-from repro.experiments import (
-    ablations,
-    adaptive,
-    cache_size,
-    fig7a,
-    fig7b,
-    fig8a,
-    fig8b,
-    fuzzed,
-    headline,
-    multisite,
-    scenarios,
-    warmup,
-)
+from repro.experiments import ablations, adaptive, figures
+
+figures.register("cache_size")
+from repro.experiments import fig7a
+
+figures.register("fig7b", "fig8a", "fig8b")
+from repro.experiments import fuzzed
+
+figures.register("headline")
+from repro.experiments import multisite, scenarios, warmup
 from repro.experiments.config import (
     ExperimentConfig,
     Scenario,
@@ -58,13 +54,10 @@ __all__ = [
     "register_experiment",
     "registry",
     "ablations",
-    "cache_size",
+    "adaptive",
     "fig7a",
-    "fig7b",
-    "fig8a",
-    "fig8b",
+    "figures",
     "fuzzed",
-    "headline",
     "multisite",
     "scenarios",
     "warmup",

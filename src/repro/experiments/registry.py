@@ -13,10 +13,10 @@ byte-identical to serial), summarise.
 Modules register themselves with the :func:`register_experiment` decorator::
 
     @register_experiment(
-        name="headline",
-        title="Headline claims",
-        paper_ref="Section 6 text",
-        knobs={"small_cache_fraction": 0.2},
+        name="fig7a",
+        title="Workload characterisation",
+        paper_ref="Figure 7(a)",
+        knobs={"top": 6, "segments": 8},
         summarise=_summarise,
         format_result=format_report,
     )

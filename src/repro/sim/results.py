@@ -15,6 +15,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.sim.metrics import CacheOccupancySeries, TrafficTimeSeries
 
+#: The traffic ratios the paper quotes, as ``(numerator, denominator)``
+#: policies in display order (``nocache_over_vcover`` is NoCache / VCover).
+SUMMARY_RATIOS = (
+    ("nocache", "vcover"),
+    ("replica", "vcover"),
+    ("benefit", "vcover"),
+    ("vcover", "soptimal"),
+)
+
 
 @dataclass
 class RunResult:
@@ -137,17 +146,18 @@ class ComparisonResult:
             )
         return "\n".join(lines)
 
+    def headline_ratios(self, measured_only: bool = True) -> Dict[str, float]:
+        """The :data:`SUMMARY_RATIOS` both of whose policies ran, in display order."""
+        return {
+            f"{numerator}_over_{denominator}": self.ratio(numerator, denominator, measured_only)
+            for numerator, denominator in SUMMARY_RATIOS
+            if numerator in self.runs and denominator in self.runs
+        }
+
     def summary(self, measured_only: bool = True) -> Dict[str, float]:
         """Flat mapping of policy name to traffic (plus headline ratios)."""
         data = {
             f"traffic_{name}": self.traffic_of(name, measured_only) for name in self.runs
         }
-        if "nocache" in self.runs and "vcover" in self.runs:
-            data["nocache_over_vcover"] = self.ratio("nocache", "vcover", measured_only)
-        if "benefit" in self.runs and "vcover" in self.runs:
-            data["benefit_over_vcover"] = self.ratio("benefit", "vcover", measured_only)
-        if "replica" in self.runs and "vcover" in self.runs:
-            data["replica_over_vcover"] = self.ratio("replica", "vcover", measured_only)
-        if "soptimal" in self.runs and "vcover" in self.runs:
-            data["vcover_over_soptimal"] = self.ratio("vcover", "soptimal", measured_only)
+        data.update(self.headline_ratios(measured_only))
         return data

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro import api
-from repro.experiments import cache_size, headline
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import (
     DuplicateExperimentError,
@@ -91,8 +90,8 @@ class TestOverrides:
             overrides={**TINY, "fractions": (0.2, 0.5),
                        "policies": ("nocache", "vcover")},
         )
-        assert result.fractions == [0.2, 0.5]
-        assert set(result.traffic) == {"nocache", "vcover"}
+        assert result.axis == (0.2, 0.5)
+        assert result.comparisons[0].policy_names() == ["nocache", "vcover"]
 
     def test_unknown_override_rejected_with_candidates(self):
         with pytest.raises(UnknownOverrideError, match="fractions"):
@@ -151,28 +150,7 @@ class TestOverrides:
 
 
 class TestLegacyEquivalence:
-    """``repro.api.run_experiment`` must match the legacy module ``run()``."""
-
-    def test_headline_matches_module_run(self):
-        config = ExperimentConfig(**TINY)
-        legacy = headline.run(config, cache_fraction=0.25, jobs=1)
-        via_api = api.run_experiment(
-            "headline", overrides={**TINY, "small_cache_fraction": 0.25}, jobs=1
-        )
-        assert via_api.summary() == legacy.summary()
-
-    def test_cache_size_matches_module_run(self):
-        config = ExperimentConfig(**TINY)
-        legacy = cache_size.run(
-            config, fractions=(0.2, 0.4), policies=("nocache", "vcover"), jobs=1
-        )
-        via_api = api.run_experiment(
-            "cache_size",
-            overrides={**TINY, "fractions": (0.2, 0.4),
-                       "policies": ("nocache", "vcover")},
-        )
-        assert via_api.fractions == legacy.fractions
-        assert via_api.traffic == legacy.traffic
+    """``repro.api.run_experiment`` must match the per-part module functions."""
 
     def test_ablations_match_individual_functions(self):
         from repro.experiments import ablations
@@ -195,7 +173,11 @@ class TestLegacyEquivalence:
         parallel = api.run_experiment(
             "headline", overrides={**TINY, "small_cache_fraction": 0.25}, jobs=2
         )
-        assert serial.summary() == parallel.summary()
+        claims = serial.figure.claims
+        assert [c.measure(serial) for c in claims] == [c.measure(parallel) for c in claims]
+        assert [c.summary() for c in serial.comparisons] == [
+            c.summary() for c in parallel.comparisons
+        ]
 
 
 class TestFacade:

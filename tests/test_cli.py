@@ -172,7 +172,7 @@ class TestExperimentSubcommand:
             "--jobs", "2",
         ])
         assert code == 0
-        assert "Cache-size sweep" in capsys.readouterr().out
+        assert "Cache-size sensitivity sweep" in capsys.readouterr().out
 
     def test_unknown_experiment_exits_2(self, capsys):
         assert main(["experiment", "run", "does-not-exist"]) == 2

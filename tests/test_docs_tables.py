@@ -12,6 +12,7 @@ tables print.
 
 from __future__ import annotations
 
+import json
 import pickle
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import pytest
 from repro import cli
 from repro.cache.base import registry as eviction_registry
 from repro.core.adaptive import ADAPTIVE_CANDIDATES
+from repro.experiments.figures import FIGURES
 from repro.network.link import NetworkLink
 from repro.repository.catalog import sdss_catalog
 from repro.repository.server import Repository
@@ -64,6 +66,23 @@ def eviction_table() -> str:
     return "\n".join(lines)
 
 
+def claims_table() -> str:
+    """Every claim of every figure row: paper band, source and tier-1 gate."""
+    lines = [
+        "| Figure | Claim | Paper | Source | Tier-1 gate |",
+        "|---|---|---|---|---|",
+    ]
+    for row in FIGURES.values():
+        scale = " ".join(f"`{key}={json.dumps(value)}`" for key, value in row.tier1.items())
+        for claim in row.claims:
+            lines.append(
+                f"| {row.paper_ref} (`{row.name}`) | {claim.label} "
+                f"| {claim.paper.describe(claim.fmt)} | {claim.source} "
+                f"| {claim.gate.describe(claim.fmt)} at {scale} |"
+            )
+    return "\n".join(lines)
+
+
 def _assert_block(page: str, marker: str, expected: str) -> None:
     """The text between ``<!-- marker -->`` and ``<!-- /marker -->`` is ``expected``."""
     text = (DOCS / page).read_text(encoding="utf-8")
@@ -84,6 +103,9 @@ class TestDocsTables:
             "docs/experiments.md: the experiment table is stale; replace it with:\n\n"
             + "\n".join(expected)
         )
+
+    def test_claims_table_matches_the_figure_rows(self):
+        _assert_block("experiments.md", "generated: figure claims", claims_table())
 
     def test_policy_table_matches_the_roster(self):
         _assert_block("policies.md", "generated: policy roster", policy_table())

@@ -2,7 +2,8 @@
 
 The assertions here check the *shape* of each experiment's output -- the
 orderings and monotonicities the paper reports -- on configurations small
-enough to run in seconds.  The full-size regenerations live in
+enough to run in seconds.  The figure claims are gated at their own scale in
+``tests/test_figure_claims.py``; the other full-size runs live in
 ``benchmarks/``.
 """
 
@@ -10,20 +11,24 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ablations, cache_size, fig7a, fig7b, fig8a, fig8b, headline, warmup
+from repro import api
+from repro.experiments import ablations, fig7a, warmup
 from repro.experiments.config import ExperimentConfig, build_catalog, build_scenario
+from repro.sim.runner import DEFAULT_POLICIES
+
+#: A scaled-down scenario that keeps every experiment fast.
+SMALL = {
+    "object_count": 30,
+    "query_count": 1500,
+    "update_count": 1500,
+    "sample_every": 300,
+    "benefit_window": 500,
+}
 
 
 @pytest.fixture(scope="module")
 def small_config() -> ExperimentConfig:
-    """A scaled-down scenario that keeps every experiment fast."""
-    return ExperimentConfig(
-        object_count=30,
-        query_count=1500,
-        update_count=1500,
-        sample_every=300,
-        benefit_window=500,
-    )
+    return ExperimentConfig(**SMALL)
 
 
 @pytest.fixture(scope="module")
@@ -88,36 +93,39 @@ class TestFig7aWorkload:
 
 class TestFig7bCumulativeTraffic:
     @pytest.fixture(scope="class")
-    def result(self, small_config):
-        return fig7b.run(small_config)
+    def result(self):
+        return api.run_experiment("fig7b", overrides=SMALL)
 
     def test_all_policies_present(self, result):
-        assert set(result.final_costs()) == set(fig7b.POLICY_ORDER)
+        assert result.comparisons[0].policy_names() == list(DEFAULT_POLICIES)
 
     def test_vcover_beats_nocache_and_replica(self, result):
-        costs = result.final_costs()
-        assert costs["vcover"] < costs["nocache"]
-        assert costs["vcover"] < costs["replica"]
+        costs = result.comparisons[0]
+        assert costs.traffic_of("vcover") < costs.traffic_of("nocache")
+        assert costs.traffic_of("vcover") < costs.traffic_of("replica")
 
     def test_soptimal_is_best(self, result):
-        costs = result.final_costs()
-        assert costs["soptimal"] <= min(costs["vcover"], costs["benefit"]) + 1e-6
+        costs = result.comparisons[0]
+        best_algorithm = min(costs.traffic_of("vcover"), costs.traffic_of("benefit"))
+        assert costs.traffic_of("soptimal") <= best_algorithm + 1e-6
 
     def test_cumulative_series_are_monotone(self, result):
-        for policy in fig7b.POLICY_ORDER:
-            series = [value for _, value in result.series(policy)]
+        for policy in DEFAULT_POLICIES:
+            series = [value for _, value in result.comparisons[0][policy].time_series.as_rows()]
             assert all(a <= b + 1e-9 for a, b in zip(series, series[1:], strict=False))
 
     def test_format_table_mentions_ratios(self, result):
-        text = fig7b.format_table(result)
+        text = api.format_result("fig7b", result)
         assert "nocache_over_vcover" in text
 
 
 class TestFig8aUpdateSweep:
     @pytest.fixture(scope="class")
-    def result(self, small_config):
-        return fig8a.run(small_config, multipliers=(0.5, 1.0, 1.5),
-                         policies=("nocache", "replica", "vcover"))
+    def result(self):
+        return api.run_experiment("fig8a", overrides={
+            **SMALL, "multipliers": (0.5, 1.0, 1.5),
+            "policies": ("nocache", "replica", "vcover"),
+        })
 
     def test_nocache_flat_replica_linear(self, result):
         assert result.growth("nocache") == pytest.approx(1.0, rel=0.05)
@@ -127,47 +135,56 @@ class TestFig8aUpdateSweep:
         assert result.growth("vcover") < result.growth("replica")
 
     def test_table_has_one_row_per_policy(self, result):
-        text = fig8a.format_table(result)
+        text = api.format_result("fig8a", result)
         assert "nocache" in text and "replica" in text and "vcover" in text
+        # Columns are the swept update counts.
+        assert result.headers == ("750", "1500", "2250")
 
 
 class TestFig8bGranularity:
-    def test_granularity_sweep_shape(self, small_config):
-        result = fig8b.run(small_config, object_counts=(10, 30, 91))
-        assert set(result.object_counts) == {10, 30, 91}
-        assert all(value > 0 for value in result.traffic.values())
-        assert result.best_level() in {10, 30, 91}
-        assert "objects" in fig8b.format_table(result)
+    @pytest.fixture(scope="class")
+    def result(self):
+        return api.run_experiment("fig8b", overrides={**SMALL, "object_counts": (10, 30, 91)})
 
-    def test_intermediate_granularity_not_worst(self, small_config):
+    def test_granularity_sweep_shape(self, result):
+        assert result.axis == (10, 30, 91)
+        series = result.series("vcover")
+        assert all(value > 0 for value in series)
+        assert result.axis[series.index(min(series))] in {10, 30, 91}
+        assert "objects" in api.format_result("fig8b", result)
+
+    def test_intermediate_granularity_not_worst(self, result):
         """The coarsest partitioning should not be the best one (Fig 8b shape)."""
-        result = fig8b.run(small_config, object_counts=(10, 30, 91))
-        assert result.traffic[30] <= result.traffic[10] * 1.25
+        assert result.at(30).traffic_of("vcover") <= result.at(10).traffic_of("vcover") * 1.25
 
 
 class TestHeadline:
-    def test_headline_claims_direction(self, small_config):
-        result = headline.run(small_config, cache_fraction=0.2)
-        assert result.traffic_reduction_vs_nocache > 0.15
-        assert result.vcover_over_soptimal >= 1.0
-        assert "traffic reduction" in headline.format_report(result)
-        summary = result.summary()
-        assert "benefit_over_vcover" in summary
+    def test_headline_claims_direction(self):
+        result = api.run_experiment("headline", overrides={**SMALL, "small_cache_fraction": 0.2})
+        small, default = result.comparisons
+        assert 1 - small.ratio("vcover", "nocache") > 0.15
+        assert default.ratio("vcover", "soptimal") >= 1.0
+        assert "traffic reduction" in api.format_result("headline", result)
+        assert "benefit_over_vcover" in default.headline_ratios()
 
 
 class TestCacheSizeSweep:
-    def test_bigger_cache_never_hurts_much(self, small_config):
-        result = cache_size.run(
-            small_config, fractions=(0.1, 0.3, 1.0), policies=("nocache", "vcover")
-        )
-        vcover = result.traffic["vcover"]
+    def test_bigger_cache_never_hurts_much(self):
+        result = api.run_experiment("cache_size", overrides={
+            **SMALL, "fractions": (0.1, 0.3, 1.0), "policies": ("nocache", "vcover"),
+        })
+        vcover = result.series("vcover")
         assert vcover[-1] <= vcover[0] * 1.1
-        assert result.traffic["nocache"][0] == pytest.approx(result.traffic["nocache"][-1])
-        assert "vcover" in cache_size.format_table(result)
+        nocache = result.series("nocache")
+        assert nocache[0] == pytest.approx(nocache[-1])
+        assert "vcover" in api.format_result("cache_size", result)
 
-    def test_marginal_gain_length(self, small_config):
-        result = cache_size.run(small_config, fractions=(0.1, 0.3), policies=("vcover",))
-        assert len(result.marginal_gain("vcover")) == 1
+    def test_marginal_gain_length(self):
+        result = api.run_experiment("cache_size", overrides={
+            **SMALL, "fractions": (0.1, 0.3), "policies": ("vcover",),
+        })
+        assert result.headers == ("10%", "30%")
+        assert len(result.series("vcover")) == 2
 
 
 class TestWarmup:

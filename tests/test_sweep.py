@@ -14,7 +14,8 @@ import pytest
 
 from repro.core.benefit import BenefitConfig
 from repro.core.vcover import VCoverConfig
-from repro.experiments import ablations, cache_size, fig8a
+from repro import api
+from repro.experiments import ablations
 from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.experiments.spec import ScenarioSpec
 from repro.network.link import NetworkLink
@@ -36,11 +37,13 @@ from repro.sim.sweep import (
 )
 
 
+#: The small scenario's knobs, as flat experiment overrides.
+SMALL = {"object_count": 12, "query_count": 300, "update_count": 300, "sample_every": 100}
+
+
 @pytest.fixture(scope="module")
 def small_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        object_count=12, query_count=300, update_count=300, sample_every=100
-    )
+    return ExperimentConfig(**SMALL)
 
 
 @pytest.fixture(scope="module")
@@ -210,17 +213,20 @@ class TestRunnerValidation:
 
 
 class TestExperimentsOnSweep:
-    def test_cache_size_sweep_parallel_matches_serial(self, small_config):
-        kwargs = dict(fractions=(0.2, 0.5), policies=("nocache", "vcover"))
-        serial = cache_size.run(small_config, jobs=1, **kwargs)
-        parallel = cache_size.run(small_config, jobs=2, **kwargs)
-        assert serial.traffic == parallel.traffic
+    def test_cache_size_sweep_parallel_matches_serial(self):
+        overrides = {**SMALL, "fractions": (0.2, 0.5), "policies": ("nocache", "vcover")}
+        serial = api.run_experiment("cache_size", overrides=overrides, jobs=1)
+        parallel = api.run_experiment("cache_size", overrides=overrides, jobs=2)
+        for policy in ("nocache", "vcover"):
+            assert serial.series(policy) == parallel.series(policy)
 
     def test_ablation_jobs_matches_serial(self, small_config, small_scenario):
         serial = ablations.run_loading_ablation(small_config, small_scenario, jobs=1)
         parallel = ablations.run_loading_ablation(small_config, small_scenario, jobs=2)
         assert serial.traffic == parallel.traffic
 
-    def test_fig8a_comparisons_carry_trace_description(self, small_config):
-        result = fig8a.run(small_config, multipliers=(1.0,), policies=("nocache",))
+    def test_fig8a_comparisons_carry_trace_description(self):
+        result = api.run_experiment(
+            "fig8a", overrides={**SMALL, "multipliers": (1.0,), "policies": ("nocache",)}
+        )
         assert result.comparisons[0].trace_description["events"] > 0
