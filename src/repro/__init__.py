@@ -22,8 +22,8 @@ The public API is organised as follows:
 * :mod:`repro.experiments` -- the declarative experiment registry, with one
   registered experiment per table/figure of the paper,
 * :mod:`repro.api` -- the stable facade: ``list_experiments`` /
-  ``run_experiment`` / ``load_scenario`` / ``run_scenario`` (what the CLI,
-  examples and benchmarks use).
+  ``run_experiment`` / ``load_scenario`` / ``run_scenario`` (what the CLI
+  and the examples use).
 
 Quickstart::
 

@@ -1,7 +1,7 @@
 """The stable public facade of the Delta reproduction.
 
-Everything the CLI, the examples and the benchmarks need is reachable from
-this one module; its functions are the supported entry points and their
+Everything the CLI and the examples need is reachable from this one
+module; its functions are the supported entry points and their
 signatures are kept stable:
 
 * :func:`list_experiments` / :func:`get_experiment` -- enumerate the
@@ -14,8 +14,6 @@ signatures are kept stable:
   from a JSON/TOML file) against any subset of policies,
 * :func:`format_result` -- render an experiment result the way its module's
   ``format_*`` helper does,
-* :func:`run_bench` / :func:`compare_bench` -- execute a timed benchmark
-  suite and diff two result payloads (the library face of ``repro bench``),
 * :func:`ingest_scenario` -- read a CSV/JSONL/parquet query log, fit the
   scenario knobs to it and return the replayable
   :class:`~repro.experiments.spec.ScenarioSpec` (the library face of
@@ -97,7 +95,6 @@ __all__ = [
     "ScenarioSpec",
     "UnknownExperimentError",
     "UnknownOverrideError",
-    "compare_bench",
     "draw_fuzzed_scenario",
     "experiment_specs",
     "format_result",
@@ -106,7 +103,6 @@ __all__ = [
     "list_experiments",
     "load_fuzzed_scenario",
     "load_scenario",
-    "run_bench",
     "run_experiment",
     "run_lint",
     "run_loadgen",
@@ -133,16 +129,6 @@ def load_fuzzed_scenario(path: Union[str, Path]) -> CompositionSpec:
 def list_experiments() -> List[str]:
     """Names of every registered experiment, in registration order."""
     return experiment_names()
-
-
-def run_bench(suite: str = "quick", jobs: int = 1) -> dict:
-    """Run a benchmark suite and return its schema-valid result payload.
-
-    See :mod:`repro.bench` for the payload layout and the available suites.
-    """
-    from repro.bench import run_suite
-
-    return run_suite(suite, jobs=jobs)
 
 
 def run_lint(
@@ -189,17 +175,6 @@ def run_loadgen(
         connect=connect,
         latency_model=LatencyModel() if with_latency_model else None,
     )
-
-
-def compare_bench(current: dict, baseline: dict, tolerance: float = 0.15):
-    """Compare two bench payloads; returns a ``ComparisonReport``.
-
-    ``report.ok`` is False when any (case, policy) timing regressed beyond
-    the relative ``tolerance``.
-    """
-    from repro.bench import compare_payloads
-
-    return compare_payloads(current, baseline, tolerance=tolerance)
 
 
 def format_result(name: str, result: object) -> str:

@@ -48,14 +48,6 @@ Classic workflows (all re-expressed over the facade):
     Replay the scenario against a fleet of ``--sites N`` caches sharing one
     repository, one multi-cache run per ``--policies`` entry.
 
-``bench``
-    Run a timed benchmark suite (``--suite quick|full``), write the
-    machine-readable result JSON (``--out``), and/or compare a result
-    against a baseline (``--compare BASELINE.json --tolerance 0.15``;
-    exit code 3 when a timing regressed beyond the tolerance). The
-    summary includes the per-case phase breakdown (trace compile, batch
-    dispatch, cover solve, metrics) when the payload carries one.
-
 ``lint``
     Run the repro static analyser over the tree (``repro lint src tests``):
     determinism rules (DET001-DET003), contract rules (PICK001, SLOT001)
@@ -348,58 +340,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Imported here so the (cheap) classic subcommands never pay for it.
-    from repro.bench import (
-        BenchSchemaError,
-        SUITES,
-        compare_payloads,
-        run_suite,
-    )
-    from repro.bench.runner import format_payload, load_payload, write_payload
-
-    if args.list:
-        for name, cases in SUITES.items():
-            print(f"{name}:")
-            for case in cases:
-                print(f"  {case.name:<20} {case.description}")
-        return 0
-
-    try:
-        if args.input is not None:
-            payload = load_payload(args.input)
-        else:
-
-            def progress(done: int, total: int, result) -> None:
-                print(
-                    f"[{done}/{total}] {result['name']}: "
-                    f"{result['wall_clock_s']:.2f}s",
-                    file=sys.stderr,
-                )
-
-            payload = run_suite(args.suite, jobs=args.jobs, progress=progress)
-    except (BenchSchemaError, KeyError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.out is not None:
-        write_payload(payload, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    print(format_payload(payload))
-
-    if args.compare is None:
-        return 0
-    try:
-        baseline = load_payload(args.compare)
-        report = compare_payloads(payload, baseline, tolerance=args.tolerance)
-    except (BenchSchemaError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print()
-    print(report.format())
-    return 0 if report.ok else 3
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     # Imported here so the classic subcommands never pay for rule loading.
     from repro.lint import LintInputError, all_rules, run_lint
@@ -496,7 +436,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     print(format_load_report(report))
     if args.out is not None:
         args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote bench payload to {args.out}")
+        print(f"wrote loadgen payload to {args.out}")
     return 0
 
 
@@ -690,32 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     topology.add_argument("--out", type=Path, default=None,
                           help="directory for one JSON artifact per fleet")
     topology.set_defaults(handler=_cmd_topology)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="run timed benchmark suites (with per-phase breakdowns) and "
-        "compare against baselines",
-    )
-    bench.add_argument("--suite", choices=("quick", "full", "stress"), default="quick",
-                       help="suite to run (default: quick)")
-    bench.add_argument("--jobs", type=_positive_jobs, default=1,
-                       help="worker processes, one case per worker; parallel "
-                            "runs contend for cores, so keep 1 for baselines "
-                            "(default: 1)")
-    bench.add_argument("--out", type=Path, default=None,
-                       help="write the result payload to this JSON file")
-    bench.add_argument("--input", type=Path, default=None,
-                       help="load an existing result payload instead of "
-                            "running the suite")
-    bench.add_argument("--compare", type=Path, default=None, metavar="BASELINE",
-                       help="compare the result against a baseline payload; "
-                            "exits 3 when a timing regressed")
-    bench.add_argument("--tolerance", type=float, default=0.15,
-                       help="relative slow-down allowed before --compare "
-                            "flags a regression (default: 0.15)")
-    bench.add_argument("--list", action="store_true",
-                       help="list the available suites and cases, then exit")
-    bench.set_defaults(handler=_cmd_bench)
 
     lint = subparsers.add_parser(
         "lint",

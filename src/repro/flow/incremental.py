@@ -97,7 +97,6 @@ from repro.flow.vertex_cover import (
     CoverResult,
     INFINITE_CAPACITY,
 )
-from repro.perf import PHASE_COVER_SOLVE, add_phase_time, phase_clock
 
 Vertex = Hashable
 
@@ -395,39 +394,35 @@ class IncrementalMaxFlow:
         Retired vertices that are not closed keep carrying flow, which is what
         keeps the warm start sound; they are left out of the report.
         """
-        start = phase_clock()
-        try:
-            source_arcs = self._open
-            solve_max_flow(
-                self._network,
-                SOURCE,
-                SINK,
-                source_arcs=source_arcs,
-                closed=self._closed,
-                sink_arcs=self._sink_arcs,
-            )
-            self._augmentations += 1
-            reached = self._network.extend_reachable(
-                [arc.head for arc in source_arcs if arc.capacity - arc.flow > EPSILON],
-                self._closed,
-            )
-            self._open = []
-            keys, sink_arcs = self._keys, self._sink_arcs
-            left_alive, retired_right = self._left_alive, self._retired_right
-            bundle_alive = self._bundle_alive
-            uncovered_left: List[Vertex] = []
-            covered_right: List[Vertex] = []
-            for vertex_id in reached:
-                if vertex_id in sink_arcs:
-                    if keys[vertex_id] not in retired_right:
-                        covered_right.append(keys[vertex_id])
-                elif vertex_id not in bundle_alive and keys[vertex_id] in left_alive:
-                    uncovered_left.append(keys[vertex_id])  # (a bundle is on neither side)
-            return CoverDelta(
-                uncovered_left=tuple(uncovered_left), covered_right=tuple(covered_right)
-            )
-        finally:
-            add_phase_time(PHASE_COVER_SOLVE, phase_clock() - start)
+        source_arcs = self._open
+        solve_max_flow(
+            self._network,
+            SOURCE,
+            SINK,
+            source_arcs=source_arcs,
+            closed=self._closed,
+            sink_arcs=self._sink_arcs,
+        )
+        self._augmentations += 1
+        reached = self._network.extend_reachable(
+            [arc.head for arc in source_arcs if arc.capacity - arc.flow > EPSILON],
+            self._closed,
+        )
+        self._open = []
+        keys, sink_arcs = self._keys, self._sink_arcs
+        left_alive, retired_right = self._left_alive, self._retired_right
+        bundle_alive = self._bundle_alive
+        uncovered_left: List[Vertex] = []
+        covered_right: List[Vertex] = []
+        for vertex_id in reached:
+            if vertex_id in sink_arcs:
+                if keys[vertex_id] not in retired_right:
+                    covered_right.append(keys[vertex_id])
+            elif vertex_id not in bundle_alive and keys[vertex_id] in left_alive:
+                uncovered_left.append(keys[vertex_id])  # (a bundle is on neither side)
+        return CoverDelta(
+            uncovered_left=tuple(uncovered_left), covered_right=tuple(covered_right)
+        )
 
     def _weight(self, vertex_id: Vertex) -> float:
         """A vertex's weight: the capacity of its sink arc, or else of its source arc."""

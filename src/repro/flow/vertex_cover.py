@@ -30,7 +30,6 @@ from typing import FrozenSet, Hashable, Iterable, Mapping, Set, Tuple
 
 from repro.flow.graph import EPSILON, FlowNetwork
 from repro.flow.maxflow import solve_max_flow
-from repro.perf import PHASE_COVER_SOLVE, add_phase_time, phase_clock
 
 Vertex = Hashable
 
@@ -179,14 +178,10 @@ def min_weight_vertex_cover(instance: BipartiteCoverInstance) -> CoverResult:
         The optimal cover; isolated vertices (no incident edges) are never
         selected because covering nothing costs nothing.
     """
-    start = phase_clock()
-    try:
-        network = build_cover_network(instance)
-        solve_max_flow(network, SOURCE, SINK)
-        result = extract_cover_from_network(instance, network)
-        return _drop_isolated_vertices(instance, result)
-    finally:
-        add_phase_time(PHASE_COVER_SOLVE, phase_clock() - start)
+    network = build_cover_network(instance)
+    solve_max_flow(network, SOURCE, SINK)
+    result = extract_cover_from_network(instance, network)
+    return _drop_isolated_vertices(instance, result)
 
 
 def _drop_isolated_vertices(

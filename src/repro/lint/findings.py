@@ -11,7 +11,7 @@ run's scope -- and owns the two output encodings the CLI exposes:
 
 The payload layout is part of the tool's contract (CI consumes it), so the
 schema id is bumped on incompatible changes, exactly like
-:mod:`repro.bench.schema` does for benchmark payloads.
+:mod:`repro.serve.payload` does for loadgen payloads.
 """
 
 from __future__ import annotations

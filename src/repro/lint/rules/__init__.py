@@ -30,8 +30,6 @@ class Rule:
     severity: str = "error"
     #: Package-relative path prefixes the rule applies to (empty = all).
     scope: tuple = ()
-    #: Package-relative path prefixes exempt from the rule.
-    allowlist: tuple = ()
 
     def applies_to(self, package_path: str) -> bool:
         """Whether the rule checks the module at ``package_path``.
@@ -40,8 +38,6 @@ class Rule:
         leading ``src/`` stripped (``repro/sim/engine.py``,
         ``tests/test_sim.py``), always POSIX-separated.
         """
-        if any(package_path.startswith(prefix) for prefix in self.allowlist):
-            return False
         if not self.scope:
             return True
         return any(package_path.startswith(prefix) for prefix in self.scope)

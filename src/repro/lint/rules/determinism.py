@@ -137,15 +137,14 @@ class WallClockRead(ModuleRule):
 
     Simulated time is the event sequence position; reading host time (or
     uuid/urandom entropy) inside sim, workload, flow or decision code makes
-    outputs depend on the machine, not the scenario.  ``repro/bench/`` is
-    allowlisted -- measuring wall-clock is its entire point -- as is the
-    CLI layer, which merely reports.
+    outputs depend on the machine, not the scenario.  Code outside the
+    emitter scope -- the CLI, the server, the linter -- may read the clock:
+    it reports, it never replays.
     """
 
     id = "DET002"
     title = "wall-clock or entropy read in replay code"
     scope = EMITTER_SCOPE
-    allowlist = ("repro/bench/",)
 
     def check_module(self, module: ModuleContext) -> Iterator[Finding]:
         imports = module.imports
@@ -187,7 +186,6 @@ class UnorderedSetIteration(ModuleRule):
     id = "DET003"
     title = "unordered set iteration in event-emitting code"
     scope = EMITTER_SCOPE
-    allowlist = ("repro/bench/",)
 
     def check_module(self, module: ModuleContext) -> Iterator[Finding]:
         # Class-level knowledge first: which self.* attributes hold sets.

@@ -14,7 +14,9 @@ package turns the single-process replay stack into exactly that shape:
   :class:`~repro.workload.trace.TraceStream` fanned out over N concurrent
   clients, per-request latency recorded into a
   :class:`~repro.sim.metrics.StreamingHistogram`, results emitted as a
-  schema-valid ``repro.bench/v2`` payload;
+  ``repro.bench/v2`` payload;
+* :mod:`repro.serve.payload` -- that payload's schema id, its validator and
+  the peak-RSS / git-SHA stamps it carries;
 * :mod:`repro.serve.equivalence` -- the sim-vs-served bridge: run the same
   trace + policy through a replay and through the server (the same kernel
   ``step`` either way) and prove the decision logs and traffic counters
@@ -27,6 +29,7 @@ The stack is stdlib-asyncio only; the optional ``[serve]`` extra installs
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.equivalence import replay_with_log, serve_with_log
 from repro.serve.harness import LoadReport, loadgen_payload, run_load, run_loadgen
+from repro.serve.payload import validate_payload
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -49,4 +52,5 @@ __all__ = [
     "run_load",
     "run_loadgen",
     "serve_with_log",
+    "validate_payload",
 ]

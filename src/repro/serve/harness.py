@@ -15,8 +15,8 @@ property the lifecycle tests pin.
 
 :func:`run_loadgen` is the one-call form behind ``repro loadgen``: build the
 scenario, boot an in-process server (or connect to an external one), drive
-the load, and emit a schema-valid ``repro.bench/v2`` payload whose per-policy
-row carries the measured latency percentiles -- side by side with the
+the load, and emit the :mod:`repro.serve.payload` record whose policy row
+carries the measured latency percentiles -- side by side with the
 :class:`~repro.network.latency.LatencyModel` predictions when a model is
 given (the calibration sanity check).
 """
@@ -33,6 +33,7 @@ from repro.experiments.config import ExperimentConfig, build_scenario_stream
 from repro.network.latency import LatencyModel
 from repro.serve import protocol
 from repro.serve.client import ServeClient
+from repro.serve.payload import SCHEMA_ID, current_git_sha, peak_rss_mb, validate_payload
 from repro.serve.server import CacheServer
 from repro.sim.metrics import StreamingHistogram
 from repro.sim.runner import SERVABLE_POLICIES
@@ -148,7 +149,7 @@ def run_loadgen(
     connect: Optional[Tuple[str, int]] = None,
     latency_model: Optional[LatencyModel] = None,
 ) -> Tuple[LoadReport, Dict[str, Any]]:
-    """Build a scenario, serve it, load it, and emit the bench payload.
+    """Build a scenario, serve it, load it, and emit the loadgen payload.
 
     Without ``connect`` an in-process server is booted on an ephemeral port
     and gracefully stopped after the load; with ``connect=(host, port)`` the
@@ -194,11 +195,6 @@ def run_loadgen(
 
 def loadgen_payload(report: LoadReport, suite: str = "loadgen") -> Dict[str, Any]:
     """One load run as a schema-valid ``repro.bench/v2`` payload."""
-    # Imported here to keep serve importable without dragging the bench
-    # runner's process-pool machinery into the server path.
-    from repro.bench.runner import current_git_sha, peak_rss_mb
-    from repro.bench.schema import SCHEMA_ID, validate_payload
-
     wall = report.wall_clock_s
     events_per_s = report.events / wall if wall > 0 else 0.0
     latency: Dict[str, Any] = {

@@ -52,7 +52,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.decoupling import QueryOutcome
 from repro.core.policy import CachePolicy
 from repro.network.link import Mechanism, NetworkLink
-from repro.perf import PHASE_METRICS, add_phase_time, phase_clock
 from repro.repository.queries import Query
 from repro.repository.server import Repository
 from repro.repository.updates import Update
@@ -222,7 +221,6 @@ class ReplayKernel:
         def sample(index: int) -> None:
             # Every series shares the one grid, so the store reads happen
             # only here, at a grid edge or at end-of-run.
-            sample_start = phase_clock()
             if fleet_series is not None:
                 fleet_series.sample(index)
             used = capacity = 0.0
@@ -236,7 +234,6 @@ class ReplayKernel:
                     resident += len(store)
             if fleet_occupancy is not None:
                 fleet_occupancy.sample(index, used, capacity, resident)
-            add_phase_time(PHASE_METRICS, phase_clock() - sample_start)
 
         for policy in policies:
             policy.prepare(trace)

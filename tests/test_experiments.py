@@ -3,8 +3,8 @@
 The assertions here check the *shape* of each experiment's output -- the
 orderings and monotonicities the paper reports -- on configurations small
 enough to run in seconds.  The figure claims are gated at their own scale in
-``tests/test_figure_claims.py``; the other full-size runs live in
-``benchmarks/``.
+``tests/test_figure_claims.py``; the fig7a, warm-up and ablation claims are
+gated at theirs at the end of this module.
 """
 
 from __future__ import annotations
@@ -26,6 +26,12 @@ SMALL = {
 }
 
 
+#: The scales the claim gates hold at: long enough for the paper's
+#: qualitative shape to be stable.
+CLAIM_SCALE = {"query_count": 6000, "update_count": 6000}
+ABLATION_SCALE = {"query_count": 4000, "update_count": 4000}
+
+
 @pytest.fixture(scope="module")
 def small_config() -> ExperimentConfig:
     return ExperimentConfig(**SMALL)
@@ -34,6 +40,26 @@ def small_config() -> ExperimentConfig:
 @pytest.fixture(scope="module")
 def small_scenario(small_config):
     return build_scenario(small_config)
+
+
+@pytest.fixture(scope="module")
+def claim_config() -> ExperimentConfig:
+    return ExperimentConfig(**CLAIM_SCALE)
+
+
+@pytest.fixture(scope="module")
+def claim_scenario(claim_config):
+    return build_scenario(claim_config)
+
+
+@pytest.fixture(scope="module")
+def ablation_config() -> ExperimentConfig:
+    return ExperimentConfig(**ABLATION_SCALE)
+
+
+@pytest.fixture(scope="module")
+def ablation_scenario(ablation_config):
+    return build_scenario(ablation_config)
 
 
 class TestConfigAndScenario:
@@ -224,3 +250,60 @@ class TestAblations:
             small_config, small_scenario, windows=(250,), alphas=(0.3,)
         )
         assert set(result.traffic) == {"window=250", "alpha=0.3"}
+
+
+class TestFig7aAtScale:
+    def test_hotspots_are_distinct_and_workload_evolves(self, claim_scenario):
+        result = fig7a.characterise_trace(claim_scenario.trace)
+        # Figure 7a's two visual claims: distinct query and update hotspots,
+        # and a queried object set that evolves over the trace.
+        assert result.hotspot_overlap <= 0.35
+        assert result.evolution_distance >= 0.05
+
+
+class TestWarmupAtScale:
+    def test_cache_fills_only_after_the_cheap_prefix(self, claim_config):
+        result = warmup.run(claim_config, sample_every=500)
+        end = result.configured_warmup_end
+        early = [used for event, used in result.occupancy if event <= end]
+        late = [used for event, used in result.occupancy if event > end]
+        assert early and late
+        # The cache is (nearly) empty during the cheap-query prefix and fills
+        # afterwards.
+        assert max(early) <= 0.5
+        assert max(late) > max(early)
+        # The cache cannot fill while queries are cheap, so the occupancy knee
+        # falls in the neighbourhood of the configured boundary or after it.
+        assert result.warmup_knee >= end * 0.5
+
+
+class TestAblationsAtScale:
+    def test_counter_loading_tracks_randomized(self, ablation_config, ablation_scenario):
+        result = ablations.run_loading_ablation(ablation_config, ablation_scenario)
+        # The randomized mechanism emulates the counters in expectation.
+        assert 0.6 <= result.relative_to("randomized")["counter"] <= 1.6
+
+    def test_gds_is_competitive_with_every_eviction_policy(
+        self, ablation_config, ablation_scenario
+    ):
+        result = ablations.run_eviction_ablation(ablation_config, ablation_scenario)
+        assert min(result.relative_to("gds").values()) >= 0.75
+
+    def test_preshipping_trades_traffic_for_fewer_delayed_queries(
+        self, ablation_config, ablation_scenario
+    ):
+        result = ablations.run_preship_ablation(ablation_config, ablation_scenario)
+        baseline, preship = result["baseline"], result["preship"]
+        assert preship.total_traffic >= baseline.total_traffic - 1e-6
+        assert (
+            preship.response_times.delayed_fraction
+            <= baseline.response_times.delayed_fraction + 1e-9
+        )
+
+    def test_benefit_depends_visibly_on_its_tuning(self, ablation_config, ablation_scenario):
+        result = ablations.run_benefit_sensitivity(
+            ablation_config, ablation_scenario, windows=(250, 1000, 2000), alphas=(0.1, 0.3, 0.9)
+        )
+        values = list(result.traffic.values())
+        # The paper's point about heuristic brittleness.
+        assert max(values) / min(values) >= 1.02

@@ -9,18 +9,15 @@ import sys
 import textwrap
 from collections.abc import Sized
 from pathlib import Path
-from time import perf_counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.flow.incremental as incremental_module
 from repro.core.vcover import VCoverPolicy
 from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.flow.incremental import CoverDelta, IncrementalMaxFlow
-from repro.flow.maxflow import solve_max_flow
 from repro.flow.vertex_cover import (
     SINK,
     SOURCE,
@@ -28,7 +25,6 @@ from repro.flow.vertex_cover import (
     min_weight_vertex_cover,
 )
 from repro.network.link import NetworkLink
-from repro.perf import PHASE_COVER_SOLVE, reset_phase_times, snapshot_phase_times
 from repro.repository.server import Repository
 from repro.sim.engine import EngineConfig, ReplayKernel
 from repro.workload.trace import QueryEvent
@@ -733,29 +729,3 @@ class TestScalingGuard:
         assert flow.network.edge_count < 2500
         assert flow.arcs_examined < 250_000
 
-
-class TestPhaseAccounting:
-    def test_cover_solve_contains_the_whole_cover(self, monkeypatch):
-        """``cover_solve`` brackets compute_cover, so it is never less than the solver."""
-        solver_seconds = []
-
-        def timed(*args, **kwargs):
-            start = perf_counter()
-            try:
-                return solve_max_flow(*args, **kwargs)
-            finally:
-                solver_seconds.append(perf_counter() - start)
-
-        monkeypatch.setattr(incremental_module, "solve_max_flow", timed)
-        reset_phase_times()
-        flow = _replay_default_shape(2000)
-        cover_solve = snapshot_phase_times()[PHASE_COVER_SOLVE]
-        assert len(solver_seconds) == flow.augmentation_count > 0
-        assert cover_solve >= sum(solver_seconds) > 0.0
-
-    def test_static_solves_are_still_counted_once(self):
-        reset_phase_times()
-        started = perf_counter()
-        min_weight_vertex_cover(IncrementalMaxFlow().to_instance())
-        elapsed = perf_counter() - started
-        assert 0.0 < snapshot_phase_times()[PHASE_COVER_SOLVE] <= elapsed

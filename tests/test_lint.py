@@ -160,17 +160,6 @@ class TestDet002:
         findings = lint_rules(project, "src", rule="DET002")
         assert len(findings) == 1
 
-    def test_bench_is_allowlisted(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/bench/timer.py": """
-                import time
-
-                def stamp():
-                    return time.perf_counter()
-            """,
-        })
-        assert lint_rules(project, "src", rule="DET002") == []
-
     def test_cli_out_of_scope(self, tmp_path):
         project = make_project(tmp_path, {
             "src/repro/cli_extra.py": """
@@ -178,6 +167,12 @@ class TestDet002:
 
                 def stamp():
                     return time.time()
+            """,
+            "src/repro/serve/timer.py": """
+                import time
+
+                def stamp():
+                    return time.perf_counter()
             """,
         })
         assert lint_rules(project, "src", rule="DET002") == []

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import pytest
 
-from repro.bench.schema import SCHEMA_ID, validate_payload
 from repro.experiments.config import ExperimentConfig
 from repro.network.latency import LatencyModel
 from repro.serve.harness import (
@@ -15,6 +15,7 @@ from repro.serve.harness import (
     loadgen_payload,
     run_loadgen,
 )
+from repro.serve.payload import SCHEMA_ID, PayloadSchemaError, validate_payload
 from repro.sim.metrics import StreamingHistogram
 
 
@@ -170,3 +171,58 @@ class TestRunLoadgen:
             again["cases"][0]["policies"][0]["latency"]["count"]
             == payload["cases"][0]["policies"][0]["latency"]["count"]
         )
+
+
+@pytest.fixture(scope="module")
+def payload():
+    """A real loadgen payload: one served vcover run."""
+    _, payload = run_loadgen(config=tiny_config(), policy="vcover", clients=2)
+    return payload
+
+
+class TestPayloadSchema:
+    def test_rejects_wrong_schema_id(self, payload):
+        broken = copy.deepcopy(payload)
+        broken["schema"] = "repro.lint/v1"  # another payload's id
+        with pytest.raises(PayloadSchemaError, match="payload.schema"):
+            validate_payload(broken)
+
+    def test_rejects_missing_case_field(self, payload):
+        broken = copy.deepcopy(payload)
+        del broken["cases"][0]["wall_clock_s"]
+        with pytest.raises(PayloadSchemaError, match="wall_clock_s"):
+            validate_payload(broken)
+
+    def test_rejects_wrong_type(self, payload):
+        broken = copy.deepcopy(payload)
+        broken["cases"][0]["policies"][0]["events"] = "many"
+        with pytest.raises(PayloadSchemaError, match="events"):
+            validate_payload(broken)
+        # bool is an int subclass, but never a count.
+        broken["cases"][0]["policies"][0]["events"] = True
+        with pytest.raises(PayloadSchemaError, match="events"):
+            validate_payload(broken)
+
+    def test_rejects_duplicate_case_names(self, payload):
+        broken = copy.deepcopy(payload)
+        broken["cases"].append(copy.deepcopy(broken["cases"][0]))
+        with pytest.raises(PayloadSchemaError, match="duplicate"):
+            validate_payload(broken)
+
+    def test_rejects_empty_cases(self, payload):
+        broken = copy.deepcopy(payload)
+        broken["cases"] = []
+        with pytest.raises(PayloadSchemaError, match="must not be empty"):
+            validate_payload(broken)
+
+    def test_malformed_latency_block_rejected(self, payload):
+        broken = copy.deepcopy(payload)
+        broken["cases"][0]["policies"][0]["latency"] = {"p50": 0.001}
+        with pytest.raises(PayloadSchemaError, match="latency"):
+            validate_payload(broken)
+
+    def test_latency_count_must_be_int(self, payload):
+        broken = copy.deepcopy(payload)
+        broken["cases"][0]["policies"][0]["latency"]["count"] = True
+        with pytest.raises(PayloadSchemaError, match="count"):
+            validate_payload(broken)

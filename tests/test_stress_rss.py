@@ -1,10 +1,10 @@
-"""Peak-RSS guard for the streaming trace pipeline (the stress bench claim).
+"""Peak-RSS guard for the streaming trace pipeline.
 
-The ``repro bench --suite stress`` contract is that a streaming flash-crowd
-replay runs in (near-)constant memory: a 10x longer trace must stay under
-twice the peak RSS of the shorter one.  This test measures exactly that, at
-a pytest-friendly scale, by replaying in fresh subprocesses (RSS high-water
-marks are process-wide, so each measurement needs its own process).
+The contract is that a streaming flash-crowd replay runs in (near-)constant
+memory: a 10x longer trace must stay under twice the peak RSS of the shorter
+one.  This test measures exactly that, at a pytest-friendly scale, by
+replaying in fresh subprocesses (RSS high-water marks are process-wide, so
+each measurement needs its own process).
 
 Marked ``slow``: CI runs it only in the main-branch job (see the
 ``-m "not slow"`` split in ``.github/workflows/ci.yml``).  Skipped on
