@@ -160,6 +160,19 @@ class TestDet002:
         findings = lint_rules(project, "src", rule="DET002")
         assert len(findings) == 1
 
+    def test_bench_is_allowlisted(self, tmp_path):
+        # The Delta benchmark harness times layers from outside the replay
+        # code; measuring wall-clock is its entire point.
+        project = make_project(tmp_path, {
+            "bench/loadgen.py": """
+                from time import perf_counter
+
+                def stamp():
+                    return perf_counter()
+            """,
+        })
+        assert lint_rules(project, "bench", rule="DET002") == []
+
     def test_cli_out_of_scope(self, tmp_path):
         project = make_project(tmp_path, {
             "src/repro/cli_extra.py": """
