@@ -1,20 +1,15 @@
 """The observation half of the observe/decide policy contract.
 
 A cache policy does two separable things on every event: it *observes* the
-workload (queries seen, updates seen, cache answers, traffic charged) and it
+workload (queries seen, updates seen, cache answers, shipped queries) and it
 *decides* (ship, load, evict).  Historically both lived tangled inside
 :class:`repro.core.policy.BaseCachePolicy` as bare counters; this module
 factors the observation half into an explicit :class:`PolicyObserver` so that
 
 * concrete policies keep only decision logic (they report events through the
   base class, which forwards here),
-* meta-policies -- :class:`repro.core.adaptive.AdaptivePolicy` -- can read a
-  candidate's behaviour per *epoch* (a fixed-length slice of events) without
-  reaching into its internals: :meth:`PolicyObserver.close_epoch` returns an
-  immutable :class:`EpochSnapshot` of everything that happened since the
-  previous boundary,
-* future vectorised batching can swap the observation layer without touching
-  any decision code.
+* the batched replay path books a whole window of events at once
+  (:meth:`PolicyObserver.note_batch`) without touching any decision code.
 
 The observer is strictly passive: it never charges the link and never
 influences a decision, so threading it through
@@ -24,92 +19,27 @@ byte-identical (the determinism fixtures pin this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping
-
-from repro.network.link import NetworkLink
 from repro.repository.queries import Query
 from repro.repository.updates import Update
 
-__all__ = ["EpochSnapshot", "PolicyObserver"]
-
-
-@dataclass(frozen=True)
-class EpochSnapshot:
-    """What one policy did during one observation epoch.
-
-    All fields are deltas over the epoch (not running totals); an epoch is
-    whatever slice of events lies between two ``close_epoch`` calls.
-    """
-
-    #: Zero-based index of the closed epoch.
-    index: int
-    #: Events observed during the epoch (queries plus updates).
-    events: int
-    #: Queries observed during the epoch.
-    queries: int
-    #: Updates observed during the epoch.
-    updates: int
-    #: Queries the policy answered at the cache during the epoch.
-    cache_answers: int
-    #: Queries the policy shipped to the server during the epoch.
-    shipped_queries: int
-    #: Traffic the policy charged to its link during the epoch (MB).
-    traffic: float
-    #: The epoch's traffic split by mechanism (query/update shipping, loads).
-    traffic_by_mechanism: Mapping[str, float]
-
-    @property
-    def update_intensity(self) -> float:
-        """Updates per event in the epoch -- the update-storm signal."""
-        if self.events == 0:
-            return 0.0
-        return self.updates / self.events
-
-    @property
-    def hit_fraction(self) -> float:
-        """Fraction of the epoch's queries answered at the cache."""
-        if self.queries == 0:
-            return 0.0
-        return self.cache_answers / self.queries
+__all__ = ["PolicyObserver"]
 
 
 class PolicyObserver:
-    """Passive per-policy workload statistics with epoch snapshots.
-
-    Parameters
-    ----------
-    link:
-        The policy's traffic ledger; epoch traffic is read from it as deltas
-        between boundaries, so the observer never double-books a charge.
-    """
+    """Passive per-policy workload statistics (running totals)."""
 
     __slots__ = (
-        "_link",
         "_queries_seen",
         "_updates_seen",
         "_cache_answers",
         "_shipped_queries",
-        "_epochs_closed",
-        "_epoch_queries_mark",
-        "_epoch_updates_mark",
-        "_epoch_answers_mark",
-        "_epoch_shipped_mark",
-        "_epoch_traffic_mark",
     )
 
-    def __init__(self, link: NetworkLink) -> None:
-        self._link = link
+    def __init__(self) -> None:
         self._queries_seen = 0
         self._updates_seen = 0
         self._cache_answers = 0
         self._shipped_queries = 0
-        self._epochs_closed = 0
-        self._epoch_queries_mark = 0
-        self._epoch_updates_mark = 0
-        self._epoch_answers_mark = 0
-        self._epoch_shipped_mark = 0
-        self._epoch_traffic_mark: Dict[str, float] = link.total_by_mechanism()
 
     # ------------------------------------------------------------------
     # Observation hooks (called by BaseCachePolicy)
@@ -169,43 +99,3 @@ class PolicyObserver:
     def shipped_queries(self) -> int:
         """Total queries shipped to the server over the whole run."""
         return self._shipped_queries
-
-    @property
-    def epochs_closed(self) -> int:
-        """Number of epochs closed so far."""
-        return self._epochs_closed
-
-    # ------------------------------------------------------------------
-    # Epoch boundaries
-    # ------------------------------------------------------------------
-    def close_epoch(self) -> EpochSnapshot:
-        """Close the current epoch and return its snapshot.
-
-        The next epoch starts empty at the current counter and ledger
-        positions.  Closing an epoch with no observed events is legal and
-        yields an all-zero snapshot.
-        """
-        totals = self._link.total_by_mechanism()
-        by_mechanism = {
-            mechanism: totals[mechanism] - self._epoch_traffic_mark.get(mechanism, 0.0)
-            for mechanism in totals
-        }
-        queries = self._queries_seen - self._epoch_queries_mark
-        updates = self._updates_seen - self._epoch_updates_mark
-        snapshot = EpochSnapshot(
-            index=self._epochs_closed,
-            events=queries + updates,
-            queries=queries,
-            updates=updates,
-            cache_answers=self._cache_answers - self._epoch_answers_mark,
-            shipped_queries=self._shipped_queries - self._epoch_shipped_mark,
-            traffic=sum(by_mechanism.values()),
-            traffic_by_mechanism=by_mechanism,
-        )
-        self._epochs_closed += 1
-        self._epoch_queries_mark = self._queries_seen
-        self._epoch_updates_mark = self._updates_seen
-        self._epoch_answers_mark = self._cache_answers
-        self._epoch_shipped_mark = self._shipped_queries
-        self._epoch_traffic_mark = totals
-        return snapshot

@@ -81,7 +81,7 @@ from repro.experiments.config import WORKLOAD_MODELS, ExperimentConfig
 from repro.experiments.registry import UnknownExperimentError, UnknownOverrideError
 from repro.experiments.spec import ScenarioError, ScenarioSpec
 from repro.sim.results import ComparisonResult
-from repro.sim.runner import POLICY_NAMES, SERVABLE_POLICIES, run_policy
+from repro.sim.runner import DEFAULT_POLICIES, SERVABLE_POLICIES, run_policy
 from repro.sim.sweep import PointResult, SweepPoint, SweepRunner
 from repro.topology.spec import TopologySpec
 from repro.workload.ingest import IngestError
@@ -552,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run a scenario file against several policies"
     )
     scenario_run.add_argument("file", type=Path, help="scenario file path")
-    scenario_run.add_argument("--policies", nargs="*", choices=POLICY_NAMES,
+    scenario_run.add_argument("--policies", nargs="*", choices=DEFAULT_POLICIES,
                               default=None,
                               help="subset of policies to run (default: all five)")
     scenario_run.add_argument("--streaming", action="store_true",
@@ -585,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser("run", help="replay a trace against one policy")
     _add_scenario_arguments(run)
-    run.add_argument("--policy", choices=POLICY_NAMES, default="vcover",
+    run.add_argument("--policy", choices=DEFAULT_POLICIES, default="vcover",
                      help="decision policy (default: vcover)")
     run.add_argument("--trace", type=Path, default=None,
                      help="optional JSONL trace to replay instead of generating one")
@@ -593,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = subparsers.add_parser("compare", help="compare several policies")
     _add_scenario_arguments(compare)
-    compare.add_argument("--policies", nargs="*", choices=POLICY_NAMES, default=None,
+    compare.add_argument("--policies", nargs="*", choices=DEFAULT_POLICIES, default=None,
                          help="subset of policies to run (default: all five)")
     compare.add_argument("--jobs", type=_positive_jobs, default=1,
                          help="worker processes for the per-policy runs (default: 1)")
@@ -603,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run a policy x cache-fraction x seed grid in parallel"
     )
     _add_scenario_arguments(sweep)
-    sweep.add_argument("--policies", nargs="*", choices=POLICY_NAMES, default=None,
+    sweep.add_argument("--policies", nargs="*", choices=DEFAULT_POLICIES, default=None,
                        help="policies on the grid (default: all five)")
     sweep.add_argument("--cache-fractions", nargs="*", type=float, default=None,
                        help="cache fractions on the grid (default: the --cache value)")
@@ -623,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="number of cache sites in the fleet (default: 2)")
     topology.add_argument("--strategy", choices=PARTITION_STRATEGIES, default="region",
                           help="object-to-site assignment strategy (default: region)")
-    topology.add_argument("--policies", nargs="*", choices=POLICY_NAMES, default=None,
+    topology.add_argument("--policies", nargs="*", choices=DEFAULT_POLICIES, default=None,
                           help="policies to run, one fleet each (default: vcover nocache)")
     topology.add_argument("--jobs", type=_positive_jobs, default=1,
                           help="worker processes for the per-policy fleets (default: 1)")

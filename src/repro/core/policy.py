@@ -21,8 +21,7 @@ policy learns about the workload flows through its
 :class:`repro.cache.observer.PolicyObserver` (see :meth:`BaseCachePolicy.note_query`
 and the notifications wired into :meth:`BaseCachePolicy.ship_query`,
 :meth:`BaseCachePolicy.record_cache_answer` and :meth:`BaseCachePolicy.on_update`),
-while the mechanism helpers below carry only decisions.  Meta-policies read
-the observation side per epoch via :meth:`BaseCachePolicy.close_epoch`; see
+while the mechanism helpers below carry only decisions; see
 ``docs/policies.md`` for the full contract.
 """
 
@@ -33,7 +32,7 @@ from typing import Container, Dict, FrozenSet, List, Optional
 
 import numpy as np
 
-from repro.cache.observer import EpochSnapshot, PolicyObserver
+from repro.cache.observer import PolicyObserver
 from repro.cache.store import CacheStore
 from repro.core.decoupling import QueryOutcome
 from repro.network.link import NetworkLink
@@ -96,8 +95,8 @@ class BaseCachePolicy(CachePolicy):
         }
         #: The observation half of the observe/decide contract: every
         #: workload fact the policy learns (queries, updates, answers,
-        #: shipped queries, epoch traffic) is recorded here and nowhere else.
-        self._observer = PolicyObserver(link)
+        #: shipped queries) is recorded here and nowhere else.
+        self._observer = PolicyObserver()
 
     # ------------------------------------------------------------------
     # Accessors
@@ -146,10 +145,6 @@ class BaseCachePolicy(CachePolicy):
         (:meth:`ship_query` / :meth:`record_cache_answer`).
         """
         self._observer.note_query(query)
-
-    def close_epoch(self) -> EpochSnapshot:
-        """Close the observer's current epoch and return its snapshot."""
-        return self._observer.close_epoch()
 
     # ------------------------------------------------------------------
     # Eager freshness

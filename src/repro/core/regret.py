@@ -1,23 +1,21 @@
 """Online regret against the offline-optimal decoupling, per epoch.
 
-The adaptive meta-policy (:mod:`repro.core.adaptive`) wants to know not just
-which candidate it followed but how far its *realised* traffic sits above the
-hindsight optimum.  :class:`RegretTracker` builds, epoch by epoch, the same
-weighted bipartite interaction instance that
-:class:`repro.core.offline.OfflineDecoupler` solves (Theorem 1: the optimal
-ship-query vs ship-update choice is a minimum-weight vertex cover), but from
-*observed* interactions only:
+:class:`RegretTracker` measures how far a policy's *realised* traffic sits
+above the hindsight optimum.  Epoch by epoch it builds the same weighted
+bipartite interaction instance that :class:`repro.core.offline.OfflineDecoupler`
+solves (Theorem 1: the optimal ship-query vs ship-update choice is a
+minimum-weight vertex cover), but from *observed* interactions only:
 
 * a query whose objects are all resident contributes a left vertex weighted
-  by its shipping cost, and one edge per outstanding update the live
-  candidate would have to resolve (the updates interacting with the query at
-  its arrival, given the candidate's resident set),
+  by its shipping cost, and one edge per outstanding update the policy would
+  have to resolve (the updates interacting with the query at its arrival,
+  given the policy's resident set),
 * a query over non-resident objects is *forced*: no decoupling schedule over
   the current cache contents can answer it locally, so its shipping cost is
   charged to both sides of the comparison (exactly as Theorem 1 scopes the
   subproblem to cached objects),
-* the traffic the meta-policy actually booked in the epoch is the "online"
-  side of the comparison,
+* the traffic the policy actually booked in the epoch is the "online" side
+  of the comparison,
 * at an epoch boundary the instance is solved exactly and
 
   ``regret = max(observed_traffic - (forced_cost + offline_cover_weight), 0.0)``.
@@ -31,15 +29,20 @@ weight, and forced queries cost the same on both sides.  The
 ``max(..., 0)`` clamp only absorbs floating-point noise from the max-flow
 certificate.
 
-Two honest caveats, also documented in ``docs/policies.md``:
+Two honest caveats:
 
-* the instance is built at query-*arrival* time from the live candidate's
-  cache contents, so policies that ship updates eagerly (Replica, Benefit)
-  or load objects are charged for traffic outside the instance -- regret
+* the instance is built at query-*arrival* time from the policy's cache
+  contents, so policies that ship updates eagerly (Replica, Benefit) or load
+  objects are charged for traffic outside the instance -- regret
   deliberately penalises eagerness and loading, not just bad covers;
 * each epoch is solved in isolation (cross-epoch interactions attach to the
-  epoch in which the query arrives), matching how the adaptive policy scores
-  and switches.
+  epoch in which the query arrives), so an update live across an epoch edge
+  can be counted in two instances.
+
+No run feeds the tracker today; ``tests/test_regret.py`` pins it on its own.
+Its next user is ROADMAP item 17, which subscribes it to the replay kernel's
+decision hook to split VCover's traffic into loads, forced queries and
+observed-vs-offline decoupling.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class EpochRegret:
 
     #: Zero-based epoch index.
     index: int
-    #: Traffic the meta-policy actually booked during the epoch (MB).
+    #: Traffic the policy actually booked during the epoch (MB).
     observed_cost: float
     #: Offline lower bound: forced shipping plus the minimum-weight vertex
     #: cover of the epoch's observed instance (MB).
@@ -117,7 +120,7 @@ class RegretTracker:
             query interacts with at arrival (the edge set / right-vertex
             weights it contributes).
         shipped:
-            Whether the meta-policy actually shipped the query this event;
+            Whether the policy actually shipped the query this event;
             its cost is then part of the epoch's observed traffic.
         """
         self._left_weights[query_id] = cost

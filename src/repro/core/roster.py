@@ -6,11 +6,9 @@ one of those classes, so it is where the roster is declared, once, in report
 order.  Everything else that used to restate it is computed from the table
 and from one predicate on the class:
 
-* the runner's ``POLICY_NAMES`` / ``DEFAULT_POLICIES`` / ``SERVABLE_POLICIES``
+* the runner's ``DEFAULT_POLICIES`` / ``SERVABLE_POLICIES``
   (:mod:`repro.sim.runner`) and through them the CLI choices and the served
   path's refusal of offline policies,
-* the adaptive meta-policy's shadowable candidates
-  (:data:`repro.core.adaptive.ADAPTIVE_CANDIDATES`),
 * the :class:`~repro.core.delta.Delta` facade's ``policy`` names.
 
 Adding a policy is one entry here; no flag per entry, no second list.
@@ -41,8 +39,8 @@ def is_online(policy_class: Type[CachePolicy]) -> bool:
     """Whether a policy decides from the events it has seen alone.
 
     An offline policy is one that overrides :meth:`CachePolicy.prepare` to
-    read the whole trace before the run; it can be neither served (the
-    server has no future trace) nor shadowed by the adaptive meta-policy.
+    read the whole trace before the run; it cannot be served (the server
+    has no future trace).
     """
     return policy_class.prepare is CachePolicy.prepare
 

@@ -4,7 +4,7 @@ The paper's evaluation -- Figure 7(b), Figure 8(a), Figure 8(b), the
 Section 6 headline claims and the Section 6.1 cache-size choice -- is one
 table of rows in :mod:`repro.experiments.figures`.  The experiments that are
 not a one-axis sweep (``fig7a``, ``warmup``, ``ablations``, ``multisite``,
-the scenario models, ``fuzzed``, ``adaptive_vs_static``) are modules that
+the scenario models, ``fuzzed``) are modules that
 declare themselves with :func:`register_experiment`.  One driver
 (:mod:`repro.experiments.registry`) executes them all; the mapping from
 paper figure/table to experiment is documented in ``docs/experiments.md``.
@@ -16,7 +16,7 @@ modules.
 """
 
 from repro.experiments import registry
-from repro.experiments import ablations, adaptive, figures
+from repro.experiments import ablations, figures
 
 figures.register("cache_size")
 from repro.experiments import fig7a
@@ -54,7 +54,6 @@ __all__ = [
     "register_experiment",
     "registry",
     "ablations",
-    "adaptive",
     "fig7a",
     "figures",
     "fuzzed",

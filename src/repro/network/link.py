@@ -94,38 +94,6 @@ class NetworkLink:
             )
         return cost
 
-    def absorb(
-        self,
-        mechanism: str,
-        cost: float,
-        timestamp: float,
-        object_id: Optional[int] = None,
-        event_id: Optional[int] = None,
-    ) -> float:
-        """Book an already-priced cost onto the ledger verbatim.
-
-        Unlike :meth:`charge`, no cost model is applied -- ``cost`` is added
-        as-is.  Meta-policies use this to mirror a shadow candidate's ledger
-        (whose transfers were already priced by its own link) onto the real
-        link without pricing them twice.
-        """
-        if mechanism not in Mechanism.ALL:
-            raise ValueError(f"unknown mechanism {mechanism!r}")
-        self._totals[mechanism] += cost
-        self._counts[mechanism] += 1
-        if self._keep_records:
-            self._records.append(
-                TransferRecord(
-                    mechanism=mechanism,
-                    size=cost,
-                    cost=cost,
-                    timestamp=timestamp,
-                    object_id=object_id,
-                    event_id=event_id,
-                )
-            )
-        return cost
-
     def ship_query(self, size: float, timestamp: float, query_id: Optional[int] = None) -> float:
         """Charge a query-shipping transfer."""
         return self.charge(Mechanism.QUERY_SHIPPING, size, timestamp, event_id=query_id)

@@ -11,15 +11,10 @@ observed through the kernel's ``on_decision`` seam by one
 :func:`decision_recorder`; ``tests/test_serve_equivalence.py`` pins the
 guarantee over real TCP with concurrent clients.
 
-Scope: online policies only (``nocache``, ``replica``, ``benefit``,
-``vcover``, and the ``adaptive`` meta-policy, whose decisions depend only on
-events already seen).  ``soptimal`` prepares offline over the full future
-trace, which a server that sees events one at a time cannot do by
-construction.  One asymmetry to know about: ``run`` calls ``finalize()`` at
-end-of-trace (closing the adaptive policy's trailing scoring epoch) while the
-server never does -- ``finalize`` books no decisions and no real-link
-traffic, so the decision logs and traffic counters still match exactly; only
-``stats()`` epoch counters may differ between the paths.
+Scope: online policies only (``nocache``, ``replica``, ``benefit`` and
+``vcover``, whose decisions depend only on events already seen).
+``soptimal`` prepares offline over the full future trace, which a server
+that sees events one at a time cannot do by construction.
 """
 
 from __future__ import annotations

@@ -298,9 +298,6 @@ class ReplayKernel:
         updates_seen = self._events - sum(answered) - sum(shipped)
         site_runs: List[RunResult] = []
         for site, policy in enumerate(policies):
-            # Policies that track online-vs-offline regret (the adaptive
-            # meta-policy) expose it through this duck-typed hook.
-            regret_hook = getattr(policy, "regret_summary", None)
             site_runs.append(
                 RunResult(
                     policy_name=policy.name,
@@ -313,7 +310,6 @@ class ReplayKernel:
                     policy_stats=policy.stats() if hasattr(policy, "stats") else {},
                     warmup_traffic=warmup[site],
                     occupancy=occupancy[site],
-                    regret=regret_hook() if callable(regret_hook) else None,
                 )
             )
         if fleet_link is None:

@@ -41,9 +41,6 @@ class RunResult:
     warmup_traffic: float = 0.0
     #: Cache occupancy samples over the run (None for store-less policies).
     occupancy: Optional[CacheOccupancySeries] = None
-    #: Online-vs-offline regret summary (None unless the policy tracks it;
-    #: see :class:`repro.core.regret.RegretTracker`).
-    regret: Optional[Dict[str, float]] = None
 
     @property
     def measured_traffic(self) -> float:
@@ -92,8 +89,6 @@ class RunResult:
                     strict=True,
                 )
             ]
-        if self.regret is not None:
-            payload["regret"] = dict(self.regret)
         return payload
 
 

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Type
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.adaptive import AdaptiveConfig, AdaptivePolicy
 from repro.core.benefit import BenefitConfig
 from repro.core.policy import CachePolicy
 from repro.core.roster import POLICY_CLASSES, is_online
@@ -34,18 +33,9 @@ from repro.sim.engine import EngineConfig, ReplayKernel
 from repro.sim.results import ComparisonResult, RunResult
 from repro.workload.trace import TraceStream
 
-#: Every policy the runner can build by name: the paper's static roster
-#: (:data:`repro.core.roster.POLICY_CLASSES`) plus the adaptive meta-policy
-#: defined over it.  The name tuples below are all read off this mapping.
-BUILDABLE_POLICIES: Dict[str, Type[CachePolicy]] = {
-    **POLICY_CLASSES,
-    AdaptivePolicy.name: AdaptivePolicy,
-}
-
-#: Every buildable policy name, in canonical report order.
-POLICY_NAMES = tuple(BUILDABLE_POLICIES)
-
-#: The paper's two algorithms plus the three yardsticks (the static roster).
+#: Every policy the runner can build by name, in report order: the paper's
+#: two algorithms plus the three yardsticks
+#: (:data:`repro.core.roster.POLICY_CLASSES`).
 DEFAULT_POLICIES = tuple(POLICY_CLASSES)
 
 #: Policies the served path supports: the online ones (an offline policy
@@ -53,7 +43,7 @@ DEFAULT_POLICIES = tuple(POLICY_CLASSES)
 #: here: the Delta benchmark's tracer swaps ``prepare`` on the policy classes
 #: while a traced pass records, so the predicate must not be re-run per call.
 SERVABLE_POLICIES = tuple(
-    name for name, policy_class in BUILDABLE_POLICIES.items() if is_online(policy_class)
+    name for name, policy_class in POLICY_CLASSES.items() if is_online(policy_class)
 )
 
 #: Signature of a policy factory: (repository, capacity, link) -> policy.
@@ -76,13 +66,13 @@ class PolicySpec:
 def policy_spec(
     policy: str, config: Optional[object] = None, name: Optional[str] = None
 ) -> PolicySpec:
-    """Spec for the buildable policy ``policy``, optionally configured and renamed.
+    """Spec for the roster policy ``policy``, optionally configured and renamed.
 
     Every policy class already has the factory signature and defaults its
     own config, so the factory is the class itself, or a ``partial`` binding
     ``config`` -- both pickle by reference.
     """
-    policy_class = BUILDABLE_POLICIES[policy]
+    policy_class = POLICY_CLASSES[policy]
     factory = policy_class if config is None else partial(policy_class, config=config)
     return PolicySpec(name or policy, factory)
 
@@ -116,24 +106,12 @@ def vcover_spec(
     return policy_spec("vcover", config, name)
 
 
-def adaptive_spec(
-    config: Optional[AdaptiveConfig] = None, name: str = "adaptive"
-) -> PolicySpec:
-    """Spec for the adaptive meta-policy, optionally with a custom config."""
-    return policy_spec("adaptive", config, name)
-
-
 def default_policy_specs(
     vcover_config: Optional[VCoverConfig] = None,
     benefit_config: Optional[BenefitConfig] = None,
     include: Sequence[str] = DEFAULT_POLICIES,
 ) -> List[PolicySpec]:
     """The paper's two algorithms plus three yardsticks.
-
-    The adaptive meta-policy is buildable by name but not part of the
-    default ``include`` set (the paper's comparisons are between static
-    policies); its shadowed Benefit/VCover arms inherit the same
-    configuration overrides as the standalone policies.
 
     Parameters
     ----------
@@ -142,17 +120,10 @@ def default_policy_specs(
     include:
         Which policies to build specs for (in the returned order).
     """
-    unknown = [name for name in include if name not in BUILDABLE_POLICIES]
+    unknown = [name for name in include if name not in POLICY_CLASSES]
     if unknown:
-        raise ValueError(f"unknown policy names {unknown}; known: {sorted(POLICY_NAMES)}")
-    configs = {
-        "vcover": vcover_config,
-        "benefit": benefit_config,
-        "adaptive": AdaptiveConfig(
-            benefit_window=(benefit_config or BenefitConfig()).window_size,
-            vcover=vcover_config,
-        ),
-    }
+        raise ValueError(f"unknown policy names {unknown}; known: {sorted(DEFAULT_POLICIES)}")
+    configs = {"vcover": vcover_config, "benefit": benefit_config}
     return [policy_spec(name, configs.get(name)) for name in include]
 
 

@@ -81,23 +81,6 @@ FLASHCROWD_CONFIG = ExperimentConfig(
 )
 
 
-#: Adaptive meta-policy scenario: an evolving workload long enough to cross
-#: several epoch boundaries (and at least one arm switch), pinning the
-#: shadow-scoring, switch accounting and per-epoch regret solves byte-for-byte.
-ADAPTIVE_CONFIG = ExperimentConfig(
-    object_count=32,
-    query_count=900,
-    update_count=900,
-    cache_fraction=0.3,
-    sample_every=300,
-    seed=17,
-)
-
-#: Policies recorded by the adaptive fixture (the meta-policy plus the two
-#: statics it most often shadows into).
-ADAPTIVE_POLICIES = ("adaptive", "vcover", "nocache")
-
-
 def canonical(payload: object) -> str:
     """Render a payload as canonical JSON (the byte form fixtures store)."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -173,24 +156,10 @@ def ingested_payloads(jobs: int = 1, streaming: bool = False) -> Dict[str, objec
     return {name: comparison[name].as_payload() for name in POLICIES}
 
 
-def adaptive_payloads(jobs: int = 1, streaming: bool = False) -> Dict[str, object]:
-    """Per-policy payloads for the adaptive meta-policy scenario.
-
-    Covers the epoch scoring, the switch bookkeeping and the per-epoch
-    regret solves; one fixture pins the materialised and streaming paths.
-    """
-    spec = ScenarioSpec(ADAPTIVE_CONFIG, name="determinism-adaptive")
-    comparison = api.run_scenario(
-        spec, policies=ADAPTIVE_POLICIES, jobs=jobs, streaming=streaming
-    )
-    return {name: comparison[name].as_payload() for name in ADAPTIVE_POLICIES}
-
-
 #: Fixture name -> capture function, shared by the generator and the tests.
 CASES = {
     "headline": headline_payloads,
     "multisite": multisite_payloads,
     "flashcrowd": flashcrowd_payloads,
     "ingested": ingested_payloads,
-    "adaptive": adaptive_payloads,
 }

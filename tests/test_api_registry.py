@@ -20,7 +20,6 @@ from repro.experiments.registry import (
 #: Every experiment the paper reproduction registers.
 EXPECTED_EXPERIMENTS = {
     "ablations",
-    "adaptive_vs_static",
     "cache_adversary",
     "cache_size",
     "diurnal",

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive import AdaptivePolicy
 from repro.core.benefit import BenefitConfig, BenefitPolicy
 from repro.core.vcover import VCoverPolicy
 from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
@@ -572,14 +571,6 @@ class TestEligibility:
         ) is not None
         assert self.select(
             catalog, policy=AuditedBenefit(repository, 30.0, link),
-            repository=repository, link=link,
-        ) is None
-
-    def test_adaptive_falls_back(self, catalog):
-        repository = Repository(catalog, keep_update_log=False)
-        link = NetworkLink()
-        assert self.select(
-            catalog, policy=AdaptivePolicy(repository, 30.0, link),
             repository=repository, link=link,
         ) is None
 

@@ -21,11 +21,9 @@ import json
 import pytest
 
 from tests.determinism_cases import (
-    ADAPTIVE_POLICIES,
     CASES,
     FIXTURE_DIR,
     POLICIES,
-    adaptive_payloads,
     canonical,
     flashcrowd_payloads,
     headline_payloads,
@@ -137,42 +135,6 @@ class TestIngestedScenario:
         payload = json.loads(recorded("ingested"))
         assert set(payload) == set(POLICIES)
         assert payload["vcover"]["total_traffic"] > 0
-
-
-class TestAdaptiveScenario:
-    """The adaptive meta-policy's determinism anchor.
-
-    The fixture pins the whole shadow-scoring pipeline byte-for-byte: the
-    per-arm epoch scores, the switch decisions (and their real load costs),
-    and the per-epoch offline regret solves.  As with the other streaming
-    anchors, one fixture covers both replay paths, serial and parallel.
-    """
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_materialised_payloads_byte_identical(self, jobs):
-        assert canonical(adaptive_payloads(jobs=jobs)) == recorded("adaptive")
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_streaming_payloads_byte_identical(self, jobs):
-        assert canonical(
-            adaptive_payloads(jobs=jobs, streaming=True)
-        ) == recorded("adaptive")
-
-    def test_fixture_covers_expected_policies(self):
-        payload = json.loads(recorded("adaptive"))
-        assert set(payload) == set(ADAPTIVE_POLICIES)
-
-    def test_fixture_has_meta_policy_activity(self):
-        # Guard against the scenario degenerating into one where the
-        # meta-policy never switches arms (which would leave the switch
-        # bookkeeping and the score-vs-cost guard untested).
-        run = json.loads(recorded("adaptive"))["adaptive"]
-        stats = run["policy_stats"]
-        assert stats["epochs"] > 2
-        assert stats["switches"] > 0
-        assert stats["switch_traffic"] > 0
-        assert run["regret"]["epochs"] == stats["epochs"]
-        assert run["regret"]["total"] >= 0.0
 
 
 def test_cases_registry_matches_fixture_files():

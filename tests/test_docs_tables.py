@@ -20,18 +20,12 @@ import pytest
 
 from repro import cli
 from repro.cache.base import registry as eviction_registry
-from repro.core.adaptive import ADAPTIVE_CANDIDATES
+from repro.core.roster import POLICY_CLASSES
 from repro.experiments.figures import FIGURES
 from repro.network.link import NetworkLink
 from repro.repository.catalog import sdss_catalog
 from repro.repository.server import Repository
-from repro.sim.runner import (
-    BUILDABLE_POLICIES,
-    DEFAULT_POLICIES,
-    POLICY_NAMES,
-    SERVABLE_POLICIES,
-    default_policy_specs,
-)
+from repro.sim.runner import DEFAULT_POLICIES, SERVABLE_POLICIES, default_policy_specs
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 
@@ -47,9 +41,9 @@ def _source(cls: type) -> str:
 
 
 def policy_table() -> str:
-    """Every ``--policy`` name, from the runner's policy table."""
+    """Every ``--policy`` name, from the roster's policy table."""
     lines = ["| Name | Class | Module | Servable | Summary |", "|---|---|---|---|---|"]
-    for name, cls in BUILDABLE_POLICIES.items():
+    for name, cls in POLICY_CLASSES.items():
         servable = "yes" if name in SERVABLE_POLICIES else "no"
         lines.append(
             f"| `{name}` | `{cls.__name__}` | `{_source(cls)}` | {servable} | {_summary(cls)} |"
@@ -117,15 +111,13 @@ class TestDocsTables:
 class TestDerivedRosters:
     def test_name_tuples(self):
         assert DEFAULT_POLICIES == ("nocache", "replica", "benefit", "vcover", "soptimal")
-        assert POLICY_NAMES == (*DEFAULT_POLICIES, "adaptive")
-        assert set(SERVABLE_POLICIES) == set(POLICY_NAMES) - {"soptimal"}
-        assert ADAPTIVE_CANDIDATES == ("nocache", "replica", "benefit", "vcover")
+        assert SERVABLE_POLICIES == ("nocache", "replica", "benefit", "vcover")
 
-    @pytest.mark.parametrize("name", POLICY_NAMES)
+    @pytest.mark.parametrize("name", POLICY_CLASSES)
     def test_every_name_builds_its_class_through_a_pickled_spec(self, name):
         (spec,) = default_policy_specs(include=(name,))
         spec = pickle.loads(pickle.dumps(spec))
         catalog = sdss_catalog(object_count=6, scale=0.001, seed=1)
         policy = spec.factory(Repository(catalog), catalog.total_size * 0.3, NetworkLink())
         assert spec.name == name
-        assert type(policy) is BUILDABLE_POLICIES[name]
+        assert type(policy) is POLICY_CLASSES[name]

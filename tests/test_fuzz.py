@@ -127,7 +127,7 @@ class _EdgeRng:
 
 class TestKnobTable:
     def test_draws_are_pinned(self):
-        # A seed names a scenario (repro files, the adaptive fixture), so the
+        # A seed names a scenario (repro files, the fuzzed experiment), so the
         # sampler must keep making the same draws in the same order.
         sha = hashlib.sha256()
         for seed in range(32):

@@ -11,7 +11,6 @@ count).
 
 from __future__ import annotations
 
-import json
 import pickle
 
 import pytest
@@ -22,7 +21,7 @@ from repro.experiments import multisite
 from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.sim.engine import EngineConfig
 from repro.sim.multicache import fleet_kernel, run_topology
-from repro.sim.runner import adaptive_spec, nocache_spec, run_policy, vcover_spec
+from repro.sim.runner import nocache_spec, run_policy, vcover_spec
 from repro.sim.sweep import DEFAULT_SCENARIO, InlineScenario, SweepPoint, SweepRunner
 from repro.sky.partition import contiguous_sky_slices
 from repro.topology import SiteSpec, TopologySpec, build_sites
@@ -221,32 +220,6 @@ class TestMultiCacheEngine:
         assert topology.site_count == 1
         assert topology.site_runs[0].as_payload() == single.as_payload()
         assert topology.aggregate.total_traffic == single.total_traffic
-
-    def test_adaptive_sites_carry_regret(self, small_config, small_scenario, engine_config):
-        # Regression: fleet site runs used to be built without the policy's
-        # regret summary, so `repro topology --policies adaptive` lost it.
-        fleet = run_topology(
-            TopologySpec.uniform(adaptive_spec(), 2, cache_fraction=0.3),
-            small_scenario.catalog, small_scenario.trace, engine_config,
-        )
-        for run in fleet.site_runs:
-            assert run.regret is not None
-            assert "regret" in run.as_payload()
-        assert fleet.aggregate.regret is None
-        capacity = small_scenario.catalog.total_size * small_config.cache_fraction
-        single = run_policy(
-            adaptive_spec(), small_scenario.catalog, small_scenario.trace,
-            capacity, engine_config=engine_config,
-        )
-        routed = run_topology(
-            TopologySpec.uniform(
-                adaptive_spec(), 1, cache_fraction=small_config.cache_fraction
-            ),
-            small_scenario.catalog, small_scenario.trace, engine_config,
-        )
-        assert json.dumps(routed.site_runs[0].as_payload()) == json.dumps(
-            single.as_payload()
-        )
 
     def test_updates_broadcast_queries_split(self, small_scenario, engine_config):
         spec = TopologySpec.uniform(vcover_spec(), 3, cache_fraction=0.3)
