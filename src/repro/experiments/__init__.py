@@ -1,11 +1,12 @@
 """Experiment harness: one registered experiment per table/figure of the paper.
 
-The paper's evaluation -- Figure 7(b), Figure 8(a), Figure 8(b), the
-Section 6 headline claims and the Section 6.1 cache-size choice -- is one
-table of rows in :mod:`repro.experiments.figures`.  The experiments that are
-not a one-axis sweep (``fig7a``, ``warmup``, ``ablations``, ``multisite``,
-the scenario models, ``fuzzed``) are modules that
-declare themselves with :func:`register_experiment`.  One driver
+Every experiment that compares a set of policies along one axis -- Figure
+7(b), Figure 8(a), Figure 8(b), the Section 6 headline claims, the Section
+6.1 cache-size choice, the fleet-growth experiment ``multisite`` and the
+four scenario models -- is one table of rows in
+:mod:`repro.experiments.figures`.  The others (``fig7a``, ``warmup``,
+``ablations``, ``fuzzed``) are modules that declare themselves with
+:func:`register_experiment`.  One driver
 (:mod:`repro.experiments.registry`) executes them all; the mapping from
 paper figure/table to experiment is documented in ``docs/experiments.md``.
 
@@ -24,8 +25,10 @@ from repro.experiments import fig7a
 figures.register("fig7b", "fig8a", "fig8b")
 from repro.experiments import fuzzed
 
-figures.register("headline")
-from repro.experiments import multisite, scenarios, warmup
+figures.register(
+    "headline", "multisite", "flash_crowd", "diurnal", "update_storm", "cache_adversary"
+)
+from repro.experiments import warmup
 from repro.experiments.config import (
     ExperimentConfig,
     Scenario,
@@ -57,7 +60,5 @@ __all__ = [
     "fig7a",
     "figures",
     "fuzzed",
-    "multisite",
-    "scenarios",
     "warmup",
 ]

@@ -125,10 +125,8 @@ def _eviction_variants(
     config: ExperimentConfig, policies: Sequence[str]
 ) -> List[Tuple[str, PolicySpec]]:
     """GDS vs LRU vs LFU vs Landlord as the LoadManager's object cache."""
-    return [
-        (name, vcover_spec(VCoverConfig(eviction_policy=name), name=f"vcover-{name}"))
-        for name in policies
-    ]
+    specs = config.policy_specs(include=[f"vcover-{name}" for name in policies])
+    return list(zip(policies, specs, strict=True))
 
 
 def _benefit_variants(
@@ -319,24 +317,19 @@ def _summarise(context: ExperimentContext) -> Dict[str, AblationResult]:
     format_result=format_all,
 )
 def _grid(config: ExperimentConfig, knobs: Mapping[str, object]) -> ExperimentGrid:
-    # Built in the parent: the per-variant cache capacity needs the
-    # catalogue's total size before any point can be constructed.
-    scenario = ScenarioSpec(config).build()
     engine = config.engine_config()
-    points: List[SweepPoint] = []
-    for ablation in knobs["ablations"]:
-        points.extend(
-            SweepPoint(
-                key=f"{ablation}:{spec.name}",
-                spec=spec,
-                cache_capacity=scenario.cache_capacity,
-                engine=engine,
-                seed=config.seed,
-                tags=(("ablation", ablation), ("label", label)),
-            )
-            for label, spec in _variants_for(ablation, config, knobs)
+    points = tuple(
+        SweepPoint(
+            key=f"{ablation}:{spec.name}",
+            spec=spec,
+            cache_fraction=config.cache_fraction,
+            engine=engine,
+            seed=config.seed,
+            tags=(("ablation", ablation), ("label", label)),
         )
-    return ExperimentGrid(
-        points=tuple(points),
-        scenarios={DEFAULT_SCENARIO: InlineScenario(scenario.catalog, scenario.trace)},
+        for ablation in knobs["ablations"]
+        for label, spec in _variants_for(ablation, config, knobs)
     )
+    # The recipe, not a built trace: workers rebuild it deterministically,
+    # memoised per process, and every variant name resolves before that.
+    return ExperimentGrid(points=points, scenarios={DEFAULT_SCENARIO: ScenarioSpec(config)})

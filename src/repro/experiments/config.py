@@ -21,11 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
+from repro.cache.base import registry as eviction_registry
 from repro.core.benefit import BenefitConfig
+from repro.core.roster import POLICY_CLASSES
+from repro.core.vcover import VCoverConfig
 from repro.repository.catalog import DEFAULT_SCALE, PAPER_SERVER_SIZE_MB, sdss_catalog
 from repro.repository.objects import ObjectCatalog
 from repro.sim.engine import EngineConfig
-from repro.sim.runner import DEFAULT_POLICIES, PolicySpec, default_policy_specs
+from repro.sim.runner import DEFAULT_POLICIES, PolicySpec, policy_spec, vcover_spec
 from repro.workload.mixer import interleave, slot_timestamps
 from repro.workload.scenarios import (
     ADVERSARY_WORKING_SET_FACTOR,
@@ -197,10 +200,26 @@ class ExperimentConfig:
         return EngineConfig(sample_every=self.sample_every, measure_from=self.measure_from)
 
     def policy_specs(self, include: Sequence[str] = DEFAULT_POLICIES) -> List[PolicySpec]:
-        """Specs for the policies ``include`` names, Benefit at this config's window."""
-        return default_policy_specs(
-            benefit_config=BenefitConfig(window_size=self.benefit_window), include=include
-        )
+        """Specs for the policies ``include`` names, Benefit at this config's window.
+
+        A name is a roster policy or ``vcover-<eviction>``: VCover over one
+        of the eviction registry's policies.  Every name is checked before
+        any spec is built, so a typo fails before a sweep replays anything.
+        """
+        evictions = {f"vcover-{name}": name for name in eviction_registry.names()}
+        unknown = [name for name in include if name not in POLICY_CLASSES and name not in evictions]
+        if unknown:
+            raise ValueError(
+                f"unknown policy names {unknown}; known: {sorted(DEFAULT_POLICIES)} "
+                f"and {sorted(evictions)}"
+            )
+        benefit = BenefitConfig(window_size=self.benefit_window)
+        return [
+            vcover_spec(VCoverConfig(eviction_policy=evictions[name]), name=name)
+            if name in evictions
+            else policy_spec(name, benefit if name == "benefit" else None)
+            for name in include
+        ]
 
 
 @dataclass

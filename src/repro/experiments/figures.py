@@ -1,29 +1,31 @@
-"""The paper's evaluation as one table: a :class:`Figure` row per figure.
+"""Every policy comparison as one table: a :class:`Figure` row per experiment.
 
-Figure 7(b), Figure 8(a), Figure 8(b), the Section 6 headline claims and the
-Section 6.1 cache-size choice each replay the default workload against a set
-of policies along one axis: the cache fraction over one scenario recipe, or
-a config transform with one recipe per value.  A row of :data:`FIGURES`
-declares its registry metadata, axis, policies and claims; the experiment
-(one grid builder, summary and formatter for all rows), the claims block of
-``docs/experiments.md`` and ``tests/test_figure_claims.py`` derive from it.
-A :class:`Claim` is a metric of the grid, the paper's value as a band, the
-passage it comes from, and the gate tier-1 holds it to at the row's
-``tier1`` scale, looser than the band as the trace is ~40x shorter.
+Figure 7(b), Figure 8(a), Figure 8(b), the Section 6 headline claims, the
+Section 6.1 cache-size choice, the fleet-growth experiment and the four
+scenario models each replay one workload against a set of policies along one
+axis: the cache fraction over one scenario recipe, a config transform with
+one recipe per value, or a fleet of caches per site count.  A row of
+:data:`FIGURES` declares its registry metadata, axis, policies and claims;
+the experiment (one grid builder, summary and formatter for all rows), the
+claims block of ``docs/experiments.md`` and ``tests/test_figure_claims.py``
+derive from it.  A :class:`Claim` is a metric of the grid, the paper's value
+as a band, the passage it comes from, and the gate tier-1 holds it to at the
+row's ``tier1`` scale, looser than the band as the trace is ~40x shorter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import ExperimentContext, ExperimentGrid, register_experiment
 from repro.experiments.spec import ScenarioSpec
 from repro.repository.catalog import PARTITION_LEVELS
 from repro.sim.results import ComparisonResult
-from repro.sim.runner import DEFAULT_POLICIES
+from repro.sim.runner import DEFAULT_POLICIES, PolicySpec
 from repro.sim.sweep import DEFAULT_SCENARIO, SweepPoint
+from repro.topology.spec import TopologySpec
 
 INF = float("inf")
 
@@ -92,8 +94,11 @@ class Axis:
     ``values(config, knob value)`` gives the axis values.  Without a
     ``transform`` each value is a cache fraction over the one scenario
     recipe; with one, each value is the recipe ``transform(config, value)``
-    at the config's cache fraction.  ``header(point config, value)`` labels
-    the value's column in the printed table.
+    at the config's cache fraction.  On a ``fleet`` axis each value is a
+    site count: the point replays a fleet of that many caches, each the
+    config's cache fraction of the server, assigned by the ``strategy``
+    knob the axis registers.  ``header(point config, value)`` labels the
+    value's column in the printed table.
     """
 
     name: str
@@ -102,6 +107,17 @@ class Axis:
     values: Callable[[ExperimentConfig, object], Tuple] = _knob_values
     transform: Optional[Callable[[ExperimentConfig, object], ExperimentConfig]] = None
     header: Callable[[ExperimentConfig, object], str] = _percent
+    fleet: bool = False
+
+    def placement(self, config: ExperimentConfig, value: Any, spec: PolicySpec,
+                  knobs: Mapping[str, object]) -> Dict[str, Any]:
+        """Where one policy runs at ``value``: a cache fraction or a fleet."""
+        if self.fleet:
+            topology = TopologySpec.uniform(
+                spec, value, cache_fraction=config.cache_fraction, strategy=knobs["strategy"]
+            )
+            return {"topology": topology}
+        return {"cache_fraction": config.cache_fraction if self.transform else value}
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +126,12 @@ class Figure:
 
     ``policies`` is the default of the ``policy_knob`` experiment knob (a
     string names one policy), or the fixed set when there is no knob;
-    ``tier1`` holds the flat overrides the claims test runs the row at.  A
-    row is its experiment's grid builder: the registry stores hooks as
-    ``module:qualname``, and each row is bound to its name in this module.
+    ``tier1`` holds the flat overrides the claims test runs the row at.
+    ``config`` is the experiment's default scenario config; a ``streaming``
+    row registers the ``streaming`` knob, on by default, which replays every
+    point through the lazy trace stream.  A row is its experiment's
+    grid builder: the registry stores hooks as ``module:qualname``, and each
+    row is bound to its name in this module.
     """
 
     name: str
@@ -124,6 +143,8 @@ class Figure:
     claims: Tuple[Claim, ...]
     policies: Union[str, Tuple[str, ...]] = DEFAULT_POLICIES
     policy_knob: Optional[str] = "policies"
+    config: ExperimentConfig = field(default_factory=ExperimentConfig)
+    streaming: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "__qualname__", self.name)
@@ -133,6 +154,10 @@ class Figure:
         knobs = {self.axis.knob: self.axis.default} if self.axis.knob else {}
         if self.policy_knob:
             knobs[self.policy_knob] = self.policies
+        if self.axis.fleet:
+            knobs["strategy"] = "region"
+        if self.streaming:
+            knobs["streaming"] = True
         return knobs
 
     def __call__(self, config: ExperimentConfig, knobs: Mapping[str, object]) -> ExperimentGrid:
@@ -144,10 +169,9 @@ class Figure:
         points: List[SweepPoint] = []
         headers: List[str] = []
         for index, value in enumerate(values):
-            swept, fraction, scenario = config, value, DEFAULT_SCENARIO
+            swept, scenario = config, DEFAULT_SCENARIO
             if self.axis.transform is not None:
-                swept = self.axis.transform(config, value)
-                fraction, scenario = config.cache_fraction, f"{self.name}-{index}"
+                swept, scenario = self.axis.transform(config, value), f"{self.name}-{index}"
             # The recipe, not a built trace: workers rebuild it
             # deterministically, memoised per process.
             scenarios[scenario] = ScenarioSpec(swept, name=scenario)
@@ -157,10 +181,11 @@ class Figure:
                     key=f"{spec.name}@{index}",
                     spec=spec,
                     scenario=scenario,
-                    cache_fraction=fraction,
                     engine=swept.engine_config(),
                     seed=config.seed,
                     tags=(("at", index),),
+                    streaming=bool(knobs.get("streaming", False)),
+                    **self.axis.placement(config, value, spec, knobs),
                 )
                 for spec in specs
             )
@@ -211,9 +236,10 @@ def format_figure(result: FigureResult) -> str:
     """The per-policy x axis table, then each claim: paper vs measured vs gate."""
     figure, spread = result.figure, len(result.axis) > 1
     policies = result.comparisons[0].policy_names() if result.comparisons else []
+    width = max(10, *(len(header) + 2 for header in result.headers))
 
     def row(label: str, cells: List[str], last: str = "") -> str:
-        return f"{label:<24}" + "".join(f"{cell:>10}" for cell in [*cells, last] if cell)
+        return f"{label:<24}" + "".join(f"{cell:>{width}}" for cell in [*cells, last] if cell)
 
     growth = f"x{_ratio(result.axis[-1], result.axis[0]):.1f}" if spread else ""
     lines = [
@@ -230,7 +256,8 @@ def format_figure(result: FigureResult) -> str:
     for name in policies:
         answers = [f"{c[name].cache_answer_fraction:.2%}" for c in result.comparisons]
         lines.append(row(name, answers))
-    lines += ["", f"{'claim':<40} {'paper':>8} {'measured':>9}  tier-1 gate"]
+    if figure.claims:
+        lines += ["", f"{'claim':<40} {'paper':>8} {'measured':>9}  tier-1 gate"]
     for claim in figure.claims:
         value = claim.measure(result)
         measured = "n/a" if value is None else format(value, claim.fmt)
@@ -390,8 +417,79 @@ cache_size = Figure(
     policies=("nocache", "benefit", "vcover", "soptimal"),
 )
 
-#: The paper's evaluation, in paper order.
-FIGURES: Dict[str, Figure] = {row.name: row for row in (fig7b, fig8a, fig8b, headline, cache_size)}
+multisite = Figure(
+    "multisite", "Fleet growth: one workload over 1/2/4/8 cache sites", "(ours)",
+    "Partitions the query stream across a growing fleet of caches sharing one repository "
+    "(updates broadcast) and checks that VCover's fleet-wide traffic stays at or below the "
+    "NoCache yardstick at every site count.",
+    # NoCache ships every query wherever it lands, so its traffic is the same
+    # at every site count; VCover over LRU / Landlord asks whether the
+    # eviction choice still matters when each site sees a thinner stream.
+    Axis("sites", "site_counts", (1, 2, 4, 8), fleet=True,
+         header=lambda config, count: str(count)),
+    tier1={"object_count": 30, "query_count": 1200, "update_count": 1200, "sample_every": 300,
+           "site_counts": (1, 2, 4), "policies": ("vcover", "nocache")},
+    claims=(
+        Claim("VCover / NoCache, worst site count",
+              lambda r: max(c.ratio("vcover", "nocache") for c in r.comparisons),
+              Band(high=1),
+              "VCover's fleet-wide traffic stays at or below the NoCache yardstick at every "
+              "site count (ours: the paper evaluates one cache)", Band(high=1)),
+    ),
+    policies=("vcover", "vcover-lru", "vcover-landlord", "nocache"),
+)
+
+
+def _scenario_model(name: str, title: str, description: str) -> Figure:
+    """The policy set over one scenario model, streamed; no claims.
+
+    The axis pins the model, so a caller's ``workload_model`` override keeps
+    its scale knobs but still replays this row's model.
+    """
+    return Figure(
+        name, title, "beyond the paper", description,
+        Axis("model", values=lambda config, _: (name,),
+             transform=lambda config, model: replace(config, workload_model=model),
+             header=lambda config, model: str(model)),
+        tier1={},
+        claims=(),
+        config=ExperimentConfig(workload_model=name),
+        streaming=True,
+    )
+
+
+flash_crowd = _scenario_model(
+    "flash_crowd", "Flash-crowd workload: sudden hotspot migration",
+    "Compares the policy set under flash crowds that abruptly migrate the query hotspot to "
+    "fresh sky regions; replayed through the streaming trace pipeline.",
+)
+
+diurnal = _scenario_model(
+    "diurnal", "Diurnal workload: day/night load cycles",
+    "Compares the policy set under sinusoidal day cycles where query traffic peaks while "
+    "update traffic troughs (and vice versa); replayed through the streaming trace pipeline.",
+)
+
+update_storm = _scenario_model(
+    "update_storm", "Update-storm workload: correlated update bursts",
+    "Compares the policy set under bursts of correlated updates that hammer contiguous sky "
+    "blocks -- half the time the query hotspot itself; replayed through the streaming trace "
+    "pipeline.",
+)
+
+cache_adversary = _scenario_model(
+    "cache_adversary", "Cache-adversary workload: eviction-busting cyclic scans",
+    "Compares the policy set under a cyclic working set sized just past the cache capacity, "
+    "punctured by sequential catalogue scans -- the recency-eviction worst case; replayed "
+    "through the streaming trace pipeline.",
+)
+
+#: Every policy comparison: the paper's evaluation in paper order, then ours.
+FIGURES: Dict[str, Figure] = {
+    row.name: row
+    for row in (fig7b, fig8a, fig8b, headline, cache_size, multisite,
+                flash_crowd, diurnal, update_storm, cache_adversary)
+}
 
 
 def register(*names: str) -> None:
@@ -402,6 +500,7 @@ def register(*names: str) -> None:
             title=row.title,
             paper_ref=row.paper_ref,
             description=row.description,
+            config=row.config,
             knobs=row.knobs(),
             summarise=summarise,
             format_result=format_figure,

@@ -15,6 +15,7 @@ from repro import api
 from repro.experiments import ablations, fig7a, warmup
 from repro.experiments.config import ExperimentConfig, build_catalog, build_scenario
 from repro.sim.runner import DEFAULT_POLICIES
+from repro.sim.sweep import SweepRunner
 
 #: A scaled-down scenario that keeps every experiment fast.
 SMALL = {
@@ -244,6 +245,25 @@ class TestAblations:
         )
         assert set(result.traffic) == {"gds", "lru"}
         assert "gds" in ablations.format_table("eviction", result)
+
+    def test_unknown_eviction_policy_fails_before_any_replay(self, monkeypatch):
+        def no_sweep(self, points, scenarios):
+            raise AssertionError("the sweep ran before the policy names were checked")
+
+        monkeypatch.setattr(SweepRunner, "run", no_sweep)
+        with pytest.raises(ValueError, match="'vcover-fifo'.*vcover-lru"):
+            api.run_experiment(
+                "ablations",
+                overrides={**SMALL, "ablations": ("eviction",),
+                           "eviction_policies": ("gds", "fifo")},
+            )
+
+    def test_eviction_names_resolve_like_the_experiment_policies(self, small_config):
+        (lru,) = small_config.policy_specs(include=("vcover-lru",))
+        assert lru.name == "vcover-lru"
+        assert lru.factory.keywords["config"].eviction_policy == "lru"
+        with pytest.raises(ValueError, match="known: .*nocache.*vcover-gds"):
+            small_config.policy_specs(include=("nocache", "lru"))
 
     def test_benefit_sensitivity_labels(self, small_config, small_scenario):
         result = ablations.run_benefit_sensitivity(

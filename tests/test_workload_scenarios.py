@@ -354,23 +354,26 @@ class TestDeclarativePlumbing:
                 "policies": ("nocache", "vcover"),
             },
         )
-        assert result.model == name
-        assert result.streaming is True
-        assert result.comparison.traffic_of("nocache") > 0
-        rendered = api.format_result(name, result)
-        assert name in rendered and "streaming" in rendered
+        assert result.axis == (name,)
+        assert api.get_experiment(name).knobs["streaming"] is True
+        assert api.get_experiment(name).config.workload_model == name
+        assert result.comparisons[0].traffic_of("nocache") > 0
+        assert name in api.format_result(name, result)
 
     def test_experiment_forces_its_model(self):
         # A caller config with the default workload_model still runs the
-        # experiment's own model.
-        result = api.run_experiment(
-            "flash_crowd",
-            overrides={
-                "object_count": 16,
-                "query_count": 100,
-                "update_count": 100,
-                "workload_model": "evolving",
-                "policies": ("nocache",),
-            },
+        # experiment's own model: the traffic is the flash crowd's.
+        overrides = {
+            "object_count": 16,
+            "query_count": 100,
+            "update_count": 100,
+            "policies": ("nocache", "vcover"),
+        }
+        pinned = api.run_experiment("flash_crowd", overrides=overrides)
+        forced = api.run_experiment(
+            "flash_crowd", overrides={**overrides, "workload_model": "evolving"}
         )
-        assert result.model == "flash_crowd"
+        evolving = api.run_experiment("fig7b", overrides=overrides)
+        for policy in overrides["policies"]:
+            assert forced.series(policy) == pinned.series(policy)
+        assert forced.series("nocache") != evolving.series("nocache")
