@@ -51,8 +51,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
-# Importing the experiments package registers every experiment.
-import repro.experiments  # noqa: F401  (imported for its registration side effect)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import (
     DuplicateExperimentError,
@@ -127,7 +125,7 @@ def load_fuzzed_scenario(path: Union[str, Path]) -> CompositionSpec:
 
 
 def list_experiments() -> List[str]:
-    """Names of every registered experiment, in registration order."""
+    """Names of every registered experiment, in listing order."""
     return experiment_names()
 
 

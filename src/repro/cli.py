@@ -73,20 +73,19 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro import __version__, api
-from repro.experiments import fig7a
+# Only what the parser needs is imported here; each handler imports its own
+# dependencies, so a command loads only the modules it runs.
+from repro import __version__
 from repro.experiments.config import WORKLOAD_MODELS, ExperimentConfig
-from repro.experiments.registry import UnknownExperimentError, UnknownOverrideError
-from repro.experiments.spec import ScenarioError, ScenarioSpec
-from repro.sim.results import ComparisonResult
 from repro.sim.runner import DEFAULT_POLICIES, SERVABLE_POLICIES, run_policy
-from repro.sim.sweep import PointResult, SweepPoint, SweepRunner
-from repro.topology.spec import TopologySpec
-from repro.workload.ingest import IngestError
 from repro.workload.partition import PARTITION_STRATEGIES
 from repro.workload.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.experiments.spec import ScenarioSpec
+    from repro.sim.results import ComparisonResult
 
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
@@ -126,21 +125,28 @@ def _unique(values: Sequence) -> List:
     return list(dict.fromkeys(values))
 
 
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The scenario config described by the shared flags."""
+    return ExperimentConfig(
+        object_count=args.objects,
+        query_count=args.queries,
+        update_count=args.updates,
+        cache_fraction=args.cache,
+        seed=args.seed,
+    )
+
+
 def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
     """The declarative scenario spec described by the shared flags."""
-    return ScenarioSpec(
-        ExperimentConfig(
-            object_count=args.objects,
-            query_count=args.queries,
-            update_count=args.updates,
-            cache_fraction=args.cache,
-            seed=args.seed,
-        )
-    )
+    from repro.experiments.spec import ScenarioSpec
+
+    return ScenarioSpec(_config_from_args(args))
 
 
 def _parse_overrides(assignments: Sequence[str]) -> Dict[str, object]:
     """Parse ``--set key=value`` pairs (values are JSON, falling back to str)."""
+    from repro.experiments.spec import ScenarioError
+
     overrides: Dict[str, object] = {}
     for assignment in assignments:
         key, sep, raw = assignment.partition("=")
@@ -167,6 +173,8 @@ def _print_comparison(comparison: ComparisonResult) -> None:
 # ----------------------------------------------------------------------
 def format_experiment_table(markdown: bool = False) -> str:
     """The registered experiments as a table (markdown = docs format)."""
+    from repro import api
+
     specs = api.experiment_specs()
     if markdown:
         lines = [
@@ -191,6 +199,10 @@ def _cmd_experiment_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment_run(args: argparse.Namespace) -> int:
+    from repro import api
+    from repro.experiments.registry import UnknownExperimentError, UnknownOverrideError
+    from repro.experiments.spec import ScenarioError
+
     try:
         overrides = _parse_overrides(args.set or [])
         result = api.run_experiment(args.name, overrides=overrides, jobs=args.jobs)
@@ -202,6 +214,9 @@ def _cmd_experiment_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_validate(args: argparse.Namespace) -> int:
+    from repro import api
+    from repro.experiments.spec import ScenarioError
+
     try:
         spec = api.load_scenario(args.file)
     except ScenarioError as exc:
@@ -219,6 +234,9 @@ def _cmd_scenario_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
+    from repro import api
+    from repro.experiments.spec import ScenarioError
+
     try:
         spec = api.load_scenario(args.file)
         policies = _unique(args.policies) if args.policies else None
@@ -233,6 +251,9 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    from repro import api
+    from repro.workload.ingest import IngestError
+
     try:
         spec, calibration = api.ingest_scenario(args.file, name=args.name)
     except IngestError as exc:
@@ -251,6 +272,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 # Classic subcommands (re-expressed over the facade)
 # ----------------------------------------------------------------------
 def _cmd_generate_trace(args: argparse.Namespace) -> int:
+    from repro.experiments import fig7a
+
     scenario = _spec_from_args(args).build()
     scenario.trace.to_jsonl(args.out)
     stats = scenario.trace.describe()
@@ -286,16 +309,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro import api
+
     spec = _spec_from_args(args)
-    policies = _unique(args.policies) if args.policies else api.DEFAULT_POLICIES
+    policies = _unique(args.policies) if args.policies else DEFAULT_POLICIES
     comparison = api.run_scenario(spec, policies=policies, jobs=args.jobs)
     _print_comparison(comparison)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _spec_from_args(args).config
-    policies = _unique(args.policies) if args.policies else api.DEFAULT_POLICIES
+    from repro.experiments.spec import ScenarioSpec
+    from repro.sim.sweep import PointResult, SweepPoint, SweepRunner
+
+    config = _config_from_args(args)
+    policies = _unique(args.policies) if args.policies else DEFAULT_POLICIES
     fractions = (
         _unique(args.cache_fractions) if args.cache_fractions
         else (config.cache_fraction,)
@@ -365,13 +393,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    # Imported here so the classic subcommands never pay for the serve stack.
+    # Imported here so no other command pays for asyncio and the server.
+    # The boot builds only the catalogue (no trace), and imports neither
+    # numpy, the experiment registry nor the sweep runner: see "Import
+    # discipline" in docs/architecture.md.
     import asyncio
 
     from repro.experiments.config import build_catalog
     from repro.serve.server import CacheServer, install_uvloop
 
-    config = _spec_from_args(args).config.scaled(workload_model=args.model)
+    config = _config_from_args(args).scaled(workload_model=args.model)
     (spec,) = config.policy_specs(include=(args.policy,))
     catalog = build_catalog(config)
     server = CacheServer(
@@ -421,7 +452,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             )
             return 2
         connect = (host, int(port))
-    config = _spec_from_args(args).config.scaled(workload_model=args.model)
+    config = _config_from_args(args).scaled(workload_model=args.model)
     try:
         report, payload = run_loadgen(
             config=config,
@@ -441,6 +472,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
+    from repro.sim.sweep import SweepPoint, SweepRunner
+    from repro.topology.spec import TopologySpec
+
     spec = _spec_from_args(args)
     config = spec.config
     if args.sites > args.objects:

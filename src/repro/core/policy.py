@@ -28,9 +28,7 @@ while the mechanism helpers below carry only decisions; see
 from __future__ import annotations
 
 import abc
-from typing import Container, Dict, FrozenSet, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Container, Dict, FrozenSet, List, Optional
 
 from repro.cache.observer import PolicyObserver
 from repro.cache.store import CacheStore
@@ -40,6 +38,9 @@ from repro.repository.queries import Query
 from repro.repository.server import Repository
 from repro.repository.updates import Update
 from repro.workload.trace import Trace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CachePolicy(abc.ABC):
@@ -173,6 +174,8 @@ class BaseCachePolicy(CachePolicy):
 
     def share_weights(self, catalog_ids: np.ndarray) -> np.ndarray:
         """The share rule's weights by :func:`catalog_positions` (1.0 in the unknown slot)."""
+        import numpy as np
+
         sizes = self._share_sizes
         return np.array([sizes[object_id] for object_id in catalog_ids.tolist()] + [1.0])
 
@@ -254,6 +257,8 @@ class BaseCachePolicy(CachePolicy):
 # ----------------------------------------------------------------------
 def catalog_positions(catalog_ids: np.ndarray, object_ids: np.ndarray) -> np.ndarray:
     """Positions of ``object_ids`` in sorted ``catalog_ids``; unknown ids share one extra slot."""
+    import numpy as np
+
     count = len(catalog_ids)
     slot = np.minimum(np.searchsorted(catalog_ids, object_ids), count - 1)
     return np.where(catalog_ids[slot] == object_ids, slot, count)
@@ -271,6 +276,8 @@ def fold_credit(
     get ``cost * weight / total``.  Unbuffered ``np.add.at`` adds each
     position's terms in event order, as the per-event hooks do: same bits.
     """
+    import numpy as np
+
     query_share, update_cost = sums
     np.add.at(update_cost, update_positions, update_costs)
     shares = np.repeat(costs, footprint) * weights[positions] / np.repeat(totals, footprint)

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Set
 
-import numpy as np
-
 from repro.core.decoupling import DecouplingDecision, QueryAction, QueryOutcome
 from repro.core.policy import BaseCachePolicy, catalog_positions, fold_credit
 from repro.network.link import NetworkLink
@@ -108,6 +106,8 @@ class SOptimalPolicy(BaseCachePolicy):
         One pass over the trace's columns (any other stream's compiled chunk by
         chunk): each object's shares and update costs add up in event order.
         """
+        import numpy as np
+
         catalog = self._repository.catalog
         catalog_ids = np.array(catalog.object_ids, dtype=np.int64)
         weights = self.share_weights(catalog_ids)

@@ -10,55 +10,36 @@ four scenario models -- is one table of rows in
 (:mod:`repro.experiments.registry`) executes them all; the mapping from
 paper figure/table to experiment is documented in ``docs/experiments.md``.
 
-Importing this package registers every experiment (:mod:`repro.api` relies
-on it).  Registration order is the order ``repro experiment list`` prints,
-so each figure row registers at its name's alphabetical place among the
-modules.
+Importing this package registers nothing: the registry imports the
+experiment modules on its first read or write, and lists them in the order
+of :data:`repro.experiments.registry.BUILTIN_EXPERIMENTS`, so a process that
+needs only :mod:`repro.experiments.config` (``repro serve``) never imports
+them.
 """
 
-from repro.experiments import registry
-from repro.experiments import ablations, figures
+from repro._lazy import lazy_exports
 
-figures.register("cache_size")
-from repro.experiments import fig7a
+#: Public name -> the submodule that defines it, imported on first access.
+_EXPORTS = {
+    "ExperimentConfig": "repro.experiments.config",
+    "ExperimentContext": "repro.experiments.registry",
+    "ExperimentGrid": "repro.experiments.registry",
+    "ExperimentSpec": "repro.experiments.registry",
+    "Scenario": "repro.experiments.config",
+    "ScenarioError": "repro.experiments.spec",
+    "ScenarioSpec": "repro.experiments.spec",
+    "build_scenario": "repro.experiments.config",
+    "build_scenario_stream": "repro.experiments.config",
+    "load_scenario": "repro.experiments.spec",
+    "register_experiment": "repro.experiments.registry",
+    "registry": "repro.experiments.registry",
+    "ablations": "repro.experiments.ablations",
+    "fig7a": "repro.experiments.fig7a",
+    "figures": "repro.experiments.figures",
+    "fuzzed": "repro.experiments.fuzzed",
+    "warmup": "repro.experiments.warmup",
+}
 
-figures.register("fig7b", "fig8a", "fig8b")
-from repro.experiments import fuzzed
+__all__ = list(_EXPORTS)
 
-figures.register(
-    "headline", "multisite", "flash_crowd", "diurnal", "update_storm", "cache_adversary"
-)
-from repro.experiments import warmup
-from repro.experiments.config import (
-    ExperimentConfig,
-    Scenario,
-    build_scenario,
-    build_scenario_stream,
-)
-from repro.experiments.registry import (
-    ExperimentContext,
-    ExperimentGrid,
-    ExperimentSpec,
-    register_experiment,
-)
-from repro.experiments.spec import ScenarioSpec, ScenarioError, load_scenario
-
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentContext",
-    "ExperimentGrid",
-    "ExperimentSpec",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioSpec",
-    "build_scenario",
-    "build_scenario_stream",
-    "load_scenario",
-    "register_experiment",
-    "registry",
-    "ablations",
-    "fig7a",
-    "figures",
-    "fuzzed",
-    "warmup",
-]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -491,17 +491,14 @@ FIGURES: Dict[str, Figure] = {
                 flash_crowd, diurnal, update_storm, cache_adversary)
 }
 
-
-def register(*names: str) -> None:
-    """Register the named rows as experiments, in the order given."""
-    for row in (FIGURES[name] for name in names):
-        register_experiment(
-            name=row.name,
-            title=row.title,
-            paper_ref=row.paper_ref,
-            description=row.description,
-            config=row.config,
-            knobs=row.knobs(),
-            summarise=summarise,
-            format_result=format_figure,
-        )(row)
+for _row in FIGURES.values():
+    register_experiment(
+        name=_row.name,
+        title=_row.title,
+        paper_ref=_row.paper_ref,
+        description=_row.description,
+        config=_row.config,
+        knobs=_row.knobs(),
+        summarise=summarise,
+        format_result=format_figure,
+    )(_row)

@@ -23,7 +23,9 @@ Modules register themselves with the :func:`register_experiment` decorator::
     def _grid(config: ExperimentConfig, knobs: Mapping[str, object]) -> ExperimentGrid:
         ...
 
-The registry is enumerable (:func:`experiment_names`), every spec round-trips
+The registry imports the modules named in :data:`BUILTIN_EXPERIMENTS` on its
+first read or write, and lists the built-ins in that table's order.  It is
+enumerable (:func:`experiment_names`), every spec round-trips
 through :meth:`ExperimentSpec.to_dict`/:meth:`ExperimentSpec.from_dict` (the
 hooks are stored as ``module:qualname`` strings), and
 :mod:`repro.api` exposes the whole surface as the supported entry points.
@@ -195,8 +197,54 @@ class ExperimentSpec:
         )
 
 
-#: The registry, in registration order (the order modules are imported).
+#: The built-in experiments, in the order :func:`experiment_names` lists them,
+#: each with the module that registers it when imported.
+BUILTIN_EXPERIMENTS: Tuple[Tuple[str, str], ...] = (
+    ("ablations", "repro.experiments.ablations"),
+    ("cache_size", "repro.experiments.figures"),
+    ("fig7a", "repro.experiments.fig7a"),
+    ("fig7b", "repro.experiments.figures"),
+    ("fig8a", "repro.experiments.figures"),
+    ("fig8b", "repro.experiments.figures"),
+    ("fuzzed", "repro.experiments.fuzzed"),
+    ("headline", "repro.experiments.figures"),
+    ("multisite", "repro.experiments.figures"),
+    ("flash_crowd", "repro.experiments.figures"),
+    ("diurnal", "repro.experiments.figures"),
+    ("update_storm", "repro.experiments.figures"),
+    ("cache_adversary", "repro.experiments.figures"),
+    ("warmup", "repro.experiments.warmup"),
+)
+
+#: Listing position of each built-in; other experiments follow them.
+_BUILTIN_RANK = {name: rank for rank, (name, _) in enumerate(BUILTIN_EXPERIMENTS)}
+
 _REGISTRY: Dict[str, ExperimentSpec] = {}
+_filled = False
+
+
+def _registry() -> Dict[str, ExperimentSpec]:
+    """The registry, after importing every built-in experiment's module once.
+
+    Filled on the first read or write rather than when the package is
+    imported, so a process that needs only :mod:`repro.experiments.config`
+    never imports the experiments.
+    """
+    global _filled
+    if not _filled:
+        _filled = True
+        for module in dict.fromkeys(module for _, module in BUILTIN_EXPERIMENTS):
+            importlib.import_module(module)
+    return _REGISTRY
+
+
+def _listed() -> List[ExperimentSpec]:
+    """Every spec: built-ins in declared order (whatever order their modules
+    were imported in), then the others in registration order."""
+    return sorted(
+        _registry().values(),
+        key=lambda spec: _BUILTIN_RANK.get(spec.name, len(_BUILTIN_RANK)),
+    )
 
 
 def register_experiment(
@@ -217,10 +265,11 @@ def register_experiment(
     """
 
     def decorate(build_grid: GridBuilder) -> GridBuilder:
-        if name in _REGISTRY:
+        registry = _registry()
+        if name in registry:
             raise DuplicateExperimentError(
                 f"experiment {name!r} is already registered "
-                f"(by {_hook_ref(_REGISTRY[name].build_grid)})"
+                f"(by {_hook_ref(registry[name].build_grid)})"
             )
         shadowed = sorted(set(knobs or {}) & set(CONFIG_FIELDS))
         if shadowed:
@@ -230,7 +279,7 @@ def register_experiment(
                 f"experiment {name!r} knob(s) {shadowed} shadow "
                 "ExperimentConfig fields; rename the knobs"
             )
-        _REGISTRY[name] = ExperimentSpec(
+        registry[name] = ExperimentSpec(
             name=name,
             title=title,
             paper_ref=paper_ref,
@@ -247,13 +296,13 @@ def register_experiment(
 
 
 def experiment_names() -> List[str]:
-    """All registered experiment names, in registration order."""
-    return list(_REGISTRY)
+    """All registered experiment names, in listing order."""
+    return [spec.name for spec in _listed()]
 
 
 def experiment_specs() -> List[ExperimentSpec]:
-    """All registered specs, in registration order."""
-    return list(_REGISTRY.values())
+    """All registered specs, in listing order."""
+    return _listed()
 
 
 def get_experiment(name: str) -> ExperimentSpec:
@@ -262,11 +311,10 @@ def get_experiment(name: str) -> ExperimentSpec:
     Raises :class:`UnknownExperimentError` (with the known names) otherwise.
     """
     try:
-        return _REGISTRY[name]
+        return _registry()[name]
     except KeyError:
-        raise UnknownExperimentError(
-            f"unknown experiment {name!r}; known: {', '.join(_REGISTRY) or '(none)'}"
-        ) from None
+        known = ", ".join(experiment_names()) or "(none)"
+        raise UnknownExperimentError(f"unknown experiment {name!r}; known: {known}") from None
 
 
 def split_overrides(

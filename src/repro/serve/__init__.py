@@ -26,31 +26,26 @@ The stack is stdlib-asyncio only; the optional ``[serve]`` extra installs
 ``uvloop``, which the server uses automatically when importable.
 """
 
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.equivalence import replay_with_log, serve_with_log
-from repro.serve.harness import LoadReport, loadgen_payload, run_load, run_loadgen
-from repro.serve.payload import validate_payload
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    decode_frame,
-    encode_frame,
-)
-from repro.serve.server import CacheServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheServer",
-    "LoadReport",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "ServeClient",
-    "ServeError",
-    "decode_frame",
-    "encode_frame",
-    "loadgen_payload",
-    "replay_with_log",
-    "run_load",
-    "run_loadgen",
-    "serve_with_log",
-    "validate_payload",
-]
+#: Public name -> the submodule that defines it, imported on first access.
+_EXPORTS = {
+    "CacheServer": "repro.serve.server",
+    "LoadReport": "repro.serve.harness",
+    "PROTOCOL_VERSION": "repro.serve.protocol",
+    "ProtocolError": "repro.serve.protocol",
+    "ServeClient": "repro.serve.client",
+    "ServeError": "repro.serve.client",
+    "decode_frame": "repro.serve.protocol",
+    "encode_frame": "repro.serve.protocol",
+    "loadgen_payload": "repro.serve.harness",
+    "replay_with_log": "repro.serve.equivalence",
+    "run_load": "repro.serve.harness",
+    "run_loadgen": "repro.serve.harness",
+    "serve_with_log": "repro.serve.equivalence",
+    "validate_payload": "repro.serve.payload",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -13,54 +13,35 @@ against several sites sharing a repository (:mod:`repro.sim.multicache`,
 specified via :mod:`repro.topology`).
 """
 
-from repro.sim.engine import ReplayKernel
-from repro.sim.metrics import CacheOccupancySeries, TrafficTimeSeries
-from repro.sim.multicache import run_topology
-from repro.sim.results import ComparisonResult, RunResult
-from repro.sim.runner import (
-    PolicySpec,
-    benefit_spec,
-    compare_policies,
-    default_policy_specs,
-    nocache_spec,
-    replica_spec,
-    run_policy,
-    soptimal_spec,
-    vcover_spec,
-)
-from repro.sim.sweep import (
-    InlineScenario,
-    PointResult,
-    SweepPoint,
-    SweepResult,
-    SweepRunner,
-    derive_seed,
-    load_artifacts,
-    write_artifacts,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ReplayKernel",
-    "run_topology",
-    "CacheOccupancySeries",
-    "TrafficTimeSeries",
-    "ComparisonResult",
-    "RunResult",
-    "PolicySpec",
-    "compare_policies",
-    "default_policy_specs",
-    "run_policy",
-    "nocache_spec",
-    "replica_spec",
-    "benefit_spec",
-    "vcover_spec",
-    "soptimal_spec",
-    "InlineScenario",
-    "PointResult",
-    "SweepPoint",
-    "SweepResult",
-    "SweepRunner",
-    "derive_seed",
-    "load_artifacts",
-    "write_artifacts",
-]
+#: Public name -> the submodule that defines it, imported on first access.
+_EXPORTS = {
+    "ReplayKernel": "repro.sim.engine",
+    "run_topology": "repro.sim.multicache",
+    "CacheOccupancySeries": "repro.sim.metrics",
+    "TrafficTimeSeries": "repro.sim.metrics",
+    "ComparisonResult": "repro.sim.results",
+    "RunResult": "repro.sim.results",
+    "PolicySpec": "repro.sim.runner",
+    "compare_policies": "repro.sim.runner",
+    "default_policy_specs": "repro.sim.runner",
+    "run_policy": "repro.sim.runner",
+    "nocache_spec": "repro.sim.runner",
+    "replica_spec": "repro.sim.runner",
+    "benefit_spec": "repro.sim.runner",
+    "vcover_spec": "repro.sim.runner",
+    "soptimal_spec": "repro.sim.runner",
+    "InlineScenario": "repro.sim.sweep",
+    "PointResult": "repro.sim.sweep",
+    "SweepPoint": "repro.sim.sweep",
+    "SweepResult": "repro.sim.sweep",
+    "SweepRunner": "repro.sim.sweep",
+    "derive_seed": "repro.sim.sweep",
+    "load_artifacts": "repro.sim.sweep",
+    "write_artifacts": "repro.sim.sweep",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -38,6 +38,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.cache.store import CacheStore
 from repro.core.benefit import BenefitPolicy
 from repro.core.policy import BaseCachePolicy, CachePolicy, catalog_positions, fold_credit
@@ -45,14 +47,9 @@ from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
 from repro.network.link import Mechanism, NetworkLink
 from repro.repository.queries import Query
 from repro.repository.server import Repository
-from repro.workload.columns import COLUMNS_AVAILABLE, TraceColumns
+from repro.workload.columns import TraceColumns
 from repro.workload.partition import TracePartitioner
 from repro.workload.trace import Trace, TraceStream, TraceView
-
-try:  # pragma: no cover - exercised implicitly by every batched test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None  # type: ignore[assignment]
 
 __all__ = ["select_batched_executor"]
 
@@ -77,26 +74,26 @@ class _Site:
     )  # fmt: skip
 
     def __init__(
-        self, policy: BaseCachePolicy, link: NetworkLink, resident: "_np.ndarray",
-        columns: TraceColumns, positions: "_np.ndarray", totals: Optional["_np.ndarray"],
-        mine: "_np.ndarray"
+        self, policy: BaseCachePolicy, link: NetworkLink, resident: "np.ndarray",
+        columns: TraceColumns, positions: "np.ndarray", totals: Optional["np.ndarray"],
+        mine: "np.ndarray"
     ) -> None:  # fmt: skip
         self.policy, self.link, self.resident = policy, link, resident
-        footprint = _np.diff(columns.query_object_offsets)
-        touches = _np.repeat(mine, footprint)
+        footprint = np.diff(columns.query_object_offsets)
+        touches = np.repeat(mine, footprint)
         self.costs, self.timestamps = columns.query_costs[mine], columns.query_timestamps[mine]
         self.totals = None if totals is None else totals[mine]
         self.object_ids, self.positions = columns.query_object_ids[touches], positions[touches]
-        self.index = _np.flatnonzero(mine)
-        self.offsets = _np.concatenate(([0], _np.cumsum(footprint[mine])))
+        self.index = np.flatnonzero(mine)
+        self.offsets = np.concatenate(([0], np.cumsum(footprint[mine])))
         self.edges, self.cursor = [], 0
         self.sums = None
         if type(policy) is BenefitPolicy:
-            own_events = _np.ones(len(columns), dtype=bool)
+            own_events = np.ones(len(columns), dtype=bool)
             own_events[~columns.is_update] = mine
             window = policy.config.window_size
-            self.edges = (_np.flatnonzero(own_events)[window - 1 :: window] + 1).tolist()
-            self.sums = _np.zeros((2, len(resident)))
+            self.edges = (np.flatnonzero(own_events)[window - 1 :: window] + 1).tolist()
+            self.sums = np.zeros((2, len(resident)))
 
 
 class _BatchedExecutor:
@@ -109,11 +106,11 @@ class _BatchedExecutor:
 
     def __init__(
         self, policies: Sequence[BaseCachePolicy], links: Sequence[NetworkLink],
-        trace: TraceStream, repository: Repository, routes: "_np.ndarray"
+        trace: TraceStream, repository: Repository, routes: "np.ndarray"
     ) -> None:  # fmt: skip
         columns = trace.columns()
         self._columns, self._repository = columns, repository
-        catalog_ids = _np.array(sorted(repository.catalog.object_ids), dtype=_np.int64)
+        catalog_ids = np.array(sorted(repository.catalog.object_ids), dtype=np.int64)
         self._catalog_ids = catalog_ids
         self._update_positions = catalog_positions(catalog_ids, columns.update_object_ids)
         positions = catalog_positions(catalog_ids, columns.query_object_ids)
@@ -172,7 +169,7 @@ class _BatchedExecutor:
                 costs = link.cost_model.cost_array(update_costs[ships])
                 link.charge_batch(Mechanism.UPDATE_SHIPPING, costs)
                 # Shipped on arrival: each touched copy is at the server version.
-                for object_id in _np.unique(columns.update_object_ids[updates][ships]).tolist():
+                for object_id in np.unique(columns.update_object_ids[updates][ships]).tolist():
                     store.mark_fresh(object_id, repository.object_version(object_id))
 
         # The chunk's queries, renumbered among the site's.
@@ -181,22 +178,22 @@ class _BatchedExecutor:
         flat_start, flat_stop = int(offsets[first]), int(offsets[last])
         positions = site.positions[flat_start:flat_stop]
         in_set = site.resident[positions]
-        resident_touches = int(_np.count_nonzero(in_set))
+        resident_touches = int(np.count_nonzero(in_set))
         # A query is answered when every id of its footprint (never empty,
         # see Query) is resident; all-resident and none-resident skip the scan.
         if resident_touches in (0, len(in_set)):
-            answered = _np.full(last - first, resident_touches > 0)
+            answered = np.full(last - first, resident_touches > 0)
         else:
-            answered = _np.logical_and.reduceat(in_set, offsets[first:last] - flat_start)
-        answered_count = int(_np.count_nonzero(answered))
+            answered = np.logical_and.reduceat(in_set, offsets[first:last] - flat_start)
+        answered_count = int(np.count_nonzero(answered))
         shipped_count = last - first - answered_count
-        footprint = _np.diff(offsets[first : last + 1])
+        footprint = np.diff(offsets[first : last + 1])
         touched = site.object_ids[flat_start:flat_stop]
         hit = None  # per touched id, whether its query is answered (mixed chunks)
         if answered_count:
-            touched_at = _np.repeat(site.timestamps[first:last], footprint)
+            touched_at = np.repeat(site.timestamps[first:last], footprint)
             if shipped_count:
-                hit = _np.repeat(answered, footprint)
+                hit = np.repeat(answered, footprint)
                 self._record_hits(store, touched[hit], touched_at[hit])
             else:
                 self._record_hits(store, touched, touched_at)
@@ -209,7 +206,7 @@ class _BatchedExecutor:
         if site.sums is not None:
             # Benefit's credit: every id of an answered query, the missing
             # ids of a shipped one (BenefitPolicy.on_query).
-            credit = (_np.repeat(answered, footprint) if hit is None else hit) | ~in_set
+            credit = (np.repeat(answered, footprint) if hit is None else hit) | ~in_set
             fold_credit(
                 site.sums, self._share_weights, update_positions, update_costs, positions,
                 site.costs[first:last], site.totals[first:last], footprint, credit,
@@ -231,15 +228,15 @@ class _BatchedExecutor:
         site.sums.fill(0.0)
         site.resident = self._resident_mask(site.policy.store)
 
-    def _resident_mask(self, store: CacheStore) -> "_np.ndarray":
-        resident = _np.zeros(len(self._catalog_ids) + 1, dtype=bool)
-        ids = _np.fromiter(store, dtype=_np.int64, count=len(store))
+    def _resident_mask(self, store: CacheStore) -> "np.ndarray":
+        resident = np.zeros(len(self._catalog_ids) + 1, dtype=bool)
+        ids = np.fromiter(store, dtype=np.int64, count=len(store))
         resident[catalog_positions(self._catalog_ids, ids)] = True
         return resident
 
     @staticmethod
     def _record_hits(
-        store: CacheStore, object_ids: "_np.ndarray", timestamps: "_np.ndarray"
+        store: CacheStore, object_ids: "np.ndarray", timestamps: "np.ndarray"
     ) -> None:
         """Book every touch of an answered query as a hit on its record.
 
@@ -248,7 +245,7 @@ class _BatchedExecutor:
         trace's 1e-9 ordering tolerance, so order -- not max -- decides).
         The first occurrence in the reversed arrays is the last forward.
         """
-        unique_ids, first_reversed, counts = _np.unique(
+        unique_ids, first_reversed, counts = np.unique(
             object_ids[::-1], return_index=True, return_counts=True
         )
         reversed_at = timestamps[::-1]
@@ -278,7 +275,7 @@ def select_batched_executor(
     repository (the update log needs the update objects); cost models with a
     vectorised ``cost_array`` twin.
     """
-    if not COLUMNS_AVAILABLE or any(type(policy) not in _BATCHABLE for policy in policies):
+    if any(type(policy) not in _BATCHABLE for policy in policies):
         return None
     if route is not None and not isinstance(route, TracePartitioner):
         return None
@@ -288,7 +285,7 @@ def select_batched_executor(
         return None
     columns = trace.columns()
     if route is None:  # one cache: a fleet of one, every query routed to it
-        routes = _np.zeros(columns.query_count, dtype=_np.int64)
+        routes = np.zeros(columns.query_count, dtype=np.int64)
     else:
         routes = route.sites_of_queries(columns)
     return _BatchedExecutor(policies, links, trace, repository, routes)

@@ -55,7 +55,6 @@ from repro.network.link import Mechanism, NetworkLink
 from repro.repository.queries import Query
 from repro.repository.server import Repository
 from repro.repository.updates import Update
-from repro.sim.batched import select_batched_executor
 from repro.sim.metrics import CacheOccupancySeries, TrafficTimeSeries
 from repro.sim.results import RunResult
 from repro.workload.trace import TraceStream
@@ -243,6 +242,8 @@ class ReplayKernel:
         # step, as does a run with a site or router the executor cannot replay.
         batched = None
         if self._on_decision is None:
+            from repro.sim.batched import select_batched_executor
+
             batched = select_batched_executor(policies, trace, self._repository, links, self._route)
         events = trace.iter_tagged() if batched is None else None
         step = self.step

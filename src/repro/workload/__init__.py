@@ -24,47 +24,33 @@ scenario-diversity models in :mod:`repro.workload.scenarios`) lets the
 engines replay traces far larger than memory; see ``docs/workloads.md``.
 """
 
-from repro.workload.hotspots import HotspotModel, HotspotPhase
-from repro.workload.mixer import interleave, iter_interleaved
-from repro.workload.partition import PARTITION_STRATEGIES, TracePartitioner
-from repro.workload.scenarios import (
-    DiurnalStream,
-    FlashCrowdStream,
-    ScenarioModelStream,
-    UpdateStormStream,
-)
-from repro.workload.sdss import SDSSQueryGenerator, SDSSWorkloadConfig
-from repro.workload.stream import EvolvingTraceStream
-from repro.workload.trace import (
-    QueryEvent,
-    Trace,
-    TraceEvent,
-    TraceStream,
-    TraceView,
-    UpdateEvent,
-)
-from repro.workload.updates import SurveyUpdateGenerator, UpdateWorkloadConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HotspotModel",
-    "HotspotPhase",
-    "interleave",
-    "iter_interleaved",
-    "PARTITION_STRATEGIES",
-    "TracePartitioner",
-    "DiurnalStream",
-    "EvolvingTraceStream",
-    "FlashCrowdStream",
-    "ScenarioModelStream",
-    "UpdateStormStream",
-    "SDSSQueryGenerator",
-    "SDSSWorkloadConfig",
-    "QueryEvent",
-    "Trace",
-    "TraceEvent",
-    "TraceStream",
-    "TraceView",
-    "UpdateEvent",
-    "SurveyUpdateGenerator",
-    "UpdateWorkloadConfig",
-]
+#: Public name -> the submodule that defines it, imported on first access.
+_EXPORTS = {
+    "HotspotModel": "repro.workload.hotspots",
+    "HotspotPhase": "repro.workload.hotspots",
+    "interleave": "repro.workload.mixer",
+    "iter_interleaved": "repro.workload.mixer",
+    "PARTITION_STRATEGIES": "repro.workload.partition",
+    "TracePartitioner": "repro.workload.partition",
+    "DiurnalStream": "repro.workload.scenarios",
+    "EvolvingTraceStream": "repro.workload.stream",
+    "FlashCrowdStream": "repro.workload.scenarios",
+    "ScenarioModelStream": "repro.workload.scenarios",
+    "UpdateStormStream": "repro.workload.scenarios",
+    "SDSSQueryGenerator": "repro.workload.sdss",
+    "SDSSWorkloadConfig": "repro.workload.sdss",
+    "QueryEvent": "repro.workload.trace",
+    "Trace": "repro.workload.trace",
+    "TraceEvent": "repro.workload.trace",
+    "TraceStream": "repro.workload.trace",
+    "TraceView": "repro.workload.trace",
+    "UpdateEvent": "repro.workload.trace",
+    "SurveyUpdateGenerator": "repro.workload.updates",
+    "UpdateWorkloadConfig": "repro.workload.updates",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

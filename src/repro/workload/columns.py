@@ -36,25 +36,19 @@ Per query event (length ``nq``, in event order):
   iteration order, which a float sum follows, belongs to the object
   (``list(frozenset([17, 9, 1]))`` need not equal ``[1, 9, 17]``).
 
-Numpy is optional at import time: when it is unavailable the module still
-imports and :data:`COLUMNS_AVAILABLE` is ``False``, so the engines simply
-keep the scalar path.
+numpy is imported by the two methods that build arrays, not by the module:
+every policy imports this one, and a served cache never compiles columns.
 """
 
 from __future__ import annotations
 
 from itertools import chain, count
-from typing import Callable, Dict, FrozenSet, List, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Sequence
 
 from repro.workload.trace import TaggedEvent
 
-try:  # pragma: no cover - exercised implicitly by every columns test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None  # type: ignore[assignment]
-
-#: Whether columnar compilation (and thus batched replay) is available.
-COLUMNS_AVAILABLE = _np is not None
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TraceColumns:
@@ -82,18 +76,18 @@ class TraceColumns:
 
     def __init__(
         self,
-        timestamps: "_np.ndarray",
-        is_update: "_np.ndarray",
-        costs: "_np.ndarray",
-        update_prefix: "_np.ndarray",
-        update_object_ids: "_np.ndarray",
-        update_rows: "_np.ndarray",
-        update_costs: "_np.ndarray",
-        query_costs: "_np.ndarray",
-        query_timestamps: "_np.ndarray",
-        query_object_ids: "_np.ndarray",
-        query_object_offsets: "_np.ndarray",
-        query_footprints: "_np.ndarray",
+        timestamps: "np.ndarray",
+        is_update: "np.ndarray",
+        costs: "np.ndarray",
+        update_prefix: "np.ndarray",
+        update_object_ids: "np.ndarray",
+        update_rows: "np.ndarray",
+        update_costs: "np.ndarray",
+        query_costs: "np.ndarray",
+        query_timestamps: "np.ndarray",
+        query_object_ids: "np.ndarray",
+        query_object_offsets: "np.ndarray",
+        query_footprints: "np.ndarray",
         footprints: List[FrozenSet[int]],
     ) -> None:
         self.timestamps = timestamps
@@ -116,48 +110,48 @@ class TraceColumns:
     @classmethod
     def from_tagged(cls, tagged: Sequence[TaggedEvent]) -> "TraceColumns":
         """Compile ``(is_update, payload)`` pairs into columnar arrays."""
-        if _np is None:  # pragma: no cover - the image bakes numpy in
-            raise RuntimeError("numpy is required to compile trace columns")
+        import numpy as np
+
         n = len(tagged)
-        timestamps = _np.fromiter((p.timestamp for _, p in tagged), dtype=_np.float64, count=n)
-        is_update = _np.fromiter((tag for tag, _ in tagged), dtype=bool, count=n)
-        costs = _np.fromiter((p.cost for _, p in tagged), dtype=_np.float64, count=n)
+        timestamps = np.fromiter((p.timestamp for _, p in tagged), dtype=np.float64, count=n)
+        is_update = np.fromiter((tag for tag, _ in tagged), dtype=bool, count=n)
+        costs = np.fromiter((p.cost for _, p in tagged), dtype=np.float64, count=n)
         updates = [payload for tag, payload in tagged if tag]
         # Each footprint object is numbered (by the query that first holds
         # it) and sorted once; the query CSR is gathered from those rows.
         sets = [payload.object_ids for tag, payload in tagged if not tag]
         first: Dict[int, int] = {}
-        holders = _np.fromiter(map(first.setdefault, map(id, sets), count()), _np.int64, len(sets))
-        number = _np.empty(len(sets), dtype=_np.int64)
-        number[list(first.values())] = _np.arange(len(first))
+        holders = np.fromiter(map(first.setdefault, map(id, sets), count()), np.int64, len(sets))
+        number = np.empty(len(sets), dtype=np.int64)
+        number[list(first.values())] = np.arange(len(first))
         query_footprints = number[holders]
         footprints = [sets[holder] for holder in first.values()]
         rows = [sorted(footprint) for footprint in footprints]
-        row_sizes = _np.fromiter(map(len, rows), _np.int64, len(rows))
-        row_offsets = _np.concatenate(([0], _np.cumsum(row_sizes)))
+        row_sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+        row_offsets = np.concatenate(([0], np.cumsum(row_sizes)))
         query_sizes = row_sizes[query_footprints]
-        query_offsets = _np.concatenate(([0], _np.cumsum(query_sizes)))
-        gather = _np.arange(query_offsets[-1]) + _np.repeat(
+        query_offsets = np.concatenate(([0], np.cumsum(query_sizes)))
+        gather = np.arange(query_offsets[-1]) + np.repeat(
             row_offsets[query_footprints] - query_offsets[:-1], query_sizes
         )
-        update_prefix = _np.zeros(n + 1, dtype=_np.int64)
-        _np.cumsum(is_update, dtype=_np.int64, out=update_prefix[1:])
+        update_prefix = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(is_update, dtype=np.int64, out=update_prefix[1:])
         query_mask = ~is_update
         return cls(
             timestamps=timestamps,
             is_update=is_update,
             costs=costs,
             update_prefix=update_prefix,
-            update_object_ids=_np.fromiter(
-                (update.object_id for update in updates), dtype=_np.int64, count=len(updates)
+            update_object_ids=np.fromiter(
+                (update.object_id for update in updates), dtype=np.int64, count=len(updates)
             ),
-            update_rows=_np.fromiter(
-                (update.rows for update in updates), dtype=_np.int64, count=len(updates)
+            update_rows=np.fromiter(
+                (update.rows for update in updates), dtype=np.int64, count=len(updates)
             ),
             update_costs=costs[is_update],
             query_costs=costs[query_mask],
             query_timestamps=timestamps[query_mask],
-            query_object_ids=_np.fromiter(chain.from_iterable(rows), _np.int64)[gather],
+            query_object_ids=np.fromiter(chain.from_iterable(rows), np.int64)[gather],
             query_object_offsets=query_offsets,
             query_footprints=query_footprints,
             footprints=footprints,
@@ -216,13 +210,15 @@ class TraceColumns:
             footprints=self.footprints,
         )
 
-    def per_query(self, function: Callable[[FrozenSet[int]], float]) -> "_np.ndarray":
+    def per_query(self, function: Callable[[FrozenSet[int]], float]) -> "np.ndarray":
         """``function(query.object_ids)`` for every query, as ``float64``.
 
         Evaluated once per footprint the window's queries hold (a window
         skips the rest of its parent's table), then gathered per query.
         """
-        used = _np.flatnonzero(_np.bincount(self.query_footprints, minlength=len(self.footprints)))
-        values = _np.zeros(len(self.footprints))
+        import numpy as np
+
+        used = np.flatnonzero(np.bincount(self.query_footprints, minlength=len(self.footprints)))
+        values = np.zeros(len(self.footprints))
         values[used] = [function(self.footprints[index]) for index in used.tolist()]
         return values[self.query_footprints]

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from typing import Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Sequence, Tuple, TypeVar
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 T = TypeVar("T")
 
@@ -30,6 +31,8 @@ def weight_cdf(weights: Tuple[float, ...]) -> Tuple[float, ...]:
     Raises ``ValueError`` for an empty vector or a NaN, infinite, negative or
     all-zero weight -- the inputs ``choice`` rejected on every call.
     """
+    import numpy as np
+
     raw = np.array(weights, dtype=float)
     if raw.size == 0:
         raise ValueError("weights must be non-empty")
@@ -47,6 +50,8 @@ def weight_cdf(weights: Tuple[float, ...]) -> Tuple[float, ...]:
 
 def zipf_cdf(count: int, exponent: float) -> Tuple[float, ...]:
     """The cdf of Zipf weights ``1 / rank ** exponent`` over ``count`` ranks."""
+    import numpy as np
+
     ranks = np.arange(1, count + 1, dtype=float)
     return weight_cdf(tuple((1.0 / np.power(ranks, exponent)).tolist()))
 

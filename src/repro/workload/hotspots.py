@@ -23,11 +23,12 @@ set are rebuilt once per phase, never per access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.workload.draws import uniform_pick, weighted_index, zipf_cdf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

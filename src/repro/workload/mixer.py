@@ -44,8 +44,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Literal, Sequence, Tuple
 
-import numpy as np
-
 from repro.repository.queries import Query
 from repro.repository.updates import Update
 from repro.workload.trace import QueryEvent, TaggedEvent, Trace, TraceEvent, UpdateEvent
@@ -88,6 +86,8 @@ def iter_schedule(
     if mode == "uniform":
         yield from _iter_uniform_schedule(query_count, update_count)
     elif mode == "random":
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         # One byte per event (shuffle consumes the RNG identically however
         # the array was built, so this matches the historical list form).
@@ -121,6 +121,8 @@ def slot_timestamps(
         for position, take_query in enumerate(schedule, start=1):
             (query_slots if take_query else update_slots).append(float(position))
         return query_slots, update_slots
+    import numpy as np
+
     query_pace = np.arange(1, query_count + 1, dtype=float) / query_count
     update_pace = np.arange(1, update_count + 1, dtype=float) / update_count
     query_slots_array = np.arange(1.0, query_count + 1) + np.searchsorted(

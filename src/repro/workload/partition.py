@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from repro.repository.queries import Query
-from repro.sky.partition import contiguous_sky_slices
 from repro.workload.trace import QueryEvent, Trace, TraceStream, UpdateEvent
 
 if TYPE_CHECKING:
@@ -72,6 +71,8 @@ class TracePartitioner:
         self._site_count = site_count
         self._strategy = strategy
         if strategy == "region":
+            from repro.sky.partition import contiguous_sky_slices
+
             slices = contiguous_sky_slices(object_ids, site_count)
             self._assignment = {
                 object_id: site

@@ -39,9 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.repository.objects import ObjectCatalog
 from repro.repository.queries import Query
@@ -50,6 +48,9 @@ from repro.workload.draws import uniform_pick, weighted_index, zipf_cdf
 from repro.workload.mixer import iter_interleaved
 from repro.workload.sdss import contiguous_footprint
 from repro.workload.trace import TraceEvent, TraceStream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Default size of the cache adversary's working set, as a multiple of the
 #: cache capacity: just past it, the LRU/GDS worst case.
@@ -204,9 +205,13 @@ class ScenarioModelStream(TraceStream):
     # Shared draw helpers
     # ------------------------------------------------------------------
     def _query_rng(self) -> np.random.Generator:
+        import numpy as np
+
         return np.random.default_rng(self.seed + 1)
 
     def _update_rng(self) -> np.random.Generator:
+        import numpy as np
+
         return np.random.default_rng(self.seed + 2)
 
     def _draw_query(
@@ -576,6 +581,8 @@ class CacheAdversaryStream(ScenarioModelStream):
         the query/update draw sequences, so the same objects are cycled on
         every restart of the stream.
         """
+        import numpy as np
+
         object_ids = list(self.catalog.object_ids)
         rng = np.random.default_rng(self.seed + 3)
         order = [object_ids[i] for i in rng.permutation(len(object_ids))]

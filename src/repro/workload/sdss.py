@@ -22,15 +22,16 @@ replays (Section 6.1 and Figure 7a):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.repository.objects import ObjectCatalog
 from repro.repository.queries import Query, QueryIdAllocator
 from repro.workload.hotspots import HotspotModel
 from repro.workload.draws import weighted_index
 from repro.workload.templates import DEFAULT_TEMPLATES, TemplateShape, template_cdf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -116,6 +117,8 @@ class SDSSQueryGenerator:
     """Generator of SDSS-shaped query streams over an object catalogue."""
 
     def __init__(self, catalog: ObjectCatalog, config: Optional[SDSSWorkloadConfig] = None) -> None:
+        import numpy as np
+
         self._catalog = catalog
         self._config = config or SDSSWorkloadConfig()
         self._rng = np.random.default_rng(self._config.seed)
@@ -229,6 +232,8 @@ class SDSSQueryGenerator:
             (:func:`repro.workload.mixer.slot_timestamps`) and the mixer uses
             each query as built instead of re-stamping a copy.
         """
+        import numpy as np
+
         config = self._config
         count = config.query_count
         if timestamps is not None and len(timestamps) != count:
@@ -264,6 +269,8 @@ class SDSSQueryGenerator:
         through the same NumPy reduction :meth:`generate` uses, keeping the
         factor byte-identical between the two paths.
         """
+        import numpy as np
+
         costs = np.fromiter(
             (draft[1] for draft in self._iter_drafts()), dtype=float, count=self._config.query_count
         )

@@ -20,12 +20,13 @@ with a negative, NaN or all-zero weight is rejected when its cdf is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from repro.repository.queries import QueryTemplate
 from repro.workload.draws import weight_cdf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,8 @@ DEFAULT_TEMPLATES: Tuple[TemplateShape, ...] = (
 
 def normalized_weights(templates: Sequence[TemplateShape]) -> np.ndarray:
     """Template weights normalised to sum to 1."""
+    import numpy as np
+
     weights = np.array([template.weight for template in templates], dtype=float)
     total = weights.sum()
     if total <= 0:

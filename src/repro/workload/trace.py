@@ -274,9 +274,7 @@ class Trace(TraceStream):
         """The columnar (struct-of-arrays) compilation of this trace.
 
         Compiled once and cached -- every batched policy run in a comparison
-        replays the same arrays.  Requires numpy (see
-        :mod:`repro.workload.columns`); the engines check
-        ``COLUMNS_AVAILABLE`` before asking for it.
+        replays the same arrays (numpy's; see :mod:`repro.workload.columns`).
         """
         cols = self._columns
         if cols is None:

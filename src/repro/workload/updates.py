@@ -16,13 +16,14 @@ largely disjoint from query hotspots, as Figure 7(a) shows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence
 
 from repro.repository.objects import ObjectCatalog
 from repro.repository.updates import Update, UpdateIdAllocator, UpdateKind
 from repro.workload.draws import uniform_pick
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -60,6 +61,8 @@ class SurveyUpdateGenerator:
     def __init__(
         self, catalog: ObjectCatalog, config: Optional[UpdateWorkloadConfig] = None
     ) -> None:
+        import numpy as np
+
         self._catalog = catalog
         self._config = config or UpdateWorkloadConfig()
         if not 0.0 < self._config.region_fraction <= 1.0:
@@ -125,6 +128,8 @@ class SurveyUpdateGenerator:
         (not boxed Python ints) so the streaming path's per-update scratch
         stays at a few bytes per event.
         """
+        import numpy as np
+
         config = self._config
         rng = self._rng
         scan_length, scan_probability = config.scan_length, config.scan_probability
@@ -142,6 +147,8 @@ class SurveyUpdateGenerator:
 
     def _draw_raw_costs(self, object_choices: np.ndarray) -> np.ndarray:
         """Phase 2: density-weighted log-normal cost per update, in order."""
+        import numpy as np
+
         densities = self._catalog.densities()
         # Update size ~ density of the object times a log-normal wobble.  The
         # wobbles are the one run of same-kind draws in the trace, so one

@@ -35,7 +35,7 @@ from repro.sim.multicache import run_topology
 from repro.sim.runner import benefit_spec
 from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.topology import TopologySpec
-from repro.workload.columns import COLUMNS_AVAILABLE, TraceColumns
+from repro.workload.columns import TraceColumns
 from repro.workload.partition import TracePartitioner
 from repro.workload.trace import QueryEvent, Trace, UpdateEvent
 from tests.conftest import (
@@ -98,9 +98,6 @@ def shifting_trace(events: int = 200, phase: int = 40) -> Trace:
 
 
 class TestTraceColumns:
-    def test_columns_available(self):
-        assert COLUMNS_AVAILABLE
-
     def test_layout_matches_trace(self):
         trace = mixed_trace(40)
         columns = trace.columns()
