@@ -18,9 +18,6 @@ signatures are kept stable:
   scenario knobs to it and return the replayable
   :class:`~repro.experiments.spec.ScenarioSpec` (the library face of
   ``repro ingest``),
-* :func:`draw_fuzzed_scenario` / :func:`load_fuzzed_scenario` -- one seeded
-  draw of the adversarial scenario fuzzer, and a saved minimal-repro file
-  read back (see :mod:`repro.workload.fuzz`),
 * :func:`run_lint` -- run the repro static analyser (determinism and
   contract rules) over a path set (the library face of ``repro lint``),
 * :func:`run_loadgen` -- serve a scenario through the asyncio cache
@@ -71,12 +68,7 @@ from repro.experiments.spec import (
 )
 from repro.sim.results import ComparisonResult
 from repro.sim.runner import DEFAULT_POLICIES, compare_policies, default_policy_specs
-from repro.workload.fuzz import (
-    CompositionSpec,
-    FuzzError,
-    draw_composition_spec,
-    load_composition,
-)
+from repro.workload.fuzz import CompositionSpec, FuzzError
 from repro.workload.ingest import CalibrationResult, IngestError, ingest_scenario
 
 __all__ = [
@@ -93,13 +85,11 @@ __all__ = [
     "ScenarioSpec",
     "UnknownExperimentError",
     "UnknownOverrideError",
-    "draw_fuzzed_scenario",
     "experiment_specs",
     "format_result",
     "get_experiment",
     "ingest_scenario",
     "list_experiments",
-    "load_fuzzed_scenario",
     "load_scenario",
     "run_experiment",
     "run_lint",
@@ -107,21 +97,6 @@ __all__ = [
     "run_scenario",
     "save_scenario",
 ]
-
-
-def draw_fuzzed_scenario(seed: int, max_segments: int = 3) -> CompositionSpec:
-    """One seeded draw of the adversarial scenario fuzzer.
-
-    The returned :class:`~repro.workload.fuzz.CompositionSpec` is a sweep
-    scenario source (hand it to the runner directly) and JSON
-    round-trippable; the draw is fully determined by ``seed``.
-    """
-    return draw_composition_spec(seed, max_segments=max_segments)
-
-
-def load_fuzzed_scenario(path: Union[str, Path]) -> CompositionSpec:
-    """Read back a fuzzer composition file (e.g. a saved minimal repro)."""
-    return load_composition(path)
 
 
 def list_experiments() -> List[str]:
@@ -199,10 +174,10 @@ def run_scenario(
     Parameters
     ----------
     scenario:
-        A :class:`ScenarioSpec`, a bare :class:`ExperimentConfig`, a fuzzer
-        :class:`~repro.workload.fuzz.CompositionSpec` (e.g. a saved minimal
-        repro read back with :func:`load_fuzzed_scenario`), or a path to a
-        JSON/TOML scenario file (see :func:`load_scenario`).
+        A :class:`ScenarioSpec`, a bare :class:`ExperimentConfig`, a
+        :class:`~repro.workload.fuzz.CompositionSpec` (e.g. a composition
+        file read back with :func:`repro.workload.fuzz.load_composition`),
+        or a path to a JSON/TOML scenario file (see :func:`load_scenario`).
     policies:
         Policy names to compare (default: the full paper set,
         :data:`DEFAULT_POLICIES`).
@@ -210,8 +185,9 @@ def run_scenario(
         Worker processes for the per-policy runs (1 = serial; results are
         identical either way).
     cache_fraction / cache_capacity:
-        Cache size override; defaults to the scenario config's
-        ``cache_fraction`` (the absolute capacity wins if both are given).
+        Cache size override; defaults to the scenario config's (or the
+        composition's) ``cache_fraction`` (the absolute capacity wins if
+        both are given).
     streaming:
         When ``True``, replay the scenario through its lazily-generated
         :class:`~repro.workload.trace.TraceStream` instead of materialising
@@ -223,19 +199,19 @@ def run_scenario(
         scenario = load_scenario(scenario)
     if isinstance(scenario, ExperimentConfig):
         scenario = ScenarioSpec(scenario)
+    include = tuple(policies) if policies else DEFAULT_POLICIES
     if isinstance(scenario, CompositionSpec):
-        return _run_composition(
-            scenario,
-            policies=policies,
-            jobs=jobs,
-            cache_fraction=cache_fraction,
-            cache_capacity=cache_capacity,
-            streaming=streaming,
-        )
-    config = scenario.config
-    specs = config.policy_specs(include=tuple(policies) if policies else DEFAULT_POLICIES)
-    engine = config.engine_config()
-    fraction = config.cache_fraction if cache_fraction is None else cache_fraction
+        # A composition carries its own cache_fraction (its adversary
+        # segment is sized against it) and replays at the engine defaults.
+        specs = default_policy_specs(include=include)
+        engine = None
+        default_fraction = scenario.cache_fraction
+    else:
+        config = scenario.config
+        specs = config.policy_specs(include=include)
+        engine = config.engine_config()
+        default_fraction = config.cache_fraction
+    fraction = default_fraction if cache_fraction is None else cache_fraction
     if streaming:
         # Hand workers the recipe; each realises the stream lazily and
         # replays it without materialising the event list.
@@ -250,54 +226,13 @@ def run_scenario(
             source=scenario,
             streaming=True,
         )
-    built = scenario.build()
-    return compare_policies(
-        built.catalog,
-        built.trace,
-        cache_fraction=fraction,
-        cache_capacity=cache_capacity,
-        specs=specs,
-        engine_config=engine,
-        jobs=jobs,
-    )
-
-
-def _run_composition(
-    composition: CompositionSpec,
-    policies: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache_fraction: Optional[float] = None,
-    cache_capacity: Optional[float] = None,
-    streaming: bool = False,
-) -> ComparisonResult:
-    """The :func:`run_scenario` path for fuzzer compositions.
-
-    A composition carries its own drawn ``cache_fraction`` (the adversary
-    segment is sized against it), which becomes the default cache size.
-    """
-    specs = default_policy_specs(
-        include=tuple(policies) if policies else DEFAULT_POLICIES
-    )
-    fraction = (
-        composition.cache_fraction if cache_fraction is None else cache_fraction
-    )
-    if streaming:
-        return compare_policies(
-            None,
-            None,
-            cache_fraction=fraction,
-            cache_capacity=cache_capacity,
-            specs=specs,
-            jobs=jobs,
-            source=composition,
-            streaming=True,
-        )
-    catalog, trace = composition.realise()
+    catalog, trace = scenario.realise()
     return compare_policies(
         catalog,
         trace,
         cache_fraction=fraction,
         cache_capacity=cache_capacity,
         specs=specs,
+        engine_config=engine,
         jobs=jobs,
     )

@@ -5,7 +5,7 @@ Every experiment that compares a set of policies along one axis -- Figure
 6.1 cache-size choice, the fleet-growth experiment ``multisite`` and the
 four scenario models -- is one table of rows in
 :mod:`repro.experiments.figures`.  The others (``fig7a``, ``warmup``,
-``ablations``, ``fuzzed``) are modules that declare themselves with
+``ablations``) are modules that declare themselves with
 :func:`register_experiment`.  One driver
 (:mod:`repro.experiments.registry`) executes them all; the mapping from
 paper figure/table to experiment is documented in ``docs/experiments.md``.
@@ -36,7 +36,6 @@ _EXPORTS = {
     "ablations": "repro.experiments.ablations",
     "fig7a": "repro.experiments.fig7a",
     "figures": "repro.experiments.figures",
-    "fuzzed": "repro.experiments.fuzzed",
     "warmup": "repro.experiments.warmup",
 }
 

@@ -206,7 +206,6 @@ BUILTIN_EXPERIMENTS: Tuple[Tuple[str, str], ...] = (
     ("fig7b", "repro.experiments.figures"),
     ("fig8a", "repro.experiments.figures"),
     ("fig8b", "repro.experiments.figures"),
-    ("fuzzed", "repro.experiments.fuzzed"),
     ("headline", "repro.experiments.figures"),
     ("multisite", "repro.experiments.figures"),
     ("flash_crowd", "repro.experiments.figures"),

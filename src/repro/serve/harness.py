@@ -1,7 +1,7 @@
 """The closed-loop load harness for the served cache.
 
 :func:`run_load` adapts any :class:`~repro.workload.trace.TraceStream` --
-flash crowds, update storms, fuzzed compositions, ingested logs -- into N
+flash crowds, update storms, scenario compositions, ingested logs -- into N
 concurrent closed-loop clients (one outstanding request each).  The clients
 pull events from one shared iterator, each stamped with its position in the
 trace, so the server applies them in exact trace order regardless of N;

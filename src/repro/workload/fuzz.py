@@ -1,45 +1,36 @@
-"""Adversarial scenario fuzzer: randomised compositions of workload models.
+"""Scenario compositions: chains of workload models as replayable data.
 
 The scenario-diversity models (:mod:`repro.workload.scenarios`) each stress
 one traffic shape.  Real query logs chain such shapes: a diurnal morning, a
 flash crowd at noon, an update storm while the survey recalibrates.  This
-module makes such chains first-class and *drawable*:
+module makes such chains first-class:
 
 * :class:`SegmentSpec` / :class:`CompositionSpec` -- a composition as pure
   data: an ordered list of (model, counts, knob overrides) segments plus the
-  catalogue knobs.  A spec is frozen, picklable, JSON round-trippable and a
-  :class:`~repro.sim.sweep.ScenarioSource`, so a drawn scenario can be
-  replayed by the sweep runner directly or saved as a *minimal repro file*
-  (:func:`save_regression`) when it exposes a policy regression.
+  catalogue knobs.  A spec is frozen, picklable, JSON round-trippable
+  (:func:`save_composition` / :func:`load_composition`) and a
+  :class:`~repro.sim.sweep.ScenarioSource`, so the sweep runner and
+  :func:`repro.api.run_scenario` replay it directly.
 * :class:`ComposedScenarioStream` -- the built form: segment streams chained
   into one :class:`~repro.workload.trace.TraceStream` with globally
   consecutive timestamps and globally unique event ids, still lazy,
   restartable and constant-memory.
-* :func:`draw_composition_spec` -- the fuzzer's generator: a seeded draw of
-  1-3 segments with randomised *valid* knobs (every draw respects the model
-  validators), including the cache-adversary stream sized just past the
-  cache capacity.
-* :func:`check_stream_invariants` -- the structural invariants every
-  composition must satisfy (the programmatic form of the assertions in
-  ``tests/test_workload_scenarios.py``), raising
-  :class:`StreamInvariantError` with the first violation.
 
-The hypothesis property suite (``tests/test_fuzz.py``) drives
-:func:`draw_composition_spec` across seeds and asserts the invariants hold
-for every composition; the ``fuzzed`` experiment
-(:mod:`repro.experiments.fuzzed`) replays drawn scenarios against the policy
-roster and saves a repro file whenever VCover loses to the NoCache yardstick.
+A composition file is outside input, so both specs check every value's
+type and range when built and raise :class:`FuzzError` naming the key.
+The search for compositions where one policy loses to another lives with
+the tests (``tests/find_loss.py``, over the hypothesis strategy
+``tests/strategies.composition_specs``), and so do the structural stream
+invariants every composition is held to (``tests/invariants.py``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from repro.repository.catalog import sdss_catalog
 from repro.repository.objects import ObjectCatalog
@@ -63,8 +54,21 @@ class FuzzError(ValueError):
     """A composition description is malformed (unknown model, bad knob...)."""
 
 
-class StreamInvariantError(AssertionError):
-    """A composed stream violated one of the structural trace invariants."""
+def _check_int(key: str, value: object, minimum: int = 0) -> None:
+    """Reject a non-integer (a bool included) or an integer below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        kind = "a non-negative integer" if minimum == 0 else f"an integer of at least {minimum}"
+        raise FuzzError(f"{key!r} must be {kind}, got {value!r}")
+
+
+def _check_positive(key: str, value: object) -> None:
+    """Reject a non-number (a bool included), a NaN, an infinity or a value <= 0."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not (math.isfinite(value) and value > 0)
+    ):
+        raise FuzzError(f"{key!r} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,13 +87,13 @@ class SegmentSpec:
     knobs: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.model not in STREAM_CLASSES:
+        if not isinstance(self.model, str) or self.model not in STREAM_CLASSES:
             raise FuzzError(
                 f"unknown segment model {self.model!r}; "
                 f"known models: {', '.join(MODEL_NAMES)}"
             )
-        if self.query_count < 0 or self.update_count < 0:
-            raise FuzzError("segment event counts must be non-negative")
+        _check_int("query_count", self.query_count)
+        _check_int("update_count", self.update_count)
         if self.query_count + self.update_count == 0:
             raise FuzzError("a segment must hold at least one event")
         allowed = {row.name for row in model_knobs(STREAM_CLASSES[self.model])}
@@ -103,6 +107,8 @@ class SegmentSpec:
                 raise FuzzError(
                     f"segment knob {name!r} must be a number, got {value!r}"
                 )
+            if not math.isfinite(value):
+                raise FuzzError(f"segment knob {name!r} must be finite, got {value!r}")
         object.__setattr__(self, "knobs", tuple(sorted(self.knobs)))
 
     def to_dict(self) -> Dict[str, object]:
@@ -134,8 +140,8 @@ class SegmentSpec:
         try:
             return cls(
                 model=data["model"],
-                query_count=int(data["query_count"]),
-                update_count=int(data["update_count"]),
+                query_count=data["query_count"],
+                update_count=data["update_count"],
                 knobs=tuple(sorted(knobs.items())),
             )
         except KeyError as exc:
@@ -149,8 +155,8 @@ class CompositionSpec(ScenarioSource):
     The spec is a :class:`~repro.sim.sweep.ScenarioSource`: sweep workers
     rebuild the composition deterministically from the seeds (memoised via
     :meth:`cache_key`), and ``realise_stream`` hands back the lazy
-    :class:`ComposedScenarioStream`, so streaming points replay fuzzed
-    scenarios in constant memory with byte-identical results.
+    :class:`ComposedScenarioStream`, so streaming points replay
+    compositions in constant memory with byte-identical results.
     """
 
     segments: Tuple[SegmentSpec, ...]
@@ -167,10 +173,17 @@ class CompositionSpec(ScenarioSource):
     def __post_init__(self) -> None:
         if not self.segments:
             raise FuzzError("a composition needs at least one segment")
-        if self.object_count < 2:
-            raise FuzzError("object_count must be at least 2")
-        if self.scale <= 0 or self.cache_fraction <= 0:
-            raise FuzzError("scale and cache_fraction must be positive")
+        _check_int("object_count", self.object_count, minimum=2)
+        _check_int("seed", self.seed)
+        for key in (
+            "scale",
+            "cache_fraction",
+            "query_traffic_fraction",
+            "update_traffic_fraction",
+        ):
+            _check_positive(key, getattr(self, key))
+        if not isinstance(self.name, str):
+            raise FuzzError(f"'name' must be a string, got {self.name!r}")
         object.__setattr__(self, "segments", tuple(self.segments))
 
     # ------------------------------------------------------------------
@@ -266,7 +279,7 @@ class CompositionSpec(ScenarioSource):
         )
 
     # ------------------------------------------------------------------
-    # Serialisation (the minimal-repro file format)
+    # Serialisation (the composition file format)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable description (``from_dict`` round-trips it)."""
@@ -326,20 +339,6 @@ def load_composition(path: Union[str, Path]) -> CompositionSpec:
     except json.JSONDecodeError as exc:
         raise FuzzError(f"{path} is not valid JSON: {exc}") from exc
     return CompositionSpec.from_dict(data)
-
-
-def save_regression(
-    spec: CompositionSpec, directory: Union[str, Path]
-) -> Path:
-    """Save a failing composition as a minimal repro file under ``directory``.
-
-    The file is the :func:`save_composition` JSON, named after the spec, so
-    ``repro.workload.fuzz.load_composition`` (or the ``fuzzed`` experiment's
-    docs walkthrough) replays the exact failing scenario.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    return save_composition(spec, directory / f"{spec.name}.json")
 
 
 @dataclass(frozen=True)
@@ -408,154 +407,3 @@ class ComposedScenarioStream(TraceStream):
             for object_id in stream.update_region():
                 seen.setdefault(object_id, None)
         return list(seen)
-
-
-# ----------------------------------------------------------------------
-# Structural invariants
-# ----------------------------------------------------------------------
-def check_stream_invariants(
-    stream: TraceStream, catalog: ObjectCatalog
-) -> None:
-    """Assert the structural trace invariants every composition must hold.
-
-    This is the programmatic form of the assertions the scenario-model test
-    suite applies to each hand-built model, applied to arbitrary (fuzzed)
-    compositions:
-
-    * the stream is *sized*: iterating yields exactly ``len(stream)`` events;
-    * timestamps are the consecutive integers ``1..len(stream)``;
-    * query and update ids are unique within their kind;
-    * every cost is positive and finite; every tolerance is non-negative;
-    * every object id referenced exists in ``catalog``;
-    * the stream is *restartable*: a second pass yields identical events.
-
-    Raises :class:`StreamInvariantError` describing the first violation.
-    """
-    known_ids = set(catalog.object_ids)
-    query_ids = set()
-    update_ids = set()
-    count = 0
-    for event in stream.iter_events():
-        count += 1
-        if event.timestamp != float(count):
-            raise StreamInvariantError(
-                f"event {count} has timestamp {event.timestamp!r}; "
-                f"expected consecutive {float(count)!r}"
-            )
-        if isinstance(event, UpdateEvent):
-            update = event.update
-            if update.update_id in update_ids:
-                raise StreamInvariantError(
-                    f"duplicate update id {update.update_id}"
-                )
-            update_ids.add(update.update_id)
-            touched = [update.object_id]
-            cost = update.cost
-        else:
-            query = event.query
-            if query.query_id in query_ids:
-                raise StreamInvariantError(
-                    f"duplicate query id {query.query_id}"
-                )
-            query_ids.add(query.query_id)
-            if not query.object_ids:
-                raise StreamInvariantError(
-                    f"query {query.query_id} has an empty footprint"
-                )
-            if query.tolerance < 0:
-                raise StreamInvariantError(
-                    f"query {query.query_id} has negative tolerance "
-                    f"{query.tolerance!r}"
-                )
-            touched = list(query.object_ids)
-            cost = query.cost
-        if not (cost > 0 and math.isfinite(cost)):
-            raise StreamInvariantError(
-                f"event at timestamp {event.timestamp} has non-positive or "
-                f"non-finite cost {cost!r}"
-            )
-        unknown = [oid for oid in touched if oid not in known_ids]
-        if unknown:
-            raise StreamInvariantError(
-                f"event at timestamp {event.timestamp} references object "
-                f"id(s) {unknown} missing from the catalogue"
-            )
-    if count != len(stream):
-        raise StreamInvariantError(
-            f"stream advertises {len(stream)} events but yielded {count}"
-        )
-    first = [
-        (event.kind, event.timestamp) for event in stream.iter_events()
-    ]
-    second = [
-        (event.kind, event.timestamp) for event in stream.iter_events()
-    ]
-    if first != second:
-        raise StreamInvariantError(
-            "stream is not restartable: two passes disagreed"
-        )
-
-
-# ----------------------------------------------------------------------
-# The fuzzer's draw
-# ----------------------------------------------------------------------
-def _draw_segment_knobs(
-    rng: np.random.Generator, model: str
-) -> Tuple[Tuple[str, object], ...]:
-    """Randomised *valid* knob overrides for one segment model.
-
-    One draw per knob that declares a fuzz range, in field order: the draws
-    are pinned (a seed names a scenario), so the order is part of the format.
-    """
-    drawn: List[Tuple[str, object]] = []
-    for row in model_knobs(STREAM_CLASSES[model]):
-        if row.fuzz is None:
-            continue
-        low, high = row.fuzz
-        if row.is_int:
-            drawn.append((row.name, int(rng.integers(low, high + 1))))
-        else:
-            drawn.append((row.name, round(float(rng.uniform(low, high)), 3)))
-    return tuple(drawn)
-
-
-def draw_composition_spec(
-    seed: int,
-    max_segments: int = 3,
-    max_events_per_segment: int = 400,
-    object_count: Optional[int] = None,
-) -> CompositionSpec:
-    """One seeded fuzzer draw: a random multi-segment composition.
-
-    Every draw is *valid by construction* -- segment knobs are sampled
-    inside the model validators' ranges -- and fully determined by ``seed``,
-    so a failing scenario is reproduced by its seed alone (and can be
-    pinned as a file via :func:`save_regression`).
-    """
-    if max_segments < 1:
-        raise FuzzError("max_segments must be at least 1")
-    rng = np.random.default_rng(seed)
-    segment_count = int(rng.integers(1, max_segments + 1))
-    floor = 50
-    segments = []
-    for _ in range(segment_count):
-        model = MODEL_NAMES[int(rng.integers(0, len(MODEL_NAMES)))]
-        segments.append(
-            SegmentSpec(
-                model=model,
-                query_count=int(rng.integers(floor, max_events_per_segment)),
-                update_count=int(rng.integers(floor, max_events_per_segment)),
-                knobs=_draw_segment_knobs(rng, model),
-            )
-        )
-    return CompositionSpec(
-        segments=tuple(segments),
-        object_count=(
-            object_count
-            if object_count is not None
-            else int(rng.integers(24, 96))
-        ),
-        cache_fraction=round(float(rng.uniform(0.1, 0.5)), 3),
-        seed=seed,
-        name=f"fuzz-{seed}",
-    )

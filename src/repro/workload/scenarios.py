@@ -98,8 +98,8 @@ class Knob:
     #: ``ExperimentConfig`` (against ``config_field``) and in the stream's own
     #: constructor (which is what a composition segment builds).
     valid: Optional[Bounds] = None
-    #: Inclusive range the scenario fuzzer and the hypothesis strategies draw
-    #: from (None: never drawn).  Must lie inside ``valid``.
+    #: Inclusive range the hypothesis composition strategies (and so the loss
+    #: search) draw from (None: never drawn).  Must lie inside ``valid``.
     fuzz: Optional[Tuple[float, float]] = None
     #: Set on a knob that is sized against the cache: builders hand it the
     #: cache capacity (MB) times ``config_field``, or times this multiple.

@@ -3,10 +3,11 @@
 One home for the random-structure generators that several test modules
 drive: the flow-layer instances (``tests/test_flow_properties.py``), the
 raw event streams of the cross-module properties
-(``tests/test_properties.py``), and the scenario-fuzzer compositions
-(``tests/test_fuzz.py``, plus the model-invariant property in
-``tests/test_workload_scenarios.py``).  Keeping them here means a widened
-generator immediately widens every suite that uses it.
+(``tests/test_properties.py``), and the scenario compositions
+(``tests/test_fuzz.py``, the loss search ``tests/find_loss.py``, and the
+model-invariant property in ``tests/test_workload_scenarios.py``).  Keeping
+them here means a widened generator immediately widens every suite that
+uses it.
 """
 
 from __future__ import annotations
@@ -138,12 +139,8 @@ def build_trace(raw_events):
 
 
 # ----------------------------------------------------------------------
-# Scenario-fuzzer compositions
+# Scenario compositions
 # ----------------------------------------------------------------------
-#: Seeds for :func:`repro.workload.fuzz.draw_composition_spec` -- wide
-#: enough to exercise every branch of the draw, small enough to shrink.
-fuzz_seeds = st.integers(min_value=0, max_value=2**16)
-
 #: A bounded float strategy (no NaN/inf): every knob range below uses it.
 def _unit(lo: float, hi: float):
     return st.floats(
@@ -182,8 +179,13 @@ def segment_specs(draw, max_events: int = 120):
 
 
 @st.composite
-def composition_specs(draw, max_segments: int = 3, max_events: int = 120):
-    """A valid multi-segment composition, small enough to replay in-test."""
+def composition_specs(
+    draw, max_segments: int = 3, max_events: int = 120, max_objects: int = 64
+):
+    """A valid multi-segment composition, small enough to replay in-test.
+
+    ``max_events`` bounds each side (queries, updates) of each segment.
+    """
     segments = draw(
         st.lists(
             segment_specs(max_events=max_events),
@@ -193,7 +195,7 @@ def composition_specs(draw, max_segments: int = 3, max_events: int = 120):
     )
     return CompositionSpec(
         segments=tuple(segments),
-        object_count=draw(st.integers(min_value=16, max_value=64)),
+        object_count=draw(st.integers(min_value=16, max_value=max_objects)),
         cache_fraction=draw(_unit(0.1, 0.5)),
         seed=draw(st.integers(min_value=0, max_value=2**16)),
         name="hypothesis-composition",

@@ -23,7 +23,6 @@ EXPECTED_EXPERIMENTS = {
     "cache_adversary",
     "cache_size",
     "diurnal",
-    "fuzzed",
     "fig7a",
     "fig7b",
     "fig8a",

@@ -1,6 +1,6 @@
 """Every registered experiment, pinned: SHA-256 over what it computes.
 
-Twelve of the fourteen experiments run a sweep grid through
+Eleven of the thirteen experiments run a sweep grid through
 :func:`repro.api.run_experiment`.  For those this file captures the
 :class:`~repro.sim.sweep.SweepResult` every run produces and hashes, in grid
 order, each point's ``RunResult.as_payload()`` together with the description
@@ -35,9 +35,6 @@ TINY = {
     "benefit_window": 250,
 }
 
-#: Per-experiment overrides on top of TINY: ``fuzzed`` saves no repro file.
-EXTRA = {"fuzzed": {"repro_dir": ""}}
-
 #: Experiments that run no sweep points: their result is what is hashed.
 RESULT_HASHED = ("fig7a", "warmup")
 
@@ -51,7 +48,6 @@ DIGESTS = {
     "fig8a": "721f9a25fdfc3fa4d2befe6462f8364a1fc0a08060c5dcae07b5fef5515ec3f3",
     "fig8b": "78d9976b908950150de7cc3bdb7adf5f209adf0d45e1fed5ab18ec62710ca646",
     "flash_crowd": "87b19666fa86e7bbc64d97e0da285609351d1acb9625b222010a678c1368f4d8",
-    "fuzzed": "ff0e5a1db28b852ef9afcd83917e03a6f16e0dcfa112df5510e4cb3362228920",
     "headline": "db418554a447c2453af95ba4b7b32bc8c855df812517c14aa7537682e47beb37",
     "multisite": "6469983296acae8fc249947e05646acc04e935517d5bdde88038d5c338f724e7",
     "update_storm": "eebd6383ec3ec6a2b36fe77a8a23605598f1536c4e8527194e214e5d38e68694",
@@ -88,7 +84,7 @@ def test_experiment_grid_bytes(name, jobs, monkeypatch):
         return sweeps[-1]
 
     monkeypatch.setattr(SweepRunner, "run", recording_run)
-    result = api.run_experiment(name, overrides={**TINY, **EXTRA.get(name, {})}, jobs=jobs)
+    result = api.run_experiment(name, overrides=TINY, jobs=jobs)
     if name in RESULT_HASHED:
         assert result_digest(result) == DIGESTS[name]
     else:

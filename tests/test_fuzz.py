@@ -1,28 +1,31 @@
-"""The adversarial scenario fuzzer (``repro.workload.fuzz``).
+"""Scenario compositions (``repro.workload.fuzz``) and the loss search.
 
 Three layers of coverage:
 
-* hypothesis properties over *composed scenarios*: every drawn composition
-  (numpy-seeded draws and hypothesis-built specs alike) satisfies the
-  structural stream invariants, round-trips through JSON, and replays
-  byte-identically streaming vs materialised;
+* hypothesis properties over *composed scenarios*: every composition the
+  shared strategy builds satisfies the structural stream invariants
+  (``tests/invariants.py``), rebuilds the same events from its seeds,
+  round-trips through JSON, and replays byte-identically streaming vs
+  materialised;
 * unit tests for the spec validation, the invariant checker's detection of
-  each violation class, and the minimal-repro save/load path;
-* the ``fuzzed`` registry experiment end to end, including the
-  VCover-lost-to-NoCache regression flagging hook.
+  each violation class, and the composition file save/load path;
+* the loss search (``tests/find_loss.py``): its committed minimal case
+  replays and still loses, and (``slow``) the search still returns it.
 
 The property tests deliberately carry no ``max_examples`` of their own:
 the hypothesis profile in ``tests/conftest.py`` governs their budget, so
-the nightly ``HYPOTHESIS_PROFILE=fuzz`` CI job searches far deeper than
+the main-only ``HYPOTHESIS_PROFILE=fuzz`` CI job searches far deeper than
 the quick per-PR profile without any test edits.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Tuple
 
 import pytest
@@ -30,19 +33,13 @@ from hypothesis import find, given, settings
 from hypothesis.errors import NoSuchExample
 
 from repro import api
-from repro.experiments.fuzzed import maybe_save_regression
 from repro.workload.fuzz import (
     ComposedScenarioStream,
     CompositionSpec,
     FuzzError,
     SegmentSpec,
-    StreamInvariantError,
-    _draw_segment_knobs,
-    check_stream_invariants,
-    draw_composition_spec,
     load_composition,
     save_composition,
-    save_regression,
 )
 from repro.workload.scenarios import (
     MODEL_NAMES,
@@ -56,7 +53,57 @@ from repro.workload.trace import (
     TraceStream,
     UpdateEvent,
 )
-from tests.strategies import composition_specs, fuzz_seeds, knob_strategies
+from tests.find_loss import LOSS_RATIO, is_loss
+from tests.invariants import StreamInvariantError, check_stream_invariants
+from tests.strategies import composition_specs, knob_strategies
+
+#: Scenarios an earlier seeded sampler drew, kept as literals so the replay
+#: and invariant-checker tests below go on replaying the same compositions.
+REPLAY_SPEC = CompositionSpec(
+    segments=(
+        SegmentSpec(
+            model="flash_crowd", query_count=62, update_count=66,
+            knobs=(("crowd_arrival", 0.466), ("crowd_count", 0),
+                   ("crowd_duration", 0.092), ("crowd_intensity", 0.712)),
+        ),
+        SegmentSpec(
+            model="cache_adversary", query_count=93, update_count=83,
+            knobs=(("scan_probability", 0.048), ("update_in_set", 0.814)),
+        ),
+        SegmentSpec(
+            model="flash_crowd", query_count=57, update_count=81,
+            knobs=(("crowd_arrival", 0.413), ("crowd_count", 1),
+                   ("crowd_duration", 0.244), ("crowd_intensity", 0.788)),
+        ),
+    ),
+    object_count=36,
+    cache_fraction=0.483,
+    seed=3,
+    name="fuzz-3",
+)
+INVARIANT_SPEC = CompositionSpec(
+    segments=(
+        SegmentSpec(
+            model="update_storm", query_count=57, update_count=59,
+            knobs=(("storm_cost_factor", 2.247), ("storm_count", 0),
+                   ("storm_length", 37), ("storm_on_focus", 0.423),
+                   ("storm_width", 6)),
+        ),
+        SegmentSpec(
+            model="cache_adversary", query_count=52, update_count=58,
+            knobs=(("scan_probability", 0.123), ("update_in_set", 0.685)),
+        ),
+    ),
+    object_count=24,
+    cache_fraction=0.111,
+    seed=1,
+    name="fuzz-1",
+)
+
+#: The loss search's minimal case for ``--policy vcover --yardstick nocache
+#: --floor 200`` (``tests/find_loss.py``), and that floor.
+LOSS_CASE = Path(__file__).parent / "fixtures" / "losses" / "vcover-nocache.json"
+LOSS_FLOOR = 200
 
 
 def canonical_payloads(comparison, policies) -> str:
@@ -68,10 +115,13 @@ def canonical_payloads(comparison, policies) -> str:
 # ----------------------------------------------------------------------
 # Hypothesis properties over composed scenarios
 # ----------------------------------------------------------------------
-@given(seed=fuzz_seeds)
-def test_property_drawn_compositions_satisfy_invariants(seed):
-    """Every numpy-seeded fuzzer draw builds a structurally sound stream."""
-    spec = draw_composition_spec(seed, max_events_per_segment=120)
+@given(spec=composition_specs(max_events=400, max_objects=96))
+def test_property_drawn_compositions_satisfy_invariants(spec):
+    """Wide compositions build structurally sound streams too.
+
+    1-3 segments of up to 400 queries and 400 updates each, over up to 96
+    objects: at least the range the earlier seeded sampler drew from.
+    """
     catalog, stream = spec.realise_stream()
     check_stream_invariants(stream, catalog)
 
@@ -90,13 +140,13 @@ def test_property_compositions_round_trip_through_json(spec):
     assert CompositionSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
-@given(seed=fuzz_seeds)
-def test_property_draws_are_deterministic_in_the_seed(seed):
-    """The same seed always yields the same composition (and cache key)."""
-    first = draw_composition_spec(seed)
-    second = draw_composition_spec(seed)
-    assert first == second
-    assert first.cache_key() == second.cache_key()
+@given(spec=composition_specs(max_segments=2, max_events=40))
+def test_property_draws_are_deterministic_in_the_seed(spec):
+    """A composition file names a scenario: its seeds fix every event."""
+    copy = CompositionSpec.from_dict(spec.to_dict())
+    assert copy.cache_key() == spec.cache_key()
+    events = list(spec.build_stream().iter_tagged())
+    assert list(copy.build_stream().iter_tagged()) == events
 
 
 @given(spec=composition_specs(max_segments=2, max_events=40))
@@ -110,43 +160,25 @@ def test_property_streaming_matches_materialised_events(spec):
 
 
 # ----------------------------------------------------------------------
-# One knob table behind the sampler, the strategies and the validators
+# One knob table behind the strategies and the validators
 # ----------------------------------------------------------------------
-class _EdgeRng:
-    """Stands in for a Generator: every draw lands on one end of its range."""
-
-    def __init__(self, top: bool) -> None:
-        self._top = top
-
-    def integers(self, low, high):
-        return high - 1 if self._top else low
-
-    def uniform(self, low, high):
-        return high if self._top else low
-
-
 class TestKnobTable:
-    def test_draws_are_pinned(self):
-        # A seed names a scenario (repro files, the fuzzed experiment), so the
-        # sampler must keep making the same draws in the same order.
-        sha = hashlib.sha256()
-        for seed in range(32):
-            spec = draw_composition_spec(seed)
-            sha.update(json.dumps(spec.to_dict(), sort_keys=True).encode())
-        assert sha.hexdigest() == (
-            "fcbd6da1797bb35d3ab6afd5a1e59f01d715d70ea927697b2f3299302bc17e29"
-        )
-
     @pytest.mark.parametrize("model", MODEL_NAMES)
     def test_strategies_span_exactly_what_the_sampler_draws(self, model):
-        lows = dict(_draw_segment_knobs(_EdgeRng(top=False), model))
-        highs = dict(_draw_segment_knobs(_EdgeRng(top=True), model))
+        # The strategies draw every knob the table gives a fuzz range, over
+        # exactly that inclusive range: both ends reachable, nothing outside.
+        bounds = {
+            row.name: row.fuzz
+            for row in model_knobs(STREAM_CLASSES[model])
+            if row.fuzz is not None
+        }
         strategies = knob_strategies(model)
-        assert set(strategies) == set(lows)
+        assert set(strategies) == set(bounds)
         quick = settings(max_examples=300, database=None, derandomize=True)
         for name, strategy in strategies.items():
-            low, high = lows[name], highs[name]
+            low, high = bounds[name]
             assert find(strategy, lambda v: v >= high, settings=quick) == high
+            assert find(strategy, lambda v: v <= low, settings=quick) == low
             with pytest.raises(NoSuchExample):
                 find(strategy, lambda v: not low <= v <= high, settings=quick)
 
@@ -231,7 +263,7 @@ class TestCompositionSpec:
             CompositionSpec(segments=(segment,), cache_fraction=0.0)
 
     def test_cache_key_ignores_the_name(self):
-        spec = draw_composition_spec(5)
+        spec = REPLAY_SPEC
         renamed = dataclasses.replace(spec, name="elsewhere")
         assert spec.cache_key() == renamed.cache_key()
         assert dataclasses.replace(spec, seed=6).cache_key() != spec.cache_key()
@@ -286,6 +318,41 @@ class TestCompositionSpec:
                 FuzzError, match=f"segment 0 .*{model}.* rejected its knobs: {knob} .*{value}"
             ):
                 CompositionSpec(segments=(segment,)).build_stream()
+
+    @pytest.mark.parametrize(
+        "segment, key, value",
+        [
+            (False, "object_count", "16"),
+            (False, "object_count", 2.0),
+            (False, "cache_fraction", "0.3"),
+            (False, "cache_fraction", float("nan")),
+            (False, "scale", None),
+            (False, "scale", float("inf")),
+            (False, "seed", "x"),
+            (False, "seed", -1),
+            (False, "query_traffic_fraction", -1.0),
+            (False, "update_traffic_fraction", True),
+            (False, "name", 3),
+            (True, "query_count", 5.7),
+            (True, "query_count", "x"),
+            (True, "update_count", -2),
+            (True, "model", ["diurnal"]),
+            (True, "knobs", {"scan_probability": float("nan")}),
+        ],
+    )
+    def test_from_dict_rejects_bad_values_naming_the_key(self, segment, key, value):
+        # A composition file is outside input: a wrong type, a NaN or a
+        # non-positive size is a FuzzError that names the key, never a bare
+        # TypeError, a silent truncation or a spec that fails later.
+        data = REPLAY_SPEC.to_dict()
+        if segment:
+            data["segments"][1][key] = value
+        else:
+            data[key] = value
+        with pytest.raises(
+            FuzzError, match="scan_probability" if key == "knobs" else key
+        ):
+            CompositionSpec.from_dict(data)
 
     def test_from_dict_rejects_malformed_input(self):
         with pytest.raises(FuzzError, match="segments"):
@@ -351,13 +418,8 @@ class _StubStream(TraceStream):
 
 
 class TestInvariantChecker:
-    def _catalog(self):
-        return draw_composition_spec(1, object_count=24).build_catalog()
-
     def _events(self):
-        catalog, stream = draw_composition_spec(
-            1, object_count=24, max_events_per_segment=60
-        ).realise_stream()
+        catalog, stream = INVARIANT_SPEC.realise_stream()
         return catalog, tuple(stream.iter_events())
 
     def test_accepts_a_sound_stream(self):
@@ -415,19 +477,12 @@ class TestInvariantChecker:
 
 
 # ----------------------------------------------------------------------
-# Minimal-repro files
+# Composition files
 # ----------------------------------------------------------------------
 class TestReproFiles:
     def test_save_load_round_trip(self, tmp_path):
-        spec = draw_composition_spec(17)
-        path = save_composition(spec, tmp_path / "repro.json")
-        assert load_composition(path) == spec
-
-    def test_save_regression_names_after_the_spec(self, tmp_path):
-        spec = draw_composition_spec(23)
-        path = save_regression(spec, tmp_path / "repros")
-        assert path == tmp_path / "repros" / f"{spec.name}.json"
-        assert load_composition(path) == spec
+        path = save_composition(REPLAY_SPEC, tmp_path / "repro.json")
+        assert load_composition(path) == REPLAY_SPEC
 
     def test_load_errors_are_fuzz_errors(self, tmp_path):
         with pytest.raises(FuzzError, match="cannot read"):
@@ -437,47 +492,55 @@ class TestReproFiles:
         with pytest.raises(FuzzError, match="not valid JSON"):
             load_composition(bad)
 
-    def test_draw_rejects_bad_max_segments(self):
-        with pytest.raises(FuzzError, match="max_segments"):
-            draw_composition_spec(1, max_segments=0)
 
+# ----------------------------------------------------------------------
+# The loss search and its committed minimal case
+# ----------------------------------------------------------------------
+class TestLossSearch:
+    def test_floor_applies_to_each_side(self):
+        # 5 queries against 995 updates clears a 1 000-event total but not a
+        # per-side floor of 200; the predicate rejects it before replaying.
+        lopsided = CompositionSpec(
+            segments=(
+                SegmentSpec(model="flash_crowd", query_count=5, update_count=995),
+            )
+        )
+        assert not is_loss(lopsided, "vcover", "nocache", floor=200)
 
-class _StubComparison:
-    def __init__(self, traffic):
-        self._traffic = traffic
+    def test_committed_case_replays_and_still_loses(self, tmp_path):
+        spec = load_composition(LOSS_CASE)
+        # The file is exactly what save_composition writes for it.
+        resaved = save_composition(spec, tmp_path / "case.json")
+        assert resaved.read_bytes() == LOSS_CASE.read_bytes()
+        policies = ("vcover", "nocache")
+        materialised = api.run_scenario(spec, policies=policies)
+        streamed = api.run_scenario(spec, policies=policies, streaming=True)
+        assert canonical_payloads(materialised, policies) == (
+            canonical_payloads(streamed, policies)
+        )
+        # The search predicate, spelled out: until the cause is fixed this
+        # stays a true loss (VCover ~1.73x NoCache on 200 + 200 events).
+        assert spec.query_count >= LOSS_FLOOR and spec.update_count >= LOSS_FLOOR
+        ratio = materialised.traffic_of("vcover") / materialised.traffic_of("nocache")
+        assert ratio > LOSS_RATIO
 
-    def traffic_of(self, name: str) -> float:
-        return self._traffic[name]
-
-
-class TestRegressionFlagging:
-    SPEC = draw_composition_spec(31, max_events_per_segment=60)
-
-    def test_vcover_loss_saves_a_repro_file(self, tmp_path):
-        comparison = _StubComparison({"vcover": 120.0, "nocache": 100.0})
-        path = maybe_save_regression(self.SPEC, comparison, tmp_path)
-        assert path is not None
-        assert load_composition(path) == self.SPEC
-
-    def test_vcover_win_saves_nothing(self, tmp_path):
-        comparison = _StubComparison({"vcover": 80.0, "nocache": 100.0})
-        assert maybe_save_regression(self.SPEC, comparison, tmp_path) is None
-        assert list(tmp_path.iterdir()) == []
-
-    def test_missing_policy_or_disabled_dir_saves_nothing(self, tmp_path):
-        losing = _StubComparison({"vcover": 120.0, "nocache": 100.0})
-        assert maybe_save_regression(
-            self.SPEC, _StubComparison({"vcover": 1.0}), tmp_path
-        ) is None
-        assert maybe_save_regression(self.SPEC, losing, None) is None
+    @pytest.mark.slow
+    def test_search_returns_the_committed_case(self):
+        script = Path(__file__).parent / "find_loss.py"
+        completed = subprocess.run(
+            [sys.executable, str(script), "--policy", "vcover",
+             "--yardstick", "nocache", "--floor", str(LOSS_FLOOR)],
+            capture_output=True, check=True, timeout=600,
+        )
+        assert completed.stdout == LOSS_CASE.read_bytes()
 
 
 # ----------------------------------------------------------------------
-# Replay byte-identity and the registry experiment
+# Replay byte-identity
 # ----------------------------------------------------------------------
 class TestFuzzedReplay:
     POLICIES = ("nocache", "vcover")
-    SPEC = draw_composition_spec(3, max_events_per_segment=120)
+    SPEC = REPLAY_SPEC
 
     def test_streaming_matches_materialised_payloads(self):
         materialised = api.run_scenario(self.SPEC, policies=self.POLICIES)
@@ -520,35 +583,8 @@ class TestFuzzedReplay:
         path = save_composition(self.SPEC, tmp_path / "case.json")
         direct = api.run_scenario(self.SPEC, policies=self.POLICIES, streaming=True)
         reloaded = api.run_scenario(
-            api.load_fuzzed_scenario(path), policies=self.POLICIES, streaming=True
+            load_composition(path), policies=self.POLICIES, streaming=True
         )
         assert canonical_payloads(direct, self.POLICIES) == (
             canonical_payloads(reloaded, self.POLICIES)
-        )
-
-
-class TestFuzzedExperiment:
-    def test_runs_from_a_config_seed(self, tmp_path):
-        result = api.run_experiment(
-            "fuzzed",
-            overrides={
-                "seed": 5,
-                "policies": ("nocache", "vcover"),
-                "max_segments": 1,
-                "repro_dir": str(tmp_path / "repros"),
-            },
-        )
-        assert result.spec == draw_composition_spec(5, max_segments=1)
-        assert result.streaming is True
-        assert result.comparison.traffic_of("nocache") > 0
-        rendered = api.format_result("fuzzed", result)
-        assert "Fuzzed composition" in rendered
-        assert result.models in rendered
-        if result.regression_path is not None:
-            assert "REGRESSION" in rendered
-            assert load_composition(result.regression_path) == result.spec
-
-    def test_draw_api_matches_experiment_draw(self):
-        assert api.draw_fuzzed_scenario(5, max_segments=1) == (
-            draw_composition_spec(5, max_segments=1)
         )

@@ -40,7 +40,7 @@ NOT_AT_BOOT = (
 
 #: ``repro experiment list`` order (docs/experiments.md's table follows it).
 LISTING = [
-    "ablations", "cache_size", "fig7a", "fig7b", "fig8a", "fig8b", "fuzzed",
+    "ablations", "cache_size", "fig7a", "fig7b", "fig8a", "fig8b",
     "headline", "multisite", "flash_crowd", "diurnal", "update_storm",
     "cache_adversary", "warmup",
 ]

@@ -17,13 +17,14 @@ from repro import api
 from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.experiments.spec import ScenarioError, ScenarioSpec, load_scenario
 from repro.repository.catalog import sdss_catalog
-from repro.workload.fuzz import STREAM_CLASSES, check_stream_invariants
 from repro.workload.scenarios import (
+    STREAM_CLASSES,
     CacheAdversaryStream,
     DiurnalStream,
     FlashCrowdStream,
     UpdateStormStream,
 )
+from tests.invariants import check_stream_invariants
 from tests.strategies import segment_specs
 
 
@@ -293,8 +294,8 @@ INVARIANT_CATALOG = sdss_catalog(object_count=32, scale=0.001, seed=17)
 def test_property_every_model_stream_holds_the_trace_invariants(segment):
     """Any model under any valid knobs yields a structurally sound stream.
 
-    This is the per-model form of the composition invariants the fuzzer
-    suite checks: driven by the shared ``segment_specs`` strategy, so the
+    This is the per-model form of the composition invariants the
+    composition suite checks: driven by the shared ``segment_specs`` strategy, so the
     knob ranges widen in one place for both suites.
     """
     stream = STREAM_CLASSES[segment.model](
