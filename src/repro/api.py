@@ -68,7 +68,12 @@ from repro.experiments.spec import (
 )
 from repro.sim.results import ComparisonResult
 from repro.sim.runner import DEFAULT_POLICIES, compare_policies, default_policy_specs
-from repro.workload.fuzz import CompositionSpec, FuzzError
+from repro.workload.fuzz import (
+    CompositionSpec,
+    FuzzError,
+    is_composition_file,
+    load_composition,
+)
 from repro.workload.ingest import CalibrationResult, IngestError, ingest_scenario
 
 __all__ = [
@@ -177,10 +182,11 @@ def run_scenario(
         A :class:`ScenarioSpec`, a bare :class:`ExperimentConfig`, a
         :class:`~repro.workload.fuzz.CompositionSpec` (e.g. a composition
         file read back with :func:`repro.workload.fuzz.load_composition`),
-        or a path to a JSON/TOML scenario file (see :func:`load_scenario`).
+        or a path to a JSON/TOML scenario file (see :func:`load_scenario`) or
+        to a composition file (told apart by its top-level ``segments`` key).
     policies:
-        Policy names to compare (default: the full paper set,
-        :data:`DEFAULT_POLICIES`).
+        Policy names to compare, each at most once (default: the full paper
+        set, :data:`DEFAULT_POLICIES`).
     jobs:
         Worker processes for the per-policy runs (1 = serial; results are
         identical either way).
@@ -195,11 +201,17 @@ def run_scenario(
         equivalence tests pin this); streaming keeps memory constant in the
         trace length, at the price of regenerating events on each pass.
     """
+    include = tuple(policies) if policies else DEFAULT_POLICIES
+    repeated = sorted({name for name in include if include.count(name) > 1})
+    if repeated:
+        raise ValueError(f"policies repeats {', '.join(map(repr, repeated))}; name each once")
     if isinstance(scenario, (str, Path)):
-        scenario = load_scenario(scenario)
+        if is_composition_file(scenario):
+            scenario = load_composition(scenario)
+        else:
+            scenario = load_scenario(scenario)
     if isinstance(scenario, ExperimentConfig):
         scenario = ScenarioSpec(scenario)
-    include = tuple(policies) if policies else DEFAULT_POLICIES
     if isinstance(scenario, CompositionSpec):
         # A composition carries its own cache_fraction (its adversary
         # segment is sized against it) and replays at the engine defaults.

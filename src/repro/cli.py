@@ -216,10 +216,23 @@ def _cmd_experiment_run(args: argparse.Namespace) -> int:
 def _cmd_scenario_validate(args: argparse.Namespace) -> int:
     from repro import api
     from repro.experiments.spec import ScenarioError
+    from repro.workload.fuzz import FuzzError, is_composition_file, load_composition
 
     try:
+        if is_composition_file(args.file):
+            composition = load_composition(args.file)
+            queries, updates = composition.query_count, composition.update_count
+            print(f"{args.file} is a composition, not a knob scenario: "
+                  f"{composition.name!r} is valid")
+            print(f"  objects      : {composition.object_count}")
+            print(f"  events       : {queries + updates} ({queries} queries, {updates} updates)")
+            print(f"  segments     : "
+                  f"{', '.join(segment.model for segment in composition.segments)}")
+            print(f"  cache        : {composition.cache_fraction:.0%} of the server")
+            print(f"  seed         : {composition.seed}")
+            return 0
         spec = api.load_scenario(args.file)
-    except ScenarioError as exc:
+    except (ScenarioError, FuzzError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config = spec.config
@@ -238,10 +251,9 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     from repro.experiments.spec import ScenarioError
 
     try:
-        spec = api.load_scenario(args.file)
         policies = _unique(args.policies) if args.policies else None
         comparison = api.run_scenario(
-            spec, policies=policies, jobs=args.jobs, streaming=args.streaming
+            args.file, policies=policies, jobs=args.jobs, streaming=args.streaming
         )
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """The ``repro.serve`` wire format: newline-delimited JSON, versioned frames.
 
-One frame per line.  A request frame is::
+One UTF-8 frame per line.  A request frame is::
 
     {"v": 1, "type": "query" | "update" | "stats", "seq": <int | null>,
      "payload": {...}}
@@ -29,7 +29,8 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.decoupling import QueryOutcome
 from repro.repository.updates import Update
@@ -53,6 +54,9 @@ class ProtocolError(ValueError):
 
 #: Built once: ``json.dumps`` with non-default options builds one per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+_DECODER = json.JSONDecoder()
+#: What ``json.loads`` skips around a document.
+_WHITESPACE = " \t\n\r"
 
 
 def encode_frame(frame: Dict[str, Any]) -> bytes:
@@ -61,7 +65,7 @@ def encode_frame(frame: Dict[str, Any]) -> bytes:
 
 
 def decode_frame(line: bytes, expect: Optional[tuple] = None) -> Dict[str, Any]:
-    """Parse and validate one frame line.
+    """Parse and validate one UTF-8 frame line.
 
     ``expect`` optionally narrows the accepted frame types (the server passes
     :data:`REQUEST_TYPES`, clients pass :data:`RESPONSE_TYPES`).
@@ -69,7 +73,15 @@ def decode_frame(line: bytes, expect: Optional[tuple] = None) -> Dict[str, Any]:
     if len(line) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
     try:
-        frame = json.loads(line)
+        text = str(line, "utf-8", "surrogatepass")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"frame is not valid UTF-8: {exc}") from exc
+    # ``json.loads`` minus its encoding sniffing and whitespace regexes.
+    try:
+        frame, end = _DECODER.raw_decode(text, len(text) - len(text.lstrip(_WHITESPACE)))
+        rest = text[end:].lstrip(_WHITESPACE)
+        if rest:
+            raise json.JSONDecodeError("Extra data", text, len(text) - len(rest))
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
     if not isinstance(frame, dict):
@@ -139,6 +151,50 @@ def outcome_to_dict(outcome: QueryOutcome) -> Dict[str, Any]:
         "evicted_objects": list(outcome.evicted_objects),
         "shipped_updates": list(outcome.shipped_updates),
     }
+
+
+#: The two result frames in :func:`encode_frame`'s layout (compact, keys sorted, ``v`` 1).
+_QUERY_RESULT = (
+    '{"payload":{"action":%s,"evicted_objects":[%s],"kind":"query","load_cost":%s,'
+    '"loaded_objects":[%s],"query_id":%d,"query_shipping_cost":%s,"shipped_updates":[%s],'
+    '"update_shipping_cost":%s},"seq":%s,"type":"result","v":1}\n'
+)
+_UPDATE_RESULT = (
+    '{"payload":{"kind":"update","object_id":%d,"update_id":%d},"seq":%s,"type":"result","v":1}\n'
+)
+#: ``repr`` spellings that json writes differently.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number(value: float) -> str:
+    text = float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def encode_result(result: Union[QueryOutcome, Update], seq: Optional[int] = None) -> bytes:
+    """One applied query's (from its outcome) or update's result frame, as a line.
+
+    Byte-identical to ``encode_frame(result_frame(outcome_to_dict(outcome), seq))``
+    (updates: the ``kind`` / ``update_id`` / ``object_id`` payload), without the dicts.
+    """
+    seq_text = "null" if seq is None else int.__repr__(seq)
+    if isinstance(result, Update):
+        return (_UPDATE_RESULT % (result.object_id, result.update_id, seq_text)).encode()
+    ids = ",".join
+    return (
+        _QUERY_RESULT
+        % (
+            encode_basestring_ascii(result.action),
+            ids(map(int.__repr__, result.evicted_objects)),
+            _number(result.load_cost),
+            ids(map(int.__repr__, result.loaded_objects)),
+            result.query_id,
+            _number(result.query_shipping_cost),
+            ids(map(int.__repr__, result.shipped_updates)),
+            _number(result.update_shipping_cost),
+            seq_text,
+        )
+    ).encode()
 
 
 def outcome_from_dict(payload: Dict[str, Any]) -> QueryOutcome:

@@ -55,7 +55,7 @@ from repro.repository.server import Repository
 from repro.serve import protocol
 from repro.sim.engine import DecisionHook, ReplayKernel
 from repro.sim.runner import SERVABLE_POLICIES, PolicySpec
-from repro.workload.trace import QueryEvent, event_from_dict
+from repro.workload.trace import tagged_from_dict
 
 #: Default bound on parked (early, not yet applicable) frames.
 DEFAULT_MAX_PENDING = 1024
@@ -113,10 +113,10 @@ class _Connection(asyncio.BufferedProtocol):
         self._write_paused = False
         self._server._schedule(self)
 
-    def send(self, frame: Dict[str, Any]) -> None:
-        """Write one response frame (dropped if the client is gone)."""
+    def send(self, line: bytes) -> None:
+        """Write one encoded response line (dropped if the client is gone)."""
         if self._transport is not None and not self._transport.is_closing():
-            self._transport.write(protocol.encode_frame(frame))
+            self._transport.write(line)
 
     def close(self) -> None:
         """Flush what was written, then close; unread lines are discarded."""
@@ -312,16 +312,16 @@ class CacheServer:
         try:
             frame = protocol.decode_frame(line, expect=protocol.REQUEST_TYPES)
         except protocol.ProtocolError as exc:
-            connection.send(protocol.error_frame(str(exc)))
+            connection.send(self._error(str(exc)))
             connection.close()
             return
         seq = frame.get("seq")
         if frame["type"] == "stats":
-            connection.send(protocol.stats_response_frame(self.stats_snapshot(), seq=seq))
-        elif self._draining and not (self._parked and seq == self._next_seq):
             connection.send(
-                protocol.error_frame("server is draining; not accepting events", seq=seq)
+                protocol.encode_frame(protocol.stats_response_frame(self.stats_snapshot(), seq))
             )
+        elif self._draining and not (self._parked and seq == self._next_seq):
+            connection.send(self._error("server is draining; not accepting events", seq))
         elif seq is None:
             connection.send(self._apply(frame))
         elif seq == self._next_seq:
@@ -338,8 +338,12 @@ class CacheServer:
             connection.waiting = True
             self._idle.clear()
 
-    def _refusal(self, reason: str, seq: int) -> Dict[str, Any]:
-        return protocol.error_frame(f"{reason}; waiting for seq {self._next_seq}", seq=seq)
+    def _refusal(self, reason: str, seq: int) -> bytes:
+        return self._error(f"{reason}; waiting for seq {self._next_seq}", seq)
+
+    @staticmethod
+    def _error(message: str, seq: Optional[int] = None) -> bytes:
+        return protocol.encode_frame(protocol.error_frame(message, seq=seq))
 
     def _release(self) -> None:
         """Apply the parked frames whose turn has come; queue their connections."""
@@ -352,21 +356,12 @@ class CacheServer:
         if not self._parked:
             self._idle.set()
 
-    def _apply(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply one query/update frame to the policy stack; its response frame."""
+    def _apply(self, frame: Dict[str, Any]) -> bytes:
+        """Apply one query/update frame to the policy stack; its encoded response."""
         seq = frame.get("seq")
         try:
-            event = event_from_dict(frame["payload"])
-            if isinstance(event, QueryEvent):
-                result = protocol.outcome_to_dict(self._kernel.step(False, event.query))
-            else:
-                update = event.update
-                self._kernel.step(True, update)
-                result = {
-                    "kind": "update",
-                    "update_id": update.update_id,
-                    "object_id": update.object_id,
-                }
+            is_update, event = tagged_from_dict(frame["payload"])
+            outcome = self._kernel.step(is_update, event)
         except Exception as exc:  # surface apply errors to the caller
-            return protocol.error_frame(f"event could not be applied: {exc}", seq=seq)
-        return protocol.result_frame(result, seq=seq)
+            return self._error(f"event could not be applied: {exc}", seq)
+        return protocol.encode_result(event if outcome is None else outcome, seq)

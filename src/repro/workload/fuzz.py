@@ -327,6 +327,15 @@ def save_composition(spec: CompositionSpec, path: Union[str, Path]) -> Path:
     return path
 
 
+def is_composition_file(path: Union[str, Path]) -> bool:
+    """Whether ``path`` holds a :func:`save_composition` file: a JSON object with ``segments``."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return False
+    return isinstance(data, dict) and "segments" in data
+
+
 def load_composition(path: Union[str, Path]) -> CompositionSpec:
     """Load a composition previously written with :func:`save_composition`."""
     path = Path(path)

@@ -482,29 +482,30 @@ def event_to_dict(event: TraceEvent) -> Dict[str, object]:
     }
 
 
-def event_from_dict(payload: Dict[str, Any]) -> TraceEvent:
-    """Deserialise one event from a plain dict (inverse of :func:`event_to_dict`)."""
+def tagged_from_dict(payload: Dict[str, Any]) -> TaggedEvent:
+    """The ``(is_update, payload)`` pair of one event dict (inverse of :func:`event_to_dict`)."""
     kind = payload.get("kind")
     if kind == "query":
-        return QueryEvent(
-            Query(
-                query_id=int(payload["query_id"]),
-                object_ids=frozenset(int(oid) for oid in payload["object_ids"]),
-                cost=float(payload["cost"]),
-                timestamp=float(payload["timestamp"]),
-                tolerance=float(payload.get("tolerance", 0.0)),
-                template=payload.get("template", "selection"),
-            )
+        return False, Query(
+            query_id=int(payload["query_id"]),
+            object_ids=frozenset(map(int, payload["object_ids"])),
+            cost=float(payload["cost"]),
+            timestamp=float(payload["timestamp"]),
+            tolerance=float(payload.get("tolerance", 0.0)),
+            template=payload.get("template", "selection"),
         )
     if kind == "update":
-        return UpdateEvent(
-            Update(
-                update_id=int(payload["update_id"]),
-                object_id=int(payload["object_id"]),
-                cost=float(payload["cost"]),
-                timestamp=float(payload["timestamp"]),
-                kind=payload.get("update_kind", "insert"),
-                rows=int(payload.get("rows", 0)),
-            )
+        return True, Update(
+            update_id=int(payload["update_id"]),
+            object_id=int(payload["object_id"]),
+            cost=float(payload["cost"]),
+            timestamp=float(payload["timestamp"]),
+            kind=payload.get("update_kind", "insert"),
+            rows=int(payload.get("rows", 0)),
         )
     raise ValueError(f"unknown event kind {kind!r}")
+
+
+def event_from_dict(payload: Dict[str, Any]) -> TraceEvent:
+    """Deserialise one event from a plain dict (inverse of :func:`event_to_dict`)."""
+    return untag_event(tagged_from_dict(payload))

@@ -97,6 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.floor < 0:
         parser.error("--floor must be non-negative")
     if args.policy == args.yardstick:
+        # api.run_scenario refuses a repeated policy; say so before searching.
         parser.error("--policy and --yardstick must differ")
     try:
         case = find_loss(args.policy, args.yardstick, args.floor)

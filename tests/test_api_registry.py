@@ -196,3 +196,8 @@ class TestFacade:
         assert (from_spec.traffic_of("nocache")
                 == from_config.traffic_of("nocache")
                 == from_path.traffic_of("nocache"))
+
+    def test_run_scenario_rejects_a_repeated_policy(self):
+        spec = api.ScenarioSpec.from_knobs(object_count=16, query_count=20, update_count=20)
+        with pytest.raises(ValueError, match=r"^policies repeats 'vcover'; name each once$"):
+            api.run_scenario(spec, policies=("vcover", "nocache", "vcover"))

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from repro import __version__
+from repro import __version__, api
 from repro.cli import build_parser, main
+from repro.workload.fuzz import load_composition
 from repro.workload.trace import Trace
 
 #: Small scenario arguments shared by the CLI tests to keep them fast.
@@ -219,3 +220,11 @@ class TestScenarioSubcommand:
         assert main(["scenario", "run", path, "--policies", "nocache", "vcover"]) == 0
         output = capsys.readouterr().out
         assert "nocache" in output and "vcover" in output
+
+    def test_composition_file_validates_and_replays(self, capsys):
+        path = str(Path(__file__).parent / "fixtures" / "losses" / "vcover-nocache.json")
+        assert main(["scenario", "validate", path]) == 0
+        assert "is a composition" in capsys.readouterr().out
+        assert main(["scenario", "run", path, "--policies", "vcover", "nocache"]) == 0
+        expected = api.run_scenario(load_composition(path), policies=("vcover", "nocache"))
+        assert expected.as_table() in capsys.readouterr().out

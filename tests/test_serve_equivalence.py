@@ -8,15 +8,19 @@ sequence, byte for byte**, and the same traffic accounting.
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
 
 from repro.core.benefit import BenefitConfig
 from repro.experiments.config import ExperimentConfig, build_scenario_stream
+from repro.serve import protocol
 from repro.serve.equivalence import logs_identical, replay_with_log, serve_with_log
 from repro.serve.harness import SERVABLE_POLICIES
+from repro.serve.server import CacheServer
 from repro.sim.runner import default_policy_specs
+from repro.workload.trace import event_to_dict
 
 
 def build_case(policy: str, **overrides):
@@ -82,3 +86,46 @@ class TestWorkloadModels:
         _, catalog2, trace2, spec2, _ = build_case("vcover", workload_model=model)
         _, served_log = serve_with_log(spec2, catalog2, trace2, capacity, clients=4)
         assert logs_identical(sim_log, served_log)
+
+
+class TestResultLines:
+    def test_every_answer_is_the_generic_encoding_of_its_decision(self):
+        # The benchmark's served flash crowd at its smoke shape (150 + 150).
+        config = ExperimentConfig(seed=7).scaled(
+            workload_model="flash_crowd", query_count=150, update_count=150
+        )
+        catalog, stream = build_scenario_stream(config)
+        spec = default_policy_specs(include=("vcover",))[0]
+        decided = []
+        server = CacheServer(
+            catalog,
+            spec,
+            catalog.total_size * config.cache_fraction,
+            on_decision=lambda event, outcome: decided.append((event, outcome)),
+        )
+        payloads = [event_to_dict(event) for event in stream.iter_events()]
+        requests = b"".join(
+            protocol.encode_frame(protocol.request_frame(payload["kind"], payload, seq=seq))
+            for seq, payload in enumerate(payloads)
+        )
+
+        async def drive():
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(requests)
+                lines = [await asyncio.wait_for(reader.readline(), 5.0) for _ in payloads]
+                writer.close()
+                return lines
+            finally:
+                await server.stop()
+
+        lines = asyncio.run(drive())
+        assert len(lines) == len(decided) == 300
+        for seq, (line, (event, outcome)) in enumerate(zip(lines, decided)):
+            result = (
+                {"kind": "update", "update_id": event.update_id, "object_id": event.object_id}
+                if outcome is None
+                else protocol.outcome_to_dict(outcome)
+            )
+            assert line == protocol.encode_frame(protocol.result_frame(result, seq)), seq

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.decoupling import QueryOutcome
+from repro.core.decoupling import QueryAction, QueryOutcome
 from repro.repository.updates import Update, UpdateKind
 from repro.serve import protocol
 
@@ -121,6 +124,22 @@ class TestDecodeErrors:
         with pytest.raises(protocol.ProtocolError, match="exceeds"):
             protocol.decode_frame(line)
 
+    def test_rejects_a_line_that_is_not_utf8(self):
+        with pytest.raises(protocol.ProtocolError, match="not valid UTF-8"):
+            protocol.decode_frame(b'{"v":1,"type":"stats","seq":null,"x":"\xff"}\n')
+
+    @pytest.mark.parametrize(
+        "line", [b"\xef\xbb\xbf" + protocol.encode_frame(protocol.request_frame("stats"))]
+        + [protocol.encode_frame(protocol.request_frame("stats")).decode().encode(codec)
+           for codec in ("utf-16", "utf-16-le", "utf-32")],
+        ids=["utf-8-bom", "utf-16", "utf-16-le", "utf-32"],
+    )  # fmt: skip
+    def test_frames_are_utf8_only(self, line):
+        # json.loads(bytes) sniffs these encodings; a frame is UTF-8.
+        assert json.loads(line)["type"] == "stats"
+        with pytest.raises(protocol.ProtocolError, match="not valid"):
+            protocol.decode_frame(line)
+
 
 class TestOutcomeEncoding:
     def test_outcome_round_trips(self):
@@ -158,3 +177,117 @@ class TestSignatures:
     def test_signatures_are_json_round_trippable(self):
         signature = protocol.outcome_signature(make_outcome())
         assert json.loads(json.dumps(signature)) == signature
+
+
+# ----------------------------------------------------------------------
+# The direct codec paths against the generic ones
+# ----------------------------------------------------------------------
+_IDS = st.lists(st.integers(0, 2**63 - 1), max_size=6)
+_SEQS = st.none() | st.integers(0, 2**63 - 1)
+_COSTS = (
+    st.sampled_from([0.1 + 0.2, 5e-324, 1e308, math.inf, -math.inf, math.nan, 0.0, -0.0])
+    | st.floats()
+    | st.integers(0, 2**63 - 1)
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+_PADDING = st.text(" \t\r\n", max_size=3)
+
+#: Malformed lines and the message each got when frames were parsed with
+#: ``json.loads``: the direct parse must refuse them in the same words.
+MALFORMED = [
+    (b"{nope\n", "frame is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (b"[1, 2]\n", "frame must be an object, got list"),
+    (b'{"type": "stats"}\n', "unsupported protocol version None; this endpoint speaks v1"),
+    (b'{"v":2,"type":"stats","seq":null,"payload":{}}\n', "unsupported protocol version 2; this endpoint speaks v1"),
+    (b'{"v":1,"type":"evict","payload":{}}\n', "unknown frame type 'evict'; expected one of ('query', 'update', 'stats', 'result', 'stats', 'error')"),
+    (b'{"v":1,"type":"query","seq":-1,"payload":{"kind":"query"}}\n', "seq must be a non-negative integer or null, got -1"),
+    (b'{"v":1,"type":"query","seq":1.5,"payload":{"kind":"query"}}\n', "seq must be a non-negative integer or null, got 1.5"),
+    (b'{"v":1,"type":"query","seq":true,"payload":{"kind":"query"}}\n', "seq must be a non-negative integer or null, got True"),
+    (b'{"v":1,"type":"query","seq":"3","payload":{"kind":"query"}}\n', "seq must be a non-negative integer or null, got '3'"),
+    (b'{"v":1,"type":"query","seq":null}\n', "query frame needs an object payload"),
+    (b"", "frame is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (b"\n", "frame is not valid JSON: Expecting value: line 2 column 1 (char 1)"),
+    (b" \t\r\n", "frame is not valid JSON: Expecting value: line 2 column 1 (char 4)"),
+    (b'{"v":1,"type":"stats","seq":null} {}\n', "frame is not valid JSON: Extra data: line 1 column 35 (char 34)"),
+    (b'{"v":1,"type":"stats","seq":null}\n x', "frame is not valid JSON: Extra data: line 2 column 2 (char 35)"),
+    (b'\r\n  {"v":1,"type":"stats","seq":null,\n', "frame is not valid JSON: Expecting property name enclosed in double quotes: line 3 column 1 (char 38)"),
+    (b"null\n", "frame must be an object, got NoneType"),
+    (b'"frame"\n', "frame must be an object, got str"),
+    (b'{"v":1,"type":"stats","seq":0,"payload":{}}}\n', "frame is not valid JSON: Extra data: line 1 column 44 (char 43)"),
+]  # fmt: skip
+
+
+def generic_result_line(result, seq) -> bytes:
+    """A result line through the dict payload and the generic encoder."""
+    if isinstance(result, Update):
+        payload = {"kind": "update", "update_id": result.update_id, "object_id": result.object_id}
+    else:
+        payload = protocol.outcome_to_dict(result)
+    return protocol.encode_frame(protocol.result_frame(payload, seq))
+
+
+class TestDirectCodec:
+    @given(
+        outcome=st.builds(
+            QueryOutcome,
+            query_id=st.integers(0, 2**63 - 1),
+            action=st.sampled_from(QueryAction.ALL),
+            query_shipping_cost=_COSTS,
+            update_shipping_cost=_COSTS,
+            load_cost=_COSTS,
+            loaded_objects=_IDS,
+            evicted_objects=_IDS,
+            shipped_updates=_IDS,
+        ),
+        seq=_SEQS,
+    )
+    def test_query_result_is_the_generic_encoding(self, outcome, seq):
+        assert protocol.encode_result(outcome, seq) == generic_result_line(outcome, seq)
+
+    @given(
+        update=st.builds(
+            Update,
+            update_id=st.integers(0, 2**63 - 1),
+            object_id=st.integers(0, 2**63 - 1),
+            cost=st.floats(0, 1e308),
+            timestamp=st.floats(allow_nan=False),
+            kind=st.sampled_from(list(UpdateKind.ALL)),
+        ),
+        seq=_SEQS,
+    )
+    def test_update_result_is_the_generic_encoding(self, update, seq):
+        assert protocol.encode_result(update, seq) == generic_result_line(update, seq)
+
+    @given(
+        kind=st.sampled_from(protocol.REQUEST_TYPES),
+        payload=st.dictionaries(st.text(max_size=6), _JSON, max_size=4),
+        seq=_SEQS,
+        before=_PADDING,
+        after=_PADDING,
+    )
+    def test_decode_returns_what_json_loads_returned(self, kind, payload, seq, before, after):
+        line = before.encode() + protocol.encode_frame(protocol.request_frame(kind, payload, seq))
+        line += after.encode()
+        assert protocol.decode_frame(line) == json.loads(line)
+        assert protocol.decode_frame(bytearray(line)) == json.loads(line)
+
+    @pytest.mark.parametrize("line, message", MALFORMED)
+    def test_malformed_lines_keep_their_messages(self, line, message):
+        with pytest.raises(protocol.ProtocolError) as raised:
+            protocol.decode_frame(line)
+        assert str(raised.value) == message
+
+    @given(cut=st.integers(1, 60), seq=_SEQS)
+    def test_truncated_frame_has_the_json_loads_message(self, cut, seq):
+        line = protocol.encode_frame(protocol.request_frame("update", {"kind": "update"}, seq))
+        line = line[: min(cut, len(line) - 2)]
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(line)
+        with pytest.raises(protocol.ProtocolError) as raised:
+            protocol.decode_frame(line)
+        assert str(raised.value) == f"frame is not valid JSON: {expected.value}"

@@ -612,6 +612,35 @@ class TestRefusedFrames:
         asyncio.run(drive())
         assert not caplog.records  # nothing unhandled reached the asyncio logger
 
+    def test_line_that_is_not_utf8_is_refused_and_the_loop_keeps_serving(self, caplog):
+        server, _ = make_server()
+        unhandled = []
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            await server.start()
+            try:
+                bad = await asyncio.open_connection(server.host, server.port)
+                good = await asyncio.open_connection(server.host, server.port)
+                bad[1].write(b'{"v":1,"type":"stats","seq":null,"x":"\xff"}\n')
+                good[1].write(protocol.encode_frame(protocol.request_frame("stats")))
+                frame = await read_frame(bad[0])
+                assert frame["type"] == "error"
+                assert "not valid UTF-8" in frame["payload"]["message"]
+                assert await asyncio.wait_for(bad[0].readline(), 5.0) == b""
+                assert (await read_frame(good[0]))["type"] == "stats"
+                good[1].write(protocol.encode_frame(protocol.request_frame("stats")))
+                assert (await read_frame(good[0]))["payload"]["connections"] == 1
+                for _, writer in (bad, good):
+                    writer.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(drive())
+        assert not unhandled  # the loop's exception handler was never called
+        assert not caplog.records
+
     def test_already_applied_seq_is_refused_not_parked(self):
         log = []
         server, events = make_server(log=log)
