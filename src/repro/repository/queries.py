@@ -36,7 +36,7 @@ class QueryTemplate:
     ALL = (RANGE, SPATIAL_JOIN, SELECTION, AGGREGATION, FULL_SCAN)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Query(SlottedFrozenPickle):
     """A single read-only query event.
 
@@ -70,17 +70,34 @@ class Query(SlottedFrozenPickle):
     template: str = QueryTemplate.SELECTION
     sql: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.object_ids, frozenset):
-            object.__setattr__(self, "object_ids", frozenset(self.object_ids))
-        if not self.object_ids:
-            raise ValueError(f"query {self.query_id} accesses no objects")
-        if self.cost < 0:
-            raise ValueError(f"query {self.query_id} has negative cost {self.cost!r}")
-        if self.tolerance < 0:
-            raise ValueError(f"query {self.query_id} has negative tolerance {self.tolerance!r}")
-        if self.template not in QueryTemplate.ALL:
-            raise ValueError(f"query {self.query_id} has unknown template {self.template!r}")
+    def __init__(
+        self,
+        query_id: int,
+        object_ids: Iterable[int],
+        cost: float,
+        timestamp: float,
+        tolerance: float = 0.0,
+        template: str = QueryTemplate.SELECTION,
+        sql: Optional[str] = None,
+    ) -> None:
+        # Hand-written: the checks, then each field stored through its slot.
+        if not isinstance(object_ids, frozenset):
+            object_ids = frozenset(object_ids)
+        if not object_ids:
+            raise ValueError(f"query {query_id} accesses no objects")
+        if cost < 0:
+            raise ValueError(f"query {query_id} has negative cost {cost!r}")
+        if tolerance < 0:
+            raise ValueError(f"query {query_id} has negative tolerance {tolerance!r}")
+        if template not in QueryTemplate.ALL:
+            raise ValueError(f"query {query_id} has unknown template {template!r}")
+        _set_id(self, query_id)
+        _set_object_ids(self, object_ids)
+        _set_cost(self, cost)
+        _set_timestamp(self, timestamp)
+        _set_tolerance(self, tolerance)
+        _set_template(self, template)
+        _set_sql(self, sql)
 
     @property
     def shipping_cost(self) -> float:
@@ -115,6 +132,11 @@ class Query(SlottedFrozenPickle):
     def touches(self, object_id: int) -> bool:
         """Whether the query accesses ``object_id``."""
         return object_id in self.object_ids
+
+
+_set_id, _set_object_ids, _set_cost, _set_timestamp, _set_tolerance, _set_template, _set_sql = (
+    Query.__dict__[name].__set__ for name in Query.__dataclass_fields__
+)
 
 
 class QueryIdAllocator:

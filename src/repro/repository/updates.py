@@ -34,7 +34,7 @@ class UpdateKind:
     ALL = (INSERT, MODIFY, DELETE)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Update(SlottedFrozenPickle):
     """A single update event.
 
@@ -63,16 +63,35 @@ class Update(SlottedFrozenPickle):
     kind: str = UpdateKind.INSERT
     rows: int = 0
 
-    def __post_init__(self) -> None:
-        if self.cost < 0:
-            raise ValueError(f"update {self.update_id} has negative cost {self.cost!r}")
-        if self.kind not in UpdateKind.ALL:
-            raise ValueError(f"update {self.update_id} has unknown kind {self.kind!r}")
+    def __init__(
+        self,
+        update_id: int,
+        object_id: int,
+        cost: float,
+        timestamp: float,
+        kind: str = UpdateKind.INSERT,
+        rows: int = 0,
+    ) -> None:
+        if cost < 0:
+            raise ValueError(f"update {update_id} has negative cost {cost!r}")
+        if kind not in UpdateKind.ALL:
+            raise ValueError(f"update {update_id} has unknown kind {kind!r}")
+        _set_update_id(self, update_id)
+        _set_object_id(self, object_id)
+        _set_cost(self, cost)
+        _set_timestamp(self, timestamp)
+        _set_kind(self, kind)
+        _set_rows(self, rows)
 
     @property
     def shipping_cost(self) -> float:
         """Alias for :attr:`cost` matching the paper's ``nu(u)`` notation."""
         return self.cost
+
+
+_set_update_id, _set_object_id, _set_cost, _set_timestamp, _set_kind, _set_rows = (
+    Update.__dict__[name].__set__ for name in Update.__dataclass_fields__
+)
 
 
 class UpdateIdAllocator:

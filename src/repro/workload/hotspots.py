@@ -16,8 +16,9 @@ generator so the two streams have distinct hotspots by construction.
 
 An access costs its draws: one ``random()`` for focus-vs-background, then one
 ``random()`` searched in the phase's Zipf cdf or one ``integers()`` into the
-object ids (:mod:`repro.workload.draws`).  The cdf and the focus membership
-set are rebuilt once per phase, never per access.
+object ids, each through a :class:`~repro.workload.draws.Draws` (per-phase
+draws stay on the ``Generator``).  The cdf and the focus membership set are
+rebuilt once per phase, never per access.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.workload.draws import uniform_pick, weighted_index, zipf_cdf
+from repro.workload.draws import Draws, uniform_pick, weighted_index, zipf_cdf
 
 if TYPE_CHECKING:
     import numpy as np
@@ -114,6 +115,7 @@ class HotspotModel:
         self._drift = drift
         self._zipf_exponent = zipf_exponent
         self._rng = rng
+        self._draws = Draws(rng)
         self._contiguous = contiguous
         self._phases: List[HotspotPhase] = []
         self._access_index = 0
@@ -190,7 +192,7 @@ class HotspotModel:
         if self._access_index > 0 and self._access_index % self._phase_length == 0:
             self._start_new_phase()
         self._access_index += 1
-        rng = self._rng
-        if rng.random() < self._focus_probability:
-            return self._current_focus[weighted_index(self._focus_cdf, rng)]
-        return uniform_pick(self._object_ids, rng)
+        draws = self._draws
+        if draws.random() < self._focus_probability:
+            return self._current_focus[weighted_index(self._focus_cdf, draws)]
+        return uniform_pick(self._object_ids, draws)

@@ -29,7 +29,8 @@ Unlike the evolving model, the per-event costs here are computed *directly*
 (a mean-normalised log-normal wobble around an analytic mean), so no
 whole-trace calibration pass exists: generation is one pass, O(1) state, and
 a 5M-event replay runs in the same RSS as a 500k-event one.  All draws come
-from per-stream seeded NumPy generators, so every pass over a stream yields
+from per-stream seeded NumPy generators (scalar uniforms through a
+:class:`~repro.workload.draws.Draws` on each), so every pass over a stream yields
 the byte-identical event sequence (the restartability the
 :class:`~repro.workload.trace.TraceStream` contract requires).
 """
@@ -39,18 +40,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.repository.objects import ObjectCatalog
 from repro.repository.queries import Query
 from repro.repository.updates import Update, UpdateKind
-from repro.workload.draws import uniform_pick, weighted_index, zipf_cdf
+from repro.workload.draws import Draws, uniform_pick, weighted_index, zipf_cdf
 from repro.workload.mixer import iter_interleaved
 from repro.workload.sdss import contiguous_footprint
 from repro.workload.trace import TraceEvent, TraceStream
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Default size of the cache adversary's working set, as a multiple of the
 #: cache capacity: just past it, the LRU/GDS worst case.
@@ -132,9 +130,9 @@ def model_knobs(stream_class: type) -> Tuple[Knob, ...]:
     )
 
 
-def _wobble(rng: np.random.Generator, sigma: float) -> float:
+def _wobble(draws: Draws, sigma: float) -> float:
     """A mean-1 log-normal factor (so per-event costs keep analytic means)."""
-    return float(rng.lognormal(0.0, sigma)) * math.exp(-0.5 * sigma * sigma)
+    return float(draws.generator.lognormal(0.0, sigma)) * math.exp(-0.5 * sigma * sigma)
 
 
 def _block(object_ids: Sequence[int], start: int, size: int) -> List[int]:
@@ -204,19 +202,19 @@ class ScenarioModelStream(TraceStream):
     # ------------------------------------------------------------------
     # Shared draw helpers
     # ------------------------------------------------------------------
-    def _query_rng(self) -> np.random.Generator:
+    def _query_rng(self) -> Draws:
         import numpy as np
 
-        return np.random.default_rng(self.seed + 1)
+        return Draws(np.random.default_rng(self.seed + 1))
 
-    def _update_rng(self) -> np.random.Generator:
+    def _update_rng(self) -> Draws:
         import numpy as np
 
-        return np.random.default_rng(self.seed + 2)
+        return Draws(np.random.default_rng(self.seed + 2))
 
     def _draw_query(
         self,
-        rng: np.random.Generator,
+        rng: Draws,
         query_id: int,
         index: int,
         anchor: int,
@@ -224,23 +222,17 @@ class ScenarioModelStream(TraceStream):
     ) -> Query:
         """One query around ``anchor`` at the model's mean cost x factor."""
         object_ids = self.catalog.object_ids
-        span = int(rng.integers(1, self.footprint_span + 1))
+        span = rng.integers(1, self.footprint_span + 1)
         footprint = contiguous_footprint(object_ids, anchor, span)
         cost = max(self.mean_query_cost * cost_factor * _wobble(rng, self.cost_sigma), 1e-9)
         tolerance = (
             self.tolerance_window if rng.random() < self.tolerant_fraction else 0.0
         )
-        return Query(
-            query_id=query_id,
-            object_ids=frozenset(footprint),
-            cost=cost,
-            timestamp=float(index + 1),
-            tolerance=tolerance,
-        )
+        return Query(query_id, frozenset(footprint), cost, float(index + 1), tolerance)
 
     def _draw_update(
         self,
-        rng: np.random.Generator,
+        rng: Draws,
         update_id: int,
         index: int,
         object_id: int,
@@ -248,18 +240,11 @@ class ScenarioModelStream(TraceStream):
     ) -> Update:
         """One update of ``object_id`` at the model's mean cost x factor."""
         cost = max(self.mean_update_cost * cost_factor * _wobble(rng, self.cost_sigma), 1e-9)
-        return Update(
-            update_id=update_id,
-            object_id=object_id,
-            cost=cost,
-            timestamp=float(index + 1),
-            kind=UpdateKind.INSERT,
-            rows=1,
-        )
+        return Update(update_id, object_id, cost, float(index + 1), UpdateKind.INSERT, 1)
 
     def _anchor_from_focus(
         self,
-        rng: np.random.Generator,
+        rng: Draws,
         focus: Sequence[int],
         focus_cdf: Sequence[float],
         focus_probability: float,
@@ -343,7 +328,7 @@ class FlashCrowdStream(ScenarioModelStream):
         object_ids = self.catalog.object_ids
         focus_size = min(self.focus_size, len(object_ids))
         focus_cdf = zipf_cdf(focus_size, self.zipf_exponent)
-        focus = _block(object_ids, int(rng.integers(0, len(object_ids))), focus_size)
+        focus = _block(object_ids, rng.integers(0, len(object_ids)), focus_size)
         windows = self._crowd_windows()
         window_index = 0
         in_crowd = False
@@ -356,9 +341,7 @@ class FlashCrowdStream(ScenarioModelStream):
                 window_index += 1
             if window_index < len(windows) and index == windows[window_index][0]:
                 # The crowd arrives: the hotspot migrates to a fresh block.
-                focus = _block(
-                    object_ids, int(rng.integers(0, len(object_ids))), focus_size
-                )
+                focus = _block(object_ids, rng.integers(0, len(object_ids)), focus_size)
                 in_crowd = True
             intensity = self.crowd_intensity if in_crowd else self.base_intensity
             anchor, is_hot = self._anchor_from_focus(rng, focus, focus_cdf, intensity)
@@ -372,7 +355,7 @@ class FlashCrowdStream(ScenarioModelStream):
         """The fixed survey block the update stream favours."""
         object_ids = self.catalog.object_ids
         size = max(1, int(round(len(object_ids) * self.update_region_fraction)))
-        start = int(self._update_rng().integers(0, len(object_ids)))
+        start = self._update_rng().integers(0, len(object_ids))
         return _block(object_ids, start, size)
 
     def _iter_updates(self) -> Iterator[Update]:
@@ -380,12 +363,12 @@ class FlashCrowdStream(ScenarioModelStream):
         object_ids = self.catalog.object_ids
         # First draw must match update_region(): the region anchor.
         size = max(1, int(round(len(object_ids) * self.update_region_fraction)))
-        region = _block(object_ids, int(rng.integers(0, len(object_ids))), size)
+        region = _block(object_ids, rng.integers(0, len(object_ids)), size)
         for index in range(self.update_count):
             if rng.random() < 0.8:
-                object_id = region[int(rng.integers(0, len(region)))]
+                object_id = region[rng.integers(0, len(region))]
             else:
-                object_id = int(object_ids[int(rng.integers(0, len(object_ids)))])
+                object_id = int(object_ids[rng.integers(0, len(object_ids))])
             yield self._draw_update(rng, index + 1, index, object_id, 1.0)
 
 
@@ -423,7 +406,7 @@ class DiurnalStream(ScenarioModelStream):
         object_ids = self.catalog.object_ids
         focus_size = min(self.focus_size, len(object_ids))
         focus_cdf = zipf_cdf(focus_size, self.zipf_exponent)
-        focus_start = int(rng.integers(0, len(object_ids)))
+        focus_start = rng.integers(0, len(object_ids))
         focus = _block(object_ids, focus_start, focus_size)
         cycle_length = max(1, self.query_count // self.cycles)
         for index in range(self.query_count):
@@ -444,7 +427,7 @@ class DiurnalStream(ScenarioModelStream):
         object_ids = self.catalog.object_ids
         for index in range(self.update_count):
             phase = self._phase(index, self.update_count)
-            object_id = int(object_ids[int(rng.integers(0, len(object_ids)))])
+            object_id = int(object_ids[rng.integers(0, len(object_ids))])
             # Anti-phase: the survey writes at night, while queries sleep.
             yield self._draw_update(
                 rng, index + 1, index, object_id, 1.0 - self.amplitude * phase
@@ -479,7 +462,7 @@ class UpdateStormStream(ScenarioModelStream):
 
     def _focus_start(self) -> int:
         """The (deterministic) anchor of the query focus block."""
-        return int(self._query_rng().integers(0, len(self.catalog)))
+        return self._query_rng().integers(0, len(self.catalog))
 
     def _iter_queries(self) -> Iterator[Query]:
         rng = self._query_rng()
@@ -487,7 +470,7 @@ class UpdateStormStream(ScenarioModelStream):
         focus_size = min(self.focus_size, len(object_ids))
         focus_cdf = zipf_cdf(focus_size, self.zipf_exponent)
         # First draw matches _focus_start(): the focus anchor.
-        focus = _block(object_ids, int(rng.integers(0, len(object_ids))), focus_size)
+        focus = _block(object_ids, rng.integers(0, len(object_ids)), focus_size)
         for index in range(self.query_count):
             anchor, is_hot = self._anchor_from_focus(
                 rng, focus, focus_cdf, self.base_intensity
@@ -527,13 +510,13 @@ class UpdateStormStream(ScenarioModelStream):
                 if rng.random() < self.storm_on_focus:
                     block_start = focus_start
                 else:
-                    block_start = int(rng.integers(0, len(object_ids)))
+                    block_start = rng.integers(0, len(object_ids))
                 storm_block = _block(object_ids, block_start, self.storm_width)
             if storm_block:
-                object_id = storm_block[int(rng.integers(0, len(storm_block)))]
+                object_id = storm_block[rng.integers(0, len(storm_block))]
                 factor = self.storm_cost_factor
             else:
-                object_id = int(object_ids[int(rng.integers(0, len(object_ids)))])
+                object_id = int(object_ids[rng.integers(0, len(object_ids))])
                 factor = 1.0
             yield self._draw_update(rng, index + 1, index, object_id, factor)
 
@@ -618,13 +601,7 @@ class CacheAdversaryStream(ScenarioModelStream):
             tolerance = (
                 self.tolerance_window if rng.random() < self.tolerant_fraction else 0.0
             )
-            yield Query(
-                query_id=index + 1,
-                object_ids=frozenset(footprint),
-                cost=cost,
-                timestamp=float(index + 1),
-                tolerance=tolerance,
-            )
+            yield Query(index + 1, frozenset(footprint), cost, float(index + 1), tolerance)
 
     def _iter_updates(self) -> Iterator[Update]:
         rng = self._update_rng()
@@ -632,9 +609,9 @@ class CacheAdversaryStream(ScenarioModelStream):
         working = self._working_set()
         for index in range(self.update_count):
             if rng.random() < self.update_in_set:
-                object_id = working[int(rng.integers(0, len(working)))]
+                object_id = working[rng.integers(0, len(working))]
             else:
-                object_id = int(object_ids[int(rng.integers(0, len(object_ids)))])
+                object_id = int(object_ids[rng.integers(0, len(object_ids))])
             yield self._draw_update(rng, index + 1, index, object_id, 1.0)
 
     def update_region(self) -> List[int]:

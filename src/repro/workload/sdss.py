@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Seq
 from repro.repository.objects import ObjectCatalog
 from repro.repository.queries import Query, QueryIdAllocator
 from repro.workload.hotspots import HotspotModel
-from repro.workload.draws import weighted_index
+from repro.workload.draws import Draws, weighted_index
 from repro.workload.templates import DEFAULT_TEMPLATES, TemplateShape, template_cdf
 
 if TYPE_CHECKING:
@@ -122,6 +122,7 @@ class SDSSQueryGenerator:
         self._catalog = catalog
         self._config = config or SDSSWorkloadConfig()
         self._rng = np.random.default_rng(self._config.seed)
+        self._draws = Draws(self._rng)
         self._allocator = QueryIdAllocator(start=1)
         # Per-query lookups, hoisted: the catalogue does not change under a
         # generator, and neither does the template mix.
@@ -178,14 +179,16 @@ class SDSSQueryGenerator:
         tolerance), so :meth:`generate`, :meth:`raw_cost_total` and
         :meth:`iter_queries` see byte-identical drafts from identically-seeded
         generators.  Which call the anchor draw makes depends on the draws
-        before it, so the order cannot be batched without changing the trace.
-        A footprint and the size of the data it touches are pure functions of
+        before it, so the order cannot be batched without changing the trace;
+        instead every draw but the selectivity's ``lognormal()`` goes through a
+        :class:`~repro.workload.draws.Draws` (C-call cost, same values).  A
+        footprint and the size of the data it touches are pure functions of
         ``(anchor, footprint size)``: each pair is built once, and its queries
         share one frozenset.
         """
         config = self._config
-        rng = self._rng
-        random, integers, lognormal = rng.random, rng.integers, rng.lognormal
+        draws = self._draws
+        random, integers, lognormal = draws.random, draws.integers, self._rng.lognormal
         shapes = [
             (t.name, t.min_objects, t.max_objects + 1, t.selectivity_log_mean,
              t.selectivity_log_sigma, t.max_selectivity)
@@ -199,7 +202,7 @@ class SDSSQueryGenerator:
         warmup_cutoff = int(config.query_count * config.warmup_fraction)
         for index in range(config.query_count):
             name, low, high, log_mean, log_sigma, max_selectivity = shapes[
-                weighted_index(template_cdf, rng)
+                weighted_index(template_cdf, draws)
             ]
             if random() < flare_probability:
                 anchor = flares.next_object()
@@ -208,7 +211,7 @@ class SDSSQueryGenerator:
                 anchor = hotspots.next_object()
                 # ``cost * 1.0`` is ``cost`` bit for bit: hotspot queries keep their cost.
                 factor = 1.0 if hotspots.in_current_focus(anchor) else config.background_cost_factor
-            size = int(integers(low, high))
+            size = integers(low, high)
             footprint = footprints.get((anchor, size))
             if footprint is None:
                 members = footprint_at(object_ids, index_of[anchor], size)

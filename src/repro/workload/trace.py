@@ -482,26 +482,68 @@ def event_to_dict(event: TraceEvent) -> Dict[str, object]:
     }
 
 
+_INF = float("inf")
+
+
+def _integer(payload: Dict[str, Any], key: str, default: Optional[int] = None) -> int:
+    """``payload[key]`` if it is an ``int`` (not a ``bool``); else ``ValueError``."""
+    value: object = payload[key] if default is None else payload.get(key, default)
+    if type(value) is int:
+        return value
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _number(payload: Dict[str, Any], key: str, default: Optional[float] = None) -> float:
+    """``payload[key]`` as a float if it is an ``int`` or ``float`` (not a ``bool`` or string)."""
+    value: object = payload[key] if default is None else payload.get(key, default)
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        return float(value)
+    raise ValueError(f"{key} must be a number, got {value!r}")
+
+
+def _cost_and_timestamp(payload: Dict[str, Any]) -> Tuple[float, float]:
+    """An event's ``cost`` (finite, >= 0) and ``timestamp`` (finite)."""
+    cost = _number(payload, "cost")
+    if not 0.0 <= cost < _INF:
+        raise ValueError(f"cost must be finite and non-negative, got {cost!r}")
+    timestamp = _number(payload, "timestamp")
+    if not -_INF < timestamp < _INF:
+        raise ValueError(f"timestamp must be finite, got {timestamp!r}")
+    return cost, timestamp
+
+
 def tagged_from_dict(payload: Dict[str, Any]) -> TaggedEvent:
-    """The ``(is_update, payload)`` pair of one event dict (inverse of :func:`event_to_dict`)."""
+    """The ``(is_update, payload)`` pair of one event dict (inverse of :func:`event_to_dict`).
+
+    Every served frame and every JSONL line is decoded here, so a malformed
+    field is a ``ValueError`` naming its key, never a silent conversion: ids
+    and ``rows`` are ``int`` (``rows`` >= 0), ``object_ids`` a non-empty list
+    of ints, ``cost`` finite and >= 0, ``timestamp`` finite, ``tolerance``
+    >= 0 (``Infinity``, "any cached copy", is legal).
+    """
     kind = payload.get("kind")
     if kind == "query":
-        return False, Query(
-            query_id=int(payload["query_id"]),
-            object_ids=frozenset(map(int, payload["object_ids"])),
-            cost=float(payload["cost"]),
-            timestamp=float(payload["timestamp"]),
-            tolerance=float(payload.get("tolerance", 0.0)),
-            template=payload.get("template", "selection"),
-        )
+        query_id = _integer(payload, "query_id")
+        object_ids = payload["object_ids"]
+        if type(object_ids) is not list or set(map(type, object_ids)) != {int}:
+            raise ValueError(f"object_ids must be a non-empty list of integers, got {object_ids!r}")
+        cost, timestamp = _cost_and_timestamp(payload)
+        tolerance = _number(payload, "tolerance", 0.0)
+        if not tolerance >= 0.0:
+            raise ValueError(f"tolerance must be non-negative, got {tolerance!r}")
+        template = payload.get("template", "selection")
+        return False, Query(query_id, frozenset(object_ids), cost, timestamp, tolerance, template)
     if kind == "update":
+        update_id = _integer(payload, "update_id")
+        object_id = _integer(payload, "object_id")
+        cost, timestamp = _cost_and_timestamp(payload)
+        rows = _integer(payload, "rows", 0)
+        if rows < 0:
+            raise ValueError(f"rows must be non-negative, got {rows!r}")
         return True, Update(
-            update_id=int(payload["update_id"]),
-            object_id=int(payload["object_id"]),
-            cost=float(payload["cost"]),
-            timestamp=float(payload["timestamp"]),
-            kind=payload.get("update_kind", "insert"),
-            rows=int(payload.get("rows", 0)),
+            update_id, object_id, cost, timestamp, payload.get("update_kind", "insert"), rows
         )
     raise ValueError(f"unknown event kind {kind!r}")
 

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence
 
 from repro.repository.objects import ObjectCatalog
 from repro.repository.updates import Update, UpdateIdAllocator, UpdateKind
-from repro.workload.draws import uniform_pick
+from repro.workload.draws import Draws, uniform_pick
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,6 +68,7 @@ class SurveyUpdateGenerator:
         if not 0.0 < self._config.region_fraction <= 1.0:
             raise ValueError("region_fraction must lie in (0, 1]")
         self._rng = np.random.default_rng(self._config.seed)
+        self._draws = Draws(self._rng)
         self._allocator = UpdateIdAllocator(start=1)
         # The contiguous object-id region the survey currently observes.
         object_ids = self._object_ids = catalog.object_ids
@@ -124,14 +125,15 @@ class SurveyUpdateGenerator:
 
         Per update the scan moves on every ``scan_length`` updates, then one
         ``random()`` picks the scan stripe or the whole sky and one
-        ``integers()`` picks inside it.  Returned as a compact integer array
+        ``integers()`` picks inside it, both through the generator's
+        :class:`~repro.workload.draws.Draws`.  Returned as a compact integer array
         (not boxed Python ints) so the streaming path's per-update scratch
         stays at a few bytes per event.
         """
         import numpy as np
 
         config = self._config
-        rng = self._rng
+        draws = self._draws
         scan_length, scan_probability = config.scan_length, config.scan_probability
         position = self._scan_position
         arrivals = np.empty(config.update_count, dtype=np.int64)
@@ -140,8 +142,8 @@ class SurveyUpdateGenerator:
                 self._advance_scan()
                 position = 0
             position += 1
-            ids = self._scan_objects if rng.random() < scan_probability else self._object_ids
-            arrivals[index] = uniform_pick(ids, rng)
+            ids = self._scan_objects if draws.random() < scan_probability else self._object_ids
+            arrivals[index] = uniform_pick(ids, draws)
         self._scan_position = position
         return arrivals
 
@@ -224,18 +226,13 @@ class SurveyUpdateGenerator:
         self, object_ids: Iterable[int], costs: Iterable[float], timestamps: Iterable[float]
     ) -> Iterator[Update]:
         """Phase 3: each update's kind and row count, drawn as it is built."""
-        random, poisson = self._rng.random, self._rng.poisson
+        random, poisson = self._draws.random, self._rng.poisson
         modify_fraction, mean_rows = self._config.modify_fraction, self._config.mean_rows
         next_id = self._allocator.next_id
         for object_id, cost, timestamp in zip(object_ids, costs, timestamps, strict=True):
-            yield Update(
-                update_id=next_id(),
-                object_id=object_id,
-                cost=cost,
-                timestamp=float(timestamp),
-                kind=UpdateKind.MODIFY if random() < modify_fraction else UpdateKind.INSERT,
-                rows=int(max(1, poisson(mean_rows))),
-            )
+            kind = UpdateKind.MODIFY if random() < modify_fraction else UpdateKind.INSERT
+            rows = int(max(1, poisson(mean_rows)))
+            yield Update(next_id(), object_id, cost, float(timestamp), kind, rows)
 
     def hotspot_objects(self, top: Optional[int] = None) -> List[int]:
         """Objects most likely to receive updates: the observed region.

@@ -180,6 +180,36 @@ class TestBasicServing:
 
         asyncio.run(drive())
 
+    def test_malformed_event_payload_is_refused_and_the_next_connection_served(self):
+        server, events = make_server()
+        assert events[0]["kind"] == "query"
+        bad_payload = {**events[0], "object_ids": "12"}  # decoded as {1, 2} before the check
+
+        async def drive():
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                frame = protocol.request_frame("query", bad_payload, seq=0)
+                writer.write(protocol.encode_frame(frame))
+                answer = await read_frame(reader)
+                assert answer["type"] == "error" and answer["seq"] == 0
+                assert answer["payload"]["message"].startswith(
+                    "event could not be applied: object_ids must be"
+                )
+                writer.write(stamped(events, 1))  # the connection stays open
+                answer = await read_frame(reader)
+                assert answer["type"] == "result" and answer["seq"] == 1
+                writer.close()
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(stamped(events, 2))
+                answer = await read_frame(reader)
+                assert answer["type"] == "result" and answer["seq"] == 2
+                writer.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(drive())
+
 
 class TestSequenceOrdering:
     def test_out_of_order_frames_apply_in_seq_order(self):

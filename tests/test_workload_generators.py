@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.repository.objects import ObjectCatalog
 from repro.experiments.config import (
@@ -13,7 +15,7 @@ from repro.experiments.config import (
     build_scenario,
     build_scenario_stream,
 )
-from repro.workload.draws import uniform_pick, weight_cdf, weighted_index, zipf_cdf
+from repro.workload.draws import Draws, uniform_pick, weight_cdf, weighted_index, zipf_cdf
 from repro.workload.sdss import SDSSQueryGenerator, SDSSWorkloadConfig
 from repro.workload.templates import (
     DEFAULT_TEMPLATES,
@@ -22,6 +24,19 @@ from repro.workload.templates import (
     template_mix_summary,
 )
 from repro.workload.updates import SurveyUpdateGenerator, UpdateWorkloadConfig
+
+
+#: One step of a random draw program: ``random()``, ``integers(low, low + span)``
+#: or a call that stays on the ``Generator`` (``lognormal``, ``poisson``, ``shuffle``).
+DRAW_STEPS = st.one_of(
+    st.just(("random",)),
+    st.tuples(
+        st.just("integers"),
+        st.integers(-1_000, 1_000),
+        st.one_of(st.sampled_from((1, 2, 3, 68, 2**31 + 1, 2**32)), st.integers(1, 10_000)),
+    ),
+    st.sampled_from((("lognormal",), ("poisson",), ("shuffle",))),
+)
 
 
 @pytest.fixture
@@ -96,6 +111,51 @@ class TestDraws:
     def test_zero_weight_entries_are_never_drawn(self, rng):
         cdf = weight_cdf((0.0, 1.0, 0.0, 3.0, 0.0))
         assert {weighted_index(cdf, rng) for _ in range(2_000)} == {1, 3}
+
+    @given(seed=st.integers(0, 2**32 - 1), program=st.lists(DRAW_STEPS, max_size=300))
+    def test_draws_equal_generator_draw_for_draw(self, seed, program):
+        """Values and the final bit-generator state match a plain ``Generator``."""
+        reference = np.random.default_rng(seed)
+        draws = Draws(np.random.default_rng(seed))
+        ours = draws.generator
+        for step in program:
+            if step[0] == "random":
+                assert draws.random() == reference.random()
+            elif step[0] == "integers":
+                _, low, span = step
+                value = draws.integers(low, low + span)
+                assert type(value) is int
+                assert value == reference.integers(low, low + span)
+            elif step[0] == "lognormal":
+                assert ours.lognormal(0.0, 0.5) == reference.lognormal(0.0, 0.5)
+            elif step[0] == "poisson":
+                assert ours.poisson(2000) == reference.poisson(2000)
+            else:
+                mine, theirs = list(range(12)), list(range(12))
+                ours.shuffle(mine)
+                reference.shuffle(theirs)
+                assert mine == theirs
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    def test_draws_reject_an_empty_or_oversized_span(self):
+        draws = Draws(np.random.default_rng(0))
+        state = draws.generator.bit_generator.state
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).integers(5, 5)
+        with pytest.raises(ValueError):
+            draws.integers(5, 5)
+        with pytest.raises(ValueError):
+            draws.integers(0, 2**32 + 1)
+        assert draws.integers(7, 8) == 7
+        assert draws.generator.bit_generator.state == state
+
+    def test_helpers_draw_the_same_from_draws_and_generator(self):
+        cdf, ids = zipf_cdf(8, 1.2), list(range(100, 168))
+        reference, draws = np.random.default_rng(5), Draws(np.random.default_rng(5))
+        for _ in range(5_000):
+            assert weighted_index(cdf, draws) == weighted_index(cdf, reference)
+            assert uniform_pick(ids, draws) == uniform_pick(ids, reference)
+        assert reference.bit_generator.state == draws.generator.bit_generator.state
 
 
 class TestQueryGenerator:

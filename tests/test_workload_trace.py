@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import pickle
 from collections import Counter
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig, build_scenario
-from repro.workload.trace import QueryEvent, Trace, TraceView, UpdateEvent
+from repro.workload.trace import (
+    QueryEvent,
+    Trace,
+    TraceView,
+    UpdateEvent,
+    event_to_dict,
+    tagged_from_dict,
+)
 from tests.conftest import make_query, make_update
 from tests.test_trace_digests import digest
 
@@ -132,6 +141,59 @@ class TestJsonlRoundTrip:
         path.write_text('{"kind": "mystery"}\n')
         with pytest.raises(ValueError):
             Trace.from_jsonl(path)
+
+
+QUERY_LINE = {
+    "kind": "query", "query_id": 2, "object_ids": [1, 2], "cost": 5.0, "timestamp": 2.0,
+    "tolerance": 10.0, "template": "range",
+}  # fmt: skip
+UPDATE_LINE = {
+    "kind": "update", "update_id": 3, "object_id": 2, "cost": 3.0, "timestamp": 3.0,
+    "update_kind": "insert", "rows": 40,
+}  # fmt: skip
+
+
+class TestMalformedPayloads:
+    """The wire decoder refuses what it used to convert silently, naming the key."""
+
+    @pytest.mark.parametrize(
+        "line, key, value",
+        [
+            (QUERY_LINE, "object_ids", "12"),
+            (QUERY_LINE, "object_ids", [1.5]),
+            (QUERY_LINE, "object_ids", [True]),
+            (QUERY_LINE, "query_id", 2.7),
+            (QUERY_LINE, "query_id", True),
+            (UPDATE_LINE, "update_id", "3"),
+            (UPDATE_LINE, "object_id", 2.0),
+            (UPDATE_LINE, "rows", 2.5),
+            (UPDATE_LINE, "rows", -1),
+            (QUERY_LINE, "cost", "1e3"),
+            (UPDATE_LINE, "cost", True),
+            (QUERY_LINE, "cost", math.nan),
+            (UPDATE_LINE, "cost", math.inf),
+            (QUERY_LINE, "timestamp", math.nan),
+            (UPDATE_LINE, "timestamp", -math.inf),
+            (QUERY_LINE, "timestamp", "5"),
+            (QUERY_LINE, "tolerance", math.nan),
+        ],
+    )
+    def test_rejected_with_the_key_named(self, tmp_path, line, key, value):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({**line, key: value}) + "\n")
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            Trace.from_jsonl(path)
+
+    def test_legal_edge_values_are_decoded(self):
+        _, query = tagged_from_dict({**QUERY_LINE, "tolerance": math.inf, "cost": 0})
+        assert query.tolerance == math.inf and query.cost == 0.0 and type(query.cost) is float
+        _, update = tagged_from_dict({**UPDATE_LINE, "timestamp": 4, "rows": 0})
+        assert update.timestamp == 4.0 and type(update.timestamp) is float and update.rows == 0
+
+    def test_written_events_decode_to_equal_records(self):
+        for event in build_trace():
+            is_update, payload = tagged_from_dict(json.loads(json.dumps(event_to_dict(event))))
+            assert payload == (event.update if is_update else event.query)
 
 
 class TestOneRecordContract:
