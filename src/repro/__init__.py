@@ -45,35 +45,28 @@ Quickstart::
     print(delta.traffic_report())
 """
 
-from repro.core import (
-    BenefitConfig,
-    BenefitPolicy,
-    Delta,
-    DeltaConfig,
-    NoCachePolicy,
-    ReplicaPolicy,
-    SOptimalPolicy,
-    VCoverConfig,
-    VCoverPolicy,
-)
-from repro.repository import DataObject, ObjectCatalog, Query, Repository, Update
+from repro._lazy import lazy_exports
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "BenefitConfig",
-    "BenefitPolicy",
-    "Delta",
-    "DeltaConfig",
-    "NoCachePolicy",
-    "ReplicaPolicy",
-    "SOptimalPolicy",
-    "VCoverConfig",
-    "VCoverPolicy",
-    "DataObject",
-    "ObjectCatalog",
-    "Query",
-    "Repository",
-    "Update",
-    "__version__",
-]
+#: Public name -> the submodule that defines it, imported on first access.
+_EXPORTS = {
+    "BenefitConfig": "repro.core.benefit",
+    "BenefitPolicy": "repro.core.benefit",
+    "Delta": "repro.core.delta",
+    "DeltaConfig": "repro.core.delta",
+    "NoCachePolicy": "repro.core.yardsticks",
+    "ReplicaPolicy": "repro.core.yardsticks",
+    "SOptimalPolicy": "repro.core.yardsticks",
+    "VCoverConfig": "repro.core.vcover",
+    "VCoverPolicy": "repro.core.vcover",
+    "DataObject": "repro.repository.objects",
+    "ObjectCatalog": "repro.repository.objects",
+    "Query": "repro.repository.queries",
+    "Repository": "repro.repository.server",
+    "Update": "repro.repository.updates",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

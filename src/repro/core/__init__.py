@@ -18,28 +18,27 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.delta` -- the user-facing Delta middleware facade.
 """
 
-from repro.core.benefit import BenefitConfig, BenefitPolicy
-from repro.core.decoupling import QueryAction, QueryOutcome
-from repro.core.delta import Delta, DeltaConfig
-from repro.core.offline import OfflineDecoupler, OfflineDecision
-from repro.core.policy import BaseCachePolicy, CachePolicy
-from repro.core.vcover import VCoverConfig, VCoverPolicy
-from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BenefitConfig",
-    "BenefitPolicy",
-    "QueryAction",
-    "QueryOutcome",
-    "Delta",
-    "DeltaConfig",
-    "OfflineDecoupler",
-    "OfflineDecision",
-    "BaseCachePolicy",
-    "CachePolicy",
-    "VCoverConfig",
-    "VCoverPolicy",
-    "NoCachePolicy",
-    "ReplicaPolicy",
-    "SOptimalPolicy",
-]
+#: Public name -> the submodule that defines it, imported on first access.
+_EXPORTS = {
+    "BenefitConfig": "repro.core.benefit",
+    "BenefitPolicy": "repro.core.benefit",
+    "QueryAction": "repro.core.decoupling",
+    "QueryOutcome": "repro.core.decoupling",
+    "Delta": "repro.core.delta",
+    "DeltaConfig": "repro.core.delta",
+    "OfflineDecoupler": "repro.core.offline",
+    "OfflineDecision": "repro.core.offline",
+    "BaseCachePolicy": "repro.core.policy",
+    "CachePolicy": "repro.core.policy",
+    "VCoverConfig": "repro.core.vcover",
+    "VCoverPolicy": "repro.core.vcover",
+    "NoCachePolicy": "repro.core.yardsticks",
+    "ReplicaPolicy": "repro.core.yardsticks",
+    "SOptimalPolicy": "repro.core.yardsticks",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

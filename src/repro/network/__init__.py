@@ -8,18 +8,21 @@ size).  :mod:`repro.network.cost` defines the cost model and
 simulator and the reports.
 """
 
-from repro.network.cost import AffineCostModel, LinearCostModel, TrafficCostModel
-from repro.network.latency import LatencyModel, ResponseTimeSummary, summarise_response_times
-from repro.network.link import Mechanism, NetworkLink, TransferRecord
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AffineCostModel",
-    "LinearCostModel",
-    "TrafficCostModel",
-    "LatencyModel",
-    "ResponseTimeSummary",
-    "summarise_response_times",
-    "Mechanism",
-    "NetworkLink",
-    "TransferRecord",
-]
+#: Public name -> the submodule that defines it, imported on first access.
+_EXPORTS = {
+    "AffineCostModel": "repro.network.cost",
+    "LinearCostModel": "repro.network.cost",
+    "TrafficCostModel": "repro.network.cost",
+    "LatencyModel": "repro.network.latency",
+    "ResponseTimeSummary": "repro.network.latency",
+    "summarise_response_times": "repro.network.latency",
+    "Mechanism": "repro.network.link",
+    "NetworkLink": "repro.network.link",
+    "TransferRecord": "repro.network.link",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -116,11 +116,20 @@ class NetworkLink:
 
         ``priced_costs`` is a numpy array of per-transfer costs (the caller
         applies the cost model vectorised, see
-        :meth:`repro.network.cost.LinearCostModel.cost_array`).  The running
-        total is folded left-to-right via ``cumsum``, which performs exactly
-        the same sequence of IEEE additions as charging each transfer
-        individually -- the batched replay path depends on that to stay
-        byte-identical to the scalar path.
+        :meth:`repro.network.cost.LinearCostModel.cost_array`); the running
+        total is :meth:`fold`-ed over it.
+        """
+        self.charge_folded(mechanism, self.fold(mechanism, priced_costs), 0, len(priced_costs))
+
+    def fold(self, mechanism: str, priced_costs):
+        """The running totals of ``mechanism`` over a batch, charging nothing.
+
+        Entry ``k`` is the total once the first ``k`` of ``priced_costs`` are
+        charged (entry 0: the total now).  The fold runs left-to-right via
+        ``cumsum``, which performs exactly the same sequence of IEEE additions
+        as charging each transfer individually -- the batched replay path
+        depends on that, for every prefix, to stay byte-identical to the
+        scalar path.
 
         Only available on record-free links: per-transfer provenance cannot
         be reconstructed from a batch, so ``keep_records`` links must charge
@@ -130,16 +139,17 @@ class NetworkLink:
             raise ValueError(f"unknown mechanism {mechanism!r}")
         if self._keep_records:
             raise RuntimeError("charge_batch is not supported on recording links")
-        count = len(priced_costs)
-        if count == 0:
-            return
         import numpy
 
-        folded = numpy.empty(count + 1, dtype=numpy.float64)
+        folded = numpy.empty(len(priced_costs) + 1, dtype=numpy.float64)
         folded[0] = self._totals[mechanism]
         folded[1:] = priced_costs
-        self._totals[mechanism] = float(numpy.cumsum(folded)[-1])
-        self._counts[mechanism] += count
+        return numpy.cumsum(folded)
+
+    def charge_folded(self, mechanism: str, folded, start: int, stop: int) -> None:
+        """Charge transfers ``[start, stop)`` of a :meth:`fold`-ed batch, those before charged."""
+        self._totals[mechanism] = float(folded[stop])
+        self._counts[mechanism] += stop - start
 
     # ------------------------------------------------------------------
     # Reading the ledger

@@ -15,14 +15,19 @@ An executor owns no loop: :meth:`repro.sim.engine.ReplayKernel.run` walks the
 sampling grid and hands each chunk (cut at grid edges, ``measure_from``,
 end-of-run and :meth:`_BatchedExecutor.next_edge`) to ``process(start,
 stop)`` in place of one ``step`` per event, so every observable comes from
-the same code at the same event indices.  A site whose window ends at
-``stop`` closes it there through
-:meth:`repro.core.benefit.BenefitPolicy.close_window` with the sums the
-batches folded, and its resident set is read again.  Within a batch the
-bookkeeping is bit-exact by construction: integer counters advance by exact
-integer sums; float traffic totals are folded left-to-right via ``cumsum``
-(:meth:`repro.network.link.NetworkLink.charge_batch`), one mechanism at a
-time in event order; per-object float sums -- growth
+the same code at the same event indices.  The unit of work is the
+*decision stretch*, from run start or any window edge to the next edge or
+end-of-run: its first chunk replays all of it once (one update ingest,
+every site's masks, hits, credit and one running-total fold per shipping
+mechanism), and each chunk only advances the link totals and counters to
+their prefix values at ``stop``.  A site whose window ends at ``stop``
+closes it there through :meth:`repro.core.benefit.BenefitPolicy.close_window`
+with the sums the stretches folded, and its resident set is read again.
+Within a stretch the bookkeeping is bit-exact by construction: integer
+counters advance by exact integer sums; float traffic totals are folded
+left-to-right via ``cumsum`` (:meth:`repro.network.link.NetworkLink.fold`),
+one mechanism at a time in event order, and each prefix of that fold is the
+fold of the prefix; per-object float sums -- growth
 (:meth:`repro.repository.server.Repository.ingest_update_columns`) and
 Benefit's window credit (:func:`repro.core.policy.fold_credit`) -- go
 through unbuffered ``np.add.at`` in event order.  A share's ``total`` is the
@@ -65,12 +70,16 @@ class _Site:
     fleet of one: all of them).  ``resident`` masks positions (plus the
     never-resident slot of unknown ids); a Benefit site's window closes after
     each event index in ``edges`` and ``sums`` query share and update cost
-    per position (:func:`repro.core.policy.fold_credit`).
+    per position (:func:`repro.core.policy.fold_credit`).  The open stretch
+    starts at site query ``first``; ``answered``/``ships`` prefix-count its
+    answered queries/shipped updates, ``folds`` holds the running link totals
+    and ``done`` the (answered, shipped, updates shipped) already charged.
     """
 
     __slots__ = (
         "policy", "link", "index", "costs", "timestamps", "totals", "object_ids",
         "positions", "offsets", "resident", "edges", "cursor", "sums",
+        "first", "answered", "ships", "folds", "done",
     )  # fmt: skip
 
     def __init__(
@@ -95,9 +104,23 @@ class _Site:
             self.edges = (np.flatnonzero(own_events)[window - 1 :: window] + 1).tolist()
             self.sums = np.zeros((2, len(resident)))
 
+    def advance(self, updates: int, query_stop: int) -> Tuple[int, int]:
+        """Charge the stretch to its update ``updates`` and trace query ``query_stop``.
+
+        Returns the (answered, shipped) queries this adds.
+        """
+        queries = int(self.index.searchsorted(query_stop)) - self.first
+        answered = int(self.answered[queries])
+        done = (answered, queries - answered, int(self.ships[updates]))
+        (query_fold, update_fold), before = self.folds, self.done
+        self.link.charge_folded(Mechanism.QUERY_SHIPPING, query_fold, before[1], done[1])
+        self.link.charge_folded(Mechanism.UPDATE_SHIPPING, update_fold, before[2], done[2])
+        self.done = done
+        return answered - before[0], done[1] - before[1]
+
 
 class _BatchedExecutor:
-    """Every site's bookkeeping over event windows of the columns.
+    """Every site's bookkeeping over the decision stretches of the columns.
 
     Built by the kernel after ``prepare`` over policies fresh for this run (a
     Benefit window opens at its first event); it reads each resident set
@@ -126,6 +149,8 @@ class _BatchedExecutor:
             )
             for number, (policy, link) in enumerate(zip(policies, links, strict=True))
         ]
+        # The open stretch: its first update and its end (none open yet).
+        self._update_base = self._stretch_stop = 0
 
     def next_edge(self) -> int:
         """The first window edge still ahead: no chunk may run past it."""
@@ -137,9 +162,23 @@ class _BatchedExecutor:
     def process(self, start: int, stop: int) -> List[Tuple[int, int]]:
         """Replay events ``[start, stop)``; returns (answered, shipped) per site.
 
-        ``stop`` must not lie past :meth:`next_edge`; every window that ends
-        at ``stop`` is closed, in site order, before this returns.
+        ``stop`` must not lie past :meth:`next_edge`.  A chunk that starts a
+        stretch replays all of it first; every window that ends at ``stop``
+        is closed, in site order, before this returns.
         """
+        if start == self._stretch_stop:
+            self._open_stretch(start, self.next_edge())
+        update_stop = int(self._columns.update_prefix[stop])
+        updates, query_stop = update_stop - self._update_base, stop - update_stop
+        counts = [site.advance(updates, query_stop) for site in self._sites]
+        for site in self._sites:
+            if site.cursor < len(site.edges) and site.edges[site.cursor] == stop:
+                site.cursor += 1
+                self._end_window(site, float(self._columns.timestamps[stop - 1]))
+        return counts
+
+    def _open_stretch(self, start: int, stop: int) -> None:
+        """Ingest the stretch's updates once, then replay it at every site."""
         columns = self._columns
         update_start = int(columns.update_prefix[start])
         update_stop = int(columns.update_prefix[stop])
@@ -149,30 +188,27 @@ class _BatchedExecutor:
                 columns.update_object_ids[updates], columns.update_rows[updates],
                 columns.update_costs[updates],
             )  # fmt: skip
-        queries = (start - update_start, stop - update_stop)
-        counts = [self._replay(site, updates, *queries) for site in self._sites]
+        self._update_base, self._stretch_stop = update_start, stop
         for site in self._sites:
-            if site.cursor < len(site.edges) and site.edges[site.cursor] == stop:
-                site.cursor += 1
-                self._end_window(site, float(columns.timestamps[stop - 1]))
-        return counts
+            self._replay(site, updates, start - update_start, stop - update_stop)
 
-    def _replay(self, site: _Site, updates: slice, first: int, last: int) -> Tuple[int, int]:
-        """One site's share of a chunk: its updates shipped, its queries answered."""
+    def _replay(self, site: _Site, updates: slice, first: int, last: int) -> None:
+        """One site's whole stretch: its updates shipped, its queries answered.
+
+        Books every store, repository and observer effect and folds both
+        shipping mechanisms' link totals; :meth:`_Site.advance` charges them.
+        """
         columns, repository, link = self._columns, self._repository, site.link
         store = site.policy.store
         update_positions = self._update_positions[updates]
         update_costs = columns.update_costs[updates]
-        if updates.stop > updates.start:
-            ships = site.resident[update_positions]
-            if ships.any():
-                costs = link.cost_model.cost_array(update_costs[ships])
-                link.charge_batch(Mechanism.UPDATE_SHIPPING, costs)
-                # Shipped on arrival: each touched copy is at the server version.
-                for object_id in np.unique(columns.update_object_ids[updates][ships]).tolist():
-                    store.mark_fresh(object_id, repository.object_version(object_id))
+        ships = site.resident[update_positions]
+        if ships.any():
+            # Shipped on arrival: each touched copy is at the server version.
+            for object_id in np.unique(columns.update_object_ids[updates][ships]).tolist():
+                store.mark_fresh(object_id, repository.object_version(object_id))
 
-        # The chunk's queries, renumbered among the site's.
+        # The stretch's queries, renumbered among the site's.
         first, last = site.index.searchsorted((first, last)).tolist()
         offsets = site.offsets
         flat_start, flat_stop = int(offsets[first]), int(offsets[last])
@@ -189,7 +225,7 @@ class _BatchedExecutor:
         shipped_count = last - first - answered_count
         footprint = np.diff(offsets[first : last + 1])
         touched = site.object_ids[flat_start:flat_stop]
-        hit = None  # per touched id, whether its query is answered (mixed chunks)
+        hit = None  # per touched id, whether its query is answered (mixed stretches)
         if answered_count:
             touched_at = np.repeat(site.timestamps[first:last], footprint)
             if shipped_count:
@@ -198,11 +234,15 @@ class _BatchedExecutor:
             else:
                 self._record_hits(store, touched, touched_at)
         if shipped_count:
-            costs = site.costs[first:last]
-            if hit is not None:
-                touched, costs = touched[~hit], costs[~answered]
-            repository.answer_query_batch(touched, shipped_count)
-            link.charge_batch(Mechanism.QUERY_SHIPPING, link.cost_model.cost_array(costs))
+            repository.answer_query_batch(touched if hit is None else touched[~hit], shipped_count)
+        cost_array = link.cost_model.cost_array
+        site.folds = (
+            link.fold(Mechanism.QUERY_SHIPPING, cost_array(site.costs[first:last][~answered])),
+            link.fold(Mechanism.UPDATE_SHIPPING, cost_array(update_costs[ships])),
+        )
+        site.first, site.done = first, (0, 0, 0)
+        site.answered = np.concatenate(([0], np.cumsum(answered)))
+        site.ships = np.concatenate(([0], np.cumsum(ships)))
         if site.sums is not None:
             # Benefit's credit: every id of an answered query, the missing
             # ids of a shipped one (BenefitPolicy.on_query).
@@ -217,7 +257,6 @@ class _BatchedExecutor:
             cache_answers=answered_count,
             shipped_queries=shipped_count,
         )
-        return answered_count, shipped_count
 
     def _end_window(self, site: _Site, now: float) -> None:
         """Hand the site its window's sums, then re-read its resident set."""

@@ -34,6 +34,7 @@ _EXPORTS = {
     "iter_interleaved": "repro.workload.mixer",
     "PARTITION_STRATEGIES": "repro.workload.partition",
     "TracePartitioner": "repro.workload.partition",
+    "CacheAdversaryStream": "repro.workload.scenarios",
     "DiurnalStream": "repro.workload.scenarios",
     "EvolvingTraceStream": "repro.workload.stream",
     "FlashCrowdStream": "repro.workload.scenarios",

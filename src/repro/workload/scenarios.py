@@ -45,9 +45,9 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 from repro.repository.objects import ObjectCatalog
 from repro.repository.queries import Query
 from repro.repository.updates import Update, UpdateKind
-from repro.workload.draws import Draws, uniform_pick, weighted_index, zipf_cdf
+from repro.workload.draws import Draws, weighted_index, zipf_cdf
 from repro.workload.mixer import iter_interleaved
-from repro.workload.sdss import contiguous_footprint
+from repro.workload.sdss import footprint_at
 from repro.workload.trace import TraceEvent, TraceStream
 
 #: Default size of the cache adversary's working set, as a multiple of the
@@ -215,15 +215,15 @@ class ScenarioModelStream(TraceStream):
     def _draw_query(
         self,
         rng: Draws,
+        object_ids: Sequence[int],
         query_id: int,
         index: int,
         anchor: int,
         cost_factor: float,
     ) -> Query:
-        """One query around ``anchor`` at the model's mean cost x factor."""
-        object_ids = self.catalog.object_ids
+        """One query around ``object_ids[anchor]`` at the model's mean cost x factor."""
         span = rng.integers(1, self.footprint_span + 1)
-        footprint = contiguous_footprint(object_ids, anchor, span)
+        footprint = footprint_at(object_ids, anchor, span)
         cost = max(self.mean_query_cost * cost_factor * _wobble(rng, self.cost_sigma), 1e-9)
         tolerance = (
             self.tolerance_window if rng.random() < self.tolerant_fraction else 0.0
@@ -242,17 +242,21 @@ class ScenarioModelStream(TraceStream):
         cost = max(self.mean_update_cost * cost_factor * _wobble(rng, self.cost_sigma), 1e-9)
         return Update(update_id, object_id, cost, float(index + 1), UpdateKind.INSERT, 1)
 
+    @staticmethod
     def _anchor_from_focus(
-        self,
         rng: Draws,
+        catalog_size: int,
         focus: Sequence[int],
         focus_cdf: Sequence[float],
         focus_probability: float,
     ) -> Tuple[int, bool]:
-        """Zipf-weighted anchor from ``focus``, or a uniform background one."""
+        """Zipf-weighted anchor from ``focus``, or a uniform background one.
+
+        Anchors and ``focus`` are positions in the sorted catalogue ids.
+        """
         if rng.random() < focus_probability:
             return focus[weighted_index(focus_cdf, rng)], True
-        return uniform_pick(self.catalog.object_ids, rng), False
+        return rng.integers(0, catalog_size), False
 
     # Sub-class hooks ---------------------------------------------------
     def _iter_queries(self) -> Iterator[Query]:
@@ -328,7 +332,8 @@ class FlashCrowdStream(ScenarioModelStream):
         object_ids = self.catalog.object_ids
         focus_size = min(self.focus_size, len(object_ids))
         focus_cdf = zipf_cdf(focus_size, self.zipf_exponent)
-        focus = _block(object_ids, rng.integers(0, len(object_ids)), focus_size)
+        positions = range(len(object_ids))
+        focus = _block(positions, rng.integers(0, len(object_ids)), focus_size)
         windows = self._crowd_windows()
         window_index = 0
         in_crowd = False
@@ -341,15 +346,17 @@ class FlashCrowdStream(ScenarioModelStream):
                 window_index += 1
             if window_index < len(windows) and index == windows[window_index][0]:
                 # The crowd arrives: the hotspot migrates to a fresh block.
-                focus = _block(object_ids, rng.integers(0, len(object_ids)), focus_size)
+                focus = _block(positions, rng.integers(0, len(object_ids)), focus_size)
                 in_crowd = True
             intensity = self.crowd_intensity if in_crowd else self.base_intensity
-            anchor, is_hot = self._anchor_from_focus(rng, focus, focus_cdf, intensity)
+            anchor, is_hot = self._anchor_from_focus(
+                rng, len(object_ids), focus, focus_cdf, intensity
+            )
             if is_hot:
                 factor = self.crowd_cost_factor if in_crowd else 1.0
             else:
                 factor = self.background_cost_factor
-            yield self._draw_query(rng, index + 1, index, anchor, factor)
+            yield self._draw_query(rng, object_ids, index + 1, index, anchor, factor)
 
     def update_region(self) -> List[int]:
         """The fixed survey block the update stream favours."""
@@ -406,21 +413,24 @@ class DiurnalStream(ScenarioModelStream):
         object_ids = self.catalog.object_ids
         focus_size = min(self.focus_size, len(object_ids))
         focus_cdf = zipf_cdf(focus_size, self.zipf_exponent)
+        positions = range(len(object_ids))
         focus_start = rng.integers(0, len(object_ids))
-        focus = _block(object_ids, focus_start, focus_size)
+        focus = _block(positions, focus_start, focus_size)
         cycle_length = max(1, self.query_count // self.cycles)
         for index in range(self.query_count):
             phase = self._phase(index, self.query_count)
             # A new day dawns: rotate the hotspot by one block width.
             if index > 0 and index % cycle_length == 0:
                 focus_start = (focus_start + focus_size) % len(object_ids)
-                focus = _block(object_ids, focus_start, focus_size)
+                focus = _block(positions, focus_start, focus_size)
             intensity = min(0.98, self.base_intensity * (1.0 + 0.2 * self.amplitude * phase))
-            anchor, is_hot = self._anchor_from_focus(rng, focus, focus_cdf, intensity)
+            anchor, is_hot = self._anchor_from_focus(
+                rng, len(object_ids), focus, focus_cdf, intensity
+            )
             factor = (1.0 if is_hot else self.background_cost_factor) * (
                 1.0 + self.amplitude * phase
             )
-            yield self._draw_query(rng, index + 1, index, anchor, factor)
+            yield self._draw_query(rng, object_ids, index + 1, index, anchor, factor)
 
     def _iter_updates(self) -> Iterator[Update]:
         rng = self._update_rng()
@@ -470,13 +480,13 @@ class UpdateStormStream(ScenarioModelStream):
         focus_size = min(self.focus_size, len(object_ids))
         focus_cdf = zipf_cdf(focus_size, self.zipf_exponent)
         # First draw matches _focus_start(): the focus anchor.
-        focus = _block(object_ids, rng.integers(0, len(object_ids)), focus_size)
+        focus = _block(range(len(object_ids)), rng.integers(0, len(object_ids)), focus_size)
         for index in range(self.query_count):
             anchor, is_hot = self._anchor_from_focus(
-                rng, focus, focus_cdf, self.base_intensity
+                rng, len(object_ids), focus, focus_cdf, self.base_intensity
             )
             factor = 1.0 if is_hot else self.background_cost_factor
-            yield self._draw_query(rng, index + 1, index, anchor, factor)
+            yield self._draw_query(rng, object_ids, index + 1, index, anchor, factor)
 
     def _storm_windows(self) -> List[Tuple[int, int]]:
         """``(start, stop)`` update indices of each storm, non-overlapping."""

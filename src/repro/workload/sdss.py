@@ -86,19 +86,14 @@ class SDSSWorkloadConfig:
     seed: int = 42
 
 
-def contiguous_footprint(object_ids: Sequence[int], anchor: int, size: int) -> List[int]:
-    """A spatially coherent footprint of ``size`` objects around ``anchor``.
+def footprint_at(object_ids: Sequence[int], anchor_index: int, size: int) -> List[int]:
+    """A spatially coherent footprint of ``size`` objects around ``object_ids[anchor_index]``.
 
     Object ids are contiguous over the sky, so the footprint walks outward
     from the anchor id, wrapping at the catalogue boundary.  Pure function of
     its inputs (no RNG), shared by the SDSS generator and the scenario
     workload models.
     """
-    return footprint_at(object_ids, object_ids.index(anchor), size)
-
-
-def footprint_at(object_ids: Sequence[int], anchor_index: int, size: int) -> List[int]:
-    """:func:`contiguous_footprint` for a caller that knows the anchor's index."""
     footprint = [object_ids[anchor_index]]
     offset = 1
     while len(footprint) < size and offset < len(object_ids):

@@ -10,8 +10,10 @@ its first read or write, not on package import).
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import signal
 import subprocess
 import sys
@@ -21,6 +23,7 @@ from typing import List, Set
 
 import pytest
 
+import repro
 from repro import api
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -36,6 +39,9 @@ NOT_AT_BOOT = (
     "repro.workload.fuzz",
     "repro.workload.ingest",
     "repro.sky",
+    "repro.core.delta",
+    "repro.core.offline",
+    "repro.network.latency",
 )
 
 #: ``repro experiment list`` order (docs/experiments.md's table follows it).
@@ -134,3 +140,30 @@ def test_listing_order_does_not_depend_on_import_order(first):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == LISTING
+
+
+def _lazy_packages() -> List[str]:
+    """Every ``repro`` package whose ``__init__`` re-exports through ``_EXPORTS``."""
+    names = ["repro"] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
+    ]
+    return [name for name in names if hasattr(importlib.import_module(name), "_EXPORTS")]
+
+
+@pytest.mark.parametrize("package", _lazy_packages())
+def test_every_lazy_export_resolves(package):
+    module = importlib.import_module(package)
+    assert all(name in module.__all__ for name in module._EXPORTS)
+    for name, source in module._EXPORTS.items():
+        value = getattr(module, name)
+        assert value is importlib.import_module(source) or value is getattr(
+            importlib.import_module(source), name
+        ), name
+
+
+def test_every_scenario_model_is_exported_by_workload():
+    import repro.workload
+    from repro.workload.scenarios import STREAM_CLASSES
+
+    for stream_class in STREAM_CLASSES.values():
+        assert getattr(repro.workload, stream_class.__name__) is stream_class

@@ -1,0 +1,124 @@
+"""The batched replay computes each decision stretch once, whatever the grid.
+
+A *stretch* runs from one decision point (run start, or a Benefit window
+edge of some site) to the next one or to end-of-run.  The executor ingests
+and replays a stretch once when the kernel's first chunk enters it; every
+later grid chunk only advances the link totals and counters.  At
+``sample_every=1`` the kernel cuts a chunk at every event, so these tests
+count the stretches by counting ``Repository.ingest_update_columns`` calls,
+and check the same runs' traffic series, occupancy series and warm-up total
+against the per-event path bit for bit.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.repository.objects import ObjectCatalog
+from repro.repository.server import Repository
+from repro.workload.partition import TracePartitioner
+from tests.test_batched import (
+    STATIC_POLICIES,
+    benefit_at,
+    mixed_trace,
+    run_fleet,
+    run_once,
+    shifting_trace,
+)
+
+pytest.importorskip("numpy")
+
+
+@pytest.fixture
+def catalog():
+    return ObjectCatalog.from_sizes({oid: float(oid) for oid in range(1, 21)})
+
+
+@pytest.fixture
+def ingest_calls(monkeypatch):
+    """Every ``ingest_update_columns`` call of the test, as its batch length."""
+    calls = []
+    ingest = Repository.ingest_update_columns
+
+    def counting(self, object_ids, rows, costs):
+        calls.append(len(object_ids))
+        return ingest(self, object_ids, rows, costs)
+
+    monkeypatch.setattr(Repository, "ingest_update_columns", counting)
+    return calls
+
+
+def observed(result):
+    """What the grid records of a run: traffic, occupancy and warm-up, as reprs."""
+    return (
+        [(sample.event_index, repr(sample.total), sorted(
+            (mechanism, repr(value)) for mechanism, value in sample.by_mechanism.items()
+        )) for sample in result.time_series.samples],
+        result.occupancy.event_indices,
+        [repr(value) for value in result.occupancy.occupancy],
+        result.occupancy.resident_objects,
+        repr(result.warmup_traffic),
+    )  # fmt: skip
+
+
+@pytest.mark.parametrize("make_policy", STATIC_POLICIES)
+def test_static_decoupling_is_one_stretch(catalog, ingest_calls, make_policy):
+    trace = mixed_trace(120)
+    batched, _, _ = run_once(catalog, trace, make_policy, sample_every=1, measure_from=41)
+    assert ingest_calls == [trace.update_count]
+    scalar, _, _ = run_once(
+        catalog, trace, make_policy, scalar=True, sample_every=1, measure_from=41
+    )
+    assert observed(batched) == observed(scalar)
+
+
+@pytest.mark.parametrize("window", (6, 8))
+def test_benefit_ingests_once_per_window(catalog, ingest_calls, window):
+    # An update every fourth event: each window of 6 or 8 events holds one.
+    trace = mixed_trace(120)
+    batched, _, policy = run_once(
+        catalog, trace, benefit_at(0.3, window), sample_every=1, measure_from=41
+    )
+    windows = -(-len(trace) // window)
+    assert len(ingest_calls) == windows
+    assert sum(ingest_calls) == trace.update_count
+    assert policy.window_index == len(trace) // window
+    scalar, _, _ = run_once(
+        catalog, trace, benefit_at(0.3, window), scalar=True, sample_every=1, measure_from=41
+    )
+    assert observed(batched) == observed(scalar)
+
+
+def test_fleet_ingests_at_most_once_per_stretch_boundary(catalog, ingest_calls):
+    trace = shifting_trace(240)
+    windows = (5, 7)
+    factories = [benefit_at(0.3, window) for window in windows]
+    batched = run_fleet(catalog, trace, factories, sample_every=1, measure_from=73)
+    calls = len(ingest_calls)
+
+    # Each site's window closes after every ``window`` of its own events:
+    # every broadcast update plus the queries routed to it.
+    columns = trace.columns()
+    routes = TracePartitioner.for_trace(
+        catalog.object_ids, len(windows), trace, strategy="region"
+    ).sites_of_queries(columns).tolist()
+    boundaries = {0}
+    for site, window in enumerate(windows):
+        own, query = [], 0
+        for index, is_update in enumerate(columns.is_update.tolist()):
+            if is_update:
+                own.append(index)
+            else:
+                if routes[query] == site:
+                    own.append(index)
+                query += 1
+        boundaries.update(index + 1 for index in own[window - 1 :: window])
+    boundaries.discard(len(trace))
+    assert 1 < calls <= len(boundaries)
+    assert sum(ingest_calls) == trace.update_count
+
+    scalar = run_fleet(
+        catalog, trace, factories, scalar=True, sample_every=1, measure_from=73
+    )
+    assert [observed(run) for run in batched[0]] == [observed(run) for run in scalar[0]]
+    assert observed(batched[1]) == observed(scalar[1])
