@@ -125,9 +125,22 @@ def _unique(values: Sequence) -> List:
     return list(dict.fromkeys(values))
 
 
+class _InvalidConfig(Exception):
+    """A flag value the scenario config rejects: ``main`` prints it and exits 2."""
+
+
+def _scaled(config: ExperimentConfig, **fields) -> ExperimentConfig:
+    """``config.scaled(**fields)``, its ``ValueError`` turned into :class:`_InvalidConfig`."""
+    try:
+        return config.scaled(**fields)
+    except ValueError as exc:
+        raise _InvalidConfig(f"invalid scenario config: {exc}") from exc
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The scenario config described by the shared flags."""
-    return ExperimentConfig(
+    return _scaled(
+        ExperimentConfig(),
         object_count=args.objects,
         query_count=args.queries,
         update_count=args.updates,
@@ -336,10 +349,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     config = _config_from_args(args)
     policies = _unique(args.policies) if args.policies else DEFAULT_POLICIES
-    fractions = (
-        _unique(args.cache_fractions) if args.cache_fractions
-        else (config.cache_fraction,)
-    )
+    fractions = [
+        _scaled(config, cache_fraction=fraction).cache_fraction
+        for fraction in _unique(args.cache_fractions or [config.cache_fraction])
+    ]
     seeds = _unique(args.seeds) if args.seeds else (config.seed,)
     specs = config.policy_specs(include=policies)
     engine = config.engine_config()
@@ -748,7 +761,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except _InvalidConfig as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in examples

@@ -32,7 +32,7 @@ poorly on evolving scientific workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Set
+from typing import Dict, Optional, Sequence, Set
 
 from repro.core.decoupling import QueryAction, QueryOutcome
 from repro.core.policy import BaseCachePolicy
@@ -78,8 +78,8 @@ class BenefitPolicy(BaseCachePolicy):
         #: the object (saved if resident), update traffic addressed to it.
         self._query_share: Dict[int, float] = {}
         self._update_cost: Dict[int, float] = {}
-        #: Exponentially smoothed benefit forecast per object.
-        self._forecast: Dict[int, float] = {}
+        #: Exponentially smoothed benefit forecast per object, in catalogue order.
+        self._forecast = dict.fromkeys(repository.catalog.object_ids, 0.0)
         self._current_time = 0.0
 
     @property
@@ -141,26 +141,34 @@ class BenefitPolicy(BaseCachePolicy):
     def _tick_window(self) -> None:
         self._window_events += 1
         if self._window_events >= self._config.window_size:
-            self.close_window(self._query_share, self._update_cost, self._current_time)
+            sums = (
+                [window.get(oid, 0.0) for oid in self._forecast]  # catalogue order
+                for window in (self._query_share, self._update_cost)
+            )
+            self.close_window(*sums, self._current_time)
             self._query_share.clear()
             self._update_cost.clear()
 
     def close_window(
-        self, query_share: Mapping[int, float], update_cost: Mapping[int, float], now: float
+        self, query_share: Sequence[float], update_cost: Sequence[float], now: float
     ) -> None:
         """Close the window: compute benefits, update forecasts, re-plan the cache.
 
-        Takes the window's per-object sums (absent ids count 0.0) and the time
-        of its last event, at which objects load: the per-event hooks' own
-        sums, or those a batched replay (:mod:`repro.sim.batched`) folded.
+        Takes the window's per-object sums in catalogue-position order and
+        the time of its last event, at which objects load: the per-event
+        hooks' own sums, or those a batched replay (:mod:`repro.sim.batched`)
+        folded.  Every forecast moves at once, elementwise.
         """
+        import numpy as np
+
         alpha = self._config.alpha
-        for object_id in self._repository.catalog.object_ids:
-            benefit = query_share.get(object_id, 0.0) - update_cost.get(object_id, 0.0)
-            if not self.is_resident(object_id):
-                benefit -= self._repository.object_size(object_id)
-            previous = self._forecast.get(object_id, 0.0)
-            self._forecast[object_id] = (1.0 - alpha) * previous + alpha * benefit
+        benefit = np.subtract(query_share, update_cost)
+        benefit = np.where(
+            self.resident_mask()[:-1], benefit, benefit - self._repository.object_sizes()
+        )
+        previous = np.fromiter(self._forecast.values(), float, len(self._forecast))
+        forecast = (1.0 - alpha) * previous + alpha * benefit
+        self._forecast = dict(zip(self._forecast, forecast.tolist()))
         self._window_events = 0
         self._window_index += 1
         self._current_time = now

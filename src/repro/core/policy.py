@@ -172,12 +172,21 @@ class BaseCachePolicy(CachePolicy):
         """Whether the cached copies alone satisfy the query (all resident)."""
         return self._store.contains_all(query.object_ids)
 
-    def share_weights(self, catalog_ids: np.ndarray) -> np.ndarray:
-        """The share rule's weights by :func:`catalog_positions` (1.0 in the unknown slot)."""
+    def resident_mask(self) -> np.ndarray:
+        """Residency by catalogue position, plus the never-resident unknown-id slot."""
+        import numpy as np
+
+        catalog, store = self._repository.catalog, self._store
+        resident = np.zeros(len(catalog) + 1, dtype=bool)
+        resident[catalog.positions(np.fromiter(store, dtype=np.int64, count=len(store)))] = True
+        return resident
+
+    def share_weights(self) -> np.ndarray:
+        """The share rule's weights by catalogue position (1.0 in the unknown-id slot)."""
         import numpy as np
 
         sizes = self._share_sizes
-        return np.array([sizes[object_id] for object_id in catalog_ids.tolist()] + [1.0])
+        return np.array([sizes[oid] for oid in self._repository.catalog.object_ids] + [1.0])
 
     def share_total(self, footprint: FrozenSet[int]) -> float:
         """The share rule's denominator: weights summed in the iteration order
@@ -255,15 +264,6 @@ class BaseCachePolicy(CachePolicy):
 # ----------------------------------------------------------------------
 # The share rule over columns (batched Benefit windows, SOptimal's prepare)
 # ----------------------------------------------------------------------
-def catalog_positions(catalog_ids: np.ndarray, object_ids: np.ndarray) -> np.ndarray:
-    """Positions of ``object_ids`` in sorted ``catalog_ids``; unknown ids share one extra slot."""
-    import numpy as np
-
-    count = len(catalog_ids)
-    slot = np.minimum(np.searchsorted(catalog_ids, object_ids), count - 1)
-    return np.where(catalog_ids[slot] == object_ids, slot, count)
-
-
 def fold_credit(
     sums: np.ndarray, weights: np.ndarray, update_positions: np.ndarray, update_costs: np.ndarray,
     positions: np.ndarray, costs: np.ndarray, totals: np.ndarray, footprint: np.ndarray,

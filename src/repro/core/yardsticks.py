@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Set
 
 from repro.core.decoupling import DecouplingDecision, QueryAction, QueryOutcome
-from repro.core.policy import BaseCachePolicy, catalog_positions, fold_credit
+from repro.core.policy import BaseCachePolicy, fold_credit
 from repro.network.link import NetworkLink
 from repro.repository.queries import Query
 from repro.repository.server import Repository
@@ -104,24 +104,24 @@ class SOptimalPolicy(BaseCachePolicy):
         """Choose the static cached set with full knowledge of the trace.
 
         One pass over the trace's columns (any other stream's compiled chunk by
-        chunk): each object's shares and update costs add up in event order.
+        chunk), at their catalogue positions: each object's shares and update
+        costs add up in event order.
         """
         import numpy as np
 
         catalog = self._repository.catalog
-        catalog_ids = np.array(catalog.object_ids, dtype=np.int64)
-        weights = self.share_weights(catalog_ids)
+        weights = self.share_weights()
         sums = np.zeros((2, len(weights)))
         if isinstance(trace, (Trace, TraceView)):
             chunks: Iterable[TraceColumns] = [trace.columns()]
         else:
             chunks = map(TraceColumns.from_tagged, trace.iter_chunks(PREPARE_CHUNK_EVENTS))
         for columns in chunks:
+            update_positions, positions = columns.positions(catalog)
             fold_credit(
-                sums, weights,
-                catalog_positions(catalog_ids, columns.update_object_ids), columns.update_costs,
-                catalog_positions(catalog_ids, columns.query_object_ids), columns.query_costs,
-                columns.per_query(self.share_total), np.diff(columns.query_object_offsets),
+                sums, weights, update_positions, columns.update_costs, positions,
+                columns.query_costs, columns.per_query(self.share_total),
+                np.diff(columns.query_object_offsets),
             )  # fmt: skip
         net = (sums[0, :-1] - sums[1, :-1]).tolist()  # the last slot is unknown ids'
         benefits = {

@@ -159,6 +159,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.object_count <= 0:
             raise ValueError("object_count must be positive")
+        for name in ("query_count", "update_count"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)!r}")
         if not 0.0 < self.cache_fraction:
             raise ValueError("cache_fraction must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:

@@ -14,9 +14,12 @@ sizes and identifiers stay consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro._compat import SlottedFrozenPickle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Conversion helpers; costs in this library are expressed in megabytes (MB)
 #: so the numbers stay human-readable at laptop scale.
@@ -72,7 +75,7 @@ class ObjectCatalog:
     lookup by id plus convenience aggregates (total size, size vector).
     """
 
-    __slots__ = ("_objects", "_object_ids")
+    __slots__ = ("_objects", "_object_ids", "_positions")
 
     def __init__(self, objects: Iterable[DataObject]) -> None:
         self._objects: Dict[int, DataObject] = {}
@@ -84,6 +87,7 @@ class ObjectCatalog:
             raise ValueError("an ObjectCatalog requires at least one object")
         # Nothing adds or removes objects after construction: sort once.
         self._object_ids: List[int] = sorted(self._objects)
+        self._positions: Optional[Tuple["np.ndarray", int, Optional["np.ndarray"]]] = None
 
     # ------------------------------------------------------------------
     # Mapping-style access
@@ -108,6 +112,23 @@ class ObjectCatalog:
     def object_ids(self) -> List[int]:
         """All object ids in ascending order (a fresh list per access)."""
         return list(self._object_ids)
+
+    def positions(self, object_ids: "np.ndarray") -> "np.ndarray":
+        """Each id's position in :attr:`object_ids` (``len(self)`` if unknown), unsorted."""
+        import numpy as np
+
+        if self._positions is None:  # a lookup table for compact ids, else a binary search
+            ids, low = np.array(self._object_ids, dtype=np.int64), self._object_ids[0] - 1
+            span = self._object_ids[-1] - low + 2  # the end slots catch every id outside
+            table = np.full(span, len(ids)) if span <= 4 * len(ids) + 64 else None
+            if table is not None:
+                table[ids - low] = np.arange(len(ids))
+            self._positions = (ids, low, table)
+        ids, low, table = self._positions
+        if table is not None:
+            return table.take(object_ids - low, mode="clip")
+        slot = np.minimum(np.searchsorted(ids, object_ids), len(ids) - 1)
+        return np.where(ids[slot] == object_ids, slot, len(ids))
 
     # ------------------------------------------------------------------
     # Aggregates

@@ -91,6 +91,7 @@ class Repository:
         "_catalog",
         "_keep_update_log",
         "_states",
+        "_ordered",
         "_updates_received",
         "_queries_answered",
     )
@@ -101,6 +102,8 @@ class Repository:
         self._states: Dict[int, ObjectState] = {
             obj.object_id: ObjectState(object_id=obj.object_id) for obj in catalog
         }
+        #: Each state with its base size, in catalogue-position order.
+        self._ordered = [(self._states[oid], catalog.size_of(oid)) for oid in catalog.object_ids]
         self._updates_received = 0
         self._queries_answered = 0
 
@@ -127,6 +130,10 @@ class Repository:
         state = self._states[object_id]
         return self._catalog.size_of(object_id) + state.grown_by
 
+    def object_sizes(self) -> List[float]:
+        """:meth:`object_size` of every object, in catalogue-position order."""
+        return [size + state.grown_by for state, size in self._ordered]
+
     def object_version(self, object_id: int) -> int:
         """Current version counter of an object."""
         return self._states[object_id].version
@@ -151,11 +158,12 @@ class Repository:
     def ingest_update_columns(self, object_ids, rows, costs) -> None:
         """Apply a batch of updates given as columnar numpy arrays.
 
-        The vectorised twin of calling :meth:`ingest_update` once per event:
-        version counters and row totals advance by exact integer counts, and
-        each object's ``grown_by`` accumulates its costs in event order via
-        an unbuffered ``np.add.at``, which performs the same sequence of IEEE
-        additions as the scalar path.  Only available on history-free
+        The vectorised twin of calling :meth:`ingest_update` once per event,
+        folded per catalogue position (no sort): version counters and row
+        totals advance by exact integer counts, and each object's
+        ``grown_by`` accumulates its costs in event order via an unbuffered
+        ``np.add.at``, which performs the same sequence of IEEE additions as
+        the scalar path.  Only available on history-free
         repositories (``keep_update_log=False``) -- the batch drops the
         update objects themselves, so a log could not be maintained.
 
@@ -171,17 +179,21 @@ class Repository:
             return
         import numpy
 
-        unique_ids, inverse = numpy.unique(object_ids, return_inverse=True)
-        states = [self._states[int(object_id)] for object_id in unique_ids]
-        version_add = numpy.bincount(inverse, minlength=len(unique_ids))
-        rows_add = numpy.zeros(len(unique_ids), dtype=numpy.int64)
-        numpy.add.at(rows_add, inverse, rows)
-        grown = numpy.array([state.grown_by for state in states], dtype=numpy.float64)
-        numpy.add.at(grown, inverse, costs)
-        for position, state in enumerate(states):
-            state.version += int(version_add[position])
-            state.rows += int(rows_add[position])
-            state.grown_by = float(grown[position])
+        positions = self._catalog.positions(object_ids)
+        versions = numpy.bincount(positions, minlength=len(self._ordered) + 1)
+        if versions[-1]:
+            raise KeyError(int(object_ids[positions == len(self._ordered)].min()))
+        touched = numpy.flatnonzero(versions).tolist()
+        rows_add, grown = numpy.zeros(len(versions), dtype=numpy.int64), numpy.zeros(len(versions))
+        grown[touched] = [self._ordered[position][0].grown_by for position in touched]
+        numpy.add.at(rows_add, positions, rows)
+        numpy.add.at(grown, positions, costs)
+        versions, rows_add, grown = versions.tolist(), rows_add.tolist(), grown.tolist()
+        for position in touched:
+            state = self._ordered[position][0]
+            state.version += versions[position]
+            state.rows += rows_add[position]
+            state.grown_by = grown[position]
         self._updates_received += count
 
     def update_log(self, object_id: int) -> Sequence[Update]:
@@ -236,15 +248,14 @@ class Repository:
     def answer_query_batch(self, touched_object_ids, count: int) -> None:
         """Book ``count`` shipped queries at once (the batched replay path).
 
-        ``touched_object_ids`` is the flat numpy array of every object id the
-        batch's queries touch; membership is validated against the catalogue
-        exactly as :meth:`answer_query` does per query.
+        Raises ``KeyError`` (the smallest unknown id) if any id of the numpy
+        array ``touched_object_ids`` is not in the catalogue, as
+        :meth:`answer_query` does per query.  A batched replay passes only
+        the touches it found in the unknown-id catalogue position.
         """
-        import numpy
-
-        for object_id in numpy.unique(touched_object_ids):
-            if int(object_id) not in self._states:
-                raise KeyError(f"query batch touches unknown object {int(object_id)}")
+        unknown = [oid for oid in touched_object_ids.tolist() if oid not in self._states]
+        if unknown:
+            raise KeyError(f"query batch touches unknown object {min(unknown)}")
         self._queries_answered += count
 
     def ship_updates(self, object_id: int, version: int) -> Tuple[List[Update], float]:

@@ -20,9 +20,15 @@ the same code at the same event indices.  The unit of work is the
 end-of-run: its first chunk replays all of it once (one update ingest,
 every site's masks, hits, credit and one running-total fold per shipping
 mechanism), and each chunk only advances the link totals and counters to
-their prefix values at ``stop``.  A site whose window ends at ``stop``
-closes it there through :meth:`repro.core.benefit.BenefitPolicy.close_window`
-with the sums the stretches folded, and its resident set is read again.
+their prefix values at ``stop``.  Each object sits at its catalogue
+position, compiled once per trace
+(:meth:`repro.workload.columns.TraceColumns.positions`), so every per-object
+fold of a stretch (ingest, ``mark_fresh``, hits, credit) is O(events) with
+no sort: ``bincount``, unbuffered ``np.add.at`` or ``np.maximum.at`` over
+the positions plus the unknown-id slot.  A site whose window ends at
+``stop`` closes it there through
+:meth:`repro.core.benefit.BenefitPolicy.close_window` with the sums the
+stretches folded, and its resident set is read again.
 Within a stretch the bookkeeping is bit-exact by construction: integer
 counters advance by exact integer sums; float traffic totals are folded
 left-to-right via ``cumsum`` (:meth:`repro.network.link.NetworkLink.fold`),
@@ -47,7 +53,7 @@ import numpy as np
 
 from repro.cache.store import CacheStore
 from repro.core.benefit import BenefitPolicy
-from repro.core.policy import BaseCachePolicy, CachePolicy, catalog_positions, fold_credit
+from repro.core.policy import BaseCachePolicy, CachePolicy, fold_credit
 from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
 from repro.network.link import Mechanism, NetworkLink
 from repro.repository.queries import Query
@@ -66,14 +72,15 @@ class _Site:
     """One site's queries (its own CSR, in event order) and replay state.
 
     Built from the whole trace's per-query ``totals`` and per-touch catalogue
-    ``positions`` and ``mine``, the queries routed here (a single cache is a
-    fleet of one: all of them).  ``resident`` masks positions (plus the
-    never-resident slot of unknown ids); a Benefit site's window closes after
-    each event index in ``edges`` and ``sums`` query share and update cost
-    per position (:func:`repro.core.policy.fold_credit`).  The open stretch
-    starts at site query ``first``; ``answered``/``ships`` prefix-count its
-    answered queries/shipped updates, ``folds`` holds the running link totals
-    and ``done`` the (answered, shipped, updates shipped) already charged.
+    ``positions`` and ``mine``, the queries routed here (``None`` for a
+    single cache, a fleet of one that keeps the trace's own arrays).
+    ``resident`` masks positions (plus the never-resident slot of unknown
+    ids); a Benefit site's window closes after each event index in ``edges``
+    and ``sums`` query share and update cost per position
+    (:func:`repro.core.policy.fold_credit`).  The open stretch starts at
+    site query ``first``; ``answered``/``ships`` prefix-count its answered
+    queries/shipped updates, ``folds`` holds the running link totals and
+    ``done`` the (answered, shipped, updates shipped) already charged.
     """
 
     __slots__ = (
@@ -83,26 +90,28 @@ class _Site:
     )  # fmt: skip
 
     def __init__(
-        self, policy: BaseCachePolicy, link: NetworkLink, resident: "np.ndarray",
-        columns: TraceColumns, positions: "np.ndarray", totals: Optional["np.ndarray"],
-        mine: "np.ndarray"
+        self, policy: BaseCachePolicy, link: NetworkLink, columns: TraceColumns,
+        positions: "np.ndarray", totals: Optional["np.ndarray"], mine: Optional["np.ndarray"]
     ) -> None:  # fmt: skip
-        self.policy, self.link, self.resident = policy, link, resident
+        self.policy, self.link, self.resident = policy, link, policy.resident_mask()
         footprint = np.diff(columns.query_object_offsets)
-        touches = np.repeat(mine, footprint)
-        self.costs, self.timestamps = columns.query_costs[mine], columns.query_timestamps[mine]
-        self.totals = None if totals is None else totals[mine]
+        own_events = np.ones(len(columns), dtype=bool)
+        queries = touches = slice(None)  # a fleet of one: views, not copies
+        self.index = np.arange(columns.query_count)
+        if mine is not None:
+            queries, touches, self.index = mine, np.repeat(mine, footprint), np.flatnonzero(mine)
+            own_events[~columns.is_update] = mine
+        self.costs = columns.query_costs[queries]
+        self.timestamps = columns.query_timestamps[queries]
+        self.totals = None if totals is None else totals[queries]
         self.object_ids, self.positions = columns.query_object_ids[touches], positions[touches]
-        self.index = np.flatnonzero(mine)
-        self.offsets = np.concatenate(([0], np.cumsum(footprint[mine])))
+        self.offsets = np.concatenate(([0], np.cumsum(footprint[queries])))
         self.edges, self.cursor = [], 0
         self.sums = None
         if type(policy) is BenefitPolicy:
-            own_events = np.ones(len(columns), dtype=bool)
-            own_events[~columns.is_update] = mine
             window = policy.config.window_size
             self.edges = (np.flatnonzero(own_events)[window - 1 :: window] + 1).tolist()
-            self.sums = np.zeros((2, len(resident)))
+            self.sums = np.zeros((2, len(self.resident)))
 
     def advance(self, updates: int, query_stop: int) -> Tuple[int, int]:
         """Charge the stretch to its update ``updates`` and trace query ``query_stop``.
@@ -129,25 +138,23 @@ class _BatchedExecutor:
 
     def __init__(
         self, policies: Sequence[BaseCachePolicy], links: Sequence[NetworkLink],
-        trace: TraceStream, repository: Repository, routes: "np.ndarray"
+        columns: TraceColumns, repository: Repository, routes: Optional["np.ndarray"]
     ) -> None:  # fmt: skip
-        columns = trace.columns()
         self._columns, self._repository = columns, repository
-        catalog_ids = np.array(sorted(repository.catalog.object_ids), dtype=np.int64)
-        self._catalog_ids = catalog_ids
-        self._update_positions = catalog_positions(catalog_ids, columns.update_object_ids)
-        positions = catalog_positions(catalog_ids, columns.query_object_ids)
+        catalog = repository.catalog
+        self._catalog_ids = np.array(catalog.object_ids, dtype=np.int64)
+        self._update_positions, positions = columns.positions(catalog)
         windowed = [policy for policy in policies if type(policy) is BenefitPolicy]
         totals = self._share_weights = None
         if windowed:  # the share rule's weights and denominators, once per run
             totals = columns.per_query(windowed[0].share_total)
-            self._share_weights = windowed[0].share_weights(catalog_ids)
+            self._share_weights = windowed[0].share_weights()
         self._sites = [
             _Site(
-                policy, link, self._resident_mask(policy.store), columns, positions, totals,
-                routes == number,
-            )
-            for number, (policy, link) in enumerate(zip(policies, links, strict=True))
+                policy, link, columns, positions, totals,
+                None if routes is None else routes == site,
+            )  # fmt: skip
+            for site, (policy, link) in enumerate(zip(policies, links, strict=True))
         ]
         # The open stretch: its first update and its end (none open yet).
         self._update_base = self._stretch_stop = 0
@@ -203,10 +210,10 @@ class _BatchedExecutor:
         update_positions = self._update_positions[updates]
         update_costs = columns.update_costs[updates]
         ships = site.resident[update_positions]
-        if ships.any():
-            # Shipped on arrival: each touched copy is at the server version.
-            for object_id in np.unique(columns.update_object_ids[updates][ships]).tolist():
-                store.mark_fresh(object_id, repository.object_version(object_id))
+        # Shipped on arrival: each touched copy is at the server version.
+        shipped = np.bincount(update_positions[ships], minlength=len(site.resident))
+        for object_id in self._catalog_ids[np.flatnonzero(shipped)].tolist():
+            store.mark_fresh(object_id, repository.object_version(object_id))
 
         # The stretch's queries, renumbered among the site's.
         first, last = site.index.searchsorted((first, last)).tolist()
@@ -224,17 +231,20 @@ class _BatchedExecutor:
         answered_count = int(np.count_nonzero(answered))
         shipped_count = last - first - answered_count
         footprint = np.diff(offsets[first : last + 1])
-        touched = site.object_ids[flat_start:flat_stop]
-        hit = None  # per touched id, whether its query is answered (mixed stretches)
+        hit = None  # per touch, whether its query is answered (mixed stretches)
         if answered_count:
             touched_at = np.repeat(site.timestamps[first:last], footprint)
             if shipped_count:
                 hit = np.repeat(answered, footprint)
-                self._record_hits(store, touched[hit], touched_at[hit])
+                self._record_hits(store, positions[hit], touched_at[hit])
             else:
-                self._record_hits(store, touched, touched_at)
+                self._record_hits(store, positions, touched_at)
         if shipped_count:
-            repository.answer_query_batch(touched if hit is None else touched[~hit], shipped_count)
+            # Unknown ids sit in the never-resident slot: only shipped queries hold them.
+            unknown = positions == len(self._catalog_ids)
+            repository.answer_query_batch(
+                site.object_ids[flat_start:flat_stop][unknown], shipped_count
+            )
         cost_array = link.cost_model.cost_array
         site.folds = (
             link.fold(Mechanism.QUERY_SHIPPING, cost_array(site.costs[first:last][~answered])),
@@ -260,40 +270,30 @@ class _BatchedExecutor:
 
     def _end_window(self, site: _Site, now: float) -> None:
         """Hand the site its window's sums, then re-read its resident set."""
-        object_ids = self._catalog_ids.tolist()
-        site.policy.close_window(
-            *(dict(zip(object_ids, row[:-1].tolist(), strict=True)) for row in site.sums), now
-        )
+        site.policy.close_window(*site.sums[:, :-1], now)
         site.sums.fill(0.0)
-        site.resident = self._resident_mask(site.policy.store)
+        site.resident = site.policy.resident_mask()
 
-    def _resident_mask(self, store: CacheStore) -> "np.ndarray":
-        resident = np.zeros(len(self._catalog_ids) + 1, dtype=bool)
-        ids = np.fromiter(store, dtype=np.int64, count=len(store))
-        resident[catalog_positions(self._catalog_ids, ids)] = True
-        return resident
-
-    @staticmethod
     def _record_hits(
-        store: CacheStore, object_ids: "np.ndarray", timestamps: "np.ndarray"
+        self, store: CacheStore, positions: "np.ndarray", timestamps: "np.ndarray"
     ) -> None:
         """Book every touch of an answered query as a hit on its record.
 
         Hits accumulate per touch; ``last_hit_at`` is the timestamp of the
         *last* touching query in event order (timestamps may tie within the
         trace's 1e-9 ordering tolerance, so order -- not max -- decides).
-        The first occurrence in the reversed arrays is the last forward.
         """
-        unique_ids, first_reversed, counts = np.unique(
-            object_ids[::-1], return_index=True, return_counts=True
-        )
-        reversed_at = timestamps[::-1]
-        for object_id, index, count in zip(
-            unique_ids.tolist(), first_reversed.tolist(), counts.tolist()
-        ):
+        hits = np.bincount(positions, minlength=len(self._catalog_ids) + 1)
+        last = np.zeros(len(hits), dtype=np.int64)
+        np.maximum.at(last, positions, np.arange(len(positions)))
+        booked = np.flatnonzero(hits)
+        for object_id, count, at in zip(
+            self._catalog_ids[booked].tolist(), hits[booked].tolist(),
+            timestamps[last[booked]].tolist(),
+        ):  # fmt: skip
             record = store.get(object_id)
             record.hits += count
-            record.last_hit_at = float(reversed_at[index])
+            record.last_hit_at = at
 
 
 def select_batched_executor(
@@ -323,8 +323,5 @@ def select_batched_executor(
     if any(link.keep_records or not hasattr(link.cost_model, "cost_array") for link in links):
         return None
     columns = trace.columns()
-    if route is None:  # one cache: a fleet of one, every query routed to it
-        routes = np.zeros(columns.query_count, dtype=np.int64)
-    else:
-        routes = route.sites_of_queries(columns)
-    return _BatchedExecutor(policies, links, trace, repository, routes)
+    routes = None if route is None else route.sites_of_queries(columns)
+    return _BatchedExecutor(policies, links, columns, repository, routes)

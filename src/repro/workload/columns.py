@@ -43,15 +43,23 @@ every policy imports this one, and a served cache never compiles columns.
 from __future__ import annotations
 
 from itertools import chain, count
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.workload.trace import TaggedEvent
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from repro.repository.objects import ObjectCatalog
 
-class TraceColumns:
+
+class _Derived:
+    """The slots of what :class:`TraceColumns` derives, apart from its columns."""
+
+    __slots__ = ("_origin", "_positions")
+
+
+class TraceColumns(_Derived):
     """Immutable columnar view over one window of a trace.
 
     Instances come from :meth:`repro.workload.trace.Trace.columns` (whole
@@ -103,6 +111,8 @@ class TraceColumns:
         self.query_object_offsets = query_object_offsets
         self.query_footprints = query_footprints
         self.footprints = footprints
+        #: A window's (parent, update slice, touch slice); the memo of :meth:`positions`.
+        self._origin = self._positions = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -193,7 +203,7 @@ class TraceColumns:
         query_stop = stop - update_stop
         flat_start = int(self.query_object_offsets[query_start])
         flat_stop = int(self.query_object_offsets[query_stop])
-        return TraceColumns(
+        window = TraceColumns(
             timestamps=self.timestamps[start:stop],
             is_update=self.is_update[start:stop],
             costs=self.costs[start:stop],
@@ -209,6 +219,23 @@ class TraceColumns:
             query_footprints=self.query_footprints[query_start:query_stop],
             footprints=self.footprints,
         )
+        window._origin = (self, slice(update_start, update_stop), slice(flat_start, flat_stop))
+        return window
+
+    def positions(self, catalog: "ObjectCatalog") -> Tuple["np.ndarray", ...]:
+        """Catalogue positions of the update objects and of the query touches.
+
+        Kept from the first call for ``catalog``; a window slices its parent's.
+        """
+        if self._positions is None or self._positions[0] is not catalog:
+            if self._origin is None:
+                arrays = self.update_object_ids, self.query_object_ids
+                pair = [catalog.positions(object_ids) for object_ids in arrays]
+            else:
+                parent, *parts = self._origin
+                pair = [whole[part] for whole, part in zip(parent.positions(catalog), parts)]
+            self._positions = (catalog, *pair)
+        return self._positions[1:]
 
     def per_query(self, function: Callable[[FrozenSet[int]], float]) -> "np.ndarray":
         """``function(query.object_ids)`` for every query, as ``float64``.

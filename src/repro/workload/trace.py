@@ -391,6 +391,12 @@ class TraceView(TraceStream):
         self._tagged = tagged
         self._start = start
         self._stop = max(start, stop)
+        #: The window of the parent's columns, built by the first :meth:`columns`.
+        self._columns: Optional["TraceColumns"] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle without the columns; they are windowed again on demand."""
+        return {**self.__dict__, "_columns": None}
 
     @property
     def parent(self) -> Trace:
@@ -418,8 +424,10 @@ class TraceView(TraceStream):
         return islice(self._tagged, self._start, self._stop)
 
     def columns(self) -> "TraceColumns":
-        """This window of the parent's columnar compilation (near zero-copy)."""
-        return self._parent.columns().window(self._start, self._stop)
+        """This window of the parent's columnar compilation (near zero-copy, built once)."""
+        if self._columns is None:
+            self._columns = self._parent.columns().window(self._start, self._stop)
+        return self._columns
 
     def __getitem__(self, index: int) -> TraceEvent:
         if isinstance(index, slice):

@@ -130,6 +130,28 @@ class TestTraceColumns:
         trace = mixed_trace(10)
         assert trace.columns() is trace.columns()
 
+    def test_columns_windowed_once_per_view(self):
+        import pickle
+
+        view = mixed_trace(40).slice_events(5, 30)
+        assert view.columns() is view.columns()
+        assert len(pickle.loads(pickle.dumps(view)).columns()) == 25
+
+    def test_positions_memoised_per_catalogue_and_sliced_by_windows(self, catalog):
+        columns = mixed_trace(60).columns()
+        updates, touches = columns.positions(catalog)
+        assert columns.positions(catalog)[1] is touches
+        ids = numpy.array(catalog.object_ids)
+        assert ids[touches].tolist() == columns.query_object_ids.tolist()
+        assert ids[updates].tolist() == columns.update_object_ids.tolist()
+        window = columns.window(13, 47)
+        assert numpy.shares_memory(window.positions(catalog)[1], touches)
+        assert window.positions(catalog)[0].tolist() == catalog.positions(
+            window.update_object_ids
+        ).tolist()
+        other = ObjectCatalog.from_sizes({oid: 1.0 for oid in range(1, 11)})
+        assert columns.positions(other)[1].max() == len(other)  # ids above 10: unknown
+
     def test_window_matches_sliced_trace(self):
         trace = mixed_trace(60)
         window = trace.columns().window(13, 47)
@@ -413,6 +435,35 @@ class TestByteEquivalence:
         for mechanism in Mechanism.ALL:
             assert result.traffic_by_mechanism[mechanism] > 0
 
+    @pytest.mark.parametrize("window", (1, 3, 50))
+    @pytest.mark.parametrize("ids", ("compact", "scattered"))
+    def test_benefit_forecasts_match_scalar(self, catalog, window, ids):
+        trace = shifting_trace(200)
+        if ids == "scattered":  # the same workload, its ids spread over twelve decades
+            scatter = {oid: oid + 10 ** (oid % 13) for oid in catalog.object_ids}
+            catalog = ObjectCatalog.from_sizes(
+                {scatter[oid]: catalog.size_of(oid) for oid in catalog.object_ids}
+            )
+            trace = Trace(
+                UpdateEvent(make_update(
+                    payload.update_id, scatter[payload.object_id], payload.cost,
+                    payload.timestamp,
+                )) if is_update else QueryEvent(make_query(
+                    payload.query_id, [scatter[oid] for oid in payload.object_ids],
+                    payload.cost, payload.timestamp,
+                ))
+                for is_update, payload in trace.iter_tagged()
+            )  # fmt: skip
+        batched = run_once(catalog, trace, benefit_at(0.3, window))
+        scalar = run_once(catalog, trace, benefit_at(0.3, window), scalar=True)
+        assert_same_replay(batched, scalar)
+        forecasts = [
+            [repr(policy.forecast_of(oid)) for oid in catalog.object_ids]
+            for _, _, policy in (batched, scalar)
+        ]
+        assert forecasts[0] == forecasts[1]
+        assert any(value != "0.0" for value in forecasts[0])
+
     @pytest.mark.parametrize(
         "factories, strategy",
         [
@@ -612,7 +663,8 @@ class TestEligibility:
             float(run.events_processed // 6) for run in result.site_runs
         ]
 
-    #: Catalogue positions come from a binary search, whatever the id spacing.
+    #: Catalogue positions come from a lookup table (compact ids) or a binary
+    #: search (scattered ids): either replays as the scalar loop does.
     CATALOGUES = {
         "compact": {oid: float(oid) for oid in range(1, 31, 2)},
         "scattered": {1: 4.0, 3: 6.0, 10**6 + 1: 2.0, 10**12 + 1: 5.0},

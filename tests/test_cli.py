@@ -127,6 +127,37 @@ class TestSweep:
             build_parser().parse_args(["sweep", "--jobs", "0"])
 
 
+class TestInvalidValues:
+    """A flag value the scenario config rejects exits 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--objects", "0"],
+            ["compare", "--cache", "0"],
+            ["generate-trace", "--objects", "0", "--out", "never-written.jsonl"],
+            ["topology", "--cache", "0"],
+            ["serve", "--objects", "0"],
+            ["loadgen", "--cache", "0"],
+            ["run", "--queries", "-5"],
+            ["compare", "--updates", "-1"],
+            ["sweep", "--cache-fractions", "nan"],
+            ["sweep", "--cache-fractions", "0"],
+            ["sweep", "--cache-fractions", "0.2", "-1"],
+        ],
+    )
+    def test_exits_2_with_the_config_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid scenario config: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_the_error_names_the_key(self, capsys):
+        assert main(["run", "--queries", "-5"]) == 2
+        assert "query_count" in capsys.readouterr().err
+
+
 class TestVersionAndEntryPoint:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

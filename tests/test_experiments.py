@@ -72,6 +72,13 @@ class TestConfigAndScenario:
         with pytest.raises(ValueError):
             ExperimentConfig(cache_fraction=0.0)
 
+    @pytest.mark.parametrize("key", ("query_count", "update_count"))
+    def test_negative_event_counts_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(**{key: -1})
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig().scaled(**{key: -5})
+
     def test_derived_quantities(self, small_config):
         assert small_config.total_events == 3000
         assert small_config.measure_from == 600

@@ -14,19 +14,23 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.yardsticks import ReplicaPolicy
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
+from repro.sim.batched import _BatchedExecutor
 from repro.workload.partition import TracePartitioner
 from tests.test_batched import (
     STATIC_POLICIES,
     benefit_at,
     mixed_trace,
+    nocache,
     run_fleet,
     run_once,
     shifting_trace,
+    soptimal_at,
 )
 
-pytest.importorskip("numpy")
+numpy = pytest.importorskip("numpy")
 
 
 @pytest.fixture
@@ -122,3 +126,53 @@ def test_fleet_ingests_at_most_once_per_stretch_boundary(catalog, ingest_calls):
     )
     assert [observed(run) for run in batched[0]] == [observed(run) for run in scalar[0]]
     assert observed(batched[1]) == observed(scalar[1])
+
+
+def test_rows_map_the_trace_once_and_no_stretch_sorts(catalog, ingest_calls, monkeypatch):
+    """Every eager row and a Benefit fleet over one trace: one id-to-position
+    mapping of the whole trace, and no ``unique`` / ``sort`` / ``argsort``
+    while a stretch replays."""
+    trace = shifting_trace(240)
+    columns = trace.columns()
+    mapped = []
+    positions = ObjectCatalog.positions
+
+    def mapping(self, object_ids):
+        mapped.append(object_ids)
+        return positions(self, object_ids)
+
+    monkeypatch.setattr(ObjectCatalog, "positions", mapping)
+    replaying, sorts = [False], []
+    for name in ("unique", "sort", "argsort"):
+
+        def counting(*args, _name=name, _function=getattr(numpy, name), **kwargs):
+            if replaying[0]:
+                sorts.append(_name)
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(numpy, name, counting)
+    process = _BatchedExecutor.process
+
+    def replay(self, start, stop):
+        replaying[0] = True
+        try:
+            return process(self, start, stop)
+        finally:
+            replaying[0] = False
+
+    monkeypatch.setattr(_BatchedExecutor, "process", replay)
+    rows = {
+        "nocache": (nocache, 1),
+        "replica": (lambda repository, link: ReplicaPolicy(repository, 0.0, link), 1),
+        "benefit": (benefit_at(0.3, 6), len(trace) // 6),
+        "soptimal": (soptimal_at(0.3), 1),
+    }
+    for make_policy, stretches in rows.values():
+        ingest_calls.clear()
+        run_once(catalog, trace, make_policy, sample_every=7, measure_from=41)
+        assert len(ingest_calls) == stretches
+    run_fleet(catalog, trace, (benefit_at(0.3, 6),) * 2, sample_every=7)
+
+    assert sum(object_ids is columns.query_object_ids for object_ids in mapped) == 1
+    assert sum(object_ids is columns.update_object_ids for object_ids in mapped) == 1
+    assert sorts == []
