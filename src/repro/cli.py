@@ -13,7 +13,9 @@ Registry-driven subcommands:
 ``experiment run <name>``
     Run a registered experiment; ``--set key=value`` overrides scenario
     config fields or experiment knobs, ``--jobs N`` fans the experiment's
-    grid out over worker processes.
+    grid out over worker processes.  A fleet of N caches sharing one
+    repository is the ``multisite`` row: ``experiment run multisite --set
+    'site_counts=[N]' --set strategy=affinity``.
 
 ``scenario validate <file>``
     Check a JSON/TOML scenario file against the scenario schema.
@@ -43,10 +45,6 @@ Classic workflows (all re-expressed over the facade):
     Fan a ``policy x cache-fraction x seed`` grid out over worker processes
     (``--jobs N``), print a per-point summary, and optionally write one JSON
     artifact per grid point plus a manifest (``--out DIR``).
-
-``topology``
-    Replay the scenario against a fleet of ``--sites N`` caches sharing one
-    repository, one multi-cache run per ``--policies`` entry.
 
 ``lint``
     Run the repro static analyser over the tree (``repro lint src tests``):
@@ -80,7 +78,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 from repro import __version__
 from repro.experiments.config import WORKLOAD_MODELS, ExperimentConfig
 from repro.sim.runner import DEFAULT_POLICIES, SERVABLE_POLICIES, run_policy
-from repro.workload.partition import PARTITION_STRATEGIES
 from repro.workload.trace import Trace
 
 if TYPE_CHECKING:
@@ -102,7 +99,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _at_least_one(flag: str):
-    """Argparse type factory for counts that must be >= 1 (--jobs, --sites)."""
+    """Argparse type factory for counts that must be >= 1 (--jobs, --clients)."""
 
     def parse(value: str) -> int:
         try:
@@ -117,7 +114,6 @@ def _at_least_one(flag: str):
 
 
 _positive_jobs = _at_least_one("--jobs")
-_positive_sites = _at_least_one("--sites")
 
 
 def _unique(values: Sequence) -> List:
@@ -496,72 +492,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_topology(args: argparse.Namespace) -> int:
-    from repro.sim.sweep import SweepPoint, SweepRunner
-    from repro.topology.spec import TopologySpec
-
-    spec = _spec_from_args(args)
-    config = spec.config
-    if args.sites > args.objects:
-        # Both strategies need at least one object per site (region would
-        # raise deep in the partitioner, affinity would leave sites empty).
-        print(
-            f"error: --sites {args.sites} exceeds the object count "
-            f"({args.objects}); every site needs at least one object",
-            file=sys.stderr,
-        )
-        return 2
-    policies = _unique(args.policies) if args.policies else ("vcover", "nocache")
-    specs = config.policy_specs(include=policies)
-    engine = config.engine_config()
-    points = [
-        SweepPoint(
-            key=f"{policy_spec.name}-x{args.sites}",
-            spec=policy_spec,
-            engine=engine,
-            seed=config.seed,
-            tags=(("sites", args.sites), ("policy", policy_spec.name)),
-            topology=TopologySpec.uniform(
-                policy_spec,
-                args.sites,
-                cache_fraction=config.cache_fraction,
-                strategy=args.strategy,
-            ),
-        )
-        for policy_spec in specs
-    ]
-    scenarios = {"default": spec}
-    runner = SweepRunner(jobs=args.jobs, output_dir=args.out)
-    result = runner.run(points, scenarios)
-
-    print(f"topology: {args.sites} sites, strategy={args.strategy}")
-    print(f"{'policy':<12} {'site':<10} {'traffic (MB)':>14} {'cache answers':>14}")
-    for point_result in result.points:
-        run = point_result.run
-        stats = run.policy_stats
-        for site in range(args.sites):
-            queries = int(
-                stats[f"site{site}_queries_answered_at_cache"]
-                + stats[f"site{site}_queries_shipped"]
-            )
-            fraction = (
-                stats[f"site{site}_queries_answered_at_cache"] / queries
-                if queries
-                else 0.0
-            )
-            print(
-                f"{point_result.point.spec.name:<12} site {site:<5} "
-                f"{stats[f'site{site}_measured_traffic']:>14.1f} {fraction:>14.2%}"
-            )
-        print(
-            f"{point_result.point.spec.name:<12} {'aggregate':<10} "
-            f"{run.measured_traffic:>14.1f} {run.cache_answer_fraction:>14.2%}"
-        )
-    if result.artifact_dir is not None:
-        print(f"wrote {len(result)} artifacts + manifest to {result.artifact_dir}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -673,22 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", type=Path, default=None,
                        help="directory for one JSON artifact per grid point")
     sweep.set_defaults(handler=_cmd_sweep)
-
-    topology = subparsers.add_parser(
-        "topology", help="replay a fleet of N caches sharing one repository"
-    )
-    _add_scenario_arguments(topology)
-    topology.add_argument("--sites", type=_positive_sites, default=2,
-                          help="number of cache sites in the fleet (default: 2)")
-    topology.add_argument("--strategy", choices=PARTITION_STRATEGIES, default="region",
-                          help="object-to-site assignment strategy (default: region)")
-    topology.add_argument("--policies", nargs="*", choices=DEFAULT_POLICIES, default=None,
-                          help="policies to run, one fleet each (default: vcover nocache)")
-    topology.add_argument("--jobs", type=_positive_jobs, default=1,
-                          help="worker processes for the per-policy fleets (default: 1)")
-    topology.add_argument("--out", type=Path, default=None,
-                          help="directory for one JSON artifact per fleet")
-    topology.set_defaults(handler=_cmd_topology)
 
     lint = subparsers.add_parser(
         "lint",

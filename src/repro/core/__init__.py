@@ -31,7 +31,6 @@ _EXPORTS = {
     "OfflineDecoupler": "repro.core.offline",
     "OfflineDecision": "repro.core.offline",
     "BaseCachePolicy": "repro.core.policy",
-    "CachePolicy": "repro.core.policy",
     "VCoverConfig": "repro.core.vcover",
     "VCoverPolicy": "repro.core.vcover",
     "NoCachePolicy": "repro.core.yardsticks",

@@ -2,7 +2,7 @@
 
 :class:`Delta` wires together the pieces a deployment needs -- a repository,
 a cache of a given size, a network-cost ledger and a decision policy -- behind
-the small API a client application (or the simulator) talks to:
+the small API a client application talks to:
 
 * :meth:`Delta.ingest_update` -- the telescope pipeline delivers a new update
   to the repository,
@@ -10,8 +10,10 @@ the small API a client application (or the simulator) talks to:
 * :meth:`Delta.traffic_report` -- the traffic ledger, broken down by
   data-communication mechanism.
 
-The facade is what the example programs use; the experiment harness drives
-policies directly through :mod:`repro.sim` for tighter control.
+A deployment is a one-site :class:`repro.sim.engine.ReplayKernel` stepped one
+event at a time, as the served path's :class:`repro.serve.server.CacheServer`
+is, so the facade applies events exactly as a simulated run does.  Only an
+online policy can be deployed: nothing here sees the future trace.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Dict, Optional
 
 from repro.core.benefit import BenefitConfig
 from repro.core.decoupling import QueryOutcome
-from repro.core.policy import CachePolicy
-from repro.core.roster import POLICY_CLASSES, build_policy
+from repro.core.policy import BaseCachePolicy
+from repro.core.roster import POLICY_CLASSES
 from repro.core.vcover import VCoverConfig
 from repro.network.cost import LinearCostModel, TrafficCostModel
 from repro.network.link import NetworkLink
@@ -30,6 +32,8 @@ from repro.repository.objects import ObjectCatalog
 from repro.repository.queries import Query
 from repro.repository.server import Repository
 from repro.repository.updates import Update
+from repro.sim.engine import ReplayKernel
+from repro.sim.runner import build_online_policy, policy_spec
 
 
 @dataclass
@@ -45,11 +49,10 @@ class DeltaConfig:
         Absolute cache capacity in MB (overrides ``cache_fraction``).
     policy:
         Name of the decision policy (a key of
-        :data:`repro.core.roster.POLICY_CLASSES`).
+        :data:`repro.core.roster.POLICY_CLASSES`; :class:`Delta` deploys
+        only the online ones, :data:`repro.sim.runner.SERVABLE_POLICIES`).
     vcover / benefit:
         Policy-specific configuration blocks.
-    keep_transfer_records:
-        Whether the network link retains every individual transfer.
     """
 
     cache_fraction: float = 0.3
@@ -57,7 +60,6 @@ class DeltaConfig:
     policy: str = "vcover"
     vcover: VCoverConfig = field(default_factory=VCoverConfig)
     benefit: BenefitConfig = field(default_factory=BenefitConfig)
-    keep_transfer_records: bool = False
 
     def __post_init__(self) -> None:
         if self.cache_capacity is None and not 0.0 <= self.cache_fraction:
@@ -90,22 +92,15 @@ class Delta:
     ) -> None:
         self._config = config or DeltaConfig()
         self._repository = Repository(catalog)
-        self._link = NetworkLink(
-            cost_model=cost_model or LinearCostModel(),
-            keep_records=self._config.keep_transfer_records,
-        )
+        self._link = NetworkLink(cost_model=cost_model or LinearCostModel())
         capacity = self._config.cache_capacity
         if capacity is None:
             capacity = catalog.total_size * self._config.cache_fraction
-        self._policy: CachePolicy = build_policy(
-            self._config.policy,
-            self._repository,
-            capacity,
-            self._link,
-            {"vcover": self._config.vcover, "benefit": self._config.benefit},
-        )
-        self._queries_processed = 0
-        self._updates_processed = 0
+        name = self._config.policy
+        configs = {"vcover": self._config.vcover, "benefit": self._config.benefit}
+        spec = policy_spec(name, configs.get(name))
+        self._policy = build_online_policy(spec, self._repository, capacity, self._link)
+        self._kernel = ReplayKernel(self._repository, [self._policy], [self._link])
 
     # ------------------------------------------------------------------
     # Public API
@@ -116,7 +111,7 @@ class Delta:
         return self._repository
 
     @property
-    def policy(self) -> CachePolicy:
+    def policy(self) -> BaseCachePolicy:
         """The active decision policy."""
         return self._policy
 
@@ -132,15 +127,11 @@ class Delta:
 
     def ingest_update(self, update: Update) -> None:
         """Apply a pipeline update at the repository and notify the policy."""
-        self._repository.ingest_update(update)
-        self._policy.on_update(update)
-        self._updates_processed += 1
+        self._kernel.step(True, update)
 
     def submit_query(self, query: Query) -> QueryOutcome:
         """Submit a user query at the cache and return the audited outcome."""
-        outcome = self._policy.on_query(query)
-        self._queries_processed += 1
-        return outcome
+        return self._kernel.step(False, query)
 
     def traffic_report(self) -> Dict[str, float]:
         """Total traffic and per-mechanism breakdown, in MB."""
@@ -150,9 +141,11 @@ class Delta:
 
     def cache_report(self) -> Dict[str, float]:
         """Cache occupancy and hit statistics."""
-        stats = self._policy.stats() if hasattr(self._policy, "stats") else {}
-        stats["queries_processed"] = float(self._queries_processed)
-        stats["updates_processed"] = float(self._updates_processed)
+        counters = self._kernel.counters()
+        queries = counters["queries_answered_at_cache"] + counters["queries_shipped"]
+        stats = self._policy.stats()
+        stats["queries_processed"] = float(queries)
+        stats["updates_processed"] = float(counters["events_processed"] - queries)
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -43,37 +43,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class CachePolicy(abc.ABC):
-    """Abstract interface of a middleware-cache decision policy."""
+class BaseCachePolicy(abc.ABC):
+    """The policy interface plus the residency / eager-freshness bookkeeping.
 
-    #: Human-readable policy name used in reports and experiment tables.
-    name: str = "abstract"
-
-    @abc.abstractmethod
-    def on_update(self, update: Update) -> None:
-        """React to an update arriving at the repository.
-
-        The repository itself has already ingested the update before this
-        hook is called (the simulation engine guarantees the ordering).
-        """
-
-    @abc.abstractmethod
-    def on_query(self, query: Query) -> QueryOutcome:
-        """Answer a query, charging all traffic to the policy's link."""
-
-    def prepare(self, trace: Trace) -> None:
-        """Optional offline preparation before a run (used by SOptimal).
-
-        Online policies must not inspect the future; the default
-        implementation does nothing.
-        """
-
-    def finalize(self) -> None:
-        """Optional hook called after the last event of a run."""
-
-
-class BaseCachePolicy(CachePolicy):
-    """Common residency / eager-freshness bookkeeping for concrete policies.
+    A concrete policy supplies :meth:`on_query` (and overrides the eager
+    :meth:`on_update` if it decouples objects from their updates).
 
     Parameters
     ----------
@@ -84,6 +58,9 @@ class BaseCachePolicy(CachePolicy):
     link:
         Traffic ledger all costs are charged to.
     """
+
+    #: Human-readable policy name used in reports and experiment tables.
+    name: str = "abstract"
 
     def __init__(self, repository: Repository, capacity: float, link: NetworkLink) -> None:
         self._repository = repository
@@ -98,6 +75,23 @@ class BaseCachePolicy(CachePolicy):
         #: workload fact the policy learns (queries, updates, answers,
         #: shipped queries) is recorded here and nowhere else.
         self._observer = PolicyObserver()
+
+    # ------------------------------------------------------------------
+    # Replay hooks (the replay kernel is their only caller)
+    # ------------------------------------------------------------------
+    @abc.abstractmethod
+    def on_query(self, query: Query) -> QueryOutcome:
+        """Answer a query, charging all traffic to the policy's link."""
+
+    def prepare(self, trace: Trace) -> None:
+        """Optional offline preparation before a run (used by SOptimal).
+
+        Online policies must not inspect the future; the default
+        implementation does nothing.
+        """
+
+    def finalize(self) -> None:
+        """Optional hook called after the last event of a run."""
 
     # ------------------------------------------------------------------
     # Accessors
@@ -153,8 +147,10 @@ class BaseCachePolicy(CachePolicy):
     def on_update(self, update: Update) -> None:
         """Observe the update; ship it on arrival if its object is resident.
 
-        The shipped update leaves the resident copy at the server's version,
-        so an eager policy's resident copies are always current.
+        The repository has already ingested the update (the replay kernel
+        guarantees the ordering).  The shipped update leaves the resident copy
+        at the server's version, so an eager policy's resident copies are
+        always current.
         """
         self._observer.note_update(update)
         object_id = update.object_id

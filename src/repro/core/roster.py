@@ -16,14 +16,12 @@ Adding a policy is one entry here; no flag per entry, no second list.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Type
+from typing import Dict, Type
 
 from repro.core.benefit import BenefitPolicy
-from repro.core.policy import BaseCachePolicy, CachePolicy
+from repro.core.policy import BaseCachePolicy
 from repro.core.vcover import VCoverPolicy
 from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
-from repro.network.link import NetworkLink
-from repro.repository.server import Repository
 
 #: The paper's two algorithms and three yardsticks, in report order.
 POLICY_CLASSES: Dict[str, Type[BaseCachePolicy]] = {
@@ -35,31 +33,11 @@ POLICY_CLASSES: Dict[str, Type[BaseCachePolicy]] = {
 }
 
 
-def is_online(policy_class: Type[CachePolicy]) -> bool:
+def is_online(policy_class: Type[BaseCachePolicy]) -> bool:
     """Whether a policy decides from the events it has seen alone.
 
-    An offline policy is one that overrides :meth:`CachePolicy.prepare` to
+    An offline policy is one that overrides :meth:`BaseCachePolicy.prepare` to
     read the whole trace before the run; it cannot be served (the server
     has no future trace).
     """
-    return policy_class.prepare is CachePolicy.prepare
-
-
-def build_policy(
-    name: str,
-    repository: Repository,
-    capacity: float,
-    link: NetworkLink,
-    configs: Mapping[str, object],
-) -> BaseCachePolicy:
-    """Construct the roster policy ``name``.
-
-    Every policy class takes ``(repository, capacity, link[, config])`` and
-    defaults its own config, so the class is handed one only when
-    ``configs`` holds a (non-``None``) entry under the policy's own name.
-    """
-    policy_class = POLICY_CLASSES[name]
-    config = configs.get(name)
-    if config is None:
-        return policy_class(repository, capacity, link)
-    return policy_class(repository, capacity, link, config)  # type: ignore[call-arg]
+    return policy_class.prepare is BaseCachePolicy.prepare

@@ -48,13 +48,12 @@ import asyncio
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Set, Tuple
 
-from repro.core.roster import is_online
 from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
 from repro.serve import protocol
 from repro.sim.engine import DecisionHook, ReplayKernel
-from repro.sim.runner import SERVABLE_POLICIES, PolicySpec
+from repro.sim.runner import PolicySpec, build_online_policy
 from repro.workload.trace import tagged_from_dict
 
 #: Default bound on parked (early, not yet applicable) frames.
@@ -187,14 +186,7 @@ class CacheServer:
     ) -> None:
         repository = Repository(catalog, keep_update_log=False)
         self._link = NetworkLink()
-        policy = policy_spec.factory(repository, cache_capacity, self._link)
-        if not is_online(type(policy)):
-            raise ValueError(
-                f"policy spec {policy_spec.name!r} builds {type(policy).__name__}, which "
-                "needs offline preparation over the full trace; the served path only "
-                "sees events as they arrive -- serve an online policy "
-                f"({', '.join(SERVABLE_POLICIES)})"
-            )
+        policy = build_online_policy(policy_spec, repository, cache_capacity, self._link)
         self._kernel = ReplayKernel(repository, [policy], [self._link], on_decision=on_decision)
         self._policy_name = policy_spec.name
         self._host = host

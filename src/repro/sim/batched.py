@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.cache.store import CacheStore
 from repro.core.benefit import BenefitPolicy
-from repro.core.policy import BaseCachePolicy, CachePolicy, fold_credit
+from repro.core.policy import BaseCachePolicy, fold_credit
 from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
 from repro.network.link import Mechanism, NetworkLink
 from repro.repository.queries import Query
@@ -297,7 +297,7 @@ class _BatchedExecutor:
 
 
 def select_batched_executor(
-    policies: Sequence[CachePolicy],
+    policies: Sequence[BaseCachePolicy],
     trace: TraceStream,
     repository: Repository,
     links: Sequence[NetworkLink],

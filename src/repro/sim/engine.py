@@ -25,8 +25,9 @@ middleware.  :class:`ReplayKernel` drives it over a list of cache *sites*
 Callers: :func:`repro.sim.runner.run_policy` (one site, no router),
 :func:`repro.sim.multicache.run_topology` (a fleet routed by a trace
 partitioner), :func:`repro.serve.equivalence.replay_with_log`, the writer
-task of :class:`repro.serve.server.CacheServer` (one ``step`` per frame), and
-the instrumented replays of :mod:`repro.experiments.warmup` and
+task of :class:`repro.serve.server.CacheServer` (one ``step`` per frame), the
+:class:`repro.core.delta.Delta` facade (one ``step`` per call), and the
+instrumented replays of :mod:`repro.experiments.warmup` and
 :func:`repro.experiments.ablations.run_preship_ablation`.
 ``on_decision(payload, outcome)`` is the one observation seam, called after
 every event; the sim-vs-served decision logs, the warm-up hit rate and the
@@ -50,7 +51,7 @@ from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.decoupling import QueryOutcome
-from repro.core.policy import CachePolicy
+from repro.core.policy import BaseCachePolicy
 from repro.network.link import Mechanism, NetworkLink
 from repro.repository.queries import Query
 from repro.repository.server import Repository
@@ -126,7 +127,7 @@ class ReplayKernel:
     def __init__(
         self,
         repository: Repository,
-        policies: Sequence[CachePolicy],
+        policies: Sequence[BaseCachePolicy],
         links: Sequence[NetworkLink],
         config: Optional[EngineConfig] = None,
         route: Optional[Callable[[Query], int]] = None,
@@ -205,17 +206,13 @@ class ReplayKernel:
         total_events = len(trace)
 
         series = [TrafficTimeSeries(link, sample_every=sample_every) for link in links]
-        stores = [getattr(policy, "store", None) for policy in policies]
-        occupancy = [
-            CacheOccupancySeries(sample_every=sample_every) if store is not None else None
-            for store in stores
-        ]
+        stores = [policy.store for policy in policies]
+        occupancy = [CacheOccupancySeries(sample_every=sample_every) for _ in stores]
         fleet_link = fleet_series = fleet_occupancy = None
         if self._route is not None:
             fleet_link = _CombinedLink(links)
             fleet_series = TrafficTimeSeries(fleet_link, sample_every=sample_every)
-            if all(store is not None for store in stores):
-                fleet_occupancy = CacheOccupancySeries(sample_every=sample_every)
+            fleet_occupancy = CacheOccupancySeries(sample_every=sample_every)
 
         def sample(index: int) -> None:
             # Every series shares the one grid, so the store reads happen
@@ -226,11 +223,10 @@ class ReplayKernel:
             resident = 0
             for site_series, site_occupancy, store in zip(series, occupancy, stores):
                 site_series.sample(index)
-                if site_occupancy is not None:
-                    site_occupancy.sample(index, store.used, store.capacity, len(store))
-                    used += store.used
-                    capacity += store.capacity
-                    resident += len(store)
+                site_occupancy.sample(index, store.used, store.capacity, len(store))
+                used += store.used
+                capacity += store.capacity
+                resident += len(store)
             if fleet_occupancy is not None:
                 fleet_occupancy.sample(index, used, capacity, resident)
 
@@ -308,7 +304,7 @@ class ReplayKernel:
                     queries_answered_at_cache=answered[site],
                     queries_shipped=shipped[site],
                     events_processed=updates_seen + answered[site] + shipped[site],
-                    policy_stats=policy.stats() if hasattr(policy, "stats") else {},
+                    policy_stats=policy.stats(),
                     warmup_traffic=warmup[site],
                     occupancy=occupancy[site],
                 )

@@ -23,7 +23,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.benefit import BenefitConfig
-from repro.core.policy import CachePolicy
+from repro.core.policy import BaseCachePolicy
 from repro.core.roster import POLICY_CLASSES, is_online
 from repro.core.vcover import VCoverConfig
 from repro.network.link import NetworkLink
@@ -47,7 +47,7 @@ SERVABLE_POLICIES = tuple(
 )
 
 #: Signature of a policy factory: (repository, capacity, link) -> policy.
-PolicyFactory = Callable[[Repository, float, NetworkLink], CachePolicy]
+PolicyFactory = Callable[[Repository, float, NetworkLink], BaseCachePolicy]
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,27 @@ def policy_spec(
     policy_class = POLICY_CLASSES[policy]
     factory = policy_class if config is None else partial(policy_class, config=config)
     return PolicySpec(name or policy, factory)
+
+
+def build_online_policy(
+    spec: PolicySpec, repository: Repository, capacity: float, link: NetworkLink
+) -> BaseCachePolicy:
+    """``spec``'s policy for a cache fed one event at a time, refusing offline ones.
+
+    The :class:`~repro.core.delta.Delta` facade and the served path step
+    their policy event by event and never call ``prepare``, so a spec that
+    builds an offline policy (one whose class overrides ``prepare``, e.g.
+    SOptimal) is rejected whatever it is named.
+    """
+    policy = spec.factory(repository, capacity, link)
+    if not is_online(type(policy)):
+        raise ValueError(
+            f"policy spec {spec.name!r} builds {type(policy).__name__}, which "
+            "needs offline preparation over the full trace; the served path only "
+            "sees events as they arrive -- serve an online policy "
+            f"({', '.join(SERVABLE_POLICIES)})"
+        )
+    return policy
 
 
 def nocache_spec(name: str = "nocache") -> PolicySpec:

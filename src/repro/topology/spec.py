@@ -1,133 +1,78 @@
-"""Declarative description of a multi-cache topology.
+"""Declarative description of a multi-cache fleet.
 
 A :class:`TopologySpec` describes a fleet of middleware caches in front of
-one shared repository: how many sites, which decision policy and cache size
-each runs, and how the query stream is partitioned across them.  The spec is
-a frozen, picklable value -- like :class:`repro.sim.runner.PolicySpec`, it
-can cross a process boundary, so multi-site grids fan out over the sweep
+one shared repository: one decision policy run at every site, each site's
+cache size, and how the query stream is partitioned across the sites.  The
+spec is a frozen, picklable value -- like :class:`repro.sim.runner.PolicySpec`,
+it can cross a process boundary, so multi-site grids fan out over the sweep
 runner's worker pool exactly like single-cache grids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.sim.runner import PolicySpec
 from repro.workload.partition import PARTITION_STRATEGIES
 
-#: Cache size used when a site sets neither fraction nor capacity (the
-#: paper's default: 30 % of the server, per site).
-DEFAULT_SITE_CACHE_FRACTION = 0.3
-
-
-@dataclass(frozen=True)
-class SiteSpec:
-    """One site of a topology: a policy plus its cache size.
-
-    Parameters
-    ----------
-    site_id:
-        Position of the site in the topology (0-based; also the partitioner
-        slice the site serves).
-    spec:
-        The decision policy the site runs (picklable, see
-        :class:`repro.sim.runner.PolicySpec`).
-    cache_fraction / cache_capacity:
-        Cache size, as a fraction of the server or an absolute capacity in
-        MB (the absolute value wins; defaults to
-        :data:`DEFAULT_SITE_CACHE_FRACTION` of the server).
-    """
-
-    site_id: int
-    spec: PolicySpec
-    cache_fraction: Optional[float] = None
-    cache_capacity: Optional[float] = None
-
-    def resolve_capacity(self, server_size: float) -> float:
-        """The site's cache capacity in MB for a given server size."""
-        if self.cache_capacity is not None:
-            return self.cache_capacity
-        fraction = (
-            DEFAULT_SITE_CACHE_FRACTION
-            if self.cache_fraction is None
-            else self.cache_fraction
-        )
-        return server_size * fraction
-
 
 @dataclass(frozen=True)
 class TopologySpec:
-    """A fleet of sites sharing one repository.
+    """One policy at ``site_count`` sites sharing one repository.
 
     Parameters
     ----------
-    name:
-        Label used in results and artifacts (e.g. ``"vcover-x4"``).
-    sites:
-        One :class:`SiteSpec` per site, in site order.
+    policy:
+        The decision policy every site runs (picklable, see
+        :class:`repro.sim.runner.PolicySpec`).
+    site_count:
+        Number of sites (>= 1); site ``i`` serves the partitioner's slice ``i``.
+    cache_fraction:
+        Each site's cache size as a fraction of the server.
     strategy:
         Object-to-site assignment strategy
         (see :data:`repro.workload.partition.PARTITION_STRATEGIES`).
     """
 
-    name: str
-    sites: Tuple[SiteSpec, ...]
+    policy: PolicySpec
+    site_count: int
+    cache_fraction: float
     strategy: str = "region"
 
     def __post_init__(self) -> None:
-        if not self.sites:
-            raise ValueError("a topology needs at least one site")
+        if self.site_count < 1:
+            raise ValueError("site_count must be at least 1")
         if self.strategy not in PARTITION_STRATEGIES:
             raise ValueError(
                 f"unknown partition strategy {self.strategy!r}; "
                 f"known: {PARTITION_STRATEGIES}"
             )
-        for index, site in enumerate(self.sites):
-            if site.site_id != index:
-                raise ValueError(
-                    f"site_id {site.site_id} at position {index}; "
-                    "site ids must be 0..N-1 in order"
-                )
+
+    @classmethod
+    def uniform(
+        cls, spec: PolicySpec, site_count: int, cache_fraction: float, strategy: str = "region"
+    ) -> "TopologySpec":
+        """``spec`` at ``site_count`` sites, each ``cache_fraction`` of the server."""
+        return cls(spec, site_count, cache_fraction, strategy)
 
     @property
-    def site_count(self) -> int:
-        """Number of sites in the topology."""
-        return len(self.sites)
-
-    @staticmethod
-    def uniform(
-        spec: PolicySpec,
-        site_count: int,
-        cache_fraction: Optional[float] = None,
-        cache_capacity: Optional[float] = None,
-        strategy: str = "region",
-        name: Optional[str] = None,
-    ) -> "TopologySpec":
-        """A homogeneous topology: every site runs the same policy and size."""
-        if site_count < 1:
-            raise ValueError("site_count must be at least 1")
-        return TopologySpec(
-            name=name or f"{spec.name}-x{site_count}",
-            sites=tuple(
-                SiteSpec(
-                    site_id=index,
-                    spec=spec,
-                    cache_fraction=cache_fraction,
-                    cache_capacity=cache_capacity,
-                )
-                for index in range(site_count)
-            ),
-            strategy=strategy,
-        )
+    def name(self) -> str:
+        """Label used in results and artifacts (e.g. ``"vcover-x4"``)."""
+        return f"{self.policy.name}-x{self.site_count}"
 
     def metadata(self) -> Dict[str, object]:
-        """Flat, JSON-serialisable description for artifacts and reports."""
+        """Flat, JSON-serialisable description for artifacts and reports.
+
+        The per-site lists keep the artifact layout of fleets whose sites
+        could differ; every entry is the same here.
+        """
+        sites = self.site_count
         return {
             "name": self.name,
-            "site_count": self.site_count,
+            "site_count": sites,
             "strategy": self.strategy,
-            "policies": [site.spec.name for site in self.sites],
-            "cache_fractions": [site.cache_fraction for site in self.sites],
-            "cache_capacities": [site.cache_capacity for site in self.sites],
+            "policies": [self.policy.name] * sites,
+            "cache_fractions": [self.cache_fraction] * sites,
+            "cache_capacities": [None] * sites,
         }

@@ -24,10 +24,10 @@ so a partitioned replay is as reproducible as a single-cache one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 
 from repro.repository.queries import Query
-from repro.workload.trace import QueryEvent, Trace, TraceStream, UpdateEvent
+from repro.workload.trace import TraceStream
 
 if TYPE_CHECKING:
     import numpy
@@ -46,7 +46,8 @@ class TracePartitioner:
     object_ids:
         Every object id the trace may touch (typically the catalogue's ids).
     site_count:
-        Number of sites to split across (>= 1).
+        Number of sites to split across: at least 1, at most one per object
+        (a site with no objects would be routed no query).
     strategy:
         ``"region"`` or ``"affinity"`` (see module docstring).
     query_counts:
@@ -68,8 +69,12 @@ class TracePartitioner:
                 f"unknown partition strategy {strategy!r}; "
                 f"known: {PARTITION_STRATEGIES}"
             )
+        if site_count > len(object_ids):
+            raise ValueError(
+                f"cannot split {len(object_ids)} objects across {site_count} sites: "
+                "every site needs at least one object"
+            )
         self._site_count = site_count
-        self._strategy = strategy
         if strategy == "region":
             from repro.sky.partition import contiguous_sky_slices
 
@@ -112,30 +117,6 @@ class TracePartitioner:
         return cls(object_ids, site_count, strategy=strategy, query_counts=counts)
 
     # ------------------------------------------------------------------
-    # Accessors
-    # ------------------------------------------------------------------
-    @property
-    def site_count(self) -> int:
-        """Number of sites."""
-        return self._site_count
-
-    @property
-    def strategy(self) -> str:
-        """The assignment strategy."""
-        return self._strategy
-
-    @property
-    def assignment(self) -> Dict[int, int]:
-        """Object id to site index mapping (a copy)."""
-        return dict(self._assignment)
-
-    def objects_of_site(self, site: int) -> List[int]:
-        """Sorted object ids owned by one site."""
-        return sorted(
-            object_id for object_id, owner in self._assignment.items() if owner == site
-        )
-
-    # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     def site_of_query(self, query: Query) -> int:
@@ -176,33 +157,6 @@ class TracePartitioner:
         voter = numpy.repeat(numpy.arange(queries), numpy.diff(columns.query_object_offsets))
         ballot = voter[voting] * sites + owners[slot[voting]]
         return numpy.bincount(ballot, minlength=queries * sites).reshape(-1, sites).argmax(axis=1)
-
-    def split(self, trace: Trace) -> List[Trace]:
-        """Per-site traces: every update, plus the site's own queries.
-
-        A convenience view for replaying one site in isolation as a
-        single-cache run; a fleet replay (:func:`repro.sim.multicache.run_topology`)
-        routes over the shared stream instead, with the partitioner itself as
-        the kernel's router (one repository ingest per update).
-        """
-        per_site: List[List] = [[] for _ in range(self._site_count)]
-        for event in trace:
-            if isinstance(event, UpdateEvent):
-                for events in per_site:
-                    events.append(event)
-            elif isinstance(event, QueryEvent):
-                per_site[self.site_of_query(event.query)].append(event)
-        return [Trace(events) for events in per_site]
-
-    def describe(self) -> Dict[str, float]:
-        """Summary statistics (objects per site) for reports."""
-        data: Dict[str, float] = {
-            "site_count": float(self._site_count),
-            "objects": float(len(self._assignment)),
-        }
-        for site in range(self._site_count):
-            data[f"site{site}_objects"] = float(len(self.objects_of_site(site)))
-        return data
 
 
 def _affinity_assignment(

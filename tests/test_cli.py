@@ -136,7 +136,6 @@ class TestInvalidValues:
             ["run", "--objects", "0"],
             ["compare", "--cache", "0"],
             ["generate-trace", "--objects", "0", "--out", "never-written.jsonl"],
-            ["topology", "--cache", "0"],
             ["serve", "--objects", "0"],
             ["loadgen", "--cache", "0"],
             ["run", "--queries", "-5"],
@@ -205,6 +204,24 @@ class TestExperimentSubcommand:
         ])
         assert code == 0
         assert "Cache-size sensitivity sweep" in capsys.readouterr().out
+
+    #: A two-site fleet of each policy: 30 objects, 1 200 + 1 200 events.
+    FLEET = ["experiment", "run", "multisite", "--set", "object_count=30",
+             "--set", "query_count=1200", "--set", "update_count=1200",
+             "--set", 'policies=["vcover", "nocache"]']
+
+    def test_run_multisite_prints_the_fleet_aggregates(self, capsys):
+        assert main([*self.FLEET, "--set", "site_counts=[2]", "--set", "strategy=region"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["vcover", "1160.5"] in rows
+        assert ["nocache", "1169.3"] in rows
+
+    def test_more_sites_than_objects_exits_2(self, capsys):
+        argv = [*self.FLEET, "--set", "site_counts=[40]", "--set", "strategy=affinity"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "cannot split 30 objects across 40 sites" in captured.err
+        assert captured.out == ""
 
     def test_unknown_experiment_exits_2(self, capsys):
         assert main(["experiment", "run", "does-not-exist"]) == 2

@@ -7,8 +7,10 @@ import pytest
 from repro.core.delta import Delta, DeltaConfig
 from repro.core.vcover import VCoverPolicy
 from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy
+from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.network.cost import LinearCostModel
 from repro.repository.objects import ObjectCatalog
+from repro.sim.runner import SERVABLE_POLICIES, policy_spec, run_policy
 from tests.conftest import make_query, make_update
 
 
@@ -21,6 +23,12 @@ class TestConfig:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             DeltaConfig(policy="oracle")
+
+    def test_offline_policy_rejected(self, catalog):
+        # Delta steps its policy event by event and never prepares it, so
+        # SOptimal would silently run as NoCache.
+        with pytest.raises(ValueError, match="'soptimal' builds SOptimalPolicy"):
+            Delta(catalog, DeltaConfig(policy="soptimal"))
 
     def test_default_policy_is_vcover(self, catalog):
         delta = Delta(catalog)
@@ -83,3 +91,30 @@ class TestOperation:
         outcome = delta.submit_query(make_query(1, object_ids=[1], cost=5.0, timestamp=2.0))
         assert outcome.answered_at_cache
         assert delta.traffic_report()["update_shipping"] == pytest.approx(2.0)
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return build_scenario(ExperimentConfig(seed=7).scaled(query_count=1500, update_count=1500))
+
+
+@pytest.mark.parametrize("name", SERVABLE_POLICIES)
+def test_event_by_event_matches_run_policy(scenario, name):
+    """Delta fed the trace one event at a time is the simulated run, bit for bit."""
+    delta = Delta(scenario.catalog, DeltaConfig(policy=name))
+    answered = shipped = 0
+    for is_update, payload in scenario.trace.iter_tagged():
+        if is_update:
+            delta.ingest_update(payload)
+        elif delta.submit_query(payload).answered_at_cache:
+            answered += 1
+        else:
+            shipped += 1
+    run = run_policy(
+        policy_spec(name), scenario.catalog, scenario.trace, scenario.catalog.total_size * 0.3
+    )
+    assert delta.traffic_report() == {"total": run.total_traffic, **run.traffic_by_mechanism}
+    assert (answered, shipped) == (run.queries_answered_at_cache, run.queries_shipped)
+    report = delta.cache_report()
+    assert report["queries_processed"] == answered + shipped == scenario.trace.query_count
+    assert report["updates_processed"] == scenario.trace.update_count

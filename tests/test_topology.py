@@ -18,13 +18,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.core.yardsticks import NoCachePolicy
 from repro.experiments.config import ExperimentConfig, build_scenario
-from repro.sim.engine import EngineConfig
-from repro.sim.multicache import fleet_kernel, run_topology
+from repro.network.link import NetworkLink
+from repro.sim.engine import EngineConfig, ReplayKernel
+from repro.sim.multicache import run_topology
 from repro.sim.runner import nocache_spec, run_policy, vcover_spec
 from repro.sim.sweep import DEFAULT_SCENARIO, InlineScenario, SweepPoint, SweepRunner
 from repro.sky.partition import contiguous_sky_slices
-from repro.topology import SiteSpec, TopologySpec, build_sites
+from repro.topology import TopologySpec
 from repro.repository.server import Repository
 from repro.workload.partition import PARTITION_STRATEGIES, TracePartitioner
 from repro.workload.trace import QueryEvent, Trace
@@ -65,15 +67,20 @@ class TestSkySlices:
             contiguous_sky_slices(range(3), 4)
 
 
+def owner(partitioner: TracePartitioner, object_id: int) -> int:
+    """The site a one-object query on ``object_id`` is routed to."""
+    return partitioner(make_query(object_id, object_ids=[object_id], cost=1.0, timestamp=1.0))
+
+
 class TestTracePartitioner:
     def test_region_assignment_is_contiguous(self, small_scenario):
         ids = small_scenario.catalog.object_ids
         partitioner = TracePartitioner(ids, 3, strategy="region")
-        assignment = partitioner.assignment
-        assert set(assignment) == set(ids)
-        # Contiguous: site index is non-decreasing over sorted object ids.
-        sites_in_order = [assignment[oid] for oid in sorted(ids)]
+        # Contiguous: site index is non-decreasing over sorted object ids,
+        # and every site owns some.
+        sites_in_order = [owner(partitioner, oid) for oid in sorted(ids)]
         assert sites_in_order == sorted(sites_in_order)
+        assert set(sites_in_order) == {0, 1, 2}
 
     def test_affinity_spreads_hot_objects(self, small_scenario):
         partitioner = TracePartitioner.for_trace(
@@ -82,7 +89,7 @@ class TestTracePartitioner:
         )
         hot = [oid for oid, _ in small_scenario.trace.query_hotspots(top=4)]
         # The four hottest objects land on four different sites.
-        assert len({partitioner.assignment[oid] for oid in hot}) == 4
+        assert len({owner(partitioner, oid) for oid in hot}) == 4
 
     def test_query_routed_by_majority_vote(self):
         partitioner = TracePartitioner([1, 2, 3, 4], 2, strategy="region")
@@ -113,26 +120,19 @@ class TestTracePartitioner:
         assert partitioner.sites_of_queries(trace.columns()).tolist() == [0, 2, 1, 0, 0]
         assert [partitioner(query) for query in trace.queries()] == [0, 2, 1, 0, 0]
 
-    def test_split_broadcasts_updates_and_partitions_queries(self, small_scenario):
-        trace = small_scenario.trace
-        partitioner = TracePartitioner.for_trace(
-            small_scenario.catalog.object_ids, 3, trace
-        )
-        pieces = partitioner.split(trace)
-        assert len(pieces) == 3
-        for piece in pieces:
-            assert piece.update_count == trace.update_count
-        assert sum(piece.query_count for piece in pieces) == trace.query_count
-        # Every query landed on the site the router names.
-        for site, piece in enumerate(pieces):
-            for query in piece.queries():
-                assert partitioner.site_of_query(query) == site
-
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError, match="site_count"):
             TracePartitioner([1, 2], 0)
         with pytest.raises(ValueError, match="strategy"):
             TracePartitioner([1, 2], 2, strategy="roundrobin")
+
+    @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
+    def test_more_sites_than_objects_rejected(self, small_scenario, strategy):
+        # Either strategy would leave a surplus site with no object to own.
+        with pytest.raises(ValueError, match="cannot split 30 objects across 40 sites"):
+            TracePartitioner.for_trace(
+                small_scenario.catalog.object_ids, 40, small_scenario.trace, strategy=strategy
+            )
 
     def test_affinity_without_counts_rejected(self):
         # Without counts the greedy assignment would silently put every
@@ -156,7 +156,7 @@ def test_property_vectorised_route_matches_site_of_query(
 ):
     """Every query's vectorised route is ``site_of_query``'s, unowned ids and
     tied votes included (queries touch ids 1-8; the partitioner owns a subset)."""
-    assume(strategy == "affinity" or len(owned) >= site_count)
+    assume(len(owned) >= site_count)
     counts = {object_id: touches[object_id - 1] for object_id in owned}
     partitioner = TracePartitioner(sorted(owned), site_count, strategy, query_counts=counts)
     trace = build_trace(raw)
@@ -165,33 +165,29 @@ def test_property_vectorised_route_matches_site_of_query(
 
 
 class TestTopologySpec:
-    def test_uniform_builds_ordered_sites(self):
+    def test_uniform_is_one_policy_at_n_sites(self):
         spec = TopologySpec.uniform(vcover_spec(), 3, cache_fraction=0.25)
         assert spec.site_count == 3
-        assert [site.site_id for site in spec.sites] == [0, 1, 2]
+        assert spec.policy.name == "vcover"
         assert spec.name == "vcover-x3"
-        assert spec.metadata()["policies"] == ["vcover", "vcover", "vcover"]
+
+    def test_metadata_keeps_the_artifact_layout(self):
+        # Sweep artifacts record this dict, so its layout is pinned.
+        spec = TopologySpec.uniform(vcover_spec(), 3, cache_fraction=0.25, strategy="affinity")
+        assert spec.metadata() == {
+            "name": "vcover-x3",
+            "site_count": 3,
+            "strategy": "affinity",
+            "policies": ["vcover", "vcover", "vcover"],
+            "cache_fractions": [0.25, 0.25, 0.25],
+            "cache_capacities": [None, None, None],
+        }
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least one site"):
-            TopologySpec(name="empty", sites=())
+        with pytest.raises(ValueError, match="at least 1"):
+            TopologySpec.uniform(vcover_spec(), 0, cache_fraction=0.3)
         with pytest.raises(ValueError, match="strategy"):
-            TopologySpec.uniform(vcover_spec(), 2, strategy="nope")
-        with pytest.raises(ValueError, match="site ids"):
-            TopologySpec(
-                name="bad",
-                sites=(SiteSpec(site_id=1, spec=vcover_spec()),),
-            )
-
-    def test_capacity_resolution(self):
-        site = SiteSpec(site_id=0, spec=vcover_spec(), cache_fraction=0.5)
-        assert site.resolve_capacity(100.0) == pytest.approx(50.0)
-        absolute = SiteSpec(
-            site_id=0, spec=vcover_spec(), cache_fraction=0.5, cache_capacity=7.0
-        )
-        assert absolute.resolve_capacity(100.0) == pytest.approx(7.0)
-        defaulted = SiteSpec(site_id=0, spec=vcover_spec())
-        assert defaulted.resolve_capacity(100.0) == pytest.approx(30.0)
+            TopologySpec.uniform(vcover_spec(), 2, cache_fraction=0.3, strategy="nope")
 
     def test_spec_is_picklable(self):
         spec = TopologySpec.uniform(vcover_spec(), 4, cache_fraction=0.3)
@@ -199,7 +195,7 @@ class TestTopologySpec:
         # partial-based factories do not compare equal across pickling, so
         # compare the metadata (what artifacts and workers actually use).
         assert clone.metadata() == spec.metadata()
-        assert clone.sites[0].spec.name == "vcover"
+        assert clone.policy.name == "vcover"
 
 
 class TestMultiCacheEngine:
@@ -217,7 +213,7 @@ class TestMultiCacheEngine:
             ),
             small_scenario.catalog, small_scenario.trace, engine_config,
         )
-        assert topology.site_count == 1
+        assert len(topology.site_runs) == 1
         assert topology.site_runs[0].as_payload() == single.as_payload()
         assert topology.aggregate.total_traffic == single.total_traffic
 
@@ -242,41 +238,18 @@ class TestMultiCacheEngine:
 
     def test_repository_shared_not_replayed_per_site(self, small_scenario, engine_config):
         repository = Repository(small_scenario.catalog)
-        spec = TopologySpec.uniform(nocache_spec(), 2, cache_fraction=0.3)
         partitioner = TracePartitioner.for_trace(
             small_scenario.catalog.object_ids, 2, small_scenario.trace
         )
-        sites = build_sites(spec, repository)
-        fleet_kernel(repository, sites, partitioner, engine_config).run(
+        links = [NetworkLink(), NetworkLink()]
+        policies = [NoCachePolicy(repository, 0.0, link) for link in links]
+        ReplayKernel(repository, policies, links, engine_config, route=partitioner).run(
             small_scenario.trace
         )
         # One ingest per update event, regardless of the site count.
         assert repository.stats()["updates_received"] == float(
             small_scenario.trace.update_count
         )
-
-    def test_site_count_mismatch_rejected(self, small_scenario, engine_config):
-        repository = Repository(small_scenario.catalog)
-        spec = TopologySpec.uniform(nocache_spec(), 2)
-        partitioner = TracePartitioner(small_scenario.catalog.object_ids, 3)
-        sites = build_sites(spec, repository)
-        with pytest.raises(ValueError, match="sites"):
-            fleet_kernel(repository, sites, partitioner, engine_config)
-
-    def test_format_table_lists_every_site_and_the_aggregate(
-        self, small_scenario, engine_config
-    ):
-        result = run_topology(
-            TopologySpec.uniform(vcover_spec(), 3, cache_fraction=0.3),
-            small_scenario.catalog, small_scenario.trace, engine_config,
-        )
-        text = result.format_table()
-        assert "3 sites, strategy=region" in text
-        for site in range(3):
-            assert f"site {site}" in text
-        assert "aggregate" in text
-        # The aggregate row carries the fleet-wide measured traffic.
-        assert f"{result.measured_traffic:.1f}" in text
 
     def test_aggregate_carries_per_site_stats_and_occupancy(
         self, small_scenario, engine_config
@@ -305,7 +278,11 @@ class TestTopologyDeterminism:
         second = run_topology(
             spec, small_scenario.catalog, small_scenario.trace, engine_config
         )
-        assert first.as_payload() == second.as_payload()
+        assert first.name == second.name == "vcover-x4"
+        assert first.aggregate.as_payload() == second.aggregate.as_payload()
+        assert [run.as_payload() for run in first.site_runs] == [
+            run.as_payload() for run in second.site_runs
+        ]
 
     @pytest.mark.parametrize("strategy", ["region", "affinity"])
     def test_sweep_jobs_match_serial(
