@@ -8,7 +8,8 @@ the LoadManager admits candidates through whichever one is configured.
 
 A policy never talks to the network; it only ranks resident objects for
 eviction and is notified of loads, hits and evictions so it can maintain its
-internal bookkeeping.
+internal bookkeeping.  A cache answer reports its hits in one
+:meth:`EvictionPolicy.on_hits` call, whatever the number of objects.
 """
 
 from __future__ import annotations
@@ -46,6 +47,15 @@ class EvictionPolicy(abc.ABC):
     @abc.abstractmethod
     def on_hit(self, object_id: int, timestamp: float) -> None:
         """Notify the policy that a query was answered from this object."""
+
+    def on_hits(self, object_ids: Iterable[int], timestamp: float) -> None:
+        """Notify the policy that one query was answered from all of ``object_ids``.
+
+        The same as :meth:`on_hit` on each object in iteration order (which
+        the default does); a policy may fold the walk into one loop.
+        """
+        for object_id in object_ids:
+            self.on_hit(object_id, timestamp)
 
     @abc.abstractmethod
     def on_evict(self, object_id: int) -> None:

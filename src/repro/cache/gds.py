@@ -15,8 +15,10 @@ are expensive to re-fetch per byte of cache they occupy.
 For Delta the retrieval cost of an object equals its size (loading transfers
 the whole object), and :meth:`repro.core.load_manager.LoadManager.note_load`
 passes ``cost=size``: every credit is ``L + 1``, so GDS evicts in recency
-order.  :meth:`GreedyDualSize.boost_cost` is the hook that would feed
-attributed query shipping cost into the cost term; nothing calls it yet.
+order.  A cache answer refreshes every object it read in one
+:meth:`GreedyDualSize.on_hits` walk.  :meth:`GreedyDualSize.boost_cost` is
+the hook that would feed attributed query shipping cost into the cost term;
+nothing calls it yet.
 """
 
 from __future__ import annotations
@@ -52,12 +54,23 @@ class GreedyDualSize(EvictionPolicy):
             raise ValueError(f"object {object_id} has non-positive size {size!r}")
         self._sizes[object_id] = size
         self._costs[object_id] = cost
-        self._refresh(object_id)
+        # A loaded object starts at the credit a hit would give it.
+        self.on_hits((object_id,), timestamp)
 
     def on_hit(self, object_id: int, timestamp: float) -> None:
-        if object_id not in self._sizes:
-            raise KeyError(f"object {object_id} is not tracked by GDS")
-        self._refresh(object_id)
+        self.on_hits((object_id,), timestamp)
+
+    def on_hits(self, object_ids: Iterable[int], timestamp: float) -> None:
+        """Reset each object's credit to ``L + cost/size``, in iteration order."""
+        inflation, costs, sizes, credits = self._inflation, self._costs, self._sizes, self._credits
+        heap, counter = self._heap, self._counter
+        for object_id in object_ids:
+            size = sizes.get(object_id)
+            if size is None:
+                raise KeyError(f"object {object_id} is not tracked by GDS")
+            credit = inflation + costs[object_id] / size
+            credits[object_id] = credit
+            heapq.heappush(heap, (credit, next(counter), object_id))
 
     def on_evict(self, object_id: int) -> None:
         credit = self._credits.pop(object_id, None)
@@ -114,20 +127,12 @@ class GreedyDualSize(EvictionPolicy):
         if object_id not in self._costs:
             raise KeyError(f"object {object_id} is not tracked by GDS")
         self._costs[object_id] += extra_cost
-        self._refresh(object_id)
+        self.on_hits((object_id,), 0.0)
 
     @property
     def inflation(self) -> float:
         """Current value of the global inflation term ``L``."""
         return self._inflation
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _refresh(self, object_id: int) -> None:
-        credit = self._inflation + self._costs[object_id] / self._sizes[object_id]
-        self._credits[object_id] = credit
-        heapq.heappush(self._heap, (credit, next(self._counter), object_id))
 
 
 registry.register("gds", GreedyDualSize)

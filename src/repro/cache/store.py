@@ -13,7 +13,7 @@ All sizes and capacities are in MB, consistent with the rest of the library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Set
 
 
 @dataclass(slots=True)
@@ -110,13 +110,13 @@ class CacheStore:
         """All residency records (no particular order)."""
         return list(self._objects.values())
 
-    def contains_all(self, object_ids: Iterable[int]) -> bool:
-        """Whether every object in ``object_ids`` is resident."""
-        return all(object_id in self._objects for object_id in object_ids)
+    def contains_all(self, object_ids: AbstractSet[int]) -> bool:
+        """Whether every object in the set ``object_ids`` is resident."""
+        return self._objects.keys() >= object_ids
 
     def missing(self, object_ids: Iterable[int]) -> Set[int]:
         """The subset of ``object_ids`` that is not resident."""
-        return {object_id for object_id in object_ids if object_id not in self._objects}
+        return set(object_ids).difference(self._objects)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -169,11 +169,17 @@ class CacheStore:
 
     def record_hit(self, object_id: int, timestamp: float) -> None:
         """Record that a query was answered from this object."""
-        record = self._objects.get(object_id)
-        if record is None:
-            raise KeyError(f"object {object_id} is not resident")
-        record.hits += 1
-        record.last_hit_at = timestamp
+        self.record_hits((object_id,), timestamp)
+
+    def record_hits(self, object_ids: Iterable[int], timestamp: float) -> None:
+        """Record that a query was answered from each of ``object_ids``."""
+        objects = self._objects
+        for object_id in object_ids:
+            record = objects.get(object_id)
+            if record is None:
+                raise KeyError(f"object {object_id} is not resident")
+            record.hits += 1
+            record.last_hit_at = timestamp
 
     # ------------------------------------------------------------------
     # Statistics

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Set
 
-from repro.core.decoupling import QueryAction, QueryOutcome
+from repro.core.decoupling import QueryOutcome
 from repro.core.policy import BaseCachePolicy
 from repro.network.link import NetworkLink
 from repro.repository.queries import Query
@@ -114,15 +114,11 @@ class BenefitPolicy(BaseCachePolicy):
         answered = self.cache_satisfies(query)
         if answered:
             self.record_cache_answer(query)
-            outcome = QueryOutcome(
-                query_id=query.query_id, action=QueryAction.ANSWERED_AT_CACHE
-            )
+            outcome = QueryOutcome(query_id=query.query_id, answered_at_cache=True)
         else:
             cost = self.ship_query(query)
             outcome = QueryOutcome(
-                query_id=query.query_id,
-                action=QueryAction.SHIPPED_TO_SERVER,
-                query_shipping_cost=cost,
+                query_id=query.query_id, answered_at_cache=False, query_shipping_cost=cost
             )
         # Resident objects are only credited for queries the cache *actually*
         # answered (that is the traffic they demonstrably saved).  Non-resident

@@ -14,12 +14,16 @@ currency guarantees uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List
+from dataclasses import dataclass
+from typing import FrozenSet, Tuple
+
+from repro._compat import SlottedFrozenPickle
 
 
 class QueryAction:
-    """How a query was ultimately answered."""
+    """How a query was ultimately answered (:attr:`QueryOutcome.action`)."""
+
+    __slots__ = ()
 
     #: Answered entirely from the cache (possibly after shipping updates).
     ANSWERED_AT_CACHE = "answered_at_cache"
@@ -29,16 +33,16 @@ class QueryAction:
     ALL = (ANSWERED_AT_CACHE, SHIPPED_TO_SERVER)
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryOutcome:
-    """The audited result of processing one query.
+    """The audited result of processing one query, built once after the decision.
 
     Attributes
     ----------
     query_id:
         The query processed.
-    action:
-        One of :class:`QueryAction`.
+    answered_at_cache:
+        Answered from the cache (possibly after shipping updates), else shipped.
     query_shipping_cost:
         Traffic charged for shipping the query (0 when answered at cache).
     update_shipping_cost:
@@ -54,31 +58,29 @@ class QueryOutcome:
     """
 
     query_id: int
-    action: str
+    answered_at_cache: bool
     query_shipping_cost: float = 0.0
     update_shipping_cost: float = 0.0
     load_cost: float = 0.0
-    loaded_objects: List[int] = field(default_factory=list)
-    evicted_objects: List[int] = field(default_factory=list)
-    shipped_updates: List[int] = field(default_factory=list)
+    loaded_objects: Tuple[int, ...] = ()
+    evicted_objects: Tuple[int, ...] = ()
+    shipped_updates: Tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.action not in QueryAction.ALL:
-            raise ValueError(f"unknown query action {self.action!r}")
+    @property
+    def action(self) -> str:
+        """How the query was answered, one of :class:`QueryAction`."""
+        if self.answered_at_cache:
+            return QueryAction.ANSWERED_AT_CACHE
+        return QueryAction.SHIPPED_TO_SERVER
 
     @property
     def total_cost(self) -> float:
         """Total traffic attributed to this query."""
         return self.query_shipping_cost + self.update_shipping_cost + self.load_cost
 
-    @property
-    def answered_at_cache(self) -> bool:
-        """Whether the query was answered from the cache."""
-        return self.action == QueryAction.ANSWERED_AT_CACHE
 
-
-@dataclass(frozen=True)
-class DecouplingDecision:
+@dataclass(frozen=True, slots=True)
+class DecouplingDecision(SlottedFrozenPickle):
     """A static decoupling: which objects live at the cache.
 
     Produced by the offline analyses (:mod:`repro.core.offline`) and by

@@ -91,7 +91,7 @@ class Delta:
         cost_model: Optional[TrafficCostModel] = None,
     ) -> None:
         self._config = config or DeltaConfig()
-        self._repository = Repository(catalog)
+        self._repository = Repository(catalog, keep_update_log=False)
         self._link = NetworkLink(cost_model=cost_model or LinearCostModel())
         capacity = self._config.cache_capacity
         if capacity is None:

@@ -26,7 +26,7 @@ cost -- the behaviour the randomized mechanism simulates in expectation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.base import EvictionPolicy
@@ -35,14 +35,18 @@ from repro.cache.store import CacheStore
 from repro.repository.queries import Query
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class LoadDecision:
     """Outcome of one LoadManager invocation."""
 
     #: Objects to load (in order).
-    load_object_ids: List[int] = field(default_factory=list)
+    load_object_ids: Tuple[int, ...] = ()
     #: Objects to evict first (in order).
-    evict_object_ids: List[int] = field(default_factory=list)
+    evict_object_ids: Tuple[int, ...] = ()
+
+
+#: The decision of every invocation that loads nothing (shared: immutable).
+_LOAD_NOTHING = LoadDecision()
 
 
 class LoadManager:
@@ -65,6 +69,17 @@ class LoadManager:
         When ``False`` the deterministic counter-based variant is used
         (ablation E8).
     """
+
+    __slots__ = (
+        "_store",
+        "_policy",
+        "_load_cost_of",
+        "_rng",
+        "_randomized",
+        "_accumulated",
+        "_invocations",
+        "_candidates_emitted",
+    )
 
     def __init__(
         self,
@@ -103,10 +118,11 @@ class LoadManager:
         self._invocations += 1
         missing = sorted(self._store.missing(query.object_ids))
         if not missing:
-            return LoadDecision()
+            return _LOAD_NOTHING
 
         remaining = query.cost
-        self._rng.shuffle(missing)
+        if len(missing) > 1:  # shuffling one object would draw nothing
+            self._rng.shuffle(missing)
         candidates: List[Tuple[int, float]] = []
         for object_id in missing:
             if remaining <= 0:
@@ -131,7 +147,7 @@ class LoadManager:
             if emit:
                 self._candidates_emitted += 1
                 candidates.append((object_id, load_cost))
-        return self._admit(candidates) if candidates else LoadDecision()
+        return self._admit(candidates) if candidates else _LOAD_NOTHING
 
     def _admit(self, candidates: List[Tuple[int, float]]) -> LoadDecision:
         """Make room for each ``(object_id, size)`` candidate in emit order.
@@ -141,7 +157,8 @@ class LoadManager:
         of the decision (GDS pops its heap as it looks), so it is asked exactly
         this way.  A candidate the policy cannot make room for is not loaded.
         """
-        decision = LoadDecision()
+        loads: List[int] = []
+        evictions: List[int] = []
         free = self._store.free
         resident = self._store.resident_ids()
         sizes = {record.object_id: record.size for record in self._store.records()}
@@ -164,9 +181,11 @@ class LoadManager:
             free -= size
             resident.add(object_id)
             sizes[object_id] = size
-            decision.load_object_ids.append(object_id)
-            decision.evict_object_ids.extend(victims)
-        return decision
+            loads.append(object_id)
+            evictions.extend(victims)
+        if not loads:
+            return _LOAD_NOTHING
+        return LoadDecision(load_object_ids=tuple(loads), evict_object_ids=tuple(evictions))
 
     # ------------------------------------------------------------------
     # Notifications from the policy
@@ -181,10 +200,12 @@ class LoadManager:
         self._policy.on_evict(object_id)
 
     def note_hit(self, query: Query) -> None:
-        """Refresh the eviction policy for every object a cache answer touched."""
-        for object_id in query.object_ids:
-            if object_id in self._store:
-                self._policy.on_hit(object_id, query.timestamp)
+        """Refresh the eviction policy for every resident object a cache answer touched."""
+        object_ids, store = query.object_ids, self._store
+        if store.contains_all(object_ids):
+            self._policy.on_hits(object_ids, query.timestamp)
+        else:
+            self._policy.on_hits([oid for oid in object_ids if oid in store], query.timestamp)
 
     # ------------------------------------------------------------------
     # Statistics

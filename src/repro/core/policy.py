@@ -240,8 +240,7 @@ class BaseCachePolicy(abc.ABC):
 
     def record_cache_answer(self, query: Query) -> None:
         """Record a cache hit on every object the query touches."""
-        for object_id in query.object_ids:
-            self._store.record_hit(object_id, query.timestamp)
+        self._store.record_hits(query.object_ids, query.timestamp)
         self._observer.note_cache_answer(query)
 
     # ------------------------------------------------------------------

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from repro.flow.incremental import IncrementalMaxFlow
 from repro.repository.queries import Query
@@ -49,7 +48,7 @@ QueryKey = Tuple[str, int, int]
 UpdateKey = Tuple[str, int, int]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class UpdateManagerResult:
     """What the UpdateManager decided for one query."""
 
@@ -59,7 +58,11 @@ class UpdateManagerResult:
     #: picked in the cover.  Shipping them is now cost-justified by the
     #: accumulated query weights they interact with, and they leave the
     #: remainder subgraph, so they ship whether or not the query itself does.
-    ship_update_ids: List[int]
+    ship_update_ids: Tuple[int, ...]
+
+
+#: The decision of every query the cache already satisfies (shared: immutable).
+_ANSWER_FROM_CACHE = UpdateManagerResult(ship_query=False, ship_update_ids=())
 
 
 @dataclass(slots=True)
@@ -84,6 +87,17 @@ class UpdateManager:
     #: the decision sequence (:meth:`IncrementalMaxFlow.compact`).
     COMPACTION_SLACK = 256
 
+    __slots__ = (
+        "_flow",
+        "_sequence",
+        "_updates",
+        "_chains",
+        "_decisions",
+        "_covers_computed",
+        "_queries_shipped",
+        "_updates_shipped",
+    )
+
     def __init__(self) -> None:
         self._flow = IncrementalMaxFlow()
         self._sequence = itertools.count()
@@ -102,7 +116,7 @@ class UpdateManager:
     def decide(
         self,
         query: Query,
-        interacting_updates: Dict[int, List[Update]],
+        interacting_updates: Mapping[int, List[Update]],
     ) -> UpdateManagerResult:
         """Decide how to satisfy ``query``.
 
@@ -123,12 +137,13 @@ class UpdateManager:
         interacting_updates:
             For each *stale* object the query touches, the outstanding updates
             the query must see (older than its staleness tolerance).  Empty
-            when the cache already satisfies the query.
+            when the cache already satisfies the query.  The lists are only
+            read, never kept: the caller may hand over its own.
         """
         self._decisions += 1
         if not any(interacting_updates.values()):
             # Fast path: every interacting update has already been shipped.
-            return UpdateManagerResult(ship_query=False, ship_update_ids=[])
+            return _ANSWER_FROM_CACHE
 
         flow = self._flow
         query_key: QueryKey = ("q", query.query_id, next(self._sequence))
@@ -149,7 +164,7 @@ class UpdateManager:
         # inserted: ``list(frozenset([8, 0])) == [8, 0]``).  It feeds
         # ``QueryOutcome.shipped_updates``, the sim-vs-served decision logs
         # and the float sum of the shipping cost; the fixtures pin it.
-        shipped = list(frozenset(sorted(key[1] for key in delta.covered_right)))
+        shipped = tuple(frozenset(sorted(key[1] for key in delta.covered_right)))
 
         self._forget(shipped, covered=True)
         self._retire(left=delta.uncovered_left, right=delta.covered_right)
@@ -227,7 +242,10 @@ class UpdateManager:
         """
         updates, chains = self._updates, self._chains
         gone = [updates.pop(uid) for uid in update_ids if uid in updates]
-        for object_id, count in Counter(update.object_id for _, update in gone).items():
+        counts: Dict[int, int] = {}
+        for _, update in gone:
+            counts[update.object_id] = counts.get(update.object_id, 0) + 1
+        for object_id, count in counts.items():
             chain = chains.get(object_id)
             if covered and chain is not None and count < len(chain.members) and not any(
                 update.update_id in updates for update in chain.members[:count]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cache.base import EvictionPolicy
-from repro.core.decoupling import QueryAction, QueryOutcome
+from repro.core.decoupling import QueryOutcome
 from repro.core.load_manager import LoadManager
 from repro.core.policy import BaseCachePolicy
 from repro.core.update_manager import UpdateManager
@@ -98,18 +98,15 @@ class VCoverPolicy(BaseCachePolicy):
         self._load_manager = LoadManager(
             store=self.store,
             policy=eviction,
-            load_cost_of=self._current_load_cost,
+            # The load cost is the object's size at the server right now.
+            load_cost_of=repository.object_size,
             rng=random.Random(self._config.seed),
             randomized=self._config.randomized_loading,
         )
 
     # ------------------------------------------------------------------
-    # Helper callbacks
+    # Accessors
     # ------------------------------------------------------------------
-    def _current_load_cost(self, object_id: int) -> float:
-        """Current load cost of an object: its size at the server right now."""
-        return self._repository.object_size(object_id)
-
     @property
     def update_manager(self) -> UpdateManager:
         """The UpdateManager (exposed for tests and diagnostics)."""
@@ -131,18 +128,6 @@ class VCoverPolicy(BaseCachePolicy):
     # ------------------------------------------------------------------
     # Lazy freshness: outstanding updates
     # ------------------------------------------------------------------
-    def _register_update(self, update: Update) -> None:
-        """Record an update against the cached copy of its object (if any)."""
-        self._observer.note_update(update)
-        object_id = update.object_id
-        if object_id in self._store:
-            self._store.mark_stale(object_id)
-            self._outstanding.setdefault(object_id, []).append(update)
-            self._outstanding_by_id[update.update_id] = update
-            known = self._outstanding_max_ts.get(object_id)
-            if known is None or update.timestamp > known:
-                self._outstanding_max_ts[object_id] = update.timestamp
-
     def interacting_updates(self, query: Query, object_id: int) -> List[Update]:
         """Outstanding updates on ``object_id`` that ``query`` must see.
 
@@ -152,7 +137,8 @@ class VCoverPolicy(BaseCachePolicy):
 
         The common case -- an intolerant query replayed from a time-ordered
         trace, where every outstanding update is older than the query -- is
-        answered from the per-object timestamp bound without filtering.
+        answered from the per-object timestamp bound: the outstanding list
+        itself, which the caller only reads.
         """
         pending = self._outstanding.get(object_id)
         if not pending:
@@ -160,7 +146,7 @@ class VCoverPolicy(BaseCachePolicy):
         threshold = query.staleness_threshold
         newest = self._outstanding_max_ts.get(object_id)
         if newest is not None and newest <= threshold:
-            return list(pending)
+            return pending
         return [update for update in pending if update.timestamp <= threshold]
 
     def cache_satisfies(self, query: Query) -> bool:
@@ -218,13 +204,20 @@ class VCoverPolicy(BaseCachePolicy):
     # Event handlers
     # ------------------------------------------------------------------
     def on_update(self, update: Update) -> None:
-        """Record an update; resident copies of its object become stale.
+        """Record an update; it is outstanding against a resident (now stale) copy.
 
         With preshipping enabled, updates for recently used resident objects
         are pushed to the cache immediately instead of waiting for a query to
         justify them through the cover.
         """
-        self._register_update(update)
+        self._observer.note_update(update)
+        object_id = update.object_id
+        if self._store.mark_stale(object_id):
+            self._outstanding.setdefault(object_id, []).append(update)
+            self._outstanding_by_id[update.update_id] = update
+            known = self._outstanding_max_ts.get(object_id)
+            if known is None or update.timestamp > known:
+                self._outstanding_max_ts[object_id] = update.timestamp
         if not self._config.preship:
             return
         record = self.store.get(update.object_id)
@@ -234,75 +227,70 @@ class VCoverPolicy(BaseCachePolicy):
             self.ship_update(outstanding, update.timestamp)
 
     def on_query(self, query: Query) -> QueryOutcome:
-        """Process one query per Figure 3."""
+        """Process one query per Figure 3; the in-cache path (UpdateManager) is inline."""
         self.note_query(query)
-        if self.store.contains_all(query.object_ids):
-            return self._handle_in_cache(query)
-        return self._handle_missing(query)
+        if not self._store.contains_all(query.object_ids):
+            return self._handle_missing(query)
 
-    # ------------------------------------------------------------------
-    # In-cache path: UpdateManager
-    # ------------------------------------------------------------------
-    def _handle_in_cache(self, query: Query) -> QueryOutcome:
+        # Most in-cache queries touch no outstanding update: they decide on nothing.
         interacting: Dict[int, List[Update]] = {}
-        for object_id in query.object_ids:
-            updates = self.interacting_updates(query, object_id)
-            if updates:
-                interacting[object_id] = updates
+        outstanding = self._outstanding
+        if not outstanding.keys().isdisjoint(query.object_ids):
+            for object_id in query.object_ids:
+                if object_id in outstanding and (
+                    updates := self.interacting_updates(query, object_id)
+                ):
+                    interacting[object_id] = updates
         decision = self._update_manager.decide(query, interacting)
-
-        outcome = QueryOutcome(query_id=query.query_id, action=QueryAction.ANSWERED_AT_CACHE)
 
         # Ship every update the cover picked (they are now cost-justified).
         # The cover may pick updates beyond this query's own objects (vertices
         # that interact with earlier, still-active queries), so picks are
         # resolved through the policy's O(1) outstanding-update index rather
         # than by rebuilding a map over every resident object's updates.
+        update_cost, shipped = 0.0, []
         for update_id in decision.ship_update_ids:
-            update = self.outstanding_update(update_id)
-            if update is None:
-                continue
-            cost = self.ship_update(update, query.timestamp)
-            outcome.update_shipping_cost += cost
-            outcome.shipped_updates.append(update_id)
+            update = self._outstanding_by_id.get(update_id)
+            if update is not None:
+                update_cost += self.ship_update(update, query.timestamp)
+                shipped.append(update_id)
 
         if decision.ship_query:
-            cost = self.ship_query(query)
-            outcome.action = QueryAction.SHIPPED_TO_SERVER
-            outcome.query_shipping_cost = cost
+            query_cost = self.ship_query(query)
         else:
+            query_cost = 0.0
             self.record_cache_answer(query)
             self._load_manager.note_hit(query)
-        return outcome
+        # Positional (field order), as below: a keyword call to a class packs a dict.
+        return QueryOutcome(
+            query.query_id, not decision.ship_query, query_cost, update_cost, 0.0, (), (),
+            tuple(shipped),
+        )  # fmt: skip
 
     # ------------------------------------------------------------------
     # Missing-object path: ship query, LoadManager in background
     # ------------------------------------------------------------------
     def _handle_missing(self, query: Query) -> QueryOutcome:
         cost = self.ship_query(query)
-        outcome = QueryOutcome(
-            query_id=query.query_id,
-            action=QueryAction.SHIPPED_TO_SERVER,
-            query_shipping_cost=cost,
-        )
         decision = self._load_manager.consider(query)
-
         for object_id in decision.evict_object_ids:
-            dropped = self.outstanding_updates(object_id)
+            dropped = self._outstanding.get(object_id)
             self.evict_object(object_id)
             self._load_manager.note_evict(object_id)
             if dropped:
                 self._update_manager.forget_updates(u.update_id for u in dropped)
-            outcome.evicted_objects.append(object_id)
 
         # Load ids were missing when the decision was taken, and an object
         # leaves no outstanding updates behind when it is evicted.
+        load_cost = 0.0
         for object_id in decision.load_object_ids:
-            load_cost = self.load_object(object_id, query.timestamp)
-            self._load_manager.note_load(object_id, size=load_cost, timestamp=query.timestamp)
-            outcome.load_cost += load_cost
-            outcome.loaded_objects.append(object_id)
-        return outcome
+            size = self.load_object(object_id, query.timestamp)
+            self._load_manager.note_load(object_id, size=size, timestamp=query.timestamp)
+            load_cost += size
+        return QueryOutcome(
+            query.query_id, False, cost, 0.0, load_cost, decision.load_object_ids,
+            decision.evict_object_ids,
+        )  # fmt: skip
 
     # ------------------------------------------------------------------
     # Statistics

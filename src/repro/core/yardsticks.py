@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Set
 
-from repro.core.decoupling import DecouplingDecision, QueryAction, QueryOutcome
+from repro.core.decoupling import DecouplingDecision, QueryOutcome
 from repro.core.policy import BaseCachePolicy, fold_credit
 from repro.network.link import NetworkLink
 from repro.repository.queries import Query
@@ -50,9 +50,7 @@ class NoCachePolicy(BaseCachePolicy):
         self.note_query(query)
         cost = self.ship_query(query)
         return QueryOutcome(
-            query_id=query.query_id,
-            action=QueryAction.SHIPPED_TO_SERVER,
-            query_shipping_cost=cost,
+            query_id=query.query_id, answered_at_cache=False, query_shipping_cost=cost
         )
 
 
@@ -75,7 +73,7 @@ class ReplicaPolicy(BaseCachePolicy):
         """Answer at the replica: it is always complete and current."""
         self.note_query(query)
         self.record_cache_answer(query)
-        return QueryOutcome(query_id=query.query_id, action=QueryAction.ANSWERED_AT_CACHE)
+        return QueryOutcome(query_id=query.query_id, answered_at_cache=True)
 
 
 class SOptimalPolicy(BaseCachePolicy):
@@ -154,12 +152,8 @@ class SOptimalPolicy(BaseCachePolicy):
         self.note_query(query)
         if self.cache_satisfies(query):
             self.record_cache_answer(query)
-            return QueryOutcome(
-                query_id=query.query_id, action=QueryAction.ANSWERED_AT_CACHE
-            )
+            return QueryOutcome(query_id=query.query_id, answered_at_cache=True)
         cost = self.ship_query(query)
         return QueryOutcome(
-            query_id=query.query_id,
-            action=QueryAction.SHIPPED_TO_SERVER,
-            query_shipping_cost=cost,
+            query_id=query.query_id, answered_at_cache=False, query_shipping_cost=cost
         )

@@ -220,7 +220,7 @@ def run_preship_ablation(
     latency_model = latency_model or LatencyModel()
     results: Dict[str, PreshipVariantResult] = {}
     for label, preship in (("baseline", False), ("preship", True)):
-        repository = Repository(scenario.catalog)
+        repository = Repository(scenario.catalog, keep_update_log=False)
         link = NetworkLink()
         policy = VCoverPolicy(
             repository, scenario.cache_capacity, link, VCoverConfig(preship=preship)

@@ -70,7 +70,7 @@ def _replay(
     The kernel reports progress at every ``sample_every`` edge and once at
     the end of the trace, so the last sample is the final occupancy.
     """
-    repository = Repository(scenario.catalog)
+    repository = Repository(scenario.catalog, keep_update_log=False)
     link = NetworkLink()
     policy = VCoverPolicy(repository, scenario.cache_capacity, link, VCoverConfig())
 

@@ -113,19 +113,25 @@ class FlowNetwork:
             raise ValueError(f"capacity must be non-negative, got {capacity!r}")
         if tail == head:
             raise ValueError(f"self-loop edges are not allowed ({tail!r})")
-        self.add_vertex(tail)
-        self.add_vertex(head)
         key = (tail, head)
         existing = self._edge_index.get(key)
         if existing is not None:
             existing.capacity += capacity
             return existing
-        forward = Arc(tail=tail, head=head, capacity=capacity, is_forward=True)
-        backward = Arc(tail=head, head=tail, capacity=0.0, is_forward=False)
+        # Both endpoints join in that order, as :meth:`add_vertex` would add them.
+        adjacency = self._adjacency
+        tail_arcs = adjacency.get(tail)
+        if tail_arcs is None:
+            tail_arcs = adjacency[tail] = []
+        head_arcs = adjacency.get(head)
+        if head_arcs is None:
+            head_arcs = adjacency[head] = []
+        # Positional: a keyword call to a class packs its arguments into a dict.
+        forward = Arc(tail, head, capacity)
+        backward = Arc(head, tail, 0.0, 0.0, forward, False)
         forward.partner = backward
-        backward.partner = forward
-        self._adjacency[tail].append(forward)
-        self._adjacency[head].append(backward)
+        tail_arcs.append(forward)
+        head_arcs.append(backward)
         self._edge_index[key] = forward
         return forward
 

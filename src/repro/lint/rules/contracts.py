@@ -163,12 +163,17 @@ class NonPicklableSubmission(ModuleRule):
             )
 
 
-#: Modules whose classes PR 4 slotted for the hot path.
+#: Modules whose classes are built or read on every replayed event: the
+#: kernel, the flow network, the store, the repository, and the per-query
+#: records of the decision layer (outcomes, manager results and decisions).
 _HOT_PATH_SCOPE = (
     "repro/sim/engine.py",
     "repro/flow/",
     "repro/cache/store.py",
     "repro/repository/",
+    "repro/core/decoupling.py",
+    "repro/core/update_manager.py",
+    "repro/core/load_manager.py",
 )
 
 #: Base-class name suffixes exempting a class (no instance-state concerns).

@@ -96,7 +96,13 @@ class NetworkLink:
 
     def ship_query(self, size: float, timestamp: float, query_id: Optional[int] = None) -> float:
         """Charge a query-shipping transfer."""
-        return self.charge(Mechanism.QUERY_SHIPPING, size, timestamp, event_id=query_id)
+        if self._keep_records:
+            return self.charge(Mechanism.QUERY_SHIPPING, size, timestamp, event_id=query_id)
+        # :meth:`charge` without a record: the mechanism needs no check.
+        cost = self._cost_model.cost(size)
+        self._totals[Mechanism.QUERY_SHIPPING] += cost
+        self._counts[Mechanism.QUERY_SHIPPING] += 1
+        return cost
 
     def ship_update(
         self, size: float, timestamp: float, object_id: Optional[int] = None,

@@ -47,18 +47,6 @@ class ObjectState:
     #: Full update log in arrival order (empty when history is disabled).
     update_log: List[Update] = field(default_factory=list)
 
-    def apply(self, update: Update, keep_log: bool = True) -> None:
-        """Apply one update to this object's state.
-
-        ``keep_log=False`` performs the same version/size bookkeeping but
-        drops the update itself, bounding memory for history-free replays.
-        """
-        self.version += 1
-        self.rows += update.rows
-        self.grown_by += update.cost
-        if keep_log:
-            self.update_log.append(update)
-
 
 @dataclass(frozen=True, slots=True)
 class ObjectSnapshot:
@@ -147,7 +135,11 @@ class Repository:
         Raises ``KeyError`` if the update references an unknown object.
         """
         state = self._states[update.object_id]
-        state.apply(update, keep_log=self._keep_update_log)
+        state.version += 1
+        state.rows += update.rows
+        state.grown_by += update.cost
+        if self._keep_update_log:
+            state.update_log.append(update)
         self._updates_received += 1
 
     def ingest_updates(self, updates: Iterable[Update]) -> None:
@@ -239,9 +231,9 @@ class Repository:
         repository always has the latest data, so every currency requirement
         is satisfied here.
         """
-        for object_id in query.object_ids:
-            if object_id not in self._states:
-                raise KeyError(f"query {query.query_id} touches unknown object {object_id}")
+        if not self._states.keys() >= query.object_ids:
+            unknown = next(oid for oid in query.object_ids if oid not in self._states)
+            raise KeyError(f"query {query.query_id} touches unknown object {unknown}")
         self._queries_answered += 1
         return query.cost
 

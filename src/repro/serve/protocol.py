@@ -32,7 +32,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional, Union
 
-from repro.core.decoupling import QueryOutcome
+from repro.core.decoupling import QueryAction, QueryOutcome
 from repro.repository.updates import Update
 
 #: Version stamped into (and required of) every frame.
@@ -198,16 +198,22 @@ def encode_result(result: Union[QueryOutcome, Update], seq: Optional[int] = None
 
 
 def outcome_from_dict(payload: Dict[str, Any]) -> QueryOutcome:
-    """Rebuild a query outcome from a result-frame payload."""
+    """Rebuild a query outcome from a result-frame payload.
+
+    Raises :class:`ProtocolError` for an ``action`` outside :class:`QueryAction`.
+    """
+    action = payload["action"]
+    if action not in QueryAction.ALL:
+        raise ProtocolError(f"unknown query action {action!r}; expected one of {QueryAction.ALL}")
     return QueryOutcome(
         query_id=int(payload["query_id"]),
-        action=str(payload["action"]),
+        answered_at_cache=action == QueryAction.ANSWERED_AT_CACHE,
         query_shipping_cost=float(payload["query_shipping_cost"]),
         update_shipping_cost=float(payload["update_shipping_cost"]),
         load_cost=float(payload["load_cost"]),
-        loaded_objects=[int(oid) for oid in payload["loaded_objects"]],
-        evicted_objects=[int(oid) for oid in payload["evicted_objects"]],
-        shipped_updates=[int(uid) for uid in payload["shipped_updates"]],
+        loaded_objects=tuple(int(oid) for oid in payload["loaded_objects"]),
+        evicted_objects=tuple(int(oid) for oid in payload["evicted_objects"]),
+        shipped_updates=tuple(int(uid) for uid in payload["shipped_updates"]),
     )
 
 

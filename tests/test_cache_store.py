@@ -97,8 +97,8 @@ class TestQueriesOverResidency:
         store = CacheStore(100.0)
         store.insert(1, size=10.0, version=0, timestamp=0.0)
         store.insert(2, size=10.0, version=0, timestamp=0.0)
-        assert store.contains_all([1, 2])
-        assert not store.contains_all([1, 3])
+        assert store.contains_all({1, 2})
+        assert not store.contains_all({1, 3})
         assert store.missing([1, 2, 3, 4]) == {3, 4}
 
     def test_resident_ids_and_records(self):

@@ -85,6 +85,19 @@ class TestOperation:
         assert delta.repository.object_version(3) == 1
         assert delta.repository.object_size(3) == pytest.approx(37.0)
 
+    def test_long_running_deployment_keeps_no_update_log(self, catalog):
+        # Nothing in a deployment reads the server-side update history, so a
+        # facade fed update after update must not hold on to any of them.
+        delta = Delta(catalog)
+        for update_id in range(40_000):
+            delta.ingest_update(
+                make_update(update_id, object_id=1 + update_id % 4, cost=1e-6, timestamp=update_id)
+            )
+        repository = delta.repository
+        assert repository.stats()["updates_received"] == 40_000
+        assert not repository.keeps_update_log
+        assert sum(len(state.update_log) for state in repository._states.values()) == 0
+
     def test_replica_deployment_is_always_current(self, catalog):
         delta = Delta(catalog, DeltaConfig(policy="replica"))
         delta.ingest_update(make_update(1, object_id=1, cost=2.0, timestamp=1.0))

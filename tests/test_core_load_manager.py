@@ -42,26 +42,26 @@ class TestCounterVariant:
         for step in range(1, 4):
             query = make_query(step, object_ids=[3], cost=10.0, timestamp=float(step))
             decisions.append(manager.consider(query))
-        assert decisions[0].load_object_ids == []
-        assert decisions[1].load_object_ids == []
-        assert decisions[2].load_object_ids == [3]
+        assert decisions[0].load_object_ids == ()
+        assert decisions[1].load_object_ids == ()
+        assert decisions[2].load_object_ids == (3,)
 
     def test_single_large_query_triggers_immediate_load(self):
         manager, _, _ = make_manager(randomized=False)
         query = make_query(1, object_ids=[1], cost=50.0, timestamp=1.0)
         decision = manager.consider(query)
-        assert decision.load_object_ids == [1]
+        assert decision.load_object_ids == (1,)
 
     def test_counter_resets_after_load(self):
         manager, store, _ = make_manager(randomized=False)
         query = make_query(1, object_ids=[1], cost=15.0, timestamp=1.0)
         decision = manager.consider(query)
-        assert decision.load_object_ids == [1]
+        assert decision.load_object_ids == (1,)
         store.insert(1, size=10.0, version=0, timestamp=1.0)
         manager.note_load(1, size=10.0, timestamp=1.0)
         # Object now resident: further queries on it do not produce loads.
         follow_up = make_query(2, object_ids=[1], cost=15.0, timestamp=2.0)
-        assert manager.consider(follow_up).load_object_ids == []
+        assert manager.consider(follow_up).load_object_ids == ()
 
 
 class TestRandomizedVariant:
@@ -79,7 +79,7 @@ class TestRandomizedVariant:
     def test_full_cost_coverage_always_loads(self):
         manager, _, _ = make_manager(randomized=True)
         query = make_query(1, object_ids=[1], cost=10.0, timestamp=1.0)
-        assert manager.consider(query).load_object_ids == [1]
+        assert manager.consider(query).load_object_ids == (1,)
 
     def test_large_query_can_load_several_objects(self):
         manager, _, _ = make_manager(randomized=True, capacity=200.0)
@@ -103,7 +103,7 @@ class TestCapacityInteraction:
         manager, _, _ = make_manager(capacity=20.0)
         query = make_query(1, object_ids=[3], cost=100.0, timestamp=1.0)  # size 30 > 20
         decision = manager.consider(query)
-        assert decision.load_object_ids == []
+        assert decision.load_object_ids == ()
 
     def test_eviction_planned_when_cache_full(self):
         manager, store, _ = make_manager(capacity=25.0, randomized=False)
@@ -111,15 +111,15 @@ class TestCapacityInteraction:
         manager.note_load(1, size=10.0, timestamp=0.0)
         query = make_query(1, object_ids=[2], cost=40.0, timestamp=1.0)  # object 2 size 20
         decision = manager.consider(query)
-        assert decision.load_object_ids == [2]
-        assert decision.evict_object_ids == [1]
+        assert decision.load_object_ids == (2,)
+        assert decision.evict_object_ids == (1,)
 
     def test_resident_objects_not_reconsidered(self):
         manager, store, _ = make_manager()
         store.insert(1, size=10.0, version=0, timestamp=0.0)
         manager.note_load(1, size=10.0, timestamp=0.0)
         query = make_query(1, object_ids=[1], cost=100.0, timestamp=1.0)
-        assert manager.consider(query).load_object_ids == []
+        assert manager.consider(query).load_object_ids == ()
 
     def test_note_hit_refreshes_resident_objects_only(self):
         manager, store, _ = make_manager()
@@ -152,7 +152,7 @@ class TestAdmission:
         decision = manager.consider(
             make_query(1, object_ids=[1], cost=100.0, timestamp=1.0)
         )
-        assert decision.load_object_ids == [] and decision.evict_object_ids == []
+        assert decision.load_object_ids == () and decision.evict_object_ids == ()
 
     def test_candidates_that_fit_are_all_admitted(self):
         manager, _, _ = make_manager(capacity=50.0, sizes={1: 20.0, 2: 20.0})
@@ -160,7 +160,7 @@ class TestAdmission:
             make_query(1, object_ids=[1, 2], cost=100.0, timestamp=1.0)
         )
         assert set(decision.load_object_ids) == {1, 2}
-        assert decision.evict_object_ids == []
+        assert decision.evict_object_ids == ()
 
     def test_resident_evicted_to_make_room_for_candidate(self):
         manager, store, _ = make_manager(
@@ -170,8 +170,8 @@ class TestAdmission:
         decision = manager.consider(
             make_query(1, object_ids=[1], cost=300.0, timestamp=1.0)
         )
-        assert decision.load_object_ids == [1]
-        assert decision.evict_object_ids == [9]
+        assert decision.load_object_ids == (1,)
+        assert decision.evict_object_ids == (9,)
         assert 9 in store  # consider only plans the eviction
 
     def test_candidates_of_one_query_never_evict_each_other(self):
@@ -182,7 +182,7 @@ class TestAdmission:
         # Room for one: the other is not loaded, rather than loaded and then
         # evicted for its sibling.
         assert len(decision.load_object_ids) == 1
-        assert decision.evict_object_ids == []
+        assert decision.evict_object_ids == ()
         assert len(store) == 0  # consider only decides; the caller applies
 
     def test_unplaceable_candidate_is_not_loaded(self):
@@ -197,7 +197,7 @@ class TestAdmission:
         # Whichever candidate comes first fits in the 40 MB free; evicting
         # object 9 frees only 10 MB more, too little for the second.
         assert len(decision.load_object_ids) == 1
-        assert decision.evict_object_ids == []
+        assert decision.evict_object_ids == ()
 
 
 @st.composite

@@ -31,7 +31,7 @@ class _Concrete(BaseCachePolicy):
         cost = self.ship_query(query)
         return QueryOutcome(
             query_id=query.query_id,
-            action=QueryAction.SHIPPED_TO_SERVER,
+            answered_at_cache=False,
             query_shipping_cost=cost,
         )
 
@@ -47,14 +47,16 @@ def vcover(repository, link):
 
 
 class TestQueryOutcome:
-    def test_unknown_action_rejected(self):
-        with pytest.raises(ValueError):
-            QueryOutcome(query_id=1, action="guessed")
+    def test_action_spells_the_flag(self):
+        cached = QueryOutcome(query_id=1, answered_at_cache=True)
+        shipped = QueryOutcome(query_id=2, answered_at_cache=False)
+        assert cached.action == QueryAction.ANSWERED_AT_CACHE
+        assert shipped.action == QueryAction.SHIPPED_TO_SERVER
 
     def test_total_cost_sums_components(self):
         outcome = QueryOutcome(
             query_id=1,
-            action=QueryAction.ANSWERED_AT_CACHE,
+            answered_at_cache=True,
             query_shipping_cost=1.0,
             update_shipping_cost=2.0,
             load_cost=3.0,

@@ -15,7 +15,7 @@ class TestInteractionGraph:
         update = make_update(1, object_id=1, cost=2.0, timestamp=1.0)
         result = manager.decide(query, {1: [update]})
         assert not result.ship_query
-        assert result.ship_update_ids == [1]
+        assert result.ship_update_ids == (1,)
 
     def test_ship_cheap_query_instead_of_expensive_updates(self):
         manager = UpdateManager()
@@ -23,7 +23,7 @@ class TestInteractionGraph:
         updates = [make_update(i, object_id=1, cost=4.0, timestamp=1.0) for i in range(3)]
         result = manager.decide(query, {1: updates})
         assert result.ship_query
-        assert result.ship_update_ids == []
+        assert result.ship_update_ids == ()
 
     def test_accumulated_query_weight_eventually_justifies_update(self):
         """Repeated cheap queries against one expensive update flip the cover.
@@ -71,13 +71,13 @@ class TestInteractionGraph:
         q1 = make_query(1, object_ids=[1], cost=10.0, timestamp=1.0)
         u1 = make_update(1, object_id=1, cost=4.0, timestamp=0.5)
         first = manager.decide(q1, {1: [u1]})
-        assert first.ship_update_ids == [1]
+        assert first.ship_update_ids == (1,)
 
         q2 = make_query(2, object_ids=[1], cost=3.0, timestamp=2.0)
         u2 = make_update(2, object_id=1, cost=8.0, timestamp=1.5)
         second = manager.decide(q2, {1: [u2]})
         assert second.ship_query
-        assert second.ship_update_ids == []
+        assert second.ship_update_ids == ()
 
     def test_drop_updates_removes_interactions(self):
         manager = UpdateManager()
@@ -113,7 +113,7 @@ class TestInteractionGraph:
         result = manager.decide(dear, {1: [new]})
         # Judged against the new update's cost (2), not the stale vertex's 50.
         assert not result.ship_query
-        assert result.ship_update_ids == [1]
+        assert result.ship_update_ids == (1,)
         assert manager.stats()["graph_updates"] == 0
 
 
@@ -123,7 +123,7 @@ class TestUpdateManager:
         query = make_query(1, object_ids=[1], cost=5.0, timestamp=1.0)
         result = manager.decide(query, interacting_updates={})
         assert not result.ship_query
-        assert result.ship_update_ids == []
+        assert result.ship_update_ids == ()
 
     def test_cheap_updates_are_shipped(self):
         manager = UpdateManager()
@@ -142,7 +142,7 @@ class TestUpdateManager:
         interacting = {1: [make_update(1, object_id=1, cost=50.0, timestamp=1.0)]}
         result = manager.decide(query, interacting)
         assert result.ship_query
-        assert result.ship_update_ids == []
+        assert result.ship_update_ids == ()
 
     def test_mixed_decision_covers_every_interaction(self):
         """Whatever the cover picks, each query's currency must be satisfiable."""
@@ -320,4 +320,4 @@ class TestShippedOrder:
             ]
             query = make_query(1, object_ids=[1], cost=10.0, timestamp=5.0)
             shipped.append(manager.decide(query, {1: wanted}).ship_update_ids)
-        assert shipped == [[0, 8], [0, 8]]
+        assert shipped == [(0, 8), (0, 8)]

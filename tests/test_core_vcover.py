@@ -39,7 +39,7 @@ class TestMissingObjectPath:
     def test_expensive_query_triggers_load_for_next_time(self):
         policy, _, _ = make_vcover()
         first = policy.on_query(make_query(1, object_ids=[1], cost=50.0, timestamp=1.0))
-        assert first.loaded_objects == [1]
+        assert first.loaded_objects == (1,)
         assert policy.is_resident(1)
         # The follow-up query is answered from the cache for free.
         second = policy.on_query(make_query(2, object_ids=[1], cost=50.0, timestamp=2.0))
@@ -55,7 +55,7 @@ class TestMissingObjectPath:
     def test_cheap_queries_do_not_immediately_load(self):
         policy, _, _ = make_vcover(randomized_loading=False)
         outcome = policy.on_query(make_query(1, object_ids=[3], cost=1.0, timestamp=1.0))
-        assert outcome.loaded_objects == []
+        assert outcome.loaded_objects == ()
         assert not policy.is_resident(3)
 
     def test_eviction_makes_room_for_better_object(self):
@@ -69,7 +69,7 @@ class TestMissingObjectPath:
         # Object 1 (size 10) becomes worth caching; object 2 may be evicted to
         # make room only if needed -- here both fit? no: 20 + 10 = 30 > 25.
         outcome = policy.on_query(make_query(3, object_ids=[1], cost=90.0, timestamp=3.0))
-        assert outcome.loaded_objects == [1]
+        assert outcome.loaded_objects == (1,)
         assert 2 in outcome.evicted_objects
         assert policy.is_resident(1) and not policy.is_resident(2)
 
@@ -90,7 +90,7 @@ class TestInCachePath:
         outcome = policy.on_query(make_query(2, object_ids=[1], cost=9.0, timestamp=3.0))
         assert outcome.answered_at_cache
         assert outcome.update_shipping_cost == pytest.approx(0.5)
-        assert outcome.shipped_updates == [1]
+        assert outcome.shipped_updates == (1,)
         assert not policy.store.get(1).stale
 
     def test_expensive_outstanding_updates_cause_query_shipping(self):

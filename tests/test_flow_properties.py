@@ -321,6 +321,11 @@ class GlobalCoverFlow(IncrementalMaxFlow):
         )
 
 
+class TunableManager(UpdateManager):
+    """:class:`UpdateManager` with an instance ``__dict__``, so a test can set
+    ``COMPACTION_SLACK`` per manager (the production class is slotted)."""
+
+
 def _flows(manager: UpdateManager) -> dict:
     return {(arc.tail, arc.head): arc.flow for arc in manager._flow.network.forward_edges()}
 
@@ -334,7 +339,7 @@ def test_property_frontier_cover_matches_global_reference(ops, slack):
     the bundle network, across drops, scheduled compactions (``slack``) and
     forced ones.
     """
-    local, reference = UpdateManager(), UpdateManager()
+    local, reference = TunableManager(), TunableManager()
     reference._flow = GlobalCoverFlow()
     local.COMPACTION_SLACK = reference.COMPACTION_SLACK = slack
     outstanding: dict[int, Update] = {}
@@ -382,7 +387,7 @@ class _WatchedFlow(IncrementalMaxFlow):
         self.lossy |= any(self._weight(self._left_ids[left]) != w for left, w in before.items())
 
 
-class BicliqueManager(UpdateManager):
+class BicliqueManager(TunableManager):
     """The construction the bundles replaced, kept as the oracle.
 
     Joins the query to each update it must see by an edge of its own:
@@ -395,7 +400,7 @@ class BicliqueManager(UpdateManager):
 
 
 def _oracle_pair(slack: int):
-    managers = UpdateManager(), BicliqueManager()
+    managers = TunableManager(), BicliqueManager()
     for manager in managers:
         manager._flow = _WatchedFlow()
         manager.COMPACTION_SLACK = slack

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.decoupling import QueryAction, QueryOutcome
+from repro.core.decoupling import QueryOutcome
 from repro.core.vcover import VCoverConfig, VCoverPolicy
 from repro.experiments.ablations import run_preship_ablation
 from repro.experiments.config import ExperimentConfig, build_scenario
@@ -35,39 +35,32 @@ class TestLatencyModel:
 
     def test_cache_answer_is_local_latency(self):
         model = LatencyModel(local_latency=0.01)
-        outcome = QueryOutcome(query_id=1, action=QueryAction.ANSWERED_AT_CACHE)
+        outcome = QueryOutcome(query_id=1, answered_at_cache=True)
         assert model.response_time(outcome) == pytest.approx(0.01)
         assert not model.is_delayed(outcome)
 
     def test_shipped_query_pays_wide_area_exchange(self):
         model = LatencyModel(bandwidth=10.0, round_trip_time=0.1, local_latency=0.0)
-        outcome = QueryOutcome(
-            query_id=1, action=QueryAction.SHIPPED_TO_SERVER, query_shipping_cost=5.0
-        )
+        outcome = QueryOutcome(query_id=1, answered_at_cache=False, query_shipping_cost=5.0)
         assert model.response_time(outcome) == pytest.approx(0.1 + 0.5)
         assert model.is_delayed(outcome)
 
     def test_update_wait_adds_latency(self):
         model = LatencyModel(bandwidth=10.0, round_trip_time=0.1, local_latency=0.0)
-        outcome = QueryOutcome(
-            query_id=1, action=QueryAction.ANSWERED_AT_CACHE, update_shipping_cost=2.0
-        )
+        outcome = QueryOutcome(query_id=1, answered_at_cache=True, update_shipping_cost=2.0)
         assert model.response_time(outcome) == pytest.approx(0.1 + 0.2)
         assert model.is_delayed(outcome)
 
     def test_background_loads_do_not_delay(self):
         model = LatencyModel(local_latency=0.0, round_trip_time=0.1)
-        outcome = QueryOutcome(
-            query_id=1, action=QueryAction.ANSWERED_AT_CACHE, load_cost=100.0
-        )
+        outcome = QueryOutcome(query_id=1, answered_at_cache=True, load_cost=100.0)
         assert model.response_time(outcome) == pytest.approx(0.0)
 
     def test_summary_statistics(self):
         model = LatencyModel(bandwidth=10.0, round_trip_time=0.0, local_latency=0.0)
         outcomes = [
-            QueryOutcome(query_id=1, action=QueryAction.ANSWERED_AT_CACHE),
-            QueryOutcome(query_id=2, action=QueryAction.SHIPPED_TO_SERVER,
-                         query_shipping_cost=10.0),
+            QueryOutcome(query_id=1, answered_at_cache=True),
+            QueryOutcome(query_id=2, answered_at_cache=False, query_shipping_cost=10.0),
         ]
         summary = summarise_response_times(outcomes, model)
         assert summary.count == 2

@@ -17,13 +17,13 @@ from repro.serve import protocol
 def make_outcome(**overrides) -> QueryOutcome:
     base = dict(
         query_id=7,
-        action="answered_at_cache",
+        answered_at_cache=True,
         query_shipping_cost=0.0,
         update_shipping_cost=1.5,
         load_cost=2.25,
-        loaded_objects=[3, 4],
-        evicted_objects=[9],
-        shipped_updates=[11, 12],
+        loaded_objects=(3, 4),
+        evicted_objects=(9,),
+        shipped_updates=(11, 12),
     )
     base.update(overrides)
     return QueryOutcome(**base)
@@ -147,6 +147,19 @@ class TestOutcomeEncoding:
         rebuilt = protocol.outcome_from_dict(protocol.outcome_to_dict(outcome))
         assert rebuilt == outcome
 
+    @pytest.mark.parametrize("action", ["guessed", "", None, 1])
+    def test_unknown_action_is_a_protocol_error(self, action):
+        payload = protocol.outcome_to_dict(make_outcome())
+        payload["action"] = action
+        with pytest.raises(protocol.ProtocolError, match="unknown query action"):
+            protocol.outcome_from_dict(payload)
+
+    @pytest.mark.parametrize("answered", [True, False])
+    def test_action_round_trips_through_the_flag(self, answered):
+        payload = protocol.outcome_to_dict(make_outcome(answered_at_cache=answered))
+        assert payload["action"] in QueryAction.ALL
+        assert protocol.outcome_from_dict(payload).answered_at_cache is answered
+
     def test_outcome_payload_is_json_safe(self):
         payload = protocol.outcome_to_dict(make_outcome())
         assert json.loads(json.dumps(payload)) == payload
@@ -236,13 +249,13 @@ class TestDirectCodec:
         outcome=st.builds(
             QueryOutcome,
             query_id=st.integers(0, 2**63 - 1),
-            action=st.sampled_from(QueryAction.ALL),
+            answered_at_cache=st.booleans(),
             query_shipping_cost=_COSTS,
             update_shipping_cost=_COSTS,
             load_cost=_COSTS,
-            loaded_objects=_IDS,
-            evicted_objects=_IDS,
-            shipped_updates=_IDS,
+            loaded_objects=_IDS.map(tuple),
+            evicted_objects=_IDS.map(tuple),
+            shipped_updates=_IDS.map(tuple),
         ),
         seq=_SEQS,
     )
