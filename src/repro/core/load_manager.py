@@ -183,8 +183,6 @@ class LoadManager:
             sizes[object_id] = size
             loads.append(object_id)
             evictions.extend(victims)
-        if not loads:
-            return _LOAD_NOTHING
         return LoadDecision(load_object_ids=tuple(loads), evict_object_ids=tuple(evictions))
 
     # ------------------------------------------------------------------
