@@ -1,9 +1,9 @@
 """Small compatibility shims shared across the library.
 
 Currently: pickle support for frozen, slotted dataclasses on Python 3.10.
-The hot record classes (trace events, queries, updates, transfer records)
-are declared with ``@dataclass(frozen=True, slots=True)`` to cut per-instance
-memory and attribute-lookup cost on the simulation hot path.  Python 3.11+
+The hot record classes (trace events, queries, updates) are declared with
+``@dataclass(frozen=True, slots=True)`` to cut per-instance memory and
+attribute-lookup cost on the simulation hot path.  Python 3.11+
 generates ``__getstate__``/``__setstate__`` for such classes automatically,
 but 3.10 does not: its default reduction tries ``setattr`` on a frozen
 instance and fails.  Records cross process boundaries whenever a sweep runs

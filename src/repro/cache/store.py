@@ -134,7 +134,7 @@ class CacheStore:
             raise CacheCapacityError(
                 f"object {object_id} ({size:.1f}MB) does not fit in free {self.free:.1f}MB"
             )
-        record = CachedObject(object_id=object_id, size=size, version=version, loaded_at=timestamp)
+        record = CachedObject(object_id, size, version, timestamp)
         self._objects[object_id] = record
         self._used += size
         self._loads += 1

@@ -114,12 +114,10 @@ class BenefitPolicy(BaseCachePolicy):
         answered = self.cache_satisfies(query)
         if answered:
             self.record_cache_answer(query)
-            outcome = QueryOutcome(query_id=query.query_id, answered_at_cache=True)
+            outcome = QueryOutcome(query.query_id, True)
         else:
             cost = self.ship_query(query)
-            outcome = QueryOutcome(
-                query_id=query.query_id, answered_at_cache=False, query_shipping_cost=cost
-            )
+            outcome = QueryOutcome(query.query_id, False, cost)
         # Resident objects are only credited for queries the cache *actually*
         # answered (that is the traffic they demonstrably saved).  Non-resident
         # objects are credited hypothetically for every query touching them --

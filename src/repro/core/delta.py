@@ -10,10 +10,11 @@ the small API a client application talks to:
 * :meth:`Delta.traffic_report` -- the traffic ledger, broken down by
   data-communication mechanism.
 
-A deployment is a one-site :class:`repro.sim.engine.ReplayKernel` stepped one
-event at a time, as the served path's :class:`repro.serve.server.CacheServer`
-is, so the facade applies events exactly as a simulated run does.  Only an
-online policy can be deployed: nothing here sees the future trace.
+A deployment is the one-site :class:`repro.sim.engine.ReplayKernel` of
+:func:`repro.sim.runner.build_site`, stepped one event at a time, as the
+served path's :class:`repro.serve.server.CacheServer` is, so the facade
+applies events exactly as a simulated run does.  Only an online policy can
+be deployed: nothing here sees the future trace.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ from repro.core.decoupling import QueryOutcome
 from repro.core.policy import BaseCachePolicy
 from repro.core.roster import POLICY_CLASSES
 from repro.core.vcover import VCoverConfig
-from repro.network.cost import LinearCostModel, TrafficCostModel
+from repro.network.cost import TrafficCostModel
 from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.queries import Query
 from repro.repository.server import Repository
 from repro.repository.updates import Update
-from repro.sim.engine import ReplayKernel
-from repro.sim.runner import build_online_policy, policy_spec
+from repro.sim.runner import build_site, check_online, policy_spec
 
 
 @dataclass
@@ -91,16 +91,15 @@ class Delta:
         cost_model: Optional[TrafficCostModel] = None,
     ) -> None:
         self._config = config or DeltaConfig()
-        self._repository = Repository(catalog, keep_update_log=False)
-        self._link = NetworkLink(cost_model=cost_model or LinearCostModel())
         capacity = self._config.cache_capacity
         if capacity is None:
             capacity = catalog.total_size * self._config.cache_fraction
         name = self._config.policy
         configs = {"vcover": self._config.vcover, "benefit": self._config.benefit}
         spec = policy_spec(name, configs.get(name))
-        self._policy = build_online_policy(spec, self._repository, capacity, self._link)
-        self._kernel = ReplayKernel(self._repository, [self._policy], [self._link])
+        self._kernel = build_site(catalog, spec, capacity, cost_model=cost_model)
+        self._policy = self._kernel.policies[0]
+        check_online(spec, self._policy)
 
     # ------------------------------------------------------------------
     # Public API
@@ -108,7 +107,7 @@ class Delta:
     @property
     def repository(self) -> Repository:
         """The server repository."""
-        return self._repository
+        return self._policy.repository
 
     @property
     def policy(self) -> BaseCachePolicy:
@@ -118,7 +117,7 @@ class Delta:
     @property
     def link(self) -> NetworkLink:
         """The traffic ledger."""
-        return self._link
+        return self._policy.link
 
     @property
     def config(self) -> DeltaConfig:
@@ -135,8 +134,9 @@ class Delta:
 
     def traffic_report(self) -> Dict[str, float]:
         """Total traffic and per-mechanism breakdown, in MB."""
-        report = {"total": self._link.total_cost}
-        report.update(self._link.total_by_mechanism())
+        link = self._policy.link
+        report = {"total": link.total_cost}
+        report.update(link.total_by_mechanism())
         return report
 
     def cache_report(self) -> Dict[str, float]:
@@ -151,5 +151,5 @@ class Delta:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Delta(policy={self._config.policy!r}, "
-            f"traffic={self._link.total_cost:.1f}MB)"
+            f"traffic={self._policy.link.total_cost:.1f}MB)"
         )

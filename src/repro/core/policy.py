@@ -155,9 +155,7 @@ class BaseCachePolicy(abc.ABC):
         self._observer.note_update(update)
         object_id = update.object_id
         if object_id in self._store:
-            self._link.ship_update(
-                update.cost, update.timestamp, object_id=object_id, update_id=update.update_id
-            )
+            self._link.ship_update(update.cost)
             self._store.mark_fresh(object_id, self._repository.object_version(object_id))
 
     def interacting_updates(self, query: Query, object_id: int) -> List[Update]:
@@ -213,7 +211,7 @@ class BaseCachePolicy(abc.ABC):
     def ship_query(self, query: Query) -> float:
         """Ship a query to the server and charge its cost."""
         cost = self._repository.answer_query(query)
-        self._link.ship_query(cost, query.timestamp, query_id=query.query_id)
+        self._link.ship_query(cost)
         self._observer.note_shipped_query(query)
         return cost
 
@@ -230,7 +228,7 @@ class BaseCachePolicy(abc.ABC):
             object_id, size=size, version=snapshot.version, timestamp=timestamp
         )
         if charge:
-            self._link.load_object(size, timestamp, object_id=object_id)
+            self._link.load_object(size)
             return size
         return 0.0
 

@@ -155,7 +155,7 @@ class VCoverPolicy(BaseCachePolicy):
             not self.interacting_updates(query, object_id) for object_id in query.object_ids
         )
 
-    def ship_update(self, update: Update, timestamp: float) -> float:
+    def ship_update(self, update: Update) -> float:
         """Ship one outstanding update to the cache and charge its cost.
 
         It leaves the outstanding list (the copy is fresh at the server version
@@ -171,9 +171,7 @@ class VCoverPolicy(BaseCachePolicy):
             )
         pending.remove(update)
         self._outstanding_by_id.pop(update.update_id, None)
-        self._link.ship_update(
-            update.cost, timestamp, object_id=object_id, update_id=update.update_id
-        )
+        self._link.ship_update(update.cost)
         if not pending:
             self._outstanding.pop(object_id, None)
             self._outstanding_max_ts.pop(object_id, None)
@@ -224,7 +222,7 @@ class VCoverPolicy(BaseCachePolicy):
         if record is None or record.hits < self._config.preship_min_hits:
             return
         for outstanding in self.outstanding_updates(update.object_id):
-            self.ship_update(outstanding, update.timestamp)
+            self.ship_update(outstanding)
 
     def on_query(self, query: Query) -> QueryOutcome:
         """Process one query per Figure 3; the in-cache path (UpdateManager) is inline."""
@@ -252,7 +250,7 @@ class VCoverPolicy(BaseCachePolicy):
         for update_id in decision.ship_update_ids:
             update = self._outstanding_by_id.get(update_id)
             if update is not None:
-                update_cost += self.ship_update(update, query.timestamp)
+                update_cost += self.ship_update(update)
                 shipped.append(update_id)
 
         if decision.ship_query:

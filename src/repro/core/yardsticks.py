@@ -49,9 +49,7 @@ class NoCachePolicy(BaseCachePolicy):
         """Ship the query and charge its cost."""
         self.note_query(query)
         cost = self.ship_query(query)
-        return QueryOutcome(
-            query_id=query.query_id, answered_at_cache=False, query_shipping_cost=cost
-        )
+        return QueryOutcome(query.query_id, False, cost)
 
 
 class ReplicaPolicy(BaseCachePolicy):
@@ -73,7 +71,7 @@ class ReplicaPolicy(BaseCachePolicy):
         """Answer at the replica: it is always complete and current."""
         self.note_query(query)
         self.record_cache_answer(query)
-        return QueryOutcome(query_id=query.query_id, answered_at_cache=True)
+        return QueryOutcome(query.query_id, True)
 
 
 class SOptimalPolicy(BaseCachePolicy):
@@ -152,8 +150,6 @@ class SOptimalPolicy(BaseCachePolicy):
         self.note_query(query)
         if self.cache_satisfies(query):
             self.record_cache_answer(query)
-            return QueryOutcome(query_id=query.query_id, answered_at_cache=True)
+            return QueryOutcome(query.query_id, True)
         cost = self.ship_query(query)
-        return QueryOutcome(
-            query_id=query.query_id, answered_at_cache=False, query_shipping_cost=cost
-        )
+        return QueryOutcome(query.query_id, False, cost)

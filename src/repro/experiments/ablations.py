@@ -29,7 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.benefit import BenefitConfig
 from repro.core.decoupling import QueryOutcome
-from repro.core.vcover import VCoverConfig, VCoverPolicy
+from repro.core.vcover import VCoverConfig
 from repro.experiments.config import ExperimentConfig, Scenario, build_scenario
 from repro.experiments.registry import (
     ExperimentContext,
@@ -39,11 +39,8 @@ from repro.experiments.registry import (
 )
 from repro.experiments.spec import ScenarioSpec
 from repro.network.latency import LatencyModel, ResponseTimeSummary, summarise_response_times
-from repro.network.link import NetworkLink
-from repro.repository.server import Repository
-from repro.sim.engine import ReplayKernel
 from repro.sim.results import RunResult
-from repro.sim.runner import PolicySpec, benefit_spec, vcover_spec
+from repro.sim.runner import PolicySpec, benefit_spec, build_site, vcover_spec
 from repro.sim.sweep import DEFAULT_SCENARIO, InlineScenario, SweepPoint, SweepRunner
 
 #: The sweep-shaped ablations the registered experiment runs, in order.
@@ -220,23 +217,22 @@ def run_preship_ablation(
     latency_model = latency_model or LatencyModel()
     results: Dict[str, PreshipVariantResult] = {}
     for label, preship in (("baseline", False), ("preship", True)):
-        repository = Repository(scenario.catalog, keep_update_log=False)
-        link = NetworkLink()
-        policy = VCoverPolicy(
-            repository, scenario.cache_capacity, link, VCoverConfig(preship=preship)
-        )
         outcomes: List[QueryOutcome] = []
 
         def collect(payload: object, outcome: Optional[QueryOutcome]) -> None:
             if outcome is not None:
                 outcomes.append(outcome)
 
-        kernel = ReplayKernel(
-            repository, [policy], [link], config.engine_config(), on_decision=collect
+        kernel = build_site(
+            scenario.catalog,
+            vcover_spec(VCoverConfig(preship=preship)),
+            scenario.cache_capacity,
+            config.engine_config(),
+            on_decision=collect,
         )
-        kernel.run(scenario.trace)
+        site_runs, _ = kernel.run(scenario.trace)
         results[label] = PreshipVariantResult(
-            total_traffic=link.total_cost,
+            total_traffic=site_runs[0].total_traffic,
             response_times=summarise_response_times(outcomes, latency_model),
         )
     return results

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Deque, List, Mapping, Optional, Tuple
 
 from repro.core.decoupling import QueryOutcome
-from repro.core.vcover import VCoverConfig, VCoverPolicy
 from repro.experiments.config import ExperimentConfig, Scenario
 from repro.experiments.registry import (
     ExperimentContext,
@@ -27,9 +26,8 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.experiments.spec import ScenarioSpec
-from repro.network.link import NetworkLink
-from repro.repository.server import Repository
-from repro.sim.engine import EngineConfig, ReplayKernel
+from repro.sim.engine import EngineConfig
+from repro.sim.runner import build_site, vcover_spec
 
 
 @dataclass
@@ -70,10 +68,6 @@ def _replay(
     The kernel reports progress at every ``sample_every`` edge and once at
     the end of the trace, so the last sample is the final occupancy.
     """
-    repository = Repository(scenario.catalog, keep_update_log=False)
-    link = NetworkLink()
-    policy = VCoverPolicy(repository, scenario.cache_capacity, link, VCoverConfig())
-
     occupancy: List[Tuple[int, float]] = []
     hit_rate: List[Tuple[int, float]] = []
     recent_outcomes: Deque[bool] = deque(maxlen=window)
@@ -82,19 +76,20 @@ def _replay(
         if outcome is not None:
             recent_outcomes.append(outcome.answered_at_cache)
 
+    kernel = build_site(
+        scenario.catalog,
+        vcover_spec(),
+        scenario.cache_capacity,
+        EngineConfig(sample_every=sample_every),
+        on_decision=record,
+    )
+    store = kernel.policies[0].store
+
     def sample(index: int, total: int) -> None:
-        store = policy.store
         occupancy.append((index, store.used / store.capacity if store.capacity else 0.0))
         rate = sum(recent_outcomes) / len(recent_outcomes) if recent_outcomes else 0.0
         hit_rate.append((index, rate))
 
-    kernel = ReplayKernel(
-        repository,
-        [policy],
-        [link],
-        EngineConfig(sample_every=sample_every),
-        on_decision=record,
-    )
     kernel.run(scenario.trace, progress=sample)
 
     final_occupancy = occupancy[-1][1]

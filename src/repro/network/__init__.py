@@ -20,7 +20,6 @@ _EXPORTS = {
     "summarise_response_times": "repro.network.latency",
     "Mechanism": "repro.network.link",
     "NetworkLink": "repro.network.link",
-    "TransferRecord": "repro.network.link",
 }
 
 __all__ = list(_EXPORTS)

@@ -9,10 +9,8 @@ breakdowns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro._compat import SlottedFrozenPickle
 from repro.network.cost import LinearCostModel, TrafficCostModel
 
 
@@ -26,96 +24,55 @@ class Mechanism:
     ALL = (QUERY_SHIPPING, UPDATE_SHIPPING, OBJECT_LOADING)
 
 
-@dataclass(frozen=True, slots=True)
-class TransferRecord(SlottedFrozenPickle):
-    """One charged transfer."""
-
-    mechanism: str
-    size: float
-    cost: float
-    timestamp: float
-    #: Object involved (None for query shipping, which may span objects).
-    object_id: Optional[int] = None
-    #: Query or update id for provenance.
-    event_id: Optional[int] = None
-
-
 class NetworkLink:
-    """Traffic ledger for one policy run.
+    """Traffic ledger for one policy run: a total and a count per mechanism.
+
+    The ledger keeps totals, not history: a charge adds its priced cost to
+    its mechanism's total and bumps its count, and nothing per transfer is
+    retained, so a long-running deployment's ledger never grows.  The three
+    totals are all the paper's cost model reports; per-object detail (what
+    was loaded or evicted, which updates were shipped) lives in the policy's
+    :class:`~repro.cache.store.CacheStore` and in each query's
+    :class:`~repro.core.decoupling.QueryOutcome`.
 
     Parameters
     ----------
     cost_model:
         Traffic cost model; defaults to the paper's linear model.
-    keep_records:
-        When ``True`` every individual transfer is retained (useful for
-        debugging and fine-grained analysis); cumulative counters are always
-        maintained either way.
     """
 
-    def __init__(
-        self,
-        cost_model: Optional[TrafficCostModel] = None,
-        keep_records: bool = False,
-    ) -> None:
+    def __init__(self, cost_model: Optional[TrafficCostModel] = None) -> None:
         self._cost_model = cost_model or LinearCostModel()
-        self._keep_records = keep_records
-        self._records: List[TransferRecord] = []
         self._totals: Dict[str, float] = {mechanism: 0.0 for mechanism in Mechanism.ALL}
         self._counts: Dict[str, int] = {mechanism: 0 for mechanism in Mechanism.ALL}
 
     # ------------------------------------------------------------------
     # Charging
     # ------------------------------------------------------------------
-    def charge(
-        self,
-        mechanism: str,
-        size: float,
-        timestamp: float,
-        object_id: Optional[int] = None,
-        event_id: Optional[int] = None,
-    ) -> float:
+    def charge(self, mechanism: str, size: float) -> float:
         """Charge one transfer and return its cost."""
         if mechanism not in Mechanism.ALL:
             raise ValueError(f"unknown mechanism {mechanism!r}")
         cost = self._cost_model.cost(size)
         self._totals[mechanism] += cost
         self._counts[mechanism] += 1
-        if self._keep_records:
-            self._records.append(
-                TransferRecord(
-                    mechanism=mechanism,
-                    size=size,
-                    cost=cost,
-                    timestamp=timestamp,
-                    object_id=object_id,
-                    event_id=event_id,
-                )
-            )
         return cost
 
-    def ship_query(self, size: float, timestamp: float, query_id: Optional[int] = None) -> float:
+    def ship_query(self, size: float) -> float:
         """Charge a query-shipping transfer."""
-        if self._keep_records:
-            return self.charge(Mechanism.QUERY_SHIPPING, size, timestamp, event_id=query_id)
-        # :meth:`charge` without a record: the mechanism needs no check.
+        # :meth:`charge` inlined: the hottest charge needs no mechanism check.
         cost = self._cost_model.cost(size)
         self._totals[Mechanism.QUERY_SHIPPING] += cost
         self._counts[Mechanism.QUERY_SHIPPING] += 1
         return cost
 
-    def ship_update(
-        self, size: float, timestamp: float, object_id: Optional[int] = None,
-        update_id: Optional[int] = None,
-    ) -> float:
+    def ship_update(self, size: float) -> float:
         """Charge an update-shipping transfer."""
-        return self.charge(
-            Mechanism.UPDATE_SHIPPING, size, timestamp, object_id=object_id, event_id=update_id
-        )
+        return self.charge(Mechanism.UPDATE_SHIPPING, size)
 
-    def load_object(self, size: float, timestamp: float, object_id: Optional[int] = None) -> float:
+    def load_object(self, size: float) -> float:
         """Charge an object-loading transfer."""
-        return self.charge(Mechanism.OBJECT_LOADING, size, timestamp, object_id=object_id)
+        return self.charge(Mechanism.OBJECT_LOADING, size)
 
     def charge_batch(self, mechanism: str, priced_costs) -> None:
         """Charge a batch of already-priced same-mechanism transfers.
@@ -136,15 +93,9 @@ class NetworkLink:
         as charging each transfer individually -- the batched replay path
         depends on that, for every prefix, to stay byte-identical to the
         scalar path.
-
-        Only available on record-free links: per-transfer provenance cannot
-        be reconstructed from a batch, so ``keep_records`` links must charge
-        event by event.
         """
         if mechanism not in Mechanism.ALL:
             raise ValueError(f"unknown mechanism {mechanism!r}")
-        if self._keep_records:
-            raise RuntimeError("charge_batch is not supported on recording links")
         import numpy
 
         folded = numpy.empty(len(priced_costs) + 1, dtype=numpy.float64)
@@ -166,11 +117,6 @@ class NetworkLink:
         return self._cost_model
 
     @property
-    def keep_records(self) -> bool:
-        """Whether individual transfers are retained."""
-        return self._keep_records
-
-    @property
     def total_cost(self) -> float:
         """Total traffic cost charged so far, in MB."""
         return sum(self._totals.values())
@@ -183,14 +129,8 @@ class NetworkLink:
         """Number of transfers per mechanism."""
         return dict(self._counts)
 
-    @property
-    def records(self) -> List[TransferRecord]:
-        """Individual transfers (empty unless ``keep_records`` was set)."""
-        return list(self._records)
-
     def reset(self) -> None:
         """Clear the ledger."""
-        self._records.clear()
         self._totals = {mechanism: 0.0 for mechanism in Mechanism.ALL}
         self._counts = {mechanism: 0 for mechanism in Mechanism.ALL}
 

@@ -1,32 +1,26 @@
 """The server-side repository substrate.
 
 :class:`Repository` is an in-memory stand-in for the SQL Server database of
-the paper's prototype.  It stores per-object state (current version, applied
-updates, row counts), accepts the continuous update stream from the telescope
-pipeline, and serves the three data-communication mechanisms the cache may
-invoke:
+the paper's prototype.  It stores per-object state (current version, row
+count, growth since the initial snapshot), accepts the continuous update
+stream from the telescope pipeline, and serves the two data-communication
+mechanisms that read server state:
 
 * **query shipping** -- answer a query directly (always possible, always
   up to date),
-* **update shipping** -- return the outstanding updates for an object so the
-  cache can apply them,
 * **object loading** -- return a full, current snapshot of an object.
 
-The repository also keeps an *update log* per object so that the cache (and
-the decision algorithms) can reason about which updates a given cached
-version is missing.  The log grows with every ingested update and nothing in
-the simulation hot path reads it (policies track their own outstanding
-updates), so the simulation runners construct their repositories with
-``keep_update_log=False``: version counters, sizes and growth bookkeeping
-are identical, only the per-object update history is dropped -- which is
-what keeps a streaming replay of a multi-million-event trace in constant
-memory.
+The third mechanism, **update shipping**, is charged by the policy: each
+policy knows which updates its resident copies lack (VCover keeps its own
+outstanding lists), so the repository keeps versions and totals, never a
+per-object update history, and its memory stays constant however many
+updates it ingests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 from repro.repository.objects import ObjectCatalog
 from repro.repository.queries import Query
@@ -44,8 +38,6 @@ class ObjectState:
     rows: int = 0
     #: Cumulative bytes (MB) added by updates since the initial snapshot.
     grown_by: float = 0.0
-    #: Full update log in arrival order (empty when history is disabled).
-    update_log: List[Update] = field(default_factory=list)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,27 +58,18 @@ class Repository:
     ----------
     catalog:
         The object catalogue defining identifiers and base sizes.
-    keep_update_log:
-        Whether to retain every ingested update in the per-object logs.
-        ``True`` (the default) preserves the full history API
-        (:meth:`update_log`, :meth:`updates_since`, :meth:`ship_updates`);
-        ``False`` keeps only version counters and growth bookkeeping, so
-        memory stays constant no matter how many updates are ingested (the
-        simulation runners use this -- no policy reads the server-side log).
     """
 
     __slots__ = (
         "_catalog",
-        "_keep_update_log",
         "_states",
         "_ordered",
         "_updates_received",
         "_queries_answered",
     )
 
-    def __init__(self, catalog: ObjectCatalog, keep_update_log: bool = True) -> None:
+    def __init__(self, catalog: ObjectCatalog) -> None:
         self._catalog = catalog
-        self._keep_update_log = keep_update_log
         self._states: Dict[int, ObjectState] = {
             obj.object_id: ObjectState(object_id=obj.object_id) for obj in catalog
         }
@@ -138,8 +121,6 @@ class Repository:
         state.version += 1
         state.rows += update.rows
         state.grown_by += update.cost
-        if self._keep_update_log:
-            state.update_log.append(update)
         self._updates_received += 1
 
     def ingest_updates(self, updates: Iterable[Update]) -> None:
@@ -155,17 +136,10 @@ class Repository:
         totals advance by exact integer counts, and each object's
         ``grown_by`` accumulates its costs in event order via an unbuffered
         ``np.add.at``, which performs the same sequence of IEEE additions as
-        the scalar path.  Only available on history-free
-        repositories (``keep_update_log=False``) -- the batch drops the
-        update objects themselves, so a log could not be maintained.
+        the scalar path.
 
         Raises ``KeyError`` if any update references an unknown object.
         """
-        if self._keep_update_log:
-            raise RuntimeError(
-                "ingest_update_columns requires keep_update_log=False; "
-                "logged repositories must ingest event by event"
-            )
         count = len(object_ids)
         if count == 0:
             return
@@ -187,39 +161,6 @@ class Repository:
             state.rows += rows_add[position]
             state.grown_by = grown[position]
         self._updates_received += count
-
-    def update_log(self, object_id: int) -> Sequence[Update]:
-        """Full update log of one object, oldest first."""
-        self._require_update_log()
-        return tuple(self._states[object_id].update_log)
-
-    @property
-    def keeps_update_log(self) -> bool:
-        """Whether per-object update history is being retained."""
-        return self._keep_update_log
-
-    def _require_update_log(self) -> None:
-        if not self._keep_update_log:
-            raise RuntimeError(
-                "this repository was built with keep_update_log=False; "
-                "per-object update history is not retained"
-            )
-
-    def updates_since(self, object_id: int, version: int) -> List[Update]:
-        """Updates applied to ``object_id`` after the given version.
-
-        A cache holding a snapshot at ``version`` needs exactly these updates
-        shipped to become current.
-        """
-        self._require_update_log()
-        log = self._states[object_id].update_log
-        if version < 0:
-            raise ValueError(f"version must be non-negative, got {version}")
-        return list(log[version:])
-
-    def outstanding_update_cost(self, object_id: int, version: int) -> float:
-        """Total shipping cost (MB) of the updates a cached version is missing."""
-        return sum(update.cost for update in self.updates_since(object_id, version))
 
     # ------------------------------------------------------------------
     # Data communication mechanisms
@@ -249,14 +190,6 @@ class Repository:
         if unknown:
             raise KeyError(f"query batch touches unknown object {min(unknown)}")
         self._queries_answered += count
-
-    def ship_updates(self, object_id: int, version: int) -> Tuple[List[Update], float]:
-        """Ship the outstanding updates for one object.
-
-        Returns the updates (oldest first) and their total shipping cost.
-        """
-        updates = self.updates_since(object_id, version)
-        return updates, sum(update.cost for update in updates)
 
     def load_object(self, object_id: int, timestamp: float) -> Tuple[ObjectSnapshot, float]:
         """Ship a full current snapshot of one object (object loading).

@@ -23,15 +23,13 @@ import asyncio
 import json
 from typing import Any, Dict, List, Tuple
 
-from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
-from repro.repository.server import Repository
 from repro.serve import protocol
 from repro.serve.harness import run_load
 from repro.serve.server import CacheServer
-from repro.sim.engine import DecisionHook, ReplayKernel
+from repro.sim.engine import DecisionHook
 from repro.sim.results import RunResult
-from repro.sim.runner import PolicySpec
+from repro.sim.runner import PolicySpec, build_site
 from repro.workload.trace import TraceStream
 
 
@@ -58,11 +56,8 @@ def replay_with_log(
     cache_capacity: float,
 ) -> Tuple[RunResult, List[List[Any]]]:
     """Run one policy through the replay kernel, recording its decisions."""
-    repository = Repository(catalog, keep_update_log=False)
-    link = NetworkLink()
-    policy = spec.factory(repository, cache_capacity, link)
     log: List[List[Any]] = []
-    kernel = ReplayKernel(repository, [policy], [link], on_decision=decision_recorder(log))
+    kernel = build_site(catalog, spec, cache_capacity, on_decision=decision_recorder(log))
     site_runs, _ = kernel.run(trace)
     return site_runs[0], log
 

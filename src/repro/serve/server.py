@@ -1,10 +1,11 @@
 """The asyncio cache-middleware server.
 
-:class:`CacheServer` wraps one policy + :class:`~repro.repository.server.Repository`
-+ :class:`~repro.network.link.NetworkLink` stack behind a TCP front-end
-speaking the :mod:`repro.serve.protocol` NDJSON format.  Frames are applied
-by the ``step`` of a one-site :class:`~repro.sim.engine.ReplayKernel`, the
-one replays use; its counters are what the ``stats`` frame reports.
+:class:`CacheServer` puts one cache site -- a policy, its repository and its
+link, built by :func:`repro.sim.runner.build_site` as every one-site replay
+is -- behind a TCP front-end speaking the :mod:`repro.serve.protocol` NDJSON
+format.  Frames are applied by the ``step`` of that
+:class:`~repro.sim.engine.ReplayKernel`, the one replays use; its counters
+are what the ``stats`` frame reports.
 
 Design points:
 
@@ -48,12 +49,10 @@ import asyncio
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Set, Tuple
 
-from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
-from repro.repository.server import Repository
 from repro.serve import protocol
-from repro.sim.engine import DecisionHook, ReplayKernel
-from repro.sim.runner import PolicySpec, build_online_policy
+from repro.sim.engine import DecisionHook
+from repro.sim.runner import PolicySpec, build_site, check_online
 from repro.workload.trace import tagged_from_dict
 
 #: Default bound on parked (early, not yet applicable) frames.
@@ -184,10 +183,10 @@ class CacheServer:
         max_pending: int = DEFAULT_MAX_PENDING,
         on_decision: Optional[DecisionHook] = None,
     ) -> None:
-        repository = Repository(catalog, keep_update_log=False)
-        self._link = NetworkLink()
-        policy = build_online_policy(policy_spec, repository, cache_capacity, self._link)
-        self._kernel = ReplayKernel(repository, [policy], [self._link], on_decision=on_decision)
+        self._kernel = build_site(catalog, policy_spec, cache_capacity, on_decision=on_decision)
+        policy = self._kernel.policies[0]
+        check_online(policy_spec, policy)
+        self._link = policy.link
         self._policy_name = policy_spec.name
         self._host = host
         self._requested_port = port

@@ -310,17 +310,15 @@ def select_batched_executor(
     SOptimal / Benefit (a subclass may override hooks or residency); no
     router or a :class:`TracePartitioner` (any other callable is opaque); a
     materialised :class:`Trace`/:class:`TraceView` (streams keep constant
-    memory); record-free links (per-transfer provenance); a history-free
-    repository (the update log needs the update objects); cost models with a
-    vectorised ``cost_array`` twin.
+    memory); cost models with a vectorised ``cost_array`` twin.
     """
     if any(type(policy) not in _BATCHABLE for policy in policies):
         return None
     if route is not None and not isinstance(route, TracePartitioner):
         return None
-    if not isinstance(trace, (Trace, TraceView)) or repository.keeps_update_log:
+    if not isinstance(trace, (Trace, TraceView)):
         return None
-    if any(link.keep_records or not hasattr(link.cost_model, "cost_array") for link in links):
+    if any(not hasattr(link.cost_model, "cost_array") for link in links):
         return None
     columns = trace.columns()
     routes = None if route is None else route.sites_of_queries(columns)

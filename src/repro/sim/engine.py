@@ -22,13 +22,15 @@ middleware.  :class:`ReplayKernel` drives it over a list of cache *sites*
   ``process`` call, cut also at its next Benefit window edge; there is no
   other sampling-grid walker.
 
-Callers: :func:`repro.sim.runner.run_policy` (one site, no router),
-:func:`repro.sim.multicache.run_topology` (a fleet routed by a trace
-partitioner), :func:`repro.serve.equivalence.replay_with_log`, the writer
-task of :class:`repro.serve.server.CacheServer` (one ``step`` per frame), the
-:class:`repro.core.delta.Delta` facade (one ``step`` per call), and the
-instrumented replays of :mod:`repro.experiments.warmup` and
-:func:`repro.experiments.ablations.run_preship_ablation`.
+Builders: :func:`repro.sim.runner.build_site` makes every one-site kernel
+(no router) -- for :func:`repro.sim.runner.run_policy`, the served
+:class:`repro.serve.server.CacheServer` (one ``step`` per frame), the
+:class:`repro.core.delta.Delta` facade (one ``step`` per call) and the
+instrumented replays (:func:`repro.serve.equivalence.replay_with_log`,
+:mod:`repro.experiments.warmup`,
+:func:`repro.experiments.ablations.run_preship_ablation`) -- and
+:func:`repro.sim.multicache.run_topology` builds a fleet routed by a trace
+partitioner.
 ``on_decision(payload, outcome)`` is the one observation seam, called after
 every event; the sim-vs-served decision logs, the warm-up hit rate and the
 preshipping outcome stream are recorded through it.
@@ -153,6 +155,11 @@ class ReplayKernel:
         self._answered = [0] * len(self._policies)
         self._shipped = [0] * len(self._policies)
         self._events = 0
+
+    @property
+    def policies(self) -> Tuple[BaseCachePolicy, ...]:
+        """The sites' policies, in site order (each holds its repository and link)."""
+        return tuple(self._policies)
 
     def counters(self) -> Dict[str, int]:
         """Events applied and queries answered/shipped so far, over all sites."""

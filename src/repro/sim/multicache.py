@@ -34,11 +34,9 @@ def run_topology(
     the repository, the trace partitioner (region slices or affinity counts
     derived from the trace itself), and one policy and link per site -- each
     cache sized against the catalogue's base size, as single-cache runs are
-    -- then replays the trace.  The shared repository skips server-side
-    update history (no policy reads it), so fleet replays of generated
-    streams stay constant-memory.
+    -- then replays the trace.
     """
-    repository = Repository(catalog, keep_update_log=False)
+    repository = Repository(catalog)
     partitioner = TracePartitioner.for_trace(
         catalog.object_ids, spec.site_count, trace, strategy=spec.strategy
     )

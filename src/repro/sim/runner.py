@@ -1,10 +1,11 @@
 """Multi-policy experiment runner.
 
 Every experiment in the paper compares several policies over the same trace.
-:func:`compare_policies` does exactly that: for each policy it builds a fresh
-repository (replaying updates mutates server-side object sizes, so policies
-must not share one), a fresh network link, runs the replay kernel, and
-collects the results into a :class:`repro.sim.results.ComparisonResult`.
+:func:`compare_policies` does exactly that: each policy replays on a fresh
+one-site kernel from :func:`build_site` (its own repository -- replaying
+updates mutates server-side object sizes, so policies must not share one --
+and its own link), and the results are collected into a
+:class:`repro.sim.results.ComparisonResult`.
 With ``jobs > 1`` the per-policy runs are fanned out over worker processes
 via :class:`repro.sim.sweep.SweepRunner`; results are identical either way.
 
@@ -26,10 +27,11 @@ from repro.core.benefit import BenefitConfig
 from repro.core.policy import BaseCachePolicy
 from repro.core.roster import POLICY_CLASSES, is_online
 from repro.core.vcover import VCoverConfig
+from repro.network.cost import TrafficCostModel
 from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
-from repro.sim.engine import EngineConfig, ReplayKernel
+from repro.sim.engine import DecisionHook, EngineConfig, ReplayKernel
 from repro.sim.results import ComparisonResult, RunResult
 from repro.workload.trace import TraceStream
 
@@ -77,17 +79,14 @@ def policy_spec(
     return PolicySpec(name or policy, factory)
 
 
-def build_online_policy(
-    spec: PolicySpec, repository: Repository, capacity: float, link: NetworkLink
-) -> BaseCachePolicy:
-    """``spec``'s policy for a cache fed one event at a time, refusing offline ones.
+def check_online(spec: PolicySpec, policy: BaseCachePolicy) -> None:
+    """Refuse ``spec``'s built ``policy`` if it is offline.
 
     The :class:`~repro.core.delta.Delta` facade and the served path step
     their policy event by event and never call ``prepare``, so a spec that
     builds an offline policy (one whose class overrides ``prepare``, e.g.
     SOptimal) is rejected whatever it is named.
     """
-    policy = spec.factory(repository, capacity, link)
     if not is_online(type(policy)):
         raise ValueError(
             f"policy spec {spec.name!r} builds {type(policy).__name__}, which "
@@ -95,7 +94,6 @@ def build_online_policy(
             "sees events as they arrive -- serve an online policy "
             f"({', '.join(SERVABLE_POLICIES)})"
         )
-    return policy
 
 
 def nocache_spec(name: str = "nocache") -> PolicySpec:
@@ -148,6 +146,28 @@ def default_policy_specs(
     return [policy_spec(name, configs.get(name)) for name in include]
 
 
+def build_site(
+    catalog: ObjectCatalog,
+    spec: PolicySpec,
+    cache_capacity: float,
+    engine_config: Optional[EngineConfig] = None,
+    on_decision: Optional[DecisionHook] = None,
+    cost_model: Optional[TrafficCostModel] = None,
+) -> ReplayKernel:
+    """One cache site: a fresh repository and link, ``spec``'s policy, one kernel.
+
+    Every one-site replay is built here -- a run, a served cache, a
+    :class:`~repro.core.delta.Delta` deployment and the instrumented replays
+    of the experiments; a fleet (:func:`repro.sim.multicache.run_topology`)
+    builds its own.  Reach the repository and the link through
+    ``kernel.policies[0].repository`` and ``.link``.
+    """
+    repository = Repository(catalog)
+    link = NetworkLink(cost_model)
+    policy = spec.factory(repository, cache_capacity, link)
+    return ReplayKernel(repository, [policy], [link], engine_config, on_decision=on_decision)
+
+
 def run_policy(
     spec: PolicySpec,
     catalog: ObjectCatalog,
@@ -155,17 +175,13 @@ def run_policy(
     cache_capacity: float,
     engine_config: Optional[EngineConfig] = None,
 ) -> RunResult:
-    """Run one policy over one trace with a fresh repository and link.
+    """Run one policy over one trace on a fresh :func:`build_site`.
 
-    ``trace`` may be any :class:`~repro.workload.trace.TraceStream`.  The
-    repository skips server-side update history (no policy reads it), so the
+    ``trace`` may be any :class:`~repro.workload.trace.TraceStream`; the
     run's memory footprint is bounded by the cache state, not the trace
     length.
     """
-    repository = Repository(catalog, keep_update_log=False)
-    link = NetworkLink()
-    policy = spec.factory(repository, cache_capacity, link)
-    site_runs, _ = ReplayKernel(repository, [policy], [link], engine_config).run(trace)
+    site_runs, _ = build_site(catalog, spec, cache_capacity, engine_config).run(trace)
     return site_runs[0]
 
 

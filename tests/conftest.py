@@ -71,8 +71,8 @@ def repository(small_catalog: ObjectCatalog) -> Repository:
 
 @pytest.fixture
 def link() -> NetworkLink:
-    """A traffic ledger with per-transfer records enabled."""
-    return NetworkLink(keep_records=True)
+    """A traffic ledger."""
+    return NetworkLink()
 
 
 def make_query(

@@ -181,7 +181,7 @@ class TestTraceColumns:
             assert columns.footprints[index] is query.object_ids
         # The batched Benefit totals: one share_total per query, bit for bit.
         catalog = ObjectCatalog.from_sizes(EQUAL_FOOTPRINT_SIZES)
-        repository = Repository(catalog, keep_update_log=False)
+        repository = Repository(catalog)
         link = NetworkLink()
         policy = BenefitPolicy(repository, 2.0, link, BenefitConfig(window_size=2))
         (site,) = select_batched_executor([policy], trace, repository, [link])._sites
@@ -245,7 +245,7 @@ def run_once(catalog, trace, make_policy, *, scalar=False, measure_from=0,
 
     An ``on_decision`` observer is what keeps the kernel off the batched path.
     """
-    repository = Repository(catalog, keep_update_log=False)
+    repository = Repository(catalog)
     link = NetworkLink()
     policy = make_policy(repository, link)
     engine = ReplayKernel(
@@ -304,7 +304,7 @@ def assert_same_replay(batched, scalar):
 def run_fleet(catalog, trace, factories, strategy="region", *, scalar=False,
               sample_every=25, measure_from=0):
     """One fleet replay routed by a partitioner; ``scalar`` forces the per-event step."""
-    repository = Repository(catalog, keep_update_log=False)
+    repository = Repository(catalog)
     links = [NetworkLink() for _ in factories]
     policies = [make(repository, link) for make, link in zip(factories, links)]
     partitioner = TracePartitioner.for_trace(
@@ -567,14 +567,14 @@ def test_property_benefit_sites_batched_match_scalar(
 class TestEligibility:
     def select(self, catalog, *, policy=None, trace=None, link=None,
                repository=None):
-        repository = repository or Repository(catalog, keep_update_log=False)
+        repository = repository or Repository(catalog)
         link = link if link is not None else NetworkLink()
         policy = policy or NoCachePolicy(repository, 0.0, link)
         trace = trace if trace is not None else mixed_trace(20)
         return select_batched_executor([policy], trace, repository, [link])
 
     def test_yardsticks_selected(self, catalog):
-        repository = Repository(catalog, keep_update_log=False)
+        repository = Repository(catalog)
         link = NetworkLink()
         assert self.select(
             catalog, policy=NoCachePolicy(repository, 0.0, link),
@@ -596,7 +596,7 @@ class TestEligibility:
         class AuditedSOptimal(SOptimalPolicy):
             pass
 
-        repository = Repository(catalog, keep_update_log=False)
+        repository = Repository(catalog)
         link = NetworkLink()
         assert self.select(
             catalog, policy=AuditedNoCache(repository, 0.0, link),
@@ -611,7 +611,7 @@ class TestEligibility:
         class AuditedBenefit(BenefitPolicy):
             pass
 
-        repository = Repository(catalog, keep_update_log=False)
+        repository = Repository(catalog)
         link = NetworkLink()
         assert self.select(
             catalog, policy=BenefitPolicy(repository, 30.0, link),
@@ -623,7 +623,7 @@ class TestEligibility:
         ) is None
 
     def select_fleet(self, catalog, factories, route=None):
-        repository = Repository(catalog, keep_update_log=False)
+        repository = Repository(catalog)
         links = [NetworkLink() for _ in factories]
         policies = [make(repository, link) for make, link in zip(factories, links)]
         trace = mixed_trace(20)
@@ -704,7 +704,7 @@ class TestEligibility:
         trace = mixed_trace(40)
 
         def replay(policy_type):
-            repository = Repository(catalog, keep_update_log=False)
+            repository = Repository(catalog)
             link = NetworkLink()
             policy = policy_type(repository, 30.0, link)
             executor = self.select(catalog, policy=policy, trace=trace,
@@ -718,14 +718,6 @@ class TestEligibility:
             )
 
         assert replay(SOptimalPolicy) == replay(NoCachePolicy)
-
-    def test_record_keeping_link_falls_back(self, catalog):
-        assert self.select(catalog, link=NetworkLink(keep_records=True)) is None
-
-    def test_update_log_repository_falls_back(self, catalog):
-        assert self.select(
-            catalog, repository=Repository(catalog, keep_update_log=True)
-        ) is None
 
     def test_streaming_trace_falls_back(self, catalog):
         trace = mixed_trace(20)
@@ -752,21 +744,16 @@ class TestBatchedPrimitives:
     def test_charge_batch_matches_scalar_fold(self):
         costs = numpy.array([0.1, 0.2, 0.3, 1e-9, 7.7], dtype=numpy.float64)
         batched = NetworkLink()
-        batched.ship_query(100.0, timestamp=0.0)
+        batched.ship_query(100.0)
         batched.charge_batch(
             Mechanism.QUERY_SHIPPING, batched.cost_model.cost_array(costs)
         )
         scalar = NetworkLink()
-        scalar.ship_query(100.0, timestamp=0.0)
+        scalar.ship_query(100.0)
         for cost in costs.tolist():
-            scalar.ship_query(cost, timestamp=0.0)
+            scalar.ship_query(cost)
         assert batched.total_cost == scalar.total_cost
         assert batched.total_by_mechanism() == scalar.total_by_mechanism()
-
-    def test_charge_batch_refuses_record_keeping(self):
-        link = NetworkLink(keep_records=True)
-        with pytest.raises(RuntimeError):
-            link.charge_batch(Mechanism.QUERY_SHIPPING, numpy.array([1.0]))
 
     def test_cost_array_matches_scalar_models(self):
         sizes = numpy.array([0.0, 0.5, 1.0, 3.25], dtype=numpy.float64)
@@ -780,13 +767,13 @@ class TestBatchedPrimitives:
                         timestamp=float(index))
             for index in range(30)
         ]
-        batched = Repository(catalog, keep_update_log=False)
+        batched = Repository(catalog)
         batched.ingest_update_columns(
             numpy.array([update.object_id for update in updates], dtype=numpy.int64),
             numpy.array([update.rows for update in updates], dtype=numpy.int64),
             numpy.array([update.cost for update in updates], dtype=numpy.float64),
         )
-        scalar = Repository(catalog, keep_update_log=False)
+        scalar = Repository(catalog)
         for update in updates:
             scalar.ingest_update(update)
         assert batched.stats() == scalar.stats()
@@ -797,17 +784,8 @@ class TestBatchedPrimitives:
             scalar_snapshot, _ = scalar.load_object(oid, timestamp=999.0)
             assert batched_snapshot == scalar_snapshot
 
-    def test_ingest_update_columns_refuses_update_log(self, catalog):
-        repository = Repository(catalog, keep_update_log=True)
-        with pytest.raises(RuntimeError):
-            repository.ingest_update_columns(
-                numpy.array([1], dtype=numpy.int64),
-                numpy.array([1], dtype=numpy.int64),
-                numpy.array([1.0], dtype=numpy.float64),
-            )
-
     def test_unknown_object_rejected(self, catalog):
-        repository = Repository(catalog, keep_update_log=False)
+        repository = Repository(catalog)
         with pytest.raises(KeyError):
             repository.ingest_update_columns(
                 numpy.array([999], dtype=numpy.int64),
@@ -818,7 +796,7 @@ class TestBatchedPrimitives:
             repository.answer_query_batch(numpy.array([999], dtype=numpy.int64), 1)
 
     def test_note_batch_matches_per_event_hooks(self, catalog):
-        repository = Repository(catalog, keep_update_log=False)
+        repository = Repository(catalog)
         link = NetworkLink()
         reference = NoCachePolicy(repository, 0.0, link)
         query = make_query(1, object_ids=[1], cost=1.0, timestamp=1.0)

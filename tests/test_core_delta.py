@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.core.delta import Delta, DeltaConfig
@@ -17,6 +19,23 @@ from tests.conftest import make_query, make_update
 @pytest.fixture
 def catalog():
     return ObjectCatalog.from_sizes({1: 10.0, 2: 20.0, 3: 30.0, 4: 40.0})
+
+
+def repository_bytes(catalog, updates):
+    """Bytes allocated in ``repro/repository/`` still held after ``updates`` ingests."""
+    tracemalloc.start()
+    try:
+        delta = Delta(catalog)
+        for update_id in range(updates):
+            delta.ingest_update(
+                make_update(update_id, object_id=1 + update_id % 4, cost=1e-6, timestamp=update_id)
+            )
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert delta.repository.stats()["updates_received"] == updates
+    held = snapshot.filter_traces([tracemalloc.Filter(True, "*/repro/repository/*")])
+    return sum(stat.size for stat in held.statistics("filename"))
 
 
 class TestConfig:
@@ -85,18 +104,14 @@ class TestOperation:
         assert delta.repository.object_version(3) == 1
         assert delta.repository.object_size(3) == pytest.approx(37.0)
 
-    def test_long_running_deployment_keeps_no_update_log(self, catalog):
-        # Nothing in a deployment reads the server-side update history, so a
-        # facade fed update after update must not hold on to any of them.
-        delta = Delta(catalog)
-        for update_id in range(40_000):
-            delta.ingest_update(
-                make_update(update_id, object_id=1 + update_id % 4, cost=1e-6, timestamp=update_id)
-            )
-        repository = delta.repository
-        assert repository.stats()["updates_received"] == 40_000
-        assert not repository.keeps_update_log
-        assert sum(len(state.update_log) for state in repository._states.values()) == 0
+    def test_long_running_deployment_holds_constant_repository_memory(self, catalog):
+        # The repository keeps versions and totals, not history: ten times
+        # the updates leave the same memory held by repro/repository/ (an
+        # update log would hold every Update, megabytes here).  The slack
+        # covers each object's fresh int and float counters, which the float
+        # free list can charge to another allocation site.
+        small, large = repository_bytes(catalog, 4_000), repository_bytes(catalog, 40_000)
+        assert abs(large - small) <= 100 * len(catalog)
 
     def test_replica_deployment_is_always_current(self, catalog):
         delta = Delta(catalog, DeltaConfig(policy="replica"))

@@ -15,7 +15,7 @@ from repro.core.decoupling import DecouplingDecision, QueryAction, QueryOutcome
 from repro.core.policy import BaseCachePolicy
 from repro.core.vcover import VCoverPolicy
 from repro.core.yardsticks import SOptimalPolicy
-from repro.network.link import Mechanism, NetworkLink, TransferRecord
+from repro.network.link import Mechanism, NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
 from repro.workload.trace import QueryEvent, Trace, UpdateEvent
@@ -114,17 +114,8 @@ class TestEagerFreshness:
         update = make_update(4, object_id=1, cost=2.5, timestamp=1.0)
         repository.ingest_update(update)
         policy.on_update(update)
-        shipped = [r for r in link.records if r.mechanism == Mechanism.UPDATE_SHIPPING]
-        assert shipped == [
-            TransferRecord(
-                mechanism=Mechanism.UPDATE_SHIPPING,
-                size=2.5,
-                cost=2.5,
-                timestamp=1.0,
-                object_id=1,
-                event_id=4,
-            )
-        ]
+        assert link.count_by_mechanism()[Mechanism.UPDATE_SHIPPING] == 1
+        assert link.total_by_mechanism()[Mechanism.UPDATE_SHIPPING] == 2.5
         record = policy.store.get(1)
         assert not record.stale
         assert record.version == repository.object_version(1)
@@ -136,7 +127,7 @@ class TestEagerFreshness:
         repository.ingest_update(update)
         policy.on_update(update)
         assert link.total_cost == 0.0
-        assert link.records == []
+        assert sum(link.count_by_mechanism().values()) == 0
         assert not policy.is_resident(2)
         assert policy.observer.updates_seen == 1
 
@@ -284,7 +275,7 @@ class TestUpdateBookkeeping:
         update = make_update(1, object_id=1, cost=2.0, timestamp=1.0)
         repository.ingest_update(update)
         vcover.on_update(update)
-        cost = vcover.ship_update(update, timestamp=2.0)
+        cost = vcover.ship_update(update)
         assert cost == pytest.approx(2.0)
         assert link.total_by_mechanism()["update_shipping"] == pytest.approx(2.0)
         assert not vcover.store.get(1).stale
@@ -293,7 +284,7 @@ class TestUpdateBookkeeping:
     def test_ship_update_not_outstanding_raises(self, vcover):
         vcover.load_object(1, timestamp=0.0)
         with pytest.raises(ValueError):
-            vcover.ship_update(make_update(9, object_id=1, cost=1.0, timestamp=0.0), timestamp=1.0)
+            vcover.ship_update(make_update(9, object_id=1, cost=1.0, timestamp=0.0))
 
     def test_partial_shipping_keeps_object_stale(self, vcover, repository):
         vcover.load_object(1, timestamp=0.0)
@@ -302,7 +293,7 @@ class TestUpdateBookkeeping:
         for update in (first, second):
             repository.ingest_update(update)
             vcover.on_update(update)
-        vcover.ship_update(first, timestamp=3.0)
+        vcover.ship_update(first)
         assert vcover.store.get(1).stale
         assert len(vcover.outstanding_updates(1)) == 1
 

@@ -18,7 +18,7 @@ from tests.conftest import make_query, make_update
 def make_vcover(catalog=None, capacity=60.0, **config_kwargs):
     catalog = catalog or ObjectCatalog.from_sizes({1: 10.0, 2: 20.0, 3: 30.0, 4: 15.0})
     repository = Repository(catalog)
-    link = NetworkLink(keep_records=True)
+    link = NetworkLink()
     policy = VCoverPolicy(repository, capacity, link, VCoverConfig(**config_kwargs))
     return policy, repository, link
 

@@ -236,10 +236,9 @@ def scalar_prepare(policy, trace):
 
 def prepared(catalog, capacity, trace):
     """``prepare`` run on ``trace``: chosen set, ``repr`` of the estimate, load order."""
-    link = NetworkLink(keep_records=True)
-    policy = SOptimalPolicy(Repository(catalog), capacity=capacity, link=link)
+    policy = SOptimalPolicy(Repository(catalog), capacity=capacity, link=NetworkLink())
     policy.prepare(trace)
-    loads = [record.object_id for record in link.records]
+    loads = list(policy.store)  # residency in insertion order: prepare evicts nothing
     return policy.decision.cached_objects, repr(policy.decision.estimated_cost), loads
 
 

@@ -582,7 +582,7 @@ class TestCompactionDeterminism:
 def _replay_update_manager(config: ExperimentConfig, scenario=None):
     """Replay VCover over ``config``'s scenario; return its UpdateManager."""
     scenario = scenario or build_scenario(config)
-    repository = Repository(scenario.catalog, keep_update_log=False)
+    repository = Repository(scenario.catalog)
     link = NetworkLink()
     policy = VCoverPolicy(
         repository, scenario.catalog.total_size * config.cache_fraction, link

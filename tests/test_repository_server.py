@@ -25,37 +25,6 @@ class TestIngest:
         )
         assert repository.total_size == pytest.approx(base + 6.0)
 
-    def test_update_log_preserves_order(self, repository):
-        updates = [make_update(i, object_id=1, cost=1.0, timestamp=float(i)) for i in range(4)]
-        repository.ingest_updates(updates)
-        assert [u.update_id for u in repository.update_log(1)] == [0, 1, 2, 3]
-
-
-class TestUpdateShipping:
-    def test_updates_since_version(self, repository):
-        updates = [make_update(i, object_id=1, cost=1.0, timestamp=float(i)) for i in range(5)]
-        repository.ingest_updates(updates)
-        missing = repository.updates_since(1, version=2)
-        assert [u.update_id for u in missing] == [2, 3, 4]
-
-    def test_updates_since_negative_version_raises(self, repository):
-        with pytest.raises(ValueError):
-            repository.updates_since(1, version=-1)
-
-    def test_outstanding_update_cost(self, repository):
-        repository.ingest_updates(
-            [make_update(i, object_id=1, cost=2.0, timestamp=float(i)) for i in range(3)]
-        )
-        assert repository.outstanding_update_cost(1, version=1) == pytest.approx(4.0)
-
-    def test_ship_updates_returns_cost(self, repository):
-        repository.ingest_updates(
-            [make_update(i, object_id=1, cost=3.0, timestamp=float(i)) for i in range(2)]
-        )
-        updates, cost = repository.ship_updates(1, version=0)
-        assert len(updates) == 2
-        assert cost == pytest.approx(6.0)
-
 
 class TestQueryAnswering:
     def test_answer_query_returns_cost(self, repository):
@@ -83,44 +52,3 @@ class TestObjectLoading:
         assert stats["updates_received"] == 1
         assert stats["queries_answered"] == 1
         assert stats["object_count"] == 5
-
-
-class TestHistoryFreeRepository:
-    """keep_update_log=False: same bookkeeping, no retained history."""
-
-    @pytest.fixture
-    def bare(self, small_catalog):
-        from repro.repository.server import Repository
-
-        return Repository(small_catalog, keep_update_log=False)
-
-    def test_versions_sizes_and_stats_unaffected(self, bare):
-        bare.ingest_update(make_update(1, object_id=2, cost=4.0, timestamp=1.0))
-        bare.ingest_update(make_update(2, object_id=2, cost=2.0, timestamp=2.0))
-        assert bare.object_version(2) == 2
-        assert bare.object_size(2) == pytest.approx(26.0)
-        assert bare.stats()["updates_received"] == 2
-        snapshot, cost = bare.load_object(2, timestamp=3.0)
-        assert snapshot.version == 2
-        assert cost == pytest.approx(26.0)
-
-    def test_no_update_objects_are_retained(self, bare):
-        for index in range(50):
-            bare.ingest_update(
-                make_update(index, object_id=1, cost=0.5, timestamp=float(index))
-            )
-        assert bare._states[1].update_log == []
-
-    def test_history_accessors_fail_loudly(self, bare):
-        bare.ingest_update(make_update(1, object_id=1, cost=1.0, timestamp=1.0))
-        with pytest.raises(RuntimeError, match="keep_update_log=False"):
-            bare.update_log(1)
-        with pytest.raises(RuntimeError, match="keep_update_log=False"):
-            bare.updates_since(1, 0)
-        with pytest.raises(RuntimeError, match="keep_update_log=False"):
-            bare.ship_updates(1, 0)
-
-    def test_default_repository_keeps_history(self, repository):
-        assert repository.keeps_update_log
-        repository.ingest_update(make_update(1, object_id=1, cost=1.0, timestamp=1.0))
-        assert len(repository.update_log(1)) == 1

@@ -71,9 +71,7 @@ def run_rows(catalog, row: str, events: int, sample_every: int, measure_from: in
     aggregate); ``routed-1`` and ``fleet-2`` are VCover fleets of one and two
     sites, which also emit the aggregate run.
     """
-    # keep_update_log=False so nocache/replica take the batched executor
-    # (the history-free repository is an eligibility condition).
-    repository = Repository(catalog, keep_update_log=False)
+    repository = Repository(catalog)
     links = [NetworkLink() for _ in range(2 if row == "fleet-2" else 1)]
     if row == "nocache":
         policies = [NoCachePolicy(repository, 0.0, links[0])]

@@ -39,7 +39,7 @@ class TestTrafficTimeSeries:
         link = NetworkLink()
         series = TrafficTimeSeries(link, sample_every=10)
         for index in range(1, 31):
-            link.ship_query(1.0, timestamp=float(index))
+            link.ship_query(1.0)
             series.maybe_sample(index)
         assert series.event_indices() == [10, 20, 30]
         assert series.totals() == [pytest.approx(10.0), pytest.approx(20.0), pytest.approx(30.0)]
@@ -51,7 +51,7 @@ class TestTrafficTimeSeries:
     def test_series_for_mechanism(self):
         link = NetworkLink()
         series = TrafficTimeSeries(link, sample_every=1)
-        link.load_object(5.0, timestamp=1.0)
+        link.load_object(5.0)
         series.sample(1)
         assert series.series_for("object_loading") == [pytest.approx(5.0)]
         with pytest.raises(ValueError):
