@@ -32,7 +32,7 @@ from repro.repository.server import Repository
 from repro.sim.batched import select_batched_executor
 from repro.sim.engine import EngineConfig, ReplayKernel
 from repro.sim.multicache import run_topology
-from repro.sim.runner import benefit_spec
+from repro.sim.runner import benefit_spec, build_site, policy_spec
 from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.topology import TopologySpec
 from repro.workload.columns import TraceColumns
@@ -587,6 +587,15 @@ class TestEligibility:
         assert self.select(
             catalog, policy=SOptimalPolicy(repository, 30.0, link),
             repository=repository, link=link,
+        ) is not None
+
+    @pytest.mark.parametrize("name", ["nocache", "replica", "soptimal", "benefit"])
+    def test_built_site_selected(self, catalog, name):
+        # Every site build_site makes has a plain repository and link, so only
+        # the policy type decides eligibility.
+        (policy,) = build_site(catalog, policy_spec(name), 30.0).policies
+        assert select_batched_executor(
+            [policy], mixed_trace(20), policy.repository, [policy.link]
         ) is not None
 
     def test_subclass_falls_back(self, catalog):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy
 import pytest
 
 from repro.network.cost import AffineCostModel, LinearCostModel
@@ -75,3 +76,31 @@ class TestNetworkLink:
         link = NetworkLink(cost_model=LinearCostModel(factor=3.0))
         link.ship_query(2.0)
         assert link.total_cost == pytest.approx(6.0)
+
+    def test_charge_returns_priced_cost(self):
+        link = NetworkLink(cost_model=AffineCostModel(overhead=0.25, factor=2.0))
+        assert link.ship_update(3.0) == pytest.approx(6.25)
+        assert link.load_object(0.0) == 0.0
+        assert link.count_by_mechanism() == {
+            Mechanism.QUERY_SHIPPING: 0, Mechanism.UPDATE_SHIPPING: 1, Mechanism.OBJECT_LOADING: 1,
+        }
+        assert link.total_cost == pytest.approx(6.25)
+
+    def test_charge_batch_unknown_mechanism_rejected(self):
+        link = NetworkLink()
+        with pytest.raises(ValueError):
+            link.charge_batch("teleport", numpy.array([1.0]))
+        assert link.total_cost == 0.0
+
+    def test_fold_charges_nothing_until_a_prefix_is_charged(self):
+        costs = numpy.array([0.1, 0.2, 0.3], dtype=numpy.float64)
+        link = NetworkLink()
+        link.load_object(1.0)
+        folded = link.fold(Mechanism.OBJECT_LOADING, costs)
+        assert link.count_by_mechanism()[Mechanism.OBJECT_LOADING] == 1
+        link.charge_folded(Mechanism.OBJECT_LOADING, folded, 0, 2)
+        scalar = NetworkLink()
+        for cost in (1.0, 0.1, 0.2):
+            scalar.load_object(cost)
+        assert link.total_by_mechanism() == scalar.total_by_mechanism()
+        assert link.count_by_mechanism() == scalar.count_by_mechanism()

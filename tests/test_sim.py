@@ -5,13 +5,23 @@ from __future__ import annotations
 import pytest
 
 from repro.core.vcover import VCoverConfig, VCoverPolicy
-from repro.core.yardsticks import NoCachePolicy
+from repro.core.yardsticks import NoCachePolicy, SOptimalPolicy
+from repro.network.cost import LinearCostModel
 from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
 from repro.sim.engine import EngineConfig, ReplayKernel
 from repro.sim.metrics import CacheOccupancySeries, TrafficTimeSeries
-from repro.sim.runner import compare_policies, default_policy_specs, run_policy
+from repro.sim.runner import (
+    SERVABLE_POLICIES,
+    build_site,
+    check_online,
+    compare_policies,
+    default_policy_specs,
+    policy_spec,
+    run_policy,
+    vcover_spec,
+)
 from repro.workload.trace import QueryEvent, Trace, UpdateEvent
 from tests.conftest import make_query, make_update
 
@@ -256,6 +266,74 @@ class TestKernel:
         policies = [NoCachePolicy(repository, 0.0, link) for link in links]
         with pytest.raises(ValueError, match="router"):
             ReplayKernel(repository, policies, links)
+
+
+class TestBuildSite:
+    def test_site_pairs_a_fresh_repository_with_its_own_link(self, catalog):
+        first = build_site(catalog, vcover_spec(), 30.0)
+        second = build_site(catalog, vcover_spec(), 30.0)
+        (policy,) = first.policies
+        assert isinstance(policy, VCoverPolicy)
+        assert policy.store.capacity == pytest.approx(30.0)
+        assert policy.repository.catalog is catalog
+        other = second.policies[0]
+        assert other.repository is not policy.repository
+        assert other.link is not policy.link
+
+    def test_run_matches_a_hand_built_stack(self, catalog):
+        trace = build_trace(60)
+        config = EngineConfig(sample_every=7)
+        repository = Repository(catalog)
+        link = NetworkLink()
+        policy = VCoverPolicy(repository, 30.0, link)
+        by_hand = replay(repository, policy, link, config, trace)
+        (built,), aggregate = build_site(catalog, vcover_spec(), 30.0, config).run(trace)
+        assert aggregate is None
+        assert built.as_payload() == by_hand.as_payload()
+
+    def test_cost_model_prices_the_link(self, catalog):
+        trace = build_trace(30)
+        spec = default_policy_specs(include=("nocache",))[0]
+        plain = build_site(catalog, spec, 0.0)
+        tripled = build_site(catalog, spec, 0.0, cost_model=LinearCostModel(factor=3.0))
+        plain.run(trace)
+        tripled.run(trace)
+        assert tripled.policies[0].link.cost_model == LinearCostModel(factor=3.0)
+        assert tripled.policies[0].link.total_cost == pytest.approx(
+            3.0 * plain.policies[0].link.total_cost
+        )
+
+    def test_on_decision_sees_every_event(self, catalog):
+        trace = build_trace(30)
+        rows = []
+        kernel = build_site(
+            catalog, vcover_spec(), 30.0,
+            on_decision=lambda payload, outcome: rows.append(payload),
+        )
+        for is_update, payload in trace.iter_tagged():
+            kernel.step(is_update, payload)
+        assert len(rows) == kernel.counters()["events_processed"] == 30
+
+    def test_policies_are_a_tuple_in_site_order(self, catalog):
+        repository = Repository(catalog)
+        links = [NetworkLink(), NetworkLink()]
+        policies = [NoCachePolicy(repository, 0.0, link) for link in links]
+        kernel = ReplayKernel(repository, policies, links, route=lambda query: 0)
+        assert kernel.policies == tuple(policies)
+
+
+class TestCheckOnline:
+    @pytest.mark.parametrize("name", SERVABLE_POLICIES)
+    def test_online_policies_accepted(self, catalog, name):
+        spec = policy_spec(name)
+        check_online(spec, build_site(catalog, spec, 30.0).policies[0])
+
+    def test_offline_policy_refused_whatever_its_name(self, catalog):
+        spec = policy_spec("soptimal", name="vcover")
+        policy = build_site(catalog, spec, 30.0).policies[0]
+        assert isinstance(policy, SOptimalPolicy)
+        with pytest.raises(ValueError, match="'vcover' builds SOptimalPolicy"):
+            check_online(spec, policy)
 
 
 class TestResults:
