@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core import Delta, DeltaConfig
+from repro import Delta, DeltaConfig
 from repro.repository.catalog import sdss_catalog
 from repro.workload import (
     SDSSQueryGenerator,

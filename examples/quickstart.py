@@ -14,7 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core import Delta, DeltaConfig
+from repro import Delta, DeltaConfig
 from repro.repository.catalog import sdss_catalog
 from repro.workload import (
     SDSSQueryGenerator,

@@ -8,8 +8,8 @@ This library is a from-scratch reproduction of the system described in
 
 The public API is organised as follows:
 
-* :mod:`repro.core` -- the decision framework: the :class:`repro.core.Delta`
-  facade, the :class:`repro.core.VCoverPolicy` online algorithm, the
+* :mod:`repro.core` -- the decision framework: the
+  :class:`repro.core.VCoverPolicy` online algorithm, the
   :class:`repro.core.BenefitPolicy` baseline and the three yardstick policies,
 * :mod:`repro.flow` -- max-flow / minimum-weight vertex-cover substrate,
 * :mod:`repro.cache` -- the space-constrained object store and eviction
@@ -18,7 +18,8 @@ The public API is organised as follows:
 * :mod:`repro.sky` -- the hierarchical triangular mesh and sky partitioning,
 * :mod:`repro.workload` -- SDSS-style trace generators,
 * :mod:`repro.network` -- traffic cost accounting,
-* :mod:`repro.sim` -- the event-driven simulator and multi-policy runner,
+* :mod:`repro.sim` -- the event-driven simulator, the multi-policy runner,
+  multi-cache fleets and the :class:`repro.Delta` deployment facade,
 * :mod:`repro.experiments` -- the declarative experiment registry, with one
   registered experiment per table/figure of the paper,
 * :mod:`repro.api` -- the stable facade: ``list_experiments`` /
@@ -27,7 +28,7 @@ The public API is organised as follows:
 
 Quickstart::
 
-    from repro.core import Delta, DeltaConfig
+    from repro import Delta, DeltaConfig
     from repro.repository.catalog import sdss_catalog
     from repro.workload import SDSSQueryGenerator, SurveyUpdateGenerator, interleave
 
@@ -53,8 +54,8 @@ __version__ = "1.2.0"
 _EXPORTS = {
     "BenefitConfig": "repro.core.benefit",
     "BenefitPolicy": "repro.core.benefit",
-    "Delta": "repro.core.delta",
-    "DeltaConfig": "repro.core.delta",
+    "Delta": "repro.sim.delta",
+    "DeltaConfig": "repro.sim.delta",
     "NoCachePolicy": "repro.core.yardsticks",
     "ReplicaPolicy": "repro.core.yardsticks",
     "SOptimalPolicy": "repro.core.yardsticks",

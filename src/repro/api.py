@@ -63,6 +63,7 @@ from repro.experiments.registry import (
 from repro.experiments.spec import (
     ScenarioError,
     ScenarioSpec,
+    ingest_scenario,
     load_scenario,
     save_scenario,
 )
@@ -74,7 +75,7 @@ from repro.workload.fuzz import (
     is_composition_file,
     load_composition,
 )
-from repro.workload.ingest import CalibrationResult, IngestError, ingest_scenario
+from repro.workload.ingest import CalibrationResult, IngestError
 
 __all__ = [
     "DEFAULT_POLICIES",
@@ -141,9 +142,9 @@ def run_loadgen(
     trace through N closed-loop clients.  The payload validates against
     ``repro.bench/v2`` and carries measured p50/p99/p999 per-request
     latency; ``with_latency_model`` adds the analytic
-    :class:`~repro.network.latency.LatencyModel` predictions side by side.
+    :class:`~repro.core.latency.LatencyModel` predictions side by side.
     """
-    from repro.network.latency import LatencyModel
+    from repro.core.latency import LatencyModel
     from repro.serve.harness import run_loadgen as _run_loadgen
 
     return _run_loadgen(

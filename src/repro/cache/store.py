@@ -52,7 +52,7 @@ class CacheStore:
     __slots__ = ("_capacity", "_objects", "_used", "_loads", "_evictions")
 
     def __init__(self, capacity: float) -> None:
-        if capacity < 0:
+        if not capacity >= 0:  # NaN fails every comparison
             raise ValueError(f"capacity must be non-negative, got {capacity!r}")
         self._capacity = capacity
         self._objects: Dict[int, CachedObject] = {}

@@ -459,7 +459,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.network.latency import LatencyModel
+    from repro.core.latency import LatencyModel
     from repro.serve.client import ServeError
     from repro.serve.harness import format_load_report, run_loadgen
 

@@ -15,7 +15,7 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.roster` -- the policy roster: the one name -> class table
   every policy name list is derived from,
 * :mod:`repro.core.offline` -- the offline optimal decoupling of Section 3.1,
-* :mod:`repro.core.delta` -- the user-facing Delta middleware facade.
+* :mod:`repro.core.latency` -- the response-time model over query outcomes.
 """
 
 from repro._lazy import lazy_exports
@@ -26,8 +26,9 @@ _EXPORTS = {
     "BenefitPolicy": "repro.core.benefit",
     "QueryAction": "repro.core.decoupling",
     "QueryOutcome": "repro.core.decoupling",
-    "Delta": "repro.core.delta",
-    "DeltaConfig": "repro.core.delta",
+    "LatencyModel": "repro.core.latency",
+    "ResponseTimeSummary": "repro.core.latency",
+    "summarise_response_times": "repro.core.latency",
     "OfflineDecoupler": "repro.core.offline",
     "OfflineDecision": "repro.core.offline",
     "BaseCachePolicy": "repro.core.policy",

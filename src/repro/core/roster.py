@@ -9,7 +9,7 @@ and from one predicate on the class:
 * the runner's ``DEFAULT_POLICIES`` / ``SERVABLE_POLICIES``
   (:mod:`repro.sim.runner`) and through them the CLI choices and the served
   path's refusal of offline policies,
-* the :class:`~repro.core.delta.Delta` facade's ``policy`` names.
+* the :class:`~repro.sim.delta.Delta` facade's ``policy`` names.
 
 Adding a policy is one entry here; no flag per entry, no second list.
 """

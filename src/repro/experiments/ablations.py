@@ -29,6 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.benefit import BenefitConfig
 from repro.core.decoupling import QueryOutcome
+from repro.core.latency import LatencyModel, ResponseTimeSummary, summarise_response_times
 from repro.core.vcover import VCoverConfig
 from repro.experiments.config import ExperimentConfig, Scenario, build_scenario
 from repro.experiments.registry import (
@@ -38,10 +39,10 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.experiments.spec import ScenarioSpec
-from repro.network.latency import LatencyModel, ResponseTimeSummary, summarise_response_times
 from repro.sim.results import RunResult
 from repro.sim.runner import PolicySpec, benefit_spec, build_site, vcover_spec
-from repro.sim.sweep import DEFAULT_SCENARIO, InlineScenario, SweepPoint, SweepRunner
+from repro.sim.sweep import DEFAULT_SCENARIO, SweepPoint, SweepRunner
+from repro.workload.trace import InlineScenario
 
 #: The sweep-shaped ablations the registered experiment runs, in order.
 DEFAULT_ABLATIONS = ("loading", "eviction", "benefit")

@@ -24,8 +24,8 @@ from repro.experiments.spec import ScenarioSpec
 from repro.repository.catalog import PARTITION_LEVELS
 from repro.sim.results import ComparisonResult
 from repro.sim.runner import DEFAULT_POLICIES, PolicySpec
+from repro.sim.multicache import TopologySpec
 from repro.sim.sweep import DEFAULT_SCENARIO, SweepPoint
-from repro.topology.spec import TopologySpec
 
 INF = float("inf")
 

@@ -39,7 +39,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.spec import CONFIG_FIELDS, config_from_mapping
-from repro.sim.sweep import ScenarioSource, SweepPoint, SweepResult, SweepRunner
+from repro.sim.sweep import SweepPoint, SweepResult, SweepRunner
+from repro.workload.trace import ScenarioSource
 
 
 class UnknownExperimentError(ValueError):

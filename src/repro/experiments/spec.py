@@ -7,7 +7,7 @@ files.  It serves both ways a scenario reaches a sweep worker:
 * the *recipe* path: only the small, picklable spec crosses a process
   boundary and each worker rebuilds the catalogue + trace deterministically
   from its seeds, memoised per process;
-* the *prebuilt* path (:class:`repro.sim.sweep.InlineScenario`): when the
+* the *prebuilt* path (:class:`repro.workload.trace.InlineScenario`): when the
   caller already holds a built scenario, :meth:`ScenarioSpec.inline` derives
   the inline form from the same spec in one place, so the two paths can
   never drift apart (a regression test asserts they build byte-identical
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Dict, Mapping, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.experiments.config import (
     WORKLOAD_MODELS,
@@ -33,9 +33,10 @@ from repro.experiments.config import (
     build_scenario,
     build_scenario_stream,
 )
+from repro.repository.catalog import DEFAULT_SCALE
 from repro.repository.objects import ObjectCatalog
-from repro.sim.sweep import InlineScenario, ScenarioSource
-from repro.workload.trace import Trace, TraceStream
+from repro.workload.ingest import CalibrationResult, IngestError, calibrate, ingest_trace
+from repro.workload.trace import InlineScenario, ScenarioSource, Trace, TraceStream
 
 #: Name used when a spec (or scenario file) does not set one.
 DEFAULT_SCENARIO_NAME = "default"
@@ -243,3 +244,29 @@ def save_scenario(spec: ScenarioSpec, path: Union[str, Path]) -> Path:
         json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return path
+
+
+def ingest_scenario(
+    path: Union[str, Path],
+    name: Optional[str] = None,
+    scale: float = DEFAULT_SCALE,
+) -> Tuple[ScenarioSpec, CalibrationResult]:
+    """Ingest + calibrate a log into a replayable scenario spec.
+
+    Returns ``(spec, calibration)`` where ``spec`` is a :class:`ScenarioSpec`
+    whose knobs were fitted to the log (see :mod:`repro.workload.ingest`);
+    save it with :func:`save_scenario` and it replays anywhere a scenario
+    file does (CLI, sweeps, streaming engines).
+    """
+    path = Path(path)
+    log = ingest_trace(path)
+    calibration = calibrate(log.trace, scale=scale)
+    knobs: Dict[str, Any] = dict(calibration.knobs())
+    knobs["scale"] = scale
+    try:
+        spec = ScenarioSpec.from_knobs(name=name or path.stem, **knobs)
+    except ScenarioError as exc:  # pragma: no cover - defensive
+        raise IngestError(
+            f"calibration produced an invalid scenario for {path}: {exc}"
+        ) from exc
+    return spec, calibration

@@ -1,6 +1,6 @@
 """Shared AST analysis helpers for the lint rules.
 
-Two pieces of static knowledge recur across the determinism rules:
+Three pieces of static knowledge recur across the rules and tests:
 
 * :class:`ImportMap` -- resolving a call expression such as
   ``np.random.default_rng(...)`` back to its fully-qualified dotted target
@@ -9,9 +9,11 @@ Two pieces of static knowledge recur across the determinism rules:
 * :class:`SetTracker` -- deciding whether an expression is *statically
   known* to be a ``set``/``frozenset`` value (literals, constructor calls,
   set comprehensions, set algebra, names and ``self.*`` attributes bound to
-  such expressions).
+  such expressions);
+* :func:`imported_names` -- every module a source file imports, at any
+  depth (the package layer test walks ``src/repro`` with it).
 
-Both deliberately stop at what the syntax proves: no type inference is
+All three deliberately stop at what the syntax proves: no type inference is
 attempted, so an attribute of unknown type is never treated as a set.  The
 rules therefore under-report rather than guess -- the right trade-off for a
 gating check.
@@ -20,7 +22,7 @@ gating check.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 #: ``set``-returning builtins: calls to these are set-valued.
 _SET_CONSTRUCTORS = frozenset({"set", "frozenset"})
@@ -43,6 +45,23 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def imported_names(tree: ast.AST, package: str = "") -> Iterator[Tuple[int, str]]:
+    """``(line, dotted target)`` for every import at any depth of ``tree``.
+
+    ``import a.b`` yields ``a.b``; ``from a import b, c`` yields ``a.b`` and
+    ``a.c``; a relative ``from`` resolves against ``package``.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            prefix = ".".join(part for part in (base, node.module) if part)
+            for alias in node.names:
+                yield node.lineno, f"{prefix}.{alias.name}"
 
 
 class ImportMap:

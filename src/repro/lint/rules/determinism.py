@@ -22,7 +22,6 @@ from repro.lint.rules import ModuleRule, register_rule
 EMITTER_SCOPE = (
     "repro/workload/",
     "repro/sim/",
-    "repro/topology/",
     "repro/core/",
     "repro/flow/",
     "repro/cache/",

@@ -15,9 +15,6 @@ _EXPORTS = {
     "AffineCostModel": "repro.network.cost",
     "LinearCostModel": "repro.network.cost",
     "TrafficCostModel": "repro.network.cost",
-    "LatencyModel": "repro.network.latency",
-    "ResponseTimeSummary": "repro.network.latency",
-    "summarise_response_times": "repro.network.latency",
     "Mechanism": "repro.network.link",
     "NetworkLink": "repro.network.link",
 }

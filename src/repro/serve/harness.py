@@ -17,7 +17,7 @@ property the lifecycle tests pin.
 scenario, boot an in-process server (or connect to an external one), drive
 the load, and emit the :mod:`repro.serve.payload` record whose policy row
 carries the measured latency percentiles -- side by side with the
-:class:`~repro.network.latency.LatencyModel` predictions when a model is
+:class:`~repro.core.latency.LatencyModel` predictions when a model is
 given (the calibration sanity check).
 """
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.config import ExperimentConfig, build_scenario_stream
-from repro.network.latency import LatencyModel
+from repro.core.latency import LatencyModel
 from repro.serve import protocol
 from repro.serve.client import ServeClient
 from repro.serve.payload import SCHEMA_ID, current_git_sha, peak_rss_mb, validate_payload

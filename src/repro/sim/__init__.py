@@ -8,15 +8,17 @@ per-mechanism traffic over the event sequence (:mod:`repro.sim.metrics`), a
 results container with comparison helpers (:mod:`repro.sim.results`), a
 multi-policy runner used by every experiment (:mod:`repro.sim.runner`), a
 parallel sweep runner that fans experiment grids out over worker processes
-(:mod:`repro.sim.sweep`), and the fleet entry point that replays one trace
-against several sites sharing a repository (:mod:`repro.sim.multicache`,
-specified via :mod:`repro.topology`).
+(:mod:`repro.sim.sweep`), the fleet entry point that replays one trace
+against several sites sharing a repository (:mod:`repro.sim.multicache`)
+and the :class:`~repro.sim.delta.Delta` deployment facade.
 """
 
 from repro._lazy import lazy_exports
 
 #: Public name -> the submodule that defines it, imported on first access.
 _EXPORTS = {
+    "Delta": "repro.sim.delta",
+    "DeltaConfig": "repro.sim.delta",
     "ReplayKernel": "repro.sim.engine",
     "run_topology": "repro.sim.multicache",
     "CacheOccupancySeries": "repro.sim.metrics",
@@ -32,7 +34,7 @@ _EXPORTS = {
     "benefit_spec": "repro.sim.runner",
     "vcover_spec": "repro.sim.runner",
     "soptimal_spec": "repro.sim.runner",
-    "InlineScenario": "repro.sim.sweep",
+        "InlineScenario": "repro.workload.trace",
     "PointResult": "repro.sim.sweep",
     "SweepPoint": "repro.sim.sweep",
     "SweepResult": "repro.sim.sweep",

@@ -64,6 +64,8 @@ class DeltaConfig:
     def __post_init__(self) -> None:
         if self.cache_capacity is None and not 0.0 <= self.cache_fraction:
             raise ValueError("cache_fraction must be non-negative")
+        if self.cache_capacity is not None and not 0.0 <= self.cache_capacity:
+            raise ValueError(f"cache_capacity must be non-negative MB, got {self.cache_capacity}")
         if self.policy not in POLICY_CLASSES:
             raise ValueError(
                 f"unknown policy {self.policy!r}; known: {sorted(POLICY_CLASSES)}"

@@ -25,7 +25,7 @@ middleware.  :class:`ReplayKernel` drives it over a list of cache *sites*
 Builders: :func:`repro.sim.runner.build_site` makes every one-site kernel
 (no router) -- for :func:`repro.sim.runner.run_policy`, the served
 :class:`repro.serve.server.CacheServer` (one ``step`` per frame), the
-:class:`repro.core.delta.Delta` facade (one ``step`` per call) and the
+:class:`repro.sim.delta.Delta` facade (one ``step`` per call) and the
 instrumented replays (:func:`repro.serve.equivalence.replay_with_log`,
 :mod:`repro.experiments.warmup`,
 :func:`repro.experiments.ablations.run_preship_ablation`) -- and

@@ -33,7 +33,7 @@ from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
 from repro.sim.engine import DecisionHook, EngineConfig, ReplayKernel
 from repro.sim.results import ComparisonResult, RunResult
-from repro.workload.trace import TraceStream
+from repro.workload.trace import InlineScenario, TraceStream
 
 #: Every policy the runner can build by name, in report order: the paper's
 #: two algorithms plus the three yardsticks
@@ -82,7 +82,7 @@ def policy_spec(
 def check_online(spec: PolicySpec, policy: BaseCachePolicy) -> None:
     """Refuse ``spec``'s built ``policy`` if it is offline.
 
-    The :class:`~repro.core.delta.Delta` facade and the served path step
+    The :class:`~repro.sim.delta.Delta` facade and the served path step
     their policy event by event and never call ``prepare``, so a spec that
     builds an offline policy (one whose class overrides ``prepare``, e.g.
     SOptimal) is rejected whatever it is named.
@@ -157,7 +157,7 @@ def build_site(
     """One cache site: a fresh repository and link, ``spec``'s policy, one kernel.
 
     Every one-site replay is built here -- a run, a served cache, a
-    :class:`~repro.core.delta.Delta` deployment and the instrumented replays
+    :class:`~repro.sim.delta.Delta` deployment and the instrumented replays
     of the experiments; a fleet (:func:`repro.sim.multicache.run_topology`)
     builds its own.  Reach the repository and the link through
     ``kernel.policies[0].repository`` and ``.link``.
@@ -220,7 +220,7 @@ def compare_policies(
         Worker processes to fan the per-policy runs out over (1 = serial).
         Each run is isolated either way, so the results are identical.
     source:
-        Optional :class:`~repro.sim.sweep.ScenarioSource` handed to the
+        Optional :class:`~repro.workload.trace.ScenarioSource` handed to the
         workers instead of the prebuilt ``(catalog, trace)`` pair -- the
         recipe crosses the process boundary and each worker realises it
         (memoised per process).
@@ -232,7 +232,7 @@ def compare_policies(
     """
     # Imported here: sweep builds on this module, so the module-level import
     # goes sweep -> runner and only this function takes the reverse edge.
-    from repro.sim.sweep import DEFAULT_SCENARIO, InlineScenario, SweepPoint, SweepRunner
+    from repro.sim.sweep import DEFAULT_SCENARIO, SweepPoint, SweepRunner
 
     if source is None:
         if catalog is None or trace is None:

@@ -15,11 +15,13 @@ the per-point :class:`~repro.sim.results.RunResult`\\ s in grid order, and can
 write one JSON artifact per point plus a manifest for offline analysis.
 
 Scenarios are handed to workers as *sources* rather than built traces.  A
-source is anything implementing the :class:`ScenarioSource` contract --
+source is anything implementing the
+:class:`~repro.workload.trace.ScenarioSource` contract --
 ``realise() -> (catalog, trace)`` plus ``cache_key()``:
 
-* :class:`InlineScenario` wraps an already-built catalogue + trace (used when
-  the caller wants several policies over one trace it already has);
+* :class:`~repro.workload.trace.InlineScenario` wraps an already-built
+  catalogue + trace (used when the caller wants several policies over one
+  trace it already has);
 * declarative recipes -- e.g. :class:`repro.experiments.spec.ScenarioSpec` --
   are rebuilt inside the worker from their (cheap, picklable) knobs, memoised
   per process via ``cache_key()`` so a worker builds each distinct scenario
@@ -33,7 +35,6 @@ byte-identical results to ``jobs=1``.  :func:`derive_seed` provides stable,
 
 from __future__ import annotations
 
-import abc
 import json
 import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -52,11 +53,10 @@ from typing import (
 
 from repro.repository.objects import ObjectCatalog
 from repro.sim.engine import EngineConfig
-from repro.sim.multicache import run_topology
+from repro.sim.multicache import TopologySpec, run_topology
 from repro.sim.results import ComparisonResult, RunResult
 from repro.sim.runner import PolicySpec, run_policy
-from repro.topology.spec import TopologySpec
-from repro.workload.trace import Trace, TraceStream
+from repro.workload.trace import ScenarioSource, Trace, TraceStream
 
 #: Name of the scenario used when a sweep has only one.
 DEFAULT_SCENARIO = "default"
@@ -80,55 +80,6 @@ def derive_seed(base: int, *components: object) -> int:
     return zlib.crc32(text.encode("utf-8")) & 0x7FFFFFFF
 
 
-class ScenarioSource(abc.ABC):
-    """Contract every sweep scenario source satisfies.
-
-    A source must be picklable so it can cross the process boundary with the
-    worker initialiser.  Workers call :meth:`realise` to obtain the catalogue
-    and trace; :meth:`cache_key` lets a worker memoise the build so a source
-    shared by many grid points is constructed at most once per process.
-    """
-
-    @abc.abstractmethod
-    def realise(self) -> Tuple[ObjectCatalog, Trace]:
-        """Build (or return) the scenario's catalogue and trace."""
-
-    def realise_stream(self) -> Tuple[ObjectCatalog, TraceStream]:
-        """The scenario as a (catalogue, lazy event source) pair.
-
-        Sources that can generate events incrementally override this to
-        return a constant-memory :class:`~repro.workload.trace.TraceStream`;
-        the default falls back to the materialised :meth:`realise` (a
-        :class:`Trace` satisfies the stream contract).
-        """
-        return self.realise()
-
-    def cache_key(self) -> Optional[object]:
-        """Hashable identity of the build recipe (``None`` = no memoisation)."""
-        return None
-
-
-@dataclass(frozen=True)
-class InlineScenario(ScenarioSource):
-    """A sweep scenario handed over as an already-built catalogue + trace.
-
-    ``trace`` may also be any :class:`~repro.workload.trace.TraceStream`
-    (e.g. a scenario model stream) when the caller wants streaming points
-    without a declarative recipe.
-    """
-
-    catalog: ObjectCatalog
-    trace: TraceStream
-
-    def realise(self) -> Tuple[ObjectCatalog, Trace]:
-        """Return the prebuilt catalogue and trace."""
-        return self.catalog, self.trace
-
-    def cache_key(self) -> None:
-        """No memoisation key: the scenario is already built."""
-        return None
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One grid point: a policy over a scenario at a cache size.
@@ -143,7 +94,7 @@ class SweepPoint:
         this is the (uniform) site policy, so comparison slices keyed by
         policy name keep working.
     topology:
-        Optional :class:`repro.topology.spec.TopologySpec`.  When set, the
+        Optional :class:`repro.sim.multicache.TopologySpec`.  When set, the
         point runs a multi-cache replay via
         :func:`repro.sim.multicache.run_topology` instead of a single-cache
         run; the recorded result is the fleet aggregate, with per-site

@@ -9,7 +9,7 @@ module makes such chains first-class:
   data: an ordered list of (model, counts, knob overrides) segments plus the
   catalogue knobs.  A spec is frozen, picklable, JSON round-trippable
   (:func:`save_composition` / :func:`load_composition`) and a
-  :class:`~repro.sim.sweep.ScenarioSource`, so the sweep runner and
+  :class:`~repro.workload.trace.ScenarioSource`, so the sweep runner and
   :func:`repro.api.run_scenario` replay it directly.
 * :class:`ComposedScenarioStream` -- the built form: segment streams chained
   into one :class:`~repro.workload.trace.TraceStream` with globally
@@ -34,7 +34,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.repository.catalog import sdss_catalog
 from repro.repository.objects import ObjectCatalog
-from repro.sim.sweep import ScenarioSource
 from repro.workload.scenarios import (
     MODEL_NAMES,
     STREAM_CLASSES,
@@ -43,6 +42,7 @@ from repro.workload.scenarios import (
 )
 from repro.workload.trace import (
     QueryEvent,
+    ScenarioSource,
     Trace,
     TraceEvent,
     TraceStream,
@@ -152,7 +152,7 @@ class SegmentSpec:
 class CompositionSpec(ScenarioSource):
     """A composed scenario as pure data: catalogue knobs + ordered segments.
 
-    The spec is a :class:`~repro.sim.sweep.ScenarioSource`: sweep workers
+    The spec is a :class:`~repro.workload.trace.ScenarioSource`: sweep workers
     rebuild the composition deterministically from the seeds (memoised via
     :meth:`cache_key`), and ``realise_stream`` hands back the lazy
     :class:`ComposedScenarioStream`, so streaming points replay

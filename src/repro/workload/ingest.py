@@ -19,13 +19,14 @@ stages, both deterministic:
    rank-frequency least squares), the query/update event mix and byte
    traffic fractions, the tolerance mix, and the hotspot phase length (via
    top-``k`` Jaccard change-point detection over query windows) -- and emit
-   a round-trippable :class:`~repro.experiments.spec.ScenarioSpec`.
+   the knobs of a round-trippable scenario spec.
 
-The emitted spec is an ordinary *evolving*-model spec, so everything the
-declarative layer guarantees (streaming replay, byte-identical results
-across engines and ``jobs=1`` vs ``jobs=N``, JSON scenario files) holds for
-ingested scenarios with no new replay machinery; ``repro ingest FILE``
-wires this pipeline into the CLI.
+:func:`repro.experiments.spec.ingest_scenario` turns the knobs into an
+ordinary *evolving*-model :class:`~repro.experiments.spec.ScenarioSpec`, so
+everything the declarative layer guarantees (streaming replay,
+byte-identical results across engines and ``jobs=1`` vs ``jobs=N``, JSON
+scenario files) holds for ingested scenarios with no new replay machinery;
+``repro ingest FILE`` wires this pipeline into the CLI.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.repository.catalog import DEFAULT_SCALE, PAPER_SERVER_SIZE_MB
 from repro.repository.queries import Query
@@ -419,32 +420,3 @@ def calibrate(
         tolerance_window=tolerance_window,
         hotspot_phase_length=_fit_phase_length(trace),
     )
-
-
-def ingest_scenario(
-    path: Union[str, Path],
-    name: Optional[str] = None,
-    scale: float = DEFAULT_SCALE,
-):
-    """Ingest + calibrate a log into a replayable scenario spec.
-
-    Returns ``(spec, calibration)`` where ``spec`` is a
-    :class:`~repro.experiments.spec.ScenarioSpec` whose knobs were fitted to
-    the log; save it with
-    :func:`repro.experiments.spec.save_scenario` and it replays anywhere a
-    scenario file does (CLI, sweeps, streaming engines).
-    """
-    from repro.experiments.spec import ScenarioError, ScenarioSpec
-
-    path = Path(path)
-    log = ingest_trace(path)
-    calibration = calibrate(log.trace, scale=scale)
-    knobs = dict(calibration.knobs())
-    knobs["scale"] = scale
-    try:
-        spec = ScenarioSpec.from_knobs(name=name or path.stem, **knobs)
-    except ScenarioError as exc:  # pragma: no cover - defensive
-        raise IngestError(
-            f"calibration produced an invalid scenario for {path}: {exc}"
-        ) from exc
-    return spec, calibration

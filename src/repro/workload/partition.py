@@ -1,6 +1,6 @@
 """Partitioning one trace across a fleet of middleware caches.
 
-The multi-cache topology (:mod:`repro.topology`) replays one interleaved
+A fleet replay (:mod:`repro.sim.multicache`) replays one interleaved
 trace against N cooperating sites that share a single backend repository.
 Queries are *split*: each query is routed to exactly one site, the one that
 owns most of the objects it touches.  Updates are *broadcast*: every site's

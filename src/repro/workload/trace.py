@@ -23,6 +23,9 @@ Two kinds of event source live here:
   the slicing/statistics helpers used throughout the experiments and
   reports.  :meth:`Trace.slice_events` returns a :class:`TraceView` -- a
   zero-copy window over the parent's list.
+
+:class:`ScenarioSource` is what a sweep worker receives instead of a built
+trace; :class:`InlineScenario` is the one that wraps an already-built one.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from repro.repository.queries import Query
 from repro.repository.updates import Update
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (columns uses trace)
+    from repro.repository.objects import ObjectCatalog
     from repro.workload.columns import TraceColumns
 
 
@@ -458,6 +462,55 @@ class TraceView(TraceStream):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceView(events={len(self)}, start={self._start}, stop={self._stop})"
+
+
+class ScenarioSource(abc.ABC):
+    """Contract every sweep scenario source satisfies.
+
+    A source must be picklable so it can cross the process boundary with the
+    worker initialiser.  Workers call :meth:`realise` to obtain the catalogue
+    and trace; :meth:`cache_key` lets a worker memoise the build so a source
+    shared by many grid points is constructed at most once per process.
+    """
+
+    @abc.abstractmethod
+    def realise(self) -> Tuple[ObjectCatalog, Trace]:
+        """Build (or return) the scenario's catalogue and trace."""
+
+    def realise_stream(self) -> Tuple[ObjectCatalog, TraceStream]:
+        """The scenario as a (catalogue, lazy event source) pair.
+
+        Sources that can generate events incrementally override this to
+        return a constant-memory :class:`TraceStream`; the default falls back
+        to the materialised :meth:`realise` (a :class:`Trace` satisfies the
+        stream contract).
+        """
+        return self.realise()
+
+    def cache_key(self) -> Optional[object]:
+        """Hashable identity of the build recipe (``None`` = no memoisation)."""
+        return None
+
+
+@dataclass(frozen=True)
+class InlineScenario(ScenarioSource):
+    """A sweep scenario handed over as an already-built catalogue + trace.
+
+    ``trace`` may also be any :class:`TraceStream` (e.g. a scenario model
+    stream) when the caller wants streaming points without a declarative
+    recipe; :meth:`realise` then hands the stream over as it is.
+    """
+
+    catalog: ObjectCatalog
+    trace: TraceStream
+
+    def realise(self) -> Tuple[ObjectCatalog, Trace]:
+        """Return the prebuilt catalogue and trace."""
+        return self.catalog, cast(Trace, self.trace)
+
+    def cache_key(self) -> None:
+        """No memoisation key: the scenario is already built."""
+        return None
 
 
 def event_to_dict(event: TraceEvent) -> Dict[str, object]:

@@ -23,9 +23,9 @@ from repro import api
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.spec import ScenarioSpec
 from repro.sim.engine import EngineConfig
+from repro.sim.multicache import TopologySpec
 from repro.sim.runner import default_policy_specs
 from repro.sim.sweep import DEFAULT_SCENARIO, SweepPoint, SweepRunner
-from repro.topology.spec import TopologySpec
 
 #: Where the recorded seed payloads live.
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "determinism"
@@ -146,7 +146,7 @@ def ingested_payloads(jobs: int = 1, streaming: bool = False) -> Dict[str, objec
     flash-crowd case, one fixture covers both the materialised and the
     streaming replay path.
     """
-    from repro.workload.ingest import ingest_scenario
+    from repro.experiments.spec import ingest_scenario
 
     spec, _ = ingest_scenario(SAMPLE_LOG, name="determinism-ingested")
     spec = spec.scaled(sample_every=200)

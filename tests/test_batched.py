@@ -31,10 +31,9 @@ from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
 from repro.sim.batched import select_batched_executor
 from repro.sim.engine import EngineConfig, ReplayKernel
-from repro.sim.multicache import run_topology
+from repro.sim.multicache import TopologySpec, run_topology
 from repro.sim.runner import benefit_spec, build_site, policy_spec
 from repro.experiments.config import ExperimentConfig, build_scenario
-from repro.topology import TopologySpec
 from repro.workload.columns import TraceColumns
 from repro.workload.partition import TracePartitioner
 from repro.workload.trace import QueryEvent, Trace, UpdateEvent

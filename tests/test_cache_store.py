@@ -10,9 +10,10 @@ from repro.cache.store import CacheCapacityError, CacheStore
 
 
 class TestCapacity:
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            CacheStore(-1.0)
+    @pytest.mark.parametrize("capacity", [-1.0, float("nan")])
+    def test_negative_or_nan_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError, match="capacity must be non-negative"):
+            CacheStore(capacity)
 
     def test_insert_tracks_used_and_free(self):
         store = CacheStore(100.0)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from repro.core.delta import Delta, DeltaConfig
+from repro import Delta, DeltaConfig
 from repro.core.vcover import VCoverPolicy
 from repro.core.yardsticks import NoCachePolicy, ReplicaPolicy
 from repro.experiments.config import ExperimentConfig, build_scenario
@@ -64,6 +64,15 @@ class TestConfig:
     def test_absolute_capacity_overrides_fraction(self, catalog):
         delta = Delta(catalog, DeltaConfig(cache_capacity=12.0, cache_fraction=0.9))
         assert delta.policy.store.capacity == pytest.approx(12.0)
+
+    @pytest.mark.parametrize("capacity", [-1.0, float("nan")])
+    def test_negative_or_nan_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError, match="cache_capacity must be non-negative MB"):
+            DeltaConfig(cache_capacity=capacity)
+
+    def test_unbounded_capacity_accepted(self, catalog):
+        delta = Delta(catalog, DeltaConfig(cache_capacity=float("inf")))
+        assert delta.policy.store.fits(1e12)
 
     def test_fractional_capacity_derived_from_catalog(self, catalog):
         delta = Delta(catalog, DeltaConfig(cache_fraction=0.5))

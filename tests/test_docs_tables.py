@@ -1,7 +1,8 @@
 """The docs tables are regenerated from the registries and diffed.
 
-``docs/experiments.md`` and ``docs/policies.md`` carry tables that restate a
-registry.  Each is checked here by regenerating it from the registry it
+``docs/experiments.md``, ``docs/policies.md`` and ``docs/architecture.md``
+carry tables that restate a registry (the layer table restates
+``tests/test_layers.py``).  Each is checked here by regenerating it from the registry it
 restates and comparing line for line; on a mismatch the assertion message
 *is* the regenerated block, ready to paste over the stale one.
 
@@ -26,6 +27,7 @@ from repro.network.link import NetworkLink
 from repro.repository.catalog import sdss_catalog
 from repro.repository.server import Repository
 from repro.sim.runner import DEFAULT_POLICIES, SERVABLE_POLICIES, default_policy_specs
+from tests.test_layers import layer_table
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 
@@ -106,6 +108,9 @@ class TestDocsTables:
 
     def test_eviction_table_matches_the_registry(self):
         _assert_block("policies.md", "generated: eviction policies", eviction_table())
+
+    def test_layer_table_matches_the_layer_test(self):
+        _assert_block("architecture.md", "generated: layers", layer_table())
 
 
 class TestDerivedRosters:

@@ -564,9 +564,8 @@ class TestFuzzedReplay:
 
     def test_multicache_engine_replays_compositions(self):
         from repro.sim.engine import EngineConfig
-        from repro.sim.multicache import run_topology
+        from repro.sim.multicache import TopologySpec, run_topology
         from repro.sim.runner import vcover_spec
-        from repro.topology.spec import TopologySpec
 
         catalog, stream = self.SPEC.realise_stream()
         topology = TopologySpec.uniform(

@@ -39,9 +39,9 @@ NOT_AT_BOOT = (
     "repro.workload.fuzz",
     "repro.workload.ingest",
     "repro.sky",
-    "repro.core.delta",
+    "repro.sim.delta",
     "repro.core.offline",
-    "repro.network.latency",
+    "repro.core.latency",
 )
 
 #: ``repro experiment list`` order (docs/experiments.md's table follows it).

@@ -17,13 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro import api, cli
-from repro.workload.ingest import (
-    CalibrationResult,
-    IngestError,
-    calibrate,
-    ingest_scenario,
-    ingest_trace,
-)
+from repro.experiments.spec import ingest_scenario
+from repro.workload.ingest import CalibrationResult, IngestError, calibrate, ingest_trace
 from repro.workload.trace import QueryEvent, UpdateEvent
 
 #: The committed sample log the docs walkthrough and determinism fixture use.
@@ -268,9 +263,8 @@ class TestIngestScenario:
     def test_multicache_engine_replays_ingested_scenarios(self):
         from repro.experiments.config import build_scenario_stream
         from repro.sim.engine import EngineConfig
-        from repro.sim.multicache import run_topology
+        from repro.sim.multicache import TopologySpec, run_topology
         from repro.sim.runner import vcover_spec
-        from repro.topology.spec import TopologySpec
 
         spec, _ = ingest_scenario(SAMPLE_LOG)
         catalog, stream = build_scenario_stream(spec.config)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.delta import Delta, DeltaConfig
+from repro.sim.delta import Delta, DeltaConfig
 from repro.core.vcover import VCoverConfig, VCoverPolicy
 from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.network.link import NetworkLink

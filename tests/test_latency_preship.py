@@ -8,7 +8,7 @@ from repro.core.decoupling import QueryOutcome
 from repro.core.vcover import VCoverConfig, VCoverPolicy
 from repro.experiments.ablations import run_preship_ablation
 from repro.experiments.config import ExperimentConfig, build_scenario
-from repro.network.latency import (
+from repro.core.latency import (
     LatencyModel,
     ResponseTimeSummary,
     summarise_response_times,

@@ -25,9 +25,8 @@ from repro.network.link import NetworkLink
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
 from repro.sim.engine import EngineConfig, ReplayKernel
-from repro.sim.multicache import run_topology
+from repro.sim.multicache import TopologySpec, run_topology
 from repro.sim.runner import vcover_spec
-from repro.topology import TopologySpec
 from repro.workload.trace import QueryEvent, Trace, UpdateEvent
 from tests.conftest import make_query, make_update
 

@@ -14,7 +14,7 @@ from repro.experiments.spec import (
     load_scenario,
     save_scenario,
 )
-from repro.sim.sweep import InlineScenario, ScenarioSource
+from repro.workload.trace import InlineScenario, ScenarioSource
 
 #: Small knobs shared by the tests here.
 SMALL = dict(object_count=16, query_count=200, update_count=200, seed=5)

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.network.latency import LatencyModel
+from repro.core.latency import LatencyModel
 from repro.serve.harness import (
     SERVABLE_POLICIES,
     format_load_report,

@@ -201,9 +201,8 @@ class TestReplayEquivalence:
 
     def test_multicache_replays_streams(self):
         from repro.sim.engine import EngineConfig
-        from repro.sim.multicache import run_topology
+        from repro.sim.multicache import TopologySpec, run_topology
         from repro.sim.runner import vcover_spec
-        from repro.topology.spec import TopologySpec
 
         config = small_config("flash_crowd")
         catalog, stream = build_scenario_stream(config)

@@ -29,12 +29,12 @@ from repro.sim.runner import (
 )
 from repro.sim.sweep import (
     DEFAULT_SCENARIO,
-    InlineScenario,
     SweepPoint,
     SweepRunner,
     derive_seed,
     load_artifacts,
 )
+from repro.workload.trace import InlineScenario
 
 
 #: The small scenario's knobs, as flat experiment overrides.

@@ -1,12 +1,12 @@
 """Tests for the multi-cache topology subsystem.
 
 Covers the trace partitioner (repro.workload.partition), the topology specs
-(repro.topology), fleet replays (repro.sim.multicache) -- including
-the load-bearing guarantees: a 1-site topology is byte-identical to a
-single-cache run, and a topology replay is deterministic in-process and
-across sweep worker counts -- plus the ``multisite`` experiment row (its
-acceptance check, VCover at or below the NoCache yardstick at every site
-count, is a claim gated in ``tests/test_figure_claims.py``).
+and fleet replays (repro.sim.multicache) -- including the load-bearing
+guarantees: a 1-site topology is byte-identical to a single-cache run, and a
+topology replay is deterministic in-process and across sweep worker counts
+-- plus the ``multisite`` experiment row (its acceptance check, VCover at
+or below the NoCache yardstick at every site count, is a claim gated in
+``tests/test_figure_claims.py``).
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from repro.core.yardsticks import NoCachePolicy
 from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.network.link import NetworkLink
 from repro.sim.engine import EngineConfig, ReplayKernel
-from repro.sim.multicache import run_topology
-from repro.sim.runner import nocache_spec, run_policy, vcover_spec
-from repro.sim.sweep import DEFAULT_SCENARIO, InlineScenario, SweepPoint, SweepRunner
+from repro.sim.multicache import TopologySpec, run_topology
+from repro.sim.runner import benefit_spec, nocache_spec, run_policy, vcover_spec
+from repro.sim.sweep import DEFAULT_SCENARIO, SweepPoint, SweepRunner
 from repro.sky.partition import contiguous_sky_slices
-from repro.topology import TopologySpec
 from repro.repository.server import Repository
 from repro.workload.partition import PARTITION_STRATEGIES, TracePartitioner
-from repro.workload.trace import QueryEvent, Trace
+from repro.workload.trace import InlineScenario, QueryEvent, Trace
 from tests.conftest import make_query
 from tests.strategies import build_trace, event_stream
 
@@ -198,7 +197,7 @@ class TestTopologySpec:
         assert clone.policy.name == "vcover"
 
 
-class TestMultiCacheEngine:
+class TestFleetReplay:
     def test_single_site_matches_single_cache_run(
         self, small_config, small_scenario, engine_config
     ):
@@ -267,6 +266,19 @@ class TestMultiCacheEngine:
         assert len(result.aggregate.occupancy.event_indices) > 0
         for run in result.site_runs:
             assert run.occupancy is not None
+
+    def test_the_benchmark_import_path_still_runs_a_fleet(self, small_scenario, engine_config):
+        # bench/workloads.py imports the spec from repro.topology.spec and
+        # reads the fleet aggregate of a uniform spec.
+        from repro.topology.spec import TopologySpec as BenchTopologySpec
+
+        assert BenchTopologySpec is TopologySpec
+        spec = BenchTopologySpec.uniform(benefit_spec(), 2, cache_fraction=0.3)
+        result = run_topology(spec, small_scenario.catalog, small_scenario.trace, engine_config)
+        assert result.name == "benefit-x2"
+        assert result.aggregate.total_traffic == pytest.approx(
+            sum(run.total_traffic for run in result.site_runs)
+        )
 
 
 class TestTopologyDeterminism:
