@@ -32,7 +32,7 @@ poorly on evolving scientific workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.core.decoupling import QueryOutcome
 from repro.core.policy import BaseCachePolicy
@@ -40,6 +40,9 @@ from repro.network.link import NetworkLink
 from repro.repository.queries import Query
 from repro.repository.server import Repository
 from repro.repository.updates import Update
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -70,6 +73,8 @@ class BenefitPolicy(BaseCachePolicy):
         link: NetworkLink,
         config: Optional[BenefitConfig] = None,
     ) -> None:
+        import numpy as np
+
         super().__init__(repository, capacity, link)
         self._config = config or BenefitConfig()
         self._window_events = 0
@@ -78,8 +83,10 @@ class BenefitPolicy(BaseCachePolicy):
         #: the object (saved if resident), update traffic addressed to it.
         self._query_share: Dict[int, float] = {}
         self._update_cost: Dict[int, float] = {}
-        #: Exponentially smoothed benefit forecast per object, in catalogue order.
-        self._forecast = dict.fromkeys(repository.catalog.object_ids, 0.0)
+        #: The catalogue's ids, and each one's exponentially smoothed benefit
+        #: forecast at its catalogue position.
+        self._ids = repository.catalog.object_ids
+        self._forecast = np.zeros(len(self._ids))
         self._current_time = 0.0
 
     @property
@@ -94,7 +101,8 @@ class BenefitPolicy(BaseCachePolicy):
 
     def forecast_of(self, object_id: int) -> float:
         """Current smoothed benefit forecast of an object (0 if unseen)."""
-        return self._forecast.get(object_id, 0.0)
+        known = object_id in self._repository.catalog
+        return float(self._forecast[self._ids.index(object_id)]) if known else 0.0
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -136,7 +144,7 @@ class BenefitPolicy(BaseCachePolicy):
         self._window_events += 1
         if self._window_events >= self._config.window_size:
             sums = (
-                [window.get(oid, 0.0) for oid in self._forecast]  # catalogue order
+                [window.get(oid, 0.0) for oid in self._ids]
                 for window in (self._query_share, self._update_cost)
             )
             self.close_window(*sums, self._current_time)
@@ -145,59 +153,55 @@ class BenefitPolicy(BaseCachePolicy):
 
     def close_window(
         self, query_share: Sequence[float], update_cost: Sequence[float], now: float
-    ) -> None:
+    ) -> "np.ndarray":
         """Close the window: compute benefits, update forecasts, re-plan the cache.
 
         Takes the window's per-object sums in catalogue-position order and
         the time of its last event, at which objects load: the per-event
         hooks' own sums, or those a batched replay (:mod:`repro.sim.batched`)
-        folded.  Every forecast moves at once, elementwise.
+        folded.  Every forecast moves at once, elementwise.  Returns the
+        resident set it leaves, laid out as :meth:`resident_mask`.
         """
         import numpy as np
 
         alpha = self._config.alpha
+        sizes = self._repository.object_sizes()
+        resident = self.resident_mask()
         benefit = np.subtract(query_share, update_cost)
-        benefit = np.where(
-            self.resident_mask()[:-1], benefit, benefit - self._repository.object_sizes()
-        )
-        previous = np.fromiter(self._forecast.values(), float, len(self._forecast))
-        forecast = (1.0 - alpha) * previous + alpha * benefit
-        self._forecast = dict(zip(self._forecast, forecast.tolist()))
+        benefit = np.where(resident[:-1], benefit, benefit - sizes)
+        self._forecast = (1.0 - alpha) * self._forecast + alpha * benefit
         self._window_events = 0
         self._window_index += 1
         self._current_time = now
-        self._replan_cache()
+        return self._replan_cache(sizes, resident)
 
-    def _replan_cache(self) -> None:
-        """Greedily (re)build the cached set from positive forecasts."""
-        ranked = sorted(
-            (
-                (object_id, forecast)
-                for object_id, forecast in self._forecast.items()
-                if forecast > 0
-            ),
-            key=lambda item: item[1],
-            reverse=True,
-        )
-        capacity = self.store.capacity
-        target: Set[int] = set()
-        used = 0.0
-        for object_id, _ in ranked:
-            size = self._repository.object_size(object_id)
-            if used + size <= capacity + 1e-9:
-                target.add(object_id)
+    def _replan_cache(self, sizes: Sequence[float], resident: "np.ndarray") -> "np.ndarray":
+        """Greedily (re)build the cached set from positive forecasts; returns its mask."""
+        forecast = self._forecast.tolist()
+        positive = (self._forecast > 0).nonzero()[0].tolist()
+        ranked = sorted(positive, key=forecast.__getitem__, reverse=True)
+        store, ids = self.store, self._ids
+        target, used, room = [], 0.0, store.capacity + 1e-9
+        for position in ranked:
+            size = sizes[position]
+            if used + size <= room:
+                target.append(position)
                 used += size
 
         # Evict residents that fell out of the target set.
-        for object_id in list(self.store.resident_ids()):
-            if object_id not in target:
+        kept = {ids[position] for position in target}
+        for object_id in list(store.resident_ids()):
+            if object_id not in kept:
                 self.evict_object(object_id)
 
         # Load target objects that are not resident yet (paying load costs).
-        for object_id, _ in ranked:
-            if object_id in target and not self.is_resident(object_id):
-                if self.store.fits(self._repository.object_size(object_id)):
-                    self.load_object(object_id, self._current_time)
+        resident[:] = False
+        for position in target:
+            object_id = ids[position]
+            if object_id not in store and store.fits(sizes[position]):
+                self.load_object(object_id, self._current_time)
+            resident[position] = object_id in store
+        return resident
 
     # ------------------------------------------------------------------
     # Statistics
@@ -206,7 +210,5 @@ class BenefitPolicy(BaseCachePolicy):
         """Counters including window progress."""
         data = super().stats()
         data["windows_completed"] = float(self._window_index)
-        data["positive_forecasts"] = float(
-            sum(1 for value in self._forecast.values() if value > 0)
-        )
+        data["positive_forecasts"] = float((self._forecast > 0).sum())
         return data

@@ -28,7 +28,7 @@ while the mechanism helpers below carry only decisions; see
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Container, Dict, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, Container, Dict, FrozenSet, List
 
 from repro.cache.observer import PolicyObserver
 from repro.cache.store import CacheStore
@@ -257,23 +257,28 @@ class BaseCachePolicy(abc.ABC):
 # ----------------------------------------------------------------------
 # The share rule over columns (batched Benefit windows, SOptimal's prepare)
 # ----------------------------------------------------------------------
+def share_terms(
+    weights: np.ndarray, positions: np.ndarray, costs: np.ndarray, totals: np.ndarray,
+    footprint: np.ndarray,
+) -> np.ndarray:  # fmt: skip
+    """:meth:`BaseCachePolicy.credit_query_shares` per touch, vectorised: each
+    query's ``footprint`` touches (at ``positions``) get ``cost * weight / total``."""
+    import numpy as np
+
+    return np.repeat(costs, footprint) * weights[positions] / np.repeat(totals, footprint)
+
+
 def fold_credit(
     sums: np.ndarray, weights: np.ndarray, update_positions: np.ndarray, update_costs: np.ndarray,
     positions: np.ndarray, costs: np.ndarray, totals: np.ndarray, footprint: np.ndarray,
-    credit: Optional[np.ndarray] = None,
 ) -> None:  # fmt: skip
     """Add a batch of events to per-position ``sums`` (query share, update cost).
 
-    :meth:`BaseCachePolicy.credit_query_shares` vectorised: each query's
-    ``footprint`` touches (at ``positions``; those in ``credit`` if given)
-    get ``cost * weight / total``.  Unbuffered ``np.add.at`` adds each
-    position's terms in event order, as the per-event hooks do: same bits.
+    Unbuffered ``np.add.at`` adds each position's :func:`share_terms` and
+    update costs in event order, as the per-event hooks do: same bits.
     """
     import numpy as np
 
     query_share, update_cost = sums
     np.add.at(update_cost, update_positions, update_costs)
-    shares = np.repeat(costs, footprint) * weights[positions] / np.repeat(totals, footprint)
-    if credit is not None:
-        positions, shares = positions[credit], shares[credit]
-    np.add.at(query_share, positions, shares)
+    np.add.at(query_share, positions, share_terms(weights, positions, costs, totals, footprint))

@@ -149,17 +149,17 @@ class Repository:
         versions = numpy.bincount(positions, minlength=len(self._ordered) + 1)
         if versions[-1]:
             raise KeyError(int(object_ids[positions == len(self._ordered)].min()))
-        touched = numpy.flatnonzero(versions).tolist()
-        rows_add, grown = numpy.zeros(len(versions), dtype=numpy.int64), numpy.zeros(len(versions))
-        grown[touched] = [self._ordered[position][0].grown_by for position in touched]
+        rows_add = numpy.zeros(len(versions), dtype=numpy.int64)
         numpy.add.at(rows_add, positions, rows)
+        grown = numpy.array([state.grown_by for state, _ in self._ordered] + [0.0])
         numpy.add.at(grown, positions, costs)
-        versions, rows_add, grown = versions.tolist(), rows_add.tolist(), grown.tolist()
-        for position in touched:
-            state = self._ordered[position][0]
-            state.version += versions[position]
-            state.rows += rows_add[position]
-            state.grown_by = grown[position]
+        for (state, _), version, row, size in zip(
+            self._ordered, versions.tolist(), rows_add.tolist(), grown.tolist(), strict=False
+        ):
+            if version:
+                state.version += version
+                state.rows += row
+                state.grown_by = size
         self._updates_received += count
 
     # ------------------------------------------------------------------
@@ -183,8 +183,8 @@ class Repository:
 
         Raises ``KeyError`` (the smallest unknown id) if any id of the numpy
         array ``touched_object_ids`` is not in the catalogue, as
-        :meth:`answer_query` does per query.  A batched replay passes only
-        the touches it found in the unknown-id catalogue position.
+        :meth:`answer_query` does per query.  A batched replay passes every
+        unknown-id touch of its trace once, when it is built, and no ids after.
         """
         unknown = [oid for oid in touched_object_ids.tolist() if oid not in self._states]
         if unknown:

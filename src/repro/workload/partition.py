@@ -32,6 +32,7 @@ from repro.workload.trace import TraceStream
 if TYPE_CHECKING:
     import numpy
 
+    from repro.repository.objects import ObjectCatalog
     from repro.workload.columns import TraceColumns
 
 #: Known object-to-site assignment strategies.
@@ -107,13 +108,16 @@ class TracePartitioner:
         """Build a partitioner for a trace (computes affinity counts).
 
         ``trace`` may be any :class:`~repro.workload.trace.TraceStream`; the
-        ``affinity`` strategy makes one streaming pass over its queries.
+        ``affinity`` strategy makes one streaming pass over its queries.  A
+        trace without queries routes nothing, so it weighs every object
+        once and the assignment spreads them evenly.
         """
         counts: Dict[int, int] = {}
         if strategy == "affinity":
             for query in trace.queries():
                 for object_id in query.object_ids:
                     counts[object_id] = counts.get(object_id, 0) + 1
+            counts = counts or dict.fromkeys(object_ids, 1)
         return cls(object_ids, site_count, strategy=strategy, query_counts=counts)
 
     # ------------------------------------------------------------------
@@ -141,22 +145,27 @@ class TracePartitioner:
     #: A partitioner is a kernel router: calling it routes one query.
     __call__ = site_of_query
 
-    def sites_of_queries(self, columns: "TraceColumns") -> "numpy.ndarray":
+    def sites_of_queries(
+        self, columns: "TraceColumns", catalog: "ObjectCatalog"
+    ) -> "numpy.ndarray":
         """:meth:`site_of_query` of every query of ``columns``, as one int array.
 
-        The same integer majority vote: unowned ids cast no vote and ties
-        (no votes at all included) go to the lowest site.
+        The same integer majority vote, counted per site over the touches'
+        ``catalog`` positions (:meth:`TraceColumns.positions`): ids that no
+        site owns or that ``catalog`` lacks cast no vote, and ties (no votes
+        at all included) go to the lowest site.
         """
         import numpy
 
-        keys = numpy.array(sorted(self._assignment), dtype=numpy.int64)
-        owners = numpy.array([self._assignment[oid] for oid in keys.tolist()], dtype=numpy.int64)
-        ids, sites, queries = columns.query_object_ids, self._site_count, columns.query_count
-        slot = numpy.minimum(numpy.searchsorted(keys, ids), len(keys) - 1)
-        voting = keys[slot] == ids
-        voter = numpy.repeat(numpy.arange(queries), numpy.diff(columns.query_object_offsets))
-        ballot = voter[voting] * sites + owners[slot[voting]]
-        return numpy.bincount(ballot, minlength=queries * sites).reshape(-1, sites).argmax(axis=1)
+        owners = [self._assignment.get(oid, -1) for oid in catalog.object_ids] + [-1]
+        owner = numpy.array(owners, numpy.int32).take(columns.positions(catalog)[1])
+        offsets, tally = columns.query_object_offsets, numpy.zeros(len(owner) + 1, numpy.int32)
+        best = top = numpy.zeros(len(offsets) - 1, numpy.int32)
+        for site in range(self._site_count):
+            numpy.cumsum(owner == site, dtype=numpy.int32, out=tally[1:])
+            votes = tally[offsets[1:]] - tally[offsets[:-1]]
+            best, top = numpy.where(votes > top, site, best), numpy.maximum(top, votes)
+        return best
 
 
 def _affinity_assignment(

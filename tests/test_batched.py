@@ -19,7 +19,7 @@ import json
 
 import pytest
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.benefit import BenefitConfig, BenefitPolicy
@@ -183,8 +183,9 @@ class TestTraceColumns:
         repository = Repository(catalog)
         link = NetworkLink()
         policy = BenefitPolicy(repository, 2.0, link, BenefitConfig(window_size=2))
-        (site,) = select_batched_executor([policy], trace, repository, [link])._sites
-        assert [repr(total) for total in site.totals.tolist()] == [
+        executor = select_batched_executor([policy], trace, repository, [link])
+        executor._shares(*executor._sites)  # a Benefit site's first close builds them
+        assert [repr(total) for total in executor._totals.tolist()] == [
             repr(policy.share_total(query.object_ids)) for query in queries
         ]
         for fraction in (0.0, 1.0):
@@ -329,6 +330,27 @@ def assert_same_fleet(batched, scalar):
     assert canonical(batched[1]) == canonical(scalar[1])
     assert batched[2].stats() == scalar[2].stats()
     assert [policy_state(p) for p in batched[3]] == [policy_state(p) for p in scalar[3]]
+
+
+def window_edges(catalog, trace, windows, strategy="region"):
+    """Each Benefit site's window edges in a fleet of ``len(windows)`` sites.
+
+    A site's window closes after every ``window`` of its own events: every
+    broadcast update plus the queries routed to it.
+    """
+    columns = trace.columns()
+    routes = TracePartitioner.for_trace(
+        catalog.object_ids, len(windows), trace, strategy=strategy
+    ).sites_of_queries(columns, catalog).tolist()
+    edges = []
+    for site, window in enumerate(windows):
+        own, query = [], 0
+        for index, is_update in enumerate(columns.is_update.tolist()):
+            if is_update or routes[query] == site:
+                own.append(index)
+            query += not is_update
+        edges.append([index + 1 for index in own[window - 1 :: window]])
+    return edges
 
 
 class TestByteEquivalence:
@@ -500,6 +522,48 @@ class TestByteEquivalence:
         )
         site_runs = batched[0]
         assert all(run.queries_answered_at_cache > 0 for run in site_runs)
+
+
+#: Traces at the edges of the batched path: no queries, no updates, one event.
+EDGE_TRACES = {
+    "update-only": [("update", [1 + index % 5], 2.0 + index % 3, 0.0) for index in range(23)],
+    "query-only": [
+        ("query", [1 + index % 5, 1 + index * 3 % 6], 4.0, 0.0) for index in range(23)
+    ],
+    "one-update": [("update", [2], 3.0, 0.0)],
+    "one-query": [("query", [2, 5], 3.0, 0.0)],
+}
+
+#: Every one-site batched row: each static decoupling, and Benefit.
+EDGE_ROWS = (*STATIC_POLICIES, pytest.param(benefit_at(0.5, 4), id="Benefit"))
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_TRACES))
+class TestEdgeTraces:
+    @pytest.mark.parametrize("make_policy", EDGE_ROWS)
+    def test_single_site_matches_scalar(self, catalog, kind, make_policy):
+        trace = build_trace(EDGE_TRACES[kind])
+        assert_same_replay(
+            run_once(catalog, trace, make_policy, sample_every=5, measure_from=3),
+            run_once(catalog, trace, make_policy, scalar=True, sample_every=5, measure_from=3),
+        )
+
+    @pytest.mark.parametrize("strategy", ("region", "affinity"))
+    @pytest.mark.parametrize(
+        "factories",
+        [
+            pytest.param((benefit_at(0.5, 4), benefit_at(0.5, 3)), id="benefit-x2"),
+            pytest.param((nocache, soptimal_at(0.5), benefit_at(0.5, 2)), id="mixed-x3"),
+        ],
+    )
+    def test_fleet_matches_scalar(self, catalog, kind, strategy, factories):
+        trace = build_trace(EDGE_TRACES[kind])
+        assert_same_fleet(
+            run_fleet(catalog, trace, factories, strategy, sample_every=5, measure_from=3),
+            run_fleet(
+                catalog, trace, factories, strategy, scalar=True, sample_every=5, measure_from=3
+            ),
+        )
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -825,3 +889,31 @@ class TestBatchedPrimitives:
             assert getattr(batched.observer, attribute) == getattr(
                 reference.observer, attribute
             )
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    raw=event_stream(max_objects=6, max_events=60),
+    windows=st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=3, unique=True),
+    strategy=st.sampled_from(("region", "affinity")),
+    fraction=st.sampled_from((0.2, 0.5, 1.0)),
+    sample_every=st.integers(min_value=1, max_value=7),
+    measure_from=st.integers(min_value=1, max_value=58),
+)
+def test_property_interleaved_fleet_windows_match_scalar(
+    raw, windows, strategy, fraction, sample_every, measure_from
+):
+    """Benefit sites whose windows close at different events, measured from
+    inside a window of every site: the batched fleet is the scalar one."""
+    assume(len(raw) >= 2)
+    trace = build_trace(raw)
+    catalog = ObjectCatalog.from_sizes({oid: float(oid) for oid in range(1, 7)})
+    measure_from = 1 + measure_from % (len(trace) - 1)
+    edges = window_edges(catalog, trace, windows, strategy)
+    assume(all(measure_from not in site_edges for site_edges in edges))
+    factories = [benefit_at(fraction, window) for window in windows]
+    grid = {"sample_every": sample_every, "measure_from": measure_from}
+    assert_same_fleet(
+        run_fleet(catalog, trace, factories, strategy, **grid),
+        run_fleet(catalog, trace, factories, strategy, scalar=True, **grid),
+    )

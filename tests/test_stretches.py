@@ -1,13 +1,15 @@
-"""The batched replay computes each decision stretch once, whatever the grid.
+"""The batched replay computes each site's decision stretch once, whatever the grid.
 
-A *stretch* runs from one decision point (run start, or a Benefit window
-edge of some site) to the next one or to end-of-run.  The executor ingests
-and replays a stretch once when the kernel's first chunk enters it; every
-later grid chunk only advances the link totals and counters.  At
-``sample_every=1`` the kernel cuts a chunk at every event, so these tests
-count the stretches by counting ``Repository.ingest_update_columns`` calls,
-and check the same runs' traffic series, occupancy series and warm-up total
-against the per-event path bit for bit.
+A site's *stretch* runs from one of its decision points (run start, or its
+own Benefit window edge) to its next one or to end-of-run.  The executor
+replays a site's stretch once when the kernel's first chunk enters it;
+every later grid chunk only advances the link totals and counters.  The
+repository ingests only where some site's stretch ends: once per window edge
+of any site, and at end-of-run.  At ``sample_every=1`` the kernel cuts a
+chunk at every event, so these tests count the replays per site
+(``_BatchedExecutor._replay``) and the ``Repository.ingest_update_columns``
+calls, and check the same runs' traffic series, occupancy series and warm-up
+total against the per-event path bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from repro.core.yardsticks import ReplicaPolicy
 from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
 from repro.sim.batched import _BatchedExecutor
-from repro.workload.partition import TracePartitioner
 from tests.test_batched import (
     STATIC_POLICIES,
     benefit_at,
@@ -28,6 +29,7 @@ from tests.test_batched import (
     run_once,
     shifting_trace,
     soptimal_at,
+    window_edges,
 )
 
 numpy = pytest.importorskip("numpy")
@@ -50,6 +52,26 @@ def ingest_calls(monkeypatch):
 
     monkeypatch.setattr(Repository, "ingest_update_columns", counting)
     return calls
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Every ``_BatchedExecutor._replay`` call of the test, as (site, start, stop)."""
+    calls = []
+    replay = _BatchedExecutor._replay
+
+    def counting(self, site, start, stop):
+        calls.append((self._sites.index(site), start, stop))
+        return replay(self, site, start, stop)
+
+    monkeypatch.setattr(_BatchedExecutor, "_replay", counting)
+    return calls
+
+
+def stretches(edges, events):
+    """The (start, stop) stretches of a site whose windows close at ``edges``."""
+    stops = edges if edges and edges[-1] == events else [*edges, events]
+    return list(zip([0, *stops], stops, strict=False))
 
 
 def observed(result):
@@ -77,14 +99,17 @@ def test_static_decoupling_is_one_stretch(catalog, ingest_calls, make_policy):
 
 
 @pytest.mark.parametrize("window", (6, 8))
-def test_benefit_ingests_once_per_window(catalog, ingest_calls, window):
+def test_benefit_ingests_once_per_window(catalog, ingest_calls, replays, window):
     # An update every fourth event: each window of 6 or 8 events holds one.
     trace = mixed_trace(120)
     batched, _, policy = run_once(
         catalog, trace, benefit_at(0.3, window), sample_every=1, measure_from=41
     )
     windows = -(-len(trace) // window)
-    assert len(ingest_calls) == windows
+    assert [(start, stop) for _, start, stop in replays] == stretches(
+        list(range(window, len(trace) + 1, window)), len(trace)
+    )
+    assert len(replays) == len(ingest_calls) == windows
     assert sum(ingest_calls) == trace.update_count
     assert policy.window_index == len(trace) // window
     scalar, _, _ = run_once(
@@ -93,32 +118,21 @@ def test_benefit_ingests_once_per_window(catalog, ingest_calls, window):
     assert observed(batched) == observed(scalar)
 
 
-def test_fleet_ingests_at_most_once_per_stretch_boundary(catalog, ingest_calls):
+def test_fleet_ingests_at_most_once_per_stretch_boundary(catalog, ingest_calls, replays):
     trace = shifting_trace(240)
     windows = (5, 7)
     factories = [benefit_at(0.3, window) for window in windows]
     batched = run_fleet(catalog, trace, factories, sample_every=1, measure_from=73)
-    calls = len(ingest_calls)
 
-    # Each site's window closes after every ``window`` of its own events:
-    # every broadcast update plus the queries routed to it.
-    columns = trace.columns()
-    routes = TracePartitioner.for_trace(
-        catalog.object_ids, len(windows), trace, strategy="region"
-    ).sites_of_queries(columns).tolist()
-    boundaries = {0}
-    for site, window in enumerate(windows):
-        own, query = [], 0
-        for index, is_update in enumerate(columns.is_update.tolist()):
-            if is_update:
-                own.append(index)
-            else:
-                if routes[query] == site:
-                    own.append(index)
-                query += 1
-        boundaries.update(index + 1 for index in own[window - 1 :: window])
-    boundaries.discard(len(trace))
-    assert 1 < calls <= len(boundaries)
+    # Each site replays once per window of its own (every broadcast update
+    # plus the queries routed to it), the trailing partial window included;
+    # the repository ingests at most once per window edge of any site.
+    edges = window_edges(catalog, trace, windows)
+    for site, site_edges in enumerate(edges):
+        mine = [(start, stop) for replayed, start, stop in replays if replayed == site]
+        assert mine == stretches(site_edges, len(trace))
+    union = {edge for site_edges in edges for edge in site_edges} | {len(trace)}
+    assert 1 < len(ingest_calls) <= len(union)
     assert sum(ingest_calls) == trace.update_count
 
     scalar = run_fleet(

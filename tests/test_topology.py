@@ -18,18 +18,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.core.benefit import BenefitConfig
 from repro.core.yardsticks import NoCachePolicy
 from repro.experiments.config import ExperimentConfig, build_scenario
 from repro.network.link import NetworkLink
 from repro.sim.engine import EngineConfig, ReplayKernel
 from repro.sim.multicache import TopologySpec, run_topology
-from repro.sim.runner import benefit_spec, nocache_spec, run_policy, vcover_spec
+from repro.sim.runner import benefit_spec, nocache_spec, policy_spec, run_policy, vcover_spec
 from repro.sim.sweep import DEFAULT_SCENARIO, SweepPoint, SweepRunner
 from repro.sky.partition import contiguous_sky_slices
+from repro.repository.objects import ObjectCatalog
 from repro.repository.server import Repository
 from repro.workload.partition import PARTITION_STRATEGIES, TracePartitioner
-from repro.workload.trace import InlineScenario, QueryEvent, Trace
-from tests.conftest import make_query
+from repro.workload.trace import InlineScenario, QueryEvent, Trace, UpdateEvent
+from tests.conftest import make_query, make_update
 from tests.strategies import build_trace, event_stream
 
 
@@ -116,7 +118,8 @@ class TestTracePartitioner:
             QueryEvent(make_query(index, object_ids=ids, cost=1.0, timestamp=float(index)))
             for index, ids in enumerate(footprints)
         )
-        assert partitioner.sites_of_queries(trace.columns()).tolist() == [0, 2, 1, 0, 0]
+        catalog = ObjectCatalog.from_sizes(dict.fromkeys(range(1, 7), 1.0))
+        assert partitioner.sites_of_queries(trace.columns(), catalog).tolist() == [0, 2, 1, 0, 0]
         assert [partitioner(query) for query in trace.queries()] == [0, 2, 1, 0, 0]
 
     def test_invalid_arguments_rejected(self):
@@ -132,6 +135,16 @@ class TestTracePartitioner:
             TracePartitioner.for_trace(
                 small_scenario.catalog.object_ids, 40, small_scenario.trace, strategy=strategy
             )
+
+    def test_affinity_without_queries_spreads_every_object(self):
+        # A trace with no queries routes nothing, so every object weighs the
+        # same and the greedy assignment alternates sites.
+        trace = Trace(
+            UpdateEvent(make_update(index, 1 + index % 4, 1.0, float(index + 1)))
+            for index in range(8)
+        )
+        partitioner = TracePartitioner.for_trace([1, 2, 3, 4], 2, trace, strategy="affinity")
+        assert [owner(partitioner, object_id) for object_id in (1, 2, 3, 4)] == [0, 1, 0, 1]
 
     def test_affinity_without_counts_rejected(self):
         # Without counts the greedy assignment would silently put every
@@ -159,7 +172,8 @@ def test_property_vectorised_route_matches_site_of_query(
     counts = {object_id: touches[object_id - 1] for object_id in owned}
     partitioner = TracePartitioner(sorted(owned), site_count, strategy, query_counts=counts)
     trace = build_trace(raw)
-    routes = partitioner.sites_of_queries(trace.columns()).tolist()
+    catalog = ObjectCatalog.from_sizes(dict.fromkeys(range(1, 9), 1.0))
+    routes = partitioner.sites_of_queries(trace.columns(), catalog).tolist()
     assert routes == [partitioner.site_of_query(query) for query in trace.queries()]
 
 
@@ -249,6 +263,37 @@ class TestFleetReplay:
         assert repository.stats()["updates_received"] == float(
             small_scenario.trace.update_count
         )
+
+    @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
+    @pytest.mark.parametrize("name", ["nocache", "benefit", "vcover"])
+    def test_update_only_trace_replays_at_every_strategy(self, strategy, name):
+        # NoCache and Benefit replay batched, VCover per event; the batched
+        # fleets must also match their per-event replay.
+        catalog = ObjectCatalog.from_sizes({oid: float(oid) for oid in range(1, 7)})
+        trace = Trace(
+            UpdateEvent(make_update(index, 1 + index % 6, 2.0, float(index + 1)))
+            for index in range(30)
+        )
+        spec = policy_spec(name, BenefitConfig(window_size=4) if name == "benefit" else None)
+        topology = TopologySpec.uniform(spec, 2, cache_fraction=0.3, strategy=strategy)
+        engine = EngineConfig(sample_every=7)
+        result = run_topology(topology, catalog, trace, engine)
+        assert result.aggregate.events_processed == 30
+        routed = [run.queries_answered_at_cache + run.queries_shipped for run in result.site_runs]
+        assert routed == [0, 0]
+        repository = Repository(catalog)
+        links = [NetworkLink(), NetworkLink()]
+        capacity = catalog.total_size * 0.3
+        kernel = ReplayKernel(
+            repository, [spec.factory(repository, capacity, link) for link in links], links,
+            engine, route=TracePartitioner.for_trace(catalog.object_ids, 2, trace, strategy),
+            on_decision=lambda payload, outcome: None,
+        )  # fmt: skip
+        per_event = kernel.run(trace, name=topology.name)
+        assert [run.as_payload() for run in per_event[0]] == [
+            run.as_payload() for run in result.site_runs
+        ]
+        assert per_event[1].as_payload() == result.aggregate.as_payload()
 
     def test_aggregate_carries_per_site_stats_and_occupancy(
         self, small_scenario, engine_config
